@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -90,32 +91,20 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 def as_array_fn(f: Callable) -> Callable:
-    """Wrap ``f`` so it maps ndarray -> ndarray of the same shape, falling
-    back to elementwise evaluation for scalar-only callables."""
+    """Wrap ``f`` so a scalar input gives a Python float and an ndarray a
+    same-shape ndarray, falling back to elementwise evaluation for
+    scalar-only callables."""
 
     def g(x):
         arr = np.asarray(x, dtype=float)
         try:
             y = np.asarray(f(arr), dtype=float)
             if y.shape == arr.shape:
-                return y
+                return float(y) if arr.ndim == 0 else y
         except (TypeError, ValueError, ZeroDivisionError, IndexError):
             pass
         flat = np.array([float(f(float(v))) for v in arr.ravel()])
-        return flat.reshape(arr.shape)
-
-    return g
-
-
-def vectorize_scalar(f: Callable[[float], float]) -> Callable:
-    """Lift a scalar function to accept arrays (loop-based; the scalar
-    path is the hot one for quadrature kernels)."""
-
-    def g(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return float(f(float(arr)))
-        return np.array([f(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+        return float(flat[0]) if arr.ndim == 0 else flat.reshape(arr.shape)
 
     return g
 
@@ -288,10 +277,6 @@ class Distribution:
             if abs(masses.sum() - 1.0) > ATOM_MASS_TOL:
                 raise InputError(f"atom masses sum to {masses.sum()!r}, not 1")
 
-    @property
-    def moment_oracle(self) -> Callable[[int], float]:
-        return lambda n: moment(self, n)
-
     def effective_support(self, cfg: QuadratureConfig = DEFAULT_QUAD):
         """Finite interval carrying all but a ``tail_eps`` sliver of mass."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
@@ -449,24 +434,33 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 # operations
 # ---------------------------------------------------------------------------
 
+def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
+                points: Sequence[float] = ()) -> float:
+    """E[fn(X)]: exact on atoms, sample average on empirical laws,
+    quadrature against the density otherwise.  ``points`` are kinks of fn."""
+    if X.atoms is not None:
+        return float(sum(m * float(fn(x)) for x, m in X.atoms))
+    if X.samples is not None:
+        return float(np.mean(as_array_fn(fn)(X.samples)))
+    if X.density is not None:
+        if isinstance(X.density, TabulatedDensity):
+            return X.density.integrate_weighted(fn, X.lo, X.hi)
+        dens = X.density
+        return integrate_fn(lambda x: float(dens(x)) * float(fn(x)), X.lo, X.hi, cfg,
+                            points=tuple(points) + X.kinks)
+    if X.components is not None:
+        return float(sum(w * expectation(c, fn, cfg, points)
+                         for c, w in zip(X.components, X.weights)))
+    raise InputError("no expectation route for this distribution")
+
+
 def moment(d: Distribution, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """E[X^n]: exact atom sum for discrete laws, sample average for
     empirical ones, quadrature otherwise."""
     if n < 0 or int(n) != n:
         raise InputError("moment order must be a nonnegative integer")
     n = int(n)
-    if n == 0:
-        return 1.0
-    if d.atoms is not None:
-        return float(sum(m * x**n for x, m in d.atoms))
-    if d.samples is not None:
-        return float(np.mean(d.samples**n))
-    if d.density is not None:
-        dens = d.density
-        return integrate_fn(lambda x: float(dens(x)) * x**n, d.lo, d.hi, cfg, points=d.kinks)
-    if d.components is not None:
-        return float(sum(w * moment(c, n, cfg) for c, w in zip(d.components, d.weights)))
-    raise NonIntegrable("distribution exposes no moment route")
+    return 1.0 if n == 0 else expectation(d, lambda x: x ** n, cfg)
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -501,18 +495,23 @@ def _rejection_sampler(d: Distribution, w, envelope, cfg):
     return draw
 
 
-class _LazyTable:
-    """Build a TabulatedDensity on first use (keeps construction cheap for
-    laws whose sampler may never be exercised)."""
+class _Lazy:
+    """Value built on first use, exactly once: concurrent first readers
+    wait for one build, and reads after it take no lock."""
 
-    def __init__(self, builder):
+    def __init__(self, builder: Callable):
         self._builder = builder
-        self._table = None
+        self._value = None
+        self._lock = threading.Lock()
 
-    def get(self) -> TabulatedDensity:
-        if self._table is None:
-            self._table = self._builder()
-        return self._table
+    def get(self):
+        value = self._value
+        if value is None:
+            with self._lock:
+                if self._value is None:
+                    self._value = self._builder()
+                value = self._value
+        return value
 
 
 def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
@@ -531,6 +530,9 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
         raise InputError(f"unknown tilt sampling method {method!r}")
     wv = as_array_fn(w)
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
+
+    def w_plus(x):
+        return np.maximum(wv(x), 0.0)
 
     if d.atoms is not None:
         xs = np.array([x for x, _ in d.atoms])
@@ -556,11 +558,7 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
             try:
                 tc = tilt(comp, w, cfg, envelope=envelope, method=method,
                           weight_kinks=weight_kinks)
-                zc = integrate_fn(lambda x, c=comp: float(c.density(x)) * float(wv(x)),
-                                  comp.lo, comp.hi, cfg,
-                                  points=comp.kinks + tuple(weight_kinks)) \
-                    if comp.density is not None else \
-                    float(sum(m * max(float(wv(x)), 0.0) for x, m in comp.atoms))
+                zc = expectation(comp, w_plus, cfg, points=weight_kinks)
             except ZeroNormalizer:
                 tc, zc = None, 0.0
             tilted.append(tc)
@@ -579,18 +577,13 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
         if wg.min() < NEGATIVE_WEIGHT_TOL:
             raise NegativeWeight(f"weight is negative at x={grid[wg.argmin()]!r}")
         base_dens = d.density
-        if isinstance(base_dens, TabulatedDensity):
-            z = base_dens.integrate_weighted(lambda x: np.clip(wv(x), 0.0, None),
-                                             d.lo, d.hi)
-        else:
-            z = integrate_fn(lambda x: float(base_dens(x)) * max(float(wv(x)), 0.0),
-                             d.lo, d.hi, cfg, points=kinks)
+        z = expectation(d, w_plus, cfg, points=weight_kinks)
         if z <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation")
 
         def dens(x):
             arr = np.asarray(x, dtype=float)
-            out = np.clip(wv(arr), 0.0, None) * as_array_fn(base_dens)(arr) / z
+            out = w_plus(arr) * as_array_fn(base_dens)(arr) / z
             return float(out) if arr.ndim == 0 else out
 
         if method == "rejection":
@@ -599,7 +592,7 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
                 raise ZeroNormalizer("rejection envelope is zero")
             draw = _rejection_sampler(d, w, env, cfg)
         else:
-            table = _LazyTable(lambda: TabulatedDensity.from_callable(
+            table = _Lazy(lambda: TabulatedDensity.from_callable(
                 dens, lo_e, hi_e, INVERSE_CDF_GRID, knots=kinks))
 
             def draw(rs: RandomSource, n: int):

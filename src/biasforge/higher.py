@@ -31,7 +31,10 @@ from .distributions import (
     Distribution,
     QuadratureConfig,
     RandomSource,
+    _Lazy,
     cache_density,
+    expectation,
+    moment,
     sample,
 )
 from .polynomials import lagrange_poly
@@ -40,12 +43,10 @@ from .transform import (
     DENSITY_GRID,
     BiasedDistribution,
     SignChangeSpec,
-    _Deferred,
     alpha_of,
     bias,
-    expectation,
     recipe_moments,
-    register_recipe_moments,
+    shift_moments,
     sign_spec,
 )
 
@@ -65,6 +66,13 @@ class HatRecipe:
     location: float
     second_moment: float
 
+    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+        """Raw moments of the inner law, centred at the location, mapped
+        through one step and shifted back."""
+        a = self.location
+        raw = np.array([moment(self.inner, p, cfg) for p in range(top + 3)])
+        return shift_moments(_hat_moment_map(shift_moments(raw, -a)), a)
+
 
 @dataclass(frozen=True)
 class ChainRecipe:
@@ -73,6 +81,13 @@ class ChainRecipe:
 
     base: BiasedDistribution
     step_normalizers: tuple
+
+    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+        steps = len(self.step_normalizers)
+        mom = recipe_moments(self.base.recipe, top + 2 * steps, cfg)
+        for _ in range(steps):
+            mom = _hat_moment_map(mom)
+        return mom
 
 
 def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
@@ -85,39 +100,6 @@ def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
         raise DegenerateBeta("second moment vanished inside the chain")
     top = len(mom) - 3
     return np.array([mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(top + 1)])
-
-
-def _centered(mom: np.ndarray, a: float) -> np.ndarray:
-    out = np.empty_like(mom)
-    for r in range(len(mom)):
-        out[r] = sum(math.comb(r, s) * (-a) ** (r - s) * mom[s] for s in range(r + 1))
-    return out
-
-
-def _uncentered(mom: np.ndarray, a: float) -> np.ndarray:
-    out = np.empty_like(mom)
-    for p in range(len(mom)):
-        out[p] = sum(math.comb(p, r) * a ** (p - r) * mom[r] for r in range(p + 1))
-    return out
-
-
-def _hat_recipe_moments(recipe: HatRecipe, top: int, cfg: QuadratureConfig) -> np.ndarray:
-    from .distributions import moment
-    raw = np.array([moment(recipe.inner, p, cfg) for p in range(top + 3)])
-    centered = _centered(raw, recipe.location)
-    return _uncentered(_hat_moment_map(centered), recipe.location)
-
-
-def _chain_recipe_moments(recipe: ChainRecipe, top: int, cfg: QuadratureConfig) -> np.ndarray:
-    steps = len(recipe.step_normalizers)
-    mom = recipe_moments(recipe.base.recipe, top + 2 * steps, cfg)
-    for _ in range(steps):
-        mom = _hat_moment_map(mom)
-    return mom
-
-
-register_recipe_moments("HatRecipe", _hat_recipe_moments)
-register_recipe_moments("ChainRecipe", _chain_recipe_moments)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +116,7 @@ def _hat_law_build(W: Distribution, a: float, cfg: QuadratureConfig) -> Distribu
 
 def _deferred_law(builder, lo: float, hi: float, kinks: tuple, label: str) -> Distribution:
     """Constructed law whose density/CDF/sampler are built on first use."""
-    thunk = _Deferred(builder)
+    thunk = _Lazy(builder)
 
     def dens(x):
         return thunk.get().density(x)

@@ -36,24 +36,22 @@ from .distributions import (
     QuadratureConfig,
     RandomSource,
     as_array_fn,
-    integrate_fn,
+    expectation,
     make_mixture,
     sample,
     tilt,
-    vectorize_scalar,
 )
 from .transform import (
     ALPHA_TOL,
     BiasedDistribution,
     MixtureRecipe,
     SignChangeSpec,
+    _one_node_density,
     alpha_of,
     bias,
-    expectation,
+    validate_spec,
 )
 from .higher import bias_to_order, second_difference_transform
-
-_B0_GRID = 4097
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +85,17 @@ class SteinOperator:
 # second order
 # ---------------------------------------------------------------------------
 
-def _check_nonnegative(X: Distribution, B0: Callable, cfg: QuadratureConfig):
-    if X.atoms is not None:
-        pts = np.array([x for x, _ in X.atoms])
-    else:
-        lo, hi = X.effective_support(cfg)
-        pts = np.linspace(lo, hi, _B0_GRID)
-    vals = as_array_fn(B0)(pts)
-    worst = int(np.argmin(vals))
-    if vals[worst] < -1e-12:
-        raise NegativeWeight(f"order-0 coefficient is negative at x={pts[worst]!r}")
+def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float,
+                    cfg: QuadratureConfig, points: Sequence[float] = ()) -> float:
+    """alpha_1 + alpha_2 = E[B0(X)(X - a)^2] / 2 + E[B1(X)(X - a)]."""
+    pts = (a,) + tuple(points)
+    alpha1 = 0.5 * expectation(X, lambda x: float(B0(x)) * (float(x) - a) ** 2, cfg,
+                               points=pts)
+    alpha2 = expectation(X, lambda x: float(B1(x)) * (float(x) - a), cfg, points=pts)
+    alpha = alpha1 + alpha2
+    if not alpha > ALPHA_TOL:
+        raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
+    return alpha
 
 
 def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
@@ -114,7 +113,9 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
-    _check_nonnegative(X, B0, cfg)
+    report = validate_spec(SignChangeSpec(B0), X, tol=1e-12, cfg=cfg)
+    if not report.passed:
+        raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
     pts = (a,) + tuple(B0_kinks)
 
     alpha1 = 0.5 * expectation(X, lambda x: float(B0(x)) * (float(x) - a) ** 2, cfg,
@@ -146,7 +147,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
 
     law = make_mixture([p.law for p in parts], weights)
     x_support = X.effective_support(cfg) if X.atoms is None else None
-    closed = vectorize_scalar(
+    closed = as_array_fn(
         lambda t: second_order_density(X, B0, B1.bias, a, t, cfg, alpha=alpha,
                                        kinks=tuple(B0_kinks) + B1.quad_points,
                                        support=x_support))
@@ -168,43 +169,12 @@ def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, 
     exact on atoms, quadrature otherwise."""
     a, t = float(a), float(t)
     if alpha is None:
-        pts = (a,) + tuple(kinks)
-        alpha1 = 0.5 * expectation(X, lambda x: float(B0(x)) * (float(x) - a) ** 2, cfg,
-                                   points=pts)
-        alpha2 = expectation(X, lambda x: float(B1(x)) * (float(x) - a), cfg, points=pts)
-        alpha = alpha1 + alpha2
-        if not alpha > ALPHA_TOL:
-            raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
+        alpha = _operator_alpha(X, B0, B1, a, cfg, kinks)
 
     def load(x):
-        return float(B1(x)) + float(B0(x)) * (float(x) - t)
+        return B1(x) + B0(x) * (x - t)
 
-    pairs = X.atoms
-    if pairs is None and X.samples is not None:
-        pairs = [(x, 1.0 / X.samples.size) for x in X.samples]
-    if pairs is not None:
-        acc = 0.0
-        for x, m in pairs:
-            if a <= t <= x:
-                acc += m * load(x)
-            elif x < t < a:
-                acc -= m * load(x)
-        return acc / alpha
-
-    if X.density is not None:
-        lo_x, hi_x = support if support is not None else X.effective_support(cfg)
-        dens = X.density
-        kernel = lambda x: load(x) * float(dens(x))
-        pts = X.kinks + (a,) + tuple(kinks)
-        if t >= a:
-            if t >= hi_x:
-                return 0.0
-            return integrate_fn(kernel, max(t, lo_x), hi_x, cfg, points=pts) / alpha
-        if t <= lo_x:
-            return 0.0
-        return -integrate_fn(kernel, lo_x, min(t, hi_x), cfg, points=pts) / alpha
-
-    raise InputError("second-order density needs atoms or a density on the input law")
+    return _one_node_density(X, load, a, t, alpha, (a,) + tuple(kinks), cfg, support)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +357,7 @@ def fixed_point_check(Z: Distribution, spec: Optional[SignChangeSpec] = None,
         if B0 is None or B1 is None:
             raise InputError("second-order mode needs B0 and B1")
         nodes = (float(a),)
-        alpha1 = 0.5 * expectation(Z, lambda x: float(B0(x)) * (float(x) - a) ** 2, cfg,
-                                   points=nodes)
-        alpha2 = expectation(Z, lambda x: float(B1(x)) * (float(x) - a), cfg, points=nodes)
-        alpha = alpha1 + alpha2
-        if not alpha > ALPHA_TOL:
-            raise DegenerateAlpha("operator normalizer is zero on the target")
+        alpha = _operator_alpha(Z, B0, B1, a, cfg)
         if B1_deriv is None:
             B1_deriv = lambda t, _B1=B1: _d1(_B1, t, h)
     else:

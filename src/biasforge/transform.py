@@ -40,13 +40,14 @@ from .distributions import (
     QuadratureConfig,
     RandomSource,
     TabulatedDensity,
+    _Lazy,
     as_array_fn,
+    expectation,
     integrate_fn,
     make_mixture,
     moment,
     sample,
     tilt,
-    vectorize_scalar,
 )
 from .polynomials import NodeSet
 
@@ -156,26 +157,6 @@ def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL,
 # the normalizer
 # ---------------------------------------------------------------------------
 
-def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
-                points: Sequence[float] = ()) -> float:
-    """E[fn(X)]: exact on atoms, sample average on empirical laws,
-    quadrature against the density otherwise."""
-    if X.atoms is not None:
-        return float(sum(m * float(fn(x)) for x, m in X.atoms))
-    if X.samples is not None:
-        return float(np.mean(as_array_fn(fn)(X.samples)))
-    if X.density is not None:
-        if isinstance(X.density, TabulatedDensity):
-            return X.density.integrate_weighted(fn, X.lo, X.hi)
-        dens = X.density
-        return integrate_fn(lambda x: float(dens(x)) * float(fn(x)), X.lo, X.hi, cfg,
-                            points=tuple(points) + X.kinks)
-    if X.components is not None:
-        return float(sum(w * expectation(c, fn, cfg, points)
-                         for c, w in zip(X.components, X.weights)))
-    raise InputError("no expectation route for this distribution")
-
-
 def alpha_of(X: Distribution, spec: SignChangeSpec,
              cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Normalizer alpha = E[B(X) * prod(X - x_j)] / k!.
@@ -195,6 +176,13 @@ def alpha_of(X: Distribution, spec: SignChangeSpec,
 # recipes and the biased-distribution value
 # ---------------------------------------------------------------------------
 
+def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
+    """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
+    by the binomial expansion."""
+    return np.array([sum(math.comb(p, r) * c ** (p - r) * mom[r] for r in range(p + 1))
+                     for p in range(len(mom))], dtype=float)
+
+
 @dataclass(frozen=True)
 class BiasRecipe:
     """Construction record of a k-node transform: the tilted seed law plus
@@ -205,11 +193,26 @@ class BiasRecipe:
     seed_law: Distribution
     alpha: float
 
+    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+        """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
+        using independence and E[U_j^r] = j / (j + r)."""
+        mom = np.array([moment(self.seed_law, p, cfg) for p in range(top + 1)])
+        for j, xj in enumerate(self.spec.nodes, start=1):
+            shrink = np.array([j / (j + r) for r in range(top + 1)])
+            mom = shift_moments(shift_moments(mom, -xj) * shrink, xj)
+        return mom
+
 
 @dataclass(frozen=True)
 class MixtureRecipe:
     parts: tuple       # BiasedDistribution values (zero-weight parts omitted)
     weights: tuple
+
+    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+        total = np.zeros(top + 1)
+        for part, w in zip(self.parts, self.weights):
+            total += w * recipe_moments(part.recipe, top, cfg)
+        return total
 
 
 @dataclass(frozen=True)
@@ -246,58 +249,52 @@ class BiasedDistribution:
         return recipe_moments(self.recipe, p, cfg)[p]
 
 
-def seed_moments(recipe: BiasRecipe, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Moments E[Y^p], p = 0..top, of the tilted seed variable."""
-    return np.array([moment(recipe.seed_law, p, cfg) for p in range(top + 1)])
-
-
-def _shrink_moments(mom: np.ndarray, nodes: Sequence[float]) -> np.ndarray:
-    """Propagate moments through Z_j = x_j + U_j (Z_{j-1} - x_j) using
-    independence and E[U_j^r] = j / (j + r)."""
-    top = len(mom) - 1
-    out = np.array(mom, dtype=float)
-    for j, xj in enumerate(nodes, start=1):
-        centered = np.empty(top + 1)
-        for r in range(top + 1):
-            centered[r] = sum(math.comb(r, s) * (-xj) ** (r - s) * out[s]
-                              for s in range(r + 1))
-        nxt = np.empty(top + 1)
-        for p in range(top + 1):
-            nxt[p] = sum(math.comb(p, r) * xj ** (p - r) * (j / (j + r)) * centered[r]
-                         for r in range(p + 1))
-        out = nxt
-    return out
-
-
 def recipe_moments(recipe, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Moments E[Z^p], p = 0..top, of a transform through its recipe.
-
-    Dispatches on the recipe type; higher-order chains are handled by the
-    chain module, which registers its hook here.
-    """
-    if isinstance(recipe, BiasRecipe):
-        return _shrink_moments(seed_moments(recipe, top, cfg), recipe.spec.nodes)
-    if isinstance(recipe, MixtureRecipe):
-        total = np.zeros(top + 1)
-        for part, w in zip(recipe.parts, recipe.weights):
-            total += w * recipe_moments(part.recipe, top, cfg)
-        return total
-    handler = _RECIPE_HOOKS.get(type(recipe).__name__)
-    if handler is None:
+    """Moments E[Z^p], p = 0..top, of a transform through its recipe's own
+    ``moments`` method."""
+    if not hasattr(recipe, "moments"):
         raise InputError(f"unknown recipe type {type(recipe).__name__}")
-    return handler(recipe, top, cfg)
-
-
-_RECIPE_HOOKS: dict = {}
-
-
-def register_recipe_moments(name: str, handler) -> None:
-    _RECIPE_HOOKS[name] = handler
+    return recipe.moments(top, cfg)
 
 
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
+
+def _one_node_density(X: Distribution, load: Callable, node: float, t: float, alpha: float,
+                      points: Sequence[float], cfg: QuadratureConfig,
+                      support: Optional[tuple]) -> float:
+    """E[load(X) (1{node <= t <= X} - 1{X < t < node})] / alpha: one masked
+    sum on atoms and empirical samples, a tail integral of load times the
+    density otherwise.  ``points`` are kinks of the load."""
+    if X.atoms is not None or X.samples is not None:
+        if X.atoms is not None:
+            xs, ms = np.asarray(X.atoms, dtype=float).T
+        else:
+            xs, ms = X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
+        sel = xs >= t if t >= node else xs < t
+        acc = float(np.sum(ms[sel] * as_array_fn(load)(xs[sel])))
+        return (acc if t >= node else -acc) / alpha
+
+    if X.density is not None:
+        if isinstance(X.density, TabulatedDensity):
+            if t >= node:
+                return X.density.integrate_weighted(load, t, np.inf) / alpha
+            return -X.density.integrate_weighted(load, -np.inf, t) / alpha
+        lo_x, hi_x = support if support is not None else X.effective_support(cfg)
+        dens = X.density
+        kernel = lambda x: float(load(x)) * float(dens(x))
+        pts = X.kinks + tuple(points)
+        if t >= node:
+            if t >= hi_x:
+                return 0.0
+            return integrate_fn(kernel, max(t, lo_x), hi_x, cfg, points=pts) / alpha
+        if t <= lo_x:
+            return 0.0
+        return -integrate_fn(kernel, lo_x, min(t, hi_x), cfg, points=pts) / alpha
+
+    raise InputError("one-node density needs atoms or a density on the input law")
+
 
 def density_k1(X: Distribution, spec: SignChangeSpec, t: float,
                cfg: QuadratureConfig = DEFAULT_QUAD, alpha: Optional[float] = None,
@@ -311,41 +308,9 @@ def density_k1(X: Distribution, spec: SignChangeSpec, t: float,
     tails on every evaluation."""
     if spec.k != 1:
         raise InputError("density_k1 needs exactly one sign-change node")
-    x1 = spec.nodes[0]
-    a = alpha if alpha is not None else alpha_of(X, spec, cfg)
     t = float(t)
-    B = spec.bias
-
-    pairs = X.atoms
-    if pairs is None and X.samples is not None:
-        pairs = [(x, 1.0 / X.samples.size) for x in X.samples]
-    if pairs is not None:
-        acc = 0.0
-        for x, m in pairs:
-            if x1 <= t <= x:
-                acc += m * float(B(x))
-            elif x < t < x1:
-                acc -= m * float(B(x))
-        return acc / a
-
-    if X.density is not None:
-        if isinstance(X.density, TabulatedDensity):
-            if t >= x1:
-                return X.density.integrate_weighted(B, t, np.inf) / a
-            return -X.density.integrate_weighted(B, -np.inf, t) / a
-        lo_x, hi_x = support if support is not None else X.effective_support(cfg)
-        dens = X.density
-        kernel = lambda x: float(B(x)) * float(dens(x))
-        pts = X.kinks + spec.quad_points
-        if t >= x1:
-            if t >= hi_x:
-                return 0.0
-            return integrate_fn(kernel, max(t, lo_x), hi_x, cfg, points=pts) / a
-        if t <= lo_x:
-            return 0.0
-        return -integrate_fn(kernel, lo_x, min(t, hi_x), cfg, points=pts) / a
-
-    raise InputError("one-node density needs atoms or a density on the input law")
+    a = alpha if alpha is not None else alpha_of(X, spec, cfg)
+    return _one_node_density(X, spec.bias, spec.nodes[0], t, a, spec.quad_points, cfg, support)
 
 
 def lift_density(inner_density: Callable, node: float, level: int, t: float,
@@ -421,34 +386,19 @@ def _chain_density_builder(X: Distribution, spec: SignChangeSpec, alpha: float,
         spec1 = SignChangeSpec(residual_bias, NodeSet(nodes[:1]), kinks=spec.kinks + nodes[1:])
         a1 = alpha * math.factorial(len(nodes))  # one-node normalizer of the reduction
         x_support = X.effective_support(cfg)
-        level_fn = vectorize_scalar(
-            lambda s: density_k1(X, spec1, s, cfg, alpha=a1, support=x_support))
-        table = TabulatedDensity.from_callable(level_fn, lo, hi, DENSITY_GRID,
-                                               knots=nodes + X.kinks)
+        table = TabulatedDensity.from_callable(
+            lambda s: density_k1(X, spec1, s, cfg, alpha=a1, support=x_support),
+            lo, hi, DENSITY_GRID, knots=nodes + X.kinks)
         for lvl in range(2, len(nodes) + 1):
             node = nodes[lvl - 1]
             prev = table
-            level_fn = vectorize_scalar(
+            table = TabulatedDensity.from_callable(
                 lambda s, _p=prev, _n=node, _l=lvl: lift_density(
-                    _p, _n, _l, s, cfg, inner_support=(lo, hi)))
-            table = TabulatedDensity.from_callable(level_fn, lo, hi, DENSITY_GRID,
-                                                   knots=nodes)
+                    _p, _n, _l, s, cfg, inner_support=(lo, hi)),
+                lo, hi, DENSITY_GRID, knots=nodes)
         return table
 
     return build
-
-
-class _Deferred:
-    """Memoized thunk."""
-
-    def __init__(self, builder):
-        self._builder = builder
-        self._value = None
-
-    def get(self):
-        if self._value is None:
-            self._value = self._builder()
-        return self._value
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +442,12 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
     hi = max(hi_x, nodes[-1])
 
     if k == 1:
-        dens = vectorize_scalar(
+        dens = as_array_fn(
             lambda t: max(0.0, density_k1(X, spec, t, cfg, alpha=alpha,
                                           support=(lo_x, hi_x))))
         cdf = None
     else:
-        thunk = _Deferred(_chain_density_builder(X, spec, alpha, cfg))
+        thunk = _Lazy(_chain_density_builder(X, spec, alpha, cfg))
 
         def dens(x, _t=thunk):
             return _t.get().pdf(x)

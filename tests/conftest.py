@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -29,3 +32,28 @@ def atoms_strategy():
         st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=6, unique=True),
         st.lists(st.floats(0, 1, allow_nan=False), min_size=6, max_size=6),
     )
+
+
+def call_concurrently(fn, workers=4, timeout=120.0):
+    """Run ``fn`` in ``workers`` threads released together; return the
+    results.  The switch interval is shortened so the threads interleave
+    inside ``fn``."""
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(i):
+        barrier.wait()
+        results[i] = fn()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    return results

@@ -190,6 +190,20 @@ def test_distance_experiment(tmp_path):
     assert len(lines) == 5
 
 
+def test_distance_malformed_target_is_validation_error(capsys):
+    exp = {
+        "target": {"family": "nope"},
+        "test_distribution": {"family": "normal", "params": {}},
+        "operator": {"order": 1, "bias": "x", "nodes": [0]},
+        "constants": {"c0": 1, "c1": 1, "c2": 1},
+        "n_samples": 1_000,
+    }
+    assert run(["distance", "--experiment", json.dumps(exp)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InputError"
+    assert "nope" in err["error"]["message"]
+
+
 def test_distance_experiment_from_file(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({

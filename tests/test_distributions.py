@@ -44,6 +44,12 @@ def test_moment_matches_catalog_closed_forms():
     assert bf.moment(hn, 1) == pytest.approx(1.5 * math.sqrt(2 / math.pi), rel=1e-9)
 
 
+@pytest.mark.parametrize("n, expected", [(2, 1.0), (4, 3.0)])
+def test_moment_of_cached_density(n, expected):
+    # tabulated densities integrate by the table's own rule, not adaptive quadrature
+    assert bf.moment(bf.cache_density(bf.normal(), 2049), n) == pytest.approx(expected, abs=1e-4)
+
+
 def test_moment_heavy_tail_raises():
     cauchy = bf.Distribution(kind="analytic-catalog", lo=-np.inf, hi=np.inf,
                              density=lambda x: 1.0 / (np.pi * (1 + np.asarray(x, float) ** 2)))
@@ -174,6 +180,16 @@ def test_tilt_empirical_becomes_atoms():
     assert t.atoms is not None
     # weights proportional to x: masses 0, 1/4, 1/4, 2/4 -> {1: 1/2, 2: 1/2}
     assert t.atoms == ((1.0, 0.5), (2.0, 0.5))
+
+
+def test_tilt_mixture_with_empirical_component():
+    s = np.array([0.1, 0.5, 1.2, 2.0])
+    mix = bf.make_mixture([bf.normal(), bf.from_samples(s)], [0.5, 0.5])
+    t = bf.tilt(mix, lambda x: x**2)
+    assert bf.expectation(t, lambda x: 1.0) == pytest.approx(1.0, abs=1e-9)
+    # E_t[X] = E[X^3] / E[X^2] under the untilted mixture (normal: 0 and 1)
+    expected = np.mean(s**3) / (1.0 + np.mean(s**2))
+    assert bf.moment(t, 1) == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

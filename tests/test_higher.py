@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 import biasforge as bf
+import biasforge.higher as higher
 from biasforge import Polynomial
+from conftest import call_concurrently
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,21 @@ def test_order_two_lift_density_and_sampling(uniform_sym):
     assert np.max(np.abs(np.asarray(t.density(ts)) - closed)) <= 1e-3
     total = quad(lambda x: float(t.density(x)), -1, 1, points=[0])[0]
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_order_two_lift_built_once_under_concurrent_reads(monkeypatch, uniform_sym):
+    builds = []
+    build = higher._hat_law_build
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(higher, "_hat_law_build", counting)
+    t = bf.bias_to_order(uniform_sym, bf.unit_bias_spec(), 2)
+    values = call_concurrently(lambda: t.density(0.25))
+    assert len(builds) == 1
+    assert len(set(values)) == 1
 
 
 def test_absolute_continuity_no_repeats(uniform_sym):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import biasforge as bf
 from biasforge import NodeSet, Polynomial, SignChangeSpec
+from conftest import call_concurrently
 
 
 def x_plus_spec(node):
@@ -160,6 +161,22 @@ def test_two_node_sampler_moments_match_recipe():
         exact = t.moment(p)
         se = np.std(draws**p, ddof=1) / math.sqrt(n)
         assert abs(draws.__pow__(p).mean() - exact) < 4 * se
+
+
+def test_two_node_density_built_once_under_concurrent_reads(monkeypatch):
+    tables = []
+    build = bf.TabulatedDensity.from_callable
+
+    def counting(*args, **kwargs):
+        tables.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bf.TabulatedDensity, "from_callable", staticmethod(counting))
+    U, spec = two_node_transform()
+    t = bf.bias(U, spec)
+    values = call_concurrently(lambda: t.density(0.25))
+    assert len(tables) == 2  # one build tabulates one grid per node
+    assert len(set(values)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -443,9 +443,9 @@ def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_Q
     if X.samples is not None:
         return float(np.mean(as_array_fn(fn)(X.samples)))
     if X.density is not None:
-        if isinstance(X.density, TabulatedDensity):
-            return X.density.integrate_weighted(fn, X.lo, X.hi)
-        dens = X.density
+        dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
+        if isinstance(dens, TabulatedDensity):
+            return dens.integrate_weighted(fn, X.lo, X.hi)
         return integrate_fn(lambda x: float(dens(x)) * float(fn(x)), X.lo, X.hi, cfg,
                             points=tuple(points) + X.kinks)
     if X.components is not None:
@@ -495,14 +495,28 @@ def _rejection_sampler(d: Distribution, w, envelope, cfg):
     return draw
 
 
+def _probe_envelope(wv: Callable, lo: float, hi: float) -> float:
+    """Largest weight on an ENVELOPE_GRID probe of [lo, hi], inflated by
+    ENVELOPE_INFLATION; NegativeWeight when the probe finds it negative."""
+    grid = np.linspace(lo, hi, ENVELOPE_GRID)
+    wg = wv(grid)
+    if wg.min() < NEGATIVE_WEIGHT_TOL:
+        raise NegativeWeight(f"weight is negative at x={grid[wg.argmin()]!r}")
+    return float(wg.max()) * ENVELOPE_INFLATION
+
+
 class _Lazy:
     """Value built on first use, exactly once: concurrent first readers
-    wait for one build, and reads after it take no lock."""
+    wait for one build, and reads after it take no lock.  Calling it calls
+    the value."""
 
     def __init__(self, builder: Callable):
         self._builder = builder
         self._value = None
         self._lock = threading.Lock()
+
+    def __call__(self, x):  # a lazily built table reads as a density
+        return self.get()(x)
 
     def get(self):
         value = self._value
@@ -572,10 +586,7 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
 
     if d.density is not None:
         lo_e, hi_e = d.effective_support(cfg)
-        grid = np.linspace(lo_e, hi_e, ENVELOPE_GRID)
-        wg = wv(grid)
-        if wg.min() < NEGATIVE_WEIGHT_TOL:
-            raise NegativeWeight(f"weight is negative at x={grid[wg.argmin()]!r}")
+        probed = _probe_envelope(wv, lo_e, hi_e)
         base_dens = d.density
         z = expectation(d, w_plus, cfg, points=weight_kinks)
         if z <= ZERO_NORMALIZER_TOL:
@@ -587,7 +598,7 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
             return float(out) if arr.ndim == 0 else out
 
         if method == "rejection":
-            env = envelope if envelope is not None else float(wg.max()) * ENVELOPE_INFLATION
+            env = envelope if envelope is not None else probed
             if env <= 0:
                 raise ZeroNormalizer("rejection envelope is zero")
             draw = _rejection_sampler(d, w, env, cfg)
@@ -603,15 +614,9 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
 
     if d.sampler is not None:
         if envelope is None:
-            lo_e, hi_e = d.effective_support(cfg) if math.isfinite(d.lo) and math.isfinite(d.hi) \
-                else (d.lo, d.hi)
-            if not (math.isfinite(lo_e) and math.isfinite(hi_e)):
+            if not (math.isfinite(d.lo) and math.isfinite(d.hi)):
                 raise InputError("rejection tilting needs a finite support or an envelope")
-            grid = np.linspace(lo_e, hi_e, ENVELOPE_GRID)
-            wg = wv(grid)
-            if wg.min() < NEGATIVE_WEIGHT_TOL:
-                raise NegativeWeight(f"weight is negative at x={grid[wg.argmin()]!r}")
-            envelope = float(wg.max()) * ENVELOPE_INFLATION
+            envelope = _probe_envelope(wv, d.lo, d.hi)
         if envelope <= 0:
             raise ZeroNormalizer("rejection envelope is zero")
         return Distribution(kind="tilted", lo=d.lo, hi=d.hi,

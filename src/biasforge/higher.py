@@ -6,15 +6,19 @@ second derivative:
 
     E[f(X) - f(a) - f'(a)(X - a)] = (1/2) E[(X - a)^2] E[f''(XH)].
 
-It is built by applying the one-node sign transform at ``a`` twice in a
-row, so its density comes straight out of the one-node machinery.
+It is the two-node construction with a double node at ``a``: tilt by
+(x - a)^2, then shrink towards ``a`` by one Beta(1, 2) factor.  Its density
+is tabulated from that identity at the truncated power (s - t)_+, like
+every multi-node density in ``transform``.
 
 Chaining (m - k)/2 second-difference steps at zero onto a k-node
 transform lifts the derivative order from k to any m of the same parity.
 The lifted identity subtracts, besides the node interpolant, an explicit
 degree <= m-1 correction polynomial built from the test function's
 derivatives at zero; its normalizer beta is always positive for a
-nondegenerate chain.
+nondegenerate chain.  Each step's density is the identity table of the
+input law at that step's order, so no step reads the previous step's
+density; the previous law is only tilted for sampling.
 """
 
 from __future__ import annotations
@@ -32,22 +36,21 @@ from .distributions import (
     QuadratureConfig,
     RandomSource,
     _Lazy,
-    cache_density,
     expectation,
     moment,
     sample,
+    tilt,
 )
 from .polynomials import lagrange_poly
 from .transform import (
     ALPHA_TOL,
-    DENSITY_GRID,
     BiasedDistribution,
     SignChangeSpec,
+    _identity_density,
     alpha_of,
     bias,
     recipe_moments,
     shift_moments,
-    sign_spec,
 )
 
 SECOND_MOMENT_TOL = 1e-12
@@ -106,29 +109,23 @@ def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
 # law construction helpers
 # ---------------------------------------------------------------------------
 
-def _hat_law_build(W: Distribution, a: float, cfg: QuadratureConfig) -> Distribution:
-    """Two one-node sign stages at ``a``, each density cached on a grid."""
-    stage1 = bias(W, sign_spec(a), cfg=cfg, check=False)
-    law1 = cache_density(stage1.law, DENSITY_GRID, cfg)
-    stage2 = bias(law1, sign_spec(a), cfg=cfg, check=False)
-    return cache_density(stage2.law, DENSITY_GRID, cfg)
-
-
-def _deferred_law(builder, lo: float, hi: float, kinks: tuple, label: str) -> Distribution:
-    """Constructed law whose density/CDF/sampler are built on first use."""
-    thunk = _Lazy(builder)
-
-    def dens(x):
-        return thunk.get().density(x)
-
-    def cdf(x):
-        return thunk.get().cdf(x)
+def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
+              beta: float, c: float, cfg: QuadratureConfig, **fields) -> Distribution:
+    """One second-difference step about ``c`` after the law ``prev``: the
+    order-m identity table of X under ``spec`` for the density, and the
+    two-node construction with a double node at ``c`` for the sampler (tilt
+    ``prev`` by (x - c)^2, then shrink by a Beta(1, 2) draw 1 - sqrt(U)).
+    The tilt is made on first draw; ``fields`` are the law's support,
+    kinks and label."""
+    seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2, cfg,
+                              weight_kinks=(c,)))
 
     def draw(rs: RandomSource, n: int):
-        return sample(thunk.get(), rs, n)
+        y = sample(seed.get(), rs, n)
+        return c + (1.0 - np.sqrt(rs.uniform(n))) * (y - c)
 
-    return Distribution(kind="constructed", lo=lo, hi=hi, density=dens, cdf=cdf,
-                        sampler=draw, kinks=kinks, label=label)
+    dens, cdf = _identity_density(X, spec, m, beta, c, cfg)
+    return Distribution(kind="constructed", density=dens, cdf=cdf, sampler=draw, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +145,10 @@ def second_difference_transform(X: Distribution, a: float,
     if not second_moment > SECOND_MOMENT_TOL:
         raise DegenerateAlpha(f"second moment about {a} is zero (point mass at the location)")
     lo, hi = X.effective_support(cfg)
-    law = _deferred_law(lambda: _hat_law_build(X, a, cfg),
-                        min(lo, a), max(hi, a), (a,) + X.kinks,
-                        label=f"second-difference({X.label or X.kind}; a={a})")
+    unit = SignChangeSpec(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    law = _step_law(X, X, unit, 2, second_moment / 2.0, a, cfg, lo=min(lo, a), hi=max(hi, a),
+                    kinks=(a,) + X.kinks,
+                    label=f"second-difference({X.label or X.kind}; a={a})")
     recipe = HatRecipe(inner=X, location=a, second_moment=float(second_moment))
     return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None,
                               recipe=recipe, rng=rng)
@@ -197,29 +195,20 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
     if k == m:
         return base
 
-    steps = (m - k) // 2
-    mom = recipe_moments(base.recipe, 2 * steps, cfg)
+    mom = recipe_moments(base.recipe, m - k, cfg)
+    law, step_beta = base.law, base.alpha
+    fields = dict(lo=min(law.lo, 0.0), hi=max(law.hi, 0.0), kinks=(0.0,) + law.kinks,
+                  label=f"bias-to-order({X.label or X.kind}; k={k}, m={m})")
     normalizers = []
-    for _ in range(steps):
+    for order in range(k + 2, m + 1, 2):
         b_l = mom[2] / 2.0
         if not b_l > SECOND_MOMENT_TOL:
             raise DegenerateBeta("chain stage degenerated to a point mass at zero")
         normalizers.append(float(b_l))
         mom = _hat_moment_map(mom)
+        step_beta *= b_l
+        law = _step_law(law, X, spec, order, step_beta, 0.0, cfg, **fields)
     beta = beta_of(X, spec, m, cfg)
-
-    base_law = base.law
-    lo = min(base_law.lo, 0.0)
-    hi = max(base_law.hi, 0.0)
-
-    def build():
-        law = base_law
-        for _ in range(steps):
-            law = _hat_law_build(law, 0.0, cfg)
-        return law
-
-    law = _deferred_law(build, lo, hi, (0.0,) + base_law.kinks,
-                        label=f"bias-to-order({X.label or X.kind}; k={k}, m={m})")
     recipe = ChainRecipe(base=base, step_normalizers=tuple(normalizers))
     return BiasedDistribution(law, alpha=base.alpha, beta=beta, recipe=recipe, rng=rng)
 

@@ -11,8 +11,9 @@ density j*u^{j-1} on (0,1),
 and the transform is Z_k.  Its normalizer is
 alpha = E[B(X) * prod(X - x_j)] / k!, which is positive whenever the sign
 pattern holds and the transform is nondegenerate.  For k >= 1 the result
-always has a density: a closed form for one node, and a one-node density
-lifted level by level for more.
+always has a density: a closed form for one node, and for more a table
+filled from the defining identity at the truncated power (s - t)_+^{m-1},
+whose m-th derivative is the point mass at t.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -31,7 +32,6 @@ from .errors import (
     DegenerateAlpha,
     InputError,
     NegativeAlpha,
-    NonIntegrable,
     SignViolation,
 )
 from .distributions import (
@@ -49,14 +49,13 @@ from .distributions import (
     sample,
     tilt,
 )
-from .polynomials import NodeSet
+from .polynomials import NodeSet, correction_poly, lagrange_poly
 
 VALIDATION_GRID = 4097
 NODE_PROBE_EPS = 1e-6
 SIGN_TOL = 1e-10
 ALPHA_TOL = 1e-12
 DENSITY_GRID = 2049
-_LIFT_GRID = 8193
 
 
 # ---------------------------------------------------------------------------
@@ -318,87 +317,91 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
                  inner_support: Optional[tuple] = None) -> float:
     """One level of the density recursion: the law with ``level`` nodes has
 
-        p(t) = level * ∫_0^1 inner(node + (t - node)/u) u^{level-2} du.
+        p(t) = level * ∫_0^1 inner(node + (t - node)/u) u^{level-2} du;
 
-    Away from the node the substitution s = (t - node)/u gives a decaying
-    integrand in the inner variable; close to the node that form is nearly
-    singular, so the original bounded-integrand form is evaluated on a fine
-    grid instead."""
+    the ``inner_support`` edges enter as break points in u."""
     if level < 2:
         raise InputError("lift_density applies from level 2 upward")
     node, t = float(node), float(t)
     d = t - node
-    inner = inner_density
-    if d == 0.0:
-        return level / (level - 1.0) * float(inner(node))
-
-    def original_form():
-        us = np.linspace(1e-6, 1.0, _LIFT_GRID)
-        vals = as_array_fn(inner)(node + d / us) * us ** (level - 2)
-        return level * float(np.trapezoid(vals, us))
-
-    scale = level * abs(d) ** (level - 1)
-
-    if isinstance(inner, TabulatedDensity):
-        span = float(inner.xs[-1] - inner.xs[0])
-        if abs(d) < 1e-2 * max(span, 1e-12):
-            return original_form()
-        weight = lambda u: np.abs(np.asarray(u, dtype=float) - node) ** (-level)
-        if d > 0:
-            return scale * inner.integrate_weighted(weight, t, np.inf)
-        return scale * inner.integrate_weighted(weight, -np.inf, t)
-
-    if inner_support is not None:
-        lo_i, hi_i = float(inner_support[0]), float(inner_support[1])
-        if (d > 0 and t > hi_i) or (d < 0 and t < lo_i):
-            return 0.0
-        kernel = lambda u: float(inner(u)) * abs(u - node) ** (-level)
-        try:
-            if d > 0:
-                return scale * integrate_fn(kernel, t, hi_i, cfg)
-            return scale * integrate_fn(kernel, lo_i, t, cfg)
-        except NonIntegrable:
-            return original_form()
-
-    return original_form()
+    edges = [d / (e - node) for e in (inner_support or ()) if e != node]
+    return level * integrate_fn(lambda u: float(inner_density(node + d / u)) * u ** (level - 2),
+                                0.0, 1.0, cfg, points=[u for u in edges if 0.0 < u < 1.0])
 
 
-def _chain_density_builder(X: Distribution, spec: SignChangeSpec, alpha: float,
-                           cfg: QuadratureConfig):
-    """Deferred construction of the k >= 2 density: reduce to the one-node
-    transform of the residual bias, then lift one node per level, caching
-    every level on a grid."""
-    nodes = tuple(spec.nodes)
+def _tail_moments(X: Distribution, weight: Callable, ts: np.ndarray, top: int, c: float):
+    """T_j(t) = E[weight(X) (X - c)^j 1{X > t}], j < top, at the sorted points
+    ``ts``, and the full moments T_j(-inf): one sort and suffix sum on atoms
+    and samples; on densities, 8-point Gauss-Legendre panels between the
+    points with a reverse cumulative sum (mass outside [ts[0], ts[-1]] is
+    ignored)."""
+    powers = lambda x: (x - c) ** np.arange(top).reshape((top,) + (1,) * x.ndim)
+    if X.atoms is not None or X.samples is not None:
+        if X.atoms is not None:
+            xs, ms = np.asarray(X.atoms, dtype=float).T
+        else:
+            xs, ms = X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
+        order = np.argsort(xs)
+        xs, ms = xs[order], ms[order]
+        panel = powers(xs) * (ms * as_array_fn(weight)(xs))
+        idx = np.searchsorted(xs, ts, side="right")
+    elif X.density is not None:
+        gx, gw = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * np.diff(ts)[:, None]
+        xs = 0.5 * (ts[1:] + ts[:-1])[:, None] + half * gx
+        vals = as_array_fn(weight)(xs) * as_array_fn(X.density)(xs) * gw * half
+        panel = np.sum(powers(xs) * vals, axis=-1)
+        idx = np.arange(ts.size)
+    else:
+        raise InputError("tabulated density needs atoms or a density on the input law")
+    suffix = np.concatenate((np.cumsum(panel[:, ::-1], axis=1)[:, ::-1],
+                             np.zeros((top, 1))), axis=1)
+    return suffix[:, idx], suffix[:, 0]
 
-    def build() -> TabulatedDensity:
-        lo, hi = X.effective_support(cfg)
-        lo = min(lo, nodes[0])
-        hi = max(hi, nodes[-1])
-        B = spec.bias
 
-        def residual_bias(x, _rest=nodes[1:]):
-            arr = np.asarray(x, dtype=float)
-            out = as_array_fn(B)(arr)
-            for xj in _rest:
-                out = out * (arr - xj)
-            return float(out) if arr.ndim == 0 else out
+def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
+                    cfg: QuadratureConfig = DEFAULT_QUAD) -> TabulatedDensity:
+    """Density of the order-m transform of X under ``spec`` (correction
+    polynomial about ``c``) from the defining identity at the truncated
+    power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
+    point mass at t:
 
-        spec1 = SignChangeSpec(residual_bias, NodeSet(nodes[:1]), kinks=spec.kinks + nodes[1:])
-        a1 = alpha * math.factorial(len(nodes))  # one-node normalizer of the reduction
-        x_support = X.effective_support(cfg)
-        table = TabulatedDensity.from_callable(
-            lambda s: density_k1(X, spec1, s, cfg, alpha=a1, support=x_support),
-            lo, hi, DENSITY_GRID, knots=nodes + X.kinks)
-        for lvl in range(2, len(nodes) + 1):
-            node = nodes[lvl - 1]
-            prev = table
-            table = TabulatedDensity.from_callable(
-                lambda s, _p=prev, _n=node, _l=lvl: lift_density(
-                    _p, _n, _l, s, cfg, inner_support=(lo, hi)),
-                lo, hi, DENSITY_GRID, knots=nodes)
-        return table
+        beta p(t) = E[B(X) (g_t - R_{g_t} - L_{g_t})(X)].
 
-    return build
+    L and R are linear in the node values and derivatives at c of g_t, which
+    are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
+    integrated, once for the whole grid.  The grid spans the effective
+    support of X, the nodes and c."""
+    k = spec.k
+    ys = np.asarray(spec.nodes, dtype=float) - c
+
+    def trunc(z, e):  # z_+^e / e!, the unit step for e = 0
+        return np.where(z > 0, np.abs(z) ** e, 0.0) / math.factorial(e)
+
+    lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
+    correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
+
+    def values(ts):
+        s = ts - c
+        tail, full = _tail_moments(X, spec.bias, ts, m, c)
+        mean = lambda p: sum(a * full[i] for i, a in enumerate(p.coeffs))  # E[B(X) p(X - c)]
+        out = sum(math.comb(m - 1, j) * (-s) ** (m - 1 - j) * tail[j]
+                  for j in range(m)) / math.factorial(m - 1)
+        out = out - sum(mean(p) * trunc(y - s, m - 1) for p, y in zip(lagrange, ys))
+        out = out - sum(mean(p) * trunc(-s, m - 1 - k - j) for j, p in enumerate(correction))
+        return out / beta
+
+    lo, hi = X.effective_support(cfg)
+    lo, hi = min(lo, c, *spec.nodes), max(hi, c, *spec.nodes)
+    return TabulatedDensity.from_callable(values, lo, hi, DENSITY_GRID,
+                                          knots=spec.quad_points + X.kinks + (c,))
+
+
+def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
+                      cfg: QuadratureConfig):
+    """The identity table as a density built on first use, and its CDF."""
+    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c, cfg))
+    return table, (lambda x: table.get().cdf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +414,8 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
 
     With zero nodes the result is simply the tilt of X by B.  With k >= 1
     nodes the sampler implements the seed-and-shrink construction and the
-    law carries a density evaluator (closed form for one node, the lifted
-    recursion otherwise)."""
+    law carries a density evaluator (closed form for one node, the identity
+    table otherwise)."""
     if check:
         report = validate_spec(spec, X, cfg=cfg)
         if not report.passed:
@@ -447,13 +450,7 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
                                           support=(lo_x, hi_x))))
         cdf = None
     else:
-        thunk = _Lazy(_chain_density_builder(X, spec, alpha, cfg))
-
-        def dens(x, _t=thunk):
-            return _t.get().pdf(x)
-
-        def cdf(x, _t=thunk):
-            return _t.get().cdf(x)
+        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], cfg)
 
     law_kinks = tuple(sorted({*nodes, *spec.kinks,
                               *(kk for kk in X.kinks if lo <= kk <= hi)}))

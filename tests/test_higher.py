@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import biasforge as bf
-import biasforge.higher as higher
+import biasforge.transform as transform
 from biasforge import Polynomial
 from conftest import call_concurrently
 
@@ -227,17 +227,37 @@ def test_order_two_lift_density_and_sampling(uniform_sym):
 
 def test_order_two_lift_built_once_under_concurrent_reads(monkeypatch, uniform_sym):
     builds = []
-    build = higher._hat_law_build
+    build = transform._identity_table
 
     def counting(*args):
         builds.append(1)
         return build(*args)
 
-    monkeypatch.setattr(higher, "_hat_law_build", counting)
+    monkeypatch.setattr(transform, "_identity_table", counting)
     t = bf.bias_to_order(uniform_sym, bf.unit_bias_spec(), 2)
     values = call_concurrently(lambda: t.density(0.25))
     assert len(builds) == 1
     assert len(set(values)) == 1
+
+
+def test_two_step_lift_of_normal_samples_and_normalizes():
+    # each step's sampler tilts the previous step's tabulated law, here on an
+    # infinite support; the draws must follow the tabulated density
+    t = bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4)
+    xs = np.linspace(-9.0, 9.0, 20001)
+    assert np.trapezoid(np.asarray(t.density(xs)), xs) == pytest.approx(1.0, abs=1e-6)
+    n = 20_000
+    draws = t.sample(n, bf.RandomSource(17))
+    assert bf.ks_statistic(draws, bf.numeric_cdf(t.law)) < bf.ks_critical(n, 0.01)
+
+
+def test_moment_of_lifted_law_reads_its_table():
+    # the lifted law's density is a lazily built table, and expectations
+    # against the law integrate that table: adaptive quadrature over a
+    # piecewise-linear table hits round-off on the normal's infinite support
+    t = bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 2)
+    for q in (1, 2):
+        assert bf.moment(t.law, q) == pytest.approx(t.moment(q), abs=1e-4)
 
 
 def test_absolute_continuity_no_repeats(uniform_sym):

@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 import biasforge as bf
-from biasforge import NodeSet, Polynomial, SignChangeSpec
+import biasforge.transform as transform
+from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
+from biasforge.verify import _lhs_polynomials
 from conftest import call_concurrently
 
 
@@ -175,8 +177,68 @@ def test_two_node_density_built_once_under_concurrent_reads(monkeypatch):
     U, spec = two_node_transform()
     t = bf.bias(U, spec)
     values = call_concurrently(lambda: t.density(0.25))
-    assert len(tables) == 2  # one build tabulates one grid per node
+    assert len(tables) == 1  # one identity table per law
     assert len(set(values)) == 1
+
+
+def node_product_spec(nodes):
+    def B(x):
+        arr = np.asarray(x, float)
+        out = np.ones_like(arr)
+        for xj in nodes:
+            out = out * (arr - xj)
+        return out
+
+    return SignChangeSpec(B, NodeSet(nodes))
+
+
+@pytest.mark.parametrize("nodes", [(-0.5, 0.5), (-0.6, 0.0, 0.6)])
+def test_node_product_density_moments_match_recipe(nodes):
+    # the tabulated density carries the law's moments to the accuracy of its
+    # 2049-point grid
+    t = bf.bias(bf.uniform(-1, 1), node_product_spec(nodes))
+    xs = np.linspace(t.law.lo, t.law.hi, 20001)
+    ys = np.asarray(t.density(xs))
+    for q in range(1, 5):
+        assert np.trapezoid(ys * xs**q, xs) == pytest.approx(t.moment(q), abs=1e-6)
+
+
+def truncated_power(t, m):
+    """(x - t)_+^{m-1} / (m-1)!, whose m-th derivative is the point mass at t."""
+    power = Polynomial((1.0,))
+    for _ in range(m - 1):
+        power = power * Polynomial((-t, 1.0))
+    return PiecewisePoly((t,), (Polynomial(()), power.scale(1.0 / math.factorial(m - 1))))
+
+
+def test_identity_table_matches_atom_sum_of_identity():
+    # table values before renormalization against the identity's right side
+    # summed over the atoms with the verification suite's L and R
+    rng = np.random.default_rng(2024)
+    done = 0
+    while done < 12:
+        m = int(rng.integers(1, 5))
+        k = int(rng.choice(np.arange(m % 2, m + 1, 2)))
+        X = bf.random_discrete(rng)
+        spec = bf.random_valid_spec(rng, k)
+        try:
+            beta = bf.beta_of(X, spec, m)
+        except (bf.DegenerateAlpha, bf.DegenerateBeta):
+            continue
+        table = transform._identity_table(X, spec, m, beta, 0.0)
+        avoid = np.array([x for x, _ in X.atoms] + list(spec.nodes) + [0.0])
+        far = np.min(np.abs(table.xs[:, None] - avoid), axis=1) > 1e-3
+        far &= np.arange(far.size) % 8 == 0
+        ref = []
+        for t in table.xs[far]:
+            F = truncated_power(t, m)
+            L, R = _lhs_polynomials(spec, m, F)
+            ref.append(sum(mass * float(spec.bias(x)) * (F(x) - R(x) - L(x))
+                           for x, mass in X.atoms) / beta)
+        ref = np.array(ref)
+        got = (table.ys * table.raw_mass)[far]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (k, m)
+        done += 1
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,8 @@ def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_Q
         dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
         if isinstance(dens, TabulatedDensity):
             return dens.integrate_weighted(fn, X.lo, X.hi)
-        return integrate_fn(lambda x: float(dens(x)) * float(fn(x)), X.lo, X.hi, cfg,
+        dv, fv = as_array_fn(dens), as_array_fn(fn)
+        return integrate_fn(lambda x: dv(x) * fv(x), X.lo, X.hi, cfg,
                             points=tuple(points) + X.kinks)
     if X.components is not None:
         return float(sum(w * expectation(c, fn, cfg, points)

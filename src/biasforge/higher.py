@@ -170,10 +170,10 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int,
     nodes = tuple(spec.nodes)
     B = spec.bias
     if k == 0:
-        kernel = lambda x: float(B(x)) * float(x) ** m
+        kernel = lambda x: B(x) * x ** m
     else:
         interp = lagrange_poly(nodes, [x**m for x in nodes])
-        kernel = lambda x: float(B(x)) * (float(x) ** m - interp(float(x)))
+        kernel = lambda x: B(x) * (x ** m - interp(x))
     b = expectation(X, kernel, cfg, points=spec.quad_points) / math.factorial(m)
     if not b > ALPHA_TOL:
         raise DegenerateBeta(f"order-{m} normalizer {b!r} is not positive")
@@ -236,6 +236,6 @@ def moment_via_coefficients(X: Distribution, spec: SignChangeSpec, j: int,
         c = interp_coeff(spec.nodes, i, j, method)
         if c == 0.0:
             continue
-        kern = lambda x, _i=i: float(spec.tilt_weight(x)) * float(x) ** _i
+        kern = lambda x, _i=i: spec.tilt_weight(x) * x ** _i
         total += c * expectation(X, kern, cfg, points=spec.quad_points)
     return total / (alpha * falling)

@@ -35,6 +35,7 @@ from .distributions import (
     Distribution,
     QuadratureConfig,
     RandomSource,
+    _Lazy,
     as_array_fn,
     expectation,
     make_mixture,
@@ -46,6 +47,7 @@ from .transform import (
     BiasedDistribution,
     MixtureRecipe,
     SignChangeSpec,
+    _TailTable,
     _one_node_density,
     alpha_of,
     bias,
@@ -89,9 +91,8 @@ def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float,
                     cfg: QuadratureConfig, points: Sequence[float] = ()) -> float:
     """alpha_1 + alpha_2 = E[B0(X)(X - a)^2] / 2 + E[B1(X)(X - a)]."""
     pts = (a,) + tuple(points)
-    alpha1 = 0.5 * expectation(X, lambda x: float(B0(x)) * (float(x) - a) ** 2, cfg,
-                               points=pts)
-    alpha2 = expectation(X, lambda x: float(B1(x)) * (float(x) - a), cfg, points=pts)
+    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, cfg, points=pts)
+    alpha2 = expectation(X, lambda x: B1(x) * (x - a), cfg, points=pts)
     alpha = alpha1 + alpha2
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
@@ -118,8 +119,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
     pts = (a,) + tuple(B0_kinks)
 
-    alpha1 = 0.5 * expectation(X, lambda x: float(B0(x)) * (float(x) - a) ** 2, cfg,
-                               points=pts)
+    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, cfg, points=pts)
     try:
         alpha2 = alpha_of(X, B1, cfg)
     except DegenerateAlpha:
@@ -146,12 +146,15 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         weights.append(alpha2 / alpha)
 
     law = make_mixture([p.law for p in parts], weights)
-    x_support = X.effective_support(cfg) if X.atoms is None else None
-    closed = as_array_fn(
-        lambda t: second_order_density(X, B0, B1.bias, a, t, cfg, alpha=alpha,
-                                       kinks=tuple(B0_kinks) + B1.quad_points,
-                                       support=x_support))
-    law = replace(law, kind="constructed", density=closed,
+    # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
+    tails = _Lazy(lambda: _TailTable(X, (lambda x: B1.bias(x) + B0(x) * (x - a), B0),
+                                     tuple(B0_kinks) + B1.quad_points, cfg))
+
+    def density(t):
+        upper, flat = tails.get()(t, a)
+        return (upper - (np.asarray(t, dtype=float) - a) * flat) / alpha
+
+    law = replace(law, kind="constructed", density=as_array_fn(density),
                   label=f"second-order({X.label or X.kind}; a={a})")
     return BiasedDistribution(law, alpha=alpha, beta=None,
                               recipe=MixtureRecipe(tuple(parts), tuple(weights)), rng=rng)
@@ -166,7 +169,8 @@ def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, 
 
         q(t) = E[(B1(X) + B0(X)(X - t)) (1{a <= t <= X} - 1{X < t < a})] / alpha,
 
-    exact on atoms, quadrature otherwise."""
+    exact on atoms, one adaptive integral otherwise (the pointwise oracle of
+    the second-order law's panel-table density)."""
     a, t = float(a), float(t)
     if alpha is None:
         alpha = _operator_alpha(X, B0, B1, a, cfg, kinks)

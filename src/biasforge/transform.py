@@ -11,9 +11,11 @@ density j*u^{j-1} on (0,1),
 and the transform is Z_k.  Its normalizer is
 alpha = E[B(X) * prod(X - x_j)] / k!, which is positive whenever the sign
 pattern holds and the transform is nondegenerate.  For k >= 1 the result
-always has a density: a closed form for one node, and for more a table
-filled from the defining identity at the truncated power (s - t)_+^{m-1},
-whose m-th derivative is the point mass at t.
+always has a density: for one node a tail integral of B against the
+input law, and for more a table filled from the defining identity at the
+truncated power (s - t)_+^{m-1}, whose m-th derivative is the point mass at
+t.  Both read one cumulative panel table of the input law (``_TailTable``),
+built on first use.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -260,6 +262,13 @@ def recipe_moments(recipe, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np
 # densities
 # ---------------------------------------------------------------------------
 
+def _point_masses(X: Distribution):
+    """Locations and masses of an atom or empirical law."""
+    if X.atoms is not None:
+        return np.asarray(X.atoms, dtype=float).T
+    return X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
+
+
 def _one_node_density(X: Distribution, load: Callable, node: float, t: float, alpha: float,
                       points: Sequence[float], cfg: QuadratureConfig,
                       support: Optional[tuple]) -> float:
@@ -267,10 +276,7 @@ def _one_node_density(X: Distribution, load: Callable, node: float, t: float, al
     sum on atoms and empirical samples, a tail integral of load times the
     density otherwise.  ``points`` are kinks of the load."""
     if X.atoms is not None or X.samples is not None:
-        if X.atoms is not None:
-            xs, ms = np.asarray(X.atoms, dtype=float).T
-        else:
-            xs, ms = X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
+        xs, ms = _point_masses(X)
         sel = xs >= t if t >= node else xs < t
         acc = float(np.sum(ms[sel] * as_array_fn(load)(xs[sel])))
         return (acc if t >= node else -acc) / alpha
@@ -302,7 +308,8 @@ def density_k1(X: Distribution, spec: SignChangeSpec, t: float,
 
         p(t) = E[B(X) (1{x_1 <= t <= X} - 1{X < t < x_1})] / alpha,
 
-    exact on atoms, quadrature otherwise.  ``support`` can carry a
+    exact on atoms, one adaptive integral otherwise: the pointwise oracle of
+    the one-node law's panel-table density.  ``support`` can carry a
     precomputed effective-support interval to avoid re-probing infinite
     tails on every evaluation."""
     if spec.k != 1:
@@ -329,34 +336,96 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
                                 0.0, 1.0, cfg, points=[u for u in edges if 0.0 < u < 1.0])
 
 
-def _tail_moments(X: Distribution, weight: Callable, ts: np.ndarray, top: int, c: float):
-    """T_j(t) = E[weight(X) (X - c)^j 1{X > t}], j < top, at the sorted points
-    ``ts``, and the full moments T_j(-inf): one sort and suffix sum on atoms
-    and samples; on densities, 8-point Gauss-Legendre panels between the
-    points with a reverse cumulative sum (mass outside [ts[0], ts[-1]] is
-    ignored)."""
-    powers = lambda x: (x - c) ** np.arange(top).reshape((top,) + (1,) * x.ndim)
-    if X.atoms is not None or X.samples is not None:
-        if X.atoms is not None:
-            xs, ms = np.asarray(X.atoms, dtype=float).T
+_GX, _GW = np.polynomial.legendre.leggauss(8)
+
+
+class _TailTable:
+    """Cumulative integrals of fixed weights w_j against the law of X, read
+    at any t as the one-node tail
+
+        E[w_j(X) (1{node <= t <= X} - 1{X < t < node})],
+
+    the upper tail from t >= node and minus the lower tail below it, so no
+    value is a difference of near-equal sums.  Atoms and samples are sorted
+    once and read through prefix and suffix sums.  A density is cut into
+    panels (the DENSITY_GRID linspace over its effective support, ``knots``
+    and the law's kinks as break points) integrated by 8-point
+    Gauss-Legendre; a read is a prefix or suffix sum plus one partial panel.
+    A panel whose rule differs from the rule on its two halves by more than
+    its share of the tolerance is integrated by ``integrate_fn``, and so is
+    every partial panel inside it.  Mixtures without a density sum their
+    components' tables by weight."""
+
+    def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float],
+                 cfg: QuadratureConfig):
+        self.weights, self.cfg, self.parts = [as_array_fn(w) for w in weights], cfg, None
+        if X.atoms is not None or X.samples is not None:
+            xs, ms = _point_masses(X)
+            order = np.argsort(xs, kind="stable")
+            self.xs, self.dens = xs[order], None
+            vals = self._stack(self.xs) * ms[order]
+        elif X.density is not None:
+            lo, hi = X.effective_support(cfg)
+            dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
+            if isinstance(dens, TabulatedDensity):  # linear between its own grid points
+                knots = tuple(knots) + tuple(dens.xs)
+            inner = [float(x) for x in (*knots, *X.kinks) if lo < float(x) < hi]
+            self.xs = np.unique(np.concatenate((np.linspace(lo, hi, DENSITY_GRID), inner)))
+            self.dens = as_array_fn(dens)
+            a, b = self.xs[:-1], self.xs[1:]
+            mid = 0.5 * (a + b)
+            coarse, left, right = np.split(
+                self._rule(np.concatenate((a, a, mid)), np.concatenate((b, mid, b))), 3, axis=1)
+            vals = left + right
+            tol = (cfg.abs_tol + cfg.rel_tol * np.abs(vals.sum(axis=1))) / a.size
+            self.refine = np.any(np.abs(vals - coarse) > tol[:, None], axis=0)
+            for i in np.flatnonzero(self.refine):
+                vals[:, i] = self._quad(a[i], b[i])
+        elif X.components is not None:
+            self.parts = [(w, _TailTable(c, weights, knots, cfg))
+                          for c, w in zip(X.components, X.weights) if w > 0]
+            self.total = sum(w * part.total for w, part in self.parts)
+            return
         else:
-            xs, ms = X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
-        order = np.argsort(xs)
-        xs, ms = xs[order], ms[order]
-        panel = powers(xs) * (ms * as_array_fn(weight)(xs))
-        idx = np.searchsorted(xs, ts, side="right")
-    elif X.density is not None:
-        gx, gw = np.polynomial.legendre.leggauss(8)
-        half = 0.5 * np.diff(ts)[:, None]
-        xs = 0.5 * (ts[1:] + ts[:-1])[:, None] + half * gx
-        vals = as_array_fn(weight)(xs) * as_array_fn(X.density)(xs) * gw * half
-        panel = np.sum(powers(xs) * vals, axis=-1)
-        idx = np.arange(ts.size)
-    else:
-        raise InputError("tabulated density needs atoms or a density on the input law")
-    suffix = np.concatenate((np.cumsum(panel[:, ::-1], axis=1)[:, ::-1],
-                             np.zeros((top, 1))), axis=1)
-    return suffix[:, idx], suffix[:, 0]
+            raise InputError("tail integrals need atoms, samples, a density or components")
+        zero = np.zeros((len(self.weights), 1))
+        self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
+        self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
+        self.total = self.suffix[:, 0]
+
+    def _stack(self, x):
+        return np.stack([w(x) for w in self.weights])
+
+    def _rule(self, a, b):
+        """8-point Gauss-Legendre of each w_j times the density on each [a_i, b_i]."""
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b) + half * _GX[:, None]).T
+        return (self._stack(x) * self.dens(x)) @ _GW * half
+
+    def _quad(self, a, b):
+        return [integrate_fn(lambda x, w=w: w(x) * self.dens(x), a, b, self.cfg)
+                for w in self.weights]
+
+    def __call__(self, t, node: float) -> np.ndarray:
+        """The one-node tail of every weight at each t: shape (J,) + shape of t."""
+        ts = np.asarray(t, dtype=float)
+        if self.parts is not None:
+            return sum(w * part(ts, node) for w, part in self.parts)
+        flat = ts.ravel()
+        up = flat >= node
+        if self.dens is None:
+            i = np.searchsorted(self.xs, flat, side="left")
+            out = np.where(up, self.suffix[:, i], -self.prefix[:, i])
+        else:
+            xs = self.xs
+            tc = np.clip(flat, xs[0], xs[-1])
+            i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
+            a, b = np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc)
+            part = self._rule(a, b)
+            for q in np.flatnonzero(self.refine[i] & (a < b)):
+                part[:, q] = self._quad(a[q], b[q])
+            out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
+        return out.reshape((len(self.weights),) + ts.shape)
 
 
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
@@ -370,8 +439,8 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
 
     L and R are linear in the node values and derivatives at c of g_t, which
     are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
-    integrated, once for the whole grid.  The grid spans the effective
-    support of X, the nodes and c."""
+    integrated: one panel table of X (``_TailTable``) read at every grid
+    point.  The grid spans the effective support of X, the nodes and c."""
     k = spec.k
     ys = np.asarray(spec.nodes, dtype=float) - c
 
@@ -381,9 +450,13 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
+    B = as_array_fn(spec.bias)
+    tails = _TailTable(X, [lambda x, j=j: B(x) * (x - c) ** j for j in range(m)],
+                       spec.quad_points, cfg)
+
     def values(ts):
         s = ts - c
-        tail, full = _tail_moments(X, spec.bias, ts, m, c)
+        tail, full = tails(ts, -np.inf), tails.total
         mean = lambda p: sum(a * full[i] for i, a in enumerate(p.coeffs))  # E[B(X) p(X - c)]
         out = sum(math.comb(m - 1, j) * (-s) ** (m - 1 - j) * tail[j]
                   for j in range(m)) / math.factorial(m - 1)
@@ -393,8 +466,11 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
 
     lo, hi = X.effective_support(cfg)
     lo, hi = min(lo, c, *spec.nodes), max(hi, c, *spec.nodes)
+    # the density can jump at c when m > k (the correction's unit-step
+    # term): its left limit gets its own grid point
     return TabulatedDensity.from_callable(values, lo, hi, DENSITY_GRID,
-                                          knots=spec.quad_points + X.kinks + (c,))
+                                          knots=spec.quad_points + X.kinks
+                                          + (np.nextafter(c, -np.inf), c))
 
 
 def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
@@ -414,8 +490,8 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
 
     With zero nodes the result is simply the tilt of X by B.  With k >= 1
     nodes the sampler implements the seed-and-shrink construction and the
-    law carries a density evaluator (closed form for one node, the identity
-    table otherwise)."""
+    law carries a density evaluator (the one-node tail integral read from a
+    panel table for one node, the identity table otherwise)."""
     if check:
         report = validate_spec(spec, X, cfg=cfg)
         if not report.passed:
@@ -445,9 +521,8 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
     hi = max(hi_x, nodes[-1])
 
     if k == 1:
-        dens = as_array_fn(
-            lambda t: max(0.0, density_k1(X, spec, t, cfg, alpha=alpha,
-                                          support=(lo_x, hi_x))))
+        tails = _Lazy(lambda: _TailTable(X, (spec.bias,), spec.quad_points, cfg))
+        dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
         cdf = None
     else:
         dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], cfg)

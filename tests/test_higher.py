@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import biasforge as bf
+import biasforge.distributions as distributions
 import biasforge.transform as transform
 from biasforge import Polynomial
 from conftest import call_concurrently
@@ -275,3 +276,21 @@ def test_lift_input_validation(uniform_sym):
         bf.bias_to_order(uniform_sym, bf.zero_bias_spec(), 0)  # k > m
     with pytest.raises(bf.ParityMismatch):
         bf.bias_to_order(uniform_sym, bf.zero_bias_spec(), 2)  # k=1, m=2
+
+
+def test_first_draw_of_lift_over_one_node_base_reads_one_table(monkeypatch):
+    # the step tilts the one-node law, whose density is read from one panel
+    # table: its inverse-CDF table is not one adaptive integral per point
+    t = bf.bias_to_order(bf.normal(), bf.zero_bias_spec(), 3)
+    calls = []
+    for module in (distributions, transform):
+        inner = module.integrate_fn
+
+        def counting(*args, _inner=inner, **kwargs):
+            calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate_fn", counting)
+    draws = t.sample(200_000, bf.RandomSource(5))
+    assert len(calls) < 50
+    assert draws.mean() == pytest.approx(t.moment(1), abs=5 * draws.std() / math.sqrt(draws.size))

@@ -325,3 +325,19 @@ def test_half_normal_identity_holds_and_discriminates():
     assert all(abs(z) <= 4 for z in zs)
     zs_bad = _stein_residual_z(bf.uniform(0, 1), members, n, 502)
     assert max(abs(z) for z in zs_bad) > 10
+
+
+def test_second_order_law_density_matches_pointwise_oracle():
+    # the law reads one panel table of the loads B1 + B0 (x - a) and B0; the
+    # pointwise oracle integrates B1 + B0 (x - t) afresh at every t
+    X = bf.normal()
+    B1 = bf.zero_bias_spec()
+    t = bf.second_order_transform(X, ones, B1)
+    ts = np.concatenate((np.linspace(-10, 10, 41), [0.0, -1e-7, 1e-7, 0.3141]))
+    ref = np.array([bf.second_order_density(X, ones, B1.bias, 0.0, s, alpha=t.alpha)
+                    for s in ts])
+    got = t.density(ts)
+    assert got.shape == ts.shape
+    assert np.max(np.abs(got - ref)) <= 1e-9
+    scalar = t.density(float(ts[7]))
+    assert isinstance(scalar, float) and scalar == pytest.approx(got[7], abs=1e-15)

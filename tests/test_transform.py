@@ -401,3 +401,156 @@ def test_three_node_density_near_nodes():
     n = 20_000
     draws = t.sample(n, bf.RandomSource(31))
     assert bf.ks_statistic(draws, bf.numeric_cdf(t.law)) < bf.ks_critical(n, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# the panel table behind the one-node law density, against the pointwise oracle
+# ---------------------------------------------------------------------------
+
+def sign_spec_at_zero():
+    return SignChangeSpec(lambda x: np.sign(np.asarray(x, float)), NodeSet((0.0,)), kinks=(0.0,))
+
+
+LOW, HIGH = 0.25, (1 - 0.25 * 1.3) / 0.7
+
+
+def undeclared_jump_law():
+    # density LOW on [-1, 0.3] and HIGH on (0.3, 1]; ``kinks`` declares only
+    # the support edges, not the jump at 0.3
+    def dens(x):
+        x = np.asarray(x, float)
+        return np.where((x >= -1) & (x <= 1), np.where(x <= 0.3, LOW, HIGH), 0.0)
+
+    return bf.Distribution(kind="analytic-catalog", lo=-1.0, hi=1.0, density=dens,
+                           kinks=(-1.0, 1.0), label="step")
+
+
+ONE_NODE_CASES = {
+    "normal-zero-bias": (bf.normal, bf.zero_bias_spec),
+    "exponential-sign": (bf.exponential, sign_spec_at_zero),
+    "half-normal-mixture": (lambda: bf.make_mixture([bf.half_normal(1.2),
+                                                     bf.negative_half_normal(1.2)], [0.3, 0.7]),
+                            bf.zero_bias_spec),
+    "uniform-xplus-node-1": (lambda: bf.uniform(-1, 1), lambda: x_plus_spec(-1.0)),
+    "uniform-xplus-node0": (lambda: bf.uniform(-1, 1), lambda: x_plus_spec(0.0)),
+    "node-below-support": (lambda: bf.uniform(1, 2), bf.zero_bias_spec),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_NODE_CASES))
+def test_one_node_law_density_matches_pointwise_oracle(case):
+    make_law, make_spec = ONE_NODE_CASES[case]
+    X, spec = make_law(), make_spec()
+    t = bf.bias(X, spec)
+    node = spec.nodes[0]
+    # grid points, points outside the support, the node and points beside it
+    ts = np.concatenate((np.linspace(t.law.lo - 0.5, t.law.hi + 0.5, 41),
+                         [node, node - 1e-7, node + 1e-7, 0.3141]))
+    ref = np.array([max(0.0, bf.density_k1(X, spec, s, alpha=t.alpha)) for s in ts])
+    got = t.density(ts)
+    assert got.shape == ts.shape
+    assert np.max(np.abs(got - ref)) <= 1e-9
+    scalar = t.density(float(ts[7]))
+    assert isinstance(scalar, float) and scalar == pytest.approx(got[7], abs=1e-15)
+
+
+def test_one_node_law_density_with_undeclared_jump():
+    # the panel holding the jump at 0.3 fails its error estimate and is
+    # integrated adaptively, with every partial panel inside it; the oracle
+    # is the exact tail integral of x times the step density
+    X, spec = undeclared_jump_law(), bf.zero_bias_spec()
+    t = bf.bias(X, spec)
+
+    def lower(x):  # E[X 1{X < x}]
+        x = np.clip(x, -1.0, 1.0)
+        return np.where(x <= 0.3, LOW * (x**2 - 1) / 2,
+                        LOW * (0.09 - 1) / 2 + HIGH * (x**2 - 0.09) / 2)
+
+    ts = np.concatenate((np.linspace(-1.2, 1.2, 25), 0.3 + np.array([-3e-4, -1e-4, 0.0, 2e-4])))
+    exact = np.where(ts >= 0, lower(1.0) - lower(ts), -lower(ts)) / t.alpha
+    assert np.max(np.abs(t.density(ts) - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize("make_law", [
+    lambda: bf.from_atoms([(-1.5, 0.2), (-0.25, 0.3), (0.0, 0.1), (0.75, 0.15), (2.0, 0.25)]),
+    lambda: bf.from_samples(np.random.default_rng(4).normal(size=5000)),
+])
+def test_one_node_density_of_atoms_and_samples_is_the_masked_sum(make_law):
+    X = make_law()
+    spec = bf.zero_bias_spec()
+    t = bf.bias(X, spec)
+    xs = X.samples if X.samples is not None else np.array([x for x, _ in X.atoms])
+    ts = np.concatenate((np.linspace(xs.min() - 1, xs.max() + 1, 57), xs[:5], [0.0]))
+    ref = np.array([bf.density_k1(X, spec, s, alpha=t.alpha) for s in ts])
+    np.testing.assert_allclose(t.density(ts), ref, rtol=1e-12, atol=0.0)
+
+
+def test_one_node_panel_table_built_once_under_concurrent_reads(monkeypatch):
+    builds = []
+    build = transform._TailTable
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(transform, "_TailTable", counting)
+    t = bf.bias(bf.normal(), bf.zero_bias_spec())
+    values = call_concurrently(lambda: t.density(0.25))
+    assert len(builds) == 1
+    assert len(set(values)) == 1
+
+
+def test_mixture_of_atoms_and_density_has_densities():
+    # a mixture without a density: its components' tables are summed by weight
+    parts, weights = [bf.from_atoms([(0, 0.5), (1, 0.5)]), bf.uniform(-1, 1)], [0.5, 0.5]
+    X = bf.make_mixture(parts, weights)
+    spec = bf.zero_bias_spec()
+    one_node = bf.bias(X, spec)
+    ts = np.array([-0.9, -0.4, 0.0, 0.1, 0.55, 0.99])
+    ref = sum(w * np.array([bf.density_k1(c, spec, s, alpha=one_node.alpha) for s in ts])
+              for c, w in zip(parts, weights))
+    assert np.max(np.abs(one_node.density(ts) - ref)) <= 1e-9
+
+    # each density carries its defining identity, checked by trapezoid on the
+    # law and exactly on the atoms: E[X (f(X) - f(0))] = alpha E[f'(Z)] and
+    # E[f(X) - f(a) - f'(a)(X - a)] = beta E[f''(Z)] with f = exp
+    a = 0.2
+    second = bf.second_difference_transform(X, a)
+    on_atoms = lambda g: 0.5 * (0.5 * g(0.0) + 0.5 * g(1.0))
+    on_uniform = lambda g: 0.5 * quad(g, -1, 1)[0] / 2
+    expect = lambda g: on_atoms(g) + on_uniform(g)
+
+    def integral(p, jump):  # of exp(t) p(t) over [-1, 1], split where p jumps
+        return sum(np.trapezoid(np.exp(grid) * p(grid), grid)
+                   for grid in (np.linspace(-1, jump - 1e-12, 20001), np.linspace(jump, 1, 20001)))
+
+    # the densities jump at the node by E[X]/alpha and at a by E[X - a]/beta
+    lhs1 = expect(lambda x: x * (math.exp(x) - 1.0))
+    rhs1 = one_node.alpha * integral(one_node.density, 0.0)
+    assert rhs1 == pytest.approx(lhs1, abs=1e-6)
+    lhs2 = expect(lambda x: math.exp(x) - math.exp(a) - math.exp(a) * (x - a))
+    rhs2 = second.alpha * integral(second.density, a)
+    assert rhs2 == pytest.approx(lhs2, abs=1e-6)
+
+
+@pytest.mark.parametrize("build", ["bias", "beta_of", "moment_via_coefficients",
+                                   "second_order_transform"])
+def test_library_integrands_evaluate_arrays(build):
+    # the library's own integrands take whole arrays, so the tail probe of
+    # an infinite support is one call, not one call per probe point
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return np.asarray(x, float)
+
+    spec = SignChangeSpec(counted, NodeSet((0.0,)))
+    if build == "bias":
+        bf.bias(bf.normal(), spec)
+    elif build == "beta_of":
+        bf.beta_of(bf.normal(), spec, 3)
+    elif build == "moment_via_coefficients":
+        bf.moment_via_coefficients(bf.normal(), spec, 2)
+    else:
+        bf.second_order_transform(bf.normal(), lambda x: 1.0 + counted(x) ** 2, spec)
+    assert len(calls) < 2000

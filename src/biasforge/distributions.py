@@ -9,6 +9,16 @@ supports are integrated after truncating the tails where the integrand
 falls below ``tail_eps`` times its peak (all catalog densities decay at
 least exponentially, so the truncation is harmless at the configured
 tolerances).
+
+Every expectation against a density is one array-native adaptive panel
+integral: 8-point Gauss-Legendre panels, each compared with the rule on
+its two halves and bisected, all panels of a round in one call of the
+integrand.  Panels that have not converged after a fixed depth fall back
+to ``integrate_fn`` (scipy's adaptive quadrature), which is also the
+independent oracle the panel integral is tested against; an integrand
+with a non-finite rule or too many open panels goes to it whole.  scipy is
+imported on first use only: by ``integrate_fn`` and by the first normal
+or half-normal CDF or draw.
 """
 
 from __future__ import annotations
@@ -20,8 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     InputError,
@@ -41,6 +49,9 @@ ENVELOPE_INFLATION = 1.1
 REJECTION_BUDGET = 10**6
 INVERSE_CDF_GRID = 8193
 _PROBE_GRID = 4097
+_PANEL_START = 64          # initial panels of the adaptive panel integral
+_PANEL_DEPTH = 24          # bisection rounds before integrate_fn takes a panel
+_PANEL_OPEN_MAX = 1 << 16  # open panels beyond which integrate_fn takes the window
 _MASK64 = (1 << 64) - 1
 
 
@@ -143,11 +154,13 @@ def _effective_bounds(f, lo, hi, eps):
 def integrate_fn(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD, points: Sequence[float] = ()):
     """Adaptive quadrature of ``f`` on [lo, hi]; infinite endpoints are
     truncated by the tail rule.  ``points`` are known kink locations."""
+    from scipy import integrate  # loaded on first use
+
     lo_e, hi_e = _effective_bounds(f, lo, hi, cfg.tail_eps)
     if not lo_e < hi_e:
         return 0.0
     pts = sorted({float(p) for p in points if lo_e < float(p) < hi_e})
-    out = _sciint.quad(
+    out = integrate.quad(
         f, lo_e, hi_e,
         epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
         limit=cfg.max_subdivisions, points=pts or None,
@@ -157,6 +170,60 @@ def integrate_fn(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD, points: Sequen
     if len(out) >= 4 and abserr > max(100 * cfg.abs_tol, 1e-6 * max(1.0, abs(val))):
         raise NonIntegrable(f"quadrature did not converge (err={abserr:.3g}): {out[3]}")
     return float(val)
+
+
+_GX, _GW = np.polynomial.legendre.leggauss(8)
+
+
+def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """8-point Gauss-Legendre rule on every panel [a_i, b_i] from one call
+    of ``fv`` on the (n, 8) array of nodes; ``fv`` may stack leading axes,
+    which the result keeps."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GX
+    return fv(x) @ _GW * half
+
+
+def _panel_integral(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD,
+                    points: Sequence[float] = ()) -> float:
+    """Integral of ``f`` on [lo, hi] by adaptive Gauss-Legendre panels.
+
+    Infinite endpoints are truncated by the tail rule.  The panels start as
+    a _PANEL_START linspace of the window with ``points`` as extra edges.
+    Each round compares every open panel's rule with the rule on its two
+    halves, accepts the halves where they differ by at most the panel's
+    share (by width) of abs_tol + rel_tol |I|, and bisects the rest: one
+    call of ``f`` per round.  Panels still open after _PANEL_DEPTH rounds
+    (a jump or a singularity) go to ``integrate_fn``.  An integrand the
+    panels do not suit, with a rule that is not finite (NaN or inf at a
+    node) or more than _PANEL_OPEN_MAX panels open at once (oscillation
+    or noise), goes to ``integrate_fn`` on the whole window."""
+    fv = as_array_fn(f)
+    lo_e, hi_e = _effective_bounds(fv, lo, hi, cfg.tail_eps)
+    if not lo_e < hi_e:
+        return 0.0
+    inner = [float(p) for p in points if lo_e < float(p) < hi_e]
+    edges = np.unique(np.concatenate((np.linspace(lo_e, hi_e, _PANEL_START + 1), inner)))
+    a, b = edges[:-1], edges[1:]
+    whole = _gauss_legendre(fv, a, b)
+    width, done = hi_e - lo_e, 0.0
+    for _ in range(_PANEL_DEPTH):
+        mid = 0.5 * (a + b)
+        halves = _gauss_legendre(fv, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        left, right = halves[:a.size], halves[a.size:]
+        fine = left + right
+        if not (np.isfinite(fine).all() and np.isfinite(whole).all()):
+            return integrate_fn(fv, lo_e, hi_e, cfg, points=inner)
+        tol = cfg.abs_tol + cfg.rel_tol * abs(done + fine.sum())
+        open_ = np.abs(fine - whole) > tol * (b - a) / width
+        if np.count_nonzero(open_) > _PANEL_OPEN_MAX:
+            return integrate_fn(fv, lo_e, hi_e, cfg, points=inner)
+        done += float(fine[~open_].sum())
+        a, b = np.concatenate((a[open_], mid[open_])), np.concatenate((mid[open_], b[open_]))
+        whole = np.concatenate((left[open_], right[open_]))
+        if not a.size:
+            return done
+    return done + sum(integrate_fn(fv, x, y, cfg) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +236,8 @@ class TabulatedDensity:
 
     Linear interpolation between grid points; zero outside.  ``ys`` is
     rescaled so that the tabulated mass is exactly one (the raw mass is
-    kept for diagnostics).
+    kept for diagnostics).  Every knot also brings its left neighbour, so a
+    density that jumps at a knot is tabulated with both one-sided limits.
     """
 
     xs: np.ndarray
@@ -180,9 +248,9 @@ class TabulatedDensity:
     @staticmethod
     def from_callable(f, lo, hi, n=INVERSE_CDF_GRID, knots=()):
         xs = np.linspace(float(lo), float(hi), int(n))
-        extra = [float(k) for k in knots if lo < float(k) < hi]
-        if extra:
-            xs = np.unique(np.concatenate((xs, np.asarray(extra))))
+        extra = np.array([float(k) for k in knots if lo < float(k) < hi])
+        if extra.size:
+            xs = np.unique(np.concatenate((xs, extra, np.nextafter(extra, -np.inf))))
         ys = np.clip(as_array_fn(f)(xs), 0.0, None)
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
         mass = float(cum[-1])
@@ -278,7 +346,9 @@ class Distribution:
                 raise InputError(f"atom masses sum to {masses.sum()!r}, not 1")
 
     def effective_support(self, cfg: QuadratureConfig = DEFAULT_QUAD):
-        """Finite interval carrying all but a ``tail_eps`` sliver of mass."""
+        """Finite interval carrying all but a ``tail_eps`` sliver of mass.
+        A density always has mass, so NonIntegrable when the probe of an
+        infinite support finds none (mass too narrow for the probe grid)."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
             return float(self.lo), float(self.hi)
         if self.atoms is not None:
@@ -286,7 +356,10 @@ class Distribution:
             return min(xs), max(xs)
         if self.density is None:
             raise InputError("cannot bound an infinite support without a density")
-        return _effective_bounds(self.density, self.lo, self.hi, cfg.tail_eps)
+        lo, hi = _effective_bounds(self.density, self.lo, self.hi, cfg.tail_eps)
+        if not lo < hi:
+            raise NonIntegrable(f"the tail probe finds no density mass in {self.label or self.kind}")
+        return lo, hi
 
 
 def _sorted_atoms(pairs):
@@ -378,6 +451,16 @@ def exponential(rate: float = 1.0) -> Distribution:
                         kinks=(0.0,), label=f"exponential({lam})")
 
 
+def _ndtr(x):
+    from scipy.special import ndtr  # loaded on the first normal CDF
+    return ndtr(x)
+
+
+def _ndtri(u):
+    from scipy.special import ndtri  # loaded on the first normal draw
+    return ndtri(u)
+
+
 def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
     if std <= 0:
         raise InputError("std must be positive")
@@ -389,8 +472,8 @@ def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
         return c * np.exp(-0.5 * z * z)
 
     return Distribution(kind="analytic-catalog", lo=-math.inf, hi=math.inf, density=dens,
-                        cdf=lambda x: ndtr((np.asarray(x, dtype=float) - mu) / sig),
-                        sampler=lambda rs, n: mu + sig * ndtri(rs.uniform(n)),
+                        cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sig),
+                        sampler=lambda rs, n: mu + sig * _ndtri(rs.uniform(n)),
                         label=f"normal({mu},{sig})")
 
 
@@ -407,10 +490,10 @@ def half_normal(sigma: float = 1.0) -> Distribution:
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, 2.0 * ndtr(np.clip(x, 0, None) / sig) - 1.0, 0.0)
+        return np.where(x >= 0, 2.0 * _ndtr(np.clip(x, 0, None) / sig) - 1.0, 0.0)
 
     return Distribution(kind="analytic-catalog", lo=0.0, hi=math.inf, density=dens, cdf=cdf,
-                        sampler=lambda rs, n: sig * ndtri(0.5 * (1.0 + rs.uniform(n))),
+                        sampler=lambda rs, n: sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
                         kinks=(0.0,), label=f"half-normal({sig})")
 
 
@@ -423,10 +506,10 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 2.0 * ndtr(np.clip(x, None, 0) / sig), 1.0)
+        return np.where(x < 0, 2.0 * _ndtr(np.clip(x, None, 0) / sig), 1.0)
 
     return Distribution(kind="analytic-catalog", lo=-math.inf, hi=0.0, density=dens, cdf=cdf,
-                        sampler=lambda rs, n: -sig * ndtri(0.5 * (1.0 + rs.uniform(n))),
+                        sampler=lambda rs, n: -sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
                         kinks=(0.0,), label=f"negative-half-normal({sig})")
 
 
@@ -436,8 +519,9 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 
 def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
                 points: Sequence[float] = ()) -> float:
-    """E[fn(X)]: exact on atoms, sample average on empirical laws,
-    quadrature against the density otherwise.  ``points`` are kinks of fn."""
+    """E[fn(X)]: exact on atoms, sample average on empirical laws, the
+    table's own rule on a tabulated density, the adaptive panel integral
+    against any other density.  ``points`` are kinks of fn."""
     if X.atoms is not None:
         return float(sum(m * float(fn(x)) for x, m in X.atoms))
     if X.samples is not None:
@@ -447,8 +531,13 @@ def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_Q
         if isinstance(dens, TabulatedDensity):
             return dens.integrate_weighted(fn, X.lo, X.hi)
         dv, fv = as_array_fn(dens), as_array_fn(fn)
-        return integrate_fn(lambda x: dv(x) * fv(x), X.lo, X.hi, cfg,
-                            points=tuple(points) + X.kinks)
+        value = _panel_integral(lambda x: dv(x) * fv(x), X.lo, X.hi, cfg,
+                                points=tuple(points) + X.kinks)
+        if value == 0.0:
+            # the product's probe found no mass: NonIntegrable rather than 0
+            # when the density's own probe finds none either
+            X.effective_support(cfg)
+        return value
     if X.components is not None:
         return float(sum(w * expectation(c, fn, cfg, points)
                          for c, w in zip(X.components, X.weights)))

@@ -43,6 +43,8 @@ from .distributions import (
     RandomSource,
     TabulatedDensity,
     _Lazy,
+    _gauss_legendre,
+    _panel_integral,
     as_array_fn,
     expectation,
     integrate_fn,
@@ -336,9 +338,6 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
                                 0.0, 1.0, cfg, points=[u for u in edges if 0.0 < u < 1.0])
 
 
-_GX, _GW = np.polynomial.legendre.leggauss(8)
-
-
 class _TailTable:
     """Cumulative integrals of fixed weights w_j against the law of X, read
     at any t as the one-node tail
@@ -352,9 +351,9 @@ class _TailTable:
     and the law's kinks as break points) integrated by 8-point
     Gauss-Legendre; a read is a prefix or suffix sum plus one partial panel.
     A panel whose rule differs from the rule on its two halves by more than
-    its share of the tolerance is integrated by ``integrate_fn``, and so is
-    every partial panel inside it.  Mixtures without a density sum their
-    components' tables by weight."""
+    its share of the tolerance is integrated by the adaptive panel integral,
+    and so is every partial panel inside it.  Mixtures without a density sum
+    their components' tables by weight."""
 
     def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float],
                  cfg: QuadratureConfig):
@@ -398,12 +397,10 @@ class _TailTable:
 
     def _rule(self, a, b):
         """8-point Gauss-Legendre of each w_j times the density on each [a_i, b_i]."""
-        half = 0.5 * (b - a)
-        x = (0.5 * (a + b) + half * _GX[:, None]).T
-        return (self._stack(x) * self.dens(x)) @ _GW * half
+        return _gauss_legendre(lambda x: self._stack(x) * self.dens(x), a, b)
 
     def _quad(self, a, b):
-        return [integrate_fn(lambda x, w=w: w(x) * self.dens(x), a, b, self.cfg)
+        return [_panel_integral(lambda x, w=w: w(x) * self.dens(x), a, b, self.cfg)
                 for w in self.weights]
 
     def __call__(self, t, node: float) -> np.ndarray:
@@ -467,10 +464,9 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
     lo, hi = X.effective_support(cfg)
     lo, hi = min(lo, c, *spec.nodes), max(hi, c, *spec.nodes)
     # the density can jump at c when m > k (the correction's unit-step
-    # term): its left limit gets its own grid point
+    # term); as a knot, c also gets its left limit
     return TabulatedDensity.from_callable(values, lo, hi, DENSITY_GRID,
-                                          knots=spec.quad_points + X.kinks
-                                          + (np.nextafter(c, -np.inf), c))
+                                          knots=spec.quad_points + X.kinks + (c,))
 
 
 def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,

@@ -22,6 +22,7 @@ from .distributions import (
     Distribution,
     QuadratureConfig,
     RandomSource,
+    expectation,
     from_atoms,
     half_normal,
     make_mixture,
@@ -35,9 +36,7 @@ from .polynomials import NodeSet, PiecewisePoly, Polynomial, correction_poly, la
 from .transform import (
     BiasedDistribution,
     SignChangeSpec,
-    alpha_of,
     bias,
-    density_k1,
     recipe_moments,
     sign_spec,
 )
@@ -237,14 +236,12 @@ def ambiguity_demo(cfg: QuadratureConfig = DEFAULT_QUAD, grid_points: int = 1001
     X = uniform(-1.0, 1.0)
     spec_lo = SignChangeSpec(plus_part, NodeSet((-1.0,)), kinks=(0.0,), label="x-plus@-1")
     spec_hi = SignChangeSpec(plus_part, NodeSet((0.0,)), label="x-plus@0")
-    alpha = alpha_of(X, spec_lo, cfg)
-    beta = alpha_of(X, spec_hi, cfg)
-    from .transform import expectation
+    law_p, law_q = bias(X, spec_lo, cfg=cfg), bias(X, spec_hi, cfg=cfg)
+    alpha, beta = law_p.alpha, law_q.alpha
     b_mean = expectation(X, plus_part, cfg)
 
     ts = np.linspace(-1.0, 1.0, grid_points)
-    p = np.array([density_k1(X, spec_lo, t, cfg, alpha=alpha) for t in ts])
-    q = np.array([density_k1(X, spec_hi, t, cfg, alpha=beta) for t in ts])
+    p, q = law_p.density(ts), law_q.density(ts)
 
     q_closed = np.where((ts >= 0) & (ts <= 1), 1.5 * (1 - ts**2), 0.0)
     p_closed = np.where((ts >= 0) & (ts <= 1), 0.6 * (1 - ts**2), 0.0) \

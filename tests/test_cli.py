@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +220,18 @@ def test_distance_experiment_from_file(tmp_path, capsys):
     assert run(["distance", "--experiment", f"@{path}"]) == 0
     report = read_json(capsys)
     assert report["coupling_gap"] > 0.0
+
+
+def test_transform_command_runs_without_scipy():
+    # scipy is loaded on first use only: a one-node transform of a uniform
+    # law reads its expectations from the panel integral
+    code = ("import sys; from biasforge.cli import run; "
+            "code = run(sys.argv[1:]); "
+            "sys.exit(code or 3 * any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    argv = ["transform", "--dist", '{"family":"uniform","params":{"lo":-1,"hi":1}}',
+            "--bias", "x-plus", "--nodes", "[0]"]
+    env = dict(os.environ, PYTHONPATH=str(Path(bf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["alpha"] == pytest.approx(1 / 6, abs=1e-12)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from scipy.integrate import quad
 
 import biasforge as bf
+from biasforge import distributions as D
 from conftest import atoms_strategy
 
 
@@ -50,11 +51,106 @@ def test_moment_of_cached_density(n, expected):
     assert bf.moment(bf.cache_density(bf.normal(), 2049), n) == pytest.approx(expected, abs=1e-4)
 
 
+def test_moment_of_mass_the_tail_probe_misses_raises():
+    # near 1000 the tangent probe grid is ~800 apart and sees no mass; a
+    # density always has mass, so this is a loud failure, not E[X] = 0
+    with pytest.raises(bf.NonIntegrable):
+        bf.moment(bf.normal(1000, 1e-3), 1)
+
+
 def test_moment_heavy_tail_raises():
     cauchy = bf.Distribution(kind="analytic-catalog", lo=-np.inf, hi=np.inf,
                              density=lambda x: 1.0 / (np.pi * (1 + np.asarray(x, float) ** 2)))
     with pytest.raises(bf.NonIntegrable):
         bf.moment(cauchy, 2)
+
+
+# ---------------------------------------------------------------------------
+# the adaptive panel integral, against integrate_fn as the oracle
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The [a, b] of every integrate_fn call the panel integral falls back to."""
+    calls = []
+    oracle = D.integrate_fn
+
+    def counted(f, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return oracle(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(D, "integrate_fn", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [bf.normal(0.5, 1.5), bf.exponential(1.5)], ids=["normal", "exp"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_panel_moments_match_adaptive_oracle(d, n, fallbacks):
+    oracle = bf.integrate_fn(lambda x: x ** n * d.density(x), d.lo, d.hi, points=d.kinks)
+    assert bf.moment(d, n) == pytest.approx(oracle, rel=1e-10)
+    assert fallbacks == []  # smooth integrands converge on the panels alone
+
+
+def test_panel_integral_undeclared_kink(fallbacks):
+    f = lambda x: np.abs(x - 0.3) * np.exp(x)
+    oracle = bf.integrate_fn(f, -1, 1, points=(0.3,))
+    assert D._panel_integral(f, -1, 1) == pytest.approx(oracle, abs=1e-9)
+    assert bf.expectation(bf.uniform(-1, 1), f) == pytest.approx(oracle / 2, abs=1e-9)
+    assert fallbacks == []  # a kink converges by bisection
+
+
+def test_panel_integral_undeclared_jump():
+    f = lambda x: np.where(x > 0.3, np.exp(x), 0.0)
+    oracle = bf.integrate_fn(f, -1, 1, points=(0.3,))
+    assert oracle == pytest.approx(math.e - math.exp(0.3), abs=1e-12)
+    assert D._panel_integral(f, -1, 1) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_panel_integral_scalar_only_callable():
+    # max() refuses arrays, so as_array_fn evaluates it point by point
+    f = lambda x: max(x - 0.3, 0.0)
+    oracle = bf.integrate_fn(lambda x: 0.5 * f(x), -1, 1, points=(0.3,))
+    assert oracle == pytest.approx(0.1225, abs=1e-12)
+    assert bf.expectation(bf.uniform(-1, 1), f) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_panel_integral_singularity_falls_back_to_integrate_fn(fallbacks):
+    f = lambda x: np.abs(x) ** -0.5
+    oracle = bf.integrate_fn(f, -1, 1, points=(0.0,))
+    assert oracle == pytest.approx(4.0, abs=1e-9)
+    assert D._panel_integral(f, -1, 1) == pytest.approx(oracle, abs=1e-9)
+    # only the few smallest panels at the singularity exhaust the bisection depth
+    assert 0 < len(fallbacks) <= 4
+    assert all(max(abs(lo), abs(hi)) < 1e-6 for lo, hi in fallbacks)
+
+
+def test_panel_integral_non_finite_integrand_goes_whole_to_integrate_fn(fallbacks):
+    # sqrt is NaN on the negative half, so the rule there is not finite: the
+    # window goes to the oracle at once (NaN) instead of being bisected
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(bf.expectation(bf.uniform(-1, 1), np.sqrt))
+    assert fallbacks == [(-1.0, 1.0)]
+
+
+def test_panel_integral_caps_open_panels(fallbacks):
+    # at panel scale sin(1e9 x)^2 is noise and the open panels double every
+    # round; past the cap the whole window goes to the oracle, which fails
+    # loudly
+    with pytest.raises(bf.NonIntegrable):
+        D._panel_integral(lambda x: np.sin(1e9 * x) ** 2, -1, 1)
+    assert fallbacks == [(-1.0, 1.0)]
+
+
+def test_expectation_probes_the_density_alone_only_on_a_zero_integral(monkeypatch):
+    calls = []
+    probe = bf.Distribution.effective_support
+    monkeypatch.setattr(bf.Distribution, "effective_support",
+                        lambda self, *a: calls.append(self) or probe(self, *a))
+    assert bf.moment(bf.normal(0.5, 1.5), 2) == pytest.approx(2.5, rel=1e-10)
+    assert calls == []
+    with pytest.raises(bf.NonIntegrable):
+        bf.moment(bf.normal(1000, 1e-3), 1)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,16 @@ def test_mixture_of_atoms_and_density_has_densities():
     assert rhs2 == pytest.approx(lhs2, abs=1e-6)
 
 
+def test_one_node_law_tables_keep_both_limits_at_a_node_jump():
+    # the zero-bias density of this mixture jumps at its node 0 from 0.3 to
+    # 0.9, and F(0-) = 0.2 exactly; a table without the left limit smears
+    # the jump over one grid cell
+    X = bf.make_mixture([bf.from_atoms([(0, 0.5), (1, 0.5)]), bf.uniform(-1, 1)], [0.5, 0.5])
+    law = bf.bias(X, bf.zero_bias_spec()).law
+    assert bf.numeric_cdf(law)(np.nextafter(0.0, -1.0)) == pytest.approx(0.2, abs=1e-6)
+    assert bf.cache_density(law).density.raw_mass == pytest.approx(1.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("build", ["bias", "beta_of", "moment_via_coefficients",
                                    "second_order_transform"])
 def test_library_integrands_evaluate_arrays(build):

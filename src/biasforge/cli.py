@@ -137,10 +137,13 @@ def _emit(payload: dict, out: str | None):
         print(text)
 
 
-def _write_csv(path: str | None, header: str, rows):
-    lines = [header] + [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
-                        for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write_csv(path: str | None, header: str, *columns):
+    """CSV text of equal-length columns: a column of strings as it is, any
+    other column as floats in ``.17g`` form, one formatting pass each."""
+    texts = [col if isinstance(col[0], str)
+             else [f"{v:.17g}" for v in np.asarray(col, dtype=float).tolist()]
+             for col in columns]
+    text = "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -201,7 +204,7 @@ def _cmd_sample(args) -> int:
         m = args.m if args.m is not None else spec.k
         transform = bias_to_order(dist, spec, int(m))
         draws = transform.sample(args.n, rng)
-    _write_csv(args.out, "x", [(float(v),) for v in draws])
+    _write_csv(args.out, "x", draws)
     return 0
 
 
@@ -222,7 +225,7 @@ def _cmd_density(args) -> int:
         m = args.m if args.m is not None else spec.k
         transform = bias_to_order(dist, spec, int(m))
         vals = np.asarray(transform.density(ts), dtype=float)
-    _write_csv(args.out, "t,p", list(zip(ts.tolist(), vals.tolist())))
+    _write_csv(args.out, "t,p", ts, vals)
     return 0
 
 
@@ -275,11 +278,10 @@ def _cmd_distance(args) -> int:
     }
     _emit(report, args.out)
     if args.out_csv:
-        rows = [("coupling_gap", stats["coupling_gap"], stats["coupling_gap_se"]),
-                ("alpha", stats["alpha"], stats["alpha_se"]),
-                ("b_mean", stats["b_mean"], stats["b_mean_se"]),
-                ("bound", db.bound, float("nan"))]
-        _write_csv(args.out_csv, "ingredient,estimate,se", rows)
+        _write_csv(args.out_csv, "ingredient,estimate,se",
+                   ["coupling_gap", "alpha", "b_mean", "bound"],
+                   [stats["coupling_gap"], stats["alpha"], stats["b_mean"], db.bound],
+                   [stats["coupling_gap_se"], stats["alpha_se"], stats["b_mean_se"], float("nan")])
     return 0
 
 

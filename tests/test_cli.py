@@ -98,6 +98,40 @@ def test_sample_density_round_trip(tmp_path):
     assert bf.ks_statistic(draws, cdf) < bf.ks_critical(n, 0.01)
 
 
+def test_csv_text_matches_a_per_row_format(capsys):
+    from biasforge.cli import build_spec, parse_distribution
+    dist = parse_distribution(UNIFORM)
+    law = bf.bias_to_order(dist, build_spec("x-plus", "[0]", dist), 1)
+    args = ["--dist", UNIFORM, "--bias", "x-plus", "--nodes", "[0]"]
+
+    assert run(["sample", *args, "--n", "3000", "--seed", "8"]) == 0
+    draws = law.sample(3000, bf.RandomSource(8))
+    assert capsys.readouterr().out == "x\n" + "".join(f"{float(v):.17g}\n" for v in draws)
+
+    assert run(["density", *args, "--grid", "-1.5", "1.5", "301"]) == 0
+    ts = np.linspace(-1.5, 1.5, 301)
+    rows = zip(ts.tolist(), np.asarray(law.density(ts), dtype=float).tolist())
+    assert capsys.readouterr().out == "t,p\n" + "".join(f"{t:.17g},{p:.17g}\n" for t, p in rows)
+
+
+def test_distance_csv_text_matches_the_report(tmp_path):
+    out, csv_out = tmp_path / "bound.json", tmp_path / "bound.csv"
+    exp = {"target": {"family": "normal", "params": {}},
+           "test_distribution": {"family": "uniform", "params": {"lo": -1, "hi": 1}},
+           "operator": {"order": 1, "bias": "x", "nodes": [0]},
+           "constants": {"c0": 1, "c1": 1, "c2": 1}, "n_samples": 5_000, "seed": 3}
+    assert run(["distance", "--experiment", json.dumps(exp),
+                "--out", str(out), "--out-csv", str(csv_out)]) == 0
+    r = json.loads(out.read_text())
+    se = r["ingredient_se"]
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "ingredient,estimate,se"
+    assert lines[1] == f"coupling_gap,{r['coupling_gap']:.17g},{se['coupling_gap']:.17g}"
+    assert lines[2].startswith("alpha,") and lines[2].endswith(f",{se['alpha']:.17g}")
+    assert lines[3] == f"b_mean,{r['b_mean']:.17g},{se['b_mean']:.17g}"
+    assert lines[4:] == [f"bound,{r['bound']:.17g},nan"]
+
+
 def test_invalid_family_is_validation_error(capsys):
     code = run(["density", "--dist", '{"family":"cauchy"}', "--bias", "x",
                 "--grid", "0", "1", "10"])

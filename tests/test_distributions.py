@@ -190,6 +190,87 @@ def test_density_only_has_no_sampler(rng):
 
 
 # ---------------------------------------------------------------------------
+# table lookups in sorted order: the same values as in draw order
+# ---------------------------------------------------------------------------
+
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _node_product(x):
+    arr = np.asarray(x, dtype=float)
+    return (arr + 0.5) * (arr - 0.5)
+
+
+@pytest.fixture(scope="module")
+def sampled_laws():
+    U = bf.uniform(-1, 1)
+    samples = np.random.default_rng(4).normal(0.3, 1.1, 50_000)
+    k2 = bf.SignChangeSpec(_node_product, bf.NodeSet((-0.5, 0.5)))
+    xplus = bf.SignChangeSpec(bf.plus_part, bf.NodeSet((0.0,)), kinks=(0.0,))
+    atoms_plus_uniform = bf.make_mixture([bf.from_atoms([(0.0, 0.5), (1.0, 0.5)]), U],
+                                         [0.5, 0.5])
+    return {
+        "seed-and-shrink": bf.bias(U, k2).law,
+        "inverse-cdf-tilt": bf.tilt(bf.exponential(1.0), lambda x: np.asarray(x, float)),
+        "order-2-lift": bf.bias_to_order(U, bf.unit_bias_spec(), 2).law,
+        "second-order-mixture": bf.second_order_transform(bf.normal(), _ones,
+                                                          bf.zero_bias_spec()).law,
+        "empirical-bootstrap": bf.bias(bf.from_samples(samples), bf.zero_bias_spec()).law,
+        "x-plus one-node": bf.bias(U, xplus).law,
+        "flat-cdf tilt": bf.tilt(U, bf.plus_part, weight_kinks=(0.0,)),
+        "atoms-plus-uniform one-node": bf.bias(atoms_plus_uniform, bf.zero_bias_spec()).law,
+        "5e4-atom empirical tilt": bf.tilt(bf.from_samples(samples),
+                                           lambda x: 1.0 + np.asarray(x, float) ** 2),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "seed-and-shrink", "inverse-cdf-tilt", "order-2-lift", "second-order-mixture",
+    "empirical-bootstrap", "x-plus one-node", "flat-cdf tilt",
+    "atoms-plus-uniform one-node", "5e4-atom empirical tilt"])
+def test_sorted_lookups_draw_bit_identical(sampled_laws, name, monkeypatch):
+    law = sampled_laws[name]
+    n = 200_000
+    in_sorted_order = bf.sample(law, bf.RandomSource(11), n)
+    lookups = []
+
+    def in_draw_order(lookup, u):
+        lookups.append(np.size(u))
+        return lookup(u)
+
+    monkeypatch.setattr(D, "_in_order", in_draw_order)
+    in_draw_order_draws = bf.sample(law, bf.RandomSource(11), n)
+    assert lookups  # the sampler reads a table through the helper
+    assert np.array_equal(in_sorted_order, in_draw_order_draws)
+
+
+def _step_density(x):
+    return np.where(np.asarray(x, dtype=float) < 0.3, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("table", [
+    D.TabulatedDensity.from_callable(bf.plus_part, -1, 1, knots=(0.0,)),  # flat CDF on [-1, 0]
+    D.TabulatedDensity.from_callable(_step_density, -1, 1, knots=(0.3,)),  # jump at 0.3
+], ids=["flat-cdf", "jump"])
+def test_ppf_equals_interp_at_every_table_value(table):
+    u = np.concatenate((np.random.default_rng(5).permutation(table.cum), [0.0]))
+    assert np.array_equal(table.ppf(u), np.interp(u, table.cum, table.xs))
+
+
+def test_ppf_keeps_scalar_type_and_array_shape():
+    table = D.TabulatedDensity.from_callable(_step_density, -1, 1, knots=(0.3,))
+    for u in (0.3, np.float64(0.3), np.array(0.3)):
+        ref = np.interp(u, table.cum, table.xs)
+        out = table.ppf(u)
+        assert type(out) is type(ref) and out == ref
+    u = np.random.default_rng(6).random((40, 50))
+    out = table.ppf(u)
+    assert out.shape == (40, 50)
+    assert np.array_equal(out, np.interp(u, table.cum, table.xs))
+
+
+# ---------------------------------------------------------------------------
 # tilting
 # ---------------------------------------------------------------------------
 
@@ -268,6 +349,29 @@ def test_tilt_rejection_budget():
     t = bf.tilt(d, w, method="rejection", envelope=1.0, weight_kinks=(1e-5,))
     with pytest.raises(bf.RejectionBudget):
         bf.sample(t, bf.RandomSource(1), 500)
+
+
+def test_tilt_rejection_fills_a_request_within_the_budget():
+    # acceptance 1/1.1: 6e5 draws need ~6.6e5 proposals, under the 1e6
+    # budget, though a first batch of 2n would exceed it
+    t = bf.tilt(bf.uniform(-1, 1), lambda x: np.ones_like(np.asarray(x, float)),
+                method="rejection")
+    n = 600_000
+    assert 2 * n > D.REJECTION_BUDGET
+    draws = bf.sample(t, bf.RandomSource(2), n)
+    assert draws.shape == (n,)
+    assert np.all(np.abs(draws) <= 1.0)
+
+
+def test_tilt_rejection_raises_after_spending_exactly_the_budget():
+    d = bf.uniform(0, 1)
+    w = lambda x: np.where(np.asarray(x, float) < 1e-5, 1.0, 0.0)
+    t = bf.tilt(d, w, method="rejection", envelope=1.0, weight_kinks=(1e-5,))
+    rs = bf.RandomSource(1)
+    with pytest.raises(bf.RejectionBudget):
+        bf.sample(t, rs, 500)
+    # one uniform for each proposal and one for its acceptance test
+    assert rs.position == 2 * D.REJECTION_BUDGET
 
 
 def test_tilt_empirical_becomes_atoms():

@@ -24,9 +24,7 @@ from .errors import (
     ZeroNormalizer,
 )
 from .distributions import (
-    DEFAULT_QUAD,
     Distribution,
-    QuadratureConfig,
     RandomSource,
     TabulatedDensity,
     cache_density,
@@ -37,7 +35,6 @@ from .distributions import (
     from_samples,
     half_normal,
     integrate_fn,
-    load_empirical_csv,
     make_mixture,
     moment,
     negative_half_normal,
@@ -63,9 +60,7 @@ from .polynomials import (
 from .transform import (
     BiasedDistribution,
     BiasRecipe,
-    MixtureRecipe,
     SignChangeSpec,
-    ValidationReport,
     alpha_of,
     bias,
     density_k1,
@@ -78,15 +73,12 @@ from .transform import (
 )
 from .higher import (
     ChainRecipe,
-    HatRecipe,
     beta_of,
     bias_to_order,
     moment_via_coefficients,
     second_difference_transform,
 )
 from .stein import (
-    DistanceBound,
-    FixedPointReport,
     SteinOperator,
     first_order_bound,
     first_order_coupling_stats,
@@ -97,8 +89,6 @@ from .stein import (
     second_order_transform,
 )
 from .verify import (
-    BankFunction,
-    IdentityReport,
     TestFunctionBank,
     ambiguity_demo,
     chain_identity_suite,
@@ -110,14 +100,12 @@ from .verify import (
     ks_critical,
     ks_statistic,
     ks_suite,
-    mc_identity_suite,
     plus_part,
     random_discrete,
     random_valid_spec,
     run_suite,
     unit_bias_spec,
     zero_bias_spec,
-    centered_bias_spec,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ Laws are immutable ``Distribution`` values.  Samplers draw from a
 caller-owned ``RandomSource``; equal seeds give identical streams, which
 is what makes every experiment in this package reproducible.  Infinite
 supports are integrated after truncating the tails where the integrand
-falls below ``tail_eps`` times its peak (all catalog densities decay at
-least exponentially, so the truncation is harmless at the configured
+falls below ``TAIL_EPS`` times its peak (all catalog densities decay at
+least exponentially, so the truncation is harmless at the quadrature
 tolerances).
 
 Every expectation against a density is one array-native adaptive panel
@@ -41,6 +41,10 @@ from .errors import (
     ZeroNormalizer,
 )
 
+ABS_TOL = 1e-9             # quadrature tolerance: ABS_TOL + REL_TOL |I|
+REL_TOL = 1e-9
+MAX_SUBDIVISIONS = 200     # scipy quad's subinterval limit in integrate_fn
+TAIL_EPS = 1e-16           # truncate tails where |integrand| < TAIL_EPS * peak
 ATOM_MASS_TOL = 1e-12
 ZERO_NORMALIZER_TOL = 1e-12
 NEGATIVE_WEIGHT_TOL = -1e-12
@@ -84,23 +88,6 @@ class RandomSource:
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    tail_eps: float = 1e-16  # truncate tails where |integrand| < tail_eps * peak
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise InputError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise InputError("max_subdivisions too small")
-
-
-DEFAULT_QUAD = QuadratureConfig()
-
-
 def as_array_fn(f: Callable) -> Callable:
     """Wrap ``f`` so a scalar input gives a Python float and an ndarray a
     same-shape ndarray, falling back to elementwise evaluation for
@@ -120,11 +107,11 @@ def as_array_fn(f: Callable) -> Callable:
     return g
 
 
-def _effective_bounds(f, lo, hi, eps):
+def _effective_bounds(f, lo, hi):
     """Finite integration window for a possibly infinite interval.
 
     Probes the integrand on a tangent-spaced grid and keeps the hull of
-    points where it exceeds eps * peak.  Raises NonIntegrable when the
+    points where it exceeds TAIL_EPS * peak.  Raises NonIntegrable when the
     integrand has not decayed by |x| ~ 1e6.
     """
     if math.isfinite(lo) and math.isfinite(hi):
@@ -141,7 +128,7 @@ def _effective_bounds(f, lo, hi, eps):
     peak = vals.max()
     if peak <= 0.0:
         return 0.0, 0.0
-    mask = vals >= eps * peak
+    mask = vals >= TAIL_EPS * peak
     idx = np.nonzero(mask)[0]
     first, last = idx[0], idx[-1]
     if (first == 0 and not math.isfinite(lo)) or (last == len(xs) - 1 and not math.isfinite(hi)):
@@ -151,23 +138,23 @@ def _effective_bounds(f, lo, hi, eps):
     return float(a), float(b)
 
 
-def integrate_fn(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD, points: Sequence[float] = ()):
+def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     """Adaptive quadrature of ``f`` on [lo, hi]; infinite endpoints are
     truncated by the tail rule.  ``points`` are known kink locations."""
     from scipy import integrate  # loaded on first use
 
-    lo_e, hi_e = _effective_bounds(f, lo, hi, cfg.tail_eps)
+    lo_e, hi_e = _effective_bounds(f, lo, hi)
     if not lo_e < hi_e:
         return 0.0
     pts = sorted({float(p) for p in points if lo_e < float(p) < hi_e})
     out = integrate.quad(
         f, lo_e, hi_e,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions, points=pts or None,
+        epsabs=ABS_TOL, epsrel=REL_TOL,
+        limit=MAX_SUBDIVISIONS, points=pts or None,
         full_output=1,
     )
     val, abserr = out[0], out[1]
-    if len(out) >= 4 and abserr > max(100 * cfg.abs_tol, 1e-6 * max(1.0, abs(val))):
+    if len(out) >= 4 and abserr > max(100 * ABS_TOL, 1e-6 * max(1.0, abs(val))):
         raise NonIntegrable(f"quadrature did not converge (err={abserr:.3g}): {out[3]}")
     return float(val)
 
@@ -184,22 +171,21 @@ def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fv(x) @ _GW * half
 
 
-def _panel_integral(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD,
-                    points: Sequence[float] = ()) -> float:
+def _panel_integral(f, lo, hi, points: Sequence[float] = ()) -> float:
     """Integral of ``f`` on [lo, hi] by adaptive Gauss-Legendre panels.
 
     Infinite endpoints are truncated by the tail rule.  The panels start as
     a _PANEL_START linspace of the window with ``points`` as extra edges.
     Each round compares every open panel's rule with the rule on its two
     halves, accepts the halves where they differ by at most the panel's
-    share (by width) of abs_tol + rel_tol |I|, and bisects the rest: one
+    share (by width) of ABS_TOL + REL_TOL |I|, and bisects the rest: one
     call of ``f`` per round.  Panels still open after _PANEL_DEPTH rounds
     (a jump or a singularity) go to ``integrate_fn``.  An integrand the
     panels do not suit, with a rule that is not finite (NaN or inf at a
     node) or more than _PANEL_OPEN_MAX panels open at once (oscillation
     or noise), goes to ``integrate_fn`` on the whole window."""
     fv = as_array_fn(f)
-    lo_e, hi_e = _effective_bounds(fv, lo, hi, cfg.tail_eps)
+    lo_e, hi_e = _effective_bounds(fv, lo, hi)
     if not lo_e < hi_e:
         return 0.0
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
@@ -213,17 +199,17 @@ def _panel_integral(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD,
         left, right = halves[:a.size], halves[a.size:]
         fine = left + right
         if not (np.isfinite(fine).all() and np.isfinite(whole).all()):
-            return integrate_fn(fv, lo_e, hi_e, cfg, points=inner)
-        tol = cfg.abs_tol + cfg.rel_tol * abs(done + fine.sum())
+            return integrate_fn(fv, lo_e, hi_e, points=inner)
+        tol = ABS_TOL + REL_TOL * abs(done + fine.sum())
         open_ = np.abs(fine - whole) > tol * (b - a) / width
         if np.count_nonzero(open_) > _PANEL_OPEN_MAX:
-            return integrate_fn(fv, lo_e, hi_e, cfg, points=inner)
+            return integrate_fn(fv, lo_e, hi_e, points=inner)
         done += float(fine[~open_].sum())
         a, b = np.concatenate((a[open_], mid[open_])), np.concatenate((mid[open_], b[open_]))
         whole = np.concatenate((left[open_], right[open_]))
         if not a.size:
             return done
-    return done + sum(integrate_fn(fv, x, y, cfg) for x, y in zip(a, b))
+    return done + sum(integrate_fn(fv, x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +353,8 @@ class Distribution:
             if abs(masses.sum() - 1.0) > ATOM_MASS_TOL:
                 raise InputError(f"atom masses sum to {masses.sum()!r}, not 1")
 
-    def effective_support(self, cfg: QuadratureConfig = DEFAULT_QUAD):
-        """Finite interval carrying all but a ``tail_eps`` sliver of mass.
+    def effective_support(self):
+        """Finite interval carrying all but a ``TAIL_EPS`` sliver of mass.
         A density always has mass, so NonIntegrable when the probe of an
         infinite support finds none (mass too narrow for the probe grid)."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
@@ -378,7 +364,7 @@ class Distribution:
             return min(xs), max(xs)
         if self.density is None:
             raise InputError("cannot bound an infinite support without a density")
-        lo, hi = _effective_bounds(self.density, self.lo, self.hi, cfg.tail_eps)
+        lo, hi = _effective_bounds(self.density, self.lo, self.hi)
         if not lo < hi:
             raise NonIntegrable(f"the tail probe finds no density mass in {self.label or self.kind}")
         return lo, hi
@@ -387,7 +373,10 @@ class Distribution:
 def _sorted_atoms(pairs):
     merged = {}
     for x, m in pairs:
-        merged[float(x)] = merged.get(float(x), 0.0) + float(m)
+        x, m = float(x), float(m)
+        if not (math.isfinite(x) and math.isfinite(m)):
+            raise InputError(f"atom ({x!r}, {m!r}) is not finite")
+        merged[x] = merged.get(x, 0.0) + m
     return tuple(sorted((x, m) for x, m in merged.items() if m > 0.0))
 
 
@@ -403,7 +392,8 @@ def _atom_sampler(atoms):
 
 
 def from_atoms(pairs, label="") -> Distribution:
-    """Discrete law from (location, mass) pairs; duplicates are merged."""
+    """Discrete law from (location, mass) pairs; duplicates are merged.
+    InputError on a non-finite location or mass."""
     atoms = _sorted_atoms(pairs)
     if not atoms:
         raise InputError("no atoms with positive mass")
@@ -421,11 +411,16 @@ def dirac(x: float) -> Distribution:
 
 def from_samples(values, label="empirical") -> Distribution:
     """Empirical law: moments are sample averages, sampling is bootstrap,
-    and no density is ever exposed."""
-    arr = np.asarray(values, dtype=float).ravel()
+    and no density is ever exposed.  InputError on a non-numeric or
+    non-finite value."""
+    try:
+        arr = np.array(values, dtype=float).ravel()  # a copy
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"empirical sample is not numeric: {exc}") from exc
     if arr.size == 0:
         raise InputError("empirical sample is empty")
-    arr = arr.copy()
+    if not np.isfinite(arr).all():
+        raise InputError("empirical sample has a non-finite value")
     arr.setflags(write=False)
 
     def draw(rs: RandomSource, n: int):
@@ -539,8 +534,7 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 # operations
 # ---------------------------------------------------------------------------
 
-def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
-                points: Sequence[float] = ()) -> float:
+def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> float:
     """E[fn(X)]: exact on atoms, sample average on empirical laws, the
     table's own rule on a tabulated density, the adaptive panel integral
     against any other density.  ``points`` are kinks of fn."""
@@ -553,26 +547,26 @@ def expectation(X: Distribution, fn: Callable, cfg: QuadratureConfig = DEFAULT_Q
         if isinstance(dens, TabulatedDensity):
             return dens.integrate_weighted(fn, X.lo, X.hi)
         dv, fv = as_array_fn(dens), as_array_fn(fn)
-        value = _panel_integral(lambda x: dv(x) * fv(x), X.lo, X.hi, cfg,
+        value = _panel_integral(lambda x: dv(x) * fv(x), X.lo, X.hi,
                                 points=tuple(points) + X.kinks)
         if value == 0.0:
             # the product's probe found no mass: NonIntegrable rather than 0
             # when the density's own probe finds none either
-            X.effective_support(cfg)
+            X.effective_support()
         return value
     if X.components is not None:
-        return float(sum(w * expectation(c, fn, cfg, points)
+        return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
     raise InputError("no expectation route for this distribution")
 
 
-def moment(d: Distribution, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def moment(d: Distribution, n: int) -> float:
     """E[X^n]: exact atom sum for discrete laws, sample average for
     empirical ones, quadrature otherwise."""
     if n < 0 or int(n) != n:
         raise InputError("moment order must be a nonnegative integer")
     n = int(n)
-    return 1.0 if n == 0 else expectation(d, lambda x: x ** n, cfg)
+    return 1.0 if n == 0 else expectation(d, lambda x: x ** n)
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -584,7 +578,7 @@ def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
     return np.asarray(d.sampler(rng, int(n)), dtype=float)
 
 
-def _rejection_sampler(d: Distribution, w, envelope, cfg):
+def _rejection_sampler(d: Distribution, w, envelope):
     wv = as_array_fn(w)
 
     def draw(rs: RandomSource, n: int):
@@ -640,8 +634,7 @@ class _Lazy:
         return value
 
 
-def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
-         envelope: Optional[float] = None, method: str = "auto",
+def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method: str = "auto",
          weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
@@ -675,16 +668,16 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
 
     if d.samples is not None:
         n = d.samples.size
-        return tilt(from_atoms([(x, 1.0 / n) for x in d.samples]), w, cfg)
+        return tilt(from_atoms([(x, 1.0 / n) for x in d.samples]), w)
 
     if d.density is None and d.components is not None:
         zs = []
         tilted = []
         for comp in d.components:
             try:
-                tc = tilt(comp, w, cfg, envelope=envelope, method=method,
+                tc = tilt(comp, w, envelope=envelope, method=method,
                           weight_kinks=weight_kinks)
-                zc = expectation(comp, w_plus, cfg, points=weight_kinks)
+                zc = expectation(comp, w_plus, points=weight_kinks)
             except ZeroNormalizer:
                 tc, zc = None, 0.0
             tilted.append(tc)
@@ -697,10 +690,10 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
                        kind="tilted")
 
     if d.density is not None:
-        lo_e, hi_e = d.effective_support(cfg)
+        lo_e, hi_e = d.effective_support()
         probed = _probe_envelope(wv, lo_e, hi_e)
         base_dens = d.density
-        z = expectation(d, w_plus, cfg, points=weight_kinks)
+        z = expectation(d, w_plus, points=weight_kinks)
         if z <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation")
 
@@ -713,7 +706,7 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
             env = envelope if envelope is not None else probed
             if env <= 0:
                 raise ZeroNormalizer("rejection envelope is zero")
-            draw = _rejection_sampler(d, w, env, cfg)
+            draw = _rejection_sampler(d, w, env)
         else:
             table = _Lazy(lambda: TabulatedDensity.from_callable(
                 dens, lo_e, hi_e, INVERSE_CDF_GRID, knots=kinks))
@@ -732,7 +725,7 @@ def tilt(d: Distribution, w: Callable, cfg: QuadratureConfig = DEFAULT_QUAD,
         if envelope <= 0:
             raise ZeroNormalizer("rejection envelope is zero")
         return Distribution(kind="tilted", lo=d.lo, hi=d.hi,
-                            sampler=_rejection_sampler(d, w, envelope, cfg),
+                            sampler=_rejection_sampler(d, w, envelope),
                             kinks=kinks, label=f"tilt({d.label})")
 
     raise NoSampler("distribution exposes neither atoms, density, nor sampler")
@@ -745,7 +738,7 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
     ws = np.asarray(list(weights), dtype=float)
     if len(comps) != ws.size or len(comps) == 0:
         raise WeightMismatch("components and weights must have equal, positive length")
-    if np.any(ws < 0):
+    if not np.all(ws >= 0):
         raise WeightMismatch("mixture weights must be nonnegative")
     if abs(ws.sum() - 1.0) > ATOM_MASS_TOL:
         raise WeightMismatch(f"mixture weights sum to {ws.sum()!r}, not 1")
@@ -796,18 +789,17 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
                         kinks=kinks, label="mixture")
 
 
-def cache_density(d: Distribution, n: int = 2049, cfg: QuadratureConfig = DEFAULT_QUAD) -> Distribution:
+def cache_density(d: Distribution, n: int = 2049) -> Distribution:
     """Replace a law's density by a normalized grid tabulation (and gain a
     numeric CDF).  The sampler is kept as constructed."""
     if d.density is None:
         raise InputError("cannot cache a law without a density")
-    lo_e, hi_e = d.effective_support(cfg)
+    lo_e, hi_e = d.effective_support()
     table = TabulatedDensity.from_callable(d.density, lo_e, hi_e, n, knots=d.kinks)
     return replace(d, density=table, cdf=table.cdf)
 
 
-def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID,
-                cfg: QuadratureConfig = DEFAULT_QUAD) -> Callable:
+def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID) -> Callable:
     """CDF evaluator obtained by integrating the density numerically."""
     if d.cdf is not None:
         return d.cdf
@@ -815,7 +807,7 @@ def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID,
         raise InputError("no density to integrate")
     if isinstance(d.density, TabulatedDensity):
         return d.density.cdf
-    lo_e, hi_e = d.effective_support(cfg)
+    lo_e, hi_e = d.effective_support()
     return TabulatedDensity.from_callable(d.density, lo_e, hi_e, n, knots=d.kinks).cdf
 
 
@@ -836,50 +828,81 @@ def catalog_families() -> dict:
     return {name: list(params) for name, (_, params) in _FAMILIES.items()}
 
 
+def _floats(values, what: str) -> list:
+    """``values`` as floats; InputError when one is not a finite number."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be numbers: {exc}") from exc
+    if not all(map(math.isfinite, out)):
+        raise InputError(f"{what} must be finite")
+    return out
+
+
 def dist_from_json(obj) -> Distribution:
     """Build a law from its JSON description.
 
     Accepted forms: {"family": name, "params": {...}}, {"atoms": [[x, p]...]},
     {"empirical": [values]}, {"empirical_csv": path}, and
-    {"mixture": {"components": [...], "weights": [...]}}.
+    {"mixture": {"components": [...], "weights": [...]}}.  Any other shape,
+    a value that is not a finite number and an unreadable file raise
+    InputError.
     """
     if not isinstance(obj, dict):
         raise InputError("distribution spec must be a JSON object")
     if "family" in obj:
         name = obj["family"]
-        if name not in _FAMILIES:
+        if not isinstance(name, str) or name not in _FAMILIES:
             raise InputError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
         ctor, param_names = _FAMILIES[name]
         params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InputError(f"params of family {name!r} must be a JSON object")
         unknown = set(params) - set(param_names)
         if unknown:
             raise InputError(f"unknown parameters {sorted(unknown)} for family {name!r}")
-        return ctor(**params)
+        values = _floats(params.values(), f"parameters of family {name!r}")
+        try:
+            return ctor(**dict(zip(params, values)))
+        except TypeError as exc:  # a required parameter is missing
+            raise InputError(f"family {name!r}: {exc}") from exc
     if "atoms" in obj:
-        return from_atoms([(float(x), float(p)) for x, p in obj["atoms"]])
+        atoms = obj["atoms"]
+        if not isinstance(atoms, list) or any(not isinstance(a, list) or len(a) != 2 for a in atoms):
+            raise InputError("atoms must be a list of [location, mass] pairs")
+        return from_atoms([_floats(a, "atom locations and masses") for a in atoms])
     if "empirical" in obj:
         return from_samples(obj["empirical"])
     if "empirical_csv" in obj:
+        if not isinstance(obj["empirical_csv"], str):
+            raise InputError("empirical_csv must be a file path")
         return load_empirical_csv(obj["empirical_csv"])
     if "mixture" in obj:
         spec = obj["mixture"]
+        if not (isinstance(spec, dict) and isinstance(spec.get("components"), list)
+                and isinstance(spec.get("weights"), list)):
+            raise InputError('mixture needs "components" and "weights" lists')
         comps = [dist_from_json(c) for c in spec["components"]]
-        return make_mixture(comps, spec["weights"])
+        return make_mixture(comps, _floats(spec["weights"], "mixture weights"))
     raise InputError("distribution spec needs one of: family, atoms, empirical, "
                      "empirical_csv, mixture")
 
 
 def load_empirical_csv(path) -> Distribution:
-    """Empirical law from a one-column CSV of samples (header row optional)."""
+    """Empirical law from a one-column CSV of samples (header row optional);
+    InputError when the file cannot be read."""
     values = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                continue  # header or comment line
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if not row:
+                    continue
+                try:
+                    values.append(float(row[0]))
+                except ValueError:
+                    continue  # header or comment line
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read samples from {path}: {exc}") from exc
     if not values:
         raise InputError(f"no numeric samples found in {path}")
     return from_samples(values, label=f"empirical:{path}")

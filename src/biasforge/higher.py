@@ -31,9 +31,7 @@ import numpy as np
 
 from .errors import DegenerateBeta, DegenerateAlpha, InputError, ParityMismatch
 from .distributions import (
-    DEFAULT_QUAD,
     Distribution,
-    QuadratureConfig,
     RandomSource,
     _Lazy,
     expectation,
@@ -41,7 +39,7 @@ from .distributions import (
     sample,
     tilt,
 )
-from .polynomials import lagrange_poly
+from .polynomials import interp_coeff, lagrange_poly
 from .transform import (
     ALPHA_TOL,
     BiasedDistribution,
@@ -62,18 +60,16 @@ SECOND_MOMENT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HatRecipe:
-    """Second-difference construction record: the inner law, the location,
-    and the exact second moment about it."""
+    """Second-difference construction record: the inner law and the location."""
 
     inner: Distribution
     location: float
-    second_moment: float
 
-    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+    def moments(self, top: int) -> np.ndarray:
         """Raw moments of the inner law, centred at the location, mapped
         through one step and shifted back."""
         a = self.location
-        raw = np.array([moment(self.inner, p, cfg) for p in range(top + 3)])
+        raw = np.array([moment(self.inner, p) for p in range(top + 3)])
         return shift_moments(_hat_moment_map(shift_moments(raw, -a)), a)
 
 
@@ -85,9 +81,9 @@ class ChainRecipe:
     base: BiasedDistribution
     step_normalizers: tuple
 
-    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+    def moments(self, top: int) -> np.ndarray:
         steps = len(self.step_normalizers)
-        mom = recipe_moments(self.base.recipe, top + 2 * steps, cfg)
+        mom = recipe_moments(self.base.recipe, top + 2 * steps)
         for _ in range(steps):
             mom = _hat_moment_map(mom)
         return mom
@@ -110,21 +106,21 @@ def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
-              beta: float, c: float, cfg: QuadratureConfig, **fields) -> Distribution:
+              beta: float, c: float, **fields) -> Distribution:
     """One second-difference step about ``c`` after the law ``prev``: the
     order-m identity table of X under ``spec`` for the density, and the
     two-node construction with a double node at ``c`` for the sampler (tilt
     ``prev`` by (x - c)^2, then shrink by a Beta(1, 2) draw 1 - sqrt(U)).
     The tilt is made on first draw; ``fields`` are the law's support,
     kinks and label."""
-    seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2, cfg,
+    seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2,
                               weight_kinks=(c,)))
 
     def draw(rs: RandomSource, n: int):
         y = sample(seed.get(), rs, n)
         return c + (1.0 - np.sqrt(rs.uniform(n))) * (y - c)
 
-    dens, cdf = _identity_density(X, spec, m, beta, c, cfg)
+    dens, cdf = _identity_density(X, spec, m, beta, c)
     return Distribution(kind="constructed", density=dens, cdf=cdf, sampler=draw, **fields)
 
 
@@ -132,30 +128,24 @@ def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
 # operations
 # ---------------------------------------------------------------------------
 
-def second_difference_transform(X: Distribution, a: float,
-                                rng: Optional[RandomSource] = None,
-                                cfg: QuadratureConfig = DEFAULT_QUAD,
-                                second_moment: Optional[float] = None) -> BiasedDistribution:
+def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution:
     """The second-difference transform of X at ``a``; its normalizer is
     half the second moment about ``a``.  Degenerate when X is (numerically)
     a point mass at ``a``."""
     a = float(a)
-    if second_moment is None:
-        second_moment = expectation(X, lambda x: (np.asarray(x, float) - a) ** 2, cfg)
+    second_moment = expectation(X, lambda x: (np.asarray(x, float) - a) ** 2)
     if not second_moment > SECOND_MOMENT_TOL:
         raise DegenerateAlpha(f"second moment about {a} is zero (point mass at the location)")
-    lo, hi = X.effective_support(cfg)
+    lo, hi = X.effective_support()
     unit = SignChangeSpec(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    law = _step_law(X, X, unit, 2, second_moment / 2.0, a, cfg, lo=min(lo, a), hi=max(hi, a),
+    law = _step_law(X, X, unit, 2, second_moment / 2.0, a, lo=min(lo, a), hi=max(hi, a),
                     kinks=(a,) + X.kinks,
                     label=f"second-difference({X.label or X.kind}; a={a})")
-    recipe = HatRecipe(inner=X, location=a, second_moment=float(second_moment))
-    return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None,
-                              recipe=recipe, rng=rng)
+    recipe = HatRecipe(inner=X, location=a)
+    return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None, recipe=recipe)
 
 
-def beta_of(X: Distribution, spec: SignChangeSpec, m: int,
-            cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
     """Order-m normalizer
 
         beta = E[B(X) (X^m - interpolant of x^m at the nodes)] / m!
@@ -174,16 +164,14 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int,
     else:
         interp = lagrange_poly(nodes, [x**m for x in nodes])
         kernel = lambda x: B(x) * (x ** m - interp(x))
-    b = expectation(X, kernel, cfg, points=spec.quad_points) / math.factorial(m)
+    b = expectation(X, kernel, points=spec.quad_points) / math.factorial(m)
     if not b > ALPHA_TOL:
         raise DegenerateBeta(f"order-{m} normalizer {b!r} is not positive")
     return float(b)
 
 
 def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
-                  rng: Optional[RandomSource] = None,
-                  cfg: QuadratureConfig = DEFAULT_QUAD,
-                  check: bool = True) -> BiasedDistribution:
+                  rng: Optional[RandomSource] = None) -> BiasedDistribution:
     """k-node transform lifted to derivative order m (same parity as k) by
     chaining second-difference steps at zero onto the k-node stage."""
     k = spec.k
@@ -191,11 +179,11 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
         raise InputError(f"need 0 <= k <= m, got k={k}, m={m}")
     if (m - k) % 2 != 0:
         raise ParityMismatch(f"k={k} and m={m} have different parity")
-    base = bias(X, spec, rng=rng, cfg=cfg, check=check)
+    base = bias(X, spec, rng=rng)
     if k == m:
         return base
 
-    mom = recipe_moments(base.recipe, m - k, cfg)
+    mom = recipe_moments(base.recipe, m - k)
     law, step_beta = base.law, base.alpha
     fields = dict(lo=min(law.lo, 0.0), hi=max(law.hi, 0.0), kinks=(0.0,) + law.kinks,
                   label=f"bias-to-order({X.label or X.kind}; k={k}, m={m})")
@@ -207,35 +195,31 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
         normalizers.append(float(b_l))
         mom = _hat_moment_map(mom)
         step_beta *= b_l
-        law = _step_law(law, X, spec, order, step_beta, 0.0, cfg, **fields)
-    beta = beta_of(X, spec, m, cfg)
+        law = _step_law(law, X, spec, order, step_beta, 0.0, **fields)
+    beta = beta_of(X, spec, m)
     recipe = ChainRecipe(base=base, step_normalizers=tuple(normalizers))
     return BiasedDistribution(law, alpha=base.alpha, beta=beta, recipe=recipe, rng=rng)
 
 
-def moment_via_coefficients(X: Distribution, spec: SignChangeSpec, j: int,
-                            cfg: QuadratureConfig = DEFAULT_QUAD,
-                            method: str = "symmetric") -> float:
+def moment_via_coefficients(X: Distribution, spec: SignChangeSpec, j: int) -> float:
     """Independent route to E[Y^j] for the k-node transform Y of X:
 
         E[Y^j] = sum_i c_i^{(j)} E[B(X) X^i prod(X - x_l)] / (alpha (k+j)_k)
 
     with the interpolation-residual coefficients c (k >= 1 nodes).  Used as
     a cross-check of the seed-and-shrink moment recursion."""
-    from .polynomials import interp_coeff
-
     k = spec.k
     if k < 1:
         raise InputError("coefficient route needs at least one node")
-    alpha = alpha_of(X, spec, cfg)
+    alpha = alpha_of(X, spec)
     falling = 1
     for r in range(k):
         falling *= (k + j) - r
     total = 0.0
     for i in range(j + 1):
-        c = interp_coeff(spec.nodes, i, j, method)
+        c = interp_coeff(spec.nodes, i, j)
         if c == 0.0:
             continue
         kern = lambda x, _i=i: spec.tilt_weight(x) * x ** _i
-        total += c * expectation(X, kern, cfg, points=spec.quad_points)
+        total += c * expectation(X, kern, points=spec.quad_points)
     return total / (alpha * falling)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InputError, ParityMismatch
-from .distributions import DEFAULT_QUAD, QuadratureConfig, integrate_fn
+from .distributions import integrate_fn
 
 MIN_NODE_GAP = 1e-8
 
@@ -85,8 +85,8 @@ class Polynomial:
         return Polynomial(tuple(npoly.polyint(self.coeffs)))
 
     @staticmethod
-    def monomial(degree: int, coeff: float = 1.0) -> "Polynomial":
-        return Polynomial((0.0,) * degree + (float(coeff),))
+    def monomial(degree: int) -> "Polynomial":
+        return Polynomial((0.0,) * degree + (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def interp_coeff(nodes: Sequence[float], i: int, j: int, method: str = "symmetri
     raise InputError(f"unknown method {method!r}; use 'symmetric' or 'power-sum'")
 
 
-def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float], m: int,
-                    method: str = "symmetric") -> Polynomial:
+def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float],
+                    m: int) -> Polynomial:
     """Degree <= m-1 correction polynomial that lets a biasing function with
     k < m sign changes drive an order-m identity.
 
@@ -258,7 +258,7 @@ def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float], m: 
         return Polynomial(tuple(ds[j] / math.factorial(j) for j in range(m)))
     inner = []
     for i in range(m - k):
-        c = sum(ds[j] * interp_coeff(ns, i, j, method) / math.factorial(k + j)
+        c = sum(ds[j] * interp_coeff(ns, i, j) / math.factorial(k + j)
                 for j in range(i, m - k))
         inner.append(c)
     prod = Polynomial((1.0,))
@@ -271,8 +271,7 @@ def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float], m: 
 # iterated antiderivatives & sign-compatible primitives
 # ---------------------------------------------------------------------------
 
-def iterated_antiderivative(f: Callable, a: float, m: int, x: float,
-                            cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def iterated_antiderivative(f: Callable, a: float, m: int, x: float) -> float:
     """m-th iterated primitive of f anchored at a, evaluated at x, via the
     single-integral reduction  ∫_a^x f(t) (x-t)^{m-1}/(m-1)! dt."""
     if m < 1:
@@ -286,12 +285,11 @@ def iterated_antiderivative(f: Callable, a: float, m: int, x: float,
         return float(f(t)) * (x - t) ** (m - 1) * scale
 
     if x > a:
-        return integrate_fn(kernel, a, x, cfg)
-    return -integrate_fn(kernel, x, a, cfg)
+        return integrate_fn(kernel, a, x)
+    return -integrate_fn(kernel, x, a)
 
 
-def sign_compatible_primitive(f: Callable, nodes: NodeSet | Sequence[float], x: float,
-                              cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def sign_compatible_primitive(f: Callable, nodes: NodeSet | Sequence[float], x: float) -> float:
     """Evaluate the unique m-th primitive of a nonnegative f that vanishes
     at every node and alternates sign across the node intervals, ending
     nonnegative on the right.
@@ -304,8 +302,8 @@ def sign_compatible_primitive(f: Callable, nodes: NodeSet | Sequence[float], x: 
     if m < 1:
         raise InputError("need at least one node")
     anchor = ns[-1]
-    gx = iterated_antiderivative(f, anchor, m, x, cfg)
-    gvals = [iterated_antiderivative(f, anchor, m, xk, cfg) for xk in ns]
+    gx = iterated_antiderivative(f, anchor, m, x)
+    gvals = [iterated_antiderivative(f, anchor, m, xk) for xk in ns]
     return gx - lagrange_value(ns, gvals, x)
 
 

@@ -31,9 +31,7 @@ from .errors import (
     ZeroNormalizer,
 )
 from .distributions import (
-    DEFAULT_QUAD,
     Distribution,
-    QuadratureConfig,
     RandomSource,
     _Lazy,
     as_array_fn,
@@ -53,7 +51,11 @@ from .transform import (
     bias,
     validate_spec,
 )
-from .higher import bias_to_order, second_difference_transform
+from .higher import beta_of, bias_to_order, second_difference_transform
+
+FD_STEP = 1e-4          # fixed-point check: finite-difference step
+DENSITY_FLOOR = 1e-6    # probes where the density is below this are skipped
+NODE_MARGIN = 1e-2      # probes this close to a node are skipped
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +89,10 @@ class SteinOperator:
 # second order
 # ---------------------------------------------------------------------------
 
-def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float,
-                    cfg: QuadratureConfig, points: Sequence[float] = ()) -> float:
+def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float) -> float:
     """alpha_1 + alpha_2 = E[B0(X)(X - a)^2] / 2 + E[B1(X)(X - a)]."""
-    pts = (a,) + tuple(points)
-    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, cfg, points=pts)
-    alpha2 = expectation(X, lambda x: B1(x) * (x - a), cfg, points=pts)
+    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=(a,))
+    alpha2 = expectation(X, lambda x: B1(x) * (x - a), points=(a,))
     alpha = alpha1 + alpha2
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
@@ -100,8 +100,6 @@ def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float,
 
 
 def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
-                           rng: Optional[RandomSource] = None,
-                           cfg: QuadratureConfig = DEFAULT_QUAD,
                            B0_kinks: Sequence[float] = ()) -> BiasedDistribution:
     """Transform X* for the operator f'' - B1 f' - B0 f with B0 >= 0 and B1
     sign-compatible at its single node a:
@@ -114,14 +112,14 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
-    report = validate_spec(SignChangeSpec(B0), X, tol=1e-12, cfg=cfg)
+    report = validate_spec(SignChangeSpec(B0), X, tol=1e-12)
     if not report.passed:
         raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
     pts = (a,) + tuple(B0_kinks)
 
-    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, cfg, points=pts)
+    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=pts)
     try:
-        alpha2 = alpha_of(X, B1, cfg)
+        alpha2 = alpha_of(X, B1)
     except DegenerateAlpha:
         alpha2 = 0.0
     alpha = alpha1 + alpha2
@@ -132,23 +130,23 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     weights = []
     if alpha1 > ALPHA_TOL:
         try:
-            tilted = tilt(X, B0, cfg, weight_kinks=B0_kinks)
+            tilted = tilt(X, B0, weight_kinks=B0_kinks)
         except ZeroNormalizer as exc:
             # B0 >= 0 with zero mean forces alpha_1 = 0; reaching here means the
             # numbers disagree, and guessing a fallback law would be unsound.
             raise DegenerateAlpha(
                 "order-0 coefficient has zero expectation but a positive "
                 f"second-moment normalizer ({alpha1!r})") from exc
-        parts.append(second_difference_transform(tilted, a, cfg=cfg))
+        parts.append(second_difference_transform(tilted, a))
         weights.append(alpha1 / alpha)
     if alpha2 > ALPHA_TOL:
-        parts.append(bias(X, B1, cfg=cfg))
+        parts.append(bias(X, B1))
         weights.append(alpha2 / alpha)
 
     law = make_mixture([p.law for p in parts], weights)
     # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
     tails = _Lazy(lambda: _TailTable(X, (lambda x: B1.bias(x) + B0(x) * (x - a), B0),
-                                     tuple(B0_kinks) + B1.quad_points, cfg))
+                                     tuple(B0_kinks) + B1.quad_points))
 
     def density(t):
         upper, flat = tails.get()(t, a)
@@ -157,14 +155,11 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     law = replace(law, kind="constructed", density=as_array_fn(density),
                   label=f"second-order({X.label or X.kind}; a={a})")
     return BiasedDistribution(law, alpha=alpha, beta=None,
-                              recipe=MixtureRecipe(tuple(parts), tuple(weights)), rng=rng)
+                              recipe=MixtureRecipe(tuple(parts), tuple(weights)))
 
 
 def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, t: float,
-                         cfg: QuadratureConfig = DEFAULT_QUAD,
-                         alpha: Optional[float] = None,
-                         kinks: Sequence[float] = (),
-                         support: Optional[tuple] = None) -> float:
+                         alpha: Optional[float] = None) -> float:
     """Density of the second-order transform:
 
         q(t) = E[(B1(X) + B0(X)(X - t)) (1{a <= t <= X} - 1{X < t < a})] / alpha,
@@ -173,32 +168,28 @@ def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, 
     the second-order law's panel-table density)."""
     a, t = float(a), float(t)
     if alpha is None:
-        alpha = _operator_alpha(X, B0, B1, a, cfg, kinks)
+        alpha = _operator_alpha(X, B0, B1, a)
 
     def load(x):
         return B1(x) + B0(x) * (x - t)
 
-    return _one_node_density(X, load, a, t, alpha, (a,) + tuple(kinks), cfg, support)
+    return _one_node_density(X, load, a, t, alpha, (a,))
 
 
 # ---------------------------------------------------------------------------
 # general order
 # ---------------------------------------------------------------------------
 
-def higher_order_transform(X: Distribution, op: SteinOperator,
-                           rng: Optional[RandomSource] = None,
-                           cfg: QuadratureConfig = DEFAULT_QUAD) -> BiasedDistribution:
+def higher_order_transform(X: Distribution, op: SteinOperator) -> BiasedDistribution:
     """Transform X* for a general order-m operator: the order-lifted
     transforms under each coefficient, mixed with weights proportional to
     their normalizers beta_j.  Coefficients with beta_j = 0 contribute a
     zero-weight placeholder."""
-    from .higher import beta_of
-
     m = op.order
     betas = []
     for j, spec in enumerate(op.coeffs):
         try:
-            betas.append(beta_of(X, spec, m - j, cfg))
+            betas.append(beta_of(X, spec, m - j))
         except (DegenerateBeta, DegenerateAlpha, ZeroNormalizer):
             betas.append(0.0)
     total = float(sum(betas))
@@ -209,12 +200,12 @@ def higher_order_transform(X: Distribution, op: SteinOperator,
     weights = []
     for j, (spec, bj) in enumerate(zip(op.coeffs, betas)):
         if bj > ALPHA_TOL:
-            parts.append(bias_to_order(X, spec, m - j, cfg=cfg))
+            parts.append(bias_to_order(X, spec, m - j))
             weights.append(bj / total)
     law = make_mixture([p.law for p in parts], weights)
     law = replace(law, kind="constructed", label=f"operator-transform(order={m})")
     return BiasedDistribution(law, alpha=total, beta=total,
-                              recipe=MixtureRecipe(tuple(parts), tuple(weights)), rng=rng)
+                              recipe=MixtureRecipe(tuple(parts), tuple(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +265,7 @@ def second_order_bound(coupling_gap: float, alpha: float, residuals, c) -> Dista
 
 
 def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, seed: int,
-                               coupling: str = "independent",
-                               cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+                               coupling: str = "independent") -> dict:
     """Monte Carlo estimates of the first-order bound ingredients.
 
     coupling="self" identifies X' with X (valid exactly at a fixed point of
@@ -290,7 +280,7 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
     if coupling == "self":
         gaps = np.zeros_like(xs)
     else:
-        transform = bias(X, spec, cfg=cfg)
+        transform = bias(X, spec)
         ys = transform.sample(n, rs.derive(1_000_003))
         gaps = np.abs(xs - ys)
 
@@ -318,36 +308,35 @@ class FixedPointReport:
     n_probes: int
 
 
-def _d1(f, t, h):
+def _d1(f, t):
     def diff(hh):
         return (float(f(t + hh)) - float(f(t - hh))) / (2.0 * hh)
 
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+    return (4.0 * diff(FD_STEP / 2) - diff(FD_STEP)) / 3.0
 
 
-def _d2(f, t, h):
+def _d2(f, t):
     ft = float(f(t))
 
     def diff(hh):
         return (float(f(t + hh)) - 2.0 * ft + float(f(t - hh))) / hh**2
 
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+    return (4.0 * diff(FD_STEP / 2) - diff(FD_STEP)) / 3.0
 
 
 def fixed_point_check(Z: Distribution, spec: Optional[SignChangeSpec] = None,
                       mode: str = "first-order",
                       B0: Optional[Callable] = None, B1: Optional[Callable] = None,
                       B1_deriv: Optional[Callable] = None, a: float = 0.0,
-                      probes=None, h: float = 1e-4,
-                      density_floor: float = 1e-6, node_margin: float = 1e-2,
-                      cfg: QuadratureConfig = DEFAULT_QUAD) -> FixedPointReport:
+                      probes=None) -> FixedPointReport:
     """Residual of the fixed-point differential equation on a probe grid.
 
     First order: a fixed point's density satisfies p'/p = -B/alpha, so the
     report carries max |p'(t)/p(t) + B(t)/alpha| over probes with
-    p(t) > density_floor.  Second order: residual of
-    alpha p'' = (B0 - B1') p - B1 p'.  Node neighborhoods are excluded
-    because the density may kink there."""
+    p(t) > DENSITY_FLOOR, by Richardson-extrapolated central differences
+    of step FD_STEP.  Second order: residual of
+    alpha p'' = (B0 - B1') p - B1 p'.  Node neighborhoods (NODE_MARGIN) are
+    excluded because the density may kink there."""
     if Z.density is None:
         raise InputError("fixed-point check needs a density")
     p = Z.density
@@ -356,35 +345,35 @@ def fixed_point_check(Z: Distribution, spec: Optional[SignChangeSpec] = None,
         if spec is None:
             raise InputError("first-order mode needs a sign-change spec")
         nodes = tuple(spec.nodes)
-        alpha = alpha_of(Z, spec, cfg)
+        alpha = alpha_of(Z, spec)
     elif mode == "second-order":
         if B0 is None or B1 is None:
             raise InputError("second-order mode needs B0 and B1")
         nodes = (float(a),)
-        alpha = _operator_alpha(Z, B0, B1, a, cfg)
+        alpha = _operator_alpha(Z, B0, B1, a)
         if B1_deriv is None:
-            B1_deriv = lambda t, _B1=B1: _d1(_B1, t, h)
+            B1_deriv = lambda t, _B1=B1: _d1(_B1, t)
     else:
         raise InputError("mode must be 'first-order' or 'second-order'")
 
     if probes is None:
-        lo, hi = Z.effective_support(cfg)
-        probes = np.linspace(lo + 2 * node_margin, hi - 2 * node_margin, 201)
+        lo, hi = Z.effective_support()
+        probes = np.linspace(lo + 2 * NODE_MARGIN, hi - 2 * NODE_MARGIN, 201)
     pts = [float(t) for t in np.asarray(probes, dtype=float).ravel()
-           if all(abs(t - x) >= node_margin for x in nodes)]
+           if all(abs(t - x) >= NODE_MARGIN for x in nodes)]
 
     worst, arg, used = 0.0, math.nan, 0
     for t in pts:
         pt = float(p(t))
-        if pt <= density_floor:
+        if pt <= DENSITY_FLOOR:
             continue
         used += 1
         if mode == "first-order":
-            res = abs(_d1(p, t, h) / pt + float(spec.bias(t)) / alpha)
+            res = abs(_d1(p, t) / pt + float(spec.bias(t)) / alpha)
         else:
-            res = abs(alpha * _d2(p, t, h)
+            res = abs(alpha * _d2(p, t)
                       - (float(B0(t)) - float(B1_deriv(t))) * pt
-                      + float(B1(t)) * _d1(p, t, h))
+                      + float(B1(t)) * _d1(p, t))
         if res > worst:
             worst, arg = res, t
     return FixedPointReport(mode=mode, max_residual=worst, argmax=arg, n_probes=used)

@@ -37,9 +37,9 @@ from .errors import (
     SignViolation,
 )
 from .distributions import (
-    DEFAULT_QUAD,
+    ABS_TOL,
+    REL_TOL,
     Distribution,
-    QuadratureConfig,
     RandomSource,
     TabulatedDensity,
     _Lazy,
@@ -131,8 +131,7 @@ class ValidationReport:
     tol: float
 
 
-def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL,
-                  cfg: QuadratureConfig = DEFAULT_QUAD) -> ValidationReport:
+def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL) -> ValidationReport:
     """Probe prod(x - x_j) * B(x) >= -tol on atoms or a dense support grid.
 
     Ambiguous specs (B vanishing on whole intervals) pass for every legal
@@ -142,7 +141,7 @@ def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL,
         if probe.atoms is not None:
             pts = np.array([x for x, _ in probe.atoms])
         else:
-            lo, hi = probe.effective_support(cfg)
+            lo, hi = probe.effective_support()
             pts = np.linspace(lo, hi, VALIDATION_GRID)
     else:
         pts = np.asarray(probe, dtype=float).ravel()
@@ -160,14 +159,13 @@ def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL,
 # the normalizer
 # ---------------------------------------------------------------------------
 
-def alpha_of(X: Distribution, spec: SignChangeSpec,
-             cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def alpha_of(X: Distribution, spec: SignChangeSpec) -> float:
     """Normalizer alpha = E[B(X) * prod(X - x_j)] / k!.
 
     Raises NegativeAlpha when the sign pattern is violated in expectation
     and DegenerateAlpha when the transform would be degenerate.
     """
-    a = expectation(X, spec.tilt_weight, cfg, points=spec.quad_points) / math.factorial(spec.k)
+    a = expectation(X, spec.tilt_weight, points=spec.quad_points) / math.factorial(spec.k)
     if a < -ALPHA_TOL:
         raise NegativeAlpha(f"normalizer {a!r} < 0: sign-change spec violated")
     if abs(a) <= ALPHA_TOL:
@@ -196,10 +194,10 @@ class BiasRecipe:
     seed_law: Distribution
     alpha: float
 
-    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+    def moments(self, top: int) -> np.ndarray:
         """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
         using independence and E[U_j^r] = j / (j + r)."""
-        mom = np.array([moment(self.seed_law, p, cfg) for p in range(top + 1)])
+        mom = np.array([moment(self.seed_law, p) for p in range(top + 1)])
         for j, xj in enumerate(self.spec.nodes, start=1):
             shrink = np.array([j / (j + r) for r in range(top + 1)])
             mom = shift_moments(shift_moments(mom, -xj) * shrink, xj)
@@ -211,10 +209,10 @@ class MixtureRecipe:
     parts: tuple       # BiasedDistribution values (zero-weight parts omitted)
     weights: tuple
 
-    def moments(self, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+    def moments(self, top: int) -> np.ndarray:
         total = np.zeros(top + 1)
         for part, w in zip(self.parts, self.weights):
-            total += w * recipe_moments(part.recipe, top, cfg)
+            total += w * recipe_moments(part.recipe, top)
         return total
 
 
@@ -247,17 +245,17 @@ class BiasedDistribution:
             raise InputError("this transform has no density (order-0 discrete case)")
         return self.law.density(t)
 
-    def moment(self, p: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def moment(self, p: int) -> float:
         """E[Z^p] through the construction record (exact on atom seeds)."""
-        return recipe_moments(self.recipe, p, cfg)[p]
+        return recipe_moments(self.recipe, p)[p]
 
 
-def recipe_moments(recipe, top: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+def recipe_moments(recipe, top: int) -> np.ndarray:
     """Moments E[Z^p], p = 0..top, of a transform through its recipe's own
     ``moments`` method."""
     if not hasattr(recipe, "moments"):
         raise InputError(f"unknown recipe type {type(recipe).__name__}")
-    return recipe.moments(top, cfg)
+    return recipe.moments(top)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +270,7 @@ def _point_masses(X: Distribution):
 
 
 def _one_node_density(X: Distribution, load: Callable, node: float, t: float, alpha: float,
-                      points: Sequence[float], cfg: QuadratureConfig,
-                      support: Optional[tuple]) -> float:
+                      points: Sequence[float]) -> float:
     """E[load(X) (1{node <= t <= X} - 1{X < t < node})] / alpha: one masked
     sum on atoms and empirical samples, a tail integral of load times the
     density otherwise.  ``points`` are kinks of the load."""
@@ -288,41 +285,37 @@ def _one_node_density(X: Distribution, load: Callable, node: float, t: float, al
             if t >= node:
                 return X.density.integrate_weighted(load, t, np.inf) / alpha
             return -X.density.integrate_weighted(load, -np.inf, t) / alpha
-        lo_x, hi_x = support if support is not None else X.effective_support(cfg)
+        lo_x, hi_x = X.effective_support()
         dens = X.density
         kernel = lambda x: float(load(x)) * float(dens(x))
         pts = X.kinks + tuple(points)
         if t >= node:
             if t >= hi_x:
                 return 0.0
-            return integrate_fn(kernel, max(t, lo_x), hi_x, cfg, points=pts) / alpha
+            return integrate_fn(kernel, max(t, lo_x), hi_x, points=pts) / alpha
         if t <= lo_x:
             return 0.0
-        return -integrate_fn(kernel, lo_x, min(t, hi_x), cfg, points=pts) / alpha
+        return -integrate_fn(kernel, lo_x, min(t, hi_x), points=pts) / alpha
 
     raise InputError("one-node density needs atoms or a density on the input law")
 
 
 def density_k1(X: Distribution, spec: SignChangeSpec, t: float,
-               cfg: QuadratureConfig = DEFAULT_QUAD, alpha: Optional[float] = None,
-               support: Optional[tuple] = None) -> float:
+               alpha: Optional[float] = None) -> float:
     """Closed-form density of the one-node transform:
 
         p(t) = E[B(X) (1{x_1 <= t <= X} - 1{X < t < x_1})] / alpha,
 
     exact on atoms, one adaptive integral otherwise: the pointwise oracle of
-    the one-node law's panel-table density.  ``support`` can carry a
-    precomputed effective-support interval to avoid re-probing infinite
-    tails on every evaluation."""
+    the one-node law's panel-table density."""
     if spec.k != 1:
         raise InputError("density_k1 needs exactly one sign-change node")
     t = float(t)
-    a = alpha if alpha is not None else alpha_of(X, spec, cfg)
-    return _one_node_density(X, spec.bias, spec.nodes[0], t, a, spec.quad_points, cfg, support)
+    a = alpha if alpha is not None else alpha_of(X, spec)
+    return _one_node_density(X, spec.bias, spec.nodes[0], t, a, spec.quad_points)
 
 
 def lift_density(inner_density: Callable, node: float, level: int, t: float,
-                 cfg: QuadratureConfig = DEFAULT_QUAD,
                  inner_support: Optional[tuple] = None) -> float:
     """One level of the density recursion: the law with ``level`` nodes has
 
@@ -335,7 +328,7 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
     d = t - node
     edges = [d / (e - node) for e in (inner_support or ()) if e != node]
     return level * integrate_fn(lambda u: float(inner_density(node + d / u)) * u ** (level - 2),
-                                0.0, 1.0, cfg, points=[u for u in edges if 0.0 < u < 1.0])
+                                0.0, 1.0, points=[u for u in edges if 0.0 < u < 1.0])
 
 
 class _TailTable:
@@ -355,16 +348,15 @@ class _TailTable:
     and so is every partial panel inside it.  Mixtures without a density sum
     their components' tables by weight."""
 
-    def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float],
-                 cfg: QuadratureConfig):
-        self.weights, self.cfg, self.parts = [as_array_fn(w) for w in weights], cfg, None
+    def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float]):
+        self.weights, self.parts = [as_array_fn(w) for w in weights], None
         if X.atoms is not None or X.samples is not None:
             xs, ms = _point_masses(X)
             order = np.argsort(xs, kind="stable")
             self.xs, self.dens = xs[order], None
             vals = self._stack(self.xs) * ms[order]
         elif X.density is not None:
-            lo, hi = X.effective_support(cfg)
+            lo, hi = X.effective_support()
             dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
             if isinstance(dens, TabulatedDensity):  # linear between its own grid points
                 knots = tuple(knots) + tuple(dens.xs)
@@ -376,12 +368,12 @@ class _TailTable:
             coarse, left, right = np.split(
                 self._rule(np.concatenate((a, a, mid)), np.concatenate((b, mid, b))), 3, axis=1)
             vals = left + right
-            tol = (cfg.abs_tol + cfg.rel_tol * np.abs(vals.sum(axis=1))) / a.size
+            tol = (ABS_TOL + REL_TOL * np.abs(vals.sum(axis=1))) / a.size
             self.refine = np.any(np.abs(vals - coarse) > tol[:, None], axis=0)
             for i in np.flatnonzero(self.refine):
                 vals[:, i] = self._quad(a[i], b[i])
         elif X.components is not None:
-            self.parts = [(w, _TailTable(c, weights, knots, cfg))
+            self.parts = [(w, _TailTable(c, weights, knots))
                           for c, w in zip(X.components, X.weights) if w > 0]
             self.total = sum(w * part.total for w, part in self.parts)
             return
@@ -400,7 +392,7 @@ class _TailTable:
         return _gauss_legendre(lambda x: self._stack(x) * self.dens(x), a, b)
 
     def _quad(self, a, b):
-        return [_panel_integral(lambda x, w=w: w(x) * self.dens(x), a, b, self.cfg)
+        return [_panel_integral(lambda x, w=w: w(x) * self.dens(x), a, b)
                 for w in self.weights]
 
     def __call__(self, t, node: float) -> np.ndarray:
@@ -425,8 +417,8 @@ class _TailTable:
         return out.reshape((len(self.weights),) + ts.shape)
 
 
-def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
-                    cfg: QuadratureConfig = DEFAULT_QUAD) -> TabulatedDensity:
+def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
+                    c: float) -> TabulatedDensity:
     """Density of the order-m transform of X under ``spec`` (correction
     polynomial about ``c``) from the defining identity at the truncated
     power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
@@ -449,7 +441,7 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
 
     B = as_array_fn(spec.bias)
     tails = _TailTable(X, [lambda x, j=j: B(x) * (x - c) ** j for j in range(m)],
-                       spec.quad_points, cfg)
+                       spec.quad_points)
 
     def values(ts):
         s = ts - c
@@ -461,7 +453,7 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
         out = out - sum(mean(p) * trunc(-s, m - 1 - k - j) for j, p in enumerate(correction))
         return out / beta
 
-    lo, hi = X.effective_support(cfg)
+    lo, hi = X.effective_support()
     lo, hi = min(lo, c, *spec.nodes), max(hi, c, *spec.nodes)
     # the density can jump at c when m > k (the correction's unit-step
     # term); as a knot, c also gets its left limit
@@ -469,10 +461,9 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float, 
                                           knots=spec.quad_points + X.kinks + (c,))
 
 
-def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
-                      cfg: QuadratureConfig):
+def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float):
     """The identity table as a density built on first use, and its CDF."""
-    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c, cfg))
+    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c))
     return table, (lambda x: table.get().cdf(x))
 
 
@@ -480,22 +471,21 @@ def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float
 # the transform itself
 # ---------------------------------------------------------------------------
 
-def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = None,
-         cfg: QuadratureConfig = DEFAULT_QUAD, check: bool = True) -> BiasedDistribution:
-    """Construct the sign-change biased law of X under ``spec``.
+def bias(X: Distribution, spec: SignChangeSpec,
+         rng: Optional[RandomSource] = None) -> BiasedDistribution:
+    """Construct the sign-change biased law of X under ``spec``, which is
+    first validated on X (SignViolation when the sign pattern fails).
 
     With zero nodes the result is simply the tilt of X by B.  With k >= 1
     nodes the sampler implements the seed-and-shrink construction and the
     law carries a density evaluator (the one-node tail integral read from a
     panel table for one node, the identity table otherwise)."""
-    if check:
-        report = validate_spec(spec, X, cfg=cfg)
-        if not report.passed:
-            raise SignViolation(
-                f"sign pattern fails at x={report.worst_point!r} "
-                f"(value {report.worst_value:.3e})")
-    alpha = alpha_of(X, spec, cfg)
-    seed_law = tilt(X, spec.tilt_weight, cfg, weight_kinks=spec.quad_points)
+    report = validate_spec(spec, X)
+    if not report.passed:
+        raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
+                            f"(value {report.worst_value:.3e})")
+    alpha = alpha_of(X, spec)
+    seed_law = tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
     recipe = BiasRecipe(source=X, spec=spec, seed_law=seed_law, alpha=alpha)
     k = spec.k
 
@@ -512,16 +502,16 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
             z = xj + u * (z - xj)
         return z
 
-    lo_x, hi_x = X.effective_support(cfg)
+    lo_x, hi_x = X.effective_support()
     lo = min(lo_x, nodes[0])
     hi = max(hi_x, nodes[-1])
 
     if k == 1:
-        tails = _Lazy(lambda: _TailTable(X, (spec.bias,), spec.quad_points, cfg))
+        tails = _Lazy(lambda: _TailTable(X, (spec.bias,), spec.quad_points))
         dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
         cdf = None
     else:
-        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], cfg)
+        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0])
 
     law_kinks = tuple(sorted({*nodes, *spec.kinks,
                               *(kk for kk in X.kinks if lo <= kk <= hi)}))
@@ -532,8 +522,7 @@ def bias(X: Distribution, spec: SignChangeSpec, rng: Optional[RandomSource] = No
 
 
 def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
-                 spec: SignChangeSpec, rng: Optional[RandomSource] = None,
-                 cfg: QuadratureConfig = DEFAULT_QUAD) -> BiasedDistribution:
+                 spec: SignChangeSpec) -> BiasedDistribution:
     """Transform of a mixture: per-component transforms reweighted by
     alpha_s * gamma_s / alpha.  Components with vanishing normalizer are
     allowed and receive zero weight."""
@@ -547,7 +536,7 @@ def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
     alphas = []
     for comp in comps:
         try:
-            alphas.append(alpha_of(comp, spec, cfg))
+            alphas.append(alpha_of(comp, spec))
         except DegenerateAlpha:
             alphas.append(0.0)
     total = float(np.dot(alphas, gs))
@@ -559,9 +548,8 @@ def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
     for comp, a_s, g_s in zip(comps, alphas, gs):
         w = a_s * g_s / total
         if w > 0.0:
-            parts.append(bias(comp, spec, cfg=cfg))
+            parts.append(bias(comp, spec))
             weights.append(w)
     law = make_mixture([p.law for p in parts], weights)
     law = replace(law, kind="constructed")
-    return BiasedDistribution(law, total, None,
-                              MixtureRecipe(tuple(parts), tuple(weights)), rng)
+    return BiasedDistribution(law, total, None, MixtureRecipe(tuple(parts), tuple(weights)))

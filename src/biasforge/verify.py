@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import DegenerateAlpha, DegenerateBeta, InputError
 from .distributions import (
-    DEFAULT_QUAD,
     Distribution,
-    QuadratureConfig,
     RandomSource,
     expectation,
+    exponential,
     from_atoms,
     half_normal,
     make_mixture,
@@ -45,6 +44,7 @@ from .higher import bias_to_order
 LHS_SEED_OFFSET = 1_000_003
 RHS_SEED_OFFSET = 2_000_003
 MC_Z_MAX = 4.0
+FIXED_POINT_TOL = 1e-3  # sup gap between a fixed point's density and its transform's
 _KS_CRITICAL = {0.01: 1.6276, 0.05: 1.3581, 0.10: 1.2238}
 
 
@@ -73,9 +73,6 @@ class BankFunction:
 
     def derivative(self, order: int):
         return self.fn.derivative(order)
-
-    def derivs_at_zero(self, lo: int, hi: int):
-        return [float(self.fn.derivative(j)(0.0)) for j in range(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,6 @@ def _lhs_polynomials(spec: SignChangeSpec, m: int, fn):
 
 
 def check_identity_exact(X: Distribution, spec: SignChangeSpec, m: int, F: Polynomial,
-                         cfg: QuadratureConfig = DEFAULT_QUAD,
                          tol: float = 1e-9) -> IdentityReport:
     """Both sides of the defining identity on a discrete law, by fully
     independent routes: atom summation with exact interpolation/correction
@@ -163,13 +159,13 @@ def check_identity_exact(X: Distribution, spec: SignChangeSpec, m: int, F: Polyn
     lhs = float(sum(mass * float(spec.bias(x)) * (F(x) - R(x) - L(x))
                     for x, mass in X.atoms))
 
-    transform = bias_to_order(X, spec, m, cfg=cfg)
+    transform = bias_to_order(X, spec, m)
     normalizer = transform.beta if (transform.beta is not None) else transform.alpha
     Fm = F.derivative(m)
     if Fm.degree < 0:
         rhs = 0.0
     else:
-        mom = recipe_moments(transform.recipe, Fm.degree, cfg)
+        mom = recipe_moments(transform.recipe, Fm.degree)
         rhs = normalizer * float(sum(c * mom[i] for i, c in enumerate(Fm.coeffs)))
 
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -180,16 +176,15 @@ def check_identity_exact(X: Distribution, spec: SignChangeSpec, m: int, F: Polyn
 
 
 def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunction,
-                      n: int, seed: int, cfg: QuadratureConfig = DEFAULT_QUAD,
-                      transform: Optional[BiasedDistribution] = None,
-                      z_max: float = MC_Z_MAX) -> IdentityReport:
+                      n: int, seed: int,
+                      transform: Optional[BiasedDistribution] = None) -> IdentityReport:
     """Paired Monte Carlo check of the defining identity with pooled
-    standard errors; the two streams use seeds at fixed offsets from the
-    report seed."""
+    standard errors, passed at |z| <= MC_Z_MAX; the two streams use seeds
+    at fixed offsets from the report seed."""
     if not F.supports(m):
         raise InputError(f"bank member {F.name} does not support order {m}")
     if transform is None:
-        transform = bias_to_order(X, spec, m, cfg=cfg)
+        transform = bias_to_order(X, spec, m)
     normalizer = transform.beta if (transform.beta is not None) else transform.alpha
     L, R = _lhs_polynomials(spec, m, F.fn)
 
@@ -208,7 +203,7 @@ def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunc
     z = 0.0 if pooled == 0.0 else (lhs - rhs) / pooled
     return IdentityReport(label=f"mc({F.name}, k={spec.k}, m={m})",
                           lhs=lhs, rhs=rhs, se_lhs=se_l, se_rhs=se_r, z=float(z),
-                          passed=bool(abs(z) <= z_max), method="monte-carlo", tol=z_max,
+                          passed=bool(abs(z) <= MC_Z_MAX), method="monte-carlo", tol=MC_Z_MAX,
                           seeds={"seed": int(seed), "lhs_seed": lhs_seed,
                                  "rhs_seed": rhs_seed})
 
@@ -221,7 +216,7 @@ def plus_part(x):
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
-def ambiguity_demo(cfg: QuadratureConfig = DEFAULT_QUAD, grid_points: int = 1001) -> dict:
+def ambiguity_demo() -> dict:
     """One biasing function, two legal node choices, two different laws.
 
     For X uniform on [-1, 1] and B the positive part, the node may be
@@ -236,11 +231,11 @@ def ambiguity_demo(cfg: QuadratureConfig = DEFAULT_QUAD, grid_points: int = 1001
     X = uniform(-1.0, 1.0)
     spec_lo = SignChangeSpec(plus_part, NodeSet((-1.0,)), kinks=(0.0,), label="x-plus@-1")
     spec_hi = SignChangeSpec(plus_part, NodeSet((0.0,)), label="x-plus@0")
-    law_p, law_q = bias(X, spec_lo, cfg=cfg), bias(X, spec_hi, cfg=cfg)
+    law_p, law_q = bias(X, spec_lo), bias(X, spec_hi)
     alpha, beta = law_p.alpha, law_q.alpha
-    b_mean = expectation(X, plus_part, cfg)
+    b_mean = expectation(X, plus_part)
 
-    ts = np.linspace(-1.0, 1.0, grid_points)
+    ts = np.linspace(-1.0, 1.0, 1001)
     p, q = law_p.density(ts), law_q.density(ts)
 
     q_closed = np.where((ts >= 0) & (ts <= 1), 1.5 * (1 - ts**2), 0.0)
@@ -296,11 +291,10 @@ def ks_critical(n: int, level: float = 0.01) -> float:
 # randomized configurations (shared by suites and tests)
 # ---------------------------------------------------------------------------
 
-def random_discrete(rng: np.random.Generator, max_atoms: int = 8,
-                    span: float = 2.0) -> Distribution:
+def random_discrete(rng: np.random.Generator, max_atoms: int = 8) -> Distribution:
     n = int(rng.integers(2, max_atoms + 1))
     while True:
-        xs = np.sort(rng.uniform(-span, span, n))
+        xs = np.sort(rng.uniform(-2.0, 2.0, n))
         if n == 1 or np.all(np.diff(xs) > 1e-3):
             break
     ws = rng.uniform(0.2, 1.0, n)
@@ -308,19 +302,18 @@ def random_discrete(rng: np.random.Generator, max_atoms: int = 8,
     return from_atoms(list(zip(xs, ws)))
 
 
-def random_valid_spec(rng: np.random.Generator, k: int, span: float = 1.8,
-                      qdeg: int = 2) -> SignChangeSpec:
+def random_valid_spec(rng: np.random.Generator, k: int) -> SignChangeSpec:
     """Spec with k declared nodes that is valid by construction: the bias is
     the node product times a strictly positive polynomial."""
     if k == 0:
         nodes = ()
     else:
         while True:
-            nodes = np.sort(rng.uniform(-span, span, k))
+            nodes = np.sort(rng.uniform(-1.8, 1.8, k))
             if k == 1 or np.all(np.diff(nodes) > 0.2):
                 break
         nodes = tuple(float(x) for x in nodes)
-    q = Polynomial(tuple(rng.uniform(-1.0, 1.0, qdeg + 1)))
+    q = Polynomial(tuple(rng.uniform(-1.0, 1.0, 3)))  # degree 2
     c = float(rng.uniform(0.2, 1.0))
 
     def B(x, _nodes=nodes, _q=q, _c=c):
@@ -340,8 +333,7 @@ def random_valid_spec(rng: np.random.Generator, k: int, span: float = 1.8,
 # ---------------------------------------------------------------------------
 
 def exact_identity_suite(seed: int = 0, count: int = 200, m_max: int = 3,
-                         d_max: int = 6, tol: float = 1e-10,
-                         cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+                         d_max: int = 6, tol: float = 1e-10) -> dict:
     """Randomized matched-order (k == m) configurations, checked exactly."""
     rng = np.random.default_rng(seed)
     reports = []
@@ -351,7 +343,7 @@ def exact_identity_suite(seed: int = 0, count: int = 200, m_max: int = 3,
         spec = random_valid_spec(rng, k)
         F = Polynomial.monomial(int(rng.integers(0, d_max + 1)))
         try:
-            reports.append(check_identity_exact(X, spec, k, F, cfg, tol=tol))
+            reports.append(check_identity_exact(X, spec, k, F, tol=tol))
         except (DegenerateAlpha, DegenerateBeta):
             continue
     worst = max(abs(r.lhs - r.rhs) / max(1.0, abs(r.lhs), abs(r.rhs)) for r in reports)
@@ -360,8 +352,7 @@ def exact_identity_suite(seed: int = 0, count: int = 200, m_max: int = 3,
 
 
 def chain_identity_suite(seed: int = 0, count: int = 100, m_max: int = 4,
-                         max_atoms: int = 6, tol: float = 1e-9,
-                         cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+                         tol: float = 1e-9) -> dict:
     """Randomized parity-matched (k <= m) configurations through the
     second-difference chain, checked exactly."""
     rng = np.random.default_rng(seed)
@@ -369,11 +360,11 @@ def chain_identity_suite(seed: int = 0, count: int = 100, m_max: int = 4,
     while len(reports) < count:
         m = int(rng.integers(1, m_max + 1))
         k = int(rng.choice(np.arange(m % 2, m + 1, 2)))
-        X = random_discrete(rng, max_atoms=max_atoms)
+        X = random_discrete(rng, max_atoms=6)
         spec = random_valid_spec(rng, k)
         F = Polynomial.monomial(int(rng.integers(0, m + 4)))
         try:
-            reports.append(check_identity_exact(X, spec, m, F, cfg, tol=tol))
+            reports.append(check_identity_exact(X, spec, m, F, tol=tol))
         except (DegenerateAlpha, DegenerateBeta):
             continue
     worst = max(abs(r.lhs - r.rhs) / max(1.0, abs(r.lhs), abs(r.rhs)) for r in reports)
@@ -396,17 +387,16 @@ def unit_bias_spec() -> SignChangeSpec:
                           NodeSet(()), label="identity")
 
 
-def mc_identity_suite(seed: int = 0, n: int = 100_000,
-                      cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def mc_identity_suite(seed: int = 0, n: int = 100_000) -> dict:
     """Monte Carlo identity checks on catalog configurations, including the
     order-lifted transform of the centered uniform (exact normalizer 1/6)."""
     results = []
 
     def run_config(label, X, spec, m, bank_members, base_seed, transform=None):
         if transform is None:
-            transform = bias_to_order(X, spec, m, cfg=cfg)
+            transform = bias_to_order(X, spec, m)
         for i, F in enumerate(bank_members):
-            rep = check_identity_mc(X, spec, m, F, n, base_seed + 7 * i, cfg,
+            rep = check_identity_mc(X, spec, m, F, n, base_seed + 7 * i,
                                     transform=transform)
             results.append((label, rep))
         return transform
@@ -422,7 +412,7 @@ def mc_identity_suite(seed: int = 0, n: int = 100_000,
 
     bank2 = TestFunctionBank.build(2, d_max=7, n_kinked=0, n_smooth=14, seed=seed + 2)
     members = bank2.for_order(2)[:20]
-    lifted = bias_to_order(U, unit_bias_spec(), 2, cfg=cfg)
+    lifted = bias_to_order(U, unit_bias_spec(), 2)
     run_config("uniform/order-2-lift", U, unit_bias_spec(), 2, members, seed + 200,
                transform=lifted)
 
@@ -440,7 +430,7 @@ def half_normal_mixture(w: float = 0.3, sigma: float = 1.2) -> Distribution:
                         [w, 1.0 - w])
 
 
-def fixed_point_suite(cfg: QuadratureConfig = DEFAULT_QUAD, tol: float = 1e-3) -> dict:
+def fixed_point_suite() -> dict:
     """Density-level fixed points of first-order transforms:
 
     - the zero-bias transform maps the standard normal to itself;
@@ -448,75 +438,69 @@ def fixed_point_suite(cfg: QuadratureConfig = DEFAULT_QUAD, tol: float = 1e-3) -
     - the centered bias fixes a shifted normal;
     - the sign bias at 0 (equilibrium transform) fixes the unit exponential.
     """
-    from .distributions import exponential
-
     gaps = {}
 
     Z = normal()
-    t_z = bias(Z, zero_bias_spec(), cfg=cfg)
+    t_z = bias(Z, zero_bias_spec())
     ts = np.linspace(-4.0, 4.0, 161)
     gaps["normal-zero-bias"] = float(np.max(np.abs(t_z.density(ts) - Z.density(ts))))
 
     mix = half_normal_mixture(0.3, 1.2)
-    t_mix = bias(mix, zero_bias_spec(), cfg=cfg)
+    t_mix = bias(mix, zero_bias_spec())
     ts = np.linspace(-4.8, 4.8, 160)  # even count keeps the jump point t=0 off the grid
     gaps["half-normal-mixture"] = float(np.max(np.abs(t_mix.density(ts) - mix.density(ts))))
 
     S = normal(0.7, 1.0)
-    t_s = bias(S, centered_bias_spec(0.7), cfg=cfg)
+    t_s = bias(S, centered_bias_spec(0.7))
     ts = np.linspace(0.7 - 4.0, 0.7 + 4.0, 161)
     gaps["shifted-normal-centered-bias"] = float(np.max(np.abs(t_s.density(ts) - S.density(ts))))
 
     E = exponential(1.0)
-    t_e = bias(E, sign_spec(0.0), cfg=cfg)
+    t_e = bias(E, sign_spec(0.0))
     ts = np.linspace(0.0, 8.0, 161)
     gaps["exponential-equilibrium"] = float(np.max(np.abs(t_e.density(ts) - E.density(ts))))
 
-    return {"suite": "fixed-point", "tol": tol, "sup_gaps": gaps,
-            "passed": all(g <= tol for g in gaps.values())}
+    return {"suite": "fixed-point", "tol": FIXED_POINT_TOL, "sup_gaps": gaps,
+            "passed": all(g <= FIXED_POINT_TOL for g in gaps.values())}
 
 
-def ks_suite(seed: int = 0, n: int = 100_000,
-             cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def ks_suite(seed: int = 0, n: int = 100_000) -> dict:
     """Sampler/density agreement for every catalog transform configuration:
     the statistic of n draws against the density-integral CDF must clear
     the 1% critical value."""
-    from .distributions import exponential
-
     U = uniform(-1.0, 1.0)
     configs = [
-        ("ambiguity-p", bias(U, SignChangeSpec(plus_part, NodeSet((-1.0,)), kinks=(0.0,)), cfg=cfg)),
-        ("ambiguity-q", bias(U, SignChangeSpec(plus_part, NodeSet((0.0,)), kinks=(0.0,)), cfg=cfg)),
-        ("normal-zero-bias", bias(normal(), zero_bias_spec(), cfg=cfg)),
-        ("half-normal-mixture", bias(half_normal_mixture(0.3, 1.2), zero_bias_spec(), cfg=cfg)),
-        ("exponential-equilibrium", bias(exponential(1.0), sign_spec(0.0), cfg=cfg)),
-        ("uniform-order-2-lift", bias_to_order(U, unit_bias_spec(), 2, cfg=cfg)),
+        ("ambiguity-p", bias(U, SignChangeSpec(plus_part, NodeSet((-1.0,)), kinks=(0.0,)))),
+        ("ambiguity-q", bias(U, SignChangeSpec(plus_part, NodeSet((0.0,)), kinks=(0.0,)))),
+        ("normal-zero-bias", bias(normal(), zero_bias_spec())),
+        ("half-normal-mixture", bias(half_normal_mixture(0.3, 1.2), zero_bias_spec())),
+        ("exponential-equilibrium", bias(exponential(1.0), sign_spec(0.0))),
+        ("uniform-order-2-lift", bias_to_order(U, unit_bias_spec(), 2)),
     ]
     crit = ks_critical(n, 0.01)
     stats = {}
     for i, (label, transform) in enumerate(configs):
         draws = transform.sample(n, RandomSource(seed + 31 * i + 11))
-        cdf = numeric_cdf(transform.law, cfg=cfg)
+        cdf = numeric_cdf(transform.law)
         stats[label] = float(ks_statistic(draws, cdf))
     return {"suite": "ks", "n": int(n), "critical": crit, "stats": stats,
             "passed": all(s < crit for s in stats.values())}
 
 
-def run_suite(name: str, seed: int = 0, n: int = 100_000,
-              cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def run_suite(name: str, seed: int = 0, n: int = 100_000) -> dict:
     """Named verification suites behind the command-line interface."""
     if name == "exact":
-        a = exact_identity_suite(seed, cfg=cfg)
-        b = chain_identity_suite(seed + 1, cfg=cfg)
+        a = exact_identity_suite(seed)
+        b = chain_identity_suite(seed + 1)
         return {"suite": "exact", "matched_order": a, "chain": b,
                 "passed": a["passed"] and b["passed"]}
     if name == "mc":
-        return mc_identity_suite(seed, n, cfg)
+        return mc_identity_suite(seed, n)
     if name == "ambi":
-        report = ambiguity_demo(cfg)
+        report = ambiguity_demo()
         slim = {k: v for k, v in report.items() if k not in ("grid", "p", "q")}
         slim["suite"] = "ambi"
         return slim
     if name == "fixed-point":
-        return fixed_point_suite(cfg)
+        return fixed_point_suite()
     raise InputError("suite must be one of: exact, mc, ambi, fixed-point")

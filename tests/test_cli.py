@@ -242,6 +242,27 @@ def test_distance_malformed_target_is_validation_error(capsys):
     assert "nope" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("spec", [
+    '{"atoms": [[0, 1.0], [1, NaN]]}',
+    '{"atoms": [[Infinity, 0.5], [0, 0.5]]}',
+    '{"empirical": [0, Infinity]}',
+    '{"family": "normal", "params": {"std": NaN}}',
+    '{"mixture": {"weights": [1.0]}}',
+    '{"atoms": [[0, 0.5], [1]]}',
+    '{"atoms": 5}',
+    '{"family": "normal", "params": {"std": "a"}}',
+    '{"family": "uniform"}',
+    '{"empirical": "abc"}',
+    '{"empirical_csv": "MISSING"}',
+])
+def test_malformed_distribution_is_validation_error(spec, tmp_path, capsys):
+    spec = spec.replace("MISSING", str(tmp_path / "missing.csv"))
+    assert run(["sample", "--dist", spec, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "InputError"
+
+
 def test_distance_experiment_from_file(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({

@@ -488,6 +488,18 @@ def test_atoms_validation():
         bf.from_atoms([(0.0, -0.2), (1.0, 1.2)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: bf.from_atoms([(0.0, 1.0), (1.0, math.nan)]),
+    lambda: bf.from_atoms([(math.inf, 0.5), (0.0, 0.5)]),
+    lambda: bf.from_atoms([(0.0, 0.5), (math.nan, 0.5)]),
+    lambda: bf.from_samples([0.0, math.inf]),
+    lambda: bf.make_mixture([bf.normal(), bf.normal(1.0)], [math.nan, 1.0]),
+], ids=["nan-mass", "inf-location", "nan-location", "inf-sample", "nan-mixture-weight"])
+def test_non_finite_atoms_samples_and_weights_raise(build):
+    with pytest.raises(bf.InputError):
+        build()
+
+
 def test_dist_from_json_and_csv(tmp_path):
     d = bf.dist_from_json({"family": "uniform", "params": {"lo": -1, "hi": 1}})
     assert d.lo == -1 and d.hi == 1

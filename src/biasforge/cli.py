@@ -169,16 +169,17 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _build_transform(args):
-    dist = parse_distribution(args.dist)
+def _transform_of(dist: Distribution, args, rng=None):
+    """The spec, the order m (default: the node count) and the transform
+    that ``--bias``, ``--nodes`` and ``--m`` ask for."""
     spec = build_spec(args.bias, args.nodes, dist)
-    m = args.m if args.m is not None else spec.k
-    transform = bias_to_order(dist, spec, int(m), rng=RandomSource(_seed(args)))
-    return dist, spec, int(m), transform
+    m = int(args.m if args.m is not None else spec.k)
+    return spec, m, bias_to_order(dist, spec, m, rng=rng)
 
 
 def _cmd_transform(args) -> int:
-    dist, spec, m, transform = _build_transform(args)
+    spec, m, transform = _transform_of(parse_distribution(args.dist), args,
+                                       rng=RandomSource(_seed(args)))
     report = {
         "k": spec.k,
         "m": m,
@@ -200,10 +201,7 @@ def _cmd_sample(args) -> int:
     if args.bias is None:
         draws = sample(dist, rng, args.n)
     else:
-        spec = build_spec(args.bias, args.nodes, dist)
-        m = args.m if args.m is not None else spec.k
-        transform = bias_to_order(dist, spec, int(m))
-        draws = transform.sample(args.n, rng)
+        draws = _transform_of(dist, args)[2].sample(args.n, rng)
     _write_csv(args.out, "x", draws)
     return 0
 
@@ -221,10 +219,7 @@ def _cmd_density(args) -> int:
             raise InputError("this distribution has no density; supply --bias")
         vals = np.asarray(dist.density(ts), dtype=float)
     else:
-        spec = build_spec(args.bias, args.nodes, dist)
-        m = args.m if args.m is not None else spec.k
-        transform = bias_to_order(dist, spec, int(m))
-        vals = np.asarray(transform.density(ts), dtype=float)
+        vals = np.asarray(_transform_of(dist, args)[2].density(ts), dtype=float)
     _write_csv(args.out, "t,p", ts, vals)
     return 0
 

@@ -57,6 +57,7 @@ _PANEL_START = 64          # initial panels of the adaptive panel integral
 _PANEL_DEPTH = 24          # bisection rounds before integrate_fn takes a panel
 _PANEL_OPEN_MAX = 1 << 16  # open panels beyond which integrate_fn takes the window
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1 << 15           # points per call of a base density inside a tilted one
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +218,21 @@ def _panel_integral(f, lo, hi, points: Sequence[float] = ()) -> float:
 # ---------------------------------------------------------------------------
 
 def _in_order(lookup: Callable, u):
-    """``lookup(u)`` for an elementwise table lookup, computed on the
-    sorted values of ``u`` and scattered back to their places.  Sorted
-    queries walk the table in order, so its binary searches hit the cache
-    and predict their branches; each output depends on its own input only,
-    so the result is bit-identical.  A scalar goes straight to ``lookup``;
-    any other shape is kept.  The sort pays on a large table only (an
-    inverse-CDF table has at least ``INVERSE_CDF_GRID`` knots); on an atom
-    law of up to about 16 atoms it costs more than the search it orders."""
+    """``lookup(u)`` for an elementwise table lookup, computed on the sorted
+    values of ``u`` and scattered back: sorted queries walk the table in
+    order, so its binary searches hit the cache and predict their branches,
+    and each output depends on its own input only, so the result is
+    bit-identical.  The results are scattered into the buffer that gathered
+    the sorted values (``lookup`` only reads it), not into a fresh one.  A
+    scalar goes straight to ``lookup``; other shapes are kept.  The sort pays
+    on a large table only (an inverse-CDF table has at least
+    ``INVERSE_CDF_GRID`` knots), not on an atom law of up to 16 atoms."""
     if np.ndim(u) == 0:
         return lookup(u)
-    flat = np.ravel(u)
+    flat = np.ravel(np.asarray(u, dtype=float))
     o = np.argsort(flat)
-    vals = lookup(flat[o])
-    out = np.empty_like(vals)
-    out[o] = vals
+    out = flat[o]
+    out[o] = lookup(out)
     return out.reshape(np.shape(u))
 
 
@@ -323,9 +324,10 @@ _KINDS = ("analytic-catalog", "discrete-atoms", "empirical-sample",
 class Distribution:
     """Immutable law: optional density/CDF, optional atoms, optional sampler.
 
-    ``kinks`` lists known non-smooth points of the density (support edges,
-    mixture junctions, transform nodes); quadrature passes them as break
-    points.
+    A point-mass law keeps sorted unique locations and their masses in two
+    read-only arrays, ``locs`` and ``masses`` (``atoms`` views them as pairs
+    of floats).  ``kinks`` lists known non-smooth points of the density
+    (support edges, mixture junctions, transform nodes) for quadrature.
     """
 
     kind: str
@@ -333,7 +335,8 @@ class Distribution:
     hi: float
     density: Optional[Callable] = None
     cdf: Optional[Callable] = None
-    atoms: Optional[tuple] = None
+    locs: Optional[np.ndarray] = None         # point-mass laws only
+    masses: Optional[np.ndarray] = None
     sampler: Optional[Callable] = None        # (RandomSource, n) -> ndarray
     samples: Optional[np.ndarray] = None      # empirical kind only
     components: Optional[tuple] = None        # mixture kind
@@ -346,12 +349,16 @@ class Distribution:
             raise InputError(f"unknown distribution kind {self.kind!r}")
         if not self.lo <= self.hi:
             raise InputError("support must satisfy lo <= hi")
-        if self.atoms is not None:
-            masses = np.array([m for _, m in self.atoms], dtype=float)
-            if np.any(masses <= 0):
+        if self.masses is not None:
+            if np.any(self.masses <= 0):
                 raise InputError("atom masses must be positive")
-            if abs(masses.sum() - 1.0) > ATOM_MASS_TOL:
-                raise InputError(f"atom masses sum to {masses.sum()!r}, not 1")
+            if abs(self.masses.sum() - 1.0) > ATOM_MASS_TOL:
+                raise WeightMismatch(f"atom masses sum to {self.masses.sum()!r}, not 1")
+
+    @property
+    def atoms(self) -> Optional[tuple]:
+        """(location, mass) pairs of a point-mass law, None for other laws."""
+        return None if self.locs is None else tuple(zip(self.locs.tolist(), self.masses.tolist()))
 
     def effective_support(self):
         """Finite interval carrying all but a ``TAIL_EPS`` sliver of mass.
@@ -359,9 +366,6 @@ class Distribution:
         infinite support finds none (mass too narrow for the probe grid)."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
             return float(self.lo), float(self.hi)
-        if self.atoms is not None:
-            xs = [x for x, _ in self.atoms]
-            return min(xs), max(xs)
         if self.density is None:
             raise InputError("cannot bound an infinite support without a density")
         lo, hi = _effective_bounds(self.density, self.lo, self.hi)
@@ -370,39 +374,45 @@ class Distribution:
         return lo, hi
 
 
-def _sorted_atoms(pairs):
-    merged = {}
-    for x, m in pairs:
-        x, m = float(x), float(m)
-        if not (math.isfinite(x) and math.isfinite(m)):
-            raise InputError(f"atom ({x!r}, {m!r}) is not finite")
-        merged[x] = merged.get(x, 0.0) + m
-    return tuple(sorted((x, m) for x, m in merged.items() if m > 0.0))
+def _merge(xs: np.ndarray, ms: np.ndarray):
+    """Sorted unique locations and their total masses.  ``np.bincount`` adds
+    the masses of each location in input order, as a running sum would."""
+    if np.all(xs[1:] > xs[:-1]):
+        return xs, ms
+    xs, inv = np.unique(xs, return_inverse=True)
+    return xs, np.bincount(inv, weights=ms, minlength=xs.size)
 
 
-def _atom_sampler(atoms):
-    xs = np.array([x for x, _ in atoms])
-    cum = np.cumsum([m for _, m in atoms])
+def _atom_law(xs: np.ndarray, ms: np.ndarray, label: str) -> Distribution:
+    """Point-mass law on sorted unique locations ``xs`` with masses ``ms``,
+    both owned by the law (and made read-only); zero masses are dropped."""
+    keep = ms > 0.0
+    if not keep.all():
+        xs, ms = xs[keep], ms[keep]
+    if not ms.size:
+        raise InputError("no atoms with positive mass")
+    xs.setflags(write=False)
+    ms.setflags(write=False)
+    cum = np.cumsum(ms)
     cum[-1] = 1.0
 
     def draw(rs: RandomSource, n: int):
         return _in_order(lambda u: xs[np.searchsorted(cum, u, side="right")], rs.uniform(n))
 
-    return draw
+    return Distribution(kind="discrete-atoms", lo=float(xs[0]), hi=float(xs[-1]),
+                        locs=xs, masses=ms, sampler=draw, label=label)
 
 
 def from_atoms(pairs, label="") -> Distribution:
     """Discrete law from (location, mass) pairs; duplicates are merged.
     InputError on a non-finite location or mass."""
-    atoms = _sorted_atoms(pairs)
-    if not atoms:
-        raise InputError("no atoms with positive mass")
-    masses = np.array([m for _, m in atoms])
-    if abs(masses.sum() - 1.0) > ATOM_MASS_TOL:
-        raise WeightMismatch(f"atom masses sum to {masses.sum()!r}")
-    xs = [x for x, _ in atoms]
-    return Distribution(kind="discrete-atoms", lo=min(xs), hi=max(xs),
-                        atoms=atoms, sampler=_atom_sampler(atoms), label=label)
+    try:
+        arr = np.array(list(pairs), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"atoms must be (location, mass) pairs: {exc}") from exc
+    if arr.shape[1:] != (2,) or not np.isfinite(arr).all():
+        raise InputError("atoms must be (location, mass) pairs of finite numbers")
+    return _atom_law(*_merge(arr[:, 0].copy(), arr[:, 1].copy()), label)
 
 
 def dirac(x: float) -> Distribution:
@@ -432,9 +442,9 @@ def from_samples(values, label="empirical") -> Distribution:
 
 
 def uniform(lo: float, hi: float) -> Distribution:
+    lo, hi = _floats((lo, hi), "uniform bounds")
     if not lo < hi:
         raise InputError("uniform needs lo < hi")
-    lo, hi = float(lo), float(hi)
     h = 1.0 / (hi - lo)
 
     def dens(x):
@@ -451,13 +461,18 @@ def uniform(lo: float, hi: float) -> Distribution:
 
 
 def exponential(rate: float = 1.0) -> Distribution:
-    if rate <= 0:
+    [lam] = _floats((rate,), "rate")
+    if lam <= 0:
         raise InputError("rate must be positive")
-    lam = float(rate)
 
-    def dens(x):
+    def dens(x):  # lam * exp(-lam * x_+) for x >= 0, else 0, in one buffer
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, lam * np.exp(-lam * np.clip(x, 0, None)), 0.0)
+        out = np.clip(x, 0, None, out=np.empty(x.shape))
+        out *= -lam
+        np.exp(out, out=out)
+        out *= lam
+        out[~(x >= 0)] = 0.0
+        return out
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -479,9 +494,9 @@ def _ndtri(u):
 
 
 def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
-    if std <= 0:
+    mu, sig = _floats((mean, std), "normal parameters")
+    if sig <= 0:
         raise InputError("std must be positive")
-    mu, sig = float(mean), float(std)
     c = 1.0 / (sig * math.sqrt(2 * math.pi))
 
     def dens(x):
@@ -496,9 +511,9 @@ def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
 
 def half_normal(sigma: float = 1.0) -> Distribution:
     """|Z| for Z ~ normal(0, sigma^2); second moment equals sigma^2."""
-    if sigma <= 0:
+    [sig] = _floats((sigma,), "sigma")
+    if sig <= 0:
         raise InputError("sigma must be positive")
-    sig = float(sigma)
     c = 2.0 / (sig * math.sqrt(2 * math.pi))
 
     def dens(x):
@@ -515,8 +530,8 @@ def half_normal(sigma: float = 1.0) -> Distribution:
 
 
 def negative_half_normal(sigma: float = 1.0) -> Distribution:
+    base = half_normal(sigma)  # validates sigma
     sig = float(sigma)
-    base = half_normal(sig)
 
     def dens(x):
         return base.density(-np.asarray(x, dtype=float))
@@ -538,8 +553,8 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
     """E[fn(X)]: exact on atoms, sample average on empirical laws, the
     table's own rule on a tabulated density, the adaptive panel integral
     against any other density.  ``points`` are kinks of fn."""
-    if X.atoms is not None:
-        return float(sum(m * float(fn(x)) for x, m in X.atoms))
+    if X.locs is not None:
+        return float(X.masses @ as_array_fn(fn)(X.locs))
     if X.samples is not None:
         return float(np.mean(as_array_fn(fn)(X.samples)))
     if X.density is not None:
@@ -583,8 +598,7 @@ def _rejection_sampler(d: Distribution, w, envelope):
 
     def draw(rs: RandomSource, n: int):
         out = np.empty(int(n))
-        filled = 0
-        proposals = 0
+        filled = proposals = 0
         while filled < n:
             if proposals >= REJECTION_BUDGET:
                 raise RejectionBudget(
@@ -653,26 +667,23 @@ def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method:
     def w_plus(x):
         return np.maximum(wv(x), 0.0)
 
-    if d.atoms is not None:
-        xs = np.array([x for x, _ in d.atoms])
-        ms = np.array([m for _, m in d.atoms])
+    if d.locs is not None or d.samples is not None:  # exact reweighting of the atoms
+        if d.locs is not None:
+            xs, ms = d.locs, d.masses
+        else:
+            xs, ms = _merge(d.samples, np.full(d.samples.size, 1.0 / d.samples.size))
         wx = wv(xs)
         if wx.min() < NEGATIVE_WEIGHT_TOL:
             raise NegativeWeight(f"weight is negative at x={xs[wx.argmin()]!r}")
-        wx = np.clip(wx, 0.0, None)
-        z = float(np.sum(ms * wx))
+        mw = ms * np.clip(wx, 0.0, None)
+        z = float(np.sum(mw))
         if z <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
-        new = [(x, m * wi / z) for x, m, wi in zip(xs, ms, wx) if m * wi > 0.0]
-        return from_atoms(new, label=f"tilt({d.label})")
-
-    if d.samples is not None:
-        n = d.samples.size
-        return tilt(from_atoms([(x, 1.0 / n) for x in d.samples]), w)
+        mw /= z
+        return _atom_law(xs, mw, label=f"tilt({d.label})")
 
     if d.density is None and d.components is not None:
-        zs = []
-        tilted = []
+        zs, tilted = [], []
         for comp in d.components:
             try:
                 tc = tilt(comp, w, envelope=envelope, method=method,
@@ -692,15 +703,21 @@ def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method:
     if d.density is not None:
         lo_e, hi_e = d.effective_support()
         probed = _probe_envelope(wv, lo_e, hi_e)
-        base_dens = d.density
+        base = as_array_fn(d.density)
         z = expectation(d, w_plus, points=weight_kinks)
         if z <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation")
 
         def dens(x):
             arr = np.asarray(x, dtype=float)
-            out = w_plus(arr) * as_array_fn(base_dens)(arr) / z
-            return float(out) if arr.ndim == 0 else out
+            if arr.ndim == 0:
+                return float(w_plus(arr) * base(arr) / z)
+            pts = arr.reshape(-1)
+            out = w_plus(pts)  # a fresh array: the product is formed in it
+            for i in range(0, pts.size, _BLOCK):  # base's temporaries stay block-sized
+                out[i:i + _BLOCK] *= base(pts[i:i + _BLOCK])
+            out /= z
+            return out.reshape(arr.shape)
 
         if method == "rejection":
             env = envelope if envelope is not None else probed
@@ -745,43 +762,38 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
     if len(comps) == 1:
         return comps[0]
 
-    if all(c.atoms is not None for c in comps):
-        pairs = [(x, w * m) for c, w in zip(comps, ws) for x, m in c.atoms if w > 0]
-        return from_atoms(pairs, label="mixture")
+    if all(c.locs is not None for c in comps):  # merged in component order
+        xs = np.concatenate([c.locs for c, w in zip(comps, ws) if w > 0])
+        ms = np.concatenate([w * c.masses for c, w in zip(comps, ws) if w > 0])
+        return _atom_law(*_merge(xs, ms), label="mixture")
 
-    lo = min(c.lo for c in comps)
-    hi = max(c.hi for c in comps)
+    lo, hi = min(c.lo for c in comps), max(c.hi for c in comps)
     kinks = tuple(sorted({k for c in comps for k in c.kinks}))
 
-    dens = None
-    if all(c.density is not None for c in comps):
-        fns = [as_array_fn(c.density) for c in comps]
+    def blend(fns):  # the weighted sum of the components' callables, if all have one
+        if any(f is None for f in fns):
+            return None
+        fns = [as_array_fn(f) for f in fns]
 
-        def dens(x, _fns=fns, _ws=ws):
+        def g(x):
             arr = np.asarray(x, dtype=float)
-            out = sum(w * f(arr) for f, w in zip(_fns, _ws))
+            out = sum(w * f(arr) for f, w in zip(fns, ws))
             return float(out) if arr.ndim == 0 else out
+        return g
 
-    cdf = None
-    if all(c.cdf is not None for c in comps):
-        cfns = [as_array_fn(c.cdf) for c in comps]
-
-        def cdf(x, _fns=cfns, _ws=ws):
-            arr = np.asarray(x, dtype=float)
-            out = sum(w * f(arr) for f, w in zip(_fns, _ws))
-            return float(out) if arr.ndim == 0 else out
+    dens, cdf = blend([c.density for c in comps]), blend([c.cdf for c in comps])
 
     cum = np.cumsum(ws)
     cum[-1] = 1.0
 
     def draw(rs: RandomSource, n: int):
         idx = np.searchsorted(cum, rs.uniform(n), side="right")
-        out = np.empty(int(n))
-        for j, comp in enumerate(comps):
-            mask = idx == j
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = sample(comp, rs, cnt)
+        masks = [idx == j for j in range(len(comps))]
+        parts = [sample(c, rs, int(m.sum())) if m.any() else None for c, m in zip(comps, masks)]
+        out = np.empty(int(n))  # allocated after the components' draws
+        for m, part in zip(masks, parts):
+            if part is not None:
+                out[m] = part
         return out
 
     return Distribution(kind="mixture", lo=lo, hi=hi, density=dens, cdf=cdf,
@@ -889,18 +901,20 @@ def dist_from_json(obj) -> Distribution:
 
 
 def load_empirical_csv(path) -> Distribution:
-    """Empirical law from a one-column CSV of samples (header row optional);
-    InputError when the file cannot be read."""
+    """Empirical law from a one-column CSV of samples.  Only the first
+    non-empty row may be a header; InputError, naming the line, on any later
+    row that is not a number, and when the file cannot be read."""
     values = []
     try:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
+            reader = csv.reader(fh)
+            for i, row in enumerate(filter(None, reader)):
                 try:
                     values.append(float(row[0]))
                 except ValueError:
-                    continue  # header or comment line
+                    if i:  # only the first non-empty row may be a header
+                        raise InputError(f"{path}, line {reader.line_num}: "
+                                         f"{row[0]!r} is not a number") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read samples from {path}: {exc}") from exc
     if not values:

@@ -117,8 +117,14 @@ def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
                               weight_kinks=(c,)))
 
     def draw(rs: RandomSource, n: int):
-        y = sample(seed.get(), rs, n)
-        return c + (1.0 - np.sqrt(rs.uniform(n))) * (y - c)
+        y = sample(seed.get(), rs, n)  # a fresh array: c + s (y - c) is formed in it
+        s = rs.uniform(n)
+        np.sqrt(s, out=s)
+        np.subtract(1.0, s, out=s)
+        y -= c
+        y *= s
+        y += c
+        return y
 
     dens, cdf = _identity_density(X, spec, m, beta, c)
     return Distribution(kind="constructed", density=dens, cdf=cdf, sampler=draw, **fields)
@@ -212,9 +218,7 @@ def moment_via_coefficients(X: Distribution, spec: SignChangeSpec, j: int) -> fl
     if k < 1:
         raise InputError("coefficient route needs at least one node")
     alpha = alpha_of(X, spec)
-    falling = 1
-    for r in range(k):
-        falling *= (k + j) - r
+    falling = math.perm(k + j, k)  # (k + j)(k + j - 1) ... (j + 1)
     total = 0.0
     for i in range(j + 1):
         c = interp_coeff(spec.nodes, i, j)

@@ -49,11 +49,14 @@ class Polynomial:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __call__(self, x):
+        arr = np.asarray(x, dtype=float)
         if not self.coeffs:
-            arr = np.asarray(x, dtype=float)
             return 0.0 if arr.ndim == 0 else np.zeros_like(arr)
-        out = npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
-        return float(out) if np.ndim(out) == 0 else out
+        out = arr * 0.0  # Horner in one buffer: the values of npoly.polyval
+        for c in reversed(self.coeffs):
+            out *= arr
+            out += c
+        return float(out) if out.ndim == 0 else out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(tuple(npoly.polyadd(self.coeffs or (0.0,), other.coeffs or (0.0,))))
@@ -256,11 +259,8 @@ def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float],
         return Polynomial(())
     if k == 0:
         return Polynomial(tuple(ds[j] / math.factorial(j) for j in range(m)))
-    inner = []
-    for i in range(m - k):
-        c = sum(ds[j] * interp_coeff(ns, i, j) / math.factorial(k + j)
-                for j in range(i, m - k))
-        inner.append(c)
+    inner = [sum(ds[j] * interp_coeff(ns, i, j) / math.factorial(k + j) for j in range(i, m - k))
+             for i in range(m - k)]
     prod = Polynomial((1.0,))
     for x in ns:
         prod = prod * Polynomial((-x, 1.0))

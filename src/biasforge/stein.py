@@ -126,8 +126,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
 
-    parts = []
-    weights = []
+    parts, weights = [], []
     if alpha1 > ALPHA_TOL:
         try:
             tilted = tilt(X, B0, weight_kinks=B0_kinks)
@@ -196,8 +195,7 @@ def higher_order_transform(X: Distribution, op: SteinOperator) -> BiasedDistribu
     if not total > ALPHA_TOL:
         raise AllBetaZero("every coefficient normalizer vanishes")
 
-    parts = []
-    weights = []
+    parts, weights = [], []
     for j, (spec, bj) in enumerate(zip(op.coeffs, betas)):
         if bj > ALPHA_TOL:
             parts.append(bias_to_order(X, spec, m - j))
@@ -227,10 +225,7 @@ class DistanceBound:
 
 
 def _as_constants(c, names):
-    if isinstance(c, dict):
-        vals = tuple(float(c[n]) for n in names)
-    else:
-        vals = tuple(float(v) for v in c)
+    vals = tuple(float(v) for v in ([c[n] for n in names] if isinstance(c, dict) else c))
     if len(vals) != len(names):
         raise InputError(f"need constants {names}")
     if any(not math.isfinite(v) or v < 0 for v in vals):
@@ -273,27 +268,26 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
     from the freshly built transform on a derived stream."""
     if coupling not in ("self", "independent"):
         raise InputError("coupling must be 'self' or 'independent'")
-    rs = RandomSource(seed)
-    xs = sample(X, rs, n)
-    w = as_array_fn(spec.tilt_weight)(xs) / math.factorial(spec.k)
-    b = as_array_fn(spec.bias)(xs)
-    if coupling == "self":
-        gaps = np.zeros_like(xs)
-    else:
-        transform = bias(X, spec)
-        ys = transform.sample(n, rs.derive(1_000_003))
-        gaps = np.abs(xs - ys)
 
     def mean_se(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
 
-    gap, gap_se = mean_se(gaps)
-    alpha_hat, alpha_se = mean_se(w)
-    b_mean, b_se = mean_se(b)
-    return {"coupling": coupling, "n": int(n), "seed": int(seed),
-            "coupling_gap": gap, "coupling_gap_se": gap_se,
-            "alpha": alpha_hat, "alpha_se": alpha_se,
-            "b_mean": b_mean, "b_mean_se": b_se}
+    rs = RandomSource(seed)
+    xs = sample(X, rs, n)
+    w = as_array_fn(spec.tilt_weight)(xs)  # a fresh array
+    w /= math.factorial(spec.k)
+    alpha, b_mean = mean_se(w), mean_se(as_array_fn(spec.bias)(xs))
+    del w  # freed before the transform is drawn
+    if coupling == "self":
+        gaps = np.zeros_like(xs)
+    else:
+        gaps = bias(X, spec).sample(n, rs.derive(1_000_003))  # |X - X'| in the draws' buffer
+        gaps -= xs
+        np.abs(gaps, out=gaps)
+    report = {"coupling": coupling, "n": int(n), "seed": int(seed)}
+    for name, (mean, se) in (("coupling_gap", mean_se(gaps)), ("alpha", alpha), ("b_mean", b_mean)):
+        report[name], report[f"{name}_se"] = mean, se
+    return report
 
 
 # ---------------------------------------------------------------------------

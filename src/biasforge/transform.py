@@ -105,7 +105,7 @@ class SignChangeSpec:
         arr = np.asarray(x, dtype=float)
         out = np.ones_like(arr, dtype=float)
         for xj in self.nodes:
-            out = out * (arr - xj)
+            out *= arr - xj
         return out
 
     def tilt_weight(self, x):
@@ -138,11 +138,8 @@ def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL) -> Validat
     node choice; distinct choices are distinct specs by design.
     """
     if isinstance(probe, Distribution):
-        if probe.atoms is not None:
-            pts = np.array([x for x, _ in probe.atoms])
-        else:
-            lo, hi = probe.effective_support()
-            pts = np.linspace(lo, hi, VALIDATION_GRID)
+        pts = (probe.locs if probe.locs is not None
+               else np.linspace(*probe.effective_support(), VALIDATION_GRID))
     else:
         pts = np.asarray(probe, dtype=float).ravel()
     near_nodes = np.array([x + s * NODE_PROBE_EPS for x in spec.nodes for s in (-1.0, 1.0)])
@@ -264,8 +261,8 @@ def recipe_moments(recipe, top: int) -> np.ndarray:
 
 def _point_masses(X: Distribution):
     """Locations and masses of an atom or empirical law."""
-    if X.atoms is not None:
-        return np.asarray(X.atoms, dtype=float).T
+    if X.locs is not None:
+        return X.locs, X.masses
     return X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
 
 
@@ -274,7 +271,7 @@ def _one_node_density(X: Distribution, load: Callable, node: float, t: float, al
     """E[load(X) (1{node <= t <= X} - 1{X < t < node})] / alpha: one masked
     sum on atoms and empirical samples, a tail integral of load times the
     density otherwise.  ``points`` are kinks of the load."""
-    if X.atoms is not None or X.samples is not None:
+    if X.locs is not None or X.samples is not None:
         xs, ms = _point_masses(X)
         sel = xs >= t if t >= node else xs < t
         acc = float(np.sum(ms[sel] * as_array_fn(load)(xs[sel])))
@@ -350,7 +347,7 @@ class _TailTable:
 
     def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float]):
         self.weights, self.parts = [as_array_fn(w) for w in weights], None
-        if X.atoms is not None or X.samples is not None:
+        if X.locs is not None or X.samples is not None:
             xs, ms = _point_masses(X)
             order = np.argsort(xs, kind="stable")
             self.xs, self.dens = xs[order], None
@@ -365,9 +362,9 @@ class _TailTable:
             self.dens = as_array_fn(dens)
             a, b = self.xs[:-1], self.xs[1:]
             mid = 0.5 * (a + b)
-            coarse, left, right = np.split(
-                self._rule(np.concatenate((a, a, mid)), np.concatenate((b, mid, b))), 3, axis=1)
-            vals = left + right
+            coarse = self._rule(a, b)  # three calls: a third of the peak memory of one
+            vals = self._rule(a, mid)
+            vals += self._rule(mid, b)
             tol = (ABS_TOL + REL_TOL * np.abs(vals.sum(axis=1))) / a.size
             self.refine = np.any(np.abs(vals - coarse) > tol[:, None], axis=0)
             for i in np.flatnonzero(self.refine):
@@ -496,15 +493,17 @@ def bias(X: Distribution, spec: SignChangeSpec,
     nodes = tuple(spec.nodes)
 
     def draw(rs: RandomSource, n: int):
-        z = sample(seed_law, rs, n)
+        z = sample(seed_law, rs, n)  # a fresh array: each shrink step runs in place
         for j, xj in enumerate(nodes, start=1):
-            u = rs.uniform(n) ** (1.0 / j)
-            z = xj + u * (z - xj)
+            u = rs.uniform(n)
+            u **= 1.0 / j
+            z -= xj
+            z *= u
+            z += xj
         return z
 
     lo_x, hi_x = X.effective_support()
-    lo = min(lo_x, nodes[0])
-    hi = max(hi_x, nodes[-1])
+    lo, hi = min(lo_x, nodes[0]), max(hi_x, nodes[-1])
 
     if k == 1:
         tails = _Lazy(lambda: _TailTable(X, (spec.bias,), spec.quad_points))

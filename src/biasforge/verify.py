@@ -90,24 +90,24 @@ class TestFunctionBank:
         by integrating a piecewise-linear bump m times (order m, exact
         m-th derivative equal to the bump)."""
         rng = np.random.default_rng(seed)
+
+        def knots_and_values():  # 3-5 sorted knots at least 0.05 apart, values in [-1, 1]
+            nk = int(rng.integers(3, 6))
+            knots = np.sort(rng.uniform(-2.0, 2.0, nk))
+            while np.any(np.diff(knots) < 0.05):
+                knots = np.sort(rng.uniform(-2.0, 2.0, nk))
+            return knots, rng.uniform(-1.0, 1.0, nk)
+
         members = [BankFunction(f"x^{d}", Polynomial.monomial(d)) for d in range(1, d_max + 1)]
         if m == 1:
             for i in range(n_kinked):
-                nk = int(rng.integers(3, 6))
-                knots = np.sort(rng.uniform(-2.0, 2.0, nk))
-                while np.any(np.diff(knots) < 0.05):
-                    knots = np.sort(rng.uniform(-2.0, 2.0, nk))
-                vals = rng.uniform(-1.0, 1.0, nk)
+                knots, vals = knots_and_values()
                 members.append(BankFunction(
                     f"kinked-{i}",
                     PiecewisePoly.linear_interpolant(knots, vals, extend="constant"),
                     order=1))
         for i in range(n_smooth):
-            nk = int(rng.integers(3, 6))
-            knots = np.sort(rng.uniform(-2.0, 2.0, nk))
-            while np.any(np.diff(knots) < 0.05):
-                knots = np.sort(rng.uniform(-2.0, 2.0, nk))
-            vals = rng.uniform(-1.0, 1.0, nk)
+            knots, vals = knots_and_values()
             vals[0] = vals[-1] = 0.0  # continuous compact bump
             bump = PiecewisePoly.linear_interpolant(knots, vals, extend="zero")
             fn = bump
@@ -153,11 +153,11 @@ def check_identity_exact(X: Distribution, spec: SignChangeSpec, m: int, F: Polyn
     independent routes: atom summation with exact interpolation/correction
     polynomials on the left, the construction's moment algebra on the
     right.  Exact comparison at a relative tolerance."""
-    if X.atoms is None:
+    if X.locs is None:
         raise InputError("exact route needs a discrete law")
     L, R = _lhs_polynomials(spec, m, F)
-    lhs = float(sum(mass * float(spec.bias(x)) * (F(x) - R(x) - L(x))
-                    for x, mass in X.atoms))
+    xs = X.locs
+    lhs = float(X.masses @ (spec.bias_values(xs) * (F(xs) - R(xs) - L(xs))))
 
     transform = bias_to_order(X, spec, m)
     normalizer = transform.beta if (transform.beta is not None) else transform.alpha
@@ -190,15 +190,19 @@ def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunc
 
     lhs_seed = int(seed) + LHS_SEED_OFFSET
     rhs_seed = int(seed) + RHS_SEED_OFFSET
-    xs = sample(X, RandomSource(lhs_seed), n)
-    lhs_terms = spec.bias_values(xs) * (np.asarray(F.value(xs), dtype=float)
-                                        - np.asarray(R(xs), dtype=float)
-                                        - np.asarray(L(xs), dtype=float))
-    ys = transform.sample(n, RandomSource(rhs_seed))
-    rhs_terms = normalizer * np.asarray(F.derivative(m)(ys), dtype=float)
 
-    lhs, se_l = float(np.mean(lhs_terms)), float(np.std(lhs_terms, ddof=1) / math.sqrt(n))
-    rhs, se_r = float(np.mean(rhs_terms)), float(np.std(rhs_terms, ddof=1) / math.sqrt(n))
+    def mean_se(terms):
+        return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(n))
+
+    xs = sample(X, RandomSource(lhs_seed), n)
+    lhs_terms = np.array(F.value(xs), dtype=float)  # B (F - R - L), in one buffer
+    lhs_terms -= R(xs)
+    lhs_terms -= L(xs)
+    lhs_terms *= spec.bias_values(xs)
+    lhs, se_l = mean_se(lhs_terms)
+    del xs, lhs_terms  # freed before the right side is drawn
+    ys = transform.sample(n, RandomSource(rhs_seed))
+    rhs, se_r = mean_se(normalizer * np.asarray(F.derivative(m)(ys), dtype=float))
     pooled = math.hypot(se_l, se_r)
     z = 0.0 if pooled == 0.0 else (lhs - rhs) / pooled
     return IdentityReport(label=f"mc({F.name}, k={spec.k}, m={m})",
@@ -276,8 +280,11 @@ def ks_statistic(samples, cdf) -> float:
     if n == 0:
         raise InputError("empty sample")
     F = np.asarray(cdf(xs), dtype=float)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n                                                  # k / n, k = 0..n
+    buf = None if np.may_share_memory(F, xs) else xs  # the sorted copy is free now
+    above = np.subtract(steps[1:], F, out=buf).max()
+    return float(max(above, np.subtract(F, steps[:-1], out=buf).max()))
 
 
 def ks_critical(n: int, level: float = 0.01) -> float:
@@ -332,44 +339,41 @@ def random_valid_spec(rng: np.random.Generator, k: int) -> SignChangeSpec:
 # suites
 # ---------------------------------------------------------------------------
 
-def exact_identity_suite(seed: int = 0, count: int = 200, m_max: int = 3,
-                         d_max: int = 6, tol: float = 1e-10) -> dict:
-    """Randomized matched-order (k == m) configurations, checked exactly."""
+def _exact_suite(name: str, seed: int, count: int, tol: float, draw) -> dict:
+    """``count`` exact identity reports on the configurations (X, spec, m, F)
+    that ``draw(rng)`` gives (degenerate ones skipped), and their worst gap."""
     rng = np.random.default_rng(seed)
     reports = []
     while len(reports) < count:
-        k = int(rng.integers(0, m_max + 1))
-        X = random_discrete(rng)
-        spec = random_valid_spec(rng, k)
-        F = Polynomial.monomial(int(rng.integers(0, d_max + 1)))
         try:
-            reports.append(check_identity_exact(X, spec, k, F, tol=tol))
+            reports.append(check_identity_exact(*draw(rng), tol=tol))
         except (DegenerateAlpha, DegenerateBeta):
             continue
     worst = max(abs(r.lhs - r.rhs) / max(1.0, abs(r.lhs), abs(r.rhs)) for r in reports)
-    return {"suite": "exact", "count": len(reports), "tol": tol,
+    return {"suite": name, "count": len(reports), "tol": tol,
             "max_rel_err": worst, "passed": all(r.passed for r in reports)}
+
+
+def exact_identity_suite(seed: int = 0, count: int = 200, m_max: int = 3,
+                         d_max: int = 6, tol: float = 1e-10) -> dict:
+    """Randomized matched-order (k == m) configurations, checked exactly."""
+    def draw(rng):
+        k = int(rng.integers(0, m_max + 1))
+        return (random_discrete(rng), random_valid_spec(rng, k), k,
+                Polynomial.monomial(int(rng.integers(0, d_max + 1))))
+    return _exact_suite("exact", seed, count, tol, draw)
 
 
 def chain_identity_suite(seed: int = 0, count: int = 100, m_max: int = 4,
                          tol: float = 1e-9) -> dict:
     """Randomized parity-matched (k <= m) configurations through the
     second-difference chain, checked exactly."""
-    rng = np.random.default_rng(seed)
-    reports = []
-    while len(reports) < count:
+    def draw(rng):
         m = int(rng.integers(1, m_max + 1))
         k = int(rng.choice(np.arange(m % 2, m + 1, 2)))
-        X = random_discrete(rng, max_atoms=6)
-        spec = random_valid_spec(rng, k)
-        F = Polynomial.monomial(int(rng.integers(0, m + 4)))
-        try:
-            reports.append(check_identity_exact(X, spec, m, F, tol=tol))
-        except (DegenerateAlpha, DegenerateBeta):
-            continue
-    worst = max(abs(r.lhs - r.rhs) / max(1.0, abs(r.lhs), abs(r.rhs)) for r in reports)
-    return {"suite": "chain", "count": len(reports), "tol": tol,
-            "max_rel_err": worst, "passed": all(r.passed for r in reports)}
+        return (random_discrete(rng, max_atoms=6), random_valid_spec(rng, k), m,
+                Polynomial.monomial(int(rng.integers(0, m + 4))))
+    return _exact_suite("chain", seed, count, tol, draw)
 
 
 def zero_bias_spec() -> SignChangeSpec:
@@ -438,28 +442,17 @@ def fixed_point_suite() -> dict:
     - the centered bias fixes a shifted normal;
     - the sign bias at 0 (equilibrium transform) fixes the unit exponential.
     """
-    gaps = {}
-
-    Z = normal()
-    t_z = bias(Z, zero_bias_spec())
-    ts = np.linspace(-4.0, 4.0, 161)
-    gaps["normal-zero-bias"] = float(np.max(np.abs(t_z.density(ts) - Z.density(ts))))
-
-    mix = half_normal_mixture(0.3, 1.2)
-    t_mix = bias(mix, zero_bias_spec())
-    ts = np.linspace(-4.8, 4.8, 160)  # even count keeps the jump point t=0 off the grid
-    gaps["half-normal-mixture"] = float(np.max(np.abs(t_mix.density(ts) - mix.density(ts))))
-
-    S = normal(0.7, 1.0)
-    t_s = bias(S, centered_bias_spec(0.7))
-    ts = np.linspace(0.7 - 4.0, 0.7 + 4.0, 161)
-    gaps["shifted-normal-centered-bias"] = float(np.max(np.abs(t_s.density(ts) - S.density(ts))))
-
-    E = exponential(1.0)
-    t_e = bias(E, sign_spec(0.0))
-    ts = np.linspace(0.0, 8.0, 161)
-    gaps["exponential-equilibrium"] = float(np.max(np.abs(t_e.density(ts) - E.density(ts))))
-
+    cases = [
+        ("normal-zero-bias", normal(), zero_bias_spec(), np.linspace(-4.0, 4.0, 161)),
+        # an even count keeps the jump point t=0 off the grid
+        ("half-normal-mixture", half_normal_mixture(0.3, 1.2), zero_bias_spec(),
+         np.linspace(-4.8, 4.8, 160)),
+        ("shifted-normal-centered-bias", normal(0.7, 1.0), centered_bias_spec(0.7),
+         np.linspace(0.7 - 4.0, 0.7 + 4.0, 161)),
+        ("exponential-equilibrium", exponential(1.0), sign_spec(0.0), np.linspace(0.0, 8.0, 161)),
+    ]
+    gaps = {label: float(np.max(np.abs(bias(X, spec).density(ts) - X.density(ts))))
+            for label, X, spec, ts in cases}
     return {"suite": "fixed-point", "tol": FIXED_POINT_TOL, "sup_gaps": gaps,
             "passed": all(g <= FIXED_POINT_TOL for g in gaps.values())}
 

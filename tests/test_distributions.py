@@ -374,6 +374,19 @@ def test_tilt_rejection_raises_after_spending_exactly_the_budget():
     assert rs.position == 2 * D.REJECTION_BUDGET
 
 
+def test_tilted_density_is_elementwise_across_blocks_and_shapes():
+    # the base density is evaluated block by block: every point, shape and
+    # memory layout must give the values of a pointwise evaluation
+    t = bf.tilt(bf.exponential(1.0), lambda x: np.asarray(x, dtype=float))
+    xs = np.linspace(-1.0, 30.0, 3 * D._BLOCK + 7)
+    flat = t.density(xs)
+    assert np.array_equal(flat, np.concatenate([t.density(xs[i:i + 1000])
+                                                for i in range(0, xs.size, 1000)]))
+    grid = xs[:4 * 1000].reshape(4, 1000).T  # not C-contiguous
+    assert np.array_equal(t.density(grid), flat[:4000].reshape(4, 1000).T)
+    assert t.density(2.5) == t.density(np.array([2.5]))[0]
+
+
 def test_tilt_empirical_becomes_atoms():
     d = bf.from_samples([0.0, 1.0, 1.0, 2.0])
     t = bf.tilt(d, lambda x: np.asarray(x, float))
@@ -498,6 +511,39 @@ def test_atoms_validation():
 def test_non_finite_atoms_samples_and_weights_raise(build):
     with pytest.raises(bf.InputError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bf.normal(0.0, math.nan),
+    lambda: bf.normal(math.inf, 1.0),
+    lambda: bf.uniform(0.0, math.inf),
+    lambda: bf.uniform(-math.inf, 0.0),
+    lambda: bf.exponential(math.inf),
+    lambda: bf.exponential(math.nan),
+    lambda: bf.half_normal(math.nan),
+    lambda: bf.half_normal(math.inf),
+    lambda: bf.negative_half_normal(math.nan),
+], ids=["normal-nan-std", "normal-inf-mean", "uniform-inf-hi", "uniform-inf-lo",
+        "exponential-inf-rate", "exponential-nan-rate", "half-normal-nan", "half-normal-inf",
+        "negative-half-normal-nan"])
+def test_catalog_constructors_reject_non_finite_parameters(build):
+    # each of these used to build a law that drew NaN, inf or 0 without a word
+    with pytest.raises(bf.InputError):
+        build()
+
+
+def test_empirical_csv_takes_one_header_and_refuses_later_bad_rows(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("1.0\n\n2.5\n")
+    assert D.load_empirical_csv(path).samples.tolist() == [1.0, 2.5]
+    path.write_text("\nx\n1.0\n2.5\n")
+    assert D.load_empirical_csv(path).samples.tolist() == [1.0, 2.5]
+    path.write_text("x\n1.0\n1.2.3\n2.0\n")  # used to load as [1, 2]
+    with pytest.raises(bf.InputError, match="line 3"):
+        D.load_empirical_csv(path)
+    path.write_text("1.0\nx\n")
+    with pytest.raises(bf.InputError, match="line 2"):
+        D.load_empirical_csv(path)
 
 
 def test_dist_from_json_and_csv(tmp_path):

@@ -1,0 +1,157 @@
+"""Point-mass laws stored as two read-only arrays, checked against routes
+that do not share their code: the dict merge the arrays replaced,
+``math.fsum``, per-atom Python sums, and draws pinned bit for bit."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+import biasforge as bf
+from biasforge.errors import DegenerateAlpha, DegenerateBeta
+from biasforge.verify import _lhs_polynomials, random_discrete, random_valid_spec, zero_bias_spec
+
+
+def dict_merge(pairs):
+    """Reference merge: one running sum per location in input order, sorted
+    by location, nonpositive totals dropped."""
+    merged = {}
+    for x, m in pairs:
+        x, m = float(x), float(m)
+        merged[x] = merged.get(x, 0.0) + m
+    atoms = sorted((x, m) for x, m in merged.items() if m > 0.0)
+    return np.array([x for x, _ in atoms]), np.array([m for _, m in atoms])
+
+
+def reference_tilt(pairs, w):
+    """Reweighting of the dict-merged atoms, each new mass formed on its own."""
+    xs, ms = dict_merge(pairs)
+    wx = np.clip(w(xs), 0.0, None)
+    z = float(np.sum(ms * wx))
+    return dict_merge([(x, m * wi / z) for x, m, wi in zip(xs, ms, wx) if m * wi > 0.0])
+
+
+def square_plus_half(x):
+    return np.asarray(x, dtype=float) ** 2 + 0.5
+
+
+def repeated_samples():
+    """5e4 seeded normal draws rounded to 0.01, so most values repeat."""
+    return np.round(np.random.default_rng(11).normal(0.3, 1.1, 50_000), 2)
+
+
+def assert_same_arrays(law, ref):
+    assert np.array_equal(law.locs, ref[0])
+    assert np.array_equal(law.masses, ref[1])
+
+
+def test_from_atoms_matches_the_dict_merge_on_unsorted_duplicates():
+    rng = np.random.default_rng(5)
+    locs = rng.integers(-20, 20, 400) / 8.0
+    masses = rng.uniform(0.1, 1.0, 400)
+    pairs = list(zip(locs.tolist(), (masses / masses.sum()).tolist()))
+    law = bf.from_atoms(pairs)
+    assert law.locs.size < len(pairs)
+    assert_same_arrays(law, dict_merge(pairs))
+
+
+def test_empirical_tilt_matches_the_dict_merge():
+    samples = repeated_samples()
+    n = samples.size
+    law = bf.tilt(bf.from_samples(samples), square_plus_half)
+    assert law.locs.size < n
+    assert_same_arrays(law, reference_tilt([(x, 1.0 / n) for x in samples], square_plus_half))
+
+
+def test_atom_tilt_and_mixture_merge_match_the_dict_merge():
+    pairs = [(0.5, 0.2), (-1.0, 0.3), (2.0, 0.1), (0.5, 0.15), (3.25, 0.25)]
+    assert_same_arrays(bf.tilt(bf.from_atoms(pairs), square_plus_half),
+                       reference_tilt(pairs, square_plus_half))
+    a, b = bf.from_atoms(pairs), bf.from_atoms([(2.0, 0.5), (0.25, 0.5)])
+    mix = bf.make_mixture([a, b], [0.3, 0.7])
+    ref = dict_merge([(x, w * m) for law, w in ((a, np.float64(0.3)), (b, np.float64(0.7)))
+                      for x, m in law.atoms])
+    assert_same_arrays(mix, ref)
+
+
+@pytest.mark.parametrize("fn", [
+    bf.Polynomial((0.3, -1.0, 0.0, 2.0)),
+    lambda x: math.cos(3.0 * x) + x,  # scalar only: evaluated atom by atom
+    lambda x: abs(x),
+], ids=["cubic", "scalar-only-cos", "abs"])
+def test_atom_expectation_agrees_with_fsum(fn):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        X = random_discrete(rng)
+        terms = [m * float(fn(x)) for x, m in X.atoms]
+        err = abs(bf.expectation(X, fn) - math.fsum(terms))
+        assert err <= 1e-15 * math.fsum(abs(t) for t in terms)
+
+
+def test_exact_identity_left_side_agrees_with_a_per_atom_sum():
+    rng = np.random.default_rng(8)
+    checked = 0
+    while checked < 60:
+        k = int(rng.integers(0, 4))
+        X, spec = random_discrete(rng), random_valid_spec(rng, k)
+        F = bf.Polynomial.monomial(int(rng.integers(0, 7)))
+        try:
+            rep = bf.check_identity_exact(X, spec, k, F)
+        except (DegenerateAlpha, DegenerateBeta):
+            continue
+        L, R = _lhs_polynomials(spec, k, F)
+        terms = [m * float(spec.bias(x)) * (F(x) - R(x) - L(x)) for x, m in X.atoms]
+        # relative to the sum of magnitudes: the sum itself may cancel
+        assert abs(rep.lhs - sum(terms)) <= 1e-14 * max(math.fsum(map(abs, terms)), 1e-300)
+        checked += 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bf.from_atoms([(1.0, 0.5), (0.0, 0.5)]),
+    lambda: bf.dirac(2.0),
+    lambda: bf.tilt(bf.from_samples([0.0, 1.0, 1.0, 3.0]), square_plus_half),
+    lambda: bf.make_mixture([bf.dirac(0.0), bf.dirac(1.0)], [0.5, 0.5]),
+], ids=["from-atoms", "dirac", "empirical-tilt", "mixture"])
+def test_stored_arrays_are_read_only_and_atoms_are_float_pairs(build):
+    law = build()
+    with pytest.raises(ValueError):
+        law.locs[0] = 9.0
+    with pytest.raises(ValueError):
+        law.masses[0] = 0.5
+    assert all(len(a) == 2 and type(a[0]) is float and type(a[1]) is float for a in law.atoms)
+    assert [x for x, _ in law.atoms] == sorted(set(law.locs.tolist()))
+
+
+def test_from_atoms_rejects_pairs_of_the_wrong_shape():
+    with pytest.raises(bf.InputError):
+        bf.from_atoms([(0.0, 0.5, 1.0), (1.0, 0.5, 1.0)])
+    with pytest.raises(bf.InputError):
+        bf.from_atoms([])
+
+
+# sha256 of the first 1e4 draws at seed 20261018, recorded before the arrays
+# replaced the tuple of pairs: the draws must not move by a single bit
+PINNED = {
+    "atoms": "46c8cd4ab7ce9f6a053f5d4850d58d6be6b3b0dd258cb89a8167ffea377c0188",
+    "tilted-empirical": "39d873536d5eccbed730339a8bbd087568537691569f432755e1845066adfd14",
+    "empirical-zero-bias": "8c1fe2126c12f3fad1d289986cd202aecd8ec67a01cc295be580ea6d4cc7cf91",
+    "inverse-cdf-tilt": "70602cd0ffd904bdc73bc6f7ad8f92fc214a858b2ac432ba891d44b7c1c38c2d",
+}
+
+
+def pinned_law(name):
+    if name == "atoms":
+        return bf.from_atoms([(0.5, 0.2), (-1.0, 0.3), (2.0, 0.1), (0.5, 0.15), (3.25, 0.25)])
+    if name == "tilted-empirical":
+        return bf.tilt(bf.from_samples(repeated_samples()), lambda x: x ** 2 + 0.5)
+    if name == "empirical-zero-bias":
+        return bf.bias(bf.from_samples(repeated_samples()), zero_bias_spec()).law
+    return bf.tilt(bf.exponential(1.0), lambda x: x)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_draws_are_pinned(name):
+    draws = bf.sample(pinned_law(name), bf.RandomSource(20261018), 10_000)
+    assert hashlib.sha256(np.ascontiguousarray(draws, dtype=float).tobytes()).hexdigest() \
+        == PINNED[name]

@@ -21,6 +21,7 @@ from .errors import BiasforgeError, InputError
 from .distributions import (
     Distribution,
     RandomSource,
+    _floats,
     catalog_families,
     dist_from_json,
     moment,
@@ -53,13 +54,20 @@ def parse_distribution(text: str) -> Distribution:
     return dist_from_json(_parse_json(text, "distribution"))
 
 
-def parse_nodes(text: str | None) -> tuple:
-    if text is None:
-        return None
-    obj = _parse_json(text, "nodes")
-    if not isinstance(obj, list):
-        raise InputError("nodes must be a JSON array")
-    return tuple(float(x) for x in obj)
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be an integer: {exc}") from exc
+
+
+def _piece(piece) -> tuple:
+    """(l, r, coefficients) of one piece of a piecewise bias."""
+    if not (isinstance(piece, dict) and isinstance(piece.get("interval"), list)
+            and len(piece["interval"]) == 2 and isinstance(piece.get("coeffs"), list)):
+        raise InputError("each piece needs an 'interval' [l, r] and a 'coeffs' list")
+    lo, hi = _floats(piece["interval"], "piece interval")
+    return lo, hi, tuple(_floats(piece["coeffs"], "piece coefficients"))
 
 
 def parse_bias(text: str, dist: Distribution | None = None):
@@ -88,13 +96,12 @@ def parse_bias(text: str, dist: Distribution | None = None):
     if text.startswith("{"):
         obj = _parse_json(text, "bias")
         pieces = obj.get("pieces")
-        if not pieces:
+        if not pieces or not isinstance(pieces, list):
             raise InputError("piecewise bias needs a nonempty 'pieces' list")
         breaks = []
         polys = [Polynomial(())]
         last = None
-        for piece in sorted(pieces, key=lambda p: p["interval"][0]):
-            lo, hi = (float(v) for v in piece["interval"])
+        for lo, hi, coeffs in sorted(map(_piece, pieces), key=lambda p: p[0]):
             if not lo < hi:
                 raise InputError("piece interval must satisfy l < r")
             if last is not None and lo < last:
@@ -103,8 +110,7 @@ def parse_bias(text: str, dist: Distribution | None = None):
                 breaks.append(lo)
                 if last is not None:
                     polys.append(Polynomial(()))
-            poly = Polynomial(tuple(float(c) for c in piece["coeffs"]))
-            polys.append(poly)
+            polys.append(Polynomial(coeffs))
             breaks.append(hi)
             last = hi
         polys.append(Polynomial(()))
@@ -113,19 +119,28 @@ def parse_bias(text: str, dist: Distribution | None = None):
 
 
 def build_spec(bias_text: str, nodes_text: str | None, dist: Distribution) -> SignChangeSpec:
+    return _spec(bias_text, None if nodes_text is None else _parse_json(nodes_text, "nodes"), dist)
+
+
+def _spec(bias_text, nodes, dist: Distribution) -> SignChangeSpec:
+    """The spec of a bias and its nodes as parsed JSON (None: the bias's
+    default nodes)."""
+    if not isinstance(bias_text, str):
+        raise InputError("bias must be a name or a piecewise JSON string")
     fn, default_nodes, kinks = parse_bias(bias_text, dist)
-    nodes = parse_nodes(nodes_text)
     if nodes is None:
         if default_nodes is None:
             raise InputError(f"bias {bias_text!r} needs explicit --nodes")
-        nodes = default_nodes
-    return SignChangeSpec(fn, NodeSet(nodes), kinks=kinks, label=bias_text)
+        nodes = list(default_nodes)
+    if not isinstance(nodes, list):
+        raise InputError("nodes must be a JSON array")
+    return SignChangeSpec(fn, NodeSet(_floats(nodes, "nodes")), kinks=kinks, label=bias_text)
 
 
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
-    return int(os.environ.get("BIASFORGE_SEED", DEFAULT_SEED))
+    return _int(os.environ.get("BIASFORGE_SEED", DEFAULT_SEED), "BIASFORGE_SEED")
 
 
 def _emit(payload: dict, out: str | None):
@@ -162,6 +177,7 @@ def _cmd_catalog(args) -> int:
         "bias_piecewise_format": {"pieces": [{"interval": ["l", "r"], "coeffs": ["c0", "c1"]}]},
         "distribution_formats": ["{'family': name, 'params': {...}}",
                                  "{'atoms': [[x, p], ...]}",
+                                 "{'empirical': [x, ...]}",
                                  "{'empirical_csv': 'samples.csv'}",
                                  "{'mixture': {'components': [...], 'weights': [...]}}"],
         "suites": ["exact", "mc", "ambi", "fixed-point"],
@@ -169,17 +185,18 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _transform_of(dist: Distribution, args, rng=None):
+def _transform_of(dist: Distribution, args, k=None):
     """The spec, the order m (default: the node count) and the transform
-    that ``--bias``, ``--nodes`` and ``--m`` ask for."""
+    that ``--bias``, ``--nodes``, ``--m`` and (if given) ``--k`` ask for."""
     spec = build_spec(args.bias, args.nodes, dist)
+    if k is not None and k != spec.k:
+        raise InputError(f"--k {k} does not match {spec.k} nodes")
     m = int(args.m if args.m is not None else spec.k)
-    return spec, m, bias_to_order(dist, spec, m, rng=rng)
+    return spec, m, bias_to_order(dist, spec, m)
 
 
 def _cmd_transform(args) -> int:
-    spec, m, transform = _transform_of(parse_distribution(args.dist), args,
-                                       rng=RandomSource(_seed(args)))
+    spec, m, transform = _transform_of(parse_distribution(args.dist), args, k=args.k)
     report = {
         "k": spec.k,
         "m": m,
@@ -233,9 +250,14 @@ def _cmd_verify(args) -> int:
 def _cmd_distance(args) -> int:
     text = args.experiment
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
+        try:
+            with open(text[1:]) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read the experiment file: {exc}") from exc
     exp = _parse_json(text, "experiment")
+    if not isinstance(exp, dict):
+        raise InputError("experiment spec must be a JSON object")
     for key in ("test_distribution", "operator", "constants"):
         if key not in exp:
             raise InputError(f"experiment spec needs {key!r}")
@@ -243,20 +265,20 @@ def _cmd_distance(args) -> int:
     if "target" in exp:
         dist_from_json(exp["target"])  # validated only: the report echoes it as given
     op = exp["operator"]
-    if int(op.get("order", 1)) != 1:
+    if not isinstance(op, dict) or "bias" not in op:
+        raise InputError("operator must be a JSON object with a 'bias'")
+    if _int(op.get("order", 1), "operator order") != 1:
         raise InputError("distance experiments support first-order operators")
-    fn, default_nodes, kinks = parse_bias(op["bias"], X)
-    nodes = tuple(op["nodes"]) if "nodes" in op else default_nodes
-    if nodes is None:
-        raise InputError("operator needs sign-change nodes")
-    spec = SignChangeSpec(fn, NodeSet(nodes), kinks=kinks, label=op["bias"])
-    n = int(exp.get("n_samples", 100_000))
-    seed = int(exp.get("seed", _seed(args)))
+    spec = _spec(op["bias"], op.get("nodes"), X)
+    n = _int(exp.get("n_samples", 100_000), "n_samples")
+    seed = _int(exp.get("seed", _seed(args)), "seed")
     coupling = exp.get("coupling", "independent")
+    f_node = exp.get("f_at_node")
+    f_node = None if f_node is None else _floats([f_node], "f_at_node")[0]
 
     stats = first_order_coupling_stats(X, spec, n, seed, coupling=coupling)
     db = first_order_bound(stats["coupling_gap"], stats["alpha"], stats["b_mean"],
-                           exp["constants"], f_at_node=exp.get("f_at_node"))
+                           exp["constants"], f_at_node=f_node)
     report = {
         "order": 1,
         "coupling": coupling,
@@ -295,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_transform_args(p, need_bias=True):
         p.add_argument("--dist", required=True, help="distribution JSON")
-        if need_bias:
-            p.add_argument("--bias", required=True, help="bias name or piecewise JSON")
-        else:
-            p.add_argument("--bias", default=None)
+        p.add_argument("--bias", required=need_bias, help="bias name or piecewise JSON")
         p.add_argument("--nodes", default=None, help="JSON array of sign-change nodes")
         p.add_argument("--m", type=int, default=None, help="derivative order (default: k)")
         p.add_argument("--seed", type=int, default=None)
@@ -308,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="construct a transform and report its normalizers")
         add_transform_args(p)
         p.add_argument("--k", type=int, default=None,
-                       help="expected sign-change count (checked against --nodes)")
-        p.set_defaults(handler=_cmd_transform_checked)
+                       help="expected sign-change count (checked against the spec's nodes)")
+        p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("sample", help="draw from a distribution or its transform")
     add_transform_args(p, need_bias=False)
@@ -339,14 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_transform_checked(args) -> int:
-    if args.k is not None:
-        nodes = parse_nodes(args.nodes) or ()
-        if len(nodes) != args.k:
-            raise InputError(f"--k {args.k} does not match {len(nodes)} nodes")
-    return _cmd_transform(args)
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -369,3 +380,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -324,10 +324,12 @@ _KINDS = ("analytic-catalog", "discrete-atoms", "empirical-sample",
 class Distribution:
     """Immutable law: optional density/CDF, optional atoms, optional sampler.
 
-    A point-mass law keeps sorted unique locations and their masses in two
-    read-only arrays, ``locs`` and ``masses`` (``atoms`` views them as pairs
-    of floats).  ``kinks`` lists known non-smooth points of the density
-    (support edges, mixture junctions, transform nodes) for quadrature.
+    A point-mass law (atoms, or the merged samples of an empirical law, which
+    keeps its ``samples`` for bootstrap draws) holds sorted unique locations
+    and their masses in two read-only arrays, ``locs`` and ``masses``
+    (``atoms`` views them as pairs of floats).  ``kinks`` lists known
+    non-smooth points of the density (support edges, mixture junctions,
+    transform nodes) for quadrature.
     """
 
     kind: str
@@ -338,7 +340,7 @@ class Distribution:
     locs: Optional[np.ndarray] = None         # point-mass laws only
     masses: Optional[np.ndarray] = None
     sampler: Optional[Callable] = None        # (RandomSource, n) -> ndarray
-    samples: Optional[np.ndarray] = None      # empirical kind only
+    samples: Optional[np.ndarray] = None      # empirical kind: bootstrap draws only
     components: Optional[tuple] = None        # mixture kind
     weights: Optional[tuple] = None
     kinks: tuple = ()
@@ -349,11 +351,6 @@ class Distribution:
             raise InputError(f"unknown distribution kind {self.kind!r}")
         if not self.lo <= self.hi:
             raise InputError("support must satisfy lo <= hi")
-        if self.masses is not None:
-            if np.any(self.masses <= 0):
-                raise InputError("atom masses must be positive")
-            if abs(self.masses.sum() - 1.0) > ATOM_MASS_TOL:
-                raise WeightMismatch(f"atom masses sum to {self.masses.sum()!r}, not 1")
 
     @property
     def atoms(self) -> Optional[tuple]:
@@ -383,24 +380,36 @@ def _merge(xs: np.ndarray, ms: np.ndarray):
     return xs, np.bincount(inv, weights=ms, minlength=xs.size)
 
 
-def _atom_law(xs: np.ndarray, ms: np.ndarray, label: str) -> Distribution:
+def _atom_law(xs: np.ndarray, ms: np.ndarray, label: str, slack: float = 0.0,
+              samples: Optional[np.ndarray] = None) -> Distribution:
     """Point-mass law on sorted unique locations ``xs`` with masses ``ms``,
-    both owned by the law (and made read-only); zero masses are dropped."""
+    both owned by the law (and made read-only); zero masses are dropped.
+    InputError on a negative mass, WeightMismatch when the masses do not sum
+    to one within ATOM_MASS_TOL + ``slack``.  Given the ``samples`` the
+    arrays were merged from, it is their empirical law, drawn by bootstrap."""
+    if ms.min() < 0.0:
+        raise InputError("atom masses must be nonnegative")
     keep = ms > 0.0
     if not keep.all():
         xs, ms = xs[keep], ms[keep]
-    if not ms.size:
-        raise InputError("no atoms with positive mass")
+    if abs(ms.sum() - 1.0) > ATOM_MASS_TOL + slack:
+        raise WeightMismatch(f"atom masses sum to {ms.sum()!r}, not 1")
     xs.setflags(write=False)
     ms.setflags(write=False)
-    cum = np.cumsum(ms)
-    cum[-1] = 1.0
+    if samples is None:
+        cum = np.cumsum(ms)
+        cum[-1] = 1.0
 
-    def draw(rs: RandomSource, n: int):
-        return _in_order(lambda u: xs[np.searchsorted(cum, u, side="right")], rs.uniform(n))
+        def draw(rs: RandomSource, n: int):
+            return _in_order(lambda u: xs[np.searchsorted(cum, u, side="right")], rs.uniform(n))
+    else:
+        def draw(rs: RandomSource, n: int):
+            idx = np.minimum((rs.uniform(n) * samples.size).astype(int), samples.size - 1)
+            return samples[idx]
 
-    return Distribution(kind="discrete-atoms", lo=float(xs[0]), hi=float(xs[-1]),
-                        locs=xs, masses=ms, sampler=draw, label=label)
+    return Distribution(kind="discrete-atoms" if samples is None else "empirical-sample",
+                        lo=float(xs[0]), hi=float(xs[-1]), locs=xs, masses=ms, sampler=draw,
+                        samples=samples, label=label)
 
 
 def from_atoms(pairs, label="") -> Distribution:
@@ -420,9 +429,10 @@ def dirac(x: float) -> Distribution:
 
 
 def from_samples(values, label="empirical") -> Distribution:
-    """Empirical law: moments are sample averages, sampling is bootstrap,
-    and no density is ever exposed.  InputError on a non-numeric or
-    non-finite value."""
+    """Empirical law: the point-mass law of the merged samples (mass 1/n
+    each), so moments are sample averages and no density is ever exposed;
+    sampling is bootstrap from the samples as given.  InputError on a
+    non-numeric or non-finite value."""
     try:
         arr = np.array(values, dtype=float).ravel()  # a copy
     except (TypeError, ValueError) as exc:
@@ -432,13 +442,9 @@ def from_samples(values, label="empirical") -> Distribution:
     if not np.isfinite(arr).all():
         raise InputError("empirical sample has a non-finite value")
     arr.setflags(write=False)
-
-    def draw(rs: RandomSource, n: int):
-        idx = np.minimum((rs.uniform(n) * arr.size).astype(int), arr.size - 1)
-        return arr[idx]
-
-    return Distribution(kind="empirical-sample", lo=float(arr.min()), hi=float(arr.max()),
-                        sampler=draw, samples=arr, label=label)
+    # a merged mass is a running sum of up to n terms 1/n: n 2^-52 bounds its rounding
+    return _atom_law(*_merge(arr, np.full(arr.size, 1.0 / arr.size)), label,
+                     slack=arr.size * 2.0 ** -52, samples=arr)
 
 
 def uniform(lo: float, hi: float) -> Distribution:
@@ -550,13 +556,11 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 # ---------------------------------------------------------------------------
 
 def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> float:
-    """E[fn(X)]: exact on atoms, sample average on empirical laws, the
+    """E[fn(X)]: exact on point masses (atoms and empirical laws), the
     table's own rule on a tabulated density, the adaptive panel integral
     against any other density.  ``points`` are kinks of fn."""
-    if X.locs is not None:
-        return float(X.masses @ as_array_fn(fn)(X.locs))
-    if X.samples is not None:
-        return float(np.mean(as_array_fn(fn)(X.samples)))
+    if X.locs is not None:  # einsum: no BLAS thread for a long sum
+        return float(np.einsum("i,i->", X.masses, as_array_fn(fn)(X.locs)))
     if X.density is not None:
         dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
         if isinstance(dens, TabulatedDensity):
@@ -576,8 +580,8 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
 
 
 def moment(d: Distribution, n: int) -> float:
-    """E[X^n]: exact atom sum for discrete laws, sample average for
-    empirical ones, quadrature otherwise."""
+    """E[X^n]: exact atom sum for point-mass laws (a sample average for an
+    empirical one), quadrature otherwise."""
     if n < 0 or int(n) != n:
         raise InputError("moment order must be a nonnegative integer")
     n = int(n)
@@ -667,11 +671,8 @@ def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method:
     def w_plus(x):
         return np.maximum(wv(x), 0.0)
 
-    if d.locs is not None or d.samples is not None:  # exact reweighting of the atoms
-        if d.locs is not None:
-            xs, ms = d.locs, d.masses
-        else:
-            xs, ms = _merge(d.samples, np.full(d.samples.size, 1.0 / d.samples.size))
+    if d.locs is not None:  # exact reweighting of the atoms
+        xs, ms = d.locs, d.masses
         wx = wv(xs)
         if wx.min() < NEGATIVE_WEIGHT_TOL:
             raise NegativeWeight(f"weight is negative at x={xs[wx.argmin()]!r}")
@@ -765,7 +766,9 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
     if all(c.locs is not None for c in comps):  # merged in component order
         xs = np.concatenate([c.locs for c, w in zip(comps, ws) if w > 0])
         ms = np.concatenate([w * c.masses for c, w in zip(comps, ws) if w > 0])
-        return _atom_law(*_merge(xs, ms), label="mixture")
+        # the components' own rounding (an empirical merge) carries over
+        slack = sum(w * abs(c.masses.sum() - 1.0) for c, w in zip(comps, ws))
+        return _atom_law(*_merge(xs, ms), "mixture", slack=slack)
 
     lo, hi = min(c.lo for c in comps), max(c.hi for c in comps)
     kinks = tuple(sorted({k for c in comps for k in c.kinks}))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -176,8 +175,7 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
     return float(b)
 
 
-def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
-                  rng: Optional[RandomSource] = None) -> BiasedDistribution:
+def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistribution:
     """k-node transform lifted to derivative order m (same parity as k) by
     chaining second-difference steps at zero onto the k-node stage."""
     k = spec.k
@@ -185,7 +183,7 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
         raise InputError(f"need 0 <= k <= m, got k={k}, m={m}")
     if (m - k) % 2 != 0:
         raise ParityMismatch(f"k={k} and m={m} have different parity")
-    base = bias(X, spec, rng=rng)
+    base = bias(X, spec)
     if k == m:
         return base
 
@@ -204,7 +202,7 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int,
         law = _step_law(law, X, spec, order, step_beta, 0.0, **fields)
     beta = beta_of(X, spec, m)
     recipe = ChainRecipe(base=base, step_normalizers=tuple(normalizers))
-    return BiasedDistribution(law, alpha=base.alpha, beta=beta, recipe=recipe, rng=rng)
+    return BiasedDistribution(law, alpha=base.alpha, beta=beta, recipe=recipe)
 
 
 def moment_via_coefficients(X: Distribution, spec: SignChangeSpec, j: int) -> float:

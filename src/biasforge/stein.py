@@ -225,7 +225,10 @@ class DistanceBound:
 
 
 def _as_constants(c, names):
-    vals = tuple(float(v) for v in ([c[n] for n in names] if isinstance(c, dict) else c))
+    try:
+        vals = tuple(float(v) for v in ([c[n] for n in names] if isinstance(c, dict) else c))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"need numeric constants {names}: {exc!r}") from exc
     if len(vals) != len(names):
         raise InputError(f"need constants {names}")
     if any(not math.isfinite(v) or v < 0 for v in vals):

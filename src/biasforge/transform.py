@@ -101,17 +101,13 @@ class SignChangeSpec:
     def bias_values(self, x):
         return as_array_fn(self.bias)(x)
 
-    def node_product(self, x):
+    def tilt_weight(self, x):
+        """prod(x - x_j) * B(x): the nonnegative tilting weight."""
         arr = np.asarray(x, dtype=float)
         out = np.ones_like(arr, dtype=float)
         for xj in self.nodes:
             out *= arr - xj
-        return out
-
-    def tilt_weight(self, x):
-        """prod(x - x_j) * B(x): the nonnegative tilting weight."""
-        arr = np.asarray(x, dtype=float)
-        out = self.node_product(arr) * self.bias_values(arr)
+        out *= self.bias_values(arr)
         return float(out) if arr.ndim == 0 else out
 
 
@@ -216,14 +212,12 @@ class MixtureRecipe:
 @dataclass(frozen=True)
 class BiasedDistribution:
     """A transformed law together with its normalizer(s) and construction
-    record.  Immutable; sampling requires a caller-owned RandomSource
-    (``rng`` is just a convenience default)."""
+    record.  Immutable; sampling requires a caller-owned RandomSource."""
 
     law: Distribution
     alpha: float
     beta: Optional[float] = None
     recipe: object = None
-    rng: Optional[RandomSource] = None
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -231,11 +225,8 @@ class BiasedDistribution:
         if self.beta is not None and not self.beta > 0:
             raise DegenerateAlpha("beta must be positive when present")
 
-    def sample(self, n: int, rng: Optional[RandomSource] = None) -> np.ndarray:
-        rs = rng or self.rng
-        if rs is None:
-            raise InputError("no RandomSource supplied")
-        return sample(self.law, rs, n)
+    def sample(self, n: int, rng: RandomSource) -> np.ndarray:
+        return sample(self.law, rng, n)
 
     def density(self, t):
         if self.law.density is None:
@@ -259,22 +250,14 @@ def recipe_moments(recipe, top: int) -> np.ndarray:
 # densities
 # ---------------------------------------------------------------------------
 
-def _point_masses(X: Distribution):
-    """Locations and masses of an atom or empirical law."""
-    if X.locs is not None:
-        return X.locs, X.masses
-    return X.samples, np.full(X.samples.size, 1.0 / X.samples.size)
-
-
 def _one_node_density(X: Distribution, load: Callable, node: float, t: float, alpha: float,
                       points: Sequence[float]) -> float:
     """E[load(X) (1{node <= t <= X} - 1{X < t < node})] / alpha: one masked
-    sum on atoms and empirical samples, a tail integral of load times the
-    density otherwise.  ``points`` are kinks of the load."""
-    if X.locs is not None or X.samples is not None:
-        xs, ms = _point_masses(X)
-        sel = xs >= t if t >= node else xs < t
-        acc = float(np.sum(ms[sel] * as_array_fn(load)(xs[sel])))
+    sum on point masses, a tail integral of load times the density
+    otherwise.  ``points`` are kinks of the load."""
+    if X.locs is not None:
+        sel = X.locs >= t if t >= node else X.locs < t
+        acc = float(np.sum(X.masses[sel] * as_array_fn(load)(X.locs[sel])))
         return (acc if t >= node else -acc) / alpha
 
     if X.density is not None:
@@ -294,7 +277,7 @@ def _one_node_density(X: Distribution, load: Callable, node: float, t: float, al
             return 0.0
         return -integrate_fn(kernel, lo_x, min(t, hi_x), points=pts) / alpha
 
-    raise InputError("one-node density needs atoms or a density on the input law")
+    raise InputError("one-node density needs point masses or a density on the input law")
 
 
 def density_k1(X: Distribution, spec: SignChangeSpec, t: float,
@@ -335,10 +318,10 @@ class _TailTable:
         E[w_j(X) (1{node <= t <= X} - 1{X < t < node})],
 
     the upper tail from t >= node and minus the lower tail below it, so no
-    value is a difference of near-equal sums.  Atoms and samples are sorted
-    once and read through prefix and suffix sums.  A density is cut into
-    panels (the DENSITY_GRID linspace over its effective support, ``knots``
-    and the law's kinks as break points) integrated by 8-point
+    value is a difference of near-equal sums.  Point masses, sorted by
+    construction, are read through prefix and suffix sums.  A density is
+    cut into panels (the DENSITY_GRID linspace over its effective support,
+    ``knots`` and the law's kinks as break points) integrated by 8-point
     Gauss-Legendre; a read is a prefix or suffix sum plus one partial panel.
     A panel whose rule differs from the rule on its two halves by more than
     its share of the tolerance is integrated by the adaptive panel integral,
@@ -347,11 +330,9 @@ class _TailTable:
 
     def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float]):
         self.weights, self.parts = [as_array_fn(w) for w in weights], None
-        if X.locs is not None or X.samples is not None:
-            xs, ms = _point_masses(X)
-            order = np.argsort(xs, kind="stable")
-            self.xs, self.dens = xs[order], None
-            vals = self._stack(self.xs) * ms[order]
+        if X.locs is not None:
+            self.xs, self.dens = X.locs, None
+            vals = self._stack(X.locs) * X.masses
         elif X.density is not None:
             lo, hi = X.effective_support()
             dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
@@ -375,7 +356,7 @@ class _TailTable:
             self.total = sum(w * part.total for w, part in self.parts)
             return
         else:
-            raise InputError("tail integrals need atoms, samples, a density or components")
+            raise InputError("tail integrals need point masses, a density or components")
         zero = np.zeros((len(self.weights), 1))
         self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
@@ -468,8 +449,7 @@ def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float
 # the transform itself
 # ---------------------------------------------------------------------------
 
-def bias(X: Distribution, spec: SignChangeSpec,
-         rng: Optional[RandomSource] = None) -> BiasedDistribution:
+def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     """Construct the sign-change biased law of X under ``spec``, which is
     first validated on X (SignViolation when the sign pattern fails).
 
@@ -488,7 +468,7 @@ def bias(X: Distribution, spec: SignChangeSpec,
 
     if k == 0:
         law = replace(seed_law, kind="constructed")
-        return BiasedDistribution(law, alpha, None, recipe, rng)
+        return BiasedDistribution(law, alpha, None, recipe)
 
     nodes = tuple(spec.nodes)
 
@@ -517,7 +497,7 @@ def bias(X: Distribution, spec: SignChangeSpec,
     law = Distribution(kind="constructed", lo=lo, hi=hi, density=dens, cdf=cdf,
                        sampler=draw, kinks=law_kinks,
                        label=f"bias({X.label or X.kind}; k={k})")
-    return BiasedDistribution(law, alpha, None, recipe, rng)
+    return BiasedDistribution(law, alpha, None, recipe)
 
 
 def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],

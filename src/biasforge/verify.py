@@ -149,15 +149,15 @@ def _lhs_polynomials(spec: SignChangeSpec, m: int, fn):
 
 def check_identity_exact(X: Distribution, spec: SignChangeSpec, m: int, F: Polynomial,
                          tol: float = 1e-9) -> IdentityReport:
-    """Both sides of the defining identity on a discrete law, by fully
-    independent routes: atom summation with exact interpolation/correction
-    polynomials on the left, the construction's moment algebra on the
-    right.  Exact comparison at a relative tolerance."""
+    """Both sides of the defining identity on a point-mass law (atoms or an
+    empirical law), by fully independent routes: the atom sum of
+    ``expectation`` with exact interpolation/correction polynomials on the
+    left, the construction's moment algebra on the right.  Exact comparison
+    at a relative tolerance."""
     if X.locs is None:
-        raise InputError("exact route needs a discrete law")
+        raise InputError("exact route needs a point-mass law")
     L, R = _lhs_polynomials(spec, m, F)
-    xs = X.locs
-    lhs = float(X.masses @ (spec.bias_values(xs) * (F(xs) - R(xs) - L(xs))))
+    lhs = expectation(X, lambda x: spec.bias_values(x) * (F(x) - R(x) - L(x)))
 
     transform = bias_to_order(X, spec, m)
     normalizer = transform.beta if (transform.beta is not None) else transform.alpha

@@ -290,3 +290,64 @@ def test_transform_command_runs_without_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["alpha"] == pytest.approx(1 / 6, abs=1e-12)
+
+
+def _experiment(**fields):
+    exp = {"test_distribution": {"family": "normal", "params": {}},
+           "operator": {"order": 1, "bias": "x", "nodes": [0]},
+           "constants": {"c0": 1, "c1": 1, "c2": 1}, "n_samples": 1_000}
+    exp.update(fields)
+    return ["distance", "--experiment", json.dumps(exp)]
+
+
+def _transform(bias, nodes="[0]"):
+    return ["transform", "--dist", UNIFORM, "--bias", bias, "--nodes", nodes]
+
+
+@pytest.mark.parametrize("argv", [
+    _transform("x", '["a"]'),
+    _experiment(operator={"order": 1, "nodes": [0]}),
+    _experiment(operator={"order": 1, "bias": "x", "nodes": ["z"]}),
+    _experiment(operator={"order": "one", "bias": "x"}),
+    _experiment(operator="x"),
+    _experiment(operator={"bias": 5}),
+    _experiment(n_samples="abc"),
+    _experiment(seed=[1]),
+    _experiment(constants={"c0": 1, "c1": "a", "c2": 1}),
+    _experiment(constants={"c0": 1}),
+    _experiment(f_at_node="abc"),
+    ["distance", "--experiment", "@MISSING"],
+    ["distance", "--experiment", "[1, 2]"],
+    _transform('{"pieces": [{"coeffs": [0, 1]}]}'),
+    _transform('{"pieces": [{"interval": [0, 1], "coeffs": ["a"]}]}'),
+    _transform('{"pieces": [{"interval": [0], "coeffs": [0, 1]}]}'),
+    _transform('{"pieces": 5}'),
+], ids=["nodes-not-numbers", "operator-without-bias", "operator-nodes-not-numbers",
+        "operator-order-not-a-number", "operator-not-an-object", "bias-not-a-string",
+        "n-samples-not-a-number", "seed-not-a-number", "constant-not-a-number",
+        "constants-missing", "f-at-node-not-a-number", "experiment-file-missing", "experiment-not-an-object",
+        "piece-without-interval", "piece-coeffs-not-numbers", "piece-interval-one-end",
+        "pieces-not-a-list"])
+def test_malformed_command_input_is_validation_error(argv, tmp_path, capsys):
+    argv = [a.replace("MISSING", str(tmp_path / "missing.json")) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "InputError"
+
+
+def test_transform_k_is_checked_against_the_default_nodes(capsys):
+    # the bias x brings its node 0: --k 1 without --nodes matches it
+    assert run(["transform", "--dist", UNIFORM, "--bias", "x", "--k", "1"]) == 0
+    assert read_json(capsys)["nodes"] == [0.0]
+    assert run(["transform", "--dist", UNIFORM, "--bias", "x", "--k", "2"]) == 2
+    assert "does not match 1 nodes" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def test_cli_module_runs_as_a_script():
+    argv = ["transform", "--dist", UNIFORM, "--bias", "x-plus", "--nodes", "[0]"]
+    env = dict(os.environ, PYTHONPATH=str(Path(bf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "biasforge.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["alpha"] == pytest.approx(1 / 6, abs=1e-12)

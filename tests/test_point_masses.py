@@ -155,3 +155,91 @@ def test_draws_are_pinned(name):
     draws = bf.sample(pinned_law(name), bf.RandomSource(20261018), 10_000)
     assert hashlib.sha256(np.ascontiguousarray(draws, dtype=float).tobytes()).hexdigest() \
         == PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# an empirical law is a point-mass law: one route for atoms and samples
+# ---------------------------------------------------------------------------
+
+def quarter_below_square():
+    """B(x) = x^2 - 1/4 with no nodes: nonnegative on the atoms -1 and 1,
+    negative between them."""
+    return bf.SignChangeSpec(lambda x: np.asarray(x, dtype=float) ** 2 - 0.25, bf.NodeSet(()))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bf.from_atoms([(-1.0, 0.5), (1.0, 0.5)]),
+    lambda: bf.from_samples([-1.0, 1.0]),
+], ids=["atoms", "samples"])
+def test_a_spec_is_validated_on_the_points_of_an_empirical_law(build):
+    # the sign pattern is probed on the law's points, not on a grid between them
+    assert bf.bias(build(), quarter_below_square()).alpha == 0.75
+
+
+def test_exact_identity_on_samples_equals_it_on_their_atoms():
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 20:
+        k = int(rng.integers(0, 4))
+        values = np.round(rng.uniform(-2.0, 2.0, int(rng.integers(2, 40))), 1)
+        spec, F = random_valid_spec(rng, k), bf.Polynomial.monomial(int(rng.integers(0, 7)))
+        try:
+            atoms = bf.check_identity_exact(
+                bf.from_atoms([(v, 1.0 / values.size) for v in values]), spec, k, F)
+        except (DegenerateAlpha, DegenerateBeta):
+            continue
+        empirical = bf.check_identity_exact(bf.from_samples(values), spec, k, F)
+        assert (empirical.lhs, empirical.rhs, empirical.passed) == (atoms.lhs, atoms.rhs, True)
+        checked += 1
+
+
+def test_a_constant_sample_of_1e5_values_is_one_atom():
+    # its merged mass is a running sum of 1e5 terms 1/n: 1 - 1.9e-12
+    law = bf.from_samples(np.zeros(100_000))
+    assert law.locs.tolist() == [0.0]
+    assert bf.moment(law, 1) == 0.0
+    # and its rounding carries over into a mixture with other atoms
+    mix = bf.make_mixture([bf.from_samples(np.zeros(400_000)), bf.dirac(1.0)], [0.5, 0.5])
+    assert mix.locs.tolist() == [0.0, 1.0]
+
+
+def test_empirical_expectation_agrees_with_fsum():
+    samples = np.random.default_rng(13).normal(0.3, 1.1, 50_000)
+    law = bf.from_samples(samples)
+    for fn in (lambda x: x ** 3, np.cos, lambda x: np.abs(x - 0.3)):
+        terms = [m * float(fn(x)) for x, m in zip(law.locs.tolist(), law.masses.tolist())]
+        err = abs(bf.expectation(law, fn) - math.fsum(terms))
+        assert err <= 1e-15 * math.fsum(abs(t) for t in terms)
+
+
+def test_a_mixture_of_atoms_and_samples_is_one_point_mass_law():
+    atoms, empirical = bf.from_atoms([(0.5, 0.4), (2.0, 0.6)]), bf.from_samples([0.5, 1.0, 1.0, 3.0])
+    mix = bf.make_mixture([atoms, empirical], [0.25, 0.75])
+    assert mix.kind == "discrete-atoms" and mix.components is None
+    ref = dict_merge([(x, w * m) for law, w in ((atoms, np.float64(0.25)),
+                                                (empirical, np.float64(0.75)))
+                      for x, m in law.atoms])
+    assert_same_arrays(mix, ref)
+
+
+def test_empirical_draws_stay_bootstrap_draws_of_the_samples():
+    samples = [3.0, 1.0, 1.0, 2.0]
+    law = bf.from_samples(samples)
+    assert law.kind == "empirical-sample" and law.samples.tolist() == samples
+    u = bf.RandomSource(5).uniform(1000)
+    expect = np.array(samples)[np.minimum((u * 4).astype(int), 3)]
+    assert np.array_equal(bf.sample(law, bf.RandomSource(5), 1000), expect)
+
+
+def test_a_negative_atom_mass_is_an_input_error():
+    # it used to be dropped without a word, leaving a law of the other atoms
+    with pytest.raises(bf.InputError, match="nonnegative"):
+        bf.from_atoms([(0.0, -0.1), (1.0, 1.0)])
+
+
+def test_transform_sampling_requires_its_stream():
+    t = bf.bias(bf.from_atoms([(-1.0, 0.5), (1.0, 0.5)]), zero_bias_spec())
+    with pytest.raises(TypeError):
+        t.sample(10)
+    with pytest.raises(TypeError):
+        bf.bias(bf.dirac(1.0), zero_bias_spec(), rng=bf.RandomSource(1))

@@ -225,7 +225,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_density(args) -> int:
     dist = parse_distribution(args.dist)
-    lo, hi, pts = float(args.grid[0]), float(args.grid[1]), int(args.grid[2])
+    lo, hi = _floats(args.grid[:2], "grid bounds")
+    pts = _int(args.grid[2], "grid points")
     if pts < 2:
         raise InputError("grid needs at least 2 points")
     if not lo < hi:

@@ -287,38 +287,22 @@ class TabulatedDensity:
         return _in_order(lambda v: np.interp(v, self.cum, self.xs), u)
 
     def integrate_weighted(self, w, a, b):
-        """∫_a^b w(x) * pdf(x) dx by per-segment Simpson (exact for the
-        linear density times a quadratic weight).
-
-        The weight is evaluated a hair inside the outer endpoints so that
-        integration up to a jump point of w (for example a sign node)
-        picks up the one-sided limit rather than the jump value."""
+        """∫_a^b w(x) * pdf(x) dx by 8-point Gauss-Legendre on each segment of
+        the table inside [a, b]: exact for the linear density times a weight of
+        degree up to 14, and the nodes are interior, so a jump of w at a
+        segment end (for example a sign node) is never read."""
         a = max(float(a), float(self.xs[0]))
         b = min(float(b), float(self.xs[-1]))
         if not a < b:
             return 0.0
-        cuts = np.unique(np.concatenate((self.xs[(self.xs > a) & (self.xs < b)], [a, b])))
-        left, right = cuts[:-1], cuts[1:]
-        mid = 0.5 * (left + right)
+        cuts = np.concatenate(([a], self.xs[(self.xs > a) & (self.xs < b)], [b]))
         wv = as_array_fn(w)
-        nudge = 1e-9 * (b - a)
-        wl_pts = left.copy()
-        wl_pts[0] = min(wl_pts[0] + nudge, mid[0])
-        wr_pts = right.copy()
-        wr_pts[-1] = max(wr_pts[-1] - nudge, mid[-1])
-        fl = self.pdf(left) * wv(wl_pts)
-        fm = self.pdf(mid) * wv(mid)
-        fr = self.pdf(right) * wv(wr_pts)
-        return float(np.sum((right - left) / 6.0 * (fl + 4.0 * fm + fr)))
+        return float(np.sum(_gauss_legendre(lambda x: self.pdf(x) * wv(x), cuts[:-1], cuts[1:])))
 
 
 # ---------------------------------------------------------------------------
 # the Distribution value
 # ---------------------------------------------------------------------------
-
-_KINDS = ("analytic-catalog", "discrete-atoms", "empirical-sample",
-          "tilted", "mixture", "constructed")
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -332,7 +316,6 @@ class Distribution:
     transform nodes) for quadrature.
     """
 
-    kind: str
     lo: float
     hi: float
     density: Optional[Callable] = None
@@ -340,15 +323,13 @@ class Distribution:
     locs: Optional[np.ndarray] = None         # point-mass laws only
     masses: Optional[np.ndarray] = None
     sampler: Optional[Callable] = None        # (RandomSource, n) -> ndarray
-    samples: Optional[np.ndarray] = None      # empirical kind: bootstrap draws only
-    components: Optional[tuple] = None        # mixture kind
+    samples: Optional[np.ndarray] = None      # empirical laws: bootstrap draws only
+    components: Optional[tuple] = None        # mixtures
     weights: Optional[tuple] = None
     kinks: tuple = ()
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown distribution kind {self.kind!r}")
         if not self.lo <= self.hi:
             raise InputError("support must satisfy lo <= hi")
 
@@ -367,7 +348,8 @@ class Distribution:
             raise InputError("cannot bound an infinite support without a density")
         lo, hi = _effective_bounds(self.density, self.lo, self.hi)
         if not lo < hi:
-            raise NonIntegrable(f"the tail probe finds no density mass in {self.label or self.kind}")
+            raise NonIntegrable("the tail probe finds no density mass in "
+                                f"{self.label or 'an unlabelled law'}")
         return lo, hi
 
 
@@ -407,8 +389,7 @@ def _atom_law(xs: np.ndarray, ms: np.ndarray, label: str, slack: float = 0.0,
             idx = np.minimum((rs.uniform(n) * samples.size).astype(int), samples.size - 1)
             return samples[idx]
 
-    return Distribution(kind="discrete-atoms" if samples is None else "empirical-sample",
-                        lo=float(xs[0]), hi=float(xs[-1]), locs=xs, masses=ms, sampler=draw,
+    return Distribution(lo=float(xs[0]), hi=float(xs[-1]), locs=xs, masses=ms, sampler=draw,
                         samples=samples, label=label)
 
 
@@ -461,7 +442,7 @@ def uniform(lo: float, hi: float) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.clip((x - lo) * h, 0.0, 1.0)
 
-    return Distribution(kind="analytic-catalog", lo=lo, hi=hi, density=dens, cdf=cdf,
+    return Distribution(lo=lo, hi=hi, density=dens, cdf=cdf,
                         sampler=lambda rs, n: lo + (hi - lo) * rs.uniform(n),
                         kinks=(lo, hi), label=f"uniform[{lo},{hi}]")
 
@@ -484,7 +465,7 @@ def exponential(rate: float = 1.0) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, -np.expm1(-lam * np.clip(x, 0, None)), 0.0)
 
-    return Distribution(kind="analytic-catalog", lo=0.0, hi=math.inf, density=dens, cdf=cdf,
+    return Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
                         sampler=lambda rs, n: -np.log1p(-rs.uniform(n)) / lam,
                         kinks=(0.0,), label=f"exponential({lam})")
 
@@ -509,7 +490,7 @@ def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
         z = (np.asarray(x, dtype=float) - mu) / sig
         return c * np.exp(-0.5 * z * z)
 
-    return Distribution(kind="analytic-catalog", lo=-math.inf, hi=math.inf, density=dens,
+    return Distribution(lo=-math.inf, hi=math.inf, density=dens,
                         cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sig),
                         sampler=lambda rs, n: mu + sig * _ndtri(rs.uniform(n)),
                         label=f"normal({mu},{sig})")
@@ -530,7 +511,7 @@ def half_normal(sigma: float = 1.0) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, 2.0 * _ndtr(np.clip(x, 0, None) / sig) - 1.0, 0.0)
 
-    return Distribution(kind="analytic-catalog", lo=0.0, hi=math.inf, density=dens, cdf=cdf,
+    return Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
                         sampler=lambda rs, n: sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
                         kinks=(0.0,), label=f"half-normal({sig})")
 
@@ -546,7 +527,7 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 2.0 * _ndtr(np.clip(x, None, 0) / sig), 1.0)
 
-    return Distribution(kind="analytic-catalog", lo=-math.inf, hi=0.0, density=dens, cdf=cdf,
+    return Distribution(lo=-math.inf, hi=0.0, density=dens, cdf=cdf,
                         sampler=lambda rs, n: -sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
                         kinks=(0.0,), label=f"negative-half-normal({sig})")
 
@@ -593,7 +574,7 @@ def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
     if n < 1:
         raise InputError("need n >= 1 draws")
     if d.sampler is None:
-        raise NoSampler(f"no sampling route for {d.label or d.kind}")
+        raise NoSampler(f"no sampling route for {d.label or 'an unlabelled law'}")
     return np.asarray(d.sampler(rng, int(n)), dtype=float)
 
 
@@ -652,19 +633,16 @@ class _Lazy:
         return value
 
 
-def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method: str = "auto",
-         weight_kinks: Sequence[float] = ()) -> Distribution:
+def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
     Discrete laws stay discrete (exact reweighting).  Density-bearing laws
-    multiply densities and renormalize by quadrature; they sample through a
-    numeric inverse CDF by default, or by rejection against ``d`` when
-    ``method="rejection"`` (grid-estimated envelope inflated by 1.1, with a
-    proposal budget).  Laws that only expose a sampler always use rejection.
-    ``weight_kinks`` declares non-smooth points of w for the quadrature.
+    multiply densities, renormalize by quadrature and sample through a
+    numeric inverse CDF.  A law that exposes only a sampler is tilted by
+    rejection against it, on a finite support only (grid-estimated envelope
+    inflated by 1.1, with a proposal budget).  ``weight_kinks`` declares
+    non-smooth points of w for the quadrature.
     """
-    if method not in ("auto", "rejection", "inverse-cdf"):
-        raise InputError(f"unknown tilt sampling method {method!r}")
     wv = as_array_fn(w)
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
@@ -687,8 +665,7 @@ def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method:
         zs, tilted = [], []
         for comp in d.components:
             try:
-                tc = tilt(comp, w, envelope=envelope, method=method,
-                          weight_kinks=weight_kinks)
+                tc = tilt(comp, w, weight_kinks=weight_kinks)
                 zc = expectation(comp, w_plus, points=weight_kinks)
             except ZeroNormalizer:
                 tc, zc = None, 0.0
@@ -698,12 +675,11 @@ def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method:
         if total <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation on the mixture")
         comps = [(tc, wt * z / total) for tc, wt, z in zip(tilted, d.weights, zs) if z > 0]
-        return replace(make_mixture([c for c, _ in comps], [p for _, p in comps]),
-                       kind="tilted")
+        return make_mixture([c for c, _ in comps], [p for _, p in comps])
 
     if d.density is not None:
         lo_e, hi_e = d.effective_support()
-        probed = _probe_envelope(wv, lo_e, hi_e)
+        _probe_envelope(wv, lo_e, hi_e)  # NegativeWeight where the probe finds w < 0
         base = as_array_fn(d.density)
         z = expectation(d, w_plus, points=weight_kinks)
         if z <= ZERO_NORMALIZER_TOL:
@@ -720,29 +696,22 @@ def tilt(d: Distribution, w: Callable, envelope: Optional[float] = None, method:
             out /= z
             return out.reshape(arr.shape)
 
-        if method == "rejection":
-            env = envelope if envelope is not None else probed
-            if env <= 0:
-                raise ZeroNormalizer("rejection envelope is zero")
-            draw = _rejection_sampler(d, w, env)
-        else:
-            table = _Lazy(lambda: TabulatedDensity.from_callable(
-                dens, lo_e, hi_e, INVERSE_CDF_GRID, knots=kinks))
+        table = _Lazy(lambda: TabulatedDensity.from_callable(
+            dens, lo_e, hi_e, INVERSE_CDF_GRID, knots=kinks))
 
-            def draw(rs: RandomSource, n: int):
-                return table.get().ppf(rs.uniform(n))
+        def draw(rs: RandomSource, n: int):
+            return table.get().ppf(rs.uniform(n))
 
-        return Distribution(kind="tilted", lo=d.lo, hi=d.hi, density=dens,
+        return Distribution(lo=d.lo, hi=d.hi, density=dens,
                             sampler=draw, kinks=kinks, label=f"tilt({d.label})")
 
     if d.sampler is not None:
-        if envelope is None:
-            if not (math.isfinite(d.lo) and math.isfinite(d.hi)):
-                raise InputError("rejection tilting needs a finite support or an envelope")
-            envelope = _probe_envelope(wv, d.lo, d.hi)
+        if not (math.isfinite(d.lo) and math.isfinite(d.hi)):
+            raise InputError("rejection tilting needs a finite support")
+        envelope = _probe_envelope(wv, d.lo, d.hi)
         if envelope <= 0:
             raise ZeroNormalizer("rejection envelope is zero")
-        return Distribution(kind="tilted", lo=d.lo, hi=d.hi,
+        return Distribution(lo=d.lo, hi=d.hi,
                             sampler=_rejection_sampler(d, w, envelope),
                             kinks=kinks, label=f"tilt({d.label})")
 
@@ -799,7 +768,7 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
                 out[m] = part
         return out
 
-    return Distribution(kind="mixture", lo=lo, hi=hi, density=dens, cdf=cdf,
+    return Distribution(lo=lo, hi=hi, density=dens, cdf=cdf,
                         sampler=draw, components=comps, weights=tuple(float(w) for w in ws),
                         kinks=kinks, label="mixture")
 

@@ -17,8 +17,10 @@ The lifted identity subtracts, besides the node interpolant, an explicit
 degree <= m-1 correction polynomial built from the test function's
 derivatives at zero; its normalizer beta is always positive for a
 nondegenerate chain.  Each step's density is the identity table of the
-input law at that step's order, so no step reads the previous step's
-density; the previous law is only tilted for sampling.
+input law at that step's order, so no step's density reads the previous
+step's density.  The previous law is only tilted for sampling, and that
+tilt reads an identity table when the previous law has one (an earlier
+step, or a base with two or more nodes).
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
         return y
 
     dens, cdf = _identity_density(X, spec, m, beta, c)
-    return Distribution(kind="constructed", density=dens, cdf=cdf, sampler=draw, **fields)
+    return Distribution(density=dens, cdf=cdf, sampler=draw, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +147,7 @@ def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution
     unit = SignChangeSpec(lambda x: np.ones_like(np.asarray(x, dtype=float)))
     law = _step_law(X, X, unit, 2, second_moment / 2.0, a, lo=min(lo, a), hi=max(hi, a),
                     kinks=(a,) + X.kinks,
-                    label=f"second-difference({X.label or X.kind}; a={a})")
+                    label=f"second-difference({X.label or 'X'}; a={a})")
     recipe = HatRecipe(inner=X, location=a)
     return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None, recipe=recipe)
 
@@ -190,7 +192,7 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistri
     mom = recipe_moments(base.recipe, m - k)
     law, step_beta = base.law, base.alpha
     fields = dict(lo=min(law.lo, 0.0), hi=max(law.hi, 0.0), kinks=(0.0,) + law.kinks,
-                  label=f"bias-to-order({X.label or X.kind}; k={k}, m={m})")
+                  label=f"bias-to-order({X.label or 'X'}; k={k}, m={m})")
     normalizers = []
     for order in range(k + 2, m + 1, 2):
         b_l = mom[2] / 2.0

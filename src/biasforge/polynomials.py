@@ -120,17 +120,6 @@ class NodeSet:
     def __getitem__(self, i):
         return self.nodes[i]
 
-    def product_poly(self) -> Polynomial:
-        """The monic polynomial with the nodes as simple roots."""
-        p = Polynomial((1.0,))
-        for x in self.nodes:
-            p = p * Polynomial((-x, 1.0))
-        return p
-
-    def interval_index(self, x: float) -> int:
-        """1-based index of the interval (-inf,x_1], (x_1,x_2], ..., (x_k,inf)."""
-        return int(np.searchsorted(np.asarray(self.nodes), x, side="left")) + 1
-
 
 # ---------------------------------------------------------------------------
 # Lagrange interpolation

@@ -69,7 +69,6 @@ class SteinOperator:
 
     order: int
     coeffs: tuple  # SignChangeSpec for B_0 ... B_{m-1}
-    location: float = 0.0
 
     def __post_init__(self):
         if self.order < 1:
@@ -151,8 +150,8 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         upper, flat = tails.get()(t, a)
         return (upper - (np.asarray(t, dtype=float) - a) * flat) / alpha
 
-    law = replace(law, kind="constructed", density=as_array_fn(density),
-                  label=f"second-order({X.label or X.kind}; a={a})")
+    law = replace(law, density=as_array_fn(density),
+                  label=f"second-order({X.label or 'X'}; a={a})")
     return BiasedDistribution(law, alpha=alpha, beta=None,
                               recipe=MixtureRecipe(tuple(parts), tuple(weights)))
 
@@ -201,7 +200,7 @@ def higher_order_transform(X: Distribution, op: SteinOperator) -> BiasedDistribu
             parts.append(bias_to_order(X, spec, m - j))
             weights.append(bj / total)
     law = make_mixture([p.law for p in parts], weights)
-    law = replace(law, kind="constructed", label=f"operator-transform(order={m})")
+    law = replace(law, label=f"operator-transform(order={m})")
     return BiasedDistribution(law, alpha=total, beta=total,
                               recipe=MixtureRecipe(tuple(parts), tuple(weights)))
 
@@ -271,6 +270,8 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
     from the freshly built transform on a derived stream."""
     if coupling not in ("self", "independent"):
         raise InputError("coupling must be 'self' or 'independent'")
+    if n < 2:
+        raise InputError("Monte Carlo standard errors need n >= 2 draws")
 
     def mean_se(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))

@@ -25,7 +25,7 @@ caller's explicit input and are never inferred from B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,22 +70,20 @@ DENSITY_GRID = 2049
 class SignChangeSpec:
     """A biasing function plus its declared ordered sign-change nodes.
 
-    Only the orientation with the bias nonnegative on the last interval is
-    supported; specs of the opposite orientation are rejected rather than
-    silently negated.  ``kinks`` lists non-smooth points of the bias other
-    than the nodes (e.g. the origin for a positive-part bias declared at a
-    different node); quadrature treats them as break points.
+    The tilting weight prod(x - x_j) * B(x) must be nonnegative, so B is
+    nonnegative on the last interval; a spec of the opposite sign fails
+    validation rather than being silently negated.  ``kinks`` lists
+    non-smooth points of the bias other than the nodes (e.g. the origin for
+    a positive-part bias declared at a different node); quadrature treats
+    them as break points.
     """
 
     bias: Callable
     nodes: NodeSet = NodeSet(())
-    orientation: str = "nonneg-on-last-interval"
     kinks: tuple = ()
     label: str = ""
 
     def __post_init__(self):
-        if self.orientation != "nonneg-on-last-interval":
-            raise InputError("only the 'nonneg-on-last-interval' orientation is supported")
         if not isinstance(self.nodes, NodeSet):
             object.__setattr__(self, "nodes", NodeSet(tuple(self.nodes)))
         object.__setattr__(self, "kinks", tuple(float(x) for x in self.kinks))
@@ -467,8 +465,7 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     k = spec.k
 
     if k == 0:
-        law = replace(seed_law, kind="constructed")
-        return BiasedDistribution(law, alpha, None, recipe)
+        return BiasedDistribution(seed_law, alpha, None, recipe)
 
     nodes = tuple(spec.nodes)
 
@@ -494,9 +491,9 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
 
     law_kinks = tuple(sorted({*nodes, *spec.kinks,
                               *(kk for kk in X.kinks if lo <= kk <= hi)}))
-    law = Distribution(kind="constructed", lo=lo, hi=hi, density=dens, cdf=cdf,
+    law = Distribution(lo=lo, hi=hi, density=dens, cdf=cdf,
                        sampler=draw, kinks=law_kinks,
-                       label=f"bias({X.label or X.kind}; k={k})")
+                       label=f"bias({X.label or 'X'}; k={k})")
     return BiasedDistribution(law, alpha, None, recipe)
 
 
@@ -530,5 +527,4 @@ def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
             parts.append(bias(comp, spec))
             weights.append(w)
     law = make_mixture([p.law for p in parts], weights)
-    law = replace(law, kind="constructed")
     return BiasedDistribution(law, total, None, MixtureRecipe(tuple(parts), tuple(weights)))

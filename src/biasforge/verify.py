@@ -183,6 +183,8 @@ def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunc
     at fixed offsets from the report seed."""
     if not F.supports(m):
         raise InputError(f"bank member {F.name} does not support order {m}")
+    if n < 2:
+        raise InputError("Monte Carlo standard errors need n >= 2 draws")
     if transform is None:
         transform = bias_to_order(X, spec, m)
     normalizer = transform.beta if (transform.beta is not None) else transform.alpha

@@ -322,12 +322,18 @@ def _transform(bias, nodes="[0]"):
     _transform('{"pieces": [{"interval": [0, 1], "coeffs": ["a"]}]}'),
     _transform('{"pieces": [{"interval": [0], "coeffs": [0, 1]}]}'),
     _transform('{"pieces": 5}'),
+    ["density", "--dist", UNIFORM, "--grid", "a", "1", "201"],
+    ["density", "--dist", UNIFORM, "--grid", "0", "1", "2.5"],
+    ["density", "--dist", UNIFORM, "--grid", "0", "inf", "3"],
+    ["verify", "--suite", "mc", "--n", "1"],
+    _experiment(n_samples=1),
 ], ids=["nodes-not-numbers", "operator-without-bias", "operator-nodes-not-numbers",
         "operator-order-not-a-number", "operator-not-an-object", "bias-not-a-string",
         "n-samples-not-a-number", "seed-not-a-number", "constant-not-a-number",
         "constants-missing", "f-at-node-not-a-number", "experiment-file-missing", "experiment-not-an-object",
         "piece-without-interval", "piece-coeffs-not-numbers", "piece-interval-one-end",
-        "pieces-not-a-list"])
+        "pieces-not-a-list", "grid-bound-not-a-number", "grid-points-not-an-integer",
+        "grid-bound-not-finite", "mc-suite-one-draw", "distance-one-sample"])
 def test_malformed_command_input_is_validation_error(argv, tmp_path, capsys):
     argv = [a.replace("MISSING", str(tmp_path / "missing.json")) for a in argv]
     assert run(argv) == 2

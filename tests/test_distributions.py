@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,24 @@ def test_moment_of_cached_density(n, expected):
     assert bf.moment(bf.cache_density(bf.normal(), 2049), n) == pytest.approx(expected, abs=1e-4)
 
 
+@pytest.mark.parametrize("p", [4, 6, 10])
+def test_moment_of_a_table_is_its_exact_piecewise_polynomial_integral(p):
+    # the moment of a linear-interpolation table is a sum of polynomial
+    # integrals over its segments, computed here in exact rational arithmetic
+    law = bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law
+    cached = bf.cache_density(law, 17)
+    table = cached.density
+    xs = [Fraction(x) for x in table.xs.tolist()]
+    ys = [Fraction(y) for y in table.ys.tolist()]
+    exact = Fraction(0)
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        b = (y1 - y0) / (x1 - x0)  # pdf = a + b x on [x0, x1]
+        a = y0 - b * x0
+        exact += (a * (x1 ** (p + 1) - x0 ** (p + 1)) / (p + 1)
+                  + b * (x1 ** (p + 2) - x0 ** (p + 2)) / (p + 2))
+    assert bf.moment(cached, p) == pytest.approx(float(exact), rel=1e-13)
+
+
 def test_moment_of_mass_the_tail_probe_misses_raises():
     # near 1000 the tangent probe grid is ~800 apart and sees no mass; a
     # density always has mass, so this is a loud failure, not E[X] = 0
@@ -59,7 +79,7 @@ def test_moment_of_mass_the_tail_probe_misses_raises():
 
 
 def test_moment_heavy_tail_raises():
-    cauchy = bf.Distribution(kind="analytic-catalog", lo=-np.inf, hi=np.inf,
+    cauchy = bf.Distribution(lo=-np.inf, hi=np.inf,
                              density=lambda x: 1.0 / (np.pi * (1 + np.asarray(x, float) ** 2)))
     with pytest.raises(bf.NonIntegrable):
         bf.moment(cauchy, 2)
@@ -184,7 +204,7 @@ def test_sample_determinism():
 
 
 def test_density_only_has_no_sampler(rng):
-    d = bf.Distribution(kind="constructed", lo=0, hi=1, density=lambda x: np.ones_like(x))
+    d = bf.Distribution(lo=0, hi=1, density=lambda x: np.ones_like(x))
     with pytest.raises(bf.NoSampler):
         bf.sample(d, rng, 3)
 
@@ -332,10 +352,15 @@ def test_tilt_zero_normalizer():
         bf.tilt(d, lambda x: np.zeros_like(np.asarray(x, float)))
 
 
+def sampler_only(d):
+    """The law ``d`` with its sampler alone: tilted by rejection."""
+    return dataclasses.replace(d, density=None, cdf=None)
+
+
 def test_tilt_rejection_sampler_agrees():
     d = bf.uniform(-1, 1)
     w = lambda y: np.maximum(np.asarray(y, float), 0.0) * (np.asarray(y, float) + 1.0)
-    t = bf.tilt(d, w, method="rejection", weight_kinks=(0.0,))
+    t = bf.tilt(sampler_only(d), w, weight_kinks=(0.0,))
     n = 20_000
     draws = bf.sample(t, bf.RandomSource(5), n)
     cdf = bf.numeric_cdf(bf.tilt(d, w, weight_kinks=(0.0,)))
@@ -344,9 +369,9 @@ def test_tilt_rejection_sampler_agrees():
 
 
 def test_tilt_rejection_budget():
-    d = bf.uniform(0, 1)
+    d = sampler_only(bf.uniform(0, 1))
     w = lambda x: np.where(np.asarray(x, float) < 1e-5, 1.0, 0.0)
-    t = bf.tilt(d, w, method="rejection", envelope=1.0, weight_kinks=(1e-5,))
+    t = bf.tilt(d, w, weight_kinks=(1e-5,))
     with pytest.raises(bf.RejectionBudget):
         bf.sample(t, bf.RandomSource(1), 500)
 
@@ -354,8 +379,7 @@ def test_tilt_rejection_budget():
 def test_tilt_rejection_fills_a_request_within_the_budget():
     # acceptance 1/1.1: 6e5 draws need ~6.6e5 proposals, under the 1e6
     # budget, though a first batch of 2n would exceed it
-    t = bf.tilt(bf.uniform(-1, 1), lambda x: np.ones_like(np.asarray(x, float)),
-                method="rejection")
+    t = bf.tilt(sampler_only(bf.uniform(-1, 1)), lambda x: np.ones_like(np.asarray(x, float)))
     n = 600_000
     assert 2 * n > D.REJECTION_BUDGET
     draws = bf.sample(t, bf.RandomSource(2), n)
@@ -364,9 +388,9 @@ def test_tilt_rejection_fills_a_request_within_the_budget():
 
 
 def test_tilt_rejection_raises_after_spending_exactly_the_budget():
-    d = bf.uniform(0, 1)
+    d = sampler_only(bf.uniform(0, 1))
     w = lambda x: np.where(np.asarray(x, float) < 1e-5, 1.0, 0.0)
-    t = bf.tilt(d, w, method="rejection", envelope=1.0, weight_kinks=(1e-5,))
+    t = bf.tilt(d, w, weight_kinks=(1e-5,))
     rs = bf.RandomSource(1)
     with pytest.raises(bf.RejectionBudget):
         bf.sample(t, rs, 500)

@@ -215,7 +215,7 @@ def test_empirical_expectation_agrees_with_fsum():
 def test_a_mixture_of_atoms_and_samples_is_one_point_mass_law():
     atoms, empirical = bf.from_atoms([(0.5, 0.4), (2.0, 0.6)]), bf.from_samples([0.5, 1.0, 1.0, 3.0])
     mix = bf.make_mixture([atoms, empirical], [0.25, 0.75])
-    assert mix.kind == "discrete-atoms" and mix.components is None
+    assert mix.locs is not None and mix.samples is None and mix.components is None
     ref = dict_merge([(x, w * m) for law, w in ((atoms, np.float64(0.25)),
                                                 (empirical, np.float64(0.75)))
                       for x, m in law.atoms])
@@ -225,7 +225,7 @@ def test_a_mixture_of_atoms_and_samples_is_one_point_mass_law():
 def test_empirical_draws_stay_bootstrap_draws_of_the_samples():
     samples = [3.0, 1.0, 1.0, 2.0]
     law = bf.from_samples(samples)
-    assert law.kind == "empirical-sample" and law.samples.tolist() == samples
+    assert law.locs.tolist() == [1.0, 2.0, 3.0] and law.samples.tolist() == samples
     u = bf.RandomSource(5).uniform(1000)
     expect = np.array(samples)[np.minimum((u * 4).astype(int), 3)]
     assert np.array_equal(bf.sample(law, bf.RandomSource(5), 1000), expect)

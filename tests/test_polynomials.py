@@ -59,17 +59,7 @@ def test_polynomial_arithmetic():
 def test_nodeset_rejects_close_nodes():
     with pytest.raises(bf.InputError):
         NodeSet((0.0, 1e-9))
-    ns = NodeSet((-1.0, 0.5))
-    assert ns.product_poly()(2.0) == pytest.approx(3.0 * 1.5)
     assert len(NodeSet(())) == 0
-
-
-def test_nodeset_interval_index():
-    ns = NodeSet((-1.0, 1.0))
-    assert ns.interval_index(-2.0) == 1
-    assert ns.interval_index(-1.0) == 1   # intervals close on the right
-    assert ns.interval_index(0.0) == 2
-    assert ns.interval_index(1.5) == 3
 
 
 # ---------------------------------------------------------------------------

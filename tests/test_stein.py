@@ -34,7 +34,7 @@ def laplace():
         u = rs.uniform(n)
         return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u)))
 
-    return bf.Distribution(kind="analytic-catalog", lo=-np.inf, hi=np.inf,
+    return bf.Distribution(lo=-np.inf, hi=np.inf,
                            density=dens, cdf=cdf, sampler=draw, kinks=(0.0,),
                            label="laplace")
 
@@ -247,6 +247,11 @@ def test_independent_coupling_reports_positive_gap(uniform_sym):
     stats = bf.first_order_coupling_stats(uniform_sym, bf.zero_bias_spec(),
                                           20_000, 3, coupling="independent")
     assert stats["coupling_gap"] > 0.1  # the transform moves mass toward the edges
+
+
+def test_coupling_stats_need_two_draws_for_their_standard_errors(uniform_sym):
+    with pytest.raises(bf.InputError, match="n >= 2"):
+        bf.first_order_coupling_stats(uniform_sym, bf.zero_bias_spec(), 1, 3)
 
 
 def test_second_order_self_coupling_is_noise_level():

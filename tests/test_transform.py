@@ -42,11 +42,6 @@ def test_validate_accepts_grid_probe():
     assert bf.validate_spec(spec, np.linspace(-5, 5, 100)).passed
 
 
-def test_orientation_is_fixed():
-    with pytest.raises(bf.InputError):
-        SignChangeSpec(lambda x: x, NodeSet((0.0,)), orientation="nonpos-on-last-interval")
-
-
 # ---------------------------------------------------------------------------
 # normalizer
 # ---------------------------------------------------------------------------
@@ -89,7 +84,7 @@ def test_unit_bias_is_identity_in_law(uniform_sym):
     xs = np.linspace(-0.99, 0.99, 21)
     assert np.allclose(t.density(xs), uniform_sym.density(xs), atol=1e-9)
     assert t.alpha == pytest.approx(1.0)
-    assert t.law.kind == "constructed"
+    assert t.law.density is not None and t.law.locs is None and t.law.components is None
 
 
 def test_ambiguity_density_q(uniform_sym):
@@ -421,7 +416,7 @@ def undeclared_jump_law():
         x = np.asarray(x, float)
         return np.where((x >= -1) & (x <= 1), np.where(x <= 0.3, LOW, HIGH), 0.0)
 
-    return bf.Distribution(kind="analytic-catalog", lo=-1.0, hi=1.0, density=dens,
+    return bf.Distribution(lo=-1.0, hi=1.0, density=dens,
                            kinks=(-1.0, 1.0), label="step")
 
 

@@ -105,6 +105,12 @@ def test_check_identity_mc_bit_reproducible(uniform_sym):
     assert (a.lhs, a.rhs, a.z) == (b.lhs, b.rhs, b.z)
 
 
+def test_check_identity_mc_needs_two_draws_for_its_standard_errors(uniform_sym):
+    F = bf.TestFunctionBank.build(1, d_max=2, n_kinked=0, n_smooth=0, seed=1).members[1]
+    with pytest.raises(bf.InputError, match="n >= 2"):
+        bf.check_identity_mc(uniform_sym, bf.zero_bias_spec(), 1, F, 1, seed=3)
+
+
 def test_check_identity_mc_rejects_unsupported_order(uniform_sym):
     kinked = bf.TestFunctionBank.build(1, d_max=0, n_kinked=1, n_smooth=0, seed=1).members[0]
     with pytest.raises(bf.InputError):

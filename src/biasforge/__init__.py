@@ -18,7 +18,6 @@ from .errors import (
     NoSampler,
     NonIntegrable,
     ParityMismatch,
-    RejectionBudget,
     SignViolation,
     WeightMismatch,
     ZeroNormalizer,

@@ -36,7 +36,6 @@ from .errors import (
     NegativeWeight,
     NoSampler,
     NonIntegrable,
-    RejectionBudget,
     WeightMismatch,
     ZeroNormalizer,
 )
@@ -48,9 +47,6 @@ TAIL_EPS = 1e-16           # truncate tails where |integrand| < TAIL_EPS * peak
 ATOM_MASS_TOL = 1e-12
 ZERO_NORMALIZER_TOL = 1e-12
 NEGATIVE_WEIGHT_TOL = -1e-12
-ENVELOPE_GRID = 4097
-ENVELOPE_INFLATION = 1.1
-REJECTION_BUDGET = 10**6
 INVERSE_CDF_GRID = 8193
 _PROBE_GRID = 4097
 _PANEL_START = 64          # initial panels of the adaptive panel integral
@@ -578,36 +574,14 @@ def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
     return np.asarray(d.sampler(rng, int(n)), dtype=float)
 
 
-def _rejection_sampler(d: Distribution, w, envelope):
-    wv = as_array_fn(w)
-
-    def draw(rs: RandomSource, n: int):
-        out = np.empty(int(n))
-        filled = proposals = 0
-        while filled < n:
-            if proposals >= REJECTION_BUDGET:
-                raise RejectionBudget(
-                    f"rejection sampler spent {REJECTION_BUDGET} proposals")
-            batch = min(max(1024, 2 * (n - filled)), REJECTION_BUDGET - proposals)
-            proposals += batch
-            xs = sample(d, rs, batch)
-            acc = rs.uniform(batch) * envelope <= np.clip(wv(xs), 0.0, None)
-            take = min(int(acc.sum()), n - filled)
-            out[filled:filled + take] = xs[acc][:take]
-            filled += take
-        return out
-
-    return draw
-
-
-def _probe_envelope(wv: Callable, lo: float, hi: float) -> float:
-    """Largest weight on an ENVELOPE_GRID probe of [lo, hi], inflated by
-    ENVELOPE_INFLATION; NegativeWeight when the probe finds it negative."""
-    grid = np.linspace(lo, hi, ENVELOPE_GRID)
-    wg = wv(grid)
-    if wg.min() < NEGATIVE_WEIGHT_TOL:
-        raise NegativeWeight(f"weight is negative at x={grid[wg.argmin()]!r}")
-    return float(wg.max()) * ENVELOPE_INFLATION
+def _check_weight(wx: np.ndarray, xs: np.ndarray) -> None:
+    """NegativeWeight, naming the first point of ``xs``, where the weight
+    values ``wx`` are negative or not finite."""
+    bad = ~(np.isfinite(wx) & (wx >= NEGATIVE_WEIGHT_TOL))
+    if bad.any():
+        i = bad.argmax()
+        raise NegativeWeight(f"weight must be finite and nonnegative: it is "
+                             f"{float(wx[i])!r} at x={float(xs[i])!r}")
 
 
 class _Lazy:
@@ -636,12 +610,12 @@ class _Lazy:
 def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
-    Discrete laws stay discrete (exact reweighting).  Density-bearing laws
-    multiply densities, renormalize by quadrature and sample through a
-    numeric inverse CDF.  A law that exposes only a sampler is tilted by
-    rejection against it, on a finite support only (grid-estimated envelope
-    inflated by 1.1, with a proposal budget).  ``weight_kinks`` declares
-    non-smooth points of w for the quadrature.
+    Point masses (``locs``) are reweighted exactly; a ``density`` is
+    multiplied by w, renormalized by quadrature and sampled through a
+    numeric inverse CDF; a mixture without one tilts its ``components``.  A
+    law with a sampler alone cannot be tilted: NoSampler.  NegativeWeight
+    where w is negative or not finite at an atom or a _PROBE_GRID point of
+    the support.  ``weight_kinks`` declares non-smooth points of w.
     """
     wv = as_array_fn(w)
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
@@ -652,8 +626,7 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
     if d.locs is not None:  # exact reweighting of the atoms
         xs, ms = d.locs, d.masses
         wx = wv(xs)
-        if wx.min() < NEGATIVE_WEIGHT_TOL:
-            raise NegativeWeight(f"weight is negative at x={xs[wx.argmin()]!r}")
+        _check_weight(wx, xs)
         mw = ms * np.clip(wx, 0.0, None)
         z = float(np.sum(mw))
         if z <= ZERO_NORMALIZER_TOL:
@@ -679,7 +652,8 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
 
     if d.density is not None:
         lo_e, hi_e = d.effective_support()
-        _probe_envelope(wv, lo_e, hi_e)  # NegativeWeight where the probe finds w < 0
+        probe = np.linspace(lo_e, hi_e, _PROBE_GRID)
+        _check_weight(wv(probe), probe)
         base = as_array_fn(d.density)
         z = expectation(d, w_plus, points=weight_kinks)
         if z <= ZERO_NORMALIZER_TOL:
@@ -705,17 +679,7 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
         return Distribution(lo=d.lo, hi=d.hi, density=dens,
                             sampler=draw, kinks=kinks, label=f"tilt({d.label})")
 
-    if d.sampler is not None:
-        if not (math.isfinite(d.lo) and math.isfinite(d.hi)):
-            raise InputError("rejection tilting needs a finite support")
-        envelope = _probe_envelope(wv, d.lo, d.hi)
-        if envelope <= 0:
-            raise ZeroNormalizer("rejection envelope is zero")
-        return Distribution(lo=d.lo, hi=d.hi,
-                            sampler=_rejection_sampler(d, w, envelope),
-                            kinks=kinks, label=f"tilt({d.label})")
-
-    raise NoSampler("distribution exposes neither atoms, density, nor sampler")
+    raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:

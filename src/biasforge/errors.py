@@ -53,7 +53,3 @@ class AllBetaZero(BiasforgeError):
 
 class SignViolation(InputError):
     """Probing found a point where the declared sign-change pattern fails."""
-
-
-class RejectionBudget(BiasforgeError):
-    """A rejection sampler exceeded its proposal budget."""

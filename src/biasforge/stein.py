@@ -334,7 +334,8 @@ def fixed_point_check(Z: Distribution, spec: Optional[SignChangeSpec] = None,
     p(t) > DENSITY_FLOOR, by Richardson-extrapolated central differences
     of step FD_STEP.  Second order: residual of
     alpha p'' = (B0 - B1') p - B1 p'.  Node neighborhoods (NODE_MARGIN) are
-    excluded because the density may kink there."""
+    excluded because the density may kink there.  InputError when no probe
+    is left to check."""
     if Z.density is None:
         raise InputError("fixed-point check needs a density")
     p = Z.density
@@ -374,4 +375,7 @@ def fixed_point_check(Z: Distribution, spec: Optional[SignChangeSpec] = None,
                       + float(B1(t)) * _d1(p, t))
         if res > worst:
             worst, arg = res, t
+    if not used:  # a check that evaluated nothing is no evidence of a fixed point
+        raise InputError("no usable probe: each lies within NODE_MARGIN of a node "
+                         "or where the density is at most DENSITY_FLOOR")
     return FixedPointReport(mode=mode, max_residual=worst, argmax=arg, n_probes=used)

@@ -352,50 +352,91 @@ def test_tilt_zero_normalizer():
         bf.tilt(d, lambda x: np.zeros_like(np.asarray(x, float)))
 
 
-def sampler_only(d):
-    """The law ``d`` with its sampler alone: tilted by rejection."""
-    return dataclasses.replace(d, density=None, cdf=None)
+def _nan_left_of_zero(x):
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(np.asarray(x, float))
 
 
-def test_tilt_rejection_sampler_agrees():
-    d = bf.uniform(-1, 1)
-    w = lambda y: np.maximum(np.asarray(y, float), 0.0) * (np.asarray(y, float) + 1.0)
-    t = bf.tilt(sampler_only(d), w, weight_kinks=(0.0,))
-    n = 20_000
-    draws = bf.sample(t, bf.RandomSource(5), n)
-    cdf = bf.numeric_cdf(bf.tilt(d, w, weight_kinks=(0.0,)))
-    assert bf.ks_statistic(draws, cdf) < bf.ks_critical(n, 0.01)
-    assert np.array_equal(draws, bf.sample(t, bf.RandomSource(5), n))
+def _inf_left_of_zero(x):
+    return np.where(np.asarray(x, float) < 0.0, np.inf, 1.0)
 
 
-def test_tilt_rejection_budget():
-    d = sampler_only(bf.uniform(0, 1))
-    w = lambda x: np.where(np.asarray(x, float) < 1e-5, 1.0, 0.0)
-    t = bf.tilt(d, w, weight_kinks=(1e-5,))
-    with pytest.raises(bf.RejectionBudget):
-        bf.sample(t, bf.RandomSource(1), 500)
+@pytest.mark.parametrize("w", [_nan_left_of_zero, _inf_left_of_zero])
+@pytest.mark.parametrize("d", [bf.uniform(-1, 1), bf.from_atoms([(-1.0, 0.5), (1.0, 0.5)])],
+                         ids=["density", "atoms"])
+def test_tilt_refuses_a_weight_that_is_not_finite(d, w):
+    # a NaN weight compares false with the negativity tolerance: it must not pass as valid
+    with pytest.raises(bf.NegativeWeight, match=r"x=-1\.0"):
+        bf.tilt(d, w)
 
 
-def test_tilt_rejection_fills_a_request_within_the_budget():
-    # acceptance 1/1.1: 6e5 draws need ~6.6e5 proposals, under the 1e6
-    # budget, though a first batch of 2n would exceed it
-    t = bf.tilt(sampler_only(bf.uniform(-1, 1)), lambda x: np.ones_like(np.asarray(x, float)))
-    n = 600_000
-    assert 2 * n > D.REJECTION_BUDGET
-    draws = bf.sample(t, bf.RandomSource(2), n)
-    assert draws.shape == (n,)
-    assert np.all(np.abs(draws) <= 1.0)
+def test_tilt_of_a_law_with_a_sampler_alone_raises_no_sampler():
+    d = dataclasses.replace(bf.uniform(-1, 1), density=None, cdf=None)
+    assert bf.sample(d, bf.RandomSource(1), 3).shape == (3,)
+    with pytest.raises(bf.NoSampler, match="can be tilted"):
+        bf.tilt(d, _ones)
 
 
-def test_tilt_rejection_raises_after_spending_exactly_the_budget():
-    d = sampler_only(bf.uniform(0, 1))
-    w = lambda x: np.where(np.asarray(x, float) < 1e-5, 1.0, 0.0)
-    t = bf.tilt(d, w, weight_kinks=(1e-5,))
-    rs = bf.RandomSource(1)
-    with pytest.raises(bf.RejectionBudget):
-        bf.sample(t, rs, 500)
-    # one uniform for each proposal and one for its acceptance test
-    assert rs.position == 2 * D.REJECTION_BUDGET
+def _one_plus_square(x):
+    return 1.0 + np.asarray(x, float) ** 2
+
+
+_BASE_LAWS = {
+    "uniform": lambda: bf.uniform(-1, 1),
+    "exponential": lambda: bf.exponential(2.0),
+    "normal": lambda: bf.normal(0.5, 2.0),
+    "half-normal": lambda: bf.half_normal(1.3),
+    "negative-half-normal": lambda: bf.negative_half_normal(0.7),
+    "dirac": lambda: bf.dirac(0.5),
+    "from_atoms": lambda: bf.from_atoms([(-1.0, 0.25), (2.0, 0.75)]),
+    "from_samples": lambda: bf.from_samples([0.1, -0.4, 1.3, 0.1]),
+    "all-atom mixture": lambda: bf.make_mixture(
+        [bf.dirac(0.0), bf.from_samples([1.0, 2.0])], [0.5, 0.5]),
+    "all-density mixture": lambda: bf.make_mixture([bf.normal(), bf.exponential()], [0.3, 0.7]),
+    "atoms-plus-density mixture": lambda: bf.make_mixture(
+        [bf.from_atoms([(0.0, 0.5), (1.0, 0.5)]), bf.uniform(-1, 1)], [0.5, 0.5]),
+}
+
+_LIBRARY_LAWS = {
+    **_BASE_LAWS,
+    **{f"tilt of {name}": (lambda build=build: bf.tilt(build(), _one_plus_square))
+       for name, build in _BASE_LAWS.items()},
+    "bias k=0": lambda: bf.bias(bf.uniform(-1, 1), bf.unit_bias_spec()),
+    "bias k=1": lambda: bf.bias(bf.uniform(-1, 1), bf.zero_bias_spec()),
+    "bias k=2": lambda: bf.bias(bf.uniform(-1, 1),
+                                bf.SignChangeSpec(_node_product, bf.NodeSet((-0.5, 0.5)))),
+    "bias_to_order k=0 to m=2": lambda: bf.bias_to_order(bf.uniform(-1, 1),
+                                                         bf.unit_bias_spec(), 2),
+    "bias_to_order k=1 to m=3": lambda: bf.bias_to_order(bf.uniform(-1, 1),
+                                                         bf.zero_bias_spec(), 3),
+    "second_difference_transform": lambda: bf.second_difference_transform(
+        bf.uniform(-1, 1), 0.0),
+    "second_order_transform": lambda: bf.second_order_transform(
+        bf.normal(), _ones, bf.zero_bias_spec()),
+    "higher_order_transform": lambda: bf.higher_order_transform(
+        bf.uniform(-1, 1),
+        bf.SteinOperator(order=2, coeffs=(bf.unit_bias_spec(), bf.zero_bias_spec()))),
+    "mixture_bias": lambda: bf.mixture_bias(
+        [bf.uniform(-1, 1), bf.normal()], [0.5, 0.5], bf.zero_bias_spec()),
+    "json family": lambda: bf.dist_from_json({"family": "normal", "params": {"std": 2}}),
+    "json atoms": lambda: bf.dist_from_json({"atoms": [[0, 0.5], [2, 0.5]]}),
+    "json empirical": lambda: bf.dist_from_json({"empirical": [0.5, 1.5, 1.5]}),
+    "json empirical_csv": lambda: bf.dist_from_json({"empirical_csv": "samples.csv"}),
+    "json mixture": lambda: bf.dist_from_json({"mixture": {"components": [
+        {"family": "uniform", "params": {"lo": 0, "hi": 1}}, {"atoms": [[2, 1]]}],
+        "weights": [0.25, 0.75]}}),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_LAWS))
+def test_every_library_law_has_atoms_a_density_or_components(name, tmp_path, monkeypatch):
+    # tilt has no route for a law with a sampler alone; no constructor,
+    # transform or JSON form builds one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "samples.csv").write_text("x\n0.5\n1.5\n")
+    built = _LIBRARY_LAWS[name]()
+    law = getattr(built, "law", built)
+    assert law.locs is not None or law.density is not None or law.components is not None
 
 
 def test_tilted_density_is_elementwise_across_blocks_and_shapes():

@@ -294,6 +294,16 @@ def test_fixed_point_discriminates_non_fixed_law():
     assert r.max_residual > 0.1
 
 
+@pytest.mark.parametrize("law, probes", [
+    (lambda: bf.normal(), [0.0]),              # within NODE_MARGIN of the node
+    (lambda: bf.uniform(0, 1), [5.0, 7.0]),    # where the density is zero
+], ids=["near-node", "no-density"])
+def test_fixed_point_check_with_no_usable_probe_raises(law, probes):
+    # a check that evaluated nothing must not read as a perfect fixed point
+    with pytest.raises(bf.InputError, match="no usable probe"):
+        bf.fixed_point_check(law(), bf.zero_bias_spec(), probes=probes)
+
+
 def test_fixed_point_second_order_laplace():
     r = bf.fixed_point_check(laplace(), mode="second-order", B0=ones, B1=zeros,
                              B1_deriv=zeros, a=0.0, probes=np.linspace(-6, 6, 121))

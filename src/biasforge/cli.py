@@ -10,10 +10,12 @@ supplies the default seed when --seed is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -143,27 +145,23 @@ def _seed(args) -> int:
     return _int(os.environ.get("BIASFORGE_SEED", DEFAULT_SEED), "BIASFORGE_SEED")
 
 
+def _write(path: str | None, text: str):
+    """``text`` to the file at ``path``, or to standard output."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
+
+
 def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, default=float)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(out, json.dumps(payload, indent=2, default=float) + "\n")
 
 
 def _write_csv(path: str | None, header: str, *columns):
     """CSV text of equal-length columns: a column of strings as it is, any
-    other column as floats in ``.17g`` form, one formatting pass each."""
-    texts = [col if isinstance(col[0], str)
-             else [f"{v:.17g}" for v in np.asarray(col, dtype=float).tolist()]
-             for col in columns]
-    text = "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    other column as floats in ``.17g`` form, in one ``%`` format of the
+    whole table."""
+    cols = [c if isinstance(c[0], str) else np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join("%s" if isinstance(c[0], str) else "%.17g" for c in cols) + "\n"
+    _write(path, header + "\n" + (row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
 
 
 # ---------------------------------------------------------------------------

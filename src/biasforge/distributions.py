@@ -18,7 +18,7 @@ to ``integrate_fn`` (scipy's adaptive quadrature), which is also the
 independent oracle the panel integral is tested against; an integrand
 with a non-finite rule or too many open panels goes to it whole.  scipy is
 imported on first use only: by ``integrate_fn`` and by the first normal
-or half-normal CDF or draw.
+or half-normal CDF.  Normal-family draws use a numpy quantile (AS241).
 """
 
 from __future__ import annotations
@@ -77,8 +77,11 @@ class RandomSource:
         return self._gen.random(int(n))
 
     def derive(self, offset: int) -> "RandomSource":
-        """Independent source with a seed at a fixed offset from this one."""
-        return RandomSource((int(self.seed) + int(offset)) & _MASK64)
+        """Independent NEP 19 child stream (spawn key ``offset``); ``seed`` reads seed + offset."""
+        child = RandomSource((int(self.seed) + int(offset)) & _MASK64)
+        child._gen = np.random.default_rng(np.random.SeedSequence(
+            int(self.seed) & _MASK64, spawn_key=(int(offset) & _MASK64,)))
+        return child
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +159,12 @@ def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     return float(val)
 
 
+def _sorted_unique(xs: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a float array without NaN, which does not import ``numpy.ma``."""
+    xs = np.sort(xs)
+    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+
+
 _GX, _GW = np.polynomial.legendre.leggauss(8)
 
 
@@ -186,7 +195,7 @@ def _panel_integral(f, lo, hi, points: Sequence[float] = ()) -> float:
     if not lo_e < hi_e:
         return 0.0
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
-    edges = np.unique(np.concatenate((np.linspace(lo_e, hi_e, _PANEL_START + 1), inner)))
+    edges = _sorted_unique(np.concatenate((np.linspace(lo_e, hi_e, _PANEL_START + 1), inner)))
     a, b = edges[:-1], edges[1:]
     whole = _gauss_legendre(fv, a, b)
     width, done = hi_e - lo_e, 0.0
@@ -252,7 +261,7 @@ class TabulatedDensity:
         xs = np.linspace(float(lo), float(hi), int(n))
         extra = np.array([float(k) for k in knots if lo < float(k) < hi])
         if extra.size:
-            xs = np.unique(np.concatenate((xs, extra, np.nextafter(extra, -np.inf))))
+            xs = _sorted_unique(np.concatenate((xs, extra, np.nextafter(extra, -np.inf))))
         ys = np.clip(as_array_fn(f)(xs), 0.0, None)
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
         mass = float(cum[-1])
@@ -471,9 +480,50 @@ def _ndtr(x):
     return ndtr(x)
 
 
+# Wichura's AS241 (Appl. Statist. 37 (1988) 477-484): numerator and denominator
+# coefficients, constant term first, of the centre, near tail and far tail.
+_AS241 = np.array([
+    [3.3871328727963665, 133.14166789178438, 1971.5909503065513, 13731.69376550946,
+     45921.95393154987, 67265.7709270087, 33430.57558358813, 2509.0809287301227],
+    [1.0, 42.31333070160091, 687.1870074920579, 5394.196021424751,
+     21213.794301586597, 39307.89580009271, 28729.085735721943, 5226.495278852854],
+    [1.4234371107496835, 4.630337846156546, 5.769497221460691, 3.6478483247632045,
+     1.2704582524523684, 0.2417807251774506, 0.022723844989269184, 0.0007745450142783414],
+    [1.0, 2.053191626637759, 1.6763848301838038, 0.6897673349851,
+     0.14810397642748008, 0.015198666563616457, 0.0005475938084995345, 1.0507500716444169e-09],
+    [6.657904643501103, 5.463784911164114, 1.7848265399172913, 0.29656057182850487,
+     0.026532189526576124, 0.0012426609473880784, 2.7115555687434876e-05, 2.0103343992922881e-07],
+    [1.0, 0.599832206555888, 0.1369298809227358, 0.014875361290850615,
+     0.0007868691311456133, 1.8463183175100548e-05, 1.421511758316446e-07, 2.0442631033899397e-15],
+]).reshape(3, 2, 8)
+
+
+def _rational(c, r):
+    """c[0](r) / c[1](r) for the coefficient rows c, by Horner's rule in place."""
+    num, den = c[0, 7] * r + c[0, 6], c[1, 7] * r + c[1, 6]
+    for k in range(5, -1, -1):
+        np.add(np.multiply(num, r, out=num), c[0, k], out=num)
+        np.add(np.multiply(den, r, out=den), c[1, k], out=den)
+    return np.divide(num, den, out=num)
+
+
 def _ndtri(u):
-    from scipy.special import ndtri  # loaded on the first normal draw
-    return ndtri(u)
+    """Normal quantile within a few ulp (AS241): -inf at 0, +inf at 1, NaN off [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    p = u.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0), inf / inf
+        q = p - 0.5
+        r = np.multiply(q, q)
+        x = _rational(_AS241[0], np.subtract(0.180625, r, out=r))
+        x *= q
+        tail = np.flatnonzero(np.abs(q, out=r) > 0.425)  # r is spent; NaN stays central
+        s = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+        xt = _rational(_AS241[1], s - 1.6)
+        xt[s > 5.0] = _rational(_AS241[2], s[s > 5.0] - 5.0)
+        xt[s == np.inf] = np.inf
+        x[tail] = np.copysign(xt, q[tail])
+    # a 1-d x owns its data, so ``mu + sig * x`` computes in its buffer
+    return x if u.ndim == 1 else x.reshape(u.shape) if u.ndim else float(x[0])
 
 
 def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:

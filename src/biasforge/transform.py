@@ -45,6 +45,7 @@ from .distributions import (
     _Lazy,
     _gauss_legendre,
     _panel_integral,
+    _sorted_unique,
     as_array_fn,
     expectation,
     integrate_fn,
@@ -337,7 +338,7 @@ class _TailTable:
             if isinstance(dens, TabulatedDensity):  # linear between its own grid points
                 knots = tuple(knots) + tuple(dens.xs)
             inner = [float(x) for x in (*knots, *X.kinks) if lo < float(x) < hi]
-            self.xs = np.unique(np.concatenate((np.linspace(lo, hi, DENSITY_GRID), inner)))
+            self.xs = _sorted_unique(np.concatenate((np.linspace(lo, hi, DENSITY_GRID), inner)))
             self.dens = as_array_fn(dens)
             a, b = self.xs[:-1], self.xs[1:]
             mid = 0.5 * (a + b)

@@ -279,17 +279,34 @@ def test_distance_experiment_from_file(tmp_path, capsys):
 
 def test_transform_command_runs_without_scipy():
     # scipy is loaded on first use only: a one-node transform of a uniform
-    # law reads its expectations from the panel integral
+    # law reads its expectations from the panel integral, and normal draws
+    # come from the numpy quantile.  numpy.ma is not loaded either (plain
+    # np.unique imports it on its first call in numpy 2.4).
     code = ("import sys; from biasforge.cli import run; "
             "code = run(sys.argv[1:]); "
-            "sys.exit(code or 3 * any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    argv = ["transform", "--dist", '{"family":"uniform","params":{"lo":-1,"hi":1}}',
-            "--bias", "x-plus", "--nodes", "[0]"]
+            "sys.exit(code or 3 * any(m.split('.')[0] == 'scipy' or m == 'numpy.ma' "
+            "for m in sys.modules))")
+    normal = '{"family":"normal","params":{"mean":0,"std":1}}'
+    experiment = json.dumps({"test_distribution": json.loads(normal),
+                             "operator": {"order": 1, "bias": "x", "nodes": [0]},
+                             "constants": {"c0": 1, "c1": 1, "c2": 1},
+                             "coupling": "self", "n_samples": 1000, "seed": 4})
     env = dict(os.environ, PYTHONPATH=str(Path(bf.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["alpha"] == pytest.approx(1 / 6, abs=1e-12)
+
+    def child(*argv):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv[0], proc.returncode, proc.stderr)
+        return proc.stdout
+
+    out = child("transform", "--dist", UNIFORM, "--bias", "x-plus", "--nodes", "[0]")
+    assert json.loads(out)["alpha"] == pytest.approx(1 / 6, abs=1e-12)
+    out = child("sample", "--dist", normal, "--n", "500", "--seed", "3")
+    assert len(out.splitlines()) == 501
+    out = child("distance", "--experiment", experiment)
+    assert json.loads(out)["coupling_gap"] == 0.0
+    out = child("density", "--dist", normal, "--bias", "x", "--grid", "-4", "4", "9")
+    assert len(out.splitlines()) == 10
 
 
 def _experiment(**fields):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -207,6 +208,63 @@ def test_density_only_has_no_sampler(rng):
     d = bf.Distribution(lo=0, hi=1, density=lambda x: np.ones_like(x))
     with pytest.raises(bf.NoSampler):
         bf.sample(d, rng, 3)
+
+
+# ---------------------------------------------------------------------------
+# the normal quantile (AS241) against the standard library and scipy
+# ---------------------------------------------------------------------------
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+def test_normal_quantile_matches_the_standard_library():
+    # NormalDist.inv_cdf is computed by the standard library, one point at a
+    # time: a log grid deep into both tails and a linear grid in between
+    ps = np.concatenate((np.logspace(-300, math.log10(0.5), 4000),
+                         1.0 - np.logspace(-16, math.log10(0.5), 4000),
+                         np.linspace(0.0, 1.0, 503)[1:-1]))
+    exact = np.array([NormalDist().inv_cdf(p) for p in ps.tolist()])
+    assert _ulps(D._ndtri(ps), exact).max() <= 4
+
+
+def test_normal_quantile_matches_scipy():
+    from scipy.special import ndtri
+    u = np.random.default_rng(41).random(1_000_000)
+    assert _ulps(D._ndtri(u), ndtri(u)).max() <= 8
+
+
+def test_normal_quantile_edges():
+    assert D._ndtri(0.0) == -math.inf and D._ndtri(1.0) == math.inf
+    assert math.isnan(D._ndtri(math.nan))
+    assert all(math.isnan(D._ndtri(p)) for p in (-0.25, 1.5))
+    x = D._ndtri(np.array(0.975))
+    assert type(x) is float and x == pytest.approx(NormalDist().inv_cdf(0.975), rel=1e-15)
+    out = D._ndtri(np.array([[0.0, 0.5], [math.nan, 1.0]]))
+    assert out.shape == (2, 2) and out[0, 0] == -math.inf and out[0, 1] == 0.0
+    assert math.isnan(out[1, 0]) and out[1, 1] == math.inf
+
+
+@pytest.mark.parametrize("d, transform", [
+    (bf.normal(1.0, 2.0), lambda u: 1.0 + 2.0 * D._ndtri(u)),
+    (bf.half_normal(1.5), lambda u: 1.5 * D._ndtri(0.5 * (1.0 + u))),
+    (bf.negative_half_normal(1.5), lambda u: -1.5 * D._ndtri(0.5 * (1.0 + u))),
+], ids=["normal", "half-normal", "negative-half-normal"])
+def test_normal_family_draws_one_uniform_each(d, transform):
+    rs = bf.RandomSource(6)
+    draws = bf.sample(d, rs, 1000)
+    assert rs.position == 1000
+    assert np.array_equal(draws, transform(bf.RandomSource(6).uniform(1000)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sorted_unique_is_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate((rng.normal(size=50), [0.0, -0.0, 1e-300, -np.inf, np.inf]))
+    xs = rng.choice(pool, size=2000)
+    assert np.array_equal(D._sorted_unique(xs), np.unique(xs))
+    assert np.array_equal(D._sorted_unique(xs[:1]), xs[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -636,3 +694,18 @@ def test_random_source_contract():
     rs.uniform(10)
     assert rs.position == 10
     assert rs.derive(5).seed == 12
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_derived_streams_are_their_own(seed):
+    # a derived stream is no seeded stream: not the one at seed + offset, and
+    # not the two that a Monte Carlo report at this seed draws its sides from
+    from biasforge.verify import LHS_SEED_OFFSET, RHS_SEED_OFFSET
+    offset = LHS_SEED_OFFSET  # the offset the independent coupling derives with
+    derived = bf.RandomSource(seed).derive(offset).uniform(64)
+    for other in (seed + offset, seed + LHS_SEED_OFFSET, seed + RHS_SEED_OFFSET, seed):
+        assert not np.array_equal(derived, bf.RandomSource(other).uniform(64))
+    assert not np.array_equal(derived, bf.RandomSource(seed).derive(offset + 1).uniform(64))
+    again = bf.RandomSource(seed)
+    again.uniform(10)  # the parent's position does not move its children
+    assert np.array_equal(derived, again.derive(offset).uniform(64))

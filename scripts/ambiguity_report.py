@@ -3,11 +3,12 @@
 node declarations, two different transformed laws.
 
 Prints the normalizers and the pointwise relation between the two densities,
-and optionally writes both densities as CSV.
+and optionally writes both densities as CSV.  Exits 1 when a check fails.
 """
 
 import argparse
 import csv
+import sys
 
 import biasforge as bf
 
@@ -34,7 +35,8 @@ def main():
             for row in zip(rep["grid"], rep["p"], rep["q"]):
                 writer.writerow([f"{v:.12g}" for v in row])
         print(f"densities written to {args.out}")
+    return 0 if rep["passed"] else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Fixed points of first-order transforms, checked two ways: density-level
 comparison of the transformed law against its input, and the residual of the
-fixed-point differential equation p'/p = -B/alpha on a probe grid.
+fixed-point differential equation p'/p = -B/alpha on a probe grid.  Exits 1
+when the density-level check fails.
 """
+
+import sys
 
 import numpy as np
 
@@ -28,7 +31,8 @@ def main():
         print(f"  {name:32s} max residual {r.max_residual:.3e} over {r.n_probes} probes")
 
     print("passed" if suite["passed"] else "FAILED")
+    return 0 if suite["passed"] else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -33,7 +33,7 @@ from .polynomials import NodeSet, PiecewisePoly, Polynomial
 from .transform import SignChangeSpec
 from .higher import ChainRecipe, bias_to_order
 from .stein import first_order_bound, first_order_coupling_stats
-from .verify import run_suite
+from .verify import _SUITES, run_suite
 
 DEFAULT_SEED = 12345
 _SIGN_RE = re.compile(r"^sign\(x([+-][0-9.eE+-]+)?\)$")
@@ -178,7 +178,7 @@ def _cmd_catalog(args) -> int:
                                  "{'empirical': [x, ...]}",
                                  "{'empirical_csv': 'samples.csv'}",
                                  "{'mixture': {'components': [...], 'weights': [...]}}"],
-        "suites": ["exact", "mc", "ambi", "fixed-point"],
+        "suites": list(_SUITES),
     }, getattr(args, "out", None))
     return 0
 
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=("exact", "mc", "ambi", "fixed-point"))
+    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--out", default=None)

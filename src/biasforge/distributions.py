@@ -60,10 +60,11 @@ _BLOCK = 1 << 15           # points per call of a base density inside a tilted o
 # random source
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class RandomSource:
     """Seeded random stream.  Single-owner: never share one source across
-    concurrent tasks; derive independent sources instead."""
+    concurrent tasks; derive independent sources instead.  A source equals
+    only itself: ``seed`` and ``position`` do not name a derived stream."""
 
     seed: int
     position: int = 0

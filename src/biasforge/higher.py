@@ -164,13 +164,8 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
         raise InputError(f"need k <= m, got k={k}, m={m}")
     if (m - k) % 2 != 0:
         raise ParityMismatch(f"k={k} and m={m} have different parity")
-    nodes = tuple(spec.nodes)
-    B = spec.bias
-    if k == 0:
-        kernel = lambda x: B(x) * x ** m
-    else:
-        interp = lagrange_poly(nodes, [x**m for x in nodes])
-        kernel = lambda x: B(x) * (x ** m - interp(x))
+    interp = lagrange_poly(spec.nodes, [x**m for x in spec.nodes])  # zero with no nodes
+    kernel = lambda x: spec.bias(x) * (x ** m - interp(x))
     b = expectation(X, kernel, points=spec.quad_points) / math.factorial(m)
     if not b > ALPHA_TOL:
         raise DegenerateBeta(f"order-{m} normalizer {b!r} is not positive")

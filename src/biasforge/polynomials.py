@@ -244,8 +244,6 @@ def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float],
     ds = tuple(float(v) for v in derivs_at_zero)
     if len(ds) != m - k:
         raise InputError(f"need {m - k} derivative values, got {len(ds)}")
-    if k == m:
-        return Polynomial(())
     if k == 0:
         return Polynomial(tuple(ds[j] / math.factorial(j) for j in range(m)))
     inner = [sum(ds[j] * interp_coeff(ns, i, j) / math.factorial(k + j) for j in range(i, m - k))

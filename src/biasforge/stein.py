@@ -51,7 +51,7 @@ from .transform import (
     bias,
     validate_spec,
 )
-from .higher import beta_of, bias_to_order, second_difference_transform
+from .higher import bias_to_order, second_difference_transform
 
 FD_STEP = 1e-4          # fixed-point check: finite-difference step
 DENSITY_FLOOR = 1e-6    # probes where the density is below this are skipped
@@ -111,17 +111,17 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
-    report = validate_spec(SignChangeSpec(B0), X, tol=1e-12)
+    report = validate_spec(SignChangeSpec(B0), X)
     if not report.passed:
         raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
     pts = (a,) + tuple(B0_kinks)
 
     alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=pts)
     try:
-        alpha2 = alpha_of(X, B1)
+        one_node = bias(X, B1)
     except DegenerateAlpha:
-        alpha2 = 0.0
-    alpha = alpha1 + alpha2
+        one_node = None
+    alpha = alpha1 + (one_node.alpha if one_node is not None else 0.0)
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
 
@@ -137,9 +137,9 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
                 f"second-moment normalizer ({alpha1!r})") from exc
         parts.append(second_difference_transform(tilted, a))
         weights.append(alpha1 / alpha)
-    if alpha2 > ALPHA_TOL:
-        parts.append(bias(X, B1))
-        weights.append(alpha2 / alpha)
+    if one_node is not None:
+        parts.append(one_node)
+        weights.append(one_node.alpha / alpha)
 
     law = make_mixture([p.law for p in parts], weights)
     # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
@@ -181,24 +181,20 @@ def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, 
 def higher_order_transform(X: Distribution, op: SteinOperator) -> BiasedDistribution:
     """Transform X* for a general order-m operator: the order-lifted
     transforms under each coefficient, mixed with weights proportional to
-    their normalizers beta_j.  Coefficients with beta_j = 0 contribute a
-    zero-weight placeholder."""
+    their normalizers beta_j (alpha_j for an unlifted coefficient, k_j = m - j).
+    Coefficients whose normalizer vanishes drop out."""
     m = op.order
-    betas = []
+    parts = []
     for j, spec in enumerate(op.coeffs):
         try:
-            betas.append(beta_of(X, spec, m - j))
+            parts.append(bias_to_order(X, spec, m - j))
         except (DegenerateBeta, DegenerateAlpha, ZeroNormalizer):
-            betas.append(0.0)
+            pass
+    betas = [p.beta if p.beta is not None else p.alpha for p in parts]
     total = float(sum(betas))
     if not total > ALPHA_TOL:
         raise AllBetaZero("every coefficient normalizer vanishes")
-
-    parts, weights = [], []
-    for j, (spec, bj) in enumerate(zip(op.coeffs, betas)):
-        if bj > ALPHA_TOL:
-            parts.append(bias_to_order(X, spec, m - j))
-            weights.append(bj / total)
+    weights = [b / total for b in betas]
     law = make_mixture([p.law for p in parts], weights)
     law = replace(law, label=f"operator-transform(order={m})")
     return BiasedDistribution(law, alpha=total, beta=total,
@@ -306,76 +302,54 @@ class FixedPointReport:
     n_probes: int
 
 
-def _d1(f, t):
-    def diff(hh):
-        return (float(f(t + hh)) - float(f(t - hh))) / (2.0 * hh)
-
-    return (4.0 * diff(FD_STEP / 2) - diff(FD_STEP)) / 3.0
-
-
-def _d2(f, t):
-    ft = float(f(t))
-
-    def diff(hh):
-        return (float(f(t + hh)) - 2.0 * ft + float(f(t - hh))) / hh**2
-
-    return (4.0 * diff(FD_STEP / 2) - diff(FD_STEP)) / 3.0
-
-
 def fixed_point_check(Z: Distribution, spec: Optional[SignChangeSpec] = None,
-                      mode: str = "first-order",
                       B0: Optional[Callable] = None, B1: Optional[Callable] = None,
                       B1_deriv: Optional[Callable] = None, a: float = 0.0,
                       probes=None) -> FixedPointReport:
     """Residual of the fixed-point differential equation on a probe grid.
 
-    First order: a fixed point's density satisfies p'/p = -B/alpha, so the
-    report carries max |p'(t)/p(t) + B(t)/alpha| over probes with
-    p(t) > DENSITY_FLOOR, by Richardson-extrapolated central differences
-    of step FD_STEP.  Second order: residual of
-    alpha p'' = (B0 - B1') p - B1 p'.  Node neighborhoods (NODE_MARGIN) are
-    excluded because the density may kink there.  InputError when no probe
-    is left to check."""
+    First order (a ``spec``): a fixed point's density satisfies
+    p'/p = -B/alpha, so the report carries max |p'(t)/p(t) + B(t)/alpha|
+    over probes with p(t) > DENSITY_FLOOR, by Richardson-extrapolated
+    central differences of step FD_STEP.  Second order (``B0``, ``B1`` and
+    ``B1_deriv``, node ``a``): residual of alpha p'' = (B0 - B1') p - B1 p'.
+    Node neighborhoods (NODE_MARGIN) are excluded because the density may
+    kink there.  InputError when no probe is left to check."""
     if Z.density is None:
         raise InputError("fixed-point check needs a density")
-    p = Z.density
-
-    if mode == "first-order":
-        if spec is None:
-            raise InputError("first-order mode needs a sign-change spec")
-        nodes = tuple(spec.nodes)
-        alpha = alpha_of(Z, spec)
-    elif mode == "second-order":
-        if B0 is None or B1 is None:
-            raise InputError("second-order mode needs B0 and B1")
-        nodes = (float(a),)
-        alpha = _operator_alpha(Z, B0, B1, a)
-        if B1_deriv is None:
-            B1_deriv = lambda t, _B1=B1: _d1(_B1, t)
+    second = (B0, B1, B1_deriv)
+    if spec is not None and second == (None, None, None):
+        mode, nodes, alpha = "first-order", tuple(spec.nodes), alpha_of(Z, spec)
+    elif spec is None and None not in second:
+        mode, nodes, alpha = "second-order", (float(a),), _operator_alpha(Z, B0, B1, a)
     else:
-        raise InputError("mode must be 'first-order' or 'second-order'")
+        raise InputError("give a sign-change spec (first order) "
+                         "or B0, B1 and B1_deriv (second order)")
 
     if probes is None:
         lo, hi = Z.effective_support()
         probes = np.linspace(lo + 2 * NODE_MARGIN, hi - 2 * NODE_MARGIN, 201)
-    pts = [float(t) for t in np.asarray(probes, dtype=float).ravel()
-           if all(abs(t - x) >= NODE_MARGIN for x in nodes)]
-
-    worst, arg, used = 0.0, math.nan, 0
-    for t in pts:
-        pt = float(p(t))
-        if pt <= DENSITY_FLOOR:
-            continue
-        used += 1
-        if mode == "first-order":
-            res = abs(_d1(p, t) / pt + float(spec.bias(t)) / alpha)
-        else:
-            res = abs(alpha * _d2(p, t)
-                      - (float(B0(t)) - float(B1_deriv(t))) * pt
-                      + float(B1(t)) * _d1(p, t))
-        if res > worst:
-            worst, arg = res, t
-    if not used:  # a check that evaluated nothing is no evidence of a fixed point
+    t = np.asarray(probes, dtype=float).ravel()
+    t = t[np.all(np.abs(t[:, None] - np.array(nodes)) >= NODE_MARGIN, axis=1)]
+    p = as_array_fn(Z.density)
+    pt = p(t)
+    keep = pt > DENSITY_FLOOR
+    t, pt = t[keep], pt[keep]
+    if not t.size:  # a check that evaluated nothing is no evidence of a fixed point
         raise InputError("no usable probe: each lies within NODE_MARGIN of a node "
                          "or where the density is at most DENSITY_FLOOR")
-    return FixedPointReport(mode=mode, max_residual=worst, argmax=arg, n_probes=used)
+
+    h = FD_STEP  # Richardson: (4 D(h/2) - D(h)) / 3 of central differences D
+    up, down, up2, down2 = p(t + h), p(t - h), p(t + h / 2), p(t - h / 2)
+    d1 = (4.0 * ((up2 - down2) / (2.0 * (h / 2))) - (up - down) / (2.0 * h)) / 3.0
+    if mode == "first-order":
+        res = np.abs(d1 / pt + as_array_fn(spec.bias)(t) / alpha)
+    else:
+        d2 = (4.0 * ((up2 - 2.0 * pt + down2) / (h / 2) ** 2)
+              - (up - 2.0 * pt + down) / h**2) / 3.0
+        res = np.abs(alpha * d2
+                     - (as_array_fn(B0)(t) - as_array_fn(B1_deriv)(t)) * pt
+                     + as_array_fn(B1)(t) * d1)
+    i = int(np.argmax(res))
+    return FixedPointReport(mode=mode, max_residual=float(res[i]), argmax=float(t[i]),
+                            n_probes=int(t.size))

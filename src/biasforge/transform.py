@@ -38,11 +38,13 @@ from .errors import (
 )
 from .distributions import (
     ABS_TOL,
+    NEGATIVE_WEIGHT_TOL,
     REL_TOL,
     Distribution,
     RandomSource,
     TabulatedDensity,
     _Lazy,
+    _PROBE_GRID,
     _gauss_legendre,
     _panel_integral,
     _sorted_unique,
@@ -56,9 +58,7 @@ from .distributions import (
 )
 from .polynomials import NodeSet, correction_poly, lagrange_poly
 
-VALIDATION_GRID = 4097
 NODE_PROBE_EPS = 1e-6
-SIGN_TOL = 1e-10
 ALPHA_TOL = 1e-12
 DENSITY_GRID = 2049
 
@@ -126,25 +126,27 @@ class ValidationReport:
     tol: float
 
 
-def validate_spec(spec: SignChangeSpec, probe, tol: float = SIGN_TOL) -> ValidationReport:
-    """Probe prod(x - x_j) * B(x) >= -tol on atoms or a dense support grid.
+def validate_spec(spec: SignChangeSpec, probe) -> ValidationReport:
+    """Probe prod(x - x_j) * B(x) >= NEGATIVE_WEIGHT_TOL on atoms or a dense
+    support grid: the points and the tolerance at which ``tilt`` checks the
+    same weight.
 
     Ambiguous specs (B vanishing on whole intervals) pass for every legal
     node choice; distinct choices are distinct specs by design.
     """
     if isinstance(probe, Distribution):
         pts = (probe.locs if probe.locs is not None
-               else np.linspace(*probe.effective_support(), VALIDATION_GRID))
+               else np.linspace(*probe.effective_support(), _PROBE_GRID))
     else:
         pts = np.asarray(probe, dtype=float).ravel()
     near_nodes = np.array([x + s * NODE_PROBE_EPS for x in spec.nodes for s in (-1.0, 1.0)])
     pts = np.concatenate((pts, near_nodes)) if near_nodes.size else pts
     vals = spec.tilt_weight(pts)
     worst = int(np.argmin(vals))
-    return ValidationReport(passed=bool(vals[worst] >= -tol),
+    return ValidationReport(passed=bool(vals[worst] >= NEGATIVE_WEIGHT_TOL),
                             worst_value=float(vals[worst]),
                             worst_point=float(pts[worst]),
-                            n_probes=int(pts.size), tol=tol)
+                            n_probes=int(pts.size), tol=-NEGATIVE_WEIGHT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +504,8 @@ def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
                  spec: SignChangeSpec) -> BiasedDistribution:
     """Transform of a mixture: per-component transforms reweighted by
     alpha_s * gamma_s / alpha.  Components with vanishing normalizer are
-    allowed and receive zero weight."""
+    allowed and receive zero weight; components with gamma_s = 0 are not
+    transformed.  SignViolation when the spec fails on a component."""
     comps = list(components)
     gs = np.asarray(list(gamma), dtype=float)
     if len(comps) != gs.size or len(comps) == 0:
@@ -510,22 +513,16 @@ def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
     if np.any(gs < 0) or abs(gs.sum() - 1.0) > 1e-12:
         raise InputError("gamma must be a probability vector")
 
-    alphas = []
-    for comp in comps:
+    parts = {}
+    for s in np.flatnonzero(gs > 0.0):
         try:
-            alphas.append(alpha_of(comp, spec))
+            parts[s] = bias(comps[s], spec)
         except DegenerateAlpha:
-            alphas.append(0.0)
+            pass
+    alphas = [parts[s].alpha if s in parts else 0.0 for s in range(gs.size)]
     total = float(np.dot(alphas, gs))
     if total <= ALPHA_TOL:
         raise DegenerateAlpha("every component has a vanishing normalizer")
-
-    parts = []
-    weights = []
-    for comp, a_s, g_s in zip(comps, alphas, gs):
-        w = a_s * g_s / total
-        if w > 0.0:
-            parts.append(bias(comp, spec))
-            weights.append(w)
-    law = make_mixture([p.law for p in parts], weights)
-    return BiasedDistribution(law, total, None, MixtureRecipe(tuple(parts), tuple(weights)))
+    weights = tuple(alphas[s] * gs[s] / total for s in parts)
+    law = make_mixture([p.law for p in parts.values()], weights)
+    return BiasedDistribution(law, total, None, MixtureRecipe(tuple(parts.values()), weights))

@@ -482,20 +482,24 @@ def ks_suite(seed: int = 0, n: int = 100_000) -> dict:
             "passed": all(s < crit for s in stats.values())}
 
 
+def _exact_suites(seed: int, n: int) -> dict:
+    a, b = exact_identity_suite(seed), chain_identity_suite(seed + 1)
+    return {"suite": "exact", "matched_order": a, "chain": b,
+            "passed": a["passed"] and b["passed"]}
+
+
+# the suites behind the command-line interface, in the order it lists them
+_SUITES = {
+    "exact": _exact_suites,
+    "mc": mc_identity_suite,
+    "ambi": lambda seed, n: {**{k: v for k, v in ambiguity_demo().items()
+                                if k not in ("grid", "p", "q")}, "suite": "ambi"},
+    "fixed-point": lambda seed, n: fixed_point_suite(),
+}
+
+
 def run_suite(name: str, seed: int = 0, n: int = 100_000) -> dict:
     """Named verification suites behind the command-line interface."""
-    if name == "exact":
-        a = exact_identity_suite(seed)
-        b = chain_identity_suite(seed + 1)
-        return {"suite": "exact", "matched_order": a, "chain": b,
-                "passed": a["passed"] and b["passed"]}
-    if name == "mc":
-        return mc_identity_suite(seed, n)
-    if name == "ambi":
-        report = ambiguity_demo()
-        slim = {k: v for k, v in report.items() if k not in ("grid", "p", "q")}
-        slim["suite"] = "ambi"
-        return slim
-    if name == "fixed-point":
-        return fixed_point_suite()
-    raise InputError("suite must be one of: exact, mc, ambi, fixed-point")
+    if name not in _SUITES:
+        raise InputError(f"suite must be one of: {', '.join(_SUITES)}")
+    return _SUITES[name](seed, n)

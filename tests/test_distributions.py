@@ -696,6 +696,16 @@ def test_random_source_contract():
     assert rs.derive(5).seed == 12
 
 
+def test_random_source_equals_only_itself():
+    # equal seed and position do not make equal streams: a derived source
+    # reads seed + offset but draws its own child stream
+    derived, seeded = bf.RandomSource(7).derive(5), bf.RandomSource(12)
+    assert derived.seed == seeded.seed and derived.position == seeded.position
+    assert derived != seeded
+    assert bf.RandomSource(12) != bf.RandomSource(12)
+    assert derived == derived
+
+
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_derived_streams_are_their_own(seed):
     # a derived stream is no seeded stream: not the one at seed + offset, and

@@ -198,6 +198,31 @@ def test_higher_order_all_zero_rejected(uniform_sym):
         bf.higher_order_transform(uniform_sym, op)
 
 
+def test_higher_order_computes_each_beta_once(monkeypatch):
+    # order 3 with sign-change counts (1, 0, 1): coefficients 0 and 1 are
+    # lifted (k < m - j) and need a beta; coefficient 2 is not
+    import biasforge.higher as higher
+    import biasforge.stein as stein
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return beta_of(*args)
+
+    beta_of = higher.beta_of
+    monkeypatch.setattr(higher, "beta_of", counted)
+    # a pre-pass in stein would call its own imported name
+    monkeypatch.setattr(stein, "beta_of", counted, raising=False)
+    X = bf.from_atoms([(-1.0, 0.3), (0.5, 0.3), (1.5, 0.4)])
+    op = bf.SteinOperator(order=3, coeffs=(bf.zero_bias_spec(), bf.unit_bias_spec(),
+                                           bf.zero_bias_spec()))
+    t = bf.higher_order_transform(X, op)
+    assert sorted(calls) == [2, 3]
+    norms = [p.alpha if p.beta is None else p.beta for p in t.recipe.parts]
+    assert t.recipe.weights == tuple(b / t.beta for b in norms)
+
+
 # ---------------------------------------------------------------------------
 # distance bounds
 # ---------------------------------------------------------------------------
@@ -304,10 +329,61 @@ def test_fixed_point_check_with_no_usable_probe_raises(law, probes):
         bf.fixed_point_check(law(), bf.zero_bias_spec(), probes=probes)
 
 
+@pytest.mark.parametrize("law, spec, probes", [
+    (bf.normal, bf.zero_bias_spec, None),
+    (lambda: bf.exponential(1.0), lambda: bf.sign_spec(0.0), np.linspace(0.05, 8.0, 160)),
+    (lambda: bf.uniform(0, 1), bf.zero_bias_spec, np.linspace(-0.5, 1.5, 41)),
+], ids=["normal", "exponential", "uniform"])
+def test_fixed_point_check_matches_a_per_probe_loop(law, spec, probes):
+    # the reference evaluates the same Richardson formulas one probe at a
+    # time, in the same order of operations, so the results are equal
+    from biasforge.stein import DENSITY_FLOOR, FD_STEP, NODE_MARGIN
+    Z, spec = law(), spec()
+    r = bf.fixed_point_check(Z, spec, probes=probes)
+    if probes is None:
+        lo, hi = Z.effective_support()
+        probes = np.linspace(lo + 2 * NODE_MARGIN, hi - 2 * NODE_MARGIN, 201)
+    p, alpha = (lambda t: float(Z.density(t))), bf.alpha_of(Z, spec)
+
+    def d1(t):
+        diff = lambda h: (p(t + h) - p(t - h)) / (2.0 * h)
+        return (4.0 * diff(FD_STEP / 2) - diff(FD_STEP)) / 3.0
+
+    worst, arg, used = 0.0, math.nan, 0
+    for t in map(float, probes):
+        if any(abs(t - x) < NODE_MARGIN for x in spec.nodes) or p(t) <= DENSITY_FLOOR:
+            continue
+        used += 1
+        res = abs(d1(t) / p(t) + float(spec.bias(t)) / alpha)
+        if res > worst:
+            worst, arg = res, t
+    assert (r.max_residual, r.argmax, r.n_probes) == (worst, arg, used)
+
+
 def test_fixed_point_second_order_laplace():
-    r = bf.fixed_point_check(laplace(), mode="second-order", B0=ones, B1=zeros,
-                             B1_deriv=zeros, a=0.0, probes=np.linspace(-6, 6, 121))
+    r = bf.fixed_point_check(laplace(), B0=ones, B1=zeros, B1_deriv=zeros,
+                             a=0.0, probes=np.linspace(-6, 6, 121))
     assert r.max_residual <= 1e-4
+
+
+def test_fixed_point_second_order_discriminates_non_fixed_law():
+    # the standard normal does not solve alpha p'' = p (alpha = 1/2): the
+    # residual p |t^2/2 - 3/2| is 3/2 p(0) ~ 0.6 near the origin
+    r = bf.fixed_point_check(bf.normal(), B0=ones, B1=zeros, B1_deriv=zeros,
+                             a=0.0, probes=np.linspace(-3, 3, 60))
+    assert r.mode == "second-order"
+    assert r.max_residual > 0.5
+    assert abs(r.argmax) < 0.1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},                                                      # no operator at all
+    {"B0": ones, "B1": zeros},                               # no B1_deriv
+    {"spec": bf.zero_bias_spec(), "B0": ones, "B1": zeros, "B1_deriv": zeros},  # both orders
+], ids=["nothing", "no-B1-deriv", "spec-and-coefficients"])
+def test_fixed_point_check_needs_one_operator(kwargs):
+    with pytest.raises(bf.InputError):
+        bf.fixed_point_check(bf.normal(), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,20 @@ def test_bias_rejects_sign_violation(uniform_sym):
         bf.bias(uniform_sym, spec)
 
 
+@pytest.mark.parametrize("law", [lambda: bf.from_atoms([(-1.0, 0.5), (1.0, 0.5)]),
+                                 lambda: bf.uniform(-1.0, 1.0)], ids=["atoms", "density"])
+def test_validation_uses_the_tilt_tolerance(law):
+    # a tilt weight of -5e-11 below the node: validation holds it to the
+    # tolerance the tilt applies, so the spec fails there and not in the tilt
+    spec = SignChangeSpec(lambda x: np.where(np.asarray(x, float) < 0, 5e-11, 1.0),
+                          NodeSet((0.0,)))
+    report = bf.validate_spec(spec, law())
+    assert not report.passed
+    assert report.worst_value == pytest.approx(-5e-11)
+    with pytest.raises(bf.SignViolation):
+        bf.bias(law(), spec)
+
+
 # ---------------------------------------------------------------------------
 # the transform (k = 1 closed-form densities)
 # ---------------------------------------------------------------------------
@@ -352,6 +366,22 @@ def test_mixture_bias_allows_zero_alpha_components():
     assert mixed.recipe.weights == (1.0,)
     with pytest.raises(bf.DegenerateAlpha):
         bf.mixture_bias([dead], [1.0], spec)
+
+
+def test_mixture_bias_computes_each_alpha_once(monkeypatch):
+    # one normalizer per component with positive gamma; none for gamma = 0
+    calls = []
+    alpha_of = transform.alpha_of
+
+    def counted(X, spec):
+        calls.append(X)
+        return alpha_of(X, spec)
+
+    monkeypatch.setattr(transform, "alpha_of", counted)
+    comps = [bf.uniform(0, 1), bf.uniform(1, 2), bf.uniform(2, 3)]
+    mixed = bf.mixture_bias(comps, [0.5, 0.5, 0.0], bf.zero_bias_spec())
+    assert calls == comps[:2]
+    assert mixed.recipe.weights == pytest.approx((1 / 8, 7 / 8), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@
 Runs the first-order bound pipeline twice against the standard normal target
 of the zero-bias transform: once with the self-coupling that is exact at the
 fixed point (the bound collapses to Monte Carlo noise), and once with an
-independent coupling of a deliberately wrong input law.
+independent coupling of a deliberately wrong input law.  Exits 1 unless the
+self-coupled bound is within 5 MC sigma (acceptance 8's rule) and the
+independent bound exceeds 5 MC sigma.
 """
 
 import argparse
 import math
+import sys
 
 import biasforge as bf
 
@@ -24,6 +27,7 @@ def run_case(label, law, coupling, n, seed):
     print(f"  |1 - alpha|   {db.alpha_dev:.5f}")
     print(f"  |E B(X)|      {db.residuals[0]:.5f}")
     print(f"  bound         {db.bound:.5f}   (MC sigma {sigma:.5f})")
+    return db.bound, sigma
 
 
 def main():
@@ -32,11 +36,14 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    run_case("normal, self-coupled at the fixed point", bf.normal(), "self",
-             args.n, args.seed)
-    run_case("uniform[0,1], independent coupling", bf.uniform(0, 1), "independent",
-             args.n, args.seed + 1)
+    self_bound, self_sigma = run_case("normal, self-coupled at the fixed point", bf.normal(),
+                                      "self", args.n, args.seed)
+    wrong_bound, wrong_sigma = run_case("uniform[0,1], independent coupling", bf.uniform(0, 1),
+                                        "independent", args.n, args.seed + 1)
+    passed = self_bound <= 5 * self_sigma and wrong_bound > 5 * wrong_sigma
+    print("passed" if passed else "FAILED")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

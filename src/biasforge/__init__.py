@@ -50,11 +50,8 @@ from .polynomials import (
     complete_homogeneous,
     correction_poly,
     interp_coeff,
-    iterated_antiderivative,
     lagrange_poly,
-    lagrange_value,
     power_sum_ratio,
-    sign_compatible_primitive,
 )
 from .transform import (
     BiasedDistribution,

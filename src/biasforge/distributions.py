@@ -10,13 +10,14 @@ falls below ``TAIL_EPS`` times its peak (all catalog densities decay at
 least exponentially, so the truncation is harmless at the quadrature
 tolerances).
 
-Every expectation against a density is one array-native adaptive panel
-integral: 8-point Gauss-Legendre panels, each compared with the rule on
-its two halves and bisected, all panels of a round in one call of the
-integrand.  Panels that have not converged after a fixed depth fall back
-to ``integrate_fn`` (scipy's adaptive quadrature), which is also the
-independent oracle the panel integral is tested against; an integrand
-with a non-finite rule or too many open panels goes to it whole.  scipy is
+Every integral against a density, an expectation or the tail table of a
+transform, is one array-native adaptive panel rule (``_panels``):
+8-point Gauss-Legendre panels, each compared with the rule on its two
+halves and bisected, all panels of a round in one call of the integrand.
+Panels that have not converged after a fixed depth fall back to
+``integrate_fn`` (scipy's adaptive quadrature), which is also the
+independent oracle the panel rule is tested against; an expectation with
+a non-finite rule or too many open panels goes to it whole.  scipy is
 imported on first use only: by ``integrate_fn`` and by the first normal
 or half-normal CDF.  Normal-family draws use a numpy quantile (AS241).
 """
@@ -170,53 +171,64 @@ _GX, _GW = np.polynomial.legendre.leggauss(8)
 
 
 def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """8-point Gauss-Legendre rule on every panel [a_i, b_i] from one call
-    of ``fv`` on the (n, 8) array of nodes; ``fv`` may stack leading axes,
-    which the result keeps."""
+    """8-point Gauss-Legendre rule on the panels [a, b], arrays of any shape, from
+    one call of ``fv`` on their nodes; ``fv`` may stack leading axes, which are kept."""
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GX
-    return fv(x) @ _GW * half
+    x = half[..., None] * _GX  # the nodes are formed in this array
+    return fv(np.add(x, (0.5 * (a + b))[..., None], out=x)) @ _GW * half
+
+
+def _panels(fv: Callable, edges: np.ndarray):
+    """Adaptive Gauss-Legendre panels on the window cut at the sorted
+    ``edges``, the quadrature of every density integral: each round accepts
+    the halves of every open panel whose rule is within its share (by width)
+    of ABS_TOL + REL_TOL |I| of the rule on its halves, and bisects the rest.
+    ``fv`` may stack J integrands on a leading axis.  Returns (done, lefts,
+    vals, stuck, rough): the integral over the converged panels; round by
+    round, the left edges and values of the final panels, which tile the
+    window; the [a, b] still open after _PANEL_DEPTH rounds (a jump or a
+    singularity), valued by the rule on their halves; and whether those
+    rules miss by more than the tolerance (a singularity).  None when a rule
+    is not finite or more than _PANEL_OPEN_MAX panels are open at once."""
+    a, b = edges[:-1], edges[1:]
+    whole = _gauss_legendre(fv, a, b)
+    width, done, lefts, vals = edges[-1] - edges[0], 0.0, [], []
+    for _ in range(_PANEL_DEPTH):
+        cuts = np.array((a, 0.5 * (a + b), b))
+        halves = _gauss_legendre(fv, cuts[:2], cuts[1:])  # both halves in one call
+        fine = halves[..., 0, :] + halves[..., 1, :]
+        err = np.abs(fine - whole)  # finite only if both rules are
+        total = done + fine.sum(axis=-1)
+        tol = (ABS_TOL + REL_TOL * np.abs(total))[..., None]
+        open_ = (err > tol * (b - a) / width).reshape(-1, a.size).any(axis=0)
+        if not np.isfinite(err).all() or np.count_nonzero(open_) > _PANEL_OPEN_MAX:
+            return None
+        if not open_.any():
+            return total, lefts + [a], vals + [fine], [], False
+        lefts.append(a[~open_])
+        vals.append(fine.compress(~open_, axis=-1))
+        done += vals[-1].sum(axis=-1)
+        a, b = cuts[:2, open_].ravel(), cuts[1:, open_].ravel()  # left halves first
+        whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
+    rough = bool((err.compress(open_, axis=-1).sum(axis=-1) > tol[..., 0]).any())
+    return done, lefts + [a], vals + [whole], list(zip(a, b)), rough
 
 
 def _panel_integral(f, lo, hi, points: Sequence[float] = ()) -> float:
-    """Integral of ``f`` on [lo, hi] by adaptive Gauss-Legendre panels.
-
-    Infinite endpoints are truncated by the tail rule.  The panels start as
-    a _PANEL_START linspace of the window with ``points`` as extra edges.
-    Each round compares every open panel's rule with the rule on its two
-    halves, accepts the halves where they differ by at most the panel's
-    share (by width) of ABS_TOL + REL_TOL |I|, and bisects the rest: one
-    call of ``f`` per round.  Panels still open after _PANEL_DEPTH rounds
-    (a jump or a singularity) go to ``integrate_fn``.  An integrand the
-    panels do not suit, with a rule that is not finite (NaN or inf at a
-    node) or more than _PANEL_OPEN_MAX panels open at once (oscillation
-    or noise), goes to ``integrate_fn`` on the whole window."""
+    """Integral of ``f`` on [lo, hi] by ``_panels`` from a _PANEL_START
+    linspace of the window (infinite ends truncated by the tail rule) and
+    ``points``.  ``integrate_fn`` takes the panels still open after
+    _PANEL_DEPTH rounds, and the whole window when the panels do not suit f."""
     fv = as_array_fn(f)
     lo_e, hi_e = _effective_bounds(fv, lo, hi)
     if not lo_e < hi_e:
         return 0.0
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
     edges = _sorted_unique(np.concatenate((np.linspace(lo_e, hi_e, _PANEL_START + 1), inner)))
-    a, b = edges[:-1], edges[1:]
-    whole = _gauss_legendre(fv, a, b)
-    width, done = hi_e - lo_e, 0.0
-    for _ in range(_PANEL_DEPTH):
-        mid = 0.5 * (a + b)
-        halves = _gauss_legendre(fv, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        left, right = halves[:a.size], halves[a.size:]
-        fine = left + right
-        if not (np.isfinite(fine).all() and np.isfinite(whole).all()):
-            return integrate_fn(fv, lo_e, hi_e, points=inner)
-        tol = ABS_TOL + REL_TOL * abs(done + fine.sum())
-        open_ = np.abs(fine - whole) > tol * (b - a) / width
-        if np.count_nonzero(open_) > _PANEL_OPEN_MAX:
-            return integrate_fn(fv, lo_e, hi_e, points=inner)
-        done += float(fine[~open_].sum())
-        a, b = np.concatenate((a[open_], mid[open_])), np.concatenate((mid[open_], b[open_]))
-        whole = np.concatenate((left[open_], right[open_]))
-        if not a.size:
-            return done
-    return done + sum(integrate_fn(fv, x, y) for x, y in zip(a, b))
+    out = _panels(fv, edges)
+    if out is None:
+        return integrate_fn(fv, lo_e, hi_e, points=inner)
+    return float(out[0] + sum(integrate_fn(fv, x, y) for x, y in out[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +602,11 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
     if X.locs is not None:  # einsum: no BLAS thread for a long sum
         return float(np.einsum("i,i->", X.masses, as_array_fn(fn)(X.locs)))
     if X.density is not None:
-        dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
-        if isinstance(dens, TabulatedDensity):
-            return dens.integrate_weighted(fn, X.lo, X.hi)
-        dv, fv = as_array_fn(dens), as_array_fn(fn)
-        value = _panel_integral(lambda x: dv(x) * fv(x), X.lo, X.hi,
+        table = _table_of(X)
+        if table is not None:
+            return table.integrate_weighted(fn, X.lo, X.hi)
+        dens = X.density  # the panel integral makes the product array-safe
+        value = _panel_integral(lambda x: dens(x) * fn(x), X.lo, X.hi,
                                 points=tuple(points) + X.kinks)
         if value == 0.0:
             # the product's probe found no mass: NonIntegrable rather than 0
@@ -605,6 +617,13 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
         return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
     raise InputError("no expectation route for this distribution")
+
+
+def _table_of(d: Distribution) -> Optional[TabulatedDensity]:
+    """The table behind a law's density, built now if it is lazy; None when
+    the density is not a table."""
+    dens = d.density.get() if isinstance(d.density, _Lazy) else d.density
+    return dens if isinstance(dens, TabulatedDensity) else None
 
 
 def moment(d: Distribution, n: int) -> float:
@@ -625,10 +644,16 @@ def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
     return np.asarray(d.sampler(rng, int(n)), dtype=float)
 
 
+def _weight_ok(wx: np.ndarray) -> np.ndarray:
+    """Where the weight values ``wx`` are finite and nonnegative (down to
+    NEGATIVE_WEIGHT_TOL)."""
+    return np.isfinite(wx) & (wx >= NEGATIVE_WEIGHT_TOL)
+
+
 def _check_weight(wx: np.ndarray, xs: np.ndarray) -> None:
     """NegativeWeight, naming the first point of ``xs``, where the weight
     values ``wx`` are negative or not finite."""
-    bad = ~(np.isfinite(wx) & (wx >= NEGATIVE_WEIGHT_TOL))
+    bad = ~_weight_ok(wx)
     if bad.any():
         i = bad.argmax()
         raise NegativeWeight(f"weight must be finite and nonnegative: it is "
@@ -804,8 +829,9 @@ def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID) -> Callable:
         return d.cdf
     if d.density is None:
         raise InputError("no density to integrate")
-    if isinstance(d.density, TabulatedDensity):
-        return d.density.cdf
+    table = _table_of(d)
+    if table is not None:
+        return table.cdf
     lo_e, hi_e = d.effective_support()
     return TabulatedDensity.from_callable(d.density, lo_e, hi_e, n, knots=d.kinks).cdf
 

@@ -14,8 +14,8 @@ pattern holds and the transform is nondegenerate.  For k >= 1 the result
 always has a density: for one node a tail integral of B against the
 input law, and for more a table filled from the defining identity at the
 truncated power (s - t)_+^{m-1}, whose m-th derivative is the point mass at
-t.  Both read one cumulative panel table of the input law (``_TailTable``),
-built on first use.
+t.  Both read one cumulative table of the input law (``_TailTable``),
+built on first use from the converged panels of the adaptive panel rule.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -34,20 +34,21 @@ from .errors import (
     DegenerateAlpha,
     InputError,
     NegativeAlpha,
+    NonIntegrable,
     SignViolation,
 )
 from .distributions import (
-    ABS_TOL,
     NEGATIVE_WEIGHT_TOL,
-    REL_TOL,
     Distribution,
     RandomSource,
     TabulatedDensity,
     _Lazy,
     _PROBE_GRID,
     _gauss_legendre,
-    _panel_integral,
+    _panels,
     _sorted_unique,
+    _table_of,
+    _weight_ok,
     as_array_fn,
     expectation,
     integrate_fn,
@@ -127,9 +128,10 @@ class ValidationReport:
 
 
 def validate_spec(spec: SignChangeSpec, probe) -> ValidationReport:
-    """Probe prod(x - x_j) * B(x) >= NEGATIVE_WEIGHT_TOL on atoms or a dense
-    support grid: the points and the tolerance at which ``tilt`` checks the
-    same weight.
+    """Probe prod(x - x_j) * B(x) on atoms or a dense support grid: the
+    points and the test (finite and >= NEGATIVE_WEIGHT_TOL) with which
+    ``tilt`` checks the same weight.  The worst point is the first where
+    the weight is not finite, else where it is least.
 
     Ambiguous specs (B vanishing on whole intervals) pass for every legal
     node choice; distinct choices are distinct specs by design.
@@ -142,8 +144,8 @@ def validate_spec(spec: SignChangeSpec, probe) -> ValidationReport:
     near_nodes = np.array([x + s * NODE_PROBE_EPS for x in spec.nodes for s in (-1.0, 1.0)])
     pts = np.concatenate((pts, near_nodes)) if near_nodes.size else pts
     vals = spec.tilt_weight(pts)
-    worst = int(np.argmin(vals))
-    return ValidationReport(passed=bool(vals[worst] >= NEGATIVE_WEIGHT_TOL),
+    worst = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
+    return ValidationReport(passed=bool(_weight_ok(vals[worst])),
                             worst_value=float(vals[worst]),
                             worst_point=float(pts[worst]),
                             n_probes=int(pts.size), tol=-NEGATIVE_WEIGHT_TOL)
@@ -262,10 +264,11 @@ def _one_node_density(X: Distribution, load: Callable, node: float, t: float, al
         return (acc if t >= node else -acc) / alpha
 
     if X.density is not None:
-        if isinstance(X.density, TabulatedDensity):
+        table = _table_of(X)
+        if table is not None:
             if t >= node:
-                return X.density.integrate_weighted(load, t, np.inf) / alpha
-            return -X.density.integrate_weighted(load, -np.inf, t) / alpha
+                return table.integrate_weighted(load, t, np.inf) / alpha
+            return -table.integrate_weighted(load, -np.inf, t) / alpha
         lo_x, hi_x = X.effective_support()
         dens = X.density
         kernel = lambda x: float(load(x)) * float(dens(x))
@@ -321,36 +324,37 @@ class _TailTable:
     the upper tail from t >= node and minus the lower tail below it, so no
     value is a difference of near-equal sums.  Point masses, sorted by
     construction, are read through prefix and suffix sums.  A density is
-    cut into panels (the DENSITY_GRID linspace over its effective support,
-    ``knots`` and the law's kinks as break points) integrated by 8-point
-    Gauss-Legendre; a read is a prefix or suffix sum plus one partial panel.
-    A panel whose rule differs from the rule on its two halves by more than
-    its share of the tolerance is integrated by the adaptive panel integral,
-    and so is every partial panel inside it.  Mixtures without a density sum
-    their components' tables by weight."""
+    integrated by ``_panels`` from a linspace over its effective support,
+    ``knots`` and the law's kinks as break points, and the sums run over
+    the final panels, valued by rules at the DENSITY_GRID spacing: a read is
+    one lookup plus the 8-point Gauss-Legendre rule on part of one panel.
+    ``integrate_fn`` values the slivers a singularity leaves open;
+    NonIntegrable when the panels do not suit a weight times the density.
+    Mixtures without a density sum their components' tables by weight."""
 
     def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float]):
         self.weights, self.parts = [as_array_fn(w) for w in weights], None
         if X.locs is not None:
             self.xs, self.dens = X.locs, None
-            vals = self._stack(X.locs) * X.masses
+            vals = np.stack([w(X.locs) for w in self.weights]) * X.masses
         elif X.density is not None:
             lo, hi = X.effective_support()
-            dens = X.density.get() if isinstance(X.density, _Lazy) else X.density
-            if isinstance(dens, TabulatedDensity):  # linear between its own grid points
-                knots = tuple(knots) + tuple(dens.xs)
+            table = _table_of(X)
+            if table is not None:  # linear between its own grid points
+                knots = tuple(knots) + tuple(table.xs)
             inner = [float(x) for x in (*knots, *X.kinks) if lo < float(x) < hi]
-            self.xs = _sorted_unique(np.concatenate((np.linspace(lo, hi, DENSITY_GRID), inner)))
-            self.dens = as_array_fn(dens)
-            a, b = self.xs[:-1], self.xs[1:]
-            mid = 0.5 * (a + b)
-            coarse = self._rule(a, b)  # three calls: a third of the peak memory of one
-            vals = self._rule(a, mid)
-            vals += self._rule(mid, b)
-            tol = (ABS_TOL + REL_TOL * np.abs(vals.sum(axis=1))) / a.size
-            self.refine = np.any(np.abs(vals - coarse) > tol[:, None], axis=0)
-            for i in np.flatnonzero(self.refine):
-                vals[:, i] = self._quad(a[i], b[i])
+            self.dens = as_array_fn(X.density)
+            # the first round rules the halves of every panel, at the DENSITY_GRID spacing
+            out = _panels(self._load, _sorted_unique(np.concatenate(
+                (np.linspace(lo, hi, DENSITY_GRID // 2 + 1), inner))))
+            if out is None:
+                raise NonIntegrable("the panels do not suit a tail weight times the density")
+            if out[4]:  # a singularity: integrate_fn values the slivers left open
+                out[2][-1][:] = [[integrate_fn(lambda x: w(x) * self.dens(x), a, b)
+                                  for a, b in out[3]] for w in self.weights]
+            lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
+            order = np.argsort(lefts)
+            self.xs, vals = np.append(lefts[order], hi), vals[:, order]
         elif X.components is not None:
             self.parts = [(w, _TailTable(c, weights, knots))
                           for c, w in zip(X.components, X.weights) if w > 0]
@@ -363,16 +367,10 @@ class _TailTable:
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
         self.total = self.suffix[:, 0]
 
-    def _stack(self, x):
-        return np.stack([w(x) for w in self.weights])
-
-    def _rule(self, a, b):
-        """8-point Gauss-Legendre of each w_j times the density on each [a_i, b_i]."""
-        return _gauss_legendre(lambda x: self._stack(x) * self.dens(x), a, b)
-
-    def _quad(self, a, b):
-        return [_panel_integral(lambda x, w=w: w(x) * self.dens(x), a, b)
-                for w in self.weights]
+    def _load(self, x):
+        """Every weight times the density, stacked; the product is formed in the stack."""
+        out = np.stack([w(x) for w in self.weights])
+        return np.multiply(out, self.dens(x), out=out)
 
     def __call__(self, t, node: float) -> np.ndarray:
         """The one-node tail of every weight at each t: shape (J,) + shape of t."""
@@ -388,10 +386,7 @@ class _TailTable:
             xs = self.xs
             tc = np.clip(flat, xs[0], xs[-1])
             i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
-            a, b = np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc)
-            part = self._rule(a, b)
-            for q in np.flatnonzero(self.refine[i] & (a < b)):
-                part[:, q] = self._quad(a[q], b[q])
+            part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
             out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
         return out.reshape((len(self.weights),) + ts.shape)
 

@@ -162,6 +162,72 @@ def test_panel_integral_caps_open_panels(fallbacks):
     assert fallbacks == [(-1.0, 1.0)]
 
 
+def _reference_panel_integral(f, lo, hi, points=()):
+    """The adaptive panel integral as one loop with its halves in one call of
+    the integrand: the form ``_panels`` replaced, kept as the reference."""
+    fv = D.as_array_fn(f)
+    lo_e, hi_e = D._effective_bounds(fv, lo, hi)
+    if not lo_e < hi_e:
+        return 0.0
+    inner = [float(p) for p in points if lo_e < float(p) < hi_e]
+    edges = D._sorted_unique(np.concatenate((np.linspace(lo_e, hi_e, D._PANEL_START + 1), inner)))
+    a, b = edges[:-1], edges[1:]
+    whole = D._gauss_legendre(fv, a, b)
+    width, done = hi_e - lo_e, 0.0
+    for _ in range(D._PANEL_DEPTH):
+        mid = 0.5 * (a + b)
+        halves = D._gauss_legendre(fv, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        left, right = halves[:a.size], halves[a.size:]
+        fine = left + right
+        if not (np.isfinite(fine).all() and np.isfinite(whole).all()):
+            return D.integrate_fn(fv, lo_e, hi_e, points=inner)
+        tol = D.ABS_TOL + D.REL_TOL * abs(done + fine.sum())
+        open_ = np.abs(fine - whole) > tol * (b - a) / width
+        if np.count_nonzero(open_) > D._PANEL_OPEN_MAX:
+            return D.integrate_fn(fv, lo_e, hi_e, points=inner)
+        done += float(fine[~open_].sum())
+        a, b = np.concatenate((a[open_], mid[open_])), np.concatenate((mid[open_], b[open_]))
+        whole = np.concatenate((left[open_], right[open_]))
+        if not a.size:
+            return done
+    return done + sum(D.integrate_fn(fv, x, y) for x, y in zip(a, b))
+
+
+CATALOG = [bf.normal(0.5, 1.5), bf.exponential(1.5), bf.half_normal(1.3),
+           bf.negative_half_normal(0.7), bf.uniform(-1, 2)]
+
+
+@pytest.mark.parametrize("d", CATALOG, ids=lambda d: d.label)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_panel_moments_equal_the_reference_loop(d, n):
+    assert bf.moment(d, n) == _reference_panel_integral(
+        lambda x: d.density(x) * x ** n, d.lo, d.hi, points=d.kinks)
+
+
+@pytest.mark.parametrize("f", [lambda x: np.abs(x - 0.3) * np.exp(x),
+                               lambda x: np.where(x > 0.3, np.exp(x), 0.0),
+                               lambda x: np.abs(x) ** -0.5], ids=["kink", "jump", "singularity"])
+def test_panel_integral_equals_the_reference_loop(f):
+    assert D._panel_integral(f, -1, 1) == _reference_panel_integral(f, -1, 1)
+
+
+def test_panels_tile_the_window_for_stacked_integrands():
+    # two integrands on a leading axis, one with a jump: the final panels
+    # tile the window, and each integrand's values sum to its integral
+    fv = lambda x: np.stack((np.exp(x), np.where(x > 0.3, 1.0, 0.0)))
+    done, lefts, vals, stuck, rough = D._panels(fv, np.linspace(-1.0, 1.0, 65))
+    lefts, vals = np.concatenate(lefts), np.concatenate(vals, axis=1)
+    order = np.argsort(lefts)
+    edges = np.append(lefts[order], 1.0)
+    assert edges[0] == -1.0 and np.all(np.diff(edges) > 0)
+    np.testing.assert_allclose(D._gauss_legendre(fv, edges[:-1], edges[1:]), vals[:, order],
+                               rtol=0, atol=1e-9)
+    assert 0 < len(stuck) <= 2 and not rough  # the jump's slivers stay open
+    assert {a for a, _ in stuck} <= set(lefts.tolist())
+    np.testing.assert_allclose(vals.sum(axis=1), [math.e - 1 / math.e, 0.7], rtol=0, atol=1e-9)
+    assert done[0] + vals[0, -len(stuck):].sum() == pytest.approx(vals[0].sum(), abs=1e-15)
+
+
 def test_expectation_probes_the_density_alone_only_on_a_zero_integral(monkeypatch):
     calls = []
     probe = bf.Distribution.effective_support

@@ -13,12 +13,10 @@ from biasforge import (
     complete_homogeneous,
     correction_poly,
     interp_coeff,
-    iterated_antiderivative,
     lagrange_poly,
-    lagrange_value,
     power_sum_ratio,
-    sign_compatible_primitive,
 )
+from primitives import iterated_antiderivative, lagrange_value, sign_compatible_primitive
 
 
 def nodes_strategy(max_k=6, lo=-3.0, hi=3.0, min_gap=1e-2):

@@ -428,6 +428,18 @@ def test_three_node_density_near_nodes():
     assert bf.ks_statistic(draws, bf.numeric_cdf(t.law)) < bf.ks_critical(n, 0.01)
 
 
+def test_validation_fails_at_an_infinite_weight():
+    # 1/sqrt|x| is integrable but infinite at the grid point x = 0, where the
+    # tilt would refuse it: validation fails there first
+    spec = SignChangeSpec(lambda x: 1.0 / np.sqrt(np.abs(np.asarray(x, float))))
+    with np.errstate(divide="ignore"):
+        report = bf.validate_spec(spec, bf.uniform(-1, 1))
+        assert not report.passed
+        assert (report.worst_point, report.worst_value) == (0.0, math.inf)
+        with pytest.raises(bf.SignViolation, match="x=0.0"):
+            bf.bias(bf.uniform(-1, 1), spec)
+
+
 # ---------------------------------------------------------------------------
 # the panel table behind the one-node law density, against the pointwise oracle
 # ---------------------------------------------------------------------------
@@ -494,6 +506,60 @@ def test_one_node_law_density_with_undeclared_jump():
     ts = np.concatenate((np.linspace(-1.2, 1.2, 25), 0.3 + np.array([-3e-4, -1e-4, 0.0, 2e-4])))
     exact = np.where(ts >= 0, lower(1.0) - lower(ts), -lower(ts)) / t.alpha
     assert np.max(np.abs(t.density(ts) - exact)) <= 1e-8
+
+
+def test_one_node_table_reads_an_undeclared_jump_without_fallbacks(monkeypatch):
+    # the jump's slivers are final panels of the table: a 1e5-point read,
+    # which builds the table, calls neither the panel integral nor scipy
+    X, spec = undeclared_jump_law(), bf.zero_bias_spec()
+    t = bf.bias(X, spec)
+    calls = []
+    for module in (bf.distributions, transform):
+        for name in ("_panel_integral", "integrate_fn"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    ts = np.linspace(-1.0, 1.0, 100_001)
+    got = t.density(ts)
+    assert calls == []
+    monkeypatch.undo()
+    declared = bf.Distribution(lo=-1.0, hi=1.0, density=X.density, kinks=(-1.0, 0.3, 1.0))
+    probe = np.concatenate((ts[::2500], 0.3 + np.array([-1e-6, 0.0, 1e-6])))
+    ref = np.array([bf.density_k1(declared, spec, s, alpha=t.alpha) for s in probe])
+    assert np.max(np.abs(t.density(probe) - ref)) <= 1e-11
+    assert np.array_equal(got[::2500], t.density(ts[::2500]))
+
+
+@pytest.mark.parametrize("weight", [lambda x: np.sqrt(x - 0.5),
+                                    lambda x: np.where(x > 0.5, np.inf, 1.0)], ids=["nan", "inf"])
+def test_tail_table_refuses_a_weight_that_is_not_finite(weight):
+    with np.errstate(invalid="ignore"), pytest.raises(bf.NonIntegrable):
+        transform._TailTable(bf.uniform(-1, 1), [lambda x: np.ones_like(x), weight], ())
+
+
+def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypatch):
+    # 1 + |x - 0.3|^(-1/2) never converges on the panels at 0.3; the slivers
+    # left open are valued by integrate_fn, and the tails are exact
+    calls = []
+    oracle = transform.integrate_fn
+    monkeypatch.setattr(transform, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
+    tails = transform._TailTable(bf.uniform(-1, 1),
+                                 [lambda x: 1 + np.abs(np.asarray(x, float) - 0.3) ** -0.5], ())
+    assert calls and all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 for _, a, b in calls)
+    ts = np.array([-0.5, 0.0, 0.25, 0.29])
+    exact = 0.5 * ((1 - ts) + 2 * np.sqrt(0.3 - ts) + 2 * np.sqrt(0.7))  # E[w(X) 1{X >= t}]
+    np.testing.assert_allclose(tails(ts, -1.0)[0], exact, rtol=0, atol=1e-9)
+
+
+def test_one_node_oracle_reads_a_lazily_built_table():
+    # the order-2 lift's density is a table built on first use; the oracle
+    # integrates it by the table's own rule, as the law's panel table does
+    lifted = bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law
+    assert isinstance(lifted.density, bf.distributions._Lazy)
+    spec = SignChangeSpec(lambda x: np.asarray(x, float) - 0.1, NodeSet((0.1,)))
+    t = bf.bias(lifted, spec)
+    ts = np.array([-0.7, -0.2, 0.4, 0.9])
+    ref = np.array([bf.density_k1(lifted, spec, s, alpha=t.alpha) for s in ts])
+    assert np.max(np.abs(t.density(ts) - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("make_law", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -412,6 +413,81 @@ def test_ppf_keeps_scalar_type_and_array_shape():
     out = table.ppf(u)
     assert out.shape == (40, 50)
     assert np.array_equal(out, np.interp(u, table.cum, table.xs))
+
+
+def test_ppf_is_interp_on_any_input_without_warnings():
+    table = D.TabulatedDensity.from_callable(_step_density, -1, 1, knots=(0.3,))
+    odd = np.array([np.nan, -0.5, 1.5, np.inf, -np.inf, 0.0, 1.0, 0.3, -0.0, 1e300, -1e300])
+    grid = np.random.default_rng(7).uniform(-0.5, 1.5, (30, 40))
+    grid[::7, ::5] = np.nan
+    frozen = np.random.default_rng(8).random(1000)
+    frozen.setflags(write=False)
+    cases = [odd, np.array([]), grid, grid.T, frozen]
+    for u in cases:
+        ref = np.interp(u, table.cum, table.xs)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = table.ppf(u)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref, equal_nan=True)
+    assert not frozen.flags.writeable
+
+
+@pytest.mark.parametrize("size", [1, 2, 40, 255, 256, 300])
+def test_bin_index_is_searchsorted_at_every_cumulative_weight(size):
+    rng = np.random.default_rng(size)
+    ws = rng.random(size)
+    ws[::3] = 0.0  # repeated cumulative weights
+    ws[-1] = 1.0
+    cum = np.cumsum(ws / ws.sum())
+    cum[-1] = 1.0
+    inner = cum[:-1]
+    u = np.concatenate((inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)], rng.random(1000)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(D._bin_index(cum, u), np.searchsorted(cum, u, side="right"))
+
+
+def _mixture_draws_by_searchsorted(law, rs, n):
+    """A mixture's draws with the component picked by np.searchsorted."""
+    cum = np.cumsum(law.weights)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, rs.uniform(n), side="right")
+    out = np.empty(n)
+    for j, c in enumerate(law.components):
+        m = idx == j
+        if m.any():
+            out[m] = bf.sample(c, rs, int(m.sum()))
+    return out
+
+
+@pytest.mark.parametrize("parts", [2, 3, 40, 256])
+def test_mixture_picks_components_as_searchsorted_does(parts):
+    rng = np.random.default_rng(parts)
+    ws = rng.random(parts)
+    ws[parts // 2] = 0.0  # a zero weight repeats a cumulative weight
+    ws /= ws.sum()
+    law = bf.make_mixture([bf.uniform(j, j + 1) for j in range(parts)], ws)
+    n = 200_000
+    rs, ref_rs = bf.RandomSource(12), bf.RandomSource(12)
+    draws = bf.sample(law, rs, n)
+    assert np.array_equal(draws, _mixture_draws_by_searchsorted(law, ref_rs, n))
+    assert not np.any(np.floor(draws) == parts // 2)
+    assert np.array_equal(rs.uniform(8), ref_rs.uniform(8))  # the same uniforms consumed
+
+
+@pytest.mark.parametrize("atoms", [1, 3, 64, 50_000])
+def test_atom_draws_pick_atoms_as_searchsorted_does(atoms):
+    rng = np.random.default_rng(atoms)
+    ms = rng.random(atoms)
+    law = bf.from_atoms(zip(rng.normal(size=atoms), ms / ms.sum()))
+    cum = np.cumsum(law.masses)
+    cum[-1] = 1.0
+    n = 200_000
+    rs, ref_rs = bf.RandomSource(13), bf.RandomSource(13)
+    ref = law.locs[np.searchsorted(cum, ref_rs.uniform(n), side="right")]
+    assert np.array_equal(bf.sample(law, rs, n), ref)
+    assert np.array_equal(rs.uniform(8), ref_rs.uniform(8))
 
 
 # ---------------------------------------------------------------------------

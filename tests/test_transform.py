@@ -493,8 +493,9 @@ def test_one_node_law_density_matches_pointwise_oracle(case):
 
 def test_one_node_law_density_with_undeclared_jump():
     # the panel holding the jump at 0.3 fails its error estimate and is
-    # integrated adaptively, with every partial panel inside it; the oracle
-    # is the exact tail integral of x times the step density
+    # bisected into slivers, which the tail table keeps as final panels; a
+    # read sums whole panels and rules part of one; the oracle is the exact
+    # tail integral of x times the step density
     X, spec = undeclared_jump_law(), bf.zero_bias_spec()
     t = bf.bias(X, spec)
 

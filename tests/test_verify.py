@@ -171,6 +171,36 @@ def test_ks_statistic_behaviour():
         bf.ks_critical(100, 0.2)
 
 
+def _ks_in_one_pass(samples, cdf):
+    """The statistic with the CDF and the steps k / n formed on all points at once."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    F = np.asarray(cdf(xs), dtype=float)
+    steps = np.arange(xs.size + 1, dtype=float) / xs.size
+    return float(max((steps[1:] - F).max(), (F - steps[:-1]).max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16_383, 16_384, 16_385, 100_000, 123_457])
+def test_ks_statistic_in_blocks_equals_one_pass(n):
+    draws = np.random.default_rng(n).normal(size=n)
+    cdf = bf.numeric_cdf(bf.normal(), n=513)
+    assert bf.ks_statistic(draws, cdf) == _ks_in_one_pass(draws, cdf)
+    assert bf.ks_statistic(draws, bf.normal().cdf) == _ks_in_one_pass(draws, bf.normal().cdf)
+
+
+def test_ks_statistic_is_nan_when_the_cdf_is():
+    draws = np.linspace(0.0, 1.0, 40_000)
+    cdf = lambda t: np.where(np.asarray(t) > 0.9, np.nan, np.asarray(t))  # NaN in the last block
+    assert math.isnan(bf.ks_statistic(draws, cdf))
+    assert math.isnan(_ks_in_one_pass(draws, cdf))
+
+
+def test_ks_statistic_rejects_a_cdf_that_is_not_elementwise():
+    draws = np.linspace(0.0, 1.0, 40_000)
+    for cdf in (lambda t: 0.5, lambda t: np.full(3, 0.5), lambda t: np.asarray(t)[:-1]):
+        with pytest.raises(bf.InputError, match="elementwise"):
+            bf.ks_statistic(draws, cdf)
+
+
 def test_ks_critical_values():
     assert bf.ks_critical(10_000, 0.01) == pytest.approx(1.6276 / 100)
     assert bf.ks_critical(10_000, 0.05) == pytest.approx(1.3581 / 100)

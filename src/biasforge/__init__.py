@@ -51,7 +51,6 @@ from .polynomials import (
     correction_poly,
     interp_coeff,
     lagrange_poly,
-    power_sum_ratio,
 )
 from .transform import (
     BiasedDistribution,
@@ -71,7 +70,6 @@ from .higher import (
     ChainRecipe,
     beta_of,
     bias_to_order,
-    moment_via_coefficients,
     second_difference_transform,
 )
 from .stein import (
@@ -95,7 +93,6 @@ from .verify import (
     half_normal_mixture,
     ks_critical,
     ks_statistic,
-    ks_suite,
     plus_part,
     random_discrete,
     random_valid_spec,

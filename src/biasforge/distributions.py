@@ -718,6 +718,17 @@ class _Lazy:
         return value
 
 
+def _probe_points(d: Distribution) -> np.ndarray:
+    """The points at which ``tilt`` checks a weight on ``d``: the atoms, a
+    _PROBE_GRID linspace of the effective support (whose ends are the
+    support's), or for a mixture without a density every component's points."""
+    if d.locs is not None:
+        return d.locs
+    if d.density is None and d.components is not None:
+        return np.concatenate([_probe_points(c) for c in d.components])
+    return np.linspace(*d.effective_support(), _PROBE_GRID)
+
+
 def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
@@ -725,8 +736,8 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
     multiplied by w, renormalized by quadrature and sampled through a
     numeric inverse CDF; a mixture without one tilts its ``components``.  A
     law with a sampler alone cannot be tilted: NoSampler.  NegativeWeight
-    where w is negative or not finite at an atom or a _PROBE_GRID point of
-    the support.  ``weight_kinks`` declares non-smooth points of w.
+    where w is negative or not finite at one of the ``_probe_points``.
+    ``weight_kinks`` declares non-smooth points of w.
     """
     wv = as_array_fn(w)
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
@@ -762,8 +773,8 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
         return make_mixture([c for c, _ in comps], [p for _, p in comps])
 
     if d.density is not None:
-        lo_e, hi_e = d.effective_support()
-        probe = np.linspace(lo_e, hi_e, _PROBE_GRID)
+        probe = _probe_points(d)
+        lo_e, hi_e = float(probe[0]), float(probe[-1])
         _check_weight(wv(probe), probe)
         base = as_array_fn(d.density)
         z = expectation(d, w_plus, points=weight_kinks)
@@ -831,7 +842,7 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
     dens, cdf = blend([c.density for c in comps]), blend([c.cdf for c in comps])
 
     cum = np.cumsum(ws)
-    cum[-1] = 1.0
+    cum[np.flatnonzero(ws)[-1]:] = 1.0  # no uniform picks a trailing zero weight
 
     def draw(rs: RandomSource, n: int):
         idx = _bin_index(cum, rs.uniform(n))

@@ -36,17 +36,16 @@ from .distributions import (
     RandomSource,
     _Lazy,
     expectation,
-    moment,
     sample,
     tilt,
 )
-from .polynomials import interp_coeff, lagrange_poly
+from .polynomials import lagrange_poly
 from .transform import (
     ALPHA_TOL,
     BiasedDistribution,
+    BiasRecipe,
     SignChangeSpec,
     _identity_density,
-    alpha_of,
     bias,
     recipe_moments,
     shift_moments,
@@ -60,34 +59,25 @@ SECOND_MOMENT_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HatRecipe:
-    """Second-difference construction record: the inner law and the location."""
-
-    inner: Distribution
-    location: float
-
-    def moments(self, top: int) -> np.ndarray:
-        """Raw moments of the inner law, centred at the location, mapped
-        through one step and shifted back."""
-        a = self.location
-        raw = np.array([moment(self.inner, p) for p in range(top + 3)])
-        return shift_moments(_hat_moment_map(shift_moments(raw, -a)), a)
-
-
-@dataclass(frozen=True)
 class ChainRecipe:
-    """k-node base stage plus (m - k)/2 second-difference steps at zero,
-    with the per-step normalizers (half the running second moments)."""
+    """k-node base stage plus (m - k)/2 second-difference steps at
+    ``location``, with the per-step normalizers (half the running second
+    moments about the location)."""
 
     base: BiasedDistribution
     step_normalizers: tuple
+    location: float = 0.0
 
     def moments(self, top: int) -> np.ndarray:
-        steps = len(self.step_normalizers)
+        """Base moments, centred at the location, mapped through every step
+        and shifted back (no shift at location 0)."""
+        steps, a = len(self.step_normalizers), self.location
         mom = recipe_moments(self.base.recipe, top + 2 * steps)
+        if a:
+            mom = shift_moments(mom, -a)
         for _ in range(steps):
             mom = _hat_moment_map(mom)
-        return mom
+        return shift_moments(mom, a) if a else mom
 
 
 def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
@@ -148,7 +138,9 @@ def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution
     law = _step_law(X, X, unit, 2, second_moment / 2.0, a, lo=min(lo, a), hi=max(hi, a),
                     kinks=(a,) + X.kinks,
                     label=f"second-difference({X.label or 'X'}; a={a})")
-    recipe = HatRecipe(inner=X, location=a)
+    # one step at a after the zero-node unit transform, which is X itself
+    base = BiasedDistribution(X, 1.0, None, BiasRecipe(X, unit, X, 1.0))
+    recipe = ChainRecipe(base=base, step_normalizers=(second_moment / 2.0,), location=a)
     return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None, recipe=recipe)
 
 
@@ -201,24 +193,3 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistri
     recipe = ChainRecipe(base=base, step_normalizers=tuple(normalizers))
     return BiasedDistribution(law, alpha=base.alpha, beta=beta, recipe=recipe)
 
-
-def moment_via_coefficients(X: Distribution, spec: SignChangeSpec, j: int) -> float:
-    """Independent route to E[Y^j] for the k-node transform Y of X:
-
-        E[Y^j] = sum_i c_i^{(j)} E[B(X) X^i prod(X - x_l)] / (alpha (k+j)_k)
-
-    with the interpolation-residual coefficients c (k >= 1 nodes).  Used as
-    a cross-check of the seed-and-shrink moment recursion."""
-    k = spec.k
-    if k < 1:
-        raise InputError("coefficient route needs at least one node")
-    alpha = alpha_of(X, spec)
-    falling = math.perm(k + j, k)  # (k + j)(k + j - 1) ... (j + 1)
-    total = 0.0
-    for i in range(j + 1):
-        c = interp_coeff(spec.nodes, i, j)
-        if c == 0.0:
-            continue
-        kern = lambda x, _i=i: spec.tilt_weight(x) * x ** _i
-        total += c * expectation(X, kern, points=spec.quad_points)
-    return total / (alpha * falling)

@@ -1,6 +1,6 @@
 """Polynomial substrate: dense polynomials, node sets, Lagrange
-interpolation, the interpolation-residual coefficients in their two
-equivalent forms and correction polynomials.
+interpolation, the interpolation-residual coefficients and correction
+polynomials.
 
 Degrees stay small (single digits) throughout the package, so the dense
 monomial representation is well conditioned enough.
@@ -144,7 +144,7 @@ def lagrange_poly(nodes: NodeSet | Sequence[float], values: Sequence[float]) -> 
 
 
 # ---------------------------------------------------------------------------
-# interpolation-residual coefficients (two equivalent forms)
+# interpolation-residual coefficients
 # ---------------------------------------------------------------------------
 
 def complete_homogeneous(nodes: Sequence[float], degree: int) -> float:
@@ -160,44 +160,21 @@ def complete_homogeneous(nodes: Sequence[float], degree: int) -> float:
     return float(h[degree])
 
 
-def power_sum_ratio(nodes: Sequence[float], exponent: int) -> float:
-    """sum_l x_l^n / prod_{r != l} (x_l - x_r).
-
-    Equals the complete homogeneous symmetric polynomial of degree
-    n - k + 1 in the k nodes, and vanishes for n <= k - 2.
-    """
-    ns = tuple(float(x) for x in nodes)
-    if len(ns) == 0:
-        raise InputError("need at least one node")
-    total = 0.0
-    for l, xl in enumerate(ns):
-        denom = 1.0
-        for r, xr in enumerate(ns):
-            if r != l:
-                denom *= xl - xr
-        total += xl**exponent / denom
-    return total
-
-
-def interp_coeff(nodes: Sequence[float], i: int, j: int, method: str = "symmetric") -> float:
+def interp_coeff(nodes: Sequence[float], i: int, j: int) -> float:
     """Coefficient of x^i in the degree-j quotient of the monomial
     interpolation residual: (x^{k+j} - interpolant) / prod(x - x_l),
     up to the falling-factorial scale.
 
-    Both forms agree; the symmetric recurrence is the default because the
-    power-sum form is ill conditioned for clustered nodes.
+    It is the complete homogeneous symmetric polynomial of degree j - i in
+    the nodes, by a recurrence that stays well conditioned for clustered
+    nodes.
     """
     ns = tuple(float(x) for x in nodes)
-    k = len(ns)
-    if k < 1:
+    if not ns:
         raise InputError("need at least one node")
     if not 0 <= i <= j:
         raise InputError("need 0 <= i <= j")
-    if method == "symmetric":
-        return complete_homogeneous(ns, j - i)
-    if method == "power-sum":
-        return power_sum_ratio(ns, k + j - i - 1)
-    raise InputError(f"unknown method {method!r}; use 'symmetric' or 'power-sum'")
+    return complete_homogeneous(ns, j - i)
 
 
 def correction_poly(derivs_at_zero: Sequence[float], nodes: Sequence[float],

@@ -261,9 +261,10 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
                                coupling: str = "independent") -> dict:
     """Monte Carlo estimates of the first-order bound ingredients.
 
-    coupling="self" identifies X' with X (valid exactly at a fixed point of
-    the transform, where the coupling gap vanishes); "independent" draws X'
-    from the freshly built transform on a derived stream."""
+    coupling="self" identifies X' with X, so the coupling gap is 0 for any
+    law: it checks nothing, and the bound it feeds is valid only when X is
+    already known to be a fixed point of the transform.  "independent"
+    draws X' from the freshly built transform on a derived stream."""
     if coupling not in ("self", "independent"):
         raise InputError("coupling must be 'self' or 'independent'")
     if n < 2:

@@ -43,9 +43,9 @@ from .distributions import (
     RandomSource,
     TabulatedDensity,
     _Lazy,
-    _PROBE_GRID,
     _gauss_legendre,
     _panels,
+    _probe_points,
     _sorted_unique,
     _table_of,
     _weight_ok,
@@ -128,17 +128,17 @@ class ValidationReport:
 
 
 def validate_spec(spec: SignChangeSpec, probe) -> ValidationReport:
-    """Probe prod(x - x_j) * B(x) on atoms or a dense support grid: the
-    points and the test (finite and >= NEGATIVE_WEIGHT_TOL) with which
-    ``tilt`` checks the same weight.  The worst point is the first where
-    the weight is not finite, else where it is least.
+    """Probe prod(x - x_j) * B(x) at the points (``_probe_points``: atoms, a
+    dense support grid or each mixture component's points) and by the test
+    (finite and >= NEGATIVE_WEIGHT_TOL) with which ``tilt`` checks the same
+    weight.  The worst point is the first where the weight is not finite,
+    else where it is least.
 
     Ambiguous specs (B vanishing on whole intervals) pass for every legal
     node choice; distinct choices are distinct specs by design.
     """
     if isinstance(probe, Distribution):
-        pts = (probe.locs if probe.locs is not None
-               else np.linspace(*probe.effective_support(), _PROBE_GRID))
+        pts = _probe_points(probe)
     else:
         pts = np.asarray(probe, dtype=float).ravel()
     near_nodes = np.array([x + s * NODE_PROBE_EPS for x in spec.nodes for s in (-1.0, 1.0)])

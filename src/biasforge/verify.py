@@ -27,7 +27,6 @@ from .distributions import (
     make_mixture,
     negative_half_normal,
     normal,
-    numeric_cdf,
     sample,
     uniform,
 )
@@ -468,29 +467,6 @@ def fixed_point_suite() -> dict:
             for label, X, spec, ts in cases}
     return {"suite": "fixed-point", "tol": FIXED_POINT_TOL, "sup_gaps": gaps,
             "passed": all(g <= FIXED_POINT_TOL for g in gaps.values())}
-
-
-def ks_suite(seed: int = 0, n: int = 100_000) -> dict:
-    """Sampler/density agreement for every catalog transform configuration:
-    the statistic of n draws against the density-integral CDF must clear
-    the 1% critical value."""
-    U = uniform(-1.0, 1.0)
-    configs = [
-        ("ambiguity-p", bias(U, SignChangeSpec(plus_part, NodeSet((-1.0,)), kinks=(0.0,)))),
-        ("ambiguity-q", bias(U, SignChangeSpec(plus_part, NodeSet((0.0,)), kinks=(0.0,)))),
-        ("normal-zero-bias", bias(normal(), zero_bias_spec())),
-        ("half-normal-mixture", bias(half_normal_mixture(0.3, 1.2), zero_bias_spec())),
-        ("exponential-equilibrium", bias(exponential(1.0), sign_spec(0.0))),
-        ("uniform-order-2-lift", bias_to_order(U, unit_bias_spec(), 2)),
-    ]
-    crit = ks_critical(n, 0.01)
-    stats = {}
-    for i, (label, transform) in enumerate(configs):
-        draws = transform.sample(n, RandomSource(seed + 31 * i + 11))
-        cdf = numeric_cdf(transform.law)
-        stats[label] = float(ks_statistic(draws, cdf))
-    return {"suite": "ks", "n": int(n), "critical": crit, "stats": stats,
-            "passed": all(s < crit for s in stats.values())}
 
 
 def _exact_suites(seed: int, n: int) -> dict:

@@ -1,8 +1,10 @@
-"""Slow reference routes of the polynomial tests: barycentric Lagrange
+"""Slow or second reference routes of the tests: barycentric Lagrange
 evaluation at a point, the m-th iterated antiderivative as one integral,
-and the sign-compatible primitive built from both.  The package itself
-needs none of them; the tests check the dense interpolants and the
-identities against them.
+the sign-compatible primitive built from both, the power-sum form of the
+interpolation-residual coefficients, the coefficient route to transform
+moments, and the sampler/density agreement suite.  The package itself
+needs none of them; the tests check the dense interpolants, the
+coefficient recurrence, the moment algebra and the samplers against them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+import biasforge as bf
 from biasforge import InputError, NodeSet, integrate_fn
 
 
@@ -71,3 +74,71 @@ def sign_compatible_primitive(f: Callable, nodes: NodeSet | Sequence[float], x: 
     gx = iterated_antiderivative(f, anchor, m, x)
     gvals = [iterated_antiderivative(f, anchor, m, xk) for xk in ns]
     return gx - lagrange_value(ns, gvals, x)
+
+
+def power_sum_ratio(nodes: Sequence[float], exponent: int) -> float:
+    """sum_l x_l^n / prod_{r != l} (x_l - x_r).
+
+    Equals the complete homogeneous symmetric polynomial of degree
+    n - k + 1 in the k nodes, and vanishes for n <= k - 2; so
+    ``power_sum_ratio(nodes, k + j - i - 1)`` is the divided-difference
+    form of ``interp_coeff(nodes, i, j)``.
+    """
+    ns = tuple(float(x) for x in nodes)
+    if len(ns) == 0:
+        raise InputError("need at least one node")
+    total = 0.0
+    for l, xl in enumerate(ns):
+        denom = 1.0
+        for r, xr in enumerate(ns):
+            if r != l:
+                denom *= xl - xr
+        total += xl**exponent / denom
+    return total
+
+
+def moment_via_coefficients(X, spec, j: int) -> float:
+    """Independent route to E[Y^j] for the k-node transform Y of X:
+
+        E[Y^j] = sum_i c_i^{(j)} E[B(X) X^i prod(X - x_l)] / (alpha (k+j)_k)
+
+    with the interpolation-residual coefficients c (k >= 1 nodes).  Used as
+    a cross-check of the seed-and-shrink moment recursion."""
+    k = spec.k
+    if k < 1:
+        raise InputError("coefficient route needs at least one node")
+    alpha = bf.alpha_of(X, spec)
+    falling = math.perm(k + j, k)  # (k + j)(k + j - 1) ... (j + 1)
+    total = 0.0
+    for i in range(j + 1):
+        c = bf.interp_coeff(spec.nodes, i, j)
+        if c == 0.0:
+            continue
+        kern = lambda x, _i=i: spec.tilt_weight(x) * x ** _i
+        total += c * bf.expectation(X, kern, points=spec.quad_points)
+    return total / (alpha * falling)
+
+
+def ks_suite(seed: int = 0, n: int = 100_000) -> dict:
+    """Sampler/density agreement for every catalog transform configuration:
+    the statistic of n draws against the density-integral CDF must clear
+    the 1% critical value."""
+    U = bf.uniform(-1.0, 1.0)
+    configs = [
+        ("ambiguity-p", bf.bias(U, bf.SignChangeSpec(bf.plus_part, NodeSet((-1.0,)),
+                                                     kinks=(0.0,)))),
+        ("ambiguity-q", bf.bias(U, bf.SignChangeSpec(bf.plus_part, NodeSet((0.0,)),
+                                                     kinks=(0.0,)))),
+        ("normal-zero-bias", bf.bias(bf.normal(), bf.zero_bias_spec())),
+        ("half-normal-mixture", bf.bias(bf.half_normal_mixture(0.3, 1.2), bf.zero_bias_spec())),
+        ("exponential-equilibrium", bf.bias(bf.exponential(1.0), bf.sign_spec(0.0))),
+        ("uniform-order-2-lift", bf.bias_to_order(U, bf.unit_bias_spec(), 2)),
+    ]
+    crit = bf.ks_critical(n, 0.01)
+    stats = {}
+    for i, (label, transform) in enumerate(configs):
+        draws = transform.sample(n, bf.RandomSource(seed + 31 * i + 11))
+        cdf = bf.numeric_cdf(transform.law)
+        stats[label] = float(bf.ks_statistic(draws, cdf))
+    return {"suite": "ks", "n": int(n), "critical": crit, "stats": stats,
+            "passed": all(s < crit for s in stats.values())}

@@ -476,6 +476,24 @@ def test_mixture_picks_components_as_searchsorted_does(parts):
     assert np.array_equal(rs.uniform(8), ref_rs.uniform(8))  # the same uniforms consumed
 
 
+def test_mixture_never_draws_a_trailing_zero_weight_component():
+    # the positive weights sum to 1 - 1e-13, so a uniform above that passes
+    # every positive weight's cumulative sum; it must not pick the last part
+    law = bf.make_mixture([bf.uniform(-1, 0), bf.uniform(0, 1), bf.uniform(5, 6)],
+                          [0.5, 0.5 - 1e-13, 0.0])
+
+    class Given(bf.RandomSource):  # the first three uniforms are given
+        def uniform(self, n):
+            if self.position == 0 and n == 3:
+                self.position = 3
+                return np.array([0.25, 1.0 - 5e-14, np.nextafter(1.0, 0.0)])
+            return super().uniform(n)
+
+    draws = bf.sample(law, Given(14), 3)
+    assert np.all((draws >= -1.0) & (draws <= 1.0))
+    assert np.array_equal(draws >= 0.0, [False, True, True])
+
+
 @pytest.mark.parametrize("atoms", [1, 3, 64, 50_000])
 def test_atom_draws_pick_atoms_as_searchsorted_does(atoms):
     rng = np.random.default_rng(atoms)

@@ -9,6 +9,7 @@ import biasforge.distributions as distributions
 import biasforge.transform as transform
 from biasforge import Polynomial
 from conftest import call_concurrently
+from primitives import moment_via_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,53 @@ def test_second_difference_moments_match_double_sign_stage():
     for p in (1, 2):
         se = np.std(stage2_draws**p, ddof=1) / math.sqrt(n)
         assert abs((stage2_draws**p).mean() - hat.moment(p)) < 6 * se
+
+
+def _step_moments(mom):
+    """E[(Z - a)^p] = E[(W - a)^{p+2}] / ((p+2)(p+1) E[(W - a)^2] / 2): one
+    second-difference step on moments about its location."""
+    b = mom[2] / 2.0
+    return np.array([mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(len(mom) - 2)])
+
+
+_RECORD_LAWS = {"atoms": lambda: bf.random_discrete(np.random.default_rng(17)),
+                "uniform": lambda: bf.uniform(-1.0, 2.0),
+                "normal": lambda: bf.normal(0.3, 1.2)}
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, -1.1])
+@pytest.mark.parametrize("name", sorted(_RECORD_LAWS))
+def test_second_difference_record_moments_bit_identical(name, a):
+    # the chain record at a location gives, bit for bit, the raw moments
+    # shifted to the location, mapped through one step and shifted back
+    X = _RECORD_LAWS[name]()
+    raw = np.array([bf.moment(X, p) for p in range(9)])
+    shift = transform.shift_moments
+    ref = shift(_step_moments(shift(raw, -a)), a)
+    t = bf.second_difference_transform(X, a)
+    assert isinstance(t.recipe, bf.ChainRecipe) and t.recipe.location == a
+    assert _bits(t.moment(p) for p in range(7)) == _bits(ref)
+    assert _bits(bf.recipe_moments(t.recipe, 6)) == _bits(ref)
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_LAWS))
+def test_chain_record_moments_bit_identical(name):
+    # a lift chain sits at location 0: its base moments mapped through every
+    # step, with no shift
+    X = _RECORD_LAWS[name]()
+    for spec, m in ((bf.unit_bias_spec(), 2), (bf.unit_bias_spec(), 4),
+                    (bf.zero_bias_spec(), 3)):
+        t = bf.bias_to_order(X, spec, m)
+        steps = len(t.recipe.step_normalizers)
+        ref = bf.recipe_moments(t.recipe.base.recipe, 6 + 2 * steps)
+        for _ in range(steps):
+            ref = _step_moments(ref)
+        assert t.recipe.location == 0.0
+        assert _bits(bf.recipe_moments(t.recipe, 6)) == _bits(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +242,7 @@ def test_seed_moment_coefficient_route_agrees():
             continue
         moms = bf.recipe_moments(t.recipe, 4)
         for j in range(5):
-            via_coeff = bf.moment_via_coefficients(X, spec, j)
+            via_coeff = moment_via_coefficients(X, spec, j)
             assert via_coeff == pytest.approx(moms[j], rel=1e-10, abs=1e-10)
         checked += 1
 

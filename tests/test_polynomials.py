@@ -14,9 +14,13 @@ from biasforge import (
     correction_poly,
     interp_coeff,
     lagrange_poly,
-    power_sum_ratio,
 )
-from primitives import iterated_antiderivative, lagrange_value, sign_compatible_primitive
+from primitives import (
+    iterated_antiderivative,
+    lagrange_value,
+    power_sum_ratio,
+    sign_compatible_primitive,
+)
 
 
 def nodes_strategy(max_k=6, lo=-3.0, hi=3.0, min_gap=1e-2):
@@ -107,11 +111,12 @@ def test_barycentric_matches_dense_form(nodes, x):
 # ---------------------------------------------------------------------------
 
 def test_interp_coeff_hand_values():
-    # both routes on two nodes {1, 2}: x1 + x2 = 3 and the degree-0 sum 1
-    assert interp_coeff((1.0, 2.0), 0, 1, "power-sum") == pytest.approx(3.0)
-    assert interp_coeff((1.0, 2.0), 0, 1, "symmetric") == pytest.approx(3.0)
-    assert interp_coeff((1.0, 2.0), 1, 1, "power-sum") == pytest.approx(1.0)
-    assert interp_coeff((1.0, 2.0), 1, 1, "symmetric") == pytest.approx(1.0)
+    # both routes on two nodes {1, 2}: x1 + x2 = 3 and the degree-0 sum 1;
+    # the power-sum form of (i, j) is the ratio at exponent k + j - i - 1
+    assert power_sum_ratio((1.0, 2.0), 2) == pytest.approx(3.0)
+    assert interp_coeff((1.0, 2.0), 0, 1) == pytest.approx(3.0)
+    assert power_sum_ratio((1.0, 2.0), 1) == pytest.approx(1.0)
+    assert interp_coeff((1.0, 2.0), 1, 1) == pytest.approx(1.0)
 
 
 def test_power_sum_vanishing_low_exponents():
@@ -134,8 +139,8 @@ def test_complete_homogeneous_small_cases():
 def test_coefficient_method_equivalence(nodes):
     for i in range(0, 7):
         for j in range(i, 7):
-            ps = interp_coeff(nodes, i, j, "power-sum")
-            sym = interp_coeff(nodes, i, j, "symmetric")
+            ps = power_sum_ratio(nodes, len(nodes) + j - i - 1)
+            sym = interp_coeff(nodes, i, j)
             assert abs(ps - sym) <= 1e-9 * (1 + abs(sym))
 
 

@@ -9,6 +9,7 @@ import biasforge.transform as transform
 from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
 from biasforge.verify import _lhs_polynomials
 from conftest import call_concurrently
+from primitives import moment_via_coefficients
 
 
 def x_plus_spec(node):
@@ -40,6 +41,18 @@ def test_validate_misplaced_node_fails(uniform_sym):
 def test_validate_accepts_grid_probe():
     spec = bf.zero_bias_spec()
     assert bf.validate_spec(spec, np.linspace(-5, 5, 100)).passed
+
+
+def test_validation_probes_the_atoms_of_a_mixture_without_a_density():
+    # the bias is negative only at the atom 0.3, which no support grid point
+    # hits; the tilt checks each component's points, so validation must too
+    X = bf.make_mixture([bf.from_atoms([(0.3, 1.0)]), bf.uniform(-1.0, 1.0)], [0.5, 0.5])
+    spec = SignChangeSpec(lambda x: np.where(np.asarray(x, float) == 0.3, -0.5, 1.0))
+    report = bf.validate_spec(spec, X)
+    assert not report.passed
+    assert (report.worst_point, report.worst_value) == (0.3, -0.5)
+    with pytest.raises(bf.SignViolation):
+        bf.bias(X, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +665,7 @@ def test_library_integrands_evaluate_arrays(build):
     elif build == "beta_of":
         bf.beta_of(bf.normal(), spec, 3)
     elif build == "moment_via_coefficients":
-        bf.moment_via_coefficients(bf.normal(), spec, 2)
+        moment_via_coefficients(bf.normal(), spec, 2)
     else:
         bf.second_order_transform(bf.normal(), lambda x: 1.0 + counted(x) ** 2, spec)
     assert len(calls) < 2000

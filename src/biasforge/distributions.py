@@ -55,8 +55,7 @@ _PANEL_DEPTH = 24          # bisection rounds before integrate_fn takes a panel
 _PANEL_OPEN_MAX = 1 << 16  # open panels beyond which integrate_fn takes the window
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 15           # points per call of a base density inside a tilted one
-_LOOKUP_BLOCK = 1 << 14    # points per block of a bucket-ordered lookup
-_KEY_TOP = 1.0 - 2.0 ** -16  # the last 16-bit bucket of a bucket-ordered lookup
+_LOOKUP_BLOCK = 1 << 14    # uniforms per block of a guide-table lookup
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +110,10 @@ def as_array_fn(f: Callable) -> Callable:
     return g
 
 
+_TAN_PROBE = np.tan(np.linspace(-(math.pi / 2 - 1e-6), math.pi / 2 - 1e-6, _PROBE_GRID))
+_TAN_PROBE.setflags(write=False)  # the tail probe's grid, shared by every call
+
+
 def _effective_bounds(f, lo, hi):
     """Finite integration window for a possibly infinite interval.
 
@@ -120,9 +123,7 @@ def _effective_bounds(f, lo, hi):
     """
     if math.isfinite(lo) and math.isfinite(hi):
         return float(lo), float(hi)
-    half = math.pi / 2 - 1e-6
-    xs = np.tan(np.linspace(-half, half, _PROBE_GRID))
-    xs = xs[(xs >= lo) & (xs <= hi)]
+    xs = _TAN_PROBE[(_TAN_PROBE >= lo) & (_TAN_PROBE <= hi)]
     if math.isfinite(lo):
         xs = np.concatenate(([lo], xs))
     if math.isfinite(hi):
@@ -237,38 +238,66 @@ def _panel_integral(f, lo, hi, points: Sequence[float] = ()) -> float:
 # tabulated densities (grid caches, numeric CDFs, inverse-CDF sampling)
 # ---------------------------------------------------------------------------
 
-def _in_order(lookup: Callable, u):
-    """``lookup(u)`` for an elementwise table lookup, computed block by block
-    (``_LOOKUP_BLOCK`` values) on the values of ``u`` in order of their
-    16-bit bucket ``floor(u 2^16)`` and scattered back.  Bucket order is close
-    enough to sorted that the binary searches walk the table in order, so
-    they hit the cache and predict their branches, and numpy radix-sorts the
-    ``uint16`` keys (a stable argsort) in about half the time of a float
-    argsort.  Each output depends on its own input only, so the result is
-    bit-identical in any order.  The keys are clamped to [0, 1 - 2^-16] (NaN
-    to the last bucket), so any input is read quietly.  A block's slice of
-    the result holds its clamped values, then its ordered values, then its
-    results (``lookup`` only reads it); its keys are formed straight into a
-    ``uint16`` buffer, and the permutation, the ordered lookup and its
-    result stay block-sized, so no full-length temporary is made.  A scalar
-    goes straight to ``lookup``; other shapes are kept.  The order pays on
-    all but the smallest tables: an atom law of under about 4 atoms reads
-    faster in draw order."""
-    if np.ndim(u) == 0:
-        return lookup(u)
-    flat = np.ravel(np.asarray(u, dtype=float))
-    out = np.empty_like(flat)
-    keys = np.empty(min(flat.size, _LOOKUP_BLOCK), np.uint16)
-    for i in range(0, flat.size, _LOOKUP_BLOCK):
-        part, res = flat[i:i + _LOOKUP_BLOCK], out[i:i + _LOOKUP_BLOCK]
-        key = keys[:part.size]
-        np.fmin(part, _KEY_TOP, out=res)
-        np.fmax(res, 0.0, out=res)
-        np.multiply(res, 65536.0, out=key, casting="unsafe")
-        o = np.argsort(key, kind="stable")
-        np.take(part, o, out=res)
-        res[o] = lookup(res)
-    return out.reshape(np.shape(u))
+def _guide(cum: np.ndarray):
+    """Chen and Asau's guide table of the nondecreasing cumulative weights
+    ``cum`` (the last at least 1.0) for the K = 2^p buckets [b/K, (b+1)/K),
+    K the least power of two above twice the size: ``g[b] = #{cum <= b/K}``
+    as ``int32``, or -1 where the bucket's closure holds two or more weights.
+    ``c = ceil(cum K)`` is exact (K is a power of two) and g[b] = j on the run
+    c[j-1] <= b < c[j], so ``np.repeat`` writes g from the run lengths, in
+    O(size + K) with no temporary of length K beyond g.  Returns (g, K)."""
+    n = cum.size
+    scale = 1 << (n.bit_length() + 1)
+    c = np.multiply(cum, scale)
+    np.ceil(c, out=c)
+    np.minimum(c, scale, out=c)  # a weight above 1.0 counts as 1.0
+    runs = np.empty(n + 1, np.intp)
+    runs[0], runs[n] = c[0], scale - c[-1]
+    np.subtract(c[1:], c[:-1], out=runs[1:n], casting="unsafe")  # exact integers
+    g = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
+    shared = c[np.flatnonzero(runs[1:n] == 0) + 1]  # c[j] = c[j-1]: bucket c[j] - 1 is crowded
+    g[shared[shared > 0].astype(np.intp) - 1] = -1
+    return g, float(scale)
+
+
+def _lookup(cum: np.ndarray, xs: np.ndarray, u: np.ndarray, linear: bool) -> np.ndarray:
+    """Inversion by a guide table (Devroye 1986, III.2.4) of the 1-d uniforms
+    ``u`` in [0, 1): ``xs[np.searchsorted(cum, u, side="right")]`` for atoms
+    of cumulative weights ``cum`` ending in 1.0, or, when ``linear``,
+    ``np.interp(u, cum, xs)`` for a table whose ``cum`` runs from 0.0 to 1.0.
+    The index of u among the weights w it can pass (``cum[1:]`` for
+    segments) is ``g[floor(u K)] + (w[g] <= u)``, searched only in a crowded
+    bucket.  Segment j gives numpy's own ``slope[j] (u - cum[j]) + xs[j]``,
+    and ``xs[j]`` at u = cum[j], so the values are ``np.interp``'s bit for
+    bit.  Blocks of ``_LOOKUP_BLOCK`` uniforms keep every temporary beyond
+    the guide and the slopes block-sized; no table keeps its guide."""
+    w = cum[1:] if linear else cum
+    g, scale = _guide(w)
+    if linear:
+        with np.errstate(all="ignore"):  # the slope of a flat run is never read
+            slope = np.diff(xs) / np.diff(cum)
+    out = np.empty(u.size)
+    key = np.empty(min(u.size, _LOOKUP_BLOCK), np.intp)
+    idx = np.empty_like(key)
+    for i in range(0, u.size, _LOOKUP_BLOCK):
+        part, res = u[i:i + _LOOKUP_BLOCK], out[i:i + _LOOKUP_BLOCK]
+        k, j = key[:part.size], idx[:part.size]
+        start = g.take(np.multiply(part, scale, out=k, casting="unsafe"))
+        np.add(start, w.take(start) <= part, out=j)
+        if start.min() < 0:
+            crowded = np.flatnonzero(start < 0)
+            j[crowded] = np.searchsorted(w, part[crowded], side="right")
+        if not linear:
+            xs.take(j, out=res)
+            continue
+        with np.errstate(all="ignore"):  # as quiet as np.interp
+            np.subtract(part, cum.take(j), out=res)
+            knots = None if res.all() else np.flatnonzero(res == 0.0)
+            res *= slope.take(j)  # inf * 0 only at a knot, which is set below
+            res += xs.take(j)
+        if knots is not None:
+            res[knots] = xs.take(j[knots])
+    return out
 
 
 def _bin_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -333,11 +362,18 @@ class TabulatedDensity:
         return float(out) if arr.ndim == 0 else out
 
     def ppf(self, u):
-        """Inverse CDF by linear interpolation of the table, with the
-        uniforms looked up in bucket order (``_in_order``): ``np.interp``'s
-        values for any input, NaN and values outside [0, 1] included, and
-        on a large table several times faster than in draw order."""
-        return _in_order(lambda v: np.interp(v, self.cum, self.xs), u)
+        """Inverse CDF by linear interpolation of the table: ``np.interp(u,
+        cum, xs)``, bit for bit, for any input.  An array of uniforms in [0, 1)
+        is read through a guide table (``_lookup``), with no search of the
+        table for most values; a scalar, an empty array, an array with a value
+        outside [0, 1) or NaN, and a table whose ``cum`` does not run from 0.0
+        to 1.0 go to ``np.interp`` itself.  The shape is kept.  ``cum`` must be
+        nondecreasing, as ``np.interp`` requires; ``from_callable`` makes it so."""
+        arr = np.asarray(u, dtype=float)
+        if (arr.ndim == 0 or arr.size == 0 or not (arr.min() >= 0.0 and arr.max() < 1.0)
+                or not (self.cum[0] == 0.0 and self.cum[-1] == 1.0)):
+            return np.interp(u, self.cum, self.xs)
+        return _lookup(self.cum, self.xs, arr.ravel(), linear=True).reshape(arr.shape)
 
     def integrate_weighted(self, w, a, b):
         """∫_a^b w(x) * pdf(x) dx by 8-point Gauss-Legendre on each segment of
@@ -392,11 +428,15 @@ class Distribution:
         return None if self.locs is None else tuple(zip(self.locs.tolist(), self.masses.tolist()))
 
     def effective_support(self):
-        """Finite interval carrying all but a ``TAIL_EPS`` sliver of mass.
-        A density always has mass, so NonIntegrable when the probe of an
+        """Finite interval carrying all but a ``TAIL_EPS`` sliver of mass: the
+        hull of the components' windows for a mixture without a density.  A
+        density always has mass, so NonIntegrable when the probe of an
         infinite support finds none (mass too narrow for the probe grid)."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
             return float(self.lo), float(self.hi)
+        if self.density is None and self.components is not None:
+            lo, hi = zip(*(c.effective_support() for c in self.components))
+            return min(lo), max(hi)
         if self.density is None:
             raise InputError("cannot bound an infinite support without a density")
         lo, hi = _effective_bounds(self.density, self.lo, self.hi)
@@ -436,7 +476,7 @@ def _atom_law(xs: np.ndarray, ms: np.ndarray, label: str, slack: float = 0.0,
         cum[-1] = 1.0
 
         def draw(rs: RandomSource, n: int):
-            return _in_order(lambda u: xs[np.searchsorted(cum, u, side="right")], rs.uniform(n))
+            return _lookup(cum, xs, rs.uniform(n), linear=False)
     else:
         def draw(rs: RandomSource, n: int):
             idx = np.minimum((rs.uniform(n) * samples.size).astype(int), samples.size - 1)
@@ -846,12 +886,11 @@ def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -
 
     def draw(rs: RandomSource, n: int):
         idx = _bin_index(cum, rs.uniform(n))
-        masks = [idx == j for j in range(len(comps))]
-        parts = [sample(c, rs, int(m.sum())) if m.any() else None for c, m in zip(comps, masks)]
-        out = np.empty(int(n))  # allocated after the components' draws
-        for m, part in zip(masks, parts):
-            if part is not None:
-                out[m] = part
+        out = np.empty(int(n))
+        for j, c in enumerate(comps):  # in component order, each into its places
+            at = np.flatnonzero(idx == j)
+            if at.size:
+                out[at] = sample(c, rs, at.size)
         return out
 
     return Distribution(lo=lo, hi=hi, density=dens, cdf=cdf,

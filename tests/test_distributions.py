@@ -212,6 +212,32 @@ def test_panel_integral_equals_the_reference_loop(f):
     assert D._panel_integral(f, -1, 1) == _reference_panel_integral(f, -1, 1)
 
 
+def _reference_bounds(f, lo, hi):
+    """``_effective_bounds`` with its tangent grid rebuilt on every call: the
+    form the module constant replaced, kept as the reference."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return float(lo), float(hi)
+    half = math.pi / 2 - 1e-6
+    xs = np.tan(np.linspace(-half, half, D._PROBE_GRID))
+    xs = xs[(xs >= lo) & (xs <= hi)]
+    xs = np.concatenate(([lo] if math.isfinite(lo) else [], xs, [hi] if math.isfinite(hi) else []))
+    vals = np.abs(D.as_array_fn(f)(xs))
+    vals[~np.isfinite(vals)] = 0.0
+    idx = np.nonzero(vals >= D.TAIL_EPS * vals.max())[0]
+    return float(xs[max(idx[0] - 1, 0)]), float(xs[min(idx[-1] + 1, len(xs) - 1)])
+
+
+@pytest.mark.parametrize("d", CATALOG + [bf.normal(), bf.normal(-40.0, 2.0), bf.exponential(80.0),
+                                         bf.tilt(bf.normal(), lambda x: 1.0 + np.asarray(x) ** 2)],
+                         ids=lambda d: d.label)
+def test_probe_windows_are_bit_identical_to_a_fresh_grid(d):
+    assert not D._TAN_PROBE.flags.writeable
+    moment_2 = lambda x: d.density(x) * x ** 2
+    for f, window in ((d.density, d.effective_support()),
+                      (moment_2, D._effective_bounds(moment_2, d.lo, d.hi))):
+        assert [x.hex() for x in window] == [x.hex() for x in _reference_bounds(f, d.lo, d.hi)]
+
+
 def test_panels_tile_the_window_for_stacked_integrands():
     # two integrands on a leading axis, one with a jump: the final panels
     # tile the window, and each integrand's values sum to its integral
@@ -335,7 +361,7 @@ def test_sorted_unique_is_np_unique(seed):
 
 
 # ---------------------------------------------------------------------------
-# table lookups in sorted order: the same values as in draw order
+# table lookups through a guide table: the same values as in draw order
 # ---------------------------------------------------------------------------
 
 def _ones(x):
@@ -375,19 +401,20 @@ def sampled_laws():
     "empirical-bootstrap", "x-plus one-node", "flat-cdf tilt",
     "atoms-plus-uniform one-node", "5e4-atom empirical tilt"])
 def test_sorted_lookups_draw_bit_identical(sampled_laws, name, monkeypatch):
+    # the guide-table draws against the draw-order reference on the same uniforms
     law = sampled_laws[name]
     n = 200_000
-    in_sorted_order = bf.sample(law, bf.RandomSource(11), n)
+    guided = bf.sample(law, bf.RandomSource(11), n)
     lookups = []
 
-    def in_draw_order(lookup, u):
+    def in_draw_order(cum, xs, u, linear):
         lookups.append(np.size(u))
-        return lookup(u)
+        return np.interp(u, cum, xs) if linear else xs[np.searchsorted(cum, u, side="right")]
 
-    monkeypatch.setattr(D, "_in_order", in_draw_order)
+    monkeypatch.setattr(D, "_lookup", in_draw_order)
     in_draw_order_draws = bf.sample(law, bf.RandomSource(11), n)
     assert lookups  # the sampler reads a table through the helper
-    assert np.array_equal(in_sorted_order, in_draw_order_draws)
+    assert np.array_equal(guided, in_draw_order_draws)
 
 
 def _step_density(x):
@@ -431,6 +458,110 @@ def test_ppf_is_interp_on_any_input_without_warnings():
         assert out.shape == ref.shape
         assert np.array_equal(out, ref, equal_nan=True)
     assert not frozen.flags.writeable
+
+
+def _around(cum):
+    """Every cumulative weight and one ulp either side, with 0, inside [0, 1)."""
+    u = np.concatenate((cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+                        [0.0, np.nextafter(1.0, 0.0)]))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _tilt_table(base, w, kinks=()):
+    """The inverse-CDF table that ``tilt(base, w)`` draws from."""
+    law = bf.tilt(base, w, weight_kinks=kinks)
+    return D.TabulatedDensity.from_callable(law.density, *base.effective_support(),
+                                            D.INVERSE_CDF_GRID, knots=law.kinks)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 1000, 50_000])
+def test_guide_holds_the_counts_and_flags_the_crowded_buckets(size):
+    rng = np.random.default_rng(size)
+    ws = rng.random(size) ** 4  # uneven weights crowd some buckets
+    cum = np.cumsum(ws / ws.sum())
+    cum[-1] = 1.0
+    g, scale = D._guide(cum)
+    assert g.dtype == np.int32 and scale == g.size and scale > 2 * size
+    edges = np.arange(g.size + 1) / scale
+    count = np.searchsorted(cum, edges, side="right")  # #{cum <= b/K}
+    crowded = count[1:] - count[:-1] >= 2  # two or more weights in (b/K, (b+1)/K]
+    assert np.array_equal(g < 0, crowded)
+    assert np.array_equal(g[~crowded], count[:-1][~crowded])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 1000, 50_000])
+def test_atom_lookup_is_searchsorted_at_every_weight(size):
+    rng = np.random.default_rng(size)
+    ws = rng.random(size) ** 4
+    ws[::5] = 0.0 if size > 1 else 1.0  # repeated cumulative weights
+    cum = np.cumsum(ws / ws.sum())
+    cum[-1] = 1.0
+    xs = np.sort(rng.normal(size=size))
+    u = np.concatenate((_around(cum), rng.random(3 * D._LOOKUP_BLOCK + 5)))
+    assert np.array_equal(D._lookup(cum, xs, u, linear=False),
+                          xs[np.searchsorted(cum, u, side="right")])
+
+
+def test_one_atom_draws_its_location_from_u_zero_on():
+    law = bf.dirac(-2.5)
+    cum = np.array([1.0])
+    u = np.array([0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0)])
+    assert np.array_equal(D._lookup(cum, law.locs, u, linear=False), np.full(4, -2.5))
+    assert np.array_equal(bf.sample(law, bf.RandomSource(1), 1000), np.full(1000, -2.5))
+
+
+def test_atom_lookup_when_a_weight_before_the_last_exceeds_one():
+    # the masses sum to 1 + 5e-13, inside ATOM_MASS_TOL; the last cumulative
+    # weight is set to 1.0, so the one before it exceeds it
+    law = bf.from_atoms([(-1.0, 0.5), (0.0, 0.5 + 4e-13), (2.0, 1e-13)])
+    cum = np.cumsum(law.masses)
+    assert cum[1] > 1.0
+    cum[-1] = 1.0
+    u = np.concatenate((_around(cum), [0.5, 1.0 - 1e-13, np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(9).random(1000)))
+    ref = law.locs[np.searchsorted(cum, u, side="right")]
+    assert np.array_equal(D._lookup(cum, law.locs, u, linear=False), ref)
+    assert set(ref.tolist()) == {-1.0, 0.0}  # the last atom is out of reach
+    n = 100_000
+    rs, ref_rs = bf.RandomSource(15), bf.RandomSource(15)
+    draws = bf.sample(law, rs, n)
+    assert np.array_equal(draws, law.locs[np.searchsorted(cum, ref_rs.uniform(n), side="right")])
+
+
+@pytest.mark.parametrize("name", ["flat-cdf", "crowded-tail", "jump", "uniform"])
+def test_table_lookup_is_interp_at_every_knot(name):
+    if name == "flat-cdf":  # cum is 0.0 on the whole of [-1, 0]
+        table = _tilt_table(bf.uniform(-1, 1), bf.plus_part, (0.0,))
+        assert np.count_nonzero(table.cum == 0.0) > 4000
+    elif name == "crowded-tail":  # thousands of knots share the last 2^-16 of mass
+        table = _tilt_table(bf.exponential(1.0), lambda x: np.asarray(x, float))
+        assert np.count_nonzero(table.cum > 1.0 - 2.0 ** -16) > 4000
+        g, _ = D._guide(table.cum[1:])
+        assert g[-1] == -1
+    elif name == "jump":
+        table = D.TabulatedDensity.from_callable(_step_density, -1, 1, knots=(0.3,))
+    else:
+        table = D.TabulatedDensity.from_callable(lambda x: np.ones_like(x), 0, 1, n=257)
+    rng = np.random.default_rng(10)
+    tail = 1.0 - 2.0 ** -16 * rng.random(2000)  # the last bucket of the finest guide
+    u = np.concatenate((_around(table.cum), tail, rng.random(2 * D._LOOKUP_BLOCK + 3)))
+    ref = np.interp(u, table.cum, table.xs)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = D._lookup(table.cum, table.xs, u, linear=True)
+        assert np.array_equal(table.ppf(u), ref)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_table_lookup_keeps_a_negative_zero_knot():
+    # np.interp returns the knot's own value at a knot, -0.0 included
+    xs = np.array([-1.0, -0.0, 1.0])
+    table = D.TabulatedDensity(xs, np.full(3, 0.5), np.array([0.0, 0.5, 1.0]), 1.0)
+    u = np.array([0.0, 0.25, 0.5, 0.75])
+    out = table.ppf(u)
+    assert np.array_equal(out, np.interp(u, table.cum, xs))
+    assert np.signbit(out[2])
 
 
 @pytest.mark.parametrize("size", [1, 2, 40, 255, 256, 300])

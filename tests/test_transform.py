@@ -55,6 +55,24 @@ def test_validation_probes_the_atoms_of_a_mixture_without_a_density():
         bf.bias(X, spec)
 
 
+def test_bias_of_a_mixture_without_a_density_on_an_infinite_support():
+    # no density to probe: the window is the hull of the components' windows
+    X = bf.make_mixture([bf.from_atoms([(0.3, 1.0)]), bf.normal()], [0.5, 0.5])
+    spec = bf.zero_bias_spec()
+    assert X.effective_support() == (min(0.3, *bf.normal().effective_support()),
+                                     max(0.3, *bf.normal().effective_support()))
+    T = bf.bias(X, spec)
+    alpha = bf.alpha_of(X, spec)
+    assert alpha == pytest.approx(0.5 * 0.3 ** 2 + 0.5, rel=1e-12)
+    for t in (-2.0, -0.5, 0.1, 0.29, 0.31, 1.0, 2.5):
+        # the one-node oracle, which is linear in the law, component by component
+        ref = sum(w * bf.density_k1(c, spec, t, alpha=alpha)
+                  for c, w in zip(X.components, X.weights))
+        assert T.density(t) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    draws = T.sample(1000, bf.RandomSource(3))
+    assert np.all(np.isfinite(draws))
+
+
 # ---------------------------------------------------------------------------
 # normalizer
 # ---------------------------------------------------------------------------

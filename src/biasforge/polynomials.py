@@ -9,7 +9,7 @@ monomial representation is well conditioned enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -214,30 +214,54 @@ class PiecewisePoly:
     """Piecewise polynomial with global-coordinate pieces.
 
     ``pieces[i]`` applies on [breaks[i-1], breaks[i]); pieces[0] on
-    (-inf, breaks[0]) and pieces[-1] on [breaks[-1], inf).
+    (-inf, breaks[0]) and pieces[-1] on [breaks[-1], inf).  Breaks must be
+    finite and strictly increasing.
+
+    A call is one array pass over de Boor's pp-form: the piece index is the
+    count of breaks not above x (NaN goes to the last piece, as in
+    ``searchsorted(breaks, x, side="right")``), then one Horner pass over
+    ``_table``, the coefficients with the highest power first, one column
+    per piece, a lower-degree piece padded with leading zeros.  A padded
+    step gives +0.0 at any finite x, so every finite input gets the bits
+    ``Polynomial.__call__`` gives on its own piece; a zero piece gives 0.0
+    at every input, ±inf and NaN included, as ``Polynomial(())`` does.
     """
 
     breaks: tuple
     pieces: tuple  # len(breaks) + 1 Polynomial values
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pieces) != len(self.breaks) + 1:
             raise InputError("need one more piece than breaks")
         bs = tuple(float(b) for b in self.breaks)
+        if not all(math.isfinite(b) for b in bs):
+            raise InputError("breaks must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
             raise InputError("breaks must be strictly increasing")
         object.__setattr__(self, "breaks", bs)
+        rows = max(1, max(len(p.coeffs) for p in self.pieces))
+        table = np.zeros((rows, len(self.pieces)))
+        for j, p in enumerate(self.pieces):
+            table[rows - len(p.coeffs):, j] = p.coeffs[::-1]
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        idx = np.searchsorted(np.asarray(self.breaks), arr, side="right")
-        out = np.empty_like(arr)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = piece(arr[mask])
+        idx = np.full(arr.shape, len(self.breaks), dtype=np.intp)
+        for b in self.breaks:
+            idx -= arr < b
+        out = arr * 0.0
+        for row in self._table:
+            out *= arr
+            out += row.take(idx)
+        nan = np.isnan(out)
+        if nan.any():  # x*0.0 is NaN at ±inf and NaN; a zero piece stays 0.0 there
+            zero = ~self._table.any(axis=0)
+            out[nan & zero.take(idx)] = 0.0
         return float(out[0]) if scalar else out
 
     def derivative(self, order: int = 1) -> "PiecewisePoly":

@@ -1,10 +1,12 @@
 """Slow or second reference routes of the tests: barycentric Lagrange
 evaluation at a point, the m-th iterated antiderivative as one integral,
 the sign-compatible primitive built from both, the power-sum form of the
-interpolation-residual coefficients, the coefficient route to transform
-moments, and the sampler/density agreement suite.  The package itself
-needs none of them; the tests check the dense interpolants, the
-coefficient recurrence, the moment algebra and the samplers against them.
+interpolation-residual coefficients, the per-piece evaluation of a
+piecewise polynomial, the coefficient route to transform moments, and the
+sampler/density agreement suite.  The package itself needs none of them;
+the tests check the dense interpolants, the coefficient recurrence, the
+one-pass piecewise evaluation, the moment algebra and the samplers against
+them.
 """
 
 from __future__ import annotations
@@ -95,6 +97,22 @@ def power_sum_ratio(nodes: Sequence[float], exponent: int) -> float:
                 denom *= xl - xr
         total += xl**exponent / denom
     return total
+
+
+def piecewise_value(f: bf.PiecewisePoly, x):
+    """A piecewise polynomial evaluated piece by piece: a binary search for
+    the piece index, then each piece's own ``Polynomial`` on the points it
+    holds, gathered and scattered by a boolean mask."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    idx = np.searchsorted(np.asarray(f.breaks), arr, side="right")
+    out = np.empty_like(arr)
+    for i, piece in enumerate(f.pieces):
+        mask = idx == i
+        if mask.any():
+            out[mask] = piece(arr[mask])
+    return float(out[0]) if scalar else out
 
 
 def moment_via_coefficients(X, spec, j: int) -> float:

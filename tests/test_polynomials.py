@@ -15,9 +15,11 @@ from biasforge import (
     interp_coeff,
     lagrange_poly,
 )
+from biasforge.cli import parse_bias
 from primitives import (
     iterated_antiderivative,
     lagrange_value,
+    piecewise_value,
     power_sum_ratio,
     sign_compatible_primitive,
 )
@@ -271,3 +273,110 @@ def test_piecewise_antiderivative_is_continuous_and_anchored():
     assert F(10.0) == pytest.approx(1.0)
     # derivative recovers the tent
     assert F.derivative()(0.5) == pytest.approx(f(0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_piecewise_rejects_a_break_that_is_not_finite(bad):
+    # a NaN break passed the increasing check, since every comparison with
+    # NaN is false, and then misplaced the points on either side of it
+    pieces = tuple(Polynomial((c,)) for c in (1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(bf.InputError, match="finite"):
+        PiecewisePoly((0.0, bad, 1.0), pieces)
+    with pytest.raises(bf.InputError, match="finite"):
+        PiecewisePoly((bad,), pieces[:2])
+
+
+def _mixed_degree():
+    """Pieces of degree -1 (zero), 2, -1, 0 and 3 on four breaks."""
+    return PiecewisePoly((-1.0, 0.0, 1.0, 2.0),
+                         (Polynomial(()), Polynomial((1.0, -2.0, 3.0)), Polynomial(()),
+                          Polynomial((0.5,)), Polynomial((0.0, 0.25, 0.0, -1.25))))
+
+
+def _piecewise_cases():
+    bias, _, _ = parse_bias('{"pieces": [{"interval": [-1, 0], "coeffs": [1, 2]},'
+                            ' {"interval": [0.5, 2], "coeffs": [0, 0, 3]}]}')
+    return {
+        "mixed-degree": _mixed_degree(),
+        "one-piece": PiecewisePoly((), (Polynomial((0.3, -1.0, 0.7)),)),
+        "one-zero-piece": PiecewisePoly((), (Polynomial(()),)),
+        "all-zero": PiecewisePoly((0.0,), (Polynomial(()), Polynomial(()))),
+        "interpolant-zero": PiecewisePoly.linear_interpolant((-1.0, 0.2, 1.5), (0.0, 0.8, 0.0),
+                                                             extend="zero"),
+        "interpolant-constant": PiecewisePoly.linear_interpolant((-2.0, -0.3, 0.1, 2.5),
+                                                                 (0.4, -0.9, 0.3, 0.6)),
+        "cli-bias": bias,
+    }
+
+
+def _same_bits(f, x):
+    got, want = f(x), piecewise_value(f, x)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _probe_points(f):
+    x = np.random.default_rng(2).uniform(-3.0, 3.0, 100_000)
+    bs = np.asarray(f.breaks)
+    at_breaks = np.concatenate([bs, np.nextafter(bs, -np.inf), np.nextafter(bs, np.inf)])
+    return np.concatenate([x, at_breaks, [0.0, -0.0, 1e75, -1e75]])
+
+
+@pytest.mark.parametrize("name", sorted(_piecewise_cases()))
+def test_piecewise_call_is_bit_identical_to_the_per_piece_route(name):
+    f = _piecewise_cases()[name]
+    _same_bits(f, _probe_points(f))
+    _same_bits(f, 0.37)
+    _same_bits(f, -2.5)
+    _same_bits(f, np.array(1.0))
+    grid = np.linspace(-3.0, 3.0, 35).reshape(5, 7)
+    assert f(grid).shape == (5, 7)
+    _same_bits(f, grid)
+    _same_bits(f, np.empty(0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_piecewise_bank_members_and_derivatives_bit_identical(m):
+    members = [F.fn for F in bf.TestFunctionBank.build(m).members
+               if isinstance(F.fn, PiecewisePoly)]
+    assert len(members) == (10 if m == 1 else 6)
+    for fn in members:
+        for j in range(m + 1):
+            g = fn.derivative(j)
+            _same_bits(g, _probe_points(g))
+
+
+@pytest.mark.parametrize("name", sorted(_piecewise_cases()))
+def test_piecewise_non_finite_inputs_keep_the_per_piece_values(name):
+    f = _piecewise_cases()[name]
+    x = np.array([-np.inf, np.inf, np.nan, -np.nan, 1e300, -1e300, 0.25, -0.75])
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf and overflow warn in both
+        got, want = f(x), piecewise_value(f, x)
+        assert [type(f(v)) for v in (-np.inf, np.nan)] == [float, float]
+        for v in (-np.inf, np.inf, np.nan):
+            assert np.isnan(f(v)) == np.isnan(piecewise_value(f, v))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert got[keep].tobytes() == want[keep].tobytes()
+
+
+def test_piecewise_zero_outer_pieces_are_zero_at_infinity_and_nan():
+    # the outer pieces of a zero extension (every CLI piecewise bias) give
+    # 0.0 at ±inf and NaN, where x * 0.0 is NaN
+    f = _mixed_degree()
+    g = PiecewisePoly((0.0,), (Polynomial((1.0,)), Polynomial(())))
+    with np.errstate(invalid="ignore"):
+        assert f(-np.inf) == 0.0 and math.copysign(1.0, f(-np.inf)) == 1.0
+        assert np.isnan(f(np.inf))  # the last piece, degree 3, is NaN there
+        assert g(np.inf) == 0.0 and g(np.nan) == 0.0  # NaN goes to the last piece
+        assert np.isnan(g(-np.inf))
+
+
+def test_piecewise_equality_hash_and_repr_ignore_the_table():
+    a, b = _mixed_degree(), _mixed_degree()
+    assert a == b and hash(a) == hash(b)
+    assert "_table" not in repr(a)
+    assert a._table.shape == (4, 5) and not a._table.flags.writeable
+    assert a._table[:, 0].tolist() == [0.0] * 4  # a zero piece is an all-zero column
+    assert a._table[:, 1].tolist() == [0.0, 3.0, -2.0, 1.0]  # padded, highest power first

@@ -117,6 +117,50 @@ def test_check_identity_mc_rejects_unsupported_order(uniform_sym):
         bf.check_identity_mc(uniform_sym, bf.unit_bias_spec(), 2, kinked, 100, seed=0)
 
 
+def _node_product(x):
+    x = np.asarray(x, dtype=float)
+    return (x + 0.5) * (x - 0.5)
+
+
+# float.hex of (lhs, rhs, se_lhs, se_rhs) of the kinked and spline members,
+# 2e4 draws at seed 31, as the per-piece evaluation of PiecewisePoly gave them
+_PINNED_MC = {
+    ("x-plus@0", "kinked-0"): ("-0x1.18bc14b854945p-8", "-0x1.15773413eba0ap-8",
+                               "0x1.96b96d2cd1a26p-15", "0x1.cf6bcc474281ap-68"),
+    ("x-plus@0", "kinked-1"): ("-0x1.af773de092dafp-8", "-0x1.d4e1cd73da127p-8",
+                               "0x1.f4f0917a92708p-15", "0x1.2de910a32f24ap-12"),
+    ("x-plus@0", "spline-0"): ("-0x1.13dcb8fce8c18p-10", "-0x1.121eabcf9bb82p-10",
+                               "0x1.4d8ce2210ddd7p-17", "0x1.000db28d5c441p-17"),
+    ("x-plus@0", "spline-1"): ("-0x1.480ac6b7b9691p-6", "-0x1.46baf61ac170ep-6",
+                               "0x1.8f3a550a2c9b2p-13", "0x1.316d43b9cd1bbp-13"),
+    ("order-2-lift", "spline-0"): ("0x1.a8763f3d1460cp-4", "0x1.a86a618b49c31p-4",
+                                   "0x1.56f961726b729p-11", "0x1.b8ffdb15ca17dp-17"),
+    ("order-2-lift", "spline-1"): ("0x1.498eeb69528c0p-5", "0x1.4e98e7400e4d8p-5",
+                                   "0x1.083f188ca0a09p-11", "0x1.6ff26e42f1866p-12"),
+    ("seed-and-shrink", "spline-0"): ("0x1.e6ce9266b3e81p-6", "0x1.e7b5c52bc8320p-6",
+                                      "0x1.2cb13e8dcb805p-12", "0x1.56a566c0db8e8p-18"),
+    ("seed-and-shrink", "spline-1"): ("0x1.bd77a285a8625p-7", "0x1.c6dc27f4130ecp-7",
+                                      "0x1.9a0e9c417b4eap-13", "0x1.d71c46c1d7689p-14"),
+}
+
+
+@pytest.mark.parametrize("label, m", [("x-plus@0", 1), ("order-2-lift", 2),
+                                      ("seed-and-shrink", 2)])
+def test_check_identity_mc_piecewise_members_pinned(uniform_sym, label, m):
+    spec = {"x-plus@0": bf.SignChangeSpec(bf.plus_part, bf.NodeSet((0.0,)), kinks=(0.0,)),
+            "order-2-lift": bf.unit_bias_spec(),
+            "seed-and-shrink": bf.SignChangeSpec(_node_product, bf.NodeSet((-0.5, 0.5)))}[label]
+    t = bf.bias_to_order(uniform_sym, spec, m)
+    bank = bf.TestFunctionBank.build(m, d_max=0, n_kinked=2, n_smooth=2, seed=7)
+    names = []
+    for F in bank.for_order(m):
+        rep = bf.check_identity_mc(uniform_sym, spec, m, F, 20_000, seed=31, transform=t)
+        got = tuple(float.hex(v) for v in (rep.lhs, rep.rhs, rep.se_lhs, rep.se_rhs))
+        assert got == _PINNED_MC[label, F.name], F.name
+        names.append(F.name)
+    assert len(names) == (4 if m == 1 else 2)
+
+
 def test_masqueraded_fixed_point_is_detected():
     # claim: the uniform on [0,1] is its own zero-bias transform.  Checking
     # alpha E[F'(X)] against E[B(X)(F(X) - L_F(X))] with X in both roles must

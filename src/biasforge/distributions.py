@@ -703,11 +703,16 @@ def _table_of(d: Distribution) -> Optional[TabulatedDensity]:
 
 def moment(d: Distribution, n: int) -> float:
     """E[X^n]: exact atom sum for point-mass laws (a sample average for an
-    empirical one), quadrature otherwise."""
+    empirical one), read from the arrays with the bits of ``expectation``;
+    quadrature otherwise."""
     if n < 0 or int(n) != n:
         raise InputError("moment order must be a nonnegative integer")
     n = int(n)
-    return 1.0 if n == 0 else expectation(d, lambda x: x ** n)
+    if n == 0:
+        return 1.0
+    if d.locs is not None:  # the array operations of expectation's atom branch
+        return float(np.einsum("i,i->", d.masses, d.locs ** n))
+    return expectation(d, lambda x: x ** n)
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -769,10 +774,24 @@ def _probe_points(d: Distribution) -> np.ndarray:
     return np.linspace(*d.effective_support(), _PROBE_GRID)
 
 
+def _tilt_atoms(d: Distribution, wx: np.ndarray) -> Distribution:
+    """The point-mass law ``d`` reweighted exactly by the weight values
+    ``wx`` at its atoms."""
+    xs, ms = d.locs, d.masses
+    _check_weight(wx, xs)
+    mw = ms * np.clip(wx, 0.0, None)
+    z = float(np.sum(mw))
+    if z <= ZERO_NORMALIZER_TOL:
+        raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
+    mw /= z
+    return _atom_law(xs, mw, label=f"tilt({d.label})")
+
+
 def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
-    Point masses (``locs``) are reweighted exactly; a ``density`` is
+    Point masses (``locs``) are reweighted exactly (``_tilt_atoms``, which
+    ``bias`` calls with the weight values it has already); a ``density`` is
     multiplied by w, renormalized by quadrature and sampled through a
     numeric inverse CDF; a mixture without one tilts its ``components``.  A
     law with a sampler alone cannot be tilted: NoSampler.  NegativeWeight
@@ -786,15 +805,7 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
         return np.maximum(wv(x), 0.0)
 
     if d.locs is not None:  # exact reweighting of the atoms
-        xs, ms = d.locs, d.masses
-        wx = wv(xs)
-        _check_weight(wx, xs)
-        mw = ms * np.clip(wx, 0.0, None)
-        z = float(np.sum(mw))
-        if z <= ZERO_NORMALIZER_TOL:
-            raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
-        mw /= z
-        return _atom_law(xs, mw, label=f"tilt({d.label})")
+        return _tilt_atoms(d, wv(d.locs))
 
     if d.density is None and d.components is not None:
         zs, tilted = [], []

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import InputError, ParityMismatch
 
@@ -30,6 +29,14 @@ class Polynomial:
 
     Canonical form: trailing zero coefficients stripped; the zero
     polynomial is the empty tuple.
+
+    The algebra works on the coefficient tuples in plain Python.  Sums,
+    differences, ``scale``, ``derivative`` and ``antiderivative`` give the
+    bits of ``numpy.polynomial``; so does a product when a factor has at
+    most two coefficients (see ``__mul__``).  A call is Horner's rule from
+    the top coefficient, so a polynomial has its limit at ±inf and a
+    constant, which does not read x, is itself at every input, as the zero
+    polynomial is 0.0.
     """
 
     coeffs: tuple = ()
@@ -48,22 +55,45 @@ class Polynomial:
         arr = np.asarray(x, dtype=float)
         if not self.coeffs:
             return 0.0 if arr.ndim == 0 else np.zeros_like(arr)
-        out = arr * 0.0  # Horner in one buffer: the values of npoly.polyval
-        for c in reversed(self.coeffs):
+        # Horner in one buffer from the top coefficient: on finite x these
+        # are the bits of a pass from 0.0 (±0 + c is c), and at ±inf no
+        # 0 * inf arises, so a constant stays itself
+        out = np.full_like(arr, self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
             out *= arr
             out += c
         return float(out) if out.ndim == 0 else out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npoly.polyadd(self.coeffs or (0.0,), other.coeffs or (0.0,))))
+        a, b = self.coeffs or (0.0,), other.coeffs or (0.0,)
+        if len(a) < len(b):
+            a, b = b, a
+        return Polynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npoly.polysub(self.coeffs or (0.0,), other.coeffs or (0.0,))))
+        a, b = self.coeffs or (0.0,), other.coeffs or (0.0,)
+        tail = a[len(b):] if len(a) > len(b) else tuple(-y for y in b[len(a):])
+        return Polynomial(tuple(x - y for x, y in zip(a, b)) + tail)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
+        """The convolution of the coefficients, each sum from 0.0 in the
+        order of the longer factor's index, as ``numpy.convolve`` reads it.
+        A sum of at most two products does not depend on their order, so
+        the bits are numpy's when a factor has at most two coefficients;
+        with two longer factors numpy's BLAS dot product may sum in another
+        order, and the two differ within the rounding of the sum."""
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Polynomial(())
-        return Polynomial(tuple(npoly.polymul(self.coeffs, other.coeffs)))
+        if len(a) < len(b):
+            a, b = b, a
+        out = []
+        for k in range(len(a) + len(b) - 1):
+            s = 0.0
+            for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+                s += a[i] * b[k - i]
+            out.append(s)
+        return Polynomial(tuple(out))
 
     def scale(self, c: float) -> "Polynomial":
         return Polynomial(tuple(c * a for a in self.coeffs))
@@ -75,13 +105,16 @@ class Polynomial:
             return self
         if order > self.degree:
             return Polynomial(())
-        return Polynomial(tuple(npoly.polyder(self.coeffs, m=order)))
+        cs = self.coeffs
+        for _ in range(order):  # one order at a time, as ``polyder`` does
+            cs = tuple(j * cs[j] for j in range(1, len(cs)))
+        return Polynomial(cs)
 
     def antiderivative(self) -> "Polynomial":
         """Primitive vanishing at zero."""
         if not self.coeffs:
             return Polynomial(())
-        return Polynomial(tuple(npoly.polyint(self.coeffs)))
+        return Polynomial((0.0,) + tuple(c / (j + 1) for j, c in enumerate(self.coeffs)))
 
     @staticmethod
     def monomial(degree: int) -> "Polynomial":
@@ -221,10 +254,13 @@ class PiecewisePoly:
     count of breaks not above x (NaN goes to the last piece, as in
     ``searchsorted(breaks, x, side="right")``), then one Horner pass over
     ``_table``, the coefficients with the highest power first, one column
-    per piece, a lower-degree piece padded with leading zeros.  A padded
-    step gives +0.0 at any finite x, so every finite input gets the bits
-    ``Polynomial.__call__`` gives on its own piece; a zero piece gives 0.0
-    at every input, ±inf and NaN included, as ``Polynomial(())`` does.
+    per piece, a lower-degree piece padded with leading zeros.  The pass
+    starts from the first row; a padded step gives +0.0 at any finite x,
+    so every finite input gets the bits ``Polynomial.__call__`` gives on
+    its own piece.  Where the pass gives NaN (a NaN input, or a padded
+    0 * ±inf) the point's own piece evaluates it, so a zero piece gives 0.0
+    at every input, ±inf and NaN included, as ``Polynomial(())`` does, and
+    every other piece has its own limit at ±inf.
     """
 
     breaks: tuple
@@ -254,14 +290,16 @@ class PiecewisePoly:
         idx = np.full(arr.shape, len(self.breaks), dtype=np.intp)
         for b in self.breaks:
             idx -= arr < b
-        out = arr * 0.0
-        for row in self._table:
-            out *= arr
-            out += row.take(idx)
-        nan = np.isnan(out)
-        if nan.any():  # x*0.0 is NaN at ±inf and NaN; a zero piece stays 0.0 there
-            zero = ~self._table.any(axis=0)
-            out[nan & zero.take(idx)] = 0.0
+        out = self._table[0].take(idx)
+        with np.errstate(invalid="ignore"):  # a padded 0 * ±inf, redone below
+            for row in self._table[1:]:
+                out *= arr
+                out += row.take(idx)
+        nan = np.flatnonzero(np.isnan(out))
+        if nan.size:  # NaN input or a padded 0 * ±inf: each piece's own Horner
+            for j in np.unique(idx[nan]):
+                at = nan[idx[nan] == j]
+                out[at] = self.pieces[j](arr[at])
         return float(out[0]) if scalar else out
 
     def derivative(self, order: int = 1) -> "PiecewisePoly":

@@ -48,6 +48,7 @@ from .distributions import (
     _probe_points,
     _sorted_unique,
     _table_of,
+    _tilt_atoms,
     _weight_ok,
     as_array_fn,
     expectation,
@@ -141,14 +142,30 @@ def validate_spec(spec: SignChangeSpec, probe) -> ValidationReport:
         pts = _probe_points(probe)
     else:
         pts = np.asarray(probe, dtype=float).ravel()
+    pts = _with_near_nodes(spec, pts)
+    return _validation_report(pts, spec.tilt_weight(pts))
+
+
+def _with_near_nodes(spec: SignChangeSpec, pts: np.ndarray) -> np.ndarray:
+    """The probe points followed by a point NODE_PROBE_EPS either side of
+    every node."""
     near_nodes = np.array([x + s * NODE_PROBE_EPS for x in spec.nodes for s in (-1.0, 1.0)])
-    pts = np.concatenate((pts, near_nodes)) if near_nodes.size else pts
-    vals = spec.tilt_weight(pts)
+    return np.concatenate((pts, near_nodes)) if near_nodes.size else pts
+
+
+def _validation_report(pts: np.ndarray, vals: np.ndarray) -> ValidationReport:
+    """The verdict on the weight values ``vals`` at the probe points ``pts``."""
     worst = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
     return ValidationReport(passed=bool(_weight_ok(vals[worst])),
                             worst_value=float(vals[worst]),
                             worst_point=float(pts[worst]),
                             n_probes=int(pts.size), tol=-NEGATIVE_WEIGHT_TOL)
+
+
+def _raise_on_violation(report: ValidationReport) -> None:
+    if not report.passed:
+        raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
+                            f"(value {report.worst_value:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +178,11 @@ def alpha_of(X: Distribution, spec: SignChangeSpec) -> float:
     Raises NegativeAlpha when the sign pattern is violated in expectation
     and DegenerateAlpha when the transform would be degenerate.
     """
-    a = expectation(X, spec.tilt_weight, points=spec.quad_points) / math.factorial(spec.k)
+    return _checked_alpha(expectation(X, spec.tilt_weight, points=spec.quad_points)
+                          / math.factorial(spec.k))
+
+
+def _checked_alpha(a: float) -> float:
     if a < -ALPHA_TOL:
         raise NegativeAlpha(f"normalizer {a!r} < 0: sign-change spec violated")
     if abs(a) <= ALPHA_TOL:
@@ -452,13 +473,24 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     With zero nodes the result is simply the tilt of X by B.  With k >= 1
     nodes the sampler implements the seed-and-shrink construction and the
     law carries a density evaluator (the one-node tail integral read from a
-    panel table for one node, the identity table otherwise)."""
-    report = validate_spec(spec, X)
-    if not report.passed:
-        raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
-                            f"(value {report.worst_value:.3e})")
-    alpha = alpha_of(X, spec)
-    seed_law = tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
+    panel table for one node, the identity table otherwise).
+
+    On a point-mass law the weight is evaluated once, on the atoms and the
+    near-node probes together, so B must be elementwise (as
+    ``validate_spec`` assumes); those values give the verdict of
+    ``validate_spec``, the ``alpha_of`` normalizer and the atom ``tilt``,
+    with the errors, values and bits of the three run apart."""
+    if X.locs is not None:
+        pts = _with_near_nodes(spec, X.locs)
+        w = spec.tilt_weight(pts)
+        _raise_on_violation(_validation_report(pts, w))
+        wx = w[:X.locs.size]
+        alpha = _checked_alpha(float(np.einsum("i,i->", X.masses, wx)) / math.factorial(spec.k))
+        seed_law = _tilt_atoms(X, wx)
+    else:
+        _raise_on_violation(validate_spec(spec, X))
+        alpha = alpha_of(X, spec)
+        seed_law = tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
     recipe = BiasRecipe(source=X, spec=spec, seed_law=seed_law, alpha=alpha)
     k = spec.k
 

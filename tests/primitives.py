@@ -6,7 +6,9 @@ piecewise polynomial, the coefficient route to transform moments, and the
 sampler/density agreement suite.  The package itself needs none of them;
 the tests check the dense interpolants, the coefficient recurrence, the
 one-pass piecewise evaluation, the moment algebra and the samplers against
-them.
+them.  Also the ``numpy.polynomial`` route to the ``Polynomial`` algebra,
+and ``bias`` on a point-mass law as three separate passes (validation,
+normalizer, tilt), each evaluating the weight on its own.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 import biasforge as bf
 from biasforge import InputError, NodeSet, integrate_fn
@@ -160,3 +163,49 @@ def ks_suite(seed: int = 0, n: int = 100_000) -> dict:
         stats[label] = float(bf.ks_statistic(draws, cdf))
     return {"suite": "ks", "n": int(n), "critical": crit, "stats": stats,
             "passed": all(s < crit for s in stats.values())}
+
+
+# ---------------------------------------------------------------------------
+# the numpy.polynomial route to the Polynomial algebra
+# ---------------------------------------------------------------------------
+
+def numpy_add(p: bf.Polynomial, q: bf.Polynomial) -> bf.Polynomial:
+    return bf.Polynomial(tuple(npoly.polyadd(p.coeffs or (0.0,), q.coeffs or (0.0,))))
+
+
+def numpy_sub(p: bf.Polynomial, q: bf.Polynomial) -> bf.Polynomial:
+    return bf.Polynomial(tuple(npoly.polysub(p.coeffs or (0.0,), q.coeffs or (0.0,))))
+
+
+def numpy_mul(p: bf.Polynomial, q: bf.Polynomial) -> bf.Polynomial:
+    if not p.coeffs or not q.coeffs:
+        return bf.Polynomial(())
+    return bf.Polynomial(tuple(npoly.polymul(p.coeffs, q.coeffs)))
+
+
+def numpy_derivative(p: bf.Polynomial, order: int) -> bf.Polynomial:
+    if order == 0 or not p.coeffs:
+        return p
+    if order > p.degree:
+        return bf.Polynomial(())
+    return bf.Polynomial(tuple(npoly.polyder(p.coeffs, m=order)))
+
+
+def numpy_antiderivative(p: bf.Polynomial) -> bf.Polynomial:
+    return bf.Polynomial(tuple(npoly.polyint(p.coeffs))) if p.coeffs else p
+
+
+# ---------------------------------------------------------------------------
+# bias on a point-mass law, one pass per quantity
+# ---------------------------------------------------------------------------
+
+def bias_in_three_passes(X, spec):
+    """The normalizer and the seed law of ``bias`` on a point-mass law by
+    ``validate_spec``, ``alpha_of`` and ``tilt`` run apart, each evaluating
+    the weight itself; the errors are those of the three in that order."""
+    report = bf.validate_spec(spec, X)
+    if not report.passed:
+        raise bf.SignViolation(f"sign pattern fails at x={report.worst_point!r} "
+                               f"(value {report.worst_value:.3e})")
+    alpha = bf.alpha_of(X, spec)
+    return alpha, bf.tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)

@@ -212,6 +212,18 @@ def test_empirical_expectation_agrees_with_fsum():
         assert err <= 1e-15 * math.fsum(abs(t) for t in terms)
 
 
+def test_point_mass_moments_have_the_bits_of_the_expectation_route(monkeypatch):
+    # moment reads the arrays with the atom sum of expectation: the same bits,
+    # with no callable wrapped
+    laws = [bf.from_samples(repeated_samples()), bf.dirac(-0.3),
+            random_discrete(np.random.default_rng(5))]
+    want = [[bf.expectation(X, lambda x, n=n: x ** n).hex() for n in range(1, 7)] for X in laws]
+    monkeypatch.setattr(bf.distributions, "as_array_fn", None)
+    for X, w in zip(laws, want):
+        assert [bf.moment(X, n).hex() for n in range(1, 7)] == w
+        assert bf.moment(X, 0) == 1.0
+
+
 def test_a_mixture_of_atoms_and_samples_is_one_point_mass_law():
     atoms, empirical = bf.from_atoms([(0.5, 0.4), (2.0, 0.6)]), bf.from_samples([0.5, 1.0, 1.0, 3.0])
     mix = bf.make_mixture([atoms, empirical], [0.25, 0.75])

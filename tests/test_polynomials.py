@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from biasforge.cli import parse_bias
 from primitives import (
     iterated_antiderivative,
     lagrange_value,
+    numpy_add,
+    numpy_antiderivative,
+    numpy_derivative,
+    numpy_mul,
+    numpy_sub,
     piecewise_value,
     power_sum_ratio,
     sign_compatible_primitive,
@@ -58,6 +64,79 @@ def test_polynomial_arithmetic():
     assert p.derivative().coeffs == (1.0,)
     assert q.antiderivative().coeffs == (0.0, 0.0, 0.5)
     assert Polynomial.monomial(3)(2.0) == 8.0
+
+
+def _random_polys(seed, count, max_terms=10):
+    """Random coefficient tuples of 1 to ``max_terms`` terms over six
+    decades, with zeros and negative zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, max_terms + 1))
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        c[rng.random(n) < 0.15] = 0.0
+        c[rng.random(n) < 0.05] = -0.0
+        out.append(Polynomial(tuple(c.tolist())))
+    return out
+
+
+def _bits(p):
+    return np.asarray(p.coeffs, dtype=float).tobytes()
+
+
+def test_polynomial_algebra_is_bit_identical_to_numpy():
+    ps, qs = _random_polys(1, 2000), _random_polys(2, 2000)
+    ps[:3], qs[-3:] = [Polynomial(())] * 3, [Polynomial(())] * 3  # zero operands
+    for p, q in zip(ps, qs):
+        assert _bits(p + q) == _bits(numpy_add(p, q))
+        assert _bits(p - q) == _bits(numpy_sub(p, q))
+        assert _bits(q - p) == _bits(numpy_sub(q, p))
+        assert _bits(p.scale(-0.37)) == _bits(Polynomial(tuple(-0.37 * c for c in p.coeffs)))
+        assert _bits(p.antiderivative()) == _bits(numpy_antiderivative(p))
+        for order in (1, 2, 3):
+            assert _bits(p.derivative(order)) == _bits(numpy_derivative(p, order))
+
+
+def test_polynomial_algebra_product_with_a_short_factor_is_bit_identical():
+    # every sum of the convolution has at most two products, whose sum does
+    # not depend on their order: the bits of numpy.convolve
+    longs, shorts = _random_polys(3, 2000), _random_polys(4, 2000, max_terms=2)
+    shorts[:3] = [Polynomial(())] * 3
+    for p, q in zip(longs, shorts):
+        assert _bits(p * q) == _bits(numpy_mul(p, q))
+        assert _bits(q * p) == _bits(numpy_mul(q, p))
+
+
+def test_polynomial_algebra_product_of_long_factors_within_the_summation_bound():
+    # with two factors of 3 or more terms, numpy.convolve's BLAS dot product
+    # may sum in another order.  The products are rounded once either way,
+    # and a sum of n terms errs by at most gamma_n = n u / (1 - n u) of the
+    # sum of their magnitudes (u = 2^-53, Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.1), so the two routes differ by at most
+    # 2 gamma_n sum |a_i b_j|, n the number of products in the coefficient
+    u = 2.0 ** -53
+    for p, q in zip(_random_polys(5, 1000), _random_polys(6, 1000)):
+        if min(len(p.coeffs), len(q.coeffs)) < 3:
+            continue
+        a, b = np.asarray(p.coeffs), np.asarray(q.coeffs)
+        got, want = np.asarray((p * q).coeffs), np.asarray(numpy_mul(p, q).coeffs)
+        assert got.size == want.size == a.size + b.size - 1
+        magnitude = np.convolve(np.abs(a), np.abs(b))
+        terms = np.convolve(np.ones(a.size), np.ones(b.size))
+        gamma = terms * u / (1.0 - terms * u)
+        assert np.all(np.abs(got - want) <= 2.0 * gamma * magnitude)
+
+
+def test_polynomial_constant_is_itself_at_infinity_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Polynomial((1.0,))(np.inf) == 1.0
+        assert Polynomial((-2.5,))(-np.inf) == -2.5
+        assert Polynomial((1.0, -1.0))(np.inf) == -np.inf
+        assert Polynomial((3.0, 0.0, 1.0))(-np.inf) == np.inf
+        assert Polynomial((0.0, 0.0, 0.0, 2.0))(np.array([-np.inf, np.inf])).tolist() \
+            == [-np.inf, np.inf]
+        assert Polynomial(())(np.inf) == 0.0
 
 
 def test_nodeset_rejects_close_nodes():
@@ -363,14 +442,29 @@ def test_piecewise_non_finite_inputs_keep_the_per_piece_values(name):
 
 def test_piecewise_zero_outer_pieces_are_zero_at_infinity_and_nan():
     # the outer pieces of a zero extension (every CLI piecewise bias) give
-    # 0.0 at ±inf and NaN, where x * 0.0 is NaN
+    # 0.0 at ±inf and NaN, and every other outer piece its own limit at ±inf
     f = _mixed_degree()
     g = PiecewisePoly((0.0,), (Polynomial((1.0,)), Polynomial(())))
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert f(-np.inf) == 0.0 and math.copysign(1.0, f(-np.inf)) == 1.0
-        assert np.isnan(f(np.inf))  # the last piece, degree 3, is NaN there
+        assert f(np.inf) == -np.inf  # the last piece, 0.25 x - 1.25 x^3
         assert g(np.inf) == 0.0 and g(np.nan) == 0.0  # NaN goes to the last piece
-        assert np.isnan(g(-np.inf))
+        assert g(-np.inf) == 1.0
+
+
+def test_piecewise_padded_outer_pieces_take_their_limits_at_infinity():
+    # a constant outer piece is padded with a leading zero in the table, and
+    # 0 * ±inf is NaN there: such a point is evaluated by its own piece
+    f = PiecewisePoly.linear_interpolant((-1.0, 0.5, 2.0), (0.4, -0.3, 0.6))
+    x = np.array([-np.inf, -1.0, 0.0, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f(x)
+        assert (f(-np.inf), f(np.inf)) == (0.4, 0.6)
+    # NaN goes to the last piece, a constant, which does not read x
+    assert got[[0, 1, 3, 4]].tolist() == [0.4, 0.4, 0.6, 0.6]
+    assert got[2] == piecewise_value(f, 0.0)
 
 
 def test_piecewise_equality_hash_and_repr_ignore_the_table():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import biasforge.transform as transform
 from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
 from biasforge.verify import _lhs_polynomials
 from conftest import call_concurrently
-from primitives import moment_via_coefficients
+from primitives import bias_in_three_passes, moment_via_coefficients
 
 
 def x_plus_spec(node):
@@ -109,6 +110,94 @@ def test_validation_uses_the_tilt_tolerance(law):
     assert report.worst_value == pytest.approx(-5e-11)
     with pytest.raises(bf.SignViolation):
         bf.bias(law(), spec)
+
+
+# ---------------------------------------------------------------------------
+# bias on a point-mass law: one weight evaluation for all three results
+# ---------------------------------------------------------------------------
+
+def _point_mass_cases():
+    rng = np.random.default_rng(2026)
+    cases = [(f"random-{i}", bf.random_discrete(rng), bf.random_valid_spec(rng, i % 4))
+             for i in range(50)]
+    for n in (1_000, 50_000):
+        X = bf.from_samples(np.random.default_rng(n).normal(0.3, 1.1, n))
+        cases.append((f"empirical-{n}", X, bf.zero_bias_spec()))
+        cases.append((f"empirical-{n}-k3", X, bf.random_valid_spec(rng, 3)))
+    cases.append(("dirac", bf.dirac(0.7), bf.zero_bias_spec()))
+    cases.append(("dirac-k0", bf.dirac(-1.3), bf.random_valid_spec(rng, 0)))
+    return cases
+
+
+def _draws_digest(law, n=10_000):
+    draws = bf.sample(law, bf.RandomSource(8), n)
+    return hashlib.sha256(np.ascontiguousarray(draws, dtype=float).tobytes()).hexdigest()
+
+
+def test_one_pass_bias_matches_the_three_passes_bit_for_bit():
+    for name, X, spec in _point_mass_cases():
+        t = bf.bias(X, spec)
+        alpha, seed_law = bias_in_three_passes(X, spec)
+        assert t.alpha.hex() == alpha.hex(), name
+        got = t.recipe.seed_law
+        assert got.locs.tobytes() == seed_law.locs.tobytes(), name
+        assert got.masses.tobytes() == seed_law.masses.tobytes(), name
+        assert not got.masses.flags.writeable and got.label == seed_law.label
+        assert _draws_digest(got) == _draws_digest(seed_law), name
+
+
+def _outcome(f):
+    try:
+        f()
+    except bf.BiasforgeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_TWO_ATOMS = [(-1.0, 0.25), (0.5, 0.75)]
+
+
+@pytest.mark.parametrize("spec, error", [
+    # a negative weight at the atom 0.5
+    (SignChangeSpec(lambda x: np.where(np.asarray(x, float) == 0.5, -2.0, 1.0)),
+     bf.SignViolation),
+    # negative only just right of the node 0, which no atom is near
+    (SignChangeSpec(lambda x: np.where(np.abs(np.asarray(x, float)) < 1e-3, -1.0,
+                                       np.asarray(x, float)), NodeSet((0.0,))),
+     bf.SignViolation),
+    # NaN and +inf at an atom
+    (SignChangeSpec(lambda x: np.where(np.asarray(x, float) == 0.5, np.nan, 1.0)),
+     bf.SignViolation),
+    (SignChangeSpec(lambda x: np.where(np.asarray(x, float) == -1.0, np.inf, 1.0)),
+     bf.SignViolation),
+    # a zero normalizer: zero weight at every atom
+    (SignChangeSpec(lambda x: np.where(np.abs(np.asarray(x, float)) > 0.2, 0.0, 1.0)),
+     bf.DegenerateAlpha),
+    # within the tolerance of zero, below it
+    (SignChangeSpec(lambda x: np.full(np.shape(x), -1e-13)), bf.DegenerateAlpha),
+], ids=["negative-at-atom", "negative-near-node", "nan-at-atom", "inf-at-atom",
+        "zero-normalizer", "tiny-negative"])
+def test_one_pass_bias_raises_as_the_three_passes(spec, error):
+    X = bf.from_atoms(_TWO_ATOMS)
+    got = _outcome(lambda: bf.bias(X, spec))
+    assert got is not None and got[0] is error
+    assert got == _outcome(lambda: bias_in_three_passes(X, spec))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_one_pass_bias_of_atoms_calls_the_bias_once(k):
+    calls = []
+    inner = bf.random_valid_spec(np.random.default_rng(k), k)
+
+    def B(x):
+        calls.append(np.shape(x))
+        return inner.bias(x)
+
+    X = bf.from_atoms([(-1.5, 0.2), (-0.4, 0.3), (0.6, 0.1), (1.9, 0.4)])
+    t = bf.bias(X, SignChangeSpec(B, inner.nodes))
+    assert calls == [(4 + 2 * k,)]  # the atoms and two probes per node, together
+    t.recipe.moments(4)  # the moments read the seed law's arrays
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biasforge as bf
+import biasforge.verify as verify
 from biasforge import Polynomial
 
 
@@ -276,3 +278,25 @@ def test_mc_suite_smoke():
     assert rep["passed"], rep["max_abs_z"]
     assert rep["lifted_beta"] == pytest.approx(1 / 6, abs=1e-12)
     assert all(r["seeds"] is not None for r in rep["reports"])
+
+
+def test_cli_exact_suite_reports_pinned(monkeypatch):
+    # float.hex of lhs and rhs of every report of ``verify --suite exact
+    # --seed 7`` (matched order, then the chain), as the numpy.polynomial
+    # algebra and a bias that evaluated the weight three times gave them
+    pinned = [line.split() for line in
+              (Path(__file__).parent / "data" / "exact_suite_seed7.txt").read_text().splitlines()
+              if not line.startswith("#")]
+    got = []
+    check = verify.check_identity_exact
+
+    def recorded(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        got.append([rep.label.replace(" ", ""), rep.lhs.hex(), rep.rhs.hex()])
+        return rep
+
+    monkeypatch.setattr(verify, "check_identity_exact", recorded)
+    assert bf.run_suite("exact", seed=7)["passed"]
+    assert len(got) == len(pinned) == 300
+    for i, (g, want) in enumerate(zip(got, pinned)):
+        assert g == want, i

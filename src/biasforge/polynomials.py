@@ -34,9 +34,10 @@ class Polynomial:
     differences, ``scale``, ``derivative`` and ``antiderivative`` give the
     bits of ``numpy.polynomial``; so does a product when a factor has at
     most two coefficients (see ``__mul__``).  A call is Horner's rule from
-    the top coefficient, so a polynomial has its limit at ±inf and a
-    constant, which does not read x, is itself at every input, as the zero
-    polynomial is 0.0.
+    the top coefficient, in Python floats at a single point and in one
+    numpy buffer on an array, with the same float operations either way.
+    So a polynomial has its limit at ±inf, and a constant, which does not
+    read x, is itself at every input, as the zero polynomial is 0.0.
     """
 
     coeffs: tuple = ()
@@ -53,16 +54,22 @@ class Polynomial:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return 0.0 if arr.ndim == 0 else np.zeros_like(arr)
-        # Horner in one buffer from the top coefficient: on finite x these
-        # are the bits of a pass from 0.0 (±0 + c is c), and at ±inf no
-        # 0 * inf arises, so a constant stays itself
-        out = np.full_like(arr, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
+        # Horner from the top coefficient: on finite x these are the bits of
+        # a pass from 0.0 (±0 + c is c), and at ±inf no 0 * inf arises
+        if arr.ndim == 0:  # one point: the same float operations in Python
+            v, out = float(arr), cs[-1]
+            for c in reversed(cs[:-1]):
+                out = out * v + c
+            return out
+        out = np.empty_like(arr)
+        out.fill(cs[-1])
+        for c in reversed(cs[:-1]):
             out *= arr
             out += c
-        return float(out) if out.ndim == 0 else out
+        return out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs or (0.0,), other.coeffs or (0.0,)

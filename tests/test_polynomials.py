@@ -127,6 +127,20 @@ def test_polynomial_algebra_product_of_long_factors_within_the_summation_bound()
         assert np.all(np.abs(got - want) <= 2.0 * gamma * magnitude)
 
 
+def test_polynomial_point_call_is_bit_identical_to_the_array_pass():
+    # a single point runs Horner on Python floats, an array in numpy buffers
+    points = np.concatenate([np.random.default_rng(7).uniform(-3.0, 3.0, 50),
+                             [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in _random_polys(8, 300) + [Polynomial(())]:
+            along = p(points)
+            for i, x in enumerate(points):
+                for point in (float(x), np.float64(x), np.array(x)):
+                    got = p(point)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == along[i].tobytes()
+
+
 def test_polynomial_constant_is_itself_at_infinity_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -2,11 +2,12 @@
 """Alternated benchmark pairs of a parent commit and a change.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workloads discrete-exact cli \
-        --pairs 8 --seed-base 7 --pr 21
+        --pairs 10 --seed-base 7 --pr N
 
 Extracts the parent ref (and ``--change``, if given; else the working tree
 is measured) by ``git archive`` into a temporary directory and runs the
-unchanged ``perfbench/run.py --trace 0`` on both, one run at a time.  Pair i
+unchanged ``perfbench/run.py --trace 0`` on both, one run at a time, for
+the ``run_seconds`` of ``BENCHMARK.json``.  Pair i
 uses seed ``seed-base + i`` on both sides, parent first in even pairs and
 the change first in odd ones, so a slow phase of the machine falls on both
 sides alike.  Writes ``BENCH_<pr>.json`` at the root of the repository: per
@@ -127,11 +128,10 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed-base", type=int, required=True)
     p.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    p.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     p.add_argument("--workdir", help="where the trees are extracted (default: a temp dir)")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]  # the run length the benchmark sets, on both sides
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         parent_dir = Path(tmp) / "parent"

@@ -14,6 +14,10 @@ Every integral against a density, an expectation or the tail table of a
 transform, is one array-native adaptive panel rule (``_panels``):
 8-point Gauss-Legendre panels, each compared with the rule on its two
 halves and bisected, all panels of a round in one call of the integrand.
+Integrands stacked on a leading axis (the moments x^p f(x) of a density,
+the tail weights of a transform) share one window, the hull of their tail
+windows, and one panel pass, in which every integrand is held to its own
+tolerance.
 Panels that have not converged after a fixed depth fall back to
 ``integrate_fn`` (scipy's adaptive quadrature), which is also the
 independent oracle the panel rule is tested against; an expectation with
@@ -114,12 +118,14 @@ _TAN_PROBE = np.tan(np.linspace(-(math.pi / 2 - 1e-6), math.pi / 2 - 1e-6, _PROB
 _TAN_PROBE.setflags(write=False)  # the tail probe's grid, shared by every call
 
 
-def _effective_bounds(f, lo, hi):
+def _effective_bounds(fv, lo, hi):
     """Finite integration window for a possibly infinite interval.
 
-    Probes the integrand on a tangent-spaced grid and keeps the hull of
-    points where it exceeds TAIL_EPS * peak.  Raises NonIntegrable when the
-    integrand has not decayed by |x| ~ 1e6.
+    Probes the array-native integrand ``fv``, which may stack J integrands
+    on a leading axis, on a tangent-spaced grid and keeps the hull of the
+    points where some integrand exceeds TAIL_EPS times its own peak: the
+    hull of the integrands' windows.  Raises NonIntegrable when one has not
+    decayed by |x| ~ 1e6.
     """
     if math.isfinite(lo) and math.isfinite(hi):
         return float(lo), float(hi)
@@ -128,13 +134,12 @@ def _effective_bounds(f, lo, hi):
         xs = np.concatenate(([lo], xs))
     if math.isfinite(hi):
         xs = np.concatenate((xs, [hi]))
-    vals = np.abs(as_array_fn(f)(xs))
+    vals = np.abs(fv(xs)).reshape(-1, xs.size)
     vals[~np.isfinite(vals)] = 0.0
-    peak = vals.max()
-    if peak <= 0.0:
+    peak = vals.max(axis=1, keepdims=True)
+    idx = np.flatnonzero(((vals >= TAIL_EPS * peak) & (peak > 0.0)).any(axis=0))
+    if not idx.size:
         return 0.0, 0.0
-    mask = vals >= TAIL_EPS * peak
-    idx = np.nonzero(mask)[0]
     first, last = idx[0], idx[-1]
     if (first == 0 and not math.isfinite(lo)) or (last == len(xs) - 1 and not math.isfinite(hi)):
         raise NonIntegrable("integrand tail has not decayed below the truncation threshold")
@@ -148,7 +153,7 @@ def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     truncated by the tail rule.  ``points`` are known kink locations."""
     from scipy import integrate  # loaded on first use
 
-    lo_e, hi_e = _effective_bounds(f, lo, hi)
+    lo_e, hi_e = _effective_bounds(as_array_fn(f), lo, hi)
     if not lo_e < hi_e:
         return 0.0
     pts = sorted({float(p) for p in points if lo_e < float(p) < hi_e})
@@ -217,21 +222,29 @@ def _panels(fv: Callable, edges: np.ndarray):
     return done, lefts + [a], vals + [whole], list(zip(a, b)), rough
 
 
-def _panel_integral(f, lo, hi, points: Sequence[float] = ()) -> float:
+def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0):
     """Integral of ``f`` on [lo, hi] by ``_panels`` from a _PANEL_START
     linspace of the window (infinite ends truncated by the tail rule) and
     ``points``.  ``integrate_fn`` takes the panels still open after
-    _PANEL_DEPTH rounds, and the whole window when the panels do not suit f."""
-    fv = as_array_fn(f)
+    _PANEL_DEPTH rounds, and the whole window when the panels do not suit f.
+    With ``rows`` > 0, f is array-native and stacks that many integrands on
+    a leading axis: they share the window (the hull of theirs) and the
+    panels, each panel held to every integrand's tolerance, the fallbacks
+    run row by row, and the integrals come back as an array."""
+    fv = f if rows else as_array_fn(f)
     lo_e, hi_e = _effective_bounds(fv, lo, hi)
     if not lo_e < hi_e:
-        return 0.0
+        return np.zeros(rows) if rows else 0.0
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
     edges = _sorted_unique(np.concatenate((np.linspace(lo_e, hi_e, _PANEL_START + 1), inner)))
     out = _panels(fv, edges)
+    fns = [lambda x, j=j: fv(x)[j] for j in range(rows)] if rows else [fv]
     if out is None:
-        return integrate_fn(fv, lo_e, hi_e, points=inner)
-    return float(out[0] + sum(integrate_fn(fv, x, y) for x, y in out[3]))
+        vals = [integrate_fn(g, lo_e, hi_e, points=inner) for g in fns]
+    else:
+        vals = [done + sum(integrate_fn(g, x, y) for x, y in out[3])
+                for done, g in zip(np.atleast_1d(out[0]), fns)]
+    return np.array(vals) if rows else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +452,7 @@ class Distribution:
             return min(lo), max(hi)
         if self.density is None:
             raise InputError("cannot bound an infinite support without a density")
-        lo, hi = _effective_bounds(self.density, self.lo, self.hi)
+        lo, hi = _effective_bounds(as_array_fn(self.density), self.lo, self.hi)
         if not lo < hi:
             raise NonIntegrable("the tail probe finds no density mass in "
                                 f"{self.label or 'an unlabelled law'}")
@@ -713,6 +726,36 @@ def moment(d: Distribution, n: int) -> float:
     if d.locs is not None:  # the array operations of expectation's atom branch
         return float(np.einsum("i,i->", d.masses, d.locs ** n))
     return expectation(d, lambda x: x ** n)
+
+
+def _moments(d: Distribution, top: int) -> np.ndarray:
+    """E[X^p], p = 0..top.  A density that is not a table is integrated in
+    one stacked pass: the integrands x^p f(x), p = 1..top, formed as a
+    running product, share one tail probe and one ``_panels`` call, and
+    agree with ``moment`` within 1e-12 relative, not bit for bit.  A mixture
+    without a density sums its components' moments by weight; every other
+    law (point masses, tables) takes ``moment`` order by order, bit for bit."""
+    if d.density is None and d.locs is None and d.components is not None:
+        out = sum(w * _moments(c, top) for c, w in zip(d.components, d.weights))
+        out[0] = 1.0
+        return out
+    if top < 1 or d.density is None or d.locs is not None or _table_of(d) is not None:
+        return np.array([moment(d, p) for p in range(top + 1)])
+    dens = as_array_fn(d.density)
+
+    def powers(x):  # row p - 1 holds x^p f(x)
+        out = np.empty((top,) + np.shape(x))
+        row = dens(x)
+        for p in range(top):
+            row = np.multiply(row, x, out=out[p, ...])
+        return out
+
+    vals = _panel_integral(powers, d.lo, d.hi, points=d.kinks, rows=top)
+    if not vals.any():
+        # the stack's probe found no mass: NonIntegrable rather than 0 when
+        # the density's own probe finds none either
+        d.effective_support()
+    return np.concatenate(([1.0], vals))
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:

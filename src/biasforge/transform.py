@@ -44,6 +44,7 @@ from .distributions import (
     TabulatedDensity,
     _Lazy,
     _gauss_legendre,
+    _moments,
     _panels,
     _probe_points,
     _sorted_unique,
@@ -54,7 +55,6 @@ from .distributions import (
     expectation,
     integrate_fn,
     make_mixture,
-    moment,
     sample,
     tilt,
 )
@@ -213,8 +213,11 @@ class BiasRecipe:
 
     def moments(self, top: int) -> np.ndarray:
         """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
-        using independence and E[U_j^r] = j / (j + r)."""
-        mom = np.array([moment(self.seed_law, p) for p in range(top + 1)])
+        using independence and E[U_j^r] = j / (j + r).  The seed moments
+        come from ``_moments``: exact atom sums on point masses, bit for bit
+        those of ``moment``, and one stacked panel pass for all orders on a
+        density, within 1e-12 relative of ``moment``."""
+        mom = _moments(self.seed_law, top)
         for j, xj in enumerate(self.spec.nodes, start=1):
             shrink = np.array([j / (j + r) for r in range(top + 1)])
             mom = shift_moments(shift_moments(mom, -xj) * shrink, xj)

@@ -268,6 +268,139 @@ def test_expectation_probes_the_density_alone_only_on_a_zero_integral(monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# moments of all orders in one stacked pass
+# ---------------------------------------------------------------------------
+
+STACKED_TOL = 1e-12  # relative, against max(1, |m_p|): the stacked pass and moment
+
+
+def _per_order(d, top):
+    return np.array([bf.moment(d, p) for p in range(top + 1)])
+
+
+STACKED_LAWS = [bf.normal(), bf.normal(40.0, 2.0), bf.exponential(0.2), bf.half_normal(),
+                bf.uniform(-1.0, 2.0),
+                bf.tilt(bf.normal(0.5, 1.5), lambda x: np.asarray(x) ** 2),
+                bf.tilt(bf.exponential(1.5), lambda x: np.sqrt(np.abs(x))),
+                bf.tilt(bf.normal(), lambda x: np.sqrt(np.abs(x)), weight_kinks=(0.0,)),
+                bf.make_mixture([bf.normal(-1.0, 0.5), bf.uniform(0.0, 3.0)], [0.4, 0.6])]
+
+
+@pytest.mark.parametrize("d", STACKED_LAWS, ids=lambda d: d.label)
+def test_stacked_moments_agree_with_moment(d):
+    # one panel pass for orders 1..8 agrees with one integral per order
+    # within STACKED_TOL relative (seen: at most 3.2e-13)
+    got, ref = D._moments(d, 8), _per_order(d, 8)
+    assert got[0] == 1.0
+    assert np.all(np.abs(got - ref) <= STACKED_TOL * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("d", [bf.from_atoms([(-1.5, 0.2), (0.3, 0.5), (2.0, 0.3)]),
+                               bf.random_discrete(np.random.default_rng(5)),
+                               bf.from_samples(np.random.default_rng(6).normal(size=5000))],
+                         ids=["atoms", "random", "empirical"])
+def test_stacked_moments_of_point_masses_are_bit_identical(d):
+    # point masses take moment order by order: the same bits
+    got, ref = D._moments(d, 8), _per_order(d, 8)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
+
+
+def test_stacked_moments_of_a_mixture_without_a_density_sum_its_components():
+    # the weights sum to 0.9999999999999999 in floats; the order-0 moment is 1.0
+    comps = [bf.from_atoms([(-1.0, 0.5), (2.0, 0.5)]), bf.normal(0.5, 1.5), bf.dirac(0.25)]
+    d = bf.make_mixture(comps, [0.3, 0.35, 0.35])
+    assert d.density is None
+    got, ref = D._moments(d, 6), _per_order(d, 6)
+    want = sum(w * D._moments(c, 6) for c, w in zip(comps, (0.3, 0.35, 0.35)))
+    assert got[0] == 1.0 and np.array_equal(got[1:], want[1:])
+    assert np.all(np.abs(got - ref) <= STACKED_TOL * np.maximum(1.0, np.abs(ref)))
+
+
+def test_stacked_moments_of_a_singular_tilt_take_the_fallback_row_by_row(fallbacks):
+    # 1/sqrt|x - c| leaves slivers open at c: integrate_fn values each of
+    # them once per order.  Both routes rest on integrate_fn there, so they
+    # agree within the quadrature tolerance, ABS_TOL + REL_TOL |m_p|
+    c = 0.0123
+    d = bf.tilt(bf.uniform(-1.0, 1.1), lambda x: 1.0 / np.sqrt(np.abs(x - c)))
+    fallbacks.clear()
+    got = D._moments(d, 8)
+    slivers = sorted(set(fallbacks))
+    assert slivers and len(fallbacks) == 8 * len(slivers)
+    assert all(max(abs(lo - c), abs(hi - c)) < 1e-6 for lo, hi in slivers)
+    ref = _per_order(d, 8)
+    assert np.all(np.abs(got - ref) <= D.ABS_TOL + D.REL_TOL * np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [bf.normal(0.3, 1.2), bf.normal(-40.0, 2.0), bf.exponential(0.2),
+                               bf.negative_half_normal(0.7),
+                               bf.tilt(bf.normal(), lambda x: 1.0 + np.asarray(x) ** 2)],
+                         ids=lambda d: d.label)
+def test_stacked_window_is_the_hull_of_the_single_row_windows(d):
+    rows = [lambda x, p=p: d.density(x) * x ** p for p in range(1, 9)]
+    stack = lambda x: np.stack([f(x) for f in rows])
+    windows = [D._effective_bounds(f, d.lo, d.hi) for f in rows]
+    hull = (min(a for a, _ in windows), max(b for _, b in windows))
+    assert [x.hex() for x in D._effective_bounds(stack, d.lo, d.hi)] == [x.hex() for x in hull]
+    # one row keeps the single integrand's window
+    assert D._effective_bounds(lambda x: rows[1](x)[None], d.lo, d.hi) == windows[1]
+
+
+def test_stacked_moments_raise_when_one_row_has_not_decayed():
+    # density 3/4 (1 + x^2)^(-5/2): x^2 f decays below the tail threshold by
+    # |x| ~ 1e6, x^3 f does not
+    d = bf.Distribution(lo=-math.inf, hi=math.inf,
+                        density=lambda x: 0.75 * (1.0 + np.asarray(x) ** 2) ** -2.5)
+    assert D._moments(d, 2)[2] == pytest.approx(0.5, rel=1e-9)
+    for route in (lambda: D._moments(d, 3), lambda: bf.moment(d, 3)):
+        with pytest.raises(bf.NonIntegrable):
+            route()
+    with pytest.raises(bf.NonIntegrable):  # the probe finds no mass at all
+        D._moments(bf.normal(1000, 1e-3), 4)
+
+
+def _cold_transforms():
+    """The nine transforms of catalog laws that the benchmark's
+    continuous-cold workload builds."""
+    ident = lambda x: np.asarray(x, dtype=float)
+    ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    plus = lambda x: np.maximum(np.asarray(x, dtype=float), 0.0)
+
+    def product(nodes):
+        return bf.SignChangeSpec(lambda x: np.prod([np.asarray(x, float) - a for a in nodes], axis=0),
+                                 bf.NodeSet(nodes))
+
+    zero = bf.SignChangeSpec(ident, bf.NodeSet((0.0,)))
+    U = bf.uniform(-1.0, 1.0)
+    halves = bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7])
+    return [bf.bias(bf.normal(), zero),
+            bf.bias(bf.exponential(1.0), bf.SignChangeSpec(np.sign, bf.NodeSet((0.0,)), kinks=(0.0,))),
+            bf.bias(halves, zero),
+            bf.bias(U, bf.SignChangeSpec(plus, bf.NodeSet((-1.0,)), kinks=(0.0,))),
+            bf.bias(U, bf.SignChangeSpec(plus, bf.NodeSet((0.0,)), kinks=(0.0,))),
+            bf.bias(U, product((-0.5, 0.5))),
+            bf.bias(U, product((-0.6, 0.0, 0.6))),
+            bf.bias_to_order(U, bf.SignChangeSpec(ones), 2),
+            bf.second_order_transform(bf.normal(), ones, zero)]
+
+
+def test_stacked_recipe_moments_probe_and_pass_once_per_density_seed(monkeypatch):
+    # seven one-stage records, one lift (its base to order 6) and one
+    # two-part mixture: ten density seed laws, each one tail probe and one
+    # panel pass for every order (44 of each when each order integrates alone)
+    transforms = _cold_transforms()
+    calls = {"probe": 0, "panels": 0}
+    for name, key in (("_effective_bounds", "probe"), ("_panels", "panels")):
+        def counted(*args, fn=getattr(D, name), key=key):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(D, name, counted)
+    for t in transforms:
+        mom = bf.recipe_moments(t.recipe, 4)
+        assert mom[0] == 1.0 and np.isfinite(mom).all()
+    assert calls == {"probe": 10, "panels": 10}
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 

@@ -216,7 +216,7 @@ class BiasRecipe:
         using independence and E[U_j^r] = j / (j + r).  The seed moments
         come from ``_moments``: exact atom sums on point masses, bit for bit
         those of ``moment``, and one stacked panel pass for all orders on a
-        density, within 1e-12 relative of ``moment``."""
+        density, within 1e-12 relative of ``moment`` on smooth densities."""
         mom = _moments(self.seed_law, top)
         for j, xj in enumerate(self.spec.nodes, start=1):
             shrink = np.array([j / (j + r) for r in range(top + 1)])

@@ -351,6 +351,8 @@ class TabulatedDensity:
 
     @staticmethod
     def from_callable(f, lo, hi, n=INVERSE_CDF_GRID, knots=()):
+        if int(n) < 2:  # a one-point grid has no width for the trapezoid CDF
+            raise InputError(f"a density table needs at least 2 grid points, not {n!r}")
         xs = np.linspace(float(lo), float(hi), int(n))
         extra = np.array([float(k) for k in knots if lo < float(k) < hi])
         if extra.size:
@@ -824,44 +826,54 @@ def _probe_points(d: Distribution) -> np.ndarray:
     return np.linspace(*d.effective_support(), _PROBE_GRID)
 
 
-def _tilt_atoms(d: Distribution, wx: np.ndarray) -> Distribution:
-    """The point-mass law ``d`` reweighted exactly by the weight values
-    ``wx`` at its atoms."""
-    xs, ms = d.locs, d.masses
-    _check_weight(wx, xs)
-    mw = ms * np.clip(wx, 0.0, None)
-    z = float(np.sum(mw))
-    if z <= ZERO_NORMALIZER_TOL:
-        raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
-    mw /= z
-    return _atom_law(xs, mw, label=f"tilt({d.label})")
+def _probe_size(d: Distribution) -> int:
+    """The length of ``_probe_points(d)``, found without a tail probe."""
+    if d.density is None and d.components is not None:
+        return sum(map(_probe_size, d.components))
+    return _PROBE_GRID if d.locs is None else d.locs.size
 
 
 def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
-    Point masses (``locs``) are reweighted exactly (``_tilt_atoms``, which
-    ``bias`` calls with the weight values it has already); a ``density`` is
+    Point masses (``locs``) are reweighted exactly; a ``density`` is
     multiplied by w, renormalized by quadrature and sampled through a
     numeric inverse CDF; a mixture without one tilts its ``components``.  A
-    law with a sampler alone cannot be tilted: NoSampler.  NegativeWeight
-    where w is negative or not finite at one of the ``_probe_points``.
-    ``weight_kinks`` declares non-smooth points of w.
-    """
-    wv = as_array_fn(w)
+    law with a sampler alone cannot be tilted: NoSampler.  w is evaluated
+    once on all the ``_probe_points`` (``_tilt`` builds from those values):
+    NegativeWeight where it is negative or not finite at one of them.
+    ``weight_kinks`` declares non-smooth points of w."""
+    if d.locs is None and d.density is None and d.components is None:
+        raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
+    wv, probe = as_array_fn(w), _probe_points(d)
+    return _tilt(d, wv, weight_kinks, probe, wv(probe))
+
+
+def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
+          wx: np.ndarray) -> Distribution:
+    """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
+    ``_probe_points`` ``probe`` of ``d``, whose ends bound a density's table;
+    a mixture without a density hands each component its slice of both."""
+    _check_weight(wx, probe)
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
         return np.maximum(wv(x), 0.0)
 
     if d.locs is not None:  # exact reweighting of the atoms
-        return _tilt_atoms(d, wv(d.locs))
+        mw = d.masses * np.clip(wx, 0.0, None)
+        z = float(np.sum(mw))
+        if z <= ZERO_NORMALIZER_TOL:
+            raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
+        mw /= z
+        return _atom_law(d.locs, mw, label=f"tilt({d.label})")
 
-    if d.density is None and d.components is not None:
+    if d.density is None:
         zs, tilted = [], []
-        for comp in d.components:
+        cuts = np.cumsum([0, *map(_probe_size, d.components)])
+        for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
             try:
-                tc = tilt(comp, w, weight_kinks=weight_kinks)
+                tc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
                 zc = expectation(comp, w_plus, points=weight_kinks)
             except ZeroNormalizer:
                 tc, zc = None, 0.0
@@ -873,36 +885,30 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
         comps = [(tc, wt * z / total) for tc, wt, z in zip(tilted, d.weights, zs) if z > 0]
         return make_mixture([c for c, _ in comps], [p for _, p in comps])
 
-    if d.density is not None:
-        probe = _probe_points(d)
-        lo_e, hi_e = float(probe[0]), float(probe[-1])
-        _check_weight(wv(probe), probe)
-        base = as_array_fn(d.density)
-        z = expectation(d, w_plus, points=weight_kinks)
-        if z <= ZERO_NORMALIZER_TOL:
-            raise ZeroNormalizer("tilting weight has zero expectation")
+    base = as_array_fn(d.density)
+    z = expectation(d, w_plus, points=weight_kinks)
+    if z <= ZERO_NORMALIZER_TOL:
+        raise ZeroNormalizer("tilting weight has zero expectation")
 
-        def dens(x):
-            arr = np.asarray(x, dtype=float)
-            if arr.ndim == 0:
-                return float(w_plus(arr) * base(arr) / z)
-            pts = arr.reshape(-1)
-            out = w_plus(pts)  # a fresh array: the product is formed in it
-            for i in range(0, pts.size, _BLOCK):  # base's temporaries stay block-sized
-                out[i:i + _BLOCK] *= base(pts[i:i + _BLOCK])
-            out /= z
-            return out.reshape(arr.shape)
+    def dens(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            return float(w_plus(arr) * base(arr) / z)
+        pts = arr.reshape(-1)
+        out = w_plus(pts)  # a fresh array: the product is formed in it
+        for i in range(0, pts.size, _BLOCK):  # base's temporaries stay block-sized
+            out[i:i + _BLOCK] *= base(pts[i:i + _BLOCK])
+        out /= z
+        return out.reshape(arr.shape)
 
-        table = _Lazy(lambda: TabulatedDensity.from_callable(
-            dens, lo_e, hi_e, INVERSE_CDF_GRID, knots=kinks))
+    table = _Lazy(lambda: TabulatedDensity.from_callable(
+        dens, probe[0], probe[-1], INVERSE_CDF_GRID, knots=kinks))
 
-        def draw(rs: RandomSource, n: int):
-            return table.get().ppf(rs.uniform(n))
+    def draw(rs: RandomSource, n: int):
+        return table.get().ppf(rs.uniform(n))
 
-        return Distribution(lo=d.lo, hi=d.hi, density=dens,
-                            sampler=draw, kinks=kinks, label=f"tilt({d.label})")
-
-    raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
+    return Distribution(lo=d.lo, hi=d.hi, density=dens,
+                        sampler=draw, kinks=kinks, label=f"tilt({d.label})")
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:

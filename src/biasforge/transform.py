@@ -48,15 +48,14 @@ from .distributions import (
     _panels,
     _probe_points,
     _sorted_unique,
+    _tilt,
     _table_of,
-    _tilt_atoms,
     _weight_ok,
     as_array_fn,
     expectation,
     integrate_fn,
     make_mixture,
     sample,
-    tilt,
 )
 from .polynomials import NodeSet, correction_poly, lagrange_poly
 
@@ -142,6 +141,8 @@ def validate_spec(spec: SignChangeSpec, probe) -> ValidationReport:
         pts = _probe_points(probe)
     else:
         pts = np.asarray(probe, dtype=float).ravel()
+        if not pts.size:
+            raise InputError("validate_spec needs at least one probe point")
     pts = _with_near_nodes(spec, pts)
     return _validation_report(pts, spec.tilt_weight(pts))
 
@@ -160,12 +161,6 @@ def _validation_report(pts: np.ndarray, vals: np.ndarray) -> ValidationReport:
                             worst_value=float(vals[worst]),
                             worst_point=float(pts[worst]),
                             n_probes=int(pts.size), tol=-NEGATIVE_WEIGHT_TOL)
-
-
-def _raise_on_violation(report: ValidationReport) -> None:
-    if not report.passed:
-        raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
-                            f"(value {report.worst_value:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -478,22 +473,22 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     law carries a density evaluator (the one-node tail integral read from a
     panel table for one node, the identity table otherwise).
 
-    On a point-mass law the weight is evaluated once, on the atoms and the
-    near-node probes together, so B must be elementwise (as
-    ``validate_spec`` assumes); those values give the verdict of
-    ``validate_spec``, the ``alpha_of`` normalizer and the atom ``tilt``,
-    with the errors, values and bits of the three run apart."""
-    if X.locs is not None:
-        pts = _with_near_nodes(spec, X.locs)
-        w = spec.tilt_weight(pts)
-        _raise_on_violation(_validation_report(pts, w))
-        wx = w[:X.locs.size]
-        alpha = _checked_alpha(float(np.einsum("i,i->", X.masses, wx)) / math.factorial(spec.k))
-        seed_law = _tilt_atoms(X, wx)
-    else:
-        _raise_on_violation(validate_spec(spec, X))
-        alpha = alpha_of(X, spec)
-        seed_law = tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
+    The weight is evaluated once, on the probe points of ``validate_spec``,
+    so B must be elementwise: those values give the verdict, the seed law
+    (the tilt) and, on point masses, the normalizer as an atom sum, with
+    the errors, values and bits of ``validate_spec``, ``alpha_of`` and
+    ``tilt`` run apart.  The probe's ends bound the law."""
+    probe = _probe_points(X)
+    pts = _with_near_nodes(spec, probe)
+    w = spec.tilt_weight(pts)
+    report = _validation_report(pts, w)
+    if not report.passed:
+        raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
+                            f"(value {report.worst_value:.3e})")
+    wx = w[:probe.size]
+    alpha = (alpha_of(X, spec) if X.locs is None else
+             _checked_alpha(float(np.einsum("i,i->", X.masses, wx)) / math.factorial(spec.k)))
+    seed_law = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe, wx)
     recipe = BiasRecipe(source=X, spec=spec, seed_law=seed_law, alpha=alpha)
     k = spec.k
 
@@ -512,8 +507,7 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
             z += xj
         return z
 
-    lo_x, hi_x = X.effective_support()
-    lo, hi = min(lo_x, nodes[0]), max(hi_x, nodes[-1])
+    lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
 
     if k == 1:
         tails = _Lazy(lambda: _TailTable(X, (spec.bias,), spec.quad_points))

@@ -200,9 +200,9 @@ def numpy_antiderivative(p: bf.Polynomial) -> bf.Polynomial:
 # ---------------------------------------------------------------------------
 
 def bias_in_three_passes(X, spec):
-    """The normalizer and the seed law of ``bias`` on a point-mass law by
-    ``validate_spec``, ``alpha_of`` and ``tilt`` run apart, each evaluating
-    the weight itself; the errors are those of the three in that order."""
+    """The normalizer and the seed law of ``bias`` by ``validate_spec``,
+    ``alpha_of`` and ``tilt`` run apart, each evaluating the weight itself;
+    the errors are those of the three in that order."""
     report = bf.validate_spec(spec, X)
     if not report.passed:
         raise bf.SignViolation(f"sign pattern fails at x={report.worst_point!r} "

@@ -55,6 +55,18 @@ def test_moment_of_cached_density(n, expected):
     assert bf.moment(bf.cache_density(bf.normal(), 2049), n) == pytest.approx(expected, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_table_of_fewer_than_two_points_is_an_input_error(n):
+    # a one-point grid read a CDF of 1.0 at the median of the zero-bias
+    # normal law, and an empty one a zero mass
+    law = bf.bias(bf.normal(), bf.zero_bias_spec()).law
+    for build in (lambda: bf.numeric_cdf(law, n=n), lambda: bf.cache_density(law, n),
+                  lambda: D.TabulatedDensity.from_callable(bf.normal().density, -1, 1, n=n)):
+        with pytest.raises(bf.InputError, match="at least 2 grid points"):
+            build()
+    assert bf.numeric_cdf(law, n=2)(0.0) == 0.5
+
+
 @pytest.mark.parametrize("p", [4, 6, 10])
 def test_moment_of_a_table_is_its_exact_piecewise_polynomial_integral(p):
     # the moment of a linear-interpolation table is a sum of polynomial

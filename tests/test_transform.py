@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import biasforge as bf
+import biasforge.distributions as D
 import biasforge.transform as transform
 from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
 from biasforge.verify import _lhs_polynomials
@@ -42,6 +43,12 @@ def test_validate_misplaced_node_fails(uniform_sym):
 def test_validate_accepts_grid_probe():
     spec = bf.zero_bias_spec()
     assert bf.validate_spec(spec, np.linspace(-5, 5, 100)).passed
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_validate_spec_on_an_empty_probe_is_an_input_error(k):
+    with pytest.raises(bf.InputError, match="at least one probe point"):
+        bf.validate_spec(bf.random_valid_spec(np.random.default_rng(k), k), [])
 
 
 def test_validation_probes_the_atoms_of_a_mixture_without_a_density():
@@ -129,6 +136,37 @@ def _point_mass_cases():
     return cases
 
 
+def _density_and_mixture_cases():
+    U = bf.uniform(-1.0, 1.0)
+    atoms = bf.from_atoms([(-1.2, 0.3), (0.4, 0.2), (1.5, 0.5)])
+    lift = bf.bias_to_order(U, SignChangeSpec(lambda x: np.ones_like(np.asarray(x, float))), 2)
+    return [
+        ("normal", bf.normal(), bf.zero_bias_spec()),
+        ("exponential", bf.exponential(1.0), bf.sign_spec(0.0)),
+        ("half-normal", bf.half_normal(1.3), bf.zero_bias_spec()),
+        ("normal-k3", bf.normal(0.1, 0.9), bf.random_valid_spec(np.random.default_rng(3), 3)),
+        ("lift-table", lift.law, bf.zero_bias_spec()),  # its density is a lazy table
+        ("atoms+normal", bf.make_mixture([atoms, bf.normal(0.2, 1.1)], [0.4, 0.6]),
+         bf.zero_bias_spec()),
+        ("atoms+uniform", bf.make_mixture([atoms, U], [0.5, 0.5]), bf.zero_bias_spec()),
+    ]
+
+
+def _assert_same_laws(got, want, ts):
+    """The same law, bit for bit: support, atoms, densities at ``ts`` and,
+    for a mixture, its weights and each component."""
+    assert (got.lo, got.hi, got.label, got.kinks) == (want.lo, want.hi, want.label, want.kinks)
+    if want.locs is not None:
+        assert got.locs.tobytes() == want.locs.tobytes()
+        assert got.masses.tobytes() == want.masses.tobytes()
+    if want.density is not None:
+        assert np.asarray(got.density(ts)).tobytes() == np.asarray(want.density(ts)).tobytes()
+    if want.components is not None:
+        assert got.weights == want.weights and len(got.components) == len(want.components)
+        for c, d in zip(got.components, want.components):
+            _assert_same_laws(c, d, ts)
+
+
 def _draws_digest(law, n=10_000):
     draws = bf.sample(law, bf.RandomSource(8), n)
     return hashlib.sha256(np.ascontiguousarray(draws, dtype=float).tobytes()).hexdigest()
@@ -144,6 +182,14 @@ def test_one_pass_bias_matches_the_three_passes_bit_for_bit():
         assert got.masses.tobytes() == seed_law.masses.tobytes(), name
         assert not got.masses.flags.writeable and got.label == seed_law.label
         assert _draws_digest(got) == _draws_digest(seed_law), name
+    for name, X, spec in _density_and_mixture_cases():
+        t = bf.bias(X, spec)
+        alpha, seed_law = bias_in_three_passes(X, spec)
+        assert t.alpha.hex() == alpha.hex(), name
+        _assert_same_laws(t.recipe.seed_law, seed_law, np.linspace(*X.effective_support(), 101))
+        assert _draws_digest(t.recipe.seed_law, 20_000) == _draws_digest(seed_law, 20_000), name
+        lo, hi = X.effective_support()  # the window of the law before the one pass
+        assert (t.law.lo, t.law.hi) == (min(lo, spec.nodes[0]), max(hi, spec.nodes[-1])), name
 
 
 def _outcome(f):
@@ -182,6 +228,71 @@ def test_one_pass_bias_raises_as_the_three_passes(spec, error):
     got = _outcome(lambda: bf.bias(X, spec))
     assert got is not None and got[0] is error
     assert got == _outcome(lambda: bias_in_three_passes(X, spec))
+
+
+_BAD_SPECS = {
+    # x times -1 on (-1e-3, 1e-3): negative only just right of the node 0
+    "negative-right-of-node": (SignChangeSpec(
+        lambda x: np.where(np.abs(np.asarray(x, float)) < 1e-3, -1.0, np.asarray(x, float)),
+        NodeSet((0.0,))), bf.SignViolation),
+    "nan-on-part": (SignChangeSpec(lambda x: np.where(np.asarray(x, float) > 0.5, np.nan, 1.0)),
+                    bf.SignViolation),
+    "all-zero": (SignChangeSpec(lambda x: np.zeros(np.shape(x))), bf.DegenerateAlpha),
+    "tiny-negative": (SignChangeSpec(lambda x: np.full(np.shape(x), -1e-13)),
+                      bf.DegenerateAlpha),
+    # the atom 0.4 of both mixtures, which no support grid point hits
+    "negative-atom": (SignChangeSpec(lambda x: np.where(np.asarray(x, float) == 0.4, -2.0, 1.0)),
+                      bf.SignViolation),
+}
+
+
+@pytest.mark.parametrize("law, case", [
+    (name, case) for name, X, _ in _density_and_mixture_cases() for case in _BAD_SPECS
+    if case != "negative-atom" or "+" in name])
+def test_one_pass_bias_of_densities_and_mixtures_raises_as_the_three_passes(law, case):
+    X = {name: X for name, X, _ in _density_and_mixture_cases()}[law]
+    spec, error = _BAD_SPECS[case]
+    got = _outcome(lambda: bf.bias(X, spec))
+    assert got is not None and got[0] is error
+    assert got == _outcome(lambda: bias_in_three_passes(X, spec))
+
+
+def _recording(X):
+    """A zero-bias B that records whether each call holds the _PROBE_GRID
+    linspace of X's effective support (or of X's density component), and
+    the calls of the tail probe; both lists fill as ``bias`` runs."""
+    dens = X if X.density is not None else next(c for c in X.components if c.density)
+    grid = np.linspace(*dens.effective_support(), D._PROBE_GRID)
+    on_grid, probes = [], []
+
+    def B(x):
+        arr = np.asarray(x, float).ravel()
+        at = np.flatnonzero(arr == grid[0])
+        on_grid.append(any(np.array_equal(arr[i:i + grid.size], grid) for i in at))
+        return np.asarray(x, float)
+
+    def probe(*args, fn=D._effective_bounds):
+        probes.append(args)
+        return fn(*args)
+
+    return SignChangeSpec(B, NodeSet((0.0,))), on_grid, probes, probe
+
+
+@pytest.mark.parametrize("law, probe_calls", [
+    # one for the probe grid; the product probes left are those of alpha and
+    # of the tilt normalizer z, whose integrands differ (w and max(w, 0))
+    ("normal", 3),
+    # and the normalizer of the tilted normal component, taken again as its
+    # mixture weight
+    ("atoms+normal", 4),
+])
+def test_one_pass_bias_evaluates_the_weight_on_the_probe_grid_once(monkeypatch, law, probe_calls):
+    X = {name: X for name, X, _ in _density_and_mixture_cases()}[law]
+    spec, on_grid, probes, probe = _recording(X)
+    monkeypatch.setattr(D, "_effective_bounds", probe)
+    bf.bias(X, spec)
+    assert sum(on_grid) == 1
+    assert len(probes) == probe_calls
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -19,7 +19,8 @@ the tail weights of a transform) share one window, the hull of their tail
 windows, and one panel pass, in which every integrand is held to its own
 tolerance.
 Panels that have not converged after a fixed depth fall back to
-``integrate_fn`` (scipy's adaptive quadrature), which is also the
+``integrate_fn`` (scipy's adaptive quadrature), for a stack only in the
+rows that missed their share, each evaluated alone; ``integrate_fn`` is also the
 independent oracle the panel rule is tested against; an expectation with
 a non-finite rule or too many open panels goes to it whole.  scipy is
 imported on first use only: by ``integrate_fn`` and by the first normal
@@ -190,64 +191,108 @@ def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fv(np.add(x, (0.5 * (a + b))[..., None], out=x)) @ _GW * half
 
 
-def _panels(fv: Callable, edges: np.ndarray):
+def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     """Adaptive Gauss-Legendre panels on the window cut at the sorted
     ``edges``, the quadrature of every density integral: each round accepts
     the halves of every open panel whose rule is within its share (by width)
     of ABS_TOL + REL_TOL |I| of the rule on its halves, and bisects the rest.
     ``fv`` may stack J integrands on a leading axis.  Returns (done, lefts,
-    vals, stuck, rough): the integral over the converged panels; round by
-    round, the left edges and values of the final panels, which tile the
-    window; the [a, b] still open after _PANEL_DEPTH rounds (a jump or a
-    singularity), valued by the rule on their halves; and whether those
-    rules miss by more than the tolerance (a singularity).  None when a rule
-    is not finite or more than _PANEL_OPEN_MAX panels are open at once."""
+    vals, stuck, rough, missed): the integral over the converged panels;
+    round by round, the left edges and values of the final panels, which
+    tile the window; the [a, b] still open after ``depth`` rounds (a jump or
+    a singularity), valued by the rule on their halves; whether those rules
+    miss by more than the tolerance (a singularity); and, integrand by
+    integrand, whether each of those panels is the half of one that missed
+    that integrand's own share, the only values a fallback must redo.  None
+    when a rule is not finite or more than _PANEL_OPEN_MAX panels are open
+    at once."""
     a, b = edges[:-1], edges[1:]
     whole = _gauss_legendre(fv, a, b)
     width, done, lefts, vals = edges[-1] - edges[0], 0.0, [], []
-    for _ in range(_PANEL_DEPTH):
+    for _ in range(depth):
         cuts = np.array((a, 0.5 * (a + b), b))
         halves = _gauss_legendre(fv, cuts[:2], cuts[1:])  # both halves in one call
         fine = halves[..., 0, :] + halves[..., 1, :]
         err = np.abs(fine - whole)  # finite only if both rules are
         total = done + fine.sum(axis=-1)
         tol = (ABS_TOL + REL_TOL * np.abs(total))[..., None]
-        open_ = (err > tol * (b - a) / width).reshape(-1, a.size).any(axis=0)
+        miss = err > tol * (b - a) / width
+        open_ = miss.reshape(-1, a.size).any(axis=0)
         if not np.isfinite(err).all() or np.count_nonzero(open_) > _PANEL_OPEN_MAX:
             return None
         if not open_.any():
-            return total, lefts + [a], vals + [fine], [], False
+            return total, lefts + [a], vals + [fine], [], False, miss[..., :0]
         lefts.append(a[~open_])
         vals.append(fine.compress(~open_, axis=-1))
         done += vals[-1].sum(axis=-1)
         a, b = cuts[:2, open_].ravel(), cuts[1:, open_].ravel()  # left halves first
         whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
     rough = bool((err.compress(open_, axis=-1).sum(axis=-1) > tol[..., 0]).any())
-    return done, lefts + [a], vals + [whole], list(zip(a, b)), rough
+    missed = np.tile(miss.compress(open_, axis=-1), 2)  # as a and b: left halves first
+    return done, lefts + [a], vals + [whole], list(zip(a, b)), rough, missed
+
+
+def _start_edges(lo: float, hi: float, points) -> np.ndarray:
+    """The first panels' edges on [lo, hi]: a _PANEL_START linspace and the
+    ``points`` inside it."""
+    inner = [float(p) for p in points if lo < float(p) < hi]
+    return _sorted_unique(np.concatenate((np.linspace(lo, hi, _PANEL_START + 1), inner)))
+
+
+def _running_products(head: Callable, factor: Callable, rows: int, start: int = 0) -> Callable:
+    """The stack of ``rows`` integrands head(x) factor(x)^(start + j),
+    j < rows, formed as a running product: ``g(x)`` gives the (rows,) +
+    shape stack, ``g(x, j)`` row j alone, formed only up to it with the bits
+    of the stack's row (how a stack's fallbacks integrate one row).
+    ``head`` and ``factor`` are array-native and each called at most once
+    per call of g; ``start`` is 0 or 1."""
+
+    def g(x, row=None):
+        v = head(x)
+        n = start + (rows - 1 if row is None else row)  # the factors to apply
+        step = factor(x) if n else None
+        if row is not None:
+            for _ in range(n):
+                v = v * step
+            return v
+        out = np.empty((rows,) + np.shape(x))
+        if start:
+            v = np.multiply(v, step, out=out[0])
+        else:
+            out[0] = v
+        for j in range(1, rows):
+            v = np.multiply(v, step, out=out[j])
+        return out
+
+    return g
 
 
 def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0):
-    """Integral of ``f`` on [lo, hi] by ``_panels`` from a _PANEL_START
-    linspace of the window (infinite ends truncated by the tail rule) and
+    """Integral of ``f`` on [lo, hi] by ``_panels`` from the _PANEL_START
+    edges of the window (infinite ends truncated by the tail rule) and
     ``points``.  ``integrate_fn`` takes the panels still open after
     _PANEL_DEPTH rounds, and the whole window when the panels do not suit f.
     With ``rows`` > 0, f is array-native and stacks that many integrands on
     a leading axis: they share the window (the hull of theirs) and the
     panels, each panel held to every integrand's tolerance, the fallbacks
-    run row by row, and the integrals come back as an array."""
+    run row by row on ``f(x, j)``, row j alone (``_running_products``), and
+    the integrals come back as an array."""
     fv = f if rows else as_array_fn(f)
     lo_e, hi_e = _effective_bounds(fv, lo, hi)
     if not lo_e < hi_e:
         return np.zeros(rows) if rows else 0.0
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
-    edges = _sorted_unique(np.concatenate((np.linspace(lo_e, hi_e, _PANEL_START + 1), inner)))
-    out = _panels(fv, edges)
-    fns = [lambda x, j=j: fv(x)[j] for j in range(rows)] if rows else [fv]
+    out = _panels(fv, _start_edges(lo_e, hi_e, inner))
+    fns = [lambda x, j=j: fv(x, j) for j in range(rows)] if rows else [fv]
     if out is None:
         vals = [integrate_fn(g, lo_e, hi_e, points=inner) for g in fns]
     else:
-        vals = [done + sum(integrate_fn(g, x, y) for x, y in out[3])
-                for done, g in zip(np.atleast_1d(out[0]), fns)]
+        vals = np.atleast_1d(out[0]).tolist()
+        if out[3]:  # a stuck panel keeps its rule for an integrand whose share it met
+            rules, missed = (np.reshape(v, (len(fns), -1)) for v in (out[2][-1], out[5]))
+            for j, g in enumerate(fns):
+                vals[j] += sum(integrate_fn(g, x, y) if miss else rule
+                               for (x, y), miss, rule in zip(out[3], missed[j], rules[j]))
     return np.array(vals) if rows else float(vals[0])
 
 
@@ -751,14 +796,8 @@ def _moments(d: Distribution, top: int) -> np.ndarray:
     if top < 1 or d.density is None or d.locs is not None or _table_of(d) is not None:
         return np.array([moment(d, p) for p in range(top + 1)])
     dens = as_array_fn(d.density)
-
-    def powers(x):  # row p - 1 holds x^p f(x)
-        out = np.empty((top,) + np.shape(x))
-        row = dens(x)
-        for p in range(top):
-            row = np.multiply(row, x, out=out[p, ...])
-        return out
-
+    # row p - 1 holds x^p f(x)
+    powers = _running_products(dens, lambda x: x, top, start=1)
     vals = _panel_integral(powers, d.lo, d.hi, points=d.kinks, rows=top)
     if not vals.any():
         # the stack's probe found no mass: NonIntegrable rather than 0 when
@@ -846,14 +885,16 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
     if d.locs is None and d.density is None and d.components is None:
         raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
     wv, probe = as_array_fn(w), _probe_points(d)
-    return _tilt(d, wv, weight_kinks, probe, wv(probe))
+    return _tilt(d, wv, weight_kinks, probe, wv(probe))[0]
 
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
-          wx: np.ndarray) -> Distribution:
+          wx: np.ndarray):
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
     ``_probe_points`` ``probe`` of ``d``, whose ends bound a density's table;
-    a mixture without a density hands each component its slice of both."""
+    a mixture without a density hands each component its slice of both and
+    weighs the tilted components by the normalisers they return.  Returns
+    the law and its normaliser E[max(w(X), 0)]."""
     _check_weight(wx, probe)
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
@@ -866,15 +907,14 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         if z <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
         mw /= z
-        return _atom_law(d.locs, mw, label=f"tilt({d.label})")
+        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z
 
     if d.density is None:
         zs, tilted = [], []
         cuts = np.cumsum([0, *map(_probe_size, d.components)])
         for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
             try:
-                tc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
-                zc = expectation(comp, w_plus, points=weight_kinks)
+                tc, zc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
             except ZeroNormalizer:
                 tc, zc = None, 0.0
             tilted.append(tc)
@@ -883,7 +923,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         if total <= ZERO_NORMALIZER_TOL:
             raise ZeroNormalizer("tilting weight has zero expectation on the mixture")
         comps = [(tc, wt * z / total) for tc, wt, z in zip(tilted, d.weights, zs) if z > 0]
-        return make_mixture([c for c, _ in comps], [p for _, p in comps])
+        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total
 
     base = as_array_fn(d.density)
     z = expectation(d, w_plus, points=weight_kinks)
@@ -908,7 +948,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         return table.get().ppf(rs.uniform(n))
 
     return Distribution(lo=d.lo, hi=d.hi, density=dens,
-                        sampler=draw, kinks=kinks, label=f"tilt({d.label})")
+                        sampler=draw, kinks=kinks, label=f"tilt({d.label})"), z
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:

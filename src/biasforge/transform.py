@@ -15,7 +15,9 @@ always has a density: for one node a tail integral of B against the
 input law, and for more a table filled from the defining identity at the
 truncated power (s - t)_+^{m-1}, whose m-th derivative is the point mass at
 t.  Both read one cumulative table of the input law (``_TailTable``),
-built on first use from the converged panels of the adaptive panel rule.
+built on first use from the converged panels of the adaptive panel rule,
+started from the 64 panels of every other panel integral, with all its
+weights (B, or B(x) (x - c)^j for j < m) one stack that evaluates B once.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -42,12 +44,14 @@ from .distributions import (
     Distribution,
     RandomSource,
     TabulatedDensity,
+    _PANEL_DEPTH,
     _Lazy,
     _gauss_legendre,
     _moments,
     _panels,
     _probe_points,
-    _sorted_unique,
+    _running_products,
+    _start_edges,
     _tilt,
     _table_of,
     _weight_ok,
@@ -335,60 +339,64 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
 
 
 class _TailTable:
-    """Cumulative integrals of fixed weights w_j against the law of X, read
-    at any t as the one-node tail
+    """Cumulative integrals of a stack of J fixed weights w_j against the
+    law of X, read at any t as the one-node tail
 
         E[w_j(X) (1{node <= t <= X} - 1{X < t < node})],
 
     the upper tail from t >= node and minus the lower tail below it, so no
-    value is a difference of near-equal sums.  Point masses, sorted by
-    construction, are read through prefix and suffix sums.  A density is
-    integrated by ``_panels`` from a linspace over its effective support,
-    ``knots`` and the law's kinks as break points, and the sums run over
-    the final panels, valued by rules at the DENSITY_GRID spacing: a read is
-    one lookup plus the 8-point Gauss-Legendre rule on part of one panel.
-    ``integrate_fn`` values the slivers a singularity leaves open;
-    NonIntegrable when the panels do not suit a weight times the density.
-    Mixtures without a density sum their components' tables by weight."""
+    value is a difference of near-equal sums.  ``weights`` is array-native:
+    ``weights(x)`` gives the (J,) + shape stack as a fresh array, which the
+    table multiplies by the density in place, and ``weights(x, j)`` row j
+    alone (``_running_products``).  Point masses, sorted by construction,
+    are read through prefix and suffix sums.  A density is integrated by
+    ``_panels`` from the _PANEL_START edges of its effective support, with
+    ``knots`` and the law's kinks as break points, and the sums run over the
+    final panels: a read is one lookup plus the 8-point Gauss-Legendre rule
+    on part of one panel.  ``integrate_fn`` values, row by row, the slivers
+    a singularity leaves open; NonIntegrable when the panels do not suit a
+    weight times the density.  Mixtures without a density sum their
+    components' tables by weight."""
 
-    def __init__(self, X: Distribution, weights: Sequence[Callable], knots: Sequence[float]):
-        self.weights, self.parts = [as_array_fn(w) for w in weights], None
+    def __init__(self, X: Distribution, weights: Callable, rows: int, knots: Sequence[float]):
+        self.weights, self.rows, self.parts = weights, rows, None
         if X.locs is not None:
             self.xs, self.dens = X.locs, None
-            vals = np.stack([w(X.locs) for w in self.weights]) * X.masses
+            vals = weights(X.locs) * X.masses
         elif X.density is not None:
             lo, hi = X.effective_support()
             table = _table_of(X)
             if table is not None:  # linear between its own grid points
                 knots = tuple(knots) + tuple(table.xs)
-            inner = [float(x) for x in (*knots, *X.kinks) if lo < float(x) < hi]
             self.dens = as_array_fn(X.density)
-            # the first round rules the halves of every panel, at the DENSITY_GRID spacing
-            out = _panels(self._load, _sorted_unique(np.concatenate(
-                (np.linspace(lo, hi, DENSITY_GRID // 2 + 1), inner))))
+            # four rounds more than other integrals, log2(1024 / _PANEL_START):
+            # the slivers left open are as narrow as from 1024 start panels
+            out = _panels(self._load, _start_edges(lo, hi, (*knots, *X.kinks)),
+                          depth=_PANEL_DEPTH + 4)
             if out is None:
                 raise NonIntegrable("the panels do not suit a tail weight times the density")
             if out[4]:  # a singularity: integrate_fn values the slivers left open
-                out[2][-1][:] = [[integrate_fn(lambda x: w(x) * self.dens(x), a, b)
-                                  for a, b in out[3]] for w in self.weights]
+                for j, i in zip(*np.nonzero(out[5])):  # where a weight missed its share
+                    out[2][-1][j, i] = integrate_fn(lambda x: weights(x, j) * self.dens(x),
+                                                    *out[3][i])
             lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
             order = np.argsort(lefts)
             self.xs, vals = np.append(lefts[order], hi), vals[:, order]
         elif X.components is not None:
-            self.parts = [(w, _TailTable(c, weights, knots))
+            self.parts = [(w, _TailTable(c, weights, rows, knots))
                           for c, w in zip(X.components, X.weights) if w > 0]
             self.total = sum(w * part.total for w, part in self.parts)
             return
         else:
             raise InputError("tail integrals need point masses, a density or components")
-        zero = np.zeros((len(self.weights), 1))
+        zero = np.zeros((rows, 1))
         self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
         self.total = self.suffix[:, 0]
 
     def _load(self, x):
-        """Every weight times the density, stacked; the product is formed in the stack."""
-        out = np.stack([w(x) for w in self.weights])
+        """The weights times the density, stacked; the product is formed in the stack."""
+        out = self.weights(x)
         return np.multiply(out, self.dens(x), out=out)
 
     def __call__(self, t, node: float) -> np.ndarray:
@@ -407,7 +415,7 @@ class _TailTable:
             i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
             part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
             out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
-        return out.reshape((len(self.weights),) + ts.shape)
+        return out.reshape((self.rows,) + ts.shape)
 
 
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
@@ -432,8 +440,8 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
-    B = as_array_fn(spec.bias)
-    tails = _TailTable(X, [lambda x, j=j: B(x) * (x - c) ** j for j in range(m)],
+    # row j holds B(x) (x - c)^j: B is evaluated once per call
+    tails = _TailTable(X, _running_products(as_array_fn(spec.bias), lambda x: x - c, m), m,
                        spec.quad_points)
 
     def values(ts):
@@ -488,7 +496,7 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     wx = w[:probe.size]
     alpha = (alpha_of(X, spec) if X.locs is None else
              _checked_alpha(float(np.einsum("i,i->", X.masses, wx)) / math.factorial(spec.k)))
-    seed_law = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe, wx)
+    seed_law = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe, wx)[0]
     recipe = BiasRecipe(source=X, spec=spec, seed_law=seed_law, alpha=alpha)
     k = spec.k
 
@@ -510,7 +518,8 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
 
     if k == 1:
-        tails = _Lazy(lambda: _TailTable(X, (spec.bias,), spec.quad_points))
+        tails = _Lazy(lambda: _TailTable(X, _running_products(as_array_fn(spec.bias), None, 1),
+                                         1, spec.quad_points))
         dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
         cdf = None
     else:

@@ -8,7 +8,9 @@ the tests check the dense interpolants, the coefficient recurrence, the
 one-pass piecewise evaluation, the moment algebra and the samplers against
 them.  Also the ``numpy.polynomial`` route to the ``Polynomial`` algebra,
 and ``bias`` on a point-mass law as three separate passes (validation,
-normalizer, tilt), each evaluating the weight on its own.
+normalizer, tilt), each evaluating the weight on its own; and the tail
+table of a list of weights started from a 1025-point grid, each weight
+evaluated on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 import biasforge as bf
-from biasforge import InputError, NodeSet, integrate_fn
+from biasforge import InputError, NodeSet, NonIntegrable, integrate_fn
+from biasforge.distributions import (
+    _gauss_legendre,
+    _panels,
+    _sorted_unique,
+    _table_of,
+    as_array_fn,
+)
 
 
 def lagrange_value(nodes: NodeSet | Sequence[float], values: Sequence[float], x) -> float:
@@ -209,3 +218,72 @@ def bias_in_three_passes(X, spec):
                                f"(value {report.worst_value:.3e})")
     alpha = bf.alpha_of(X, spec)
     return alpha, bf.tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
+
+
+# ---------------------------------------------------------------------------
+# the tail table, one weight at a time from a 1025-point grid
+# ---------------------------------------------------------------------------
+
+class PerWeightTailTable:
+    """``transform._TailTable`` as it was built from a list of weight
+    callables, each evaluated on its own in every call of the panel rule,
+    and from a 1025-point linspace of the effective support, whose first
+    round rules the halves of every panel at the 2049-point spacing.  It
+    takes the same arguments as the stacked table and calls the stack's
+    rows, ``weights(x, j)``, as the separate weights."""
+
+    def __init__(self, X, weights, rows, knots):
+        self.weights = [lambda x, j=j: weights(x, j) for j in range(rows)]
+        self.parts = None
+        if X.locs is not None:
+            self.xs, self.dens = X.locs, None
+            vals = np.stack([w(X.locs) for w in self.weights]) * X.masses
+        elif X.density is not None:
+            lo, hi = X.effective_support()
+            table = _table_of(X)
+            if table is not None:
+                knots = tuple(knots) + tuple(table.xs)
+            inner = [float(x) for x in (*knots, *X.kinks) if lo < float(x) < hi]
+            self.dens = as_array_fn(X.density)
+            out = _panels(self._load, _sorted_unique(np.concatenate(
+                (np.linspace(lo, hi, 1025), inner))))
+            if out is None:
+                raise NonIntegrable("the panels do not suit a tail weight times the density")
+            if out[4]:
+                out[2][-1][:] = [[integrate_fn(lambda x: w(x) * self.dens(x), a, b)
+                                  for a, b in out[3]] for w in self.weights]
+            lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
+            order = np.argsort(lefts)
+            self.xs, vals = np.append(lefts[order], hi), vals[:, order]
+        elif X.components is not None:
+            self.parts = [(w, PerWeightTailTable(c, weights, rows, knots))
+                          for c, w in zip(X.components, X.weights) if w > 0]
+            self.total = sum(w * part.total for w, part in self.parts)
+            return
+        else:
+            raise InputError("tail integrals need point masses, a density or components")
+        zero = np.zeros((len(self.weights), 1))
+        self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
+        self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
+        self.total = self.suffix[:, 0]
+
+    def _load(self, x):
+        out = np.stack([w(x) for w in self.weights])
+        return np.multiply(out, self.dens(x), out=out)
+
+    def __call__(self, t, node):
+        ts = np.asarray(t, dtype=float)
+        if self.parts is not None:
+            return sum(w * part(ts, node) for w, part in self.parts)
+        flat = ts.ravel()
+        up = flat >= node
+        if self.dens is None:
+            i = np.searchsorted(self.xs, flat, side="left")
+            out = np.where(up, self.suffix[:, i], -self.prefix[:, i])
+        else:
+            xs = self.xs
+            tc = np.clip(flat, xs[0], xs[-1])
+            i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
+            part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
+            out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
+        return out.reshape((len(self.weights),) + ts.shape)

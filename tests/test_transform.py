@@ -11,7 +11,7 @@ import biasforge.transform as transform
 from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
 from biasforge.verify import _lhs_polynomials
 from conftest import call_concurrently
-from primitives import bias_in_three_passes, moment_via_coefficients
+from primitives import PerWeightTailTable, bias_in_three_passes, moment_via_coefficients
 
 
 def x_plus_spec(node):
@@ -282,9 +282,9 @@ def _recording(X):
     # one for the probe grid; the product probes left are those of alpha and
     # of the tilt normalizer z, whose integrands differ (w and max(w, 0))
     ("normal", 3),
-    # and the normalizer of the tilted normal component, taken again as its
-    # mixture weight
-    ("atoms+normal", 4),
+    # the tilted normal component hands its normalizer back as its mixture
+    # weight, so it is integrated once
+    ("atoms+normal", 3),
 ])
 def test_one_pass_bias_evaluates_the_weight_on_the_probe_grid_once(monkeypatch, law, probe_calls):
     X = {name: X for name, X, _ in _density_and_mixture_cases()}[law]
@@ -761,11 +761,19 @@ def test_one_node_table_reads_an_undeclared_jump_without_fallbacks(monkeypatch):
     assert np.array_equal(got[::2500], t.density(ts[::2500]))
 
 
+def _stack(*weights):
+    """A tail table's weight stack of the array-native ``weights``: the
+    stack of all, or row j alone."""
+    def g(x, row=None):
+        return weights[row](x) if row is not None else np.stack([w(x) for w in weights])
+    return g
+
+
 @pytest.mark.parametrize("weight", [lambda x: np.sqrt(x - 0.5),
                                     lambda x: np.where(x > 0.5, np.inf, 1.0)], ids=["nan", "inf"])
 def test_tail_table_refuses_a_weight_that_is_not_finite(weight):
     with np.errstate(invalid="ignore"), pytest.raises(bf.NonIntegrable):
-        transform._TailTable(bf.uniform(-1, 1), [lambda x: np.ones_like(x), weight], ())
+        transform._TailTable(bf.uniform(-1, 1), _stack(lambda x: np.ones_like(x), weight), 2, ())
 
 
 def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypatch):
@@ -775,11 +783,84 @@ def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypa
     oracle = transform.integrate_fn
     monkeypatch.setattr(transform, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
     tails = transform._TailTable(bf.uniform(-1, 1),
-                                 [lambda x: 1 + np.abs(np.asarray(x, float) - 0.3) ** -0.5], ())
+                                 _stack(lambda x: 1 + np.abs(np.asarray(x, float) - 0.3) ** -0.5),
+                                 1, ())
     assert calls and all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 for _, a, b in calls)
     ts = np.array([-0.5, 0.0, 0.25, 0.29])
     exact = 0.5 * ((1 - ts) + 2 * np.sqrt(0.3 - ts) + 2 * np.sqrt(0.7))  # E[w(X) 1{X >= t}]
     np.testing.assert_allclose(tails(ts, -1.0)[0], exact, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_NODE_CASES))
+def test_one_node_tables_match_the_oracle_to_rounding(case):
+    # the table starts from 64 panels and sums the final panels; the oracle
+    # is one adaptive integral per point
+    make_law, make_spec = ONE_NODE_CASES[case]
+    X, spec = make_law(), make_spec()
+    t = bf.bias(X, spec)
+    ts = np.linspace(t.law.lo, t.law.hi, 101)
+    ref = np.array([max(0.0, bf.density_k1(X, spec, s, alpha=t.alpha)) for s in ts])
+    assert np.max(np.abs(t.density(ts) - ref)) <= 1e-12
+
+
+def _product_spec(nodes):
+    """B(x) = prod(x - x_j) at the nodes x_j: the tilt weight is its square."""
+    def B(x):
+        arr = np.asarray(x, float)
+        out = np.ones_like(arr)
+        for xj in nodes:
+            out = out * (arr - xj)
+        return out
+    return SignChangeSpec(B, NodeSet(nodes))
+
+
+IDENTITY_CASES = {
+    "uniform-k2": lambda: bf.bias(bf.uniform(-1, 1), _product_spec((-0.5, 0.5))),
+    "uniform-k3": lambda: bf.bias(bf.uniform(-1, 1), _product_spec((-0.6, 0.0, 0.6))),
+    "uniform-order-2": lambda: bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2),
+    "uniform-order-4": lambda: bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 4),
+    "normal-order-3": lambda: bf.bias_to_order(bf.normal(), bf.zero_bias_spec(), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+def test_identity_tables_match_the_per_weight_tables(monkeypatch, case):
+    # the stacked table from 64 start panels against the table of one
+    # callable per weight from a 1025-point grid
+    law = IDENTITY_CASES[case]().law
+    ts = np.linspace(law.lo, law.hi, 513)
+    got = law.density(ts)
+    built = []
+    monkeypatch.setattr(transform, "_TailTable",
+                        lambda *args: built.append(1) or PerWeightTailTable(*args))
+    ref = IDENTITY_CASES[case]().law.density(ts)
+    assert built
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nodes, m", [((), 2), ((), 4), ((0.0,), 3)])
+def test_identity_table_evaluates_the_bias_once_per_panel_call(monkeypatch, nodes, m):
+    # the weights B(x) (x - c)^j, j < m, are one running product: one call
+    # of B per call of the panel rule, in the build and in the reads alike
+    calls, rules = [], []
+
+    def B(x):
+        calls.append(np.shape(x))
+        return np.asarray(x, float) if nodes else np.ones_like(np.asarray(x, float))
+
+    X, spec = bf.normal(), SignChangeSpec(B, NodeSet(nodes))
+    beta = bf.beta_of(X, spec, m)
+    rule = D._gauss_legendre
+
+    def counting(fv, a, b):
+        rules.append(1)
+        return rule(fv, a, b)
+
+    monkeypatch.setattr(D, "_gauss_legendre", counting)
+    monkeypatch.setattr(transform, "_gauss_legendre", counting)
+    calls.clear()
+    transform._identity_table(X, spec, m, beta, 0.0)
+    assert rules and len(calls) == len(rules)
 
 
 def test_one_node_oracle_reads_a_lazily_built_table():

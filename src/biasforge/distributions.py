@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -126,7 +126,11 @@ def _effective_bounds(fv, lo, hi):
     on a leading axis, on a tangent-spaced grid and keeps the hull of the
     points where some integrand exceeds TAIL_EPS times its own peak: the
     hull of the integrands' windows.  Raises NonIntegrable when one has not
-    decayed by |x| ~ 1e6.
+    decayed by |x| ~ 1e6, or is not finite at the window's end on an
+    infinite side: it overflows before it decays (e^{x^2} on the normal).
+    The probe runs without overflow warnings.  A NaN counts as 0 (0 * inf:
+    an integrable weight such as e^x overflows where the density is 0); an
+    infinite value is above the threshold but is no peak.
     """
     if math.isfinite(lo) and math.isfinite(hi):
         return float(lo), float(hi)
@@ -135,18 +139,26 @@ def _effective_bounds(fv, lo, hi):
         xs = np.concatenate(([lo], xs))
     if math.isfinite(hi):
         xs = np.concatenate((xs, [hi]))
-    vals = np.abs(fv(xs)).reshape(-1, xs.size)
-    vals[~np.isfinite(vals)] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(fv(xs)).reshape(-1, xs.size)
+    finite = np.isfinite(vals)
+    bad = None if finite.all() else ~finite.all(axis=0)  # the points of a non-finite value
+    if bad is None:
+        peaks = vals.max(axis=1)
+    else:
+        peaks = np.where(finite, vals, 0.0).max(axis=1)
+        vals[np.isnan(vals)] = 0.0
     hit = np.zeros(xs.size, dtype=bool)
-    for row in vals:  # a row without mass has no window
-        peak = row.max()
+    for row, peak in zip(vals, peaks):  # a row without mass has no window
         if peak > 0.0:
             hit |= row >= TAIL_EPS * peak
     idx = np.flatnonzero(hit)
     if not idx.size:
         return 0.0, 0.0
     first, last = idx[0], idx[-1]
-    if (first == 0 and not math.isfinite(lo)) or (last == len(xs) - 1 and not math.isfinite(hi)):
+    left = first == 0 or (bad is not None and bad[first - 1:first + 1].any())
+    right = last == len(xs) - 1 or (bad is not None and bad[last:last + 2].any())
+    if (left and not math.isfinite(lo)) or (right and not math.isfinite(hi)):
         raise NonIntegrable("integrand tail has not decayed below the truncation threshold")
     a = xs[max(first - 1, 0)]
     b = xs[min(last + 1, len(xs) - 1)]
@@ -303,8 +315,9 @@ def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0):
 def _guide(cum: np.ndarray):
     """Chen and Asau's guide table of the nondecreasing cumulative weights
     ``cum`` (the last at least 1.0) for the K = 2^p buckets [b/K, (b+1)/K),
-    K the least power of two above twice the size: ``g[b] = #{cum <= b/K}``
-    as ``int32``, or -1 where the bucket's closure holds two or more weights.
+    K the least power of two above twice the size: ``g[b] = #{cum <= b/K}``,
+    or -1 where the bucket's closure holds two or more weights, as ``int16``
+    for fewer than 2^15 weights (g <= size) and ``int32`` beyond.
     ``c = ceil(cum K)`` is exact (K is a power of two) and g[b] = j on the run
     c[j-1] <= b < c[j], so ``np.repeat`` writes g from the run lengths, in
     O(size + K) with no temporary of length K beyond g.  Returns (g, K)."""
@@ -316,13 +329,15 @@ def _guide(cum: np.ndarray):
     runs = np.empty(n + 1, np.intp)
     runs[0], runs[n] = c[0], scale - c[-1]
     np.subtract(c[1:], c[:-1], out=runs[1:n], casting="unsafe")  # exact integers
-    g = np.repeat(np.arange(n + 1, dtype=np.int32), runs)
+    index = np.int16 if n < 1 << 15 else np.int32
+    g = np.repeat(np.arange(n + 1, dtype=index), runs)
     shared = c[np.flatnonzero(runs[1:n] == 0) + 1]  # c[j] = c[j-1]: bucket c[j] - 1 is crowded
     g[shared[shared > 0].astype(np.intp) - 1] = -1
     return g, float(scale)
 
 
-def _lookup(cum: np.ndarray, xs: np.ndarray, u: np.ndarray, linear: bool) -> np.ndarray:
+def _lookup(cum: np.ndarray, xs: np.ndarray, u: np.ndarray, linear: bool,
+            guide: Optional[tuple] = None) -> np.ndarray:
     """Inversion by a guide table (Devroye 1986, III.2.4) of the 1-d uniforms
     ``u`` in [0, 1): ``xs[np.searchsorted(cum, u, side="right")]`` for atoms
     of cumulative weights ``cum`` ending in 1.0, or, when ``linear``,
@@ -331,10 +346,13 @@ def _lookup(cum: np.ndarray, xs: np.ndarray, u: np.ndarray, linear: bool) -> np.
     segments) is ``g[floor(u K)] + (w[g] <= u)``, searched only in a crowded
     bucket.  Segment j gives numpy's own ``slope[j] (u - cum[j]) + xs[j]``,
     and ``xs[j]`` at u = cum[j], so the values are ``np.interp``'s bit for
-    bit.  Blocks of ``_LOOKUP_BLOCK`` uniforms keep every temporary beyond
-    the guide and the slopes block-sized; no table keeps its guide."""
+    bit.  ``guide`` is ``_guide(w)``, kept by the table or the atom law that
+    calls, so a warm law reads its guide and builds none; a one-off lookup
+    passes None and builds it here.  The slopes are formed on each call.
+    Blocks of ``_LOOKUP_BLOCK`` uniforms keep every temporary beyond the
+    slopes block-sized."""
     w = cum[1:] if linear else cum
-    g, scale = _guide(w)
+    g, scale = _guide(w) if guide is None else guide
     if linear:
         with np.errstate(all="ignore"):  # the slope of a flat run is never read
             slope = np.diff(xs) / np.diff(cum)
@@ -387,12 +405,19 @@ class TabulatedDensity:
     rescaled so that the tabulated mass is exactly one (the raw mass is
     kept for diagnostics).  Every knot also brings its left neighbour, so a
     density that jumps at a knot is tabulated with both one-sided limits.
+    The guide of ``ppf``'s lookups is built on the first array of draws and
+    kept with the table; a table read only as a density or a CDF builds none.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     cum: np.ndarray
     raw_mass: float
+    _lookup_guide: _Lazy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cum = self.cum  # the builder holds the weights, not the table: no cycle
+        object.__setattr__(self, "_lookup_guide", _Lazy(lambda: _guide(cum[1:])))
 
     @staticmethod
     def from_callable(f, lo, hi, n=INVERSE_CDF_GRID, knots=()):
@@ -429,15 +454,18 @@ class TabulatedDensity:
         """Inverse CDF by linear interpolation of the table: ``np.interp(u,
         cum, xs)``, bit for bit, for any input.  An array of uniforms in [0, 1)
         is read through a guide table (``_lookup``), with no search of the
-        table for most values; a scalar, an empty array, an array with a value
-        outside [0, 1) or NaN, and a table whose ``cum`` does not run from 0.0
-        to 1.0 go to ``np.interp`` itself.  The shape is kept.  ``cum`` must be
-        nondecreasing, as ``np.interp`` requires; ``from_callable`` makes it so."""
+        table for most values; the guide is built on the first such array, at
+        most once however many threads draw, and kept.  A scalar, an empty
+        array, an array with a value outside [0, 1) or NaN, and a table whose
+        ``cum`` does not run from 0.0 to 1.0 go to ``np.interp`` itself.  The
+        shape is kept.  ``cum`` must be nondecreasing, as ``np.interp``
+        requires; ``from_callable`` makes it so."""
         arr = np.asarray(u, dtype=float)
         if (arr.ndim == 0 or arr.size == 0 or not (arr.min() >= 0.0 and arr.max() < 1.0)
                 or not (self.cum[0] == 0.0 and self.cum[-1] == 1.0)):
             return np.interp(u, self.cum, self.xs)
-        return _lookup(self.cum, self.xs, arr.ravel(), linear=True).reshape(arr.shape)
+        return _lookup(self.cum, self.xs, arr.ravel(), linear=True,
+                       guide=self._lookup_guide.get()).reshape(arr.shape)
 
     def integrate_weighted(self, w, a, b):
         """∫_a^b w(x) * pdf(x) dx by 8-point Gauss-Legendre on each segment of
@@ -538,9 +566,10 @@ def _atom_law(xs: np.ndarray, ms: np.ndarray, label: str, slack: float = 0.0,
     if samples is None:
         cum = np.cumsum(ms)
         cum[-1] = 1.0
+        guide = _Lazy(lambda: _guide(cum))  # built on the first draw and kept
 
         def draw(rs: RandomSource, n: int):
-            return _lookup(cum, xs, rs.uniform(n), linear=False)
+            return _lookup(cum, xs, rs.uniform(n), linear=False, guide=guide.get())
     else:
         def draw(rs: RandomSource, n: int):
             idx = np.minimum((rs.uniform(n) * samples.size).astype(int), samples.size - 1)
@@ -660,20 +689,24 @@ def _rational(c, r):
 
 
 def _ndtri(u):
-    """Normal quantile within a few ulp (AS241): -inf at 0, +inf at 1, NaN off [0, 1]."""
+    """Normal quantile within a few ulp (AS241): -inf at 0, +inf at 1, NaN off [0, 1].
+    Elementwise, on blocks of ``_LOOKUP_BLOCK`` points, so the Horner passes
+    run over block-sized temporaries; every block size gives the same bits."""
     u = np.asarray(u, dtype=float)
     p = u.ravel()
+    x = np.empty(p.size)
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0), inf / inf
-        q = p - 0.5
-        r = np.multiply(q, q)
-        x = _rational(_AS241[0], np.subtract(0.180625, r, out=r))
-        x *= q
-        tail = np.flatnonzero(np.abs(q, out=r) > 0.425)  # r is spent; NaN stays central
-        s = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
-        xt = _rational(_AS241[1], s - 1.6)
-        xt[s > 5.0] = _rational(_AS241[2], s[s > 5.0] - 5.0)
-        xt[s == np.inf] = np.inf
-        x[tail] = np.copysign(xt, q[tail])
+        for i in range(0, p.size, _LOOKUP_BLOCK):
+            pb, xb = p[i:i + _LOOKUP_BLOCK], x[i:i + _LOOKUP_BLOCK]
+            q = pb - 0.5
+            r = np.multiply(q, q)
+            np.multiply(_rational(_AS241[0], np.subtract(0.180625, r, out=r)), q, out=xb)
+            tail = np.flatnonzero(np.abs(q, out=r) > 0.425)  # r is spent; NaN stays central
+            s = np.sqrt(-np.log(np.minimum(pb[tail], 1.0 - pb[tail])))
+            xt = _rational(_AS241[1], s - 1.6)
+            xt[s > 5.0] = _rational(_AS241[2], s[s > 5.0] - 5.0)
+            xt[s == np.inf] = np.inf
+            xb[tail] = np.copysign(xt, q[tail])
     # a 1-d x owns its data, so ``mu + sig * x`` computes in its buffer
     return x if u.ndim == 1 else x.reshape(u.shape) if u.ndim else float(x[0])
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import warnings
 from fractions import Fraction
 from statistics import NormalDist
@@ -11,7 +12,8 @@ from scipy.integrate import quad
 
 import biasforge as bf
 from biasforge import distributions as D
-from conftest import atoms_strategy
+from conftest import atoms_strategy, call_concurrently
+from primitives import ndtri_whole
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,28 @@ def test_moment_of_mass_the_tail_probe_misses_raises():
     # density always has mass, so this is a loud failure, not E[X] = 0
     with pytest.raises(bf.NonIntegrable):
         bf.moment(bf.normal(1000, 1e-3), 1)
+
+
+def test_expectation_of_an_overflowing_integrable_weight_without_warnings():
+    # e^x overflows far out on the tail probe, where the normal density is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = bf.expectation(bf.normal(), lambda x: np.exp(x))
+        tilted = bf.tilt(bf.normal(), np.exp)  # normal(1, 1)
+        assert bf.moment(tilted, 1) == pytest.approx(1.0, rel=1e-9)
+    assert value == pytest.approx(math.exp(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, w", [
+    (bf.normal(), lambda x: np.exp(np.asarray(x) ** 2)),
+    (bf.normal(), lambda x: np.exp(0.49 * np.asarray(x) ** 2)),  # overflows before it decays
+    (bf.exponential(1.0), np.exp),
+], ids=["normal-exp-x2", "normal-exp-0.49x2", "exponential-exp-x"])
+def test_expectation_of_a_weight_that_does_not_decay_raises(d, w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bf.NonIntegrable):
+            bf.expectation(d, w)
 
 
 def test_moment_heavy_tail_raises():
@@ -509,6 +533,24 @@ def test_normal_quantile_edges():
     assert math.isnan(out[1, 0]) and out[1, 1] == math.inf
 
 
+def test_normal_quantile_in_blocks_is_the_whole_array_pass():
+    block = D._LOOKUP_BLOCK
+    edges = [0.0, 1.0, math.nan, 5e-324, 1e-300, 1e-20, 0.02425, 0.5, 0.97575,
+             1.0 - 1e-16, np.nextafter(1.0, 0.0), -0.25, 1.5, math.inf, -math.inf]
+    rng = np.random.default_rng(43)
+    for size in (1, block - 1, block, block + 1, 3 * block + 5):
+        u = rng.random(size)
+        at = rng.choice(size, min(size, len(edges)), replace=False)  # edges in every block
+        u[at] = edges[:at.size]
+        u[-1:] = edges[size % len(edges)]
+        assert np.array_equal(D._ndtri(u), ndtri_whole(u), equal_nan=True)
+    grid = rng.random((3, block + 7))
+    assert np.array_equal(D._ndtri(grid), ndtri_whole(grid))
+    for p in (0.0, 1.0, 0.3, 1e-300, 1.0 - 1e-16):
+        assert D._ndtri(np.array(p)) == ndtri_whole(np.array(p))
+    assert math.isnan(D._ndtri(np.array(math.nan)))
+
+
 @pytest.mark.parametrize("d, transform", [
     (bf.normal(1.0, 2.0), lambda u: 1.0 + 2.0 * D._ndtri(u)),
     (bf.half_normal(1.5), lambda u: 1.5 * D._ndtri(0.5 * (1.0 + u))),
@@ -577,7 +619,7 @@ def test_sorted_lookups_draw_bit_identical(sampled_laws, name, monkeypatch):
     guided = bf.sample(law, bf.RandomSource(11), n)
     lookups = []
 
-    def in_draw_order(cum, xs, u, linear):
+    def in_draw_order(cum, xs, u, linear, guide=None):
         lookups.append(np.size(u))
         return np.interp(u, cum, xs) if linear else xs[np.searchsorted(cum, u, side="right")]
 
@@ -651,7 +693,8 @@ def test_guide_holds_the_counts_and_flags_the_crowded_buckets(size):
     cum = np.cumsum(ws / ws.sum())
     cum[-1] = 1.0
     g, scale = D._guide(cum)
-    assert g.dtype == np.int32 and scale == g.size and scale > 2 * size
+    assert g.dtype == (np.int16 if size < 2 ** 15 else np.int32)
+    assert scale == g.size and scale > 2 * size
     edges = np.arange(g.size + 1) / scale
     count = np.searchsorted(cum, edges, side="right")  # #{cum <= b/K}
     crowded = count[1:] - count[:-1] >= 2  # two or more weights in (b/K, (b+1)/K]
@@ -732,6 +775,88 @@ def test_table_lookup_keeps_a_negative_zero_knot():
     out = table.ppf(u)
     assert np.array_equal(out, np.interp(u, table.cum, xs))
     assert np.signbit(out[2])
+
+
+@pytest.fixture
+def guide_builds(monkeypatch):
+    """The size of every guide table built."""
+    builds = []
+    build = D._guide
+
+    def counted(cum):
+        builds.append(cum.size)
+        return build(cum)
+
+    monkeypatch.setattr(D, "_guide", counted)
+    return builds
+
+
+def _fresh_guided_laws():
+    """A tilt, read through its inverse-CDF table, and an atom law; neither
+    has drawn yet."""
+    atoms = np.random.default_rng(12).random(300)
+    return {
+        "tilt-table": bf.tilt(bf.exponential(1.0), lambda x: np.asarray(x, float)),
+        "atom-law": bf.from_atoms(zip(np.arange(300.0), atoms / atoms.sum())),
+    }
+
+
+@pytest.mark.parametrize("name", ["tilt-table", "atom-law"])
+def test_warm_draws_read_one_kept_guide(guide_builds, name):
+    law = _fresh_guided_laws()[name]
+    rs = bf.RandomSource(13)
+    for _ in range(5):
+        bf.sample(law, rs, 1000)
+    assert len(guide_builds) == 1
+
+
+def test_table_read_as_density_and_cdf_builds_no_guide(guide_builds):
+    table = D.TabulatedDensity.from_callable(_step_density, -1, 1, knots=(0.3,))
+    table.pdf(np.linspace(-1, 1, 101))
+    table.cdf(np.linspace(-1, 1, 101))
+    table.ppf(0.4)
+    assert guide_builds == []
+    for _ in range(2):
+        table.ppf(np.array([0.1, 0.4]))
+    assert guide_builds == [table.cum.size - 1]
+
+
+@pytest.mark.parametrize("name", ["tilt-table", "atom-law"])
+def test_concurrent_first_draws_build_one_guide(guide_builds, name):
+    law = _fresh_guided_laws()[name]
+    seeds, lock = iter(range(100, 108)), threading.Lock()
+
+    def first_draw():
+        with lock:
+            seed = next(seeds)
+        return seed, bf.sample(law, bf.RandomSource(seed), 20_000)
+
+    results = call_concurrently(first_draw, workers=8)
+    assert len(guide_builds) == 1
+    assert sorted(seed for seed, _ in results) == list(range(100, 108))
+    for seed, draws in results:
+        assert np.array_equal(draws, bf.sample(law, bf.RandomSource(seed), 20_000))
+    assert len(guide_builds) == 1
+
+
+@pytest.mark.parametrize("size", [2 ** 15 - 1, 2 ** 15])
+def test_guide_index_width_follows_the_weights(size):
+    # fewer than 2^15 weights keep an int16 guide, 2^15 or more an int32 one
+    index = np.int16 if size < 2 ** 15 else np.int32
+    table = D.TabulatedDensity.from_callable(lambda x: 1.0 + np.sin(7 * x) ** 2, -1, 1,
+                                             n=size + 1)
+    rng = np.random.default_rng(size)
+    u = np.concatenate((_around(table.cum), rng.random(2 * D._LOOKUP_BLOCK + 3)))
+    assert np.array_equal(table.ppf(u), np.interp(u, table.cum, table.xs))
+    assert table._lookup_guide.get()[0].dtype == index
+    ws = rng.random(size) ** 4
+    law = bf.from_atoms(zip(np.arange(float(size)), ws / ws.sum()))
+    cum = np.cumsum(law.masses)
+    cum[-1] = 1.0
+    assert D._guide(cum)[0].dtype == index
+    u = bf.RandomSource(14).uniform(100_000)
+    assert np.array_equal(bf.sample(law, bf.RandomSource(14), 100_000),
+                          law.locs[np.searchsorted(cum, u, side="right")])
 
 
 @pytest.mark.parametrize("size", [1, 2, 40, 255, 256, 300])

@@ -540,9 +540,10 @@ def test_normal_quantile_in_blocks_is_the_whole_array_pass():
     rng = np.random.default_rng(43)
     for size in (1, block - 1, block, block + 1, 3 * block + 5):
         u = rng.random(size)
-        at = rng.choice(size, min(size, len(edges)), replace=False)  # edges in every block
-        u[at] = edges[:at.size]
-        u[-1:] = edges[size % len(edges)]
+        for i in range(0, size, block):  # the edge values open every block
+            part = u[i:i + len(edges)]
+            part[:] = edges[:part.size]
+        u[-1] = edges[size % len(edges)]
         assert np.array_equal(D._ndtri(u), ndtri_whole(u), equal_nan=True)
     grid = rng.random((3, block + 7))
     assert np.array_equal(D._ndtri(grid), ndtri_whole(grid))

@@ -127,7 +127,9 @@ def _effective_bounds(fv, lo, hi):
     points where some integrand exceeds TAIL_EPS times its own peak: the
     hull of the integrands' windows.  Raises NonIntegrable when one has not
     decayed by |x| ~ 1e6, or is not finite at the window's end on an
-    infinite side: it overflows before it decays (e^{x^2} on the normal).
+    infinite side: it overflows before it decays below the threshold.  That
+    holds for e^{x^2} on the normal, and also for e^{0.49 x^2}, which is
+    integrable but overflows near |x| = 38: a numerical limit.
     The probe runs without overflow warnings.  A NaN counts as 0 (0 * inf:
     an integrable weight such as e^x overflows where the density is 0); an
     infinite value is above the threshold but is no peak.
@@ -142,12 +144,9 @@ def _effective_bounds(fv, lo, hi):
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.abs(fv(xs)).reshape(-1, xs.size)
     finite = np.isfinite(vals)
-    bad = None if finite.all() else ~finite.all(axis=0)  # the points of a non-finite value
-    if bad is None:
-        peaks = vals.max(axis=1)
-    else:
-        peaks = np.where(finite, vals, 0.0).max(axis=1)
-        vals[np.isnan(vals)] = 0.0
+    bad = ~finite.all(axis=0)  # the points of a non-finite value
+    peaks = np.where(finite, vals, 0.0).max(axis=1)
+    vals[np.isnan(vals)] = 0.0
     hit = np.zeros(xs.size, dtype=bool)
     for row, peak in zip(vals, peaks):  # a row without mass has no window
         if peak > 0.0:
@@ -156,10 +155,12 @@ def _effective_bounds(fv, lo, hi):
     if not idx.size:
         return 0.0, 0.0
     first, last = idx[0], idx[-1]
-    left = first == 0 or (bad is not None and bad[first - 1:first + 1].any())
-    right = last == len(xs) - 1 or (bad is not None and bad[last:last + 2].any())
+    left, right = first == 0, last == len(xs) - 1
     if (left and not math.isfinite(lo)) or (right and not math.isfinite(hi)):
         raise NonIntegrable("integrand tail has not decayed below the truncation threshold")
+    if ((bad[first - 1:first + 1].any() and not math.isfinite(lo))
+            or (bad[last:last + 2].any() and not math.isfinite(hi))):
+        raise NonIntegrable("integrand overflows before its tail decays below the truncation threshold")
     a = xs[max(first - 1, 0)]
     b = xs[min(last + 1, len(xs) - 1)]
     return float(a), float(b)
@@ -689,24 +690,20 @@ def _rational(c, r):
 
 
 def _ndtri(u):
-    """Normal quantile within a few ulp (AS241): -inf at 0, +inf at 1, NaN off [0, 1].
-    Elementwise, on blocks of ``_LOOKUP_BLOCK`` points, so the Horner passes
-    run over block-sized temporaries; every block size gives the same bits."""
+    """Normal quantile within a few ulp (AS241): -inf at 0, +inf at 1, NaN off [0, 1]."""
     u = np.asarray(u, dtype=float)
     p = u.ravel()
-    x = np.empty(p.size)
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0), inf / inf
-        for i in range(0, p.size, _LOOKUP_BLOCK):
-            pb, xb = p[i:i + _LOOKUP_BLOCK], x[i:i + _LOOKUP_BLOCK]
-            q = pb - 0.5
-            r = np.multiply(q, q)
-            np.multiply(_rational(_AS241[0], np.subtract(0.180625, r, out=r)), q, out=xb)
-            tail = np.flatnonzero(np.abs(q, out=r) > 0.425)  # r is spent; NaN stays central
-            s = np.sqrt(-np.log(np.minimum(pb[tail], 1.0 - pb[tail])))
-            xt = _rational(_AS241[1], s - 1.6)
-            xt[s > 5.0] = _rational(_AS241[2], s[s > 5.0] - 5.0)
-            xt[s == np.inf] = np.inf
-            xb[tail] = np.copysign(xt, q[tail])
+        q = p - 0.5
+        r = np.multiply(q, q)
+        x = _rational(_AS241[0], np.subtract(0.180625, r, out=r))
+        x *= q
+        tail = np.flatnonzero(np.abs(q, out=r) > 0.425)  # r is spent; NaN stays central
+        s = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+        xt = _rational(_AS241[1], s - 1.6)
+        xt[s > 5.0] = _rational(_AS241[2], s[s > 5.0] - 5.0)
+        xt[s == np.inf] = np.inf
+        x[tail] = np.copysign(xt, q[tail])
     # a 1-d x owns its data, so ``mu + sig * x`` computes in its buffer
     return x if u.ndim == 1 else x.reshape(u.shape) if u.ndim else float(x[0])
 

@@ -10,8 +10,7 @@ them.  Also the ``numpy.polynomial`` route to the ``Polynomial`` algebra,
 and ``bias`` on a point-mass law as three separate passes (validation,
 normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a list of weights started from a 1025-point grid, each weight
-evaluated on its own; and the normal quantile over the whole array in one
-pass, not in blocks.
+evaluated on its own.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from numpy.polynomial import polynomial as npoly
 import biasforge as bf
 from biasforge import InputError, NodeSet, NonIntegrable, integrate_fn
 from biasforge.distributions import (
-    _AS241,
     _gauss_legendre,
     _panels,
-    _rational,
     _sorted_unique,
     _table_of,
     as_array_fn,
@@ -290,21 +287,3 @@ class PerWeightTailTable:
             part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
             out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
         return out.reshape((len(self.weights),) + ts.shape)
-
-
-def ndtri_whole(u):
-    """The AS241 normal quantile with each Horner pass over the whole array."""
-    u = np.asarray(u, dtype=float)
-    p = u.ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = p - 0.5
-        r = np.multiply(q, q)
-        x = _rational(_AS241[0], np.subtract(0.180625, r, out=r))
-        x *= q
-        tail = np.flatnonzero(np.abs(q, out=r) > 0.425)
-        s = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
-        xt = _rational(_AS241[1], s - 1.6)
-        xt[s > 5.0] = _rational(_AS241[2], s[s > 5.0] - 5.0)
-        xt[s == np.inf] = np.inf
-        x[tail] = np.copysign(xt, q[tail])
-    return x if u.ndim == 1 else x.reshape(u.shape) if u.ndim else float(x[0])

@@ -62,9 +62,12 @@ from .transform import (
     expectation,
     lift_density,
     mixture_bias,
+    plus_part,
     recipe_moments,
     sign_spec,
+    unit_bias_spec,
     validate_spec,
+    zero_bias_spec,
 )
 from .higher import (
     ChainRecipe,
@@ -93,12 +96,9 @@ from .verify import (
     half_normal_mixture,
     ks_critical,
     ks_statistic,
-    plus_part,
     random_discrete,
     random_valid_spec,
     run_suite,
-    unit_bias_spec,
-    zero_bias_spec,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command-line front end: transform construction, sampling, density
 tabulation, verification suites and distance-bound experiments.
 
-Structured inputs are JSON, numeric tables are CSV.  Exit codes: 0 on
-success, 2 on input validation failure (machine-readable error JSON on
-stderr), 1 on internal error.  The environment variable BIASFORGE_SEED
-supplies the default seed when --seed is omitted.
+Named biases are the built-in specs of ``transform``.  Structured inputs
+are JSON, numeric tables are CSV.  Exit codes: 0 on success, 2 on input
+validation failure (machine-readable error JSON on stderr), 1 on internal
+error.  The environment variable BIASFORGE_SEED supplies the default seed
+when --seed is omitted.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .distributions import (
     sample,
 )
 from .polynomials import NodeSet, PiecewisePoly, Polynomial
-from .transform import SignChangeSpec
+from .transform import (SignChangeSpec, centered_bias_spec, plus_part, sign_spec,
+                        unit_bias_spec, zero_bias_spec)
 from .higher import ChainRecipe, bias_to_order
 from .stein import first_order_bound, first_order_coupling_stats
 from .verify import _SUITES, run_suite
@@ -73,29 +75,26 @@ def _piece(piece) -> tuple:
 
 
 def parse_bias(text: str, dist: Distribution | None = None):
-    """Named built-in biasing functions, or a piecewise-polynomial JSON
-    object {"pieces": [{"interval": [l, r], "coeffs": [...]}]}.
+    """Named built-in biasing functions, the specs of ``transform``, or a
+    piecewise-polynomial JSON object {"pieces": [{"interval": [l, r], "coeffs": [...]}]}.
 
     Returns (callable, default_nodes or None, kink locations).
     """
     text = text.strip()
     if text == "identity":
-        return (lambda x: np.ones_like(np.asarray(x, dtype=float)), (), ())
-    if text == "x":
-        return (lambda x: np.asarray(x, dtype=float), (0.0,), ())
-    if text == "x-plus":
-        return (lambda x: np.maximum(np.asarray(x, dtype=float), 0.0), None, (0.0,))
-    m = _SIGN_RE.match(text)
-    if m:
-        shift = m.group(1)
-        a = -float(shift) if shift else 0.0  # "sign(x-1.5)" carries "-1.5"
-        return (lambda x: np.sign(np.asarray(x, dtype=float) - a), (a,), (a,))
-    if text == "x-mean":
+        spec = unit_bias_spec()
+    elif text == "x":
+        spec = zero_bias_spec()
+    elif text == "x-plus":  # no default node: every node at or below 0 is legal
+        return (plus_part, None, (0.0,))
+    elif m := _SIGN_RE.match(text):
+        shift = m.group(1)  # "sign(x-1.5)" carries "-1.5"
+        spec = sign_spec(-_floats([shift], "sign shift")[0] if shift else 0.0)
+    elif text == "x-mean":
         if dist is None:
             raise InputError("x-mean needs a distribution to center on")
-        mu = moment(dist, 1)
-        return (lambda x: np.asarray(x, dtype=float) - mu, (mu,), ())
-    if text.startswith("{"):
+        spec = centered_bias_spec(moment(dist, 1))
+    elif text.startswith("{"):
         obj = _parse_json(text, "bias")
         pieces = obj.get("pieces")
         if not pieces or not isinstance(pieces, list):
@@ -117,7 +116,9 @@ def parse_bias(text: str, dist: Distribution | None = None):
             last = hi
         polys.append(Polynomial(()))
         return (PiecewisePoly(tuple(breaks), tuple(polys)), None, tuple(breaks))
-    raise InputError(f"unknown bias {text!r}; built-ins: {', '.join(BUILTIN_BIAS)}")
+    else:
+        raise InputError(f"unknown bias {text!r}; built-ins: {', '.join(BUILTIN_BIAS)}")
+    return (spec.bias, tuple(spec.nodes), spec.kinks)
 
 
 def build_spec(bias_text: str, nodes_text: str | None, dist: Distribution) -> SignChangeSpec:

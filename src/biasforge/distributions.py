@@ -1,5 +1,6 @@
 """Distribution substrate: analytic catalog, atoms, empirical samples,
-tilting, mixtures, one-dimensional quadrature and the deterministic
+tilting, mixtures, density tables (``numeric_cdf`` builds through
+``cache_density``), one-dimensional quadrature and the deterministic
 sampling contract.
 
 Laws are immutable ``Distribution`` values.  Samplers draw from a
@@ -69,12 +70,12 @@ _LOOKUP_BLOCK = 1 << 14    # uniforms per block of a guide-table lookup
 
 @dataclass(eq=False)
 class RandomSource:
-    """Seeded random stream.  Single-owner: never share one source across
-    concurrent tasks; derive independent sources instead.  A source equals
-    only itself: ``seed`` and ``position`` do not name a derived stream."""
+    """Seeded random stream from ``position`` 0, the uniforms drawn.  Single-owner:
+    never share one source across concurrent tasks; derive independent ones.
+    A source equals only itself: ``seed`` and ``position`` do not name a derived stream."""
 
     seed: int
-    position: int = 0
+    position: int = field(default=0, init=False)
 
     def __post_init__(self):
         self._gen = np.random.default_rng(int(self.seed) & _MASK64)
@@ -338,7 +339,7 @@ def _guide(cum: np.ndarray):
 
 
 def _lookup(cum: np.ndarray, xs: np.ndarray, u: np.ndarray, linear: bool,
-            guide: Optional[tuple] = None) -> np.ndarray:
+            guide: tuple) -> np.ndarray:
     """Inversion by a guide table (Devroye 1986, III.2.4) of the 1-d uniforms
     ``u`` in [0, 1): ``xs[np.searchsorted(cum, u, side="right")]`` for atoms
     of cumulative weights ``cum`` ending in 1.0, or, when ``linear``,
@@ -348,12 +349,12 @@ def _lookup(cum: np.ndarray, xs: np.ndarray, u: np.ndarray, linear: bool,
     bucket.  Segment j gives numpy's own ``slope[j] (u - cum[j]) + xs[j]``,
     and ``xs[j]`` at u = cum[j], so the values are ``np.interp``'s bit for
     bit.  ``guide`` is ``_guide(w)``, kept by the table or the atom law that
-    calls, so a warm law reads its guide and builds none; a one-off lookup
-    passes None and builds it here.  The slopes are formed on each call.
+    calls, so a warm law reads its guide and builds none.  The slopes are
+    formed on each call.
     Blocks of ``_LOOKUP_BLOCK`` uniforms keep every temporary beyond the
     slopes block-sized."""
     w = cum[1:] if linear else cum
-    g, scale = _guide(w) if guide is None else guide
+    g, scale = guide
     if linear:
         with np.errstate(all="ignore"):  # the slope of a flat run is never read
             slope = np.diff(xs) / np.diff(cum)
@@ -915,7 +916,9 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
     if d.locs is None and d.density is None and d.components is None:
         raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
     wv, probe = as_array_fn(w), _probe_points(d)
-    return _tilt(d, wv, weight_kinks, probe, wv(probe))[0]
+    wx = wv(probe)
+    _check_weight(wx, probe)
+    return _tilt(d, wv, weight_kinks, probe, wx)[0]
 
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
@@ -923,9 +926,9 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
     ``_probe_points`` ``probe`` of ``d``, whose ends bound a density's table;
     a mixture without a density hands each component its slice of both and
-    weighs the tilted components by the normalisers they return.  Returns
-    the law and its normaliser E[max(w(X), 0)]."""
-    _check_weight(wx, probe)
+    weighs the tilted components by the normalisers they return.  The caller
+    has checked ``wx`` (``_check_weight``, or a passed validation report).
+    Returns the law and its normaliser E[max(w(X), 0)]."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1046,16 +1049,10 @@ def cache_density(d: Distribution, n: int = 2049) -> Distribution:
 
 
 def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID) -> Callable:
-    """CDF evaluator obtained by integrating the density numerically."""
+    """The law's own CDF, else the trapezoid CDF of ``cache_density(d, n)``."""
     if d.cdf is not None:
         return d.cdf
-    if d.density is None:
-        raise InputError("no density to integrate")
-    table = _table_of(d)
-    if table is not None:
-        return table.cdf
-    lo_e, hi_e = d.effective_support()
-    return TabulatedDensity.from_callable(d.density, lo_e, hi_e, n, knots=d.kinks).cdf
+    return cache_density(d, n).cdf
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .transform import (
     bias,
     recipe_moments,
     shift_moments,
+    unit_bias_spec,
 )
 
 SECOND_MOMENT_TOL = 1e-12
@@ -134,7 +135,7 @@ def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution
     if not second_moment > SECOND_MOMENT_TOL:
         raise DegenerateAlpha(f"second moment about {a} is zero (point mass at the location)")
     lo, hi = X.effective_support()
-    unit = SignChangeSpec(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    unit = unit_bias_spec()
     law = _step_law(X, X, unit, 2, second_moment / 2.0, a, lo=min(lo, a), hi=max(hi, a),
                     kinks=(a,) + X.kinks,
                     label=f"second-difference({X.label or 'X'}; a={a})")

@@ -168,6 +168,8 @@ def lagrange_poly(nodes: NodeSet | Sequence[float], values: Sequence[float]) -> 
     vs = tuple(float(v) for v in values)
     if len(ns) != len(vs):
         raise InputError("need one value per node")
+    if len(set(ns)) < len(ns):  # a repeated node leaves no interpolant
+        raise InputError(f"interpolation nodes must be distinct, not {ns!r}")
     out = Polynomial(())
     for k, (xk, vk) in enumerate(zip(ns, vs)):
         if vk == 0.0:

@@ -34,11 +34,12 @@ from .distributions import (
     Distribution,
     RandomSource,
     _Lazy,
+    _probe_points,
+    _tilt,
     as_array_fn,
     expectation,
     make_mixture,
     sample,
-    tilt,
 )
 from .transform import (
     ALPHA_TOL,
@@ -47,9 +48,9 @@ from .transform import (
     SignChangeSpec,
     _TailTable,
     _one_node_density,
+    _validation_report,
     alpha_of,
     bias,
-    validate_spec,
 )
 from .higher import bias_to_order, second_difference_transform
 
@@ -111,7 +112,9 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
-    report = validate_spec(SignChangeSpec(B0), X)
+    b0_of, probe = as_array_fn(B0), _probe_points(X)
+    b0x = b0_of(probe)  # once: the verdict and the B0-tilted law read these values
+    report = _validation_report(probe, b0x)
     if not report.passed:
         raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
     pts = (a,) + tuple(B0_kinks)
@@ -128,7 +131,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     parts, weights = [], []
     if alpha1 > ALPHA_TOL:
         try:
-            tilted = tilt(X, B0, weight_kinks=B0_kinks)
+            tilted = _tilt(X, b0_of, B0_kinks, probe, b0x)[0]
         except ZeroNormalizer as exc:
             # B0 >= 0 with zero mean forces alpha_1 = 0; reaching here means the
             # numbers disagree, and guessing a fallback law would be unsound.
@@ -143,7 +146,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
 
     law = make_mixture([p.law for p in parts], weights)
     # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
-    b0_of, b1_of = as_array_fn(B0), as_array_fn(B1.bias)
+    b1_of = as_array_fn(B1.bias)
 
     def loads(x, row=None):  # [B1 + B0 (x - a), B0], B0 evaluated once
         b0 = b0_of(x)

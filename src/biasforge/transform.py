@@ -21,7 +21,8 @@ weights (B, or B(x) (x - c)^j for j < m) one stack that evaluates B once.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
-caller's explicit input and are never inferred from B.
+caller's explicit input and are never inferred from B.  The built-in
+biases (sign, unit, zero-bias, centered, positive part) are defined here.
 """
 
 from __future__ import annotations
@@ -120,6 +121,25 @@ def sign_spec(a: float = 0.0) -> SignChangeSpec:
     a = float(a)
     return SignChangeSpec(lambda x: np.sign(np.asarray(x, dtype=float) - a),
                           NodeSet((a,)), kinks=(a,), label=f"sign(x-{a})")
+
+
+def unit_bias_spec() -> SignChangeSpec:
+    return SignChangeSpec(lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                          NodeSet(()), label="identity")
+
+
+def zero_bias_spec() -> SignChangeSpec:
+    return SignChangeSpec(lambda x: np.asarray(x, dtype=float), NodeSet((0.0,)), label="x")
+
+
+def centered_bias_spec(mean: float) -> SignChangeSpec:
+    mu = float(mean)
+    return SignChangeSpec(lambda x: np.asarray(x, dtype=float) - mu, NodeSet((mu,)),
+                          label=f"x-{mu}")
+
+
+def plus_part(x):
+    return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Two-route identity verification: exact moment algebra against atom
 summation, paired Monte Carlo with z-scores, the worked one-node
 ambiguity example, fixed-point density comparisons, and goodness-of-fit
-machinery for sampler/density agreement.
+machinery for sampler/density agreement.  The built-in biases it uses and
+exports are those of ``transform``.
 
 Every Monte Carlo report derives its two sample streams from the report
 seed by fixed offsets (recorded in the report), so reports are
@@ -31,12 +32,16 @@ from .distributions import (
     uniform,
 )
 from .polynomials import NodeSet, PiecewisePoly, Polynomial, correction_poly, lagrange_poly
-from .transform import (
+from .transform import (  # the built-in biases are exported here too
     BiasedDistribution,
     SignChangeSpec,
     bias,
+    centered_bias_spec,
+    plus_part,
     recipe_moments,
     sign_spec,
+    unit_bias_spec,
+    zero_bias_spec,
 )
 from .higher import bias_to_order
 
@@ -218,10 +223,6 @@ def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunc
 # the worked ambiguity example
 # ---------------------------------------------------------------------------
 
-def plus_part(x):
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
 def ambiguity_demo() -> dict:
     """One biasing function, two legal node choices, two different laws.
 
@@ -303,6 +304,8 @@ def ks_critical(n: int, level: float = 0.01) -> float:
     """Asymptotic two-sided critical value of the statistic at the given level."""
     if level not in _KS_CRITICAL:
         raise InputError(f"tabulated levels: {sorted(_KS_CRITICAL)}")
+    if not n >= 1:
+        raise InputError(f"a critical value needs a sample size n >= 1, not {n!r}")
     return _KS_CRITICAL[level] / math.sqrt(n)
 
 
@@ -386,21 +389,6 @@ def chain_identity_suite(seed: int = 0, count: int = 100, m_max: int = 4,
         return (random_discrete(rng, max_atoms=6), random_valid_spec(rng, k), m,
                 Polynomial.monomial(int(rng.integers(0, m + 4))))
     return _exact_suite("chain", seed, count, tol, draw)
-
-
-def zero_bias_spec() -> SignChangeSpec:
-    return SignChangeSpec(lambda x: np.asarray(x, dtype=float), NodeSet((0.0,)), label="x")
-
-
-def centered_bias_spec(mean: float) -> SignChangeSpec:
-    mu = float(mean)
-    return SignChangeSpec(lambda x: np.asarray(x, dtype=float) - mu, NodeSet((mu,)),
-                          label=f"x-{mu}")
-
-
-def unit_bias_spec() -> SignChangeSpec:
-    return SignChangeSpec(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          NodeSet(()), label="identity")
 
 
 def mc_identity_suite(seed: int = 0, n: int = 100_000) -> dict:

@@ -339,6 +339,9 @@ def _transform(bias, nodes="[0]"):
     _transform('{"pieces": [{"interval": [0, 1], "coeffs": ["a"]}]}'),
     _transform('{"pieces": [{"interval": [0], "coeffs": [0, 1]}]}'),
     _transform('{"pieces": 5}'),
+    _transform("sign(x-.)"),
+    _transform("sign(x+-1)"),
+    _transform("sign(x-1e)"),
     ["density", "--dist", UNIFORM, "--grid", "a", "1", "201"],
     ["density", "--dist", UNIFORM, "--grid", "0", "1", "2.5"],
     ["density", "--dist", UNIFORM, "--grid", "0", "inf", "3"],
@@ -349,7 +352,8 @@ def _transform(bias, nodes="[0]"):
         "n-samples-not-a-number", "seed-not-a-number", "constant-not-a-number",
         "constants-missing", "f-at-node-not-a-number", "experiment-file-missing", "experiment-not-an-object",
         "piece-without-interval", "piece-coeffs-not-numbers", "piece-interval-one-end",
-        "pieces-not-a-list", "grid-bound-not-a-number", "grid-points-not-an-integer",
+        "pieces-not-a-list", "sign-shift-a-dot", "sign-shift-two-signs",
+        "sign-shift-bare-exponent", "grid-bound-not-a-number", "grid-points-not-an-integer",
         "grid-bound-not-finite", "mc-suite-one-draw", "distance-one-sample"])
 def test_malformed_command_input_is_validation_error(argv, tmp_path, capsys):
     argv = [a.replace("MISSING", str(tmp_path / "missing.json")) for a in argv]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
+from scipy.stats import norm
 
 import biasforge as bf
 from biasforge import distributions as D
@@ -552,6 +553,18 @@ def test_normal_family_draws_one_uniform_each(d, transform):
     assert np.array_equal(draws, transform(bf.RandomSource(6).uniform(1000)))
 
 
+@pytest.mark.parametrize("sigma", [0.7, 1.5])
+def test_negative_half_normal_cdf_is_twice_the_normal_cdf_below_zero(sigma):
+    d = bf.negative_half_normal(sigma)
+    xs = np.concatenate((np.linspace(-9 * sigma, 0.0, 401), [-1e-300, 5e-324, 0.5, 7.0]))
+    want = np.where(xs < 0, 2 * norm.cdf(xs / sigma), 1.0)
+    assert np.allclose(d.cdf(xs), want, rtol=1e-14, atol=0.0)
+    # and against the trapezoid CDF of its density alone: the trapezoid and the
+    # linear reading between knots, h^2/12 + h^2/8 times max|f'|, give 1.1e-7
+    table = bf.numeric_cdf(dataclasses.replace(d, cdf=None))
+    assert np.max(np.abs(table(xs) - want)) < 2e-7
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sorted_unique_is_np_unique(seed):
     rng = np.random.default_rng(seed)
@@ -700,7 +713,7 @@ def test_atom_lookup_is_searchsorted_at_every_weight(size):
     cum[-1] = 1.0
     xs = np.sort(rng.normal(size=size))
     u = np.concatenate((_around(cum), rng.random(3 * D._LOOKUP_BLOCK + 5)))
-    assert np.array_equal(D._lookup(cum, xs, u, linear=False),
+    assert np.array_equal(D._lookup(cum, xs, u, linear=False, guide=D._guide(cum)),
                           xs[np.searchsorted(cum, u, side="right")])
 
 
@@ -708,7 +721,8 @@ def test_one_atom_draws_its_location_from_u_zero_on():
     law = bf.dirac(-2.5)
     cum = np.array([1.0])
     u = np.array([0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0)])
-    assert np.array_equal(D._lookup(cum, law.locs, u, linear=False), np.full(4, -2.5))
+    assert np.array_equal(D._lookup(cum, law.locs, u, linear=False, guide=D._guide(cum)),
+                          np.full(4, -2.5))
     assert np.array_equal(bf.sample(law, bf.RandomSource(1), 1000), np.full(1000, -2.5))
 
 
@@ -722,7 +736,7 @@ def test_atom_lookup_when_a_weight_before_the_last_exceeds_one():
     u = np.concatenate((_around(cum), [0.5, 1.0 - 1e-13, np.nextafter(1.0, 0.0)],
                         np.random.default_rng(9).random(1000)))
     ref = law.locs[np.searchsorted(cum, u, side="right")]
-    assert np.array_equal(D._lookup(cum, law.locs, u, linear=False), ref)
+    assert np.array_equal(D._lookup(cum, law.locs, u, linear=False, guide=D._guide(cum)), ref)
     assert set(ref.tolist()) == {-1.0, 0.0}  # the last atom is out of reach
     n = 100_000
     rs, ref_rs = bf.RandomSource(15), bf.RandomSource(15)
@@ -750,7 +764,7 @@ def test_table_lookup_is_interp_at_every_knot(name):
     ref = np.interp(u, table.cum, table.xs)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        out = D._lookup(table.cum, table.xs, u, linear=True)
+        out = D._lookup(table.cum, table.xs, u, linear=True, guide=D._guide(table.cum[1:]))
         assert np.array_equal(table.ppf(u), ref)
     assert np.array_equal(out, ref)
     assert np.array_equal(np.signbit(out), np.signbit(ref))
@@ -1103,6 +1117,33 @@ def test_tilt_mixture_with_empirical_component():
     assert bf.moment(t, 1) == pytest.approx(expected, rel=1e-9)
 
 
+def test_tilt_drops_a_mixture_component_the_weight_vanishes_on():
+    # x^2 is 0 on the atom at 0: that component's tilt has a zero normaliser,
+    # so the tilt is the x^2-tilt of the uniform alone, density 3x^2/7 on [1, 2]
+    square = lambda x: np.asarray(x, float) ** 2
+    mix = bf.make_mixture([bf.dirac(0.0), bf.uniform(1.0, 2.0)], [0.5, 0.5])
+    t = bf.tilt(mix, square)
+    assert bf.moment(t, 1) == pytest.approx(45 / 28, rel=1e-12)
+    xs = np.linspace(0.5, 2.5, 81)
+    want = np.where((xs >= 1.0) & (xs <= 2.0), 3 * xs**2 / 7, 0.0)
+    assert np.allclose(t.density(xs), want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(t.density(xs), bf.tilt(bf.uniform(1.0, 2.0), square).density(xs))
+
+
+def test_bias_of_a_nested_mixture_slices_the_probe_by_component():
+    # neither mixture has a density, so the probe points of the outer one
+    # hold the inner one's atoms and grid first; E[X^2] = 0.25 * 0.09 + 0.25 + 0.5 / 3
+    inner = bf.make_mixture([bf.dirac(0.3), bf.normal()], [0.5, 0.5])
+    X = bf.make_mixture([inner, bf.uniform(-1.0, 1.0)], [0.5, 0.5])
+    assert inner.density is None and X.density is None
+    t = bf.bias(X, bf.zero_bias_spec())
+    alpha = 0.25 * 0.09 + 0.25 + 0.5 / 3
+    assert t.alpha == pytest.approx(alpha, rel=1e-12)
+    seed = t.recipe.seed_law  # the x^2 tilt: each part weighed by its own normaliser
+    assert seed.weights == pytest.approx((0.5 * (0.045 + 0.5) / alpha, 0.5 / 3 / alpha), rel=1e-12)
+    assert seed.components[0].weights == pytest.approx((0.045 / 0.545, 0.5 / 0.545), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 # ---------------------------------------------------------------------------
@@ -1269,6 +1310,13 @@ def test_random_source_contract():
     rs.uniform(10)
     assert rs.position == 10
     assert rs.derive(5).seed == 12
+
+
+def test_random_source_position_is_not_an_argument():
+    # every stream starts at position 0, so the position is no constructor argument
+    with pytest.raises(TypeError):
+        bf.RandomSource(7, 500)
+    assert bf.RandomSource(7).position == 0
 
 
 def test_random_source_equals_only_itself():

@@ -183,6 +183,11 @@ def test_lagrange_empty_nodes_is_zero():
     assert lagrange_value((), (), 1.7) == 0.0
 
 
+def test_lagrange_refuses_a_repeated_node():
+    with pytest.raises(bf.InputError, match="distinct"):
+        lagrange_poly([0.0, 0.0], [1.0, 2.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(nodes_strategy(max_k=5))
 def test_lagrange_unity_property(nodes):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import biasforge as bf
+import biasforge.distributions as D
 from biasforge import NodeSet, SignChangeSpec
 
 
@@ -112,6 +113,35 @@ def test_second_order_identity_on_atoms():
 def test_second_order_degenerate_alpha():
     with pytest.raises(bf.DegenerateAlpha):
         bf.second_order_transform(bf.dirac(0.0), zeros, zero_spec_at(0.0))
+
+
+def test_second_order_transform_reads_b0_once_on_one_probe(monkeypatch):
+    # one tail probe of X serves both the verdict on B0 and the B0 tilt, and B0
+    # is evaluated once on its points: 8 tail probes in all
+    X = bf.normal()
+    grid = np.linspace(*X.effective_support(), D._PROBE_GRID)
+    on_grid, probes = [], []
+
+    def B0(x):
+        on_grid.append(np.array_equal(np.asarray(x, float), grid))
+        return ones(x)
+
+    def probe(*args, fn=D._effective_bounds):
+        probes.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(D, "_effective_bounds", probe)
+    bf.second_order_transform(X, B0, bf.zero_bias_spec())
+    assert sum(on_grid) == 1
+    assert len(probes) == 8
+
+
+def test_second_order_transform_names_where_b0_is_negative():
+    X = bf.normal()
+    bad = float(np.linspace(*X.effective_support(), D._PROBE_GRID)[1234])
+    B0 = lambda x: np.where(np.asarray(x, float) == bad, -0.5, 1.0)
+    with pytest.raises(bf.NegativeWeight, match=f"negative at x={bad!r}"):
+        bf.second_order_transform(X, B0, bf.zero_bias_spec())
 
 
 def test_second_order_sampler_matches_density(uniform_sym):

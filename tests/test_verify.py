@@ -252,6 +252,12 @@ def test_ks_critical_values():
     assert bf.ks_critical(10_000, 0.05) == pytest.approx(1.3581 / 100)
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_ks_critical_needs_a_positive_sample_size(n):
+    with pytest.raises(bf.InputError, match="n >= 1"):
+        bf.ks_critical(n)
+
+
 # ---------------------------------------------------------------------------
 # randomized configuration generators
 # ---------------------------------------------------------------------------

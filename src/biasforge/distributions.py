@@ -5,20 +5,27 @@ sampling contract.
 
 Laws are immutable ``Distribution`` values.  Samplers draw from a
 caller-owned ``RandomSource``; equal seeds give identical streams, which
-is what makes every experiment in this package reproducible.  Infinite
-supports are integrated after truncating the tails where the integrand
-falls below ``TAIL_EPS`` times its peak (all catalog densities decay at
+is what makes every experiment in this package reproducible.
+
+An infinite support is integrated over the law's own window, where its
+density is at least ``TAIL_EPS`` of its peak (all catalog densities decay at
 least exponentially, so the truncation is harmless at the quadrature
-tolerances).
+tolerances).  Each law finds its window once and keeps it
+(``Distribution.effective_support``): the catalog laws in closed form, a
+mixture as the hull of its components' windows, a tilt from its normaliser
+pass, any other density by one tangent probe (``_effective_bounds``) on
+first use.  An integral against the law starts from that window and widens
+it only at an infinite end where a weighted integrand (x^p f(x), w(x) f(x))
+has not yet decayed below ``TAIL_EPS`` of its peak (``_start_panels``).
 
 Every integral against a density, an expectation or the tail table of a
 transform, is one array-native adaptive panel rule (``_panels``):
 8-point Gauss-Legendre panels, each compared with the rule on its two
 halves and bisected, all panels of a round in one call of the integrand.
 Integrands stacked on a leading axis (the moments x^p f(x) of a density,
-the tail weights of a transform) share one window, the hull of their tail
-windows, and one panel pass, in which every integrand is held to its own
-tolerance.
+the tail weights of a transform) share one window, widened for the
+slowest-decaying of them, and one panel pass, in which every integrand is
+held to its own tolerance.
 Panels that have not converged after a fixed depth fall back to
 ``integrate_fn`` (scipy's adaptive quadrature), for a stack only in the
 rows that missed their share, each evaluated alone; ``integrate_fn`` is also the
@@ -205,11 +212,37 @@ def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fv(np.add(x, (0.5 * (a + b))[..., None], out=x)) @ _GW * half
 
 
-def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
+def _rules(fv: Callable, edges: np.ndarray, extra: Optional[np.ndarray] = None):
+    """The 8-point rules on the panels between the sorted ``edges`` and on
+    both their halves, from one call of ``fv``, which also takes the points
+    ``extra`` when given (without overflow warnings, as the tail probe).
+    Returns (whole, halves, values): the halves on an axis of two ahead of
+    the panels' own, and fv's values at all the points, ``extra`` last."""
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    seen = []
+
+    def g(x):  # the extra points ride along the nodes
+        if extra is None:
+            return fv(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = fv(np.concatenate((x.ravel(), extra)))
+        seen.append(vals)
+        return np.ascontiguousarray(vals[..., :x.size]).reshape(vals.shape[:-1] + x.shape)
+
+    r = _gauss_legendre(g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
+    n = a.size
+    return r[..., :n], r[..., n:].reshape(r.shape[:-1] + (2, n)), (seen[0] if seen else None)
+
+
+def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH, first=None):
     """Adaptive Gauss-Legendre panels on the window cut at the sorted
-    ``edges``, the quadrature of every density integral: each round accepts
+    ``edges``, from the rules on them and on their halves (``_rules``, or
+    ``first`` when already formed), the quadrature of every density
+    integral: each round accepts
     the halves of every open panel whose rule is within its share (by width)
-    of ABS_TOL + REL_TOL |I| of the rule on its halves, and bisects the rest.
+    of ABS_TOL + REL_TOL |I| of the rule on its halves, or within 64 ulp of
+    their value, and bisects the rest.
     ``fv`` may stack J integrands on a leading axis.  Returns (done, lefts,
     vals, stuck, rough, missed): the integral over the converged panels;
     round by round, the left edges and values of the final panels, which
@@ -221,16 +254,20 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     when a rule is not finite or more than _PANEL_OPEN_MAX panels are open
     at once."""
     a, b = edges[:-1], edges[1:]
-    whole = _gauss_legendre(fv, a, b)
+    whole, halves = first if first is not None else _rules(fv, edges)[:2]
     width, done, lefts, vals = edges[-1] - edges[0], 0.0, [], []
-    for _ in range(depth):
+    for step in range(depth):
         cuts = np.array((a, 0.5 * (a + b), b))
-        halves = _gauss_legendre(fv, cuts[:2], cuts[1:])  # both halves in one call
+        if step:
+            halves = _gauss_legendre(fv, cuts[:2], cuts[1:])  # both halves in one call
         fine = halves[..., 0, :] + halves[..., 1, :]
         err = np.abs(fine - whole)  # finite only if both rules are
         total = done + fine.sum(axis=-1)
         tol = (ABS_TOL + REL_TOL * np.abs(total))[..., None]
-        miss = err > tol * (b - a) / width
+        # a rule within 64 ulp of its own value is as close as rounding
+        # allows: a total that cancels below that (an odd moment of a wide
+        # symmetric law) is not reached by bisecting
+        miss = (err > tol * (b - a) / width) & (err > 2.0 ** -46 * np.abs(fine))
         open_ = miss.reshape(-1, a.size).any(axis=0)
         if not np.isfinite(err).all() or np.count_nonzero(open_) > _PANEL_OPEN_MAX:
             return None
@@ -249,8 +286,92 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
 def _start_edges(lo: float, hi: float, points) -> np.ndarray:
     """The first panels' edges on [lo, hi]: a _PANEL_START linspace and the
     ``points`` inside it."""
+    edges = np.linspace(lo, hi, _PANEL_START + 1)
     inner = [float(p) for p in points if lo < float(p) < hi]
-    return _sorted_unique(np.concatenate((np.linspace(lo, hi, _PANEL_START + 1), inner)))
+    return _sorted_unique(np.concatenate((edges, inner))) if inner else edges
+
+
+def _ladder(a: float, b: float, lo: float, hi: float):
+    """The outward points of the window [a, b] at each infinite end of the
+    support [lo, hi], in outward order: the end, then steps r tan(theta)
+    from it, r the window's half-width and theta every
+    _PROBE_GRID / _PANEL_START-th angle of the tail probe's positive half
+    (the first step 0.05 r, near two start panels; the last r 1e6), those
+    past the tail probe's end, |x| ~ 1e6, moved onto it.  Empty at a finite
+    end.  Returns (left, right)."""
+    steps = 0.5 * (b - a) * _TAN_PROBE[_PROBE_GRID // 2::_PROBE_GRID // _PANEL_START]
+    far = _TAN_PROBE[-1]
+    left = np.empty(0) if math.isfinite(lo) else np.subtract(a, steps)
+    right = np.empty(0) if math.isfinite(hi) else np.add(b, steps)
+    if a > -far:
+        np.maximum(left, -far, out=left)
+    if b < far:
+        np.minimum(right, far, out=right)
+    return left, right
+
+
+def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
+    """How many steps of the ladder ``pts`` (outward from a window's end) the
+    window must take in, given the ascending indices of the points where
+    some integrand is at least TAIL_EPS of its peak (``hits``) and where one
+    is not finite (``bad``, None when every value is): up to the first
+    point past the last hit, 0 with no hit.  The rules of
+    ``_effective_bounds``: NonIntegrable when an integrand has not decayed
+    by the ladder's last point or by |x| ~ 1e6, or is not finite where it
+    decays."""
+    if not hits.size:
+        return 0
+    last = int(hits[-1])
+    if last == pts.size - 1 or (last and abs(pts[last]) >= _TAN_PROBE[-1]):
+        raise NonIntegrable("integrand tail has not decayed below the truncation threshold")
+    if bad is not None and bad[last:last + 2].any():
+        raise NonIntegrable("integrand overflows before its tail decays below the truncation threshold")
+    return last + 1
+
+
+def _start_panels(fv: Callable, window, lo: float, hi: float, points):
+    """The first panels of an integral of ``fv`` (which may stack J
+    integrands on a leading axis) against a law of support [lo, hi] and
+    window ``window``: the _PANEL_START edges of the window and the
+    ``points`` inside it, widened at an infinite end where an integrand has
+    not decayed below TAIL_EPS of its peak there.  One call of fv
+    (``_rules``) takes the nodes of those panels, of the panels between the
+    points of each infinite end's ``_ladder`` and of all their halves, the
+    ladder itself and the tail probe's every _PROBE_GRID / _PANEL_START-th
+    point inside the window (which find a peak the panels are too wide
+    for).  Each integrand's peak over all those values sets how far
+    (``_reach``) the window takes in the ladder's panels.  Returns (edges,
+    first): the rules on the panels taken and on their halves, ``_panels``'
+    first round, None when both ends are finite or a point falls in a
+    ladder panel taken in (``_panels`` forms them)."""
+    a, b = window
+    edges = _start_edges(a, b, points)
+    left, right = _ladder(a, b, lo, hi)
+    if not (left.size or right.size):
+        return edges, None
+    coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
+    extra = np.concatenate((left, right, coarse[(coarse > a) & (coarse < b)]))
+    cuts = np.concatenate((left[:0:-1], edges, right[1:]))  # every panel the window may take
+    whole, halves, vals = _rules(fv, cuts, extra)
+    vals = vals.reshape(-1, vals.shape[-1])
+    peaks, bad = np.maximum(vals.max(axis=1), -vals.min(axis=1)), None
+    if not np.isfinite(peaks).all():  # a NaN (0 * inf) is no hit; inf is one, but no peak
+        finite = np.isfinite(vals)
+        peaks = np.where(finite, np.abs(vals), 0.0).max(axis=1)
+        bad = ~finite[:, -extra.size:].all(axis=0)
+    # a row without mass has no threshold
+    hits = np.flatnonzero((np.abs(vals[:, -extra.size:])
+                           >= np.where(peaks > 0.0, TAIL_EPS * peaks, np.nan)[:, None]).any(axis=0))
+    k, m = left.size, left.size + right.size
+    out_l = _reach(hits[hits < k], bad if bad is None else bad[:k], left)
+    out_r = _reach(hits[(hits >= k) & (hits < m)] - k, bad if bad is None else bad[k:m], right)
+    nl = max(k - 1, 0)  # the panels of the left ladder, first in cuts
+    i, j = nl - out_l, nl + edges.size - 1 + out_r
+    edges = cuts[i:j + 1]
+    inner = [p for p in map(float, points) if edges[0] < p < a or b < p < edges[-1]]
+    if inner:
+        return _sorted_unique(np.concatenate((edges, inner))), None
+    return edges, (whole[..., i:j], halves[..., i:j])
 
 
 def _running_products(head: Callable, factor: Callable, rows: int, start: int = 0) -> Callable:
@@ -281,22 +402,33 @@ def _running_products(head: Callable, factor: Callable, rows: int, start: int = 
     return g
 
 
-def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0):
-    """Integral of ``f`` on [lo, hi] by ``_panels`` from the _PANEL_START
-    edges of the window (infinite ends truncated by the tail rule) and
-    ``points``.  ``integrate_fn`` takes the panels still open after
-    _PANEL_DEPTH rounds, and the whole window when the panels do not suit f.
-    With ``rows`` > 0, f is array-native and stacks that many integrands on
-    a leading axis: they share the window (the hull of theirs) and the
-    panels, each panel held to every integrand's tolerance, the fallbacks
-    run row by row on ``f(x, j)``, row j alone (``_running_products``), and
-    the integrals come back as an array."""
+def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0, window=None):
+    """Integral of ``f`` on [lo, hi] by ``_window_integral`` from ``window``,
+    the window of the law f integrates against, by default the tail probe's
+    window of f itself."""
     fv = f if rows else as_array_fn(f)
-    lo_e, hi_e = _effective_bounds(fv, lo, hi)
-    if not lo_e < hi_e:
-        return np.zeros(rows) if rows else 0.0
+    if window is None:
+        window = _effective_bounds(fv, lo, hi)
+        if not window[0] < window[1]:
+            return np.zeros(rows) if rows else 0.0
+    return _window_integral(fv, window, lo, hi, points, rows)[0]
+
+
+def _window_integral(fv: Callable, window, lo: float, hi: float, points: Sequence[float],
+                     rows: int):
+    """Integral of the array-native ``fv`` against a law of support [lo, hi]
+    and window ``window`` by ``_panels`` from ``_start_panels``, with
+    ``points`` as break points.  ``integrate_fn`` takes the panels still
+    open after _PANEL_DEPTH rounds, and the whole window when the panels do
+    not suit fv.  With ``rows`` > 0, fv stacks that many integrands on a
+    leading axis: they share the window and the panels, each panel held to
+    every integrand's tolerance, the fallbacks run row by row on
+    ``fv(x, j)``, row j alone (``_running_products``), and the integrals
+    come back as an array.  Returns (integral, window as widened)."""
+    edges, first = _start_panels(fv, window, lo, hi, points)
+    lo_e, hi_e = float(edges[0]), float(edges[-1])
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
-    out = _panels(fv, _start_edges(lo_e, hi_e, inner))
+    out = _panels(fv, edges, first=first)
     fns = [lambda x, j=j: fv(x, j) for j in range(rows)] if rows else [fv]
     if out is None:
         vals = [integrate_fn(g, lo_e, hi_e, points=inner) for g in fns]
@@ -307,7 +439,7 @@ def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0):
             for j, g in enumerate(fns):
                 vals[j] += sum(integrate_fn(g, x, y) if miss else rule
                                for (x, y), miss, rule in zip(out[3], missed[j], rules[j]))
-    return np.array(vals) if rows else float(vals[0])
+    return (np.array(vals) if rows else float(vals[0])), (lo_e, hi_e)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +628,8 @@ class Distribution:
     and their masses in two read-only arrays, ``locs`` and ``masses``
     (``atoms`` views them as pairs of floats).  ``kinks`` lists known
     non-smooth points of the density (support edges, mixture junctions,
-    transform nodes) for quadrature.
+    transform nodes) for quadrature.  ``window`` is the law's window (see
+    ``effective_support``) when known at construction: two floats.
     """
 
     lo: float
@@ -511,10 +644,16 @@ class Distribution:
     weights: Optional[tuple] = None
     kinks: tuple = ()
     label: str = ""
+    window: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _probed: Optional[_Lazy] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise InputError("support must satisfy lo <= hi")
+        if (self.density is not None and self.window is None and self.components is None
+                and not (math.isfinite(self.lo) and math.isfinite(self.hi))):
+            dens, lo, hi, label = self.density, self.lo, self.hi, self.label
+            object.__setattr__(self, "_probed", _Lazy(lambda: _probe_window(dens, lo, hi, label)))
 
     @property
     def atoms(self) -> Optional[tuple]:
@@ -522,22 +661,33 @@ class Distribution:
         return None if self.locs is None else tuple(zip(self.locs.tolist(), self.masses.tolist()))
 
     def effective_support(self):
-        """Finite interval carrying all but a ``TAIL_EPS`` sliver of mass: the
-        hull of the components' windows for a mixture without a density.  A
-        density always has mass, so NonIntegrable when the probe of an
-        infinite support finds none (mass too narrow for the probe grid)."""
+        """The law's window, a finite interval carrying all but a
+        ``TAIL_EPS`` sliver of mass: the support when finite, else the
+        ``window`` the law was built with (closed form for the catalog, the
+        normaliser pass's for a tilt), else the hull of the components'
+        windows for a mixture, else the tail probe of the density, run on
+        first use and kept.  A density always has mass, so NonIntegrable when
+        that probe finds none (mass too narrow for the probe grid)."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
             return float(self.lo), float(self.hi)
-        if self.density is None and self.components is not None:
+        if self.window is not None:
+            return self.window
+        if self.components is not None:
             lo, hi = zip(*(c.effective_support() for c in self.components))
             return min(lo), max(hi)
-        if self.density is None:
+        if self._probed is None:
             raise InputError("cannot bound an infinite support without a density")
-        lo, hi = _effective_bounds(as_array_fn(self.density), self.lo, self.hi)
-        if not lo < hi:
-            raise NonIntegrable("the tail probe finds no density mass in "
-                                f"{self.label or 'an unlabelled law'}")
-        return lo, hi
+        return self._probed.get()
+
+
+def _probe_window(dens: Callable, lo: float, hi: float, label: str):
+    """The tail probe's window of the density ``dens`` on [lo, hi];
+    NonIntegrable when it finds no mass."""
+    a, b = _effective_bounds(as_array_fn(dens), lo, hi)
+    if not a < b:
+        raise NonIntegrable("the tail probe finds no density mass in "
+                            f"{label or 'an unlabelled law'}")
+    return a, b
 
 
 def _merge(xs: np.ndarray, ms: np.ndarray):
@@ -655,7 +805,8 @@ def exponential(rate: float = 1.0) -> Distribution:
 
     return Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
                         sampler=lambda rs, n: -np.log1p(-rs.uniform(n)) / lam,
-                        kinks=(0.0,), label=f"exponential({lam})")
+                        kinks=(0.0,), label=f"exponential({lam})",
+                        window=(0.0, -math.log(TAIL_EPS) / lam))
 
 
 def _ndtr(x):
@@ -709,11 +860,18 @@ def _ndtri(u):
     return x if u.ndim == 1 else x.reshape(u.shape) if u.ndim else float(x[0])
 
 
+def _tail_span(sig: float) -> float:
+    """How far from the mode a normal density of scale ``sig`` stays at least
+    TAIL_EPS of its peak: sig sqrt(2 ln(1 / TAIL_EPS))."""
+    return sig * math.sqrt(-2.0 * math.log(TAIL_EPS))
+
+
 def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
     mu, sig = _floats((mean, std), "normal parameters")
     if sig <= 0:
         raise InputError("std must be positive")
     c = 1.0 / (sig * math.sqrt(2 * math.pi))
+    window = (mu - _tail_span(sig), mu + _tail_span(sig))
 
     def dens(x):
         z = (np.asarray(x, dtype=float) - mu) / sig
@@ -722,7 +880,10 @@ def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
     return Distribution(lo=-math.inf, hi=math.inf, density=dens,
                         cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sig),
                         sampler=lambda rs, n: mu + sig * _ndtri(rs.uniform(n)),
-                        label=f"normal({mu},{sig})")
+                        label=f"normal({mu},{sig})",
+                        # beyond 1e15 sig from the origin the window rounds to
+                        # a point: the tail probe, which finds no mass, takes over
+                        window=window if window[0] < window[1] else None)
 
 
 def half_normal(sigma: float = 1.0) -> Distribution:
@@ -742,7 +903,7 @@ def half_normal(sigma: float = 1.0) -> Distribution:
 
     return Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
                         sampler=lambda rs, n: sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
-                        kinks=(0.0,), label=f"half-normal({sig})")
+                        kinks=(0.0,), label=f"half-normal({sig})", window=(0.0, _tail_span(sig)))
 
 
 def negative_half_normal(sigma: float = 1.0) -> Distribution:
@@ -758,7 +919,8 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 
     return Distribution(lo=-math.inf, hi=0.0, density=dens, cdf=cdf,
                         sampler=lambda rs, n: -sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
-                        kinks=(0.0,), label=f"negative-half-normal({sig})")
+                        kinks=(0.0,), label=f"negative-half-normal({sig})",
+                        window=(-_tail_span(sig), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +930,8 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> float:
     """E[fn(X)]: exact on point masses (atoms and empirical laws), the
     table's own rule on a tabulated density, the adaptive panel integral
-    against any other density.  ``points`` are kinks of fn."""
+    from the law's window against any other density.  ``points`` are kinks
+    of fn."""
     if X.locs is not None:  # einsum: no BLAS thread for a long sum
         return float(np.einsum("i,i->", X.masses, as_array_fn(fn)(X.locs)))
     if X.density is not None:
@@ -776,13 +939,8 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
         if table is not None:
             return table.integrate_weighted(fn, X.lo, X.hi)
         dens = X.density  # the panel integral makes the product array-safe
-        value = _panel_integral(lambda x: dens(x) * fn(x), X.lo, X.hi,
-                                points=tuple(points) + X.kinks)
-        if value == 0.0:
-            # the product's probe found no mass: NonIntegrable rather than 0
-            # when the density's own probe finds none either
-            X.effective_support()
-        return value
+        return _panel_integral(lambda x: dens(x) * fn(x), X.lo, X.hi,
+                               points=tuple(points) + X.kinks, window=X.effective_support())
     if X.components is not None:
         return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
@@ -813,7 +971,8 @@ def moment(d: Distribution, n: int) -> float:
 def _moments(d: Distribution, top: int) -> np.ndarray:
     """E[X^p], p = 0..top.  A density that is not a table is integrated in
     one stacked pass: the integrands x^p f(x), p = 1..top, formed as a
-    running product, share one tail probe and one ``_panels`` call.  They
+    running product, share the law's window (widened where a power has not
+    decayed) and one ``_panels`` call.  They
     agree with ``moment`` within 1e-12 relative on smooth densities (within
     the quadrature tolerance where ``integrate_fn`` values the slivers of a
     singularity), not bit for bit, and their last bits depend on top.  A
@@ -829,11 +988,8 @@ def _moments(d: Distribution, top: int) -> np.ndarray:
     dens = as_array_fn(d.density)
     # row p - 1 holds x^p f(x)
     powers = _running_products(dens, lambda x: x, top, start=1)
-    vals = _panel_integral(powers, d.lo, d.hi, points=d.kinks, rows=top)
-    if not vals.any():
-        # the stack's probe found no mass: NonIntegrable rather than 0 when
-        # the density's own probe finds none either
-        d.effective_support()
+    vals = _panel_integral(powers, d.lo, d.hi, points=d.kinks, rows=top,
+                           window=d.effective_support())
     return np.concatenate(([1.0], vals))
 
 
@@ -844,6 +1000,15 @@ def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
     if d.sampler is None:
         raise NoSampler(f"no sampling route for {d.label or 'an unlabelled law'}")
     return np.asarray(d.sampler(rng, int(n)), dtype=float)
+
+
+def _mean_se(n: int, values: Optional[np.ndarray] = None):
+    """InputError unless there are n >= 2 Monte Carlo draws; given their n
+    ``values``, the mean and its standard error, std (ddof 1) / sqrt(n)."""
+    if n < 2:
+        raise InputError("Monte Carlo standard errors need n >= 2 draws")
+    if values is not None:
+        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
 
 
 def _weight_ok(wx: np.ndarray) -> np.ndarray:
@@ -908,60 +1073,88 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
 
     Point masses (``locs``) are reweighted exactly; a ``density`` is
     multiplied by w, renormalized by quadrature and sampled through a
-    numeric inverse CDF; a mixture without one tilts its ``components``.  A
-    law with a sampler alone cannot be tilted: NoSampler.  w is evaluated
-    once on all the ``_probe_points`` (``_tilt`` builds from those values):
-    NegativeWeight where it is negative or not finite at one of them.
-    ``weight_kinks`` declares non-smooth points of w."""
+    numeric inverse CDF on the tilt's own window; a mixture without one
+    tilts its ``components``.  A law with a sampler alone cannot be tilted:
+    NoSampler.  w is evaluated once on all the ``_probe_points`` (``_tilt``
+    builds from those values): NegativeWeight where it is negative or not
+    finite at one of them.  ``weight_kinks`` declares non-smooth points of w."""
     if d.locs is None and d.density is None and d.components is None:
         raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
     wv, probe = as_array_fn(w), _probe_points(d)
     wx = wv(probe)
     _check_weight(wx, probe)
-    return _tilt(d, wv, weight_kinks, probe, wx)[0]
+    law = _tilt(d, wv, weight_kinks, probe, wx)[0]
+    if law is None:
+        raise _zero_normalizer(d)
+    return law
+
+
+def _zero_normalizer(d: Distribution) -> ZeroNormalizer:
+    """The error of a tilt of ``d`` whose normaliser is (numerically) zero."""
+    where = (" on the atoms" if d.locs is not None else
+             " on the mixture" if d.density is None else "")
+    return ZeroNormalizer(f"tilting weight has zero expectation{where}")
 
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
           wx: np.ndarray):
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
-    ``_probe_points`` ``probe`` of ``d``, whose ends bound a density's table;
-    a mixture without a density hands each component its slice of both and
-    weighs the tilted components by the normalisers they return.  The caller
-    has checked ``wx`` (``_check_weight``, or a passed validation report).
-    Returns the law and its normaliser E[max(w(X), 0)]."""
+    ``_probe_points`` ``probe`` of ``d``; a mixture without a density hands
+    each component its slice of both and weighs the tilted components by
+    the normalisers they return.  The caller has checked ``wx``
+    (``_check_weight``, or a passed validation report).  Returns the law,
+    its normaliser z = E[max(w(X), 0)] and the mean E[w(X)], the law None
+    when z is at most ZERO_NORMALIZER_TOL.  A density that is not a table
+    gives z and the mean in one stacked panel pass from its window, and the
+    tilt keeps the window that pass widened to: its inverse-CDF table spans
+    it."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
         return np.maximum(wv(x), 0.0)
 
     if d.locs is not None:  # exact reweighting of the atoms
+        mean = float(np.einsum("i,i->", d.masses, wx))
         mw = d.masses * np.clip(wx, 0.0, None)
         z = float(np.sum(mw))
         if z <= ZERO_NORMALIZER_TOL:
-            raise ZeroNormalizer("tilting weight has zero expectation on the atoms")
+            return None, z, mean
         mw /= z
-        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z
+        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z, mean
 
     if d.density is None:
-        zs, tilted = [], []
+        parts = []
         cuts = np.cumsum([0, *map(_probe_size, d.components)])
         for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
-            try:
-                tc, zc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
-            except ZeroNormalizer:
-                tc, zc = None, 0.0
-            tilted.append(tc)
-            zs.append(zc)
-        total = sum(wt * z for wt, z in zip(d.weights, zs))
+            tc, zc, mc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
+            parts.append((tc, zc if tc is not None else 0.0, mc))
+        mean = float(sum(wt * mc for wt, (_, _, mc) in zip(d.weights, parts)))
+        total = sum(wt * zc for wt, (_, zc, _) in zip(d.weights, parts))
         if total <= ZERO_NORMALIZER_TOL:
-            raise ZeroNormalizer("tilting weight has zero expectation on the mixture")
-        comps = [(tc, wt * z / total) for tc, wt, z in zip(tilted, d.weights, zs) if z > 0]
-        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total
+            return None, total, mean
+        comps = [(tc, wt * zc / total) for wt, (tc, zc, _) in zip(d.weights, parts) if zc > 0]
+        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total, mean
 
     base = as_array_fn(d.density)
-    z = expectation(d, w_plus, points=weight_kinks)
+    table = _table_of(d)
+    if table is not None:
+        mean, z = (table.integrate_weighted(g, d.lo, d.hi) for g in (wv, w_plus))
+        window = d.effective_support()
+    else:
+        def both(x, row=None):  # [w f, max(w, 0) f]: w and f evaluated once
+            f, w = base(x), wv(x)
+            if row is not None:
+                return (w if row == 0 else np.maximum(w, 0.0)) * f
+            out = np.empty((2,) + np.shape(x))
+            np.multiply(w, f, out=out[0])
+            np.multiply(np.maximum(w, 0.0), f, out=out[1])
+            return out
+
+        (mean, z), window = _window_integral(both, d.effective_support(), d.lo, d.hi,
+                                             tuple(weight_kinks) + d.kinks, 2)
+        mean, z = float(mean), float(z)
     if z <= ZERO_NORMALIZER_TOL:
-        raise ZeroNormalizer("tilting weight has zero expectation")
+        return None, z, mean
 
     def dens(x):
         arr = np.asarray(x, dtype=float)
@@ -975,13 +1168,13 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         return out.reshape(arr.shape)
 
     table = _Lazy(lambda: TabulatedDensity.from_callable(
-        dens, probe[0], probe[-1], INVERSE_CDF_GRID, knots=kinks))
+        dens, *window, INVERSE_CDF_GRID, knots=kinks))
 
     def draw(rs: RandomSource, n: int):
         return table.get().ppf(rs.uniform(n))
 
-    return Distribution(lo=d.lo, hi=d.hi, density=dens,
-                        sampler=draw, kinks=kinks, label=f"tilt({d.label})"), z
+    return Distribution(lo=d.lo, hi=d.hi, density=dens, sampler=draw, kinks=kinks,
+                        label=f"tilt({d.label})", window=window), z, mean
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:
@@ -1045,7 +1238,7 @@ def cache_density(d: Distribution, n: int = 2049) -> Distribution:
         raise InputError("cannot cache a law without a density")
     lo_e, hi_e = d.effective_support()
     table = TabulatedDensity.from_callable(d.density, lo_e, hi_e, n, knots=d.kinks)
-    return replace(d, density=table, cdf=table.cdf)
+    return replace(d, density=table, cdf=table.cdf, window=(lo_e, hi_e))
 
 
 def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID) -> Callable:

@@ -35,7 +35,9 @@ from .distributions import (
     RandomSource,
     _Lazy,
     _probe_points,
+    _mean_se,
     _tilt,
+    _zero_normalizer,
     as_array_fn,
     expectation,
     make_mixture,
@@ -130,14 +132,13 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
 
     parts, weights = [], []
     if alpha1 > ALPHA_TOL:
-        try:
-            tilted = _tilt(X, b0_of, B0_kinks, probe, b0x)[0]
-        except ZeroNormalizer as exc:
+        tilted = _tilt(X, b0_of, B0_kinks, probe, b0x)[0]
+        if tilted is None:
             # B0 >= 0 with zero mean forces alpha_1 = 0; reaching here means the
             # numbers disagree, and guessing a fallback law would be unsound.
             raise DegenerateAlpha(
                 "order-0 coefficient has zero expectation but a positive "
-                f"second-moment normalizer ({alpha1!r})") from exc
+                f"second-moment normalizer ({alpha1!r})") from _zero_normalizer(X)
         parts.append(second_difference_transform(tilted, a))
         weights.append(alpha1 / alpha)
     if one_node is not None:
@@ -278,17 +279,12 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
     draws X' from the freshly built transform on a derived stream."""
     if coupling not in ("self", "independent"):
         raise InputError("coupling must be 'self' or 'independent'")
-    if n < 2:
-        raise InputError("Monte Carlo standard errors need n >= 2 draws")
-
-    def mean_se(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
-
+    _mean_se(n)
     rs = RandomSource(seed)
     xs = sample(X, rs, n)
     w = as_array_fn(spec.tilt_weight)(xs)  # a fresh array
     w /= math.factorial(spec.k)
-    alpha, b_mean = mean_se(w), mean_se(as_array_fn(spec.bias)(xs))
+    alpha, b_mean = _mean_se(n, w), _mean_se(n, as_array_fn(spec.bias)(xs))
     del w  # freed before the transform is drawn
     if coupling == "self":
         gaps = np.zeros_like(xs)
@@ -297,7 +293,8 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
         gaps -= xs
         np.abs(gaps, out=gaps)
     report = {"coupling": coupling, "n": int(n), "seed": int(seed)}
-    for name, (mean, se) in (("coupling_gap", mean_se(gaps)), ("alpha", alpha), ("b_mean", b_mean)):
+    for name, (mean, se) in (("coupling_gap", _mean_se(n, gaps)), ("alpha", alpha),
+                             ("b_mean", b_mean)):
         report[name], report[f"{name}_se"] = mean, se
     return report
 

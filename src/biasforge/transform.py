@@ -52,10 +52,11 @@ from .distributions import (
     _panels,
     _probe_points,
     _running_products,
-    _start_edges,
+    _start_panels,
     _tilt,
     _table_of,
     _weight_ok,
+    _zero_normalizer,
     as_array_fn,
     expectation,
     integrate_fn,
@@ -370,7 +371,8 @@ class _TailTable:
     table multiplies by the density in place, and ``weights(x, j)`` row j
     alone (``_running_products``).  Point masses, sorted by construction,
     are read through prefix and suffix sums.  A density is integrated by
-    ``_panels`` from the _PANEL_START edges of its effective support, with
+    ``_panels`` from the _PANEL_START edges of its window (``_start_panels``,
+    which widens it where a weight times the density has not decayed), with
     ``knots`` and the law's kinks as break points, and the sums run over the
     final panels: a read is one lookup plus the 8-point Gauss-Legendre rule
     on part of one panel.  ``integrate_fn`` values, row by row, the slivers
@@ -384,15 +386,15 @@ class _TailTable:
             self.xs, self.dens = X.locs, None
             vals = weights(X.locs) * X.masses
         elif X.density is not None:
-            lo, hi = X.effective_support()
             table = _table_of(X)
             if table is not None:  # linear between its own grid points
                 knots = tuple(knots) + tuple(table.xs)
             self.dens = as_array_fn(X.density)
+            edges, first = _start_panels(self._load, X.effective_support(), X.lo, X.hi,
+                                         (*knots, *X.kinks))
             # four rounds more than other integrals, log2(1024 / _PANEL_START):
             # the slivers left open are as narrow as from 1024 start panels
-            out = _panels(self._load, _start_edges(lo, hi, (*knots, *X.kinks)),
-                          depth=_PANEL_DEPTH + 4)
+            out = _panels(self._load, edges, depth=_PANEL_DEPTH + 4, first=first)
             if out is None:
                 raise NonIntegrable("the panels do not suit a tail weight times the density")
             if out[4]:  # a singularity: integrate_fn values the slivers left open
@@ -401,7 +403,7 @@ class _TailTable:
                                                     *out[3][i])
             lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
             order = np.argsort(lefts)
-            self.xs, vals = np.append(lefts[order], hi), vals[:, order]
+            self.xs, vals = np.append(lefts[order], edges[-1]), vals[:, order]
         elif X.components is not None:
             self.parts = [(w, _TailTable(c, weights, rows, knots))
                           for c, w in zip(X.components, X.weights) if w > 0]
@@ -505,7 +507,10 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     so B must be elementwise: those values give the verdict, the seed law
     (the tilt) and, on point masses, the normalizer as an atom sum, with
     the errors, values and bits of ``validate_spec``, ``alpha_of`` and
-    ``tilt`` run apart.  The probe's ends bound the law."""
+    ``tilt`` run apart.  On a density the normalizer and the tilt's
+    normaliser are one stacked panel pass over X (``_tilt``); DegenerateAlpha
+    and NegativeAlpha are raised before ZeroNormalizer.  The probe's ends,
+    X's window, bound the law."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
@@ -513,10 +518,11 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     if not report.passed:
         raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
                             f"(value {report.worst_value:.3e})")
-    wx = w[:probe.size]
-    alpha = (alpha_of(X, spec) if X.locs is None else
-             _checked_alpha(float(np.einsum("i,i->", X.masses, wx)) / math.factorial(spec.k)))
-    seed_law = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe, wx)[0]
+    seed_law, _, mean = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe,
+                              w[:probe.size])
+    alpha = _checked_alpha(mean / math.factorial(spec.k))
+    if seed_law is None:
+        raise _zero_normalizer(X)
     recipe = BiasRecipe(source=X, spec=spec, seed_law=seed_law, alpha=alpha)
     k = spec.k
 

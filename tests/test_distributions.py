@@ -87,11 +87,44 @@ def test_moment_of_a_table_is_its_exact_piecewise_polynomial_integral(p):
     assert bf.moment(cached, p) == pytest.approx(float(exact), rel=1e-13)
 
 
+def _generic(d):
+    """The density of ``d`` as a law of its own, with no window given: its
+    window is the tail probe's."""
+    return bf.Distribution(lo=d.lo, hi=d.hi, density=d.density, label=f"generic {d.label}")
+
+
 def test_moment_of_mass_the_tail_probe_misses_raises():
     # near 1000 the tangent probe grid is ~800 apart and sees no mass; a
     # density always has mass, so this is a loud failure, not E[X] = 0
-    with pytest.raises(bf.NonIntegrable):
-        bf.moment(bf.normal(1000, 1e-3), 1)
+    with pytest.raises(bf.NonIntegrable, match="no density mass"):
+        bf.moment(_generic(bf.normal(1000, 1e-3)), 1)
+
+
+def _normal_moment(mu, sig, n):
+    return (1.0, mu, mu ** 2 + sig ** 2, mu ** 3 + 3 * mu * sig ** 2,
+            mu ** 4 + 6 * mu ** 2 * sig ** 2 + 3 * sig ** 4)[n]
+
+
+@pytest.mark.parametrize("mu", [-1e6, -1000.0, -500.0, 0.0, 0.5, 400.0, 500.0, 1000.0, 1e6])
+@pytest.mark.parametrize("sig", [1e-6, 1e-3, 1.0, 30.0, 1e3])
+def test_normal_moments_from_the_closed_form_window(mu, sig):
+    # the window is mu +- sig sqrt(2 ln(1 / TAIL_EPS)), so no mass is too
+    # narrow or too far out for the probe grid (mu = 500 and 1000 raised
+    # NonIntegrable with a probed window).  Where |mu| / sig > 1e6 the
+    # density is only ~sig / ulp(mu) < 2^33 floats wide and the quadrature
+    # nodes round by up to 1e-4 sig: there the moments are held to the
+    # quadrature tolerance (seen: at most 3.3e-10).  An odd moment at mu = 0
+    # is 0, which has no relative error: it is held to the scale sig^n
+    d = bf.normal(mu, sig)
+    lo, hi = d.effective_support()
+    assert hi - lo == pytest.approx(2 * 8.583864105157389 * sig, rel=1e-4)
+    tol = 1e-12 if abs(mu) <= 1e6 * sig else D.REL_TOL
+    got = D._moments(d, 4)
+    for n in range(1, 5):
+        want = _normal_moment(mu, sig, n)
+        scale = abs(want) if want else sig ** n
+        assert abs(bf.moment(d, n) - want) <= tol * scale
+        assert abs(got[n] - want) <= tol * scale
 
 
 def test_expectation_of_an_overflowing_integrable_weight_without_warnings():
@@ -207,15 +240,19 @@ def test_panel_integral_caps_open_panels(fallbacks):
     assert fallbacks == [(-1.0, 1.0)]
 
 
-def _reference_panel_integral(f, lo, hi, points=()):
+def _reference_panel_integral(f, lo, hi, points=(), window=None):
     """The adaptive panel integral as one loop with its halves in one call of
-    the integrand: the form ``_panels`` replaced, kept as the reference."""
+    the integrand: the form ``_panels`` replaced, kept as the reference.  It
+    starts from the edges of ``_start_panels`` on ``window``, by default the
+    tail probe's window of f."""
     fv = D.as_array_fn(f)
-    lo_e, hi_e = D._effective_bounds(fv, lo, hi)
-    if not lo_e < hi_e:
-        return 0.0
+    if window is None:
+        window = D._effective_bounds(fv, lo, hi)
+        if not window[0] < window[1]:
+            return 0.0
+    edges = D._start_panels(fv, window, lo, hi, points)[0]
+    lo_e, hi_e = edges[0], edges[-1]
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
-    edges = D._sorted_unique(np.concatenate((np.linspace(lo_e, hi_e, D._PANEL_START + 1), inner)))
     a, b = edges[:-1], edges[1:]
     whole = D._gauss_legendre(fv, a, b)
     width, done = hi_e - lo_e, 0.0
@@ -246,7 +283,7 @@ CATALOG = [bf.normal(0.5, 1.5), bf.exponential(1.5), bf.half_normal(1.3),
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_panel_moments_equal_the_reference_loop(d, n):
     assert bf.moment(d, n) == _reference_panel_integral(
-        lambda x: d.density(x) * x ** n, d.lo, d.hi, points=d.kinks)
+        lambda x: d.density(x) * x ** n, d.lo, d.hi, points=d.kinks, window=d.effective_support())
 
 
 @pytest.mark.parametrize("f", [lambda x: np.abs(x - 0.3) * np.exp(x),
@@ -277,7 +314,7 @@ def _reference_bounds(f, lo, hi):
 def test_probe_windows_are_bit_identical_to_a_fresh_grid(d):
     assert not D._TAN_PROBE.flags.writeable
     moment_2 = lambda x: d.density(x) * x ** 2
-    for f, window in ((d.density, d.effective_support()),
+    for f, window in ((d.density, D._effective_bounds(d.density, d.lo, d.hi)),
                       (moment_2, D._effective_bounds(moment_2, d.lo, d.hi))):
         assert [x.hex() for x in window] == [x.hex() for x in _reference_bounds(f, d.lo, d.hi)]
 
@@ -322,16 +359,29 @@ def test_panels_tile_the_window_for_stacked_integrands():
     assert done[0] + vals[0, -len(stuck):].sum() == pytest.approx(vals[0].sum(), abs=1e-15)
 
 
-def test_expectation_probes_the_density_alone_only_on_a_zero_integral(monkeypatch):
+def _counting_probes(monkeypatch):
+    """The list that each call of the tail probe appends to."""
     calls = []
-    probe = bf.Distribution.effective_support
-    monkeypatch.setattr(bf.Distribution, "effective_support",
-                        lambda self, *a: calls.append(self) or probe(self, *a))
+    probe = D._effective_bounds
+    monkeypatch.setattr(D, "_effective_bounds", lambda *a: calls.append(a) or probe(*a))
+    return calls
+
+
+def test_expectation_reads_the_window_the_law_keeps(monkeypatch):
+    # a catalog law's window is its closed form and a generic density is
+    # probed once, on first use; a density the probe finds no mass in
+    # raises, however often it is read
+    calls = _counting_probes(monkeypatch)
     assert bf.moment(bf.normal(0.5, 1.5), 2) == pytest.approx(2.5, rel=1e-10)
     assert calls == []
-    with pytest.raises(bf.NonIntegrable):
-        bf.moment(bf.normal(1000, 1e-3), 1)
+    d = _generic(bf.normal(0.5, 1.5))
+    assert [bf.moment(d, n) for n in (1, 2)] == pytest.approx([0.5, 2.5], rel=1e-10)
     assert len(calls) == 1
+    far = _generic(bf.normal(1000, 1e-3))
+    for _ in range(2):
+        with pytest.raises(bf.NonIntegrable):
+            bf.moment(far, 1)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +474,65 @@ def test_stacked_moments_raise_when_one_row_has_not_decayed():
         with pytest.raises(bf.NonIntegrable):
             route()
     with pytest.raises(bf.NonIntegrable):  # the probe finds no mass at all
-        D._moments(bf.normal(1000, 1e-3), 4)
+        D._moments(_generic(bf.normal(1000, 1e-3)), 4)
+
+
+def test_a_tilt_draws_from_its_own_window():
+    # e^{7x} tilts normal() to N(7, 1): the inverse-CDF table spans the
+    # window the tilt's normaliser pass widened to, not the normal's
+    # [-8.58, 8.58] (where 4e5 draws had mean 6.881 and max 8.5957)
+    law = bf.tilt(bf.normal(), lambda x: np.exp(7.0 * np.asarray(x, dtype=float)))
+    assert law.effective_support()[1] > 7.0 + 8.58
+    np.testing.assert_allclose(D._moments(law, 2), [1.0, 7.0, 50.0], rtol=1e-12)
+    draws = bf.sample(law, bf.RandomSource(20261019), 400_000)
+    assert abs(draws.mean() - 7.0) <= 5.0 / math.sqrt(draws.size)
+    assert draws.max() > 8.6
+
+
+def _infinite_seeds():
+    """The seed laws of the continuous-cold transforms on infinite supports:
+    the zero-bias normal's, the exponential equilibrium's, the half-normal
+    mixture's and the B0 = 1 tilt of the second-order transform."""
+    zero = bf.zero_bias_spec()
+    halves = bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7])
+    equilibrium = bf.bias(bf.exponential(1.0), bf.sign_spec(0.0))
+    return {"normal-zero-bias": bf.bias(bf.normal(), zero).recipe.seed_law,
+            "exponential-equilibrium": equilibrium.recipe.seed_law,
+            "half-normal-mixture": bf.bias(halves, zero).recipe.seed_law,
+            "second-order-b0": bf.tilt(bf.normal(), lambda x: np.ones_like(np.asarray(x, float)))}
+
+
+@pytest.mark.parametrize("name", sorted(_infinite_seeds()))
+def test_stacked_moments_from_a_kept_window_agree_with_quad(name):
+    # the seed keeps the window its normaliser pass found, and the stacked
+    # pass widens it for x^p: scipy's quad from the tail probe's own window
+    # agrees order by order
+    seed = _infinite_seeds()[name]
+    got = D._moments(seed, 4)
+    for p in range(1, 5):
+        ref = bf.integrate_fn(lambda x, p=p: seed.density(x) * x ** p, seed.lo, seed.hi,
+                              points=seed.kinks)
+        assert abs(got[p] - ref) <= STACKED_TOL * max(1.0, abs(ref)), p
+
+
+def test_stacked_moments_widen_the_exponential_equilibrium_window(monkeypatch):
+    # the seed x e^{-x} keeps the window of its normaliser pass, [0, 42.4];
+    # x^p x e^{-x} decays past it for high p, and the stacked pass takes in
+    # the ladder's panels until every order has: its moments (p + 1)! then
+    # hold to 1e-12 (cut at the kept window, the order-12 one is off by 1.2e-7)
+    seed = _infinite_seeds()["exponential-equilibrium"]
+    lo, hi = seed.effective_support()
+    powers = D._running_products(D.as_array_fn(seed.density), lambda x: x, 12, start=1)
+    edges = D._start_panels(powers, (lo, hi), seed.lo, seed.hi, seed.kinks)[0]
+    assert edges[0] == lo == 0.0 and edges[-1] > hi + 20.0
+    want = np.array([math.factorial(p + 1) for p in range(13)], dtype=float)
+    np.testing.assert_allclose(D._moments(seed, 12), want, rtol=1e-12)
+    calls = _counting_probes(monkeypatch)
+    # a weight whose tilt decays like 1 / x^2 has not decayed by |x| ~ 1e6,
+    # and the far ladder overflows e^x: the normaliser pass raises
+    with pytest.raises(bf.NonIntegrable):
+        bf.tilt(bf.exponential(1.0), lambda x: np.exp(x) / (1.0 + np.asarray(x, float) ** 2))
+    assert calls == []
 
 
 def _cold_transforms():
@@ -454,19 +562,20 @@ def _cold_transforms():
 
 def test_stacked_recipe_moments_probe_and_pass_once_per_density_seed(monkeypatch):
     # seven one-stage records, one lift (its base to order 6) and one
-    # two-part mixture: ten density seed laws, each one tail probe and one
-    # panel pass for every order (44 of each when each order integrates alone)
+    # two-part mixture: ten density seed laws, each one panel pass for every
+    # order (44 when each order integrates alone) from the window the seed
+    # law keeps, so no tail probe (10 when each pass probed its stack)
     transforms = _cold_transforms()
     calls = {"probe": 0, "panels": 0}
     for name, key in (("_effective_bounds", "probe"), ("_panels", "panels")):
-        def counted(*args, fn=getattr(D, name), key=key):
+        def counted(*args, fn=getattr(D, name), key=key, **kwargs):
             calls[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(D, name, counted)
     for t in transforms:
         mom = bf.recipe_moments(t.recipe, 4)
         assert mom[0] == 1.0 and np.isfinite(mom).all()
-    assert calls == {"probe": 10, "panels": 10}
+    assert calls == {"probe": 0, "panels": 10}
 
 
 # ---------------------------------------------------------------------------

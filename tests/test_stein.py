@@ -116,8 +116,10 @@ def test_second_order_degenerate_alpha():
 
 
 def test_second_order_transform_reads_b0_once_on_one_probe(monkeypatch):
-    # one tail probe of X serves both the verdict on B0 and the B0 tilt, and B0
-    # is evaluated once on its points: 8 tail probes in all
+    # one grid on the window of X serves both the verdict on B0 and the B0
+    # tilt, and B0 is evaluated once on its points; the normal's window is its
+    # closed form and every law built on it keeps its own, so no tail probe
+    # runs (8 when each integral probed its integrand)
     X = bf.normal()
     grid = np.linspace(*X.effective_support(), D._PROBE_GRID)
     on_grid, probes = [], []
@@ -133,7 +135,7 @@ def test_second_order_transform_reads_b0_once_on_one_probe(monkeypatch):
     monkeypatch.setattr(D, "_effective_bounds", probe)
     bf.second_order_transform(X, B0, bf.zero_bias_spec())
     assert sum(on_grid) == 1
-    assert len(probes) == 8
+    assert len(probes) == 0
 
 
 def test_second_order_transform_names_where_b0_is_negative():

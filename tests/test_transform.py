@@ -279,12 +279,13 @@ def _recording(X):
 
 
 @pytest.mark.parametrize("law, probe_calls", [
-    # one for the probe grid; the product probes left are those of alpha and
-    # of the tilt normalizer z, whose integrands differ (w and max(w, 0))
-    ("normal", 3),
+    # the probe grid spans the normal's closed-form window, and alpha and the
+    # tilt normalizer z are one stacked panel pass from it: no tail probe (3
+    # when the grid and each of the two integrals probed)
+    ("normal", 0),
     # the tilted normal component hands its normalizer back as its mixture
     # weight, so it is integrated once
-    ("atoms+normal", 3),
+    ("atoms+normal", 0),
 ])
 def test_one_pass_bias_evaluates_the_weight_on_the_probe_grid_once(monkeypatch, law, probe_calls):
     X = {name: X for name, X, _ in _density_and_mixture_cases()}[law]
@@ -600,15 +601,16 @@ def test_mixture_bias_allows_zero_alpha_components():
 
 
 def test_mixture_bias_computes_each_alpha_once(monkeypatch):
-    # one normalizer per component with positive gamma; none for gamma = 0
+    # one normalizer per component with positive gamma, from the pass that
+    # also tilts it; none for gamma = 0
     calls = []
-    alpha_of = transform.alpha_of
+    tilt_pass = transform._tilt
 
-    def counted(X, spec):
+    def counted(X, *args):
         calls.append(X)
-        return alpha_of(X, spec)
+        return tilt_pass(X, *args)
 
-    monkeypatch.setattr(transform, "alpha_of", counted)
+    monkeypatch.setattr(transform, "_tilt", counted)
     comps = [bf.uniform(0, 1), bf.uniform(1, 2), bf.uniform(2, 3)]
     mixed = bf.mixture_bias(comps, [0.5, 0.5, 0.0], bf.zero_bias_spec())
     assert calls == comps[:2]

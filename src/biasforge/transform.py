@@ -216,9 +216,12 @@ def _checked_alpha(a: float) -> float:
 
 def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
     """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
-    by the binomial expansion."""
-    return np.array([sum(math.comb(p, r) * c ** (p - r) * mom[r] for r in range(p + 1))
-                     for p in range(len(mom))], dtype=float)
+    by the binomial expansion, in Python floats (each power of c formed
+    once)."""
+    m = np.asarray(mom, dtype=float).tolist()
+    cp = [c ** k for k in range(len(m))]
+    return np.array([sum(math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1))
+                     for p in range(len(m))], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -384,6 +384,13 @@ def test_expectation_reads_the_window_the_law_keeps(monkeypatch):
     assert len(calls) == 3
 
 
+def test_concurrent_first_reads_probe_a_generic_window_once(monkeypatch):
+    calls = _counting_probes(monkeypatch)
+    d = _generic(bf.normal(0.5, 1.5))
+    windows = call_concurrently(d.effective_support, workers=6)
+    assert len(calls) == 1 and len(set(windows)) == 1
+
+
 # ---------------------------------------------------------------------------
 # moments of all orders in one stacked pass
 # ---------------------------------------------------------------------------

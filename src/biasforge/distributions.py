@@ -293,13 +293,13 @@ def _start_edges(lo: float, hi: float, points) -> np.ndarray:
 
 def _ladder(a: float, b: float, lo: float, hi: float):
     """The outward points of the window [a, b] at each infinite end of the
-    support [lo, hi], in outward order: the end, then steps r tan(theta)
-    from it, r the window's half-width and theta every
-    _PROBE_GRID / _PANEL_START-th angle of the tail probe's positive half
-    (the first step 0.05 r, near two start panels; the last r 1e6), those
-    past the tail probe's end, |x| ~ 1e6, moved onto it.  Empty at a finite
-    end.  Returns (left, right)."""
-    steps = 0.5 * (b - a) * _TAN_PROBE[_PROBE_GRID // 2::_PROBE_GRID // _PANEL_START]
+    support [lo, hi], in outward order: the end, then 16 steps
+    r tan(theta) from it, r the window's half-width and theta every
+    2 _PROBE_GRID / _PANEL_START-th angle of the tail probe's positive half
+    (the first step 0.1 r, three start panels; the last r 1e6), those past
+    the tail probe's end, |x| ~ 1e6, moved onto it.  Empty at a finite end.
+    Returns (left, right)."""
+    steps = 0.5 * (b - a) * _TAN_PROBE[_PROBE_GRID // 2::2 * _PROBE_GRID // _PANEL_START]
     far = _TAN_PROBE[-1]
     left = np.empty(0) if math.isfinite(lo) else np.subtract(a, steps)
     right = np.empty(0) if math.isfinite(hi) else np.add(b, steps)
@@ -629,7 +629,9 @@ class Distribution:
     (``atoms`` views them as pairs of floats).  ``kinks`` lists known
     non-smooth points of the density (support edges, mixture junctions,
     transform nodes) for quadrature.  ``window`` is the law's window (see
-    ``effective_support``) when known at construction: two floats.
+    ``effective_support``) when known at construction: two floats.  Like
+    ``cdf`` it belongs to the density: ``dataclasses.replace`` keeps it, so
+    a replaced density comes with its own window, or None.
     """
 
     lo: float

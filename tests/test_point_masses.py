@@ -139,7 +139,7 @@ PINNED = {
     "atoms": "46c8cd4ab7ce9f6a053f5d4850d58d6be6b3b0dd258cb89a8167ffea377c0188",
     "tilted-empirical": "39d873536d5eccbed730339a8bbd087568537691569f432755e1845066adfd14",
     "empirical-zero-bias": "8c1fe2126c12f3fad1d289986cd202aecd8ec67a01cc295be580ea6d4cc7cf91",
-    "inverse-cdf-tilt": "bcc33b682d6249738dbe5daccf04ff7500685f0bca60c892b100a9370a5a4337",
+    "inverse-cdf-tilt": "6e140ec92ae784f661946c62edc02b8b48692e94796947b101b8b4eb6fd9dfa4",
 }
 
 

@@ -314,8 +314,8 @@ def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
     """How many steps of the ladder ``pts`` (outward from a window's end) the
     window must take in, given the ascending indices of the points where
     some integrand is at least TAIL_EPS of its peak (``hits``) and where one
-    is not finite (``bad``, None when every value is): up to the first
-    point past the last hit, 0 with no hit.  The rules of
+    is not finite (``bad``): up to the first point past the last hit, 0 with
+    no hit.  The rules of
     ``_effective_bounds``: NonIntegrable when an integrand has not decayed
     by the ladder's last point or by |x| ~ 1e6, or is not finite where it
     decays."""
@@ -324,7 +324,7 @@ def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
     last = int(hits[-1])
     if last == pts.size - 1 or (last and abs(pts[last]) >= _TAN_PROBE[-1]):
         raise NonIntegrable("integrand tail has not decayed below the truncation threshold")
-    if bad is not None and bad[last:last + 2].any():
+    if bad[last:last + 2].any():
         raise NonIntegrable("integrand overflows before its tail decays below the truncation threshold")
     return last + 1
 
@@ -354,17 +354,17 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points):
     cuts = np.concatenate((left[:0:-1], edges, right[1:]))  # every panel the window may take
     whole, halves, vals = _rules(fv, cuts, extra)
     vals = vals.reshape(-1, vals.shape[-1])
-    peaks, bad = np.maximum(vals.max(axis=1), -vals.min(axis=1)), None
+    tail = vals[:, -extra.size:]
+    bad = ~np.isfinite(tail).all(axis=0)
+    peaks = np.maximum(vals.max(axis=1), -vals.min(axis=1))
     if not np.isfinite(peaks).all():  # a NaN (0 * inf) is no hit; inf is one, but no peak
-        finite = np.isfinite(vals)
-        peaks = np.where(finite, np.abs(vals), 0.0).max(axis=1)
-        bad = ~finite[:, -extra.size:].all(axis=0)
+        peaks = np.where(np.isfinite(vals), np.abs(vals), 0.0).max(axis=1)
     # a row without mass has no threshold
-    hits = np.flatnonzero((np.abs(vals[:, -extra.size:])
-                           >= np.where(peaks > 0.0, TAIL_EPS * peaks, np.nan)[:, None]).any(axis=0))
+    hits = np.flatnonzero((np.abs(tail) >= np.where(peaks > 0.0, TAIL_EPS * peaks, np.nan)[:, None])
+                          .any(axis=0))
     k, m = left.size, left.size + right.size
-    out_l = _reach(hits[hits < k], bad if bad is None else bad[:k], left)
-    out_r = _reach(hits[(hits >= k) & (hits < m)] - k, bad if bad is None else bad[k:m], right)
+    out_l = _reach(hits[hits < k], bad[:k], left)
+    out_r = _reach(hits[(hits >= k) & (hits < m)] - k, bad[k:m], right)
     nl = max(k - 1, 0)  # the panels of the left ladder, first in cuts
     i, j = nl - out_l, nl + edges.size - 1 + out_r
     edges = cuts[i:j + 1]

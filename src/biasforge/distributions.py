@@ -402,16 +402,10 @@ def _running_products(head: Callable, factor: Callable, rows: int, start: int = 
     return g
 
 
-def _panel_integral(f, lo, hi, points: Sequence[float] = (), rows: int = 0, window=None):
+def _panel_integral(f, lo, hi, window, points: Sequence[float] = (), rows: int = 0):
     """Integral of ``f`` on [lo, hi] by ``_window_integral`` from ``window``,
-    the window of the law f integrates against, by default the tail probe's
-    window of f itself."""
-    fv = f if rows else as_array_fn(f)
-    if window is None:
-        window = _effective_bounds(fv, lo, hi)
-        if not window[0] < window[1]:
-            return np.zeros(rows) if rows else 0.0
-    return _window_integral(fv, window, lo, hi, points, rows)[0]
+    the window of the law f integrates against."""
+    return _window_integral(f if rows else as_array_fn(f), window, lo, hi, points, rows)[0]
 
 
 def _window_integral(fv: Callable, window, lo: float, hi: float, points: Sequence[float],
@@ -629,9 +623,9 @@ class Distribution:
     (``atoms`` views them as pairs of floats).  ``kinks`` lists known
     non-smooth points of the density (support edges, mixture junctions,
     transform nodes) for quadrature.  ``window`` is the law's window (see
-    ``effective_support``) when known at construction: two floats.  Like
-    ``cdf`` it belongs to the density: ``dataclasses.replace`` keeps it, so
-    a replaced density comes with its own window, or None.
+    ``effective_support``) when its constructor knows it, two floats set by
+    ``_windowed``; it is not an argument, and ``dataclasses.replace`` drops
+    it, so a replaced density is probed unless it is given its own.
     """
 
     lo: float
@@ -646,13 +640,13 @@ class Distribution:
     weights: Optional[tuple] = None
     kinks: tuple = ()
     label: str = ""
-    window: Optional[tuple] = field(default=None, compare=False, repr=False)
+    window: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _probed: Optional[_Lazy] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise InputError("support must satisfy lo <= hi")
-        if (self.density is not None and self.window is None and self.components is None
+        if (self.density is not None and self.components is None
                 and not (math.isfinite(self.lo) and math.isfinite(self.hi))):
             dens, lo, hi, label = self.density, self.lo, self.hi, self.label
             object.__setattr__(self, "_probed", _Lazy(lambda: _probe_window(dens, lo, hi, label)))
@@ -680,6 +674,18 @@ class Distribution:
         if self._probed is None:
             raise InputError("cannot bound an infinite support without a density")
         return self._probed.get()
+
+
+def _windowed(d: Distribution, window) -> Distribution:
+    """``d``, made to keep ``window``, a finite interval its constructor
+    knows, as its window in place of the tail probe.  A window that rounds
+    to a point (a normal beyond 1e15 sigma from the origin) is not kept:
+    the probe, which finds no mass, takes over."""
+    a, b = map(float, window)
+    if a < b:
+        object.__setattr__(d, "window", (a, b))
+        object.__setattr__(d, "_probed", None)
+    return d
 
 
 def _probe_window(dens: Callable, lo: float, hi: float, label: str):
@@ -805,10 +811,10 @@ def exponential(rate: float = 1.0) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, -np.expm1(-lam * np.clip(x, 0, None)), 0.0)
 
-    return Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
-                        sampler=lambda rs, n: -np.log1p(-rs.uniform(n)) / lam,
-                        kinks=(0.0,), label=f"exponential({lam})",
-                        window=(0.0, -math.log(TAIL_EPS) / lam))
+    return _windowed(Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
+                                  sampler=lambda rs, n: -np.log1p(-rs.uniform(n)) / lam,
+                                  kinks=(0.0,), label=f"exponential({lam})"),
+                     (0.0, -math.log(TAIL_EPS) / lam))
 
 
 def _ndtr(x):
@@ -873,19 +879,16 @@ def normal(mean: float = 0.0, std: float = 1.0) -> Distribution:
     if sig <= 0:
         raise InputError("std must be positive")
     c = 1.0 / (sig * math.sqrt(2 * math.pi))
-    window = (mu - _tail_span(sig), mu + _tail_span(sig))
 
     def dens(x):
         z = (np.asarray(x, dtype=float) - mu) / sig
         return c * np.exp(-0.5 * z * z)
 
-    return Distribution(lo=-math.inf, hi=math.inf, density=dens,
-                        cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sig),
-                        sampler=lambda rs, n: mu + sig * _ndtri(rs.uniform(n)),
-                        label=f"normal({mu},{sig})",
-                        # beyond 1e15 sig from the origin the window rounds to
-                        # a point: the tail probe, which finds no mass, takes over
-                        window=window if window[0] < window[1] else None)
+    law = Distribution(lo=-math.inf, hi=math.inf, density=dens,
+                       cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sig),
+                       sampler=lambda rs, n: mu + sig * _ndtri(rs.uniform(n)),
+                       label=f"normal({mu},{sig})")
+    return _windowed(law, (mu - _tail_span(sig), mu + _tail_span(sig)))
 
 
 def half_normal(sigma: float = 1.0) -> Distribution:
@@ -903,9 +906,10 @@ def half_normal(sigma: float = 1.0) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, 2.0 * _ndtr(np.clip(x, 0, None) / sig) - 1.0, 0.0)
 
-    return Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
-                        sampler=lambda rs, n: sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
-                        kinks=(0.0,), label=f"half-normal({sig})", window=(0.0, _tail_span(sig)))
+    law = Distribution(lo=0.0, hi=math.inf, density=dens, cdf=cdf,
+                       sampler=lambda rs, n: sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
+                       kinks=(0.0,), label=f"half-normal({sig})")
+    return _windowed(law, (0.0, _tail_span(sig)))
 
 
 def negative_half_normal(sigma: float = 1.0) -> Distribution:
@@ -919,10 +923,10 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 2.0 * _ndtr(np.clip(x, None, 0) / sig), 1.0)
 
-    return Distribution(lo=-math.inf, hi=0.0, density=dens, cdf=cdf,
-                        sampler=lambda rs, n: -sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
-                        kinks=(0.0,), label=f"negative-half-normal({sig})",
-                        window=(-_tail_span(sig), 0.0))
+    law = Distribution(lo=-math.inf, hi=0.0, density=dens, cdf=cdf,
+                       sampler=lambda rs, n: -sig * _ndtri(0.5 * (1.0 + rs.uniform(n))),
+                       kinks=(0.0,), label=f"negative-half-normal({sig})")
+    return _windowed(law, (-_tail_span(sig), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -941,8 +945,8 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
         if table is not None:
             return table.integrate_weighted(fn, X.lo, X.hi)
         dens = X.density  # the panel integral makes the product array-safe
-        return _panel_integral(lambda x: dens(x) * fn(x), X.lo, X.hi,
-                               points=tuple(points) + X.kinks, window=X.effective_support())
+        return _panel_integral(lambda x: dens(x) * fn(x), X.lo, X.hi, X.effective_support(),
+                               points=tuple(points) + X.kinks)
     if X.components is not None:
         return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
@@ -990,8 +994,7 @@ def _moments(d: Distribution, top: int) -> np.ndarray:
     dens = as_array_fn(d.density)
     # row p - 1 holds x^p f(x)
     powers = _running_products(dens, lambda x: x, top, start=1)
-    vals = _panel_integral(powers, d.lo, d.hi, points=d.kinks, rows=top,
-                           window=d.effective_support())
+    vals = _panel_integral(powers, d.lo, d.hi, d.effective_support(), points=d.kinks, rows=top)
     return np.concatenate(([1.0], vals))
 
 
@@ -1004,13 +1007,16 @@ def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
     return np.asarray(d.sampler(rng, int(n)), dtype=float)
 
 
-def _mean_se(n: int, values: Optional[np.ndarray] = None):
-    """InputError unless there are n >= 2 Monte Carlo draws; given their n
-    ``values``, the mean and its standard error, std (ddof 1) / sqrt(n)."""
+def _check_draws(n: int) -> None:
+    """InputError unless there are n >= 2 Monte Carlo draws."""
     if n < 2:
         raise InputError("Monte Carlo standard errors need n >= 2 draws")
-    if values is not None:
-        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+
+
+def _mean_se(values: np.ndarray):
+    """The mean of the Monte Carlo ``values`` and its standard error,
+    std (ddof 1) / sqrt(n)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def _weight_ok(wx: np.ndarray) -> np.ndarray:
@@ -1175,8 +1181,9 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     def draw(rs: RandomSource, n: int):
         return table.get().ppf(rs.uniform(n))
 
-    return Distribution(lo=d.lo, hi=d.hi, density=dens, sampler=draw, kinks=kinks,
-                        label=f"tilt({d.label})", window=window), z, mean
+    law = Distribution(lo=d.lo, hi=d.hi, density=dens, sampler=draw, kinks=kinks,
+                       label=f"tilt({d.label})")
+    return _windowed(law, window), z, mean
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:
@@ -1240,7 +1247,7 @@ def cache_density(d: Distribution, n: int = 2049) -> Distribution:
         raise InputError("cannot cache a law without a density")
     lo_e, hi_e = d.effective_support()
     table = TabulatedDensity.from_callable(d.density, lo_e, hi_e, n, knots=d.kinks)
-    return replace(d, density=table, cdf=table.cdf, window=(lo_e, hi_e))
+    return _windowed(replace(d, density=table, cdf=table.cdf), (lo_e, hi_e))
 
 
 def numeric_cdf(d: Distribution, n: int = INVERSE_CDF_GRID) -> Callable:

@@ -35,6 +35,7 @@ from .distributions import (
     RandomSource,
     _Lazy,
     _probe_points,
+    _check_draws,
     _mean_se,
     _tilt,
     _zero_normalizer,
@@ -279,12 +280,12 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
     draws X' from the freshly built transform on a derived stream."""
     if coupling not in ("self", "independent"):
         raise InputError("coupling must be 'self' or 'independent'")
-    _mean_se(n)
+    _check_draws(n)
     rs = RandomSource(seed)
     xs = sample(X, rs, n)
     w = as_array_fn(spec.tilt_weight)(xs)  # a fresh array
     w /= math.factorial(spec.k)
-    alpha, b_mean = _mean_se(n, w), _mean_se(n, as_array_fn(spec.bias)(xs))
+    alpha, b_mean = _mean_se(w), _mean_se(as_array_fn(spec.bias)(xs))
     del w  # freed before the transform is drawn
     if coupling == "self":
         gaps = np.zeros_like(xs)
@@ -293,7 +294,7 @@ def first_order_coupling_stats(X: Distribution, spec: SignChangeSpec, n: int, se
         gaps -= xs
         np.abs(gaps, out=gaps)
     report = {"coupling": coupling, "n": int(n), "seed": int(seed)}
-    for name, (mean, se) in (("coupling_gap", _mean_se(n, gaps)), ("alpha", alpha),
+    for name, (mean, se) in (("coupling_gap", _mean_se(gaps)), ("alpha", alpha),
                              ("b_mean", b_mean)):
         report[name], report[f"{name}_se"] = mean, se
     return report

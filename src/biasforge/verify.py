@@ -21,6 +21,7 @@ from .errors import DegenerateAlpha, DegenerateBeta, InputError
 from .distributions import (
     Distribution,
     RandomSource,
+    _check_draws,
     _mean_se,
     expectation,
     exponential,
@@ -189,7 +190,7 @@ def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunc
     at fixed offsets from the report seed."""
     if not F.supports(m):
         raise InputError(f"bank member {F.name} does not support order {m}")
-    _mean_se(n)
+    _check_draws(n)
     if transform is None:
         transform = bias_to_order(X, spec, m)
     normalizer = transform.beta if (transform.beta is not None) else transform.alpha
@@ -203,10 +204,10 @@ def check_identity_mc(X: Distribution, spec: SignChangeSpec, m: int, F: BankFunc
     lhs_terms -= R(xs)
     lhs_terms -= L(xs)
     lhs_terms *= spec.bias_values(xs)
-    lhs, se_l = _mean_se(n, lhs_terms)
+    lhs, se_l = _mean_se(lhs_terms)
     del xs, lhs_terms  # freed before the right side is drawn
     ys = transform.sample(n, RandomSource(rhs_seed))
-    rhs, se_r = _mean_se(n, normalizer * np.asarray(F.derivative(m)(ys), dtype=float))
+    rhs, se_r = _mean_se(normalizer * np.asarray(F.derivative(m)(ys), dtype=float))
     pooled = math.hypot(se_l, se_r)
     z = 0.0 if pooled == 0.0 else (lhs - rhs) / pooled
     return IdentityReport(label=f"mc({F.name}, k={spec.k}, m={m})",

@@ -193,7 +193,7 @@ def test_panel_moments_match_adaptive_oracle(d, n, fallbacks):
 def test_panel_integral_undeclared_kink(fallbacks):
     f = lambda x: np.abs(x - 0.3) * np.exp(x)
     oracle = bf.integrate_fn(f, -1, 1, points=(0.3,))
-    assert D._panel_integral(f, -1, 1) == pytest.approx(oracle, abs=1e-9)
+    assert D._panel_integral(f, -1, 1, (-1, 1)) == pytest.approx(oracle, abs=1e-9)
     assert bf.expectation(bf.uniform(-1, 1), f) == pytest.approx(oracle / 2, abs=1e-9)
     assert fallbacks == []  # a kink converges by bisection
 
@@ -202,7 +202,7 @@ def test_panel_integral_undeclared_jump():
     f = lambda x: np.where(x > 0.3, np.exp(x), 0.0)
     oracle = bf.integrate_fn(f, -1, 1, points=(0.3,))
     assert oracle == pytest.approx(math.e - math.exp(0.3), abs=1e-12)
-    assert D._panel_integral(f, -1, 1) == pytest.approx(oracle, abs=1e-9)
+    assert D._panel_integral(f, -1, 1, (-1, 1)) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_panel_integral_scalar_only_callable():
@@ -217,7 +217,7 @@ def test_panel_integral_singularity_falls_back_to_integrate_fn(fallbacks):
     f = lambda x: np.abs(x) ** -0.5
     oracle = bf.integrate_fn(f, -1, 1, points=(0.0,))
     assert oracle == pytest.approx(4.0, abs=1e-9)
-    assert D._panel_integral(f, -1, 1) == pytest.approx(oracle, abs=1e-9)
+    assert D._panel_integral(f, -1, 1, (-1, 1)) == pytest.approx(oracle, abs=1e-9)
     # only the few smallest panels at the singularity exhaust the bisection depth
     assert 0 < len(fallbacks) <= 4
     assert all(max(abs(lo), abs(hi)) < 1e-6 for lo, hi in fallbacks)
@@ -236,7 +236,7 @@ def test_panel_integral_caps_open_panels(fallbacks):
     # round; past the cap the whole window goes to the oracle, which fails
     # loudly
     with pytest.raises(bf.NonIntegrable):
-        D._panel_integral(lambda x: np.sin(1e9 * x) ** 2, -1, 1)
+        D._panel_integral(lambda x: np.sin(1e9 * x) ** 2, -1, 1, (-1, 1))
     assert fallbacks == [(-1.0, 1.0)]
 
 
@@ -290,7 +290,7 @@ def test_panel_moments_equal_the_reference_loop(d, n):
                                lambda x: np.where(x > 0.3, np.exp(x), 0.0),
                                lambda x: np.abs(x) ** -0.5], ids=["kink", "jump", "singularity"])
 def test_panel_integral_equals_the_reference_loop(f):
-    assert D._panel_integral(f, -1, 1) == _reference_panel_integral(f, -1, 1)
+    assert D._panel_integral(f, -1, 1, (-1, 1)) == _reference_panel_integral(f, -1, 1)
 
 
 def _reference_bounds(f, lo, hi):
@@ -382,6 +382,21 @@ def test_expectation_reads_the_window_the_law_keeps(monkeypatch):
         with pytest.raises(bf.NonIntegrable):
             bf.moment(far, 1)
     assert len(calls) == 3
+
+
+def test_a_replaced_density_does_not_keep_the_old_window(monkeypatch):
+    # the window is the constructor's, not an argument: a law cannot be
+    # given one, and a replaced density is probed for its own
+    with pytest.raises(TypeError):
+        bf.Distribution(lo=-math.inf, hi=math.inf, density=bf.normal().density, window=(0, 1))
+    d = bf.normal()
+    assert d.effective_support() == pytest.approx((-8.5839, 8.5839), abs=1e-4)
+    shifted = dataclasses.replace(d, density=bf.normal(40.0, 2.0).density)
+    calls = _counting_probes(monkeypatch)
+    assert shifted.window is None
+    lo, hi = shifted.effective_support()
+    assert len(calls) == 1 and lo < 40.0 - 16.0 and 40.0 + 16.0 < hi
+    assert bf.moment(shifted, 1) == pytest.approx(40.0, rel=1e-12)
 
 
 def test_concurrent_first_reads_probe_a_generic_window_once(monkeypatch):

@@ -212,34 +212,10 @@ def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fv(np.add(x, (0.5 * (a + b))[..., None], out=x)) @ _GW * half
 
 
-def _rules(fv: Callable, edges: np.ndarray, extra: Optional[np.ndarray] = None):
-    """The 8-point rules on the panels between the sorted ``edges`` and on
-    both their halves, from one call of ``fv``, which also takes the points
-    ``extra`` when given (without overflow warnings, as the tail probe).
-    Returns (whole, halves, values): the halves on an axis of two ahead of
-    the panels' own, and fv's values at all the points, ``extra`` last."""
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    seen = []
-
-    def g(x):  # the extra points ride along the nodes
-        if extra is None:
-            return fv(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = fv(np.concatenate((x.ravel(), extra)))
-        seen.append(vals)
-        return np.ascontiguousarray(vals[..., :x.size]).reshape(vals.shape[:-1] + x.shape)
-
-    r = _gauss_legendre(g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
-    n = a.size
-    return r[..., :n], r[..., n:].reshape(r.shape[:-1] + (2, n)), (seen[0] if seen else None)
-
-
-def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH, first=None):
+def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     """Adaptive Gauss-Legendre panels on the window cut at the sorted
-    ``edges``, from the rules on them and on their halves (``_rules``, or
-    ``first`` when already formed), the quadrature of every density
-    integral: each round accepts
+    ``edges``, the quadrature of every density integral, the rules on the
+    first panels formed in the call of their halves' rules: each round accepts
     the halves of every open panel whose rule is within its share (by width)
     of ABS_TOL + REL_TOL |I| of the rule on its halves, or within 64 ulp of
     their value, and bisects the rest.
@@ -254,11 +230,15 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH, first=No
     when a rule is not finite or more than _PANEL_OPEN_MAX panels are open
     at once."""
     a, b = edges[:-1], edges[1:]
-    whole, halves = first if first is not None else _rules(fv, edges)[:2]
+    n, whole = a.size, None
     width, done, lefts, vals = edges[-1] - edges[0], 0.0, [], []
-    for step in range(depth):
+    for _ in range(depth):
         cuts = np.array((a, 0.5 * (a + b), b))
-        if step:
+        if whole is None:  # the first rules on the panels ride along their halves' call
+            r = _gauss_legendre(fv, np.concatenate((a, cuts[0], cuts[1])),
+                                np.concatenate((b, cuts[1], cuts[2])))
+            whole, halves = r[..., :n], r[..., n:].reshape(r.shape[:-1] + (2, n))
+        else:
             halves = _gauss_legendre(fv, cuts[:2], cuts[1:])  # both halves in one call
         fine = halves[..., 0, :] + halves[..., 1, :]
         err = np.abs(fine - whole)  # finite only if both rules are
@@ -329,32 +309,28 @@ def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
     return last + 1
 
 
-def _start_panels(fv: Callable, window, lo: float, hi: float, points):
-    """The first panels of an integral of ``fv`` (which may stack J
+def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndarray:
+    """The first panels' edges of an integral of ``fv`` (which may stack J
     integrands on a leading axis) against a law of support [lo, hi] and
     window ``window``: the _PANEL_START edges of the window and the
     ``points`` inside it, widened at an infinite end where an integrand has
-    not decayed below TAIL_EPS of its peak there.  One call of fv
-    (``_rules``) takes the nodes of those panels, of the panels between the
-    points of each infinite end's ``_ladder`` and of all their halves, the
-    ladder itself and the tail probe's every _PROBE_GRID / _PANEL_START-th
-    point inside the window (which find a peak the panels are too wide
-    for).  Each integrand's peak over all those values sets how far
-    (``_reach``) the window takes in the ladder's panels.  Returns (edges,
-    first): the rules on the panels taken and on their halves, ``_panels``'
-    first round, None when both ends are finite or a point falls in a
-    ladder panel taken in (``_panels`` forms them)."""
+    not decayed below TAIL_EPS of its peak there.  One call of fv takes the
+    points of each infinite end's ``_ladder``, the window's edges and the
+    tail probe's every _PROBE_GRID / _PANEL_START-th point inside the window
+    (which find a peak the edges are too wide for).  Each integrand's peak
+    over all those values sets how far (``_reach``) the window takes in the
+    ladder's steps."""
     a, b = window
     edges = _start_edges(a, b, points)
     left, right = _ladder(a, b, lo, hi)
     if not (left.size or right.size):
-        return edges, None
+        return edges
     coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
-    extra = np.concatenate((left, right, coarse[(coarse > a) & (coarse < b)]))
-    cuts = np.concatenate((left[:0:-1], edges, right[1:]))  # every panel the window may take
-    whole, halves, vals = _rules(fv, cuts, extra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fv(np.concatenate((left, right, edges, coarse[(coarse > a) & (coarse < b)])))
     vals = vals.reshape(-1, vals.shape[-1])
-    tail = vals[:, -extra.size:]
+    k, m = left.size, left.size + right.size
+    tail = vals[:, :m]
     bad = ~np.isfinite(tail).all(axis=0)
     peaks = np.maximum(vals.max(axis=1), -vals.min(axis=1))
     if not np.isfinite(peaks).all():  # a NaN (0 * inf) is no hit; inf is one, but no peak
@@ -362,16 +338,13 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points):
     # a row without mass has no threshold
     hits = np.flatnonzero((np.abs(tail) >= np.where(peaks > 0.0, TAIL_EPS * peaks, np.nan)[:, None])
                           .any(axis=0))
-    k, m = left.size, left.size + right.size
     out_l = _reach(hits[hits < k], bad[:k], left)
-    out_r = _reach(hits[(hits >= k) & (hits < m)] - k, bad[k:m], right)
-    nl = max(k - 1, 0)  # the panels of the left ladder, first in cuts
-    i, j = nl - out_l, nl + edges.size - 1 + out_r
-    edges = cuts[i:j + 1]
+    out_r = _reach(hits[hits >= k] - k, bad[k:], right)
+    if not (out_l or out_r):
+        return edges
+    edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
     inner = [p for p in map(float, points) if edges[0] < p < a or b < p < edges[-1]]
-    if inner:
-        return _sorted_unique(np.concatenate((edges, inner))), None
-    return edges, (whole[..., i:j], halves[..., i:j])
+    return _sorted_unique(np.concatenate((edges, inner))) if inner else edges
 
 
 def _running_products(head: Callable, factor: Callable, rows: int, start: int = 0) -> Callable:
@@ -419,10 +392,10 @@ def _window_integral(fv: Callable, window, lo: float, hi: float, points: Sequenc
     every integrand's tolerance, the fallbacks run row by row on
     ``fv(x, j)``, row j alone (``_running_products``), and the integrals
     come back as an array.  Returns (integral, window as widened)."""
-    edges, first = _start_panels(fv, window, lo, hi, points)
+    edges = _start_panels(fv, window, lo, hi, points)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
-    out = _panels(fv, edges, first=first)
+    out = _panels(fv, edges)
     fns = [lambda x, j=j: fv(x, j) for j in range(rows)] if rows else [fv]
     if out is None:
         vals = [integrate_fn(g, lo_e, hi_e, points=inner) for g in fns]

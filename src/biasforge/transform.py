@@ -393,11 +393,11 @@ class _TailTable:
             if table is not None:  # linear between its own grid points
                 knots = tuple(knots) + tuple(table.xs)
             self.dens = as_array_fn(X.density)
-            edges, first = _start_panels(self._load, X.effective_support(), X.lo, X.hi,
-                                         (*knots, *X.kinks))
+            edges = _start_panels(self._load, X.effective_support(), X.lo, X.hi,
+                                  (*knots, *X.kinks))
             # four rounds more than other integrals, log2(1024 / _PANEL_START):
             # the slivers left open are as narrow as from 1024 start panels
-            out = _panels(self._load, edges, depth=_PANEL_DEPTH + 4, first=first)
+            out = _panels(self._load, edges, depth=_PANEL_DEPTH + 4)
             if out is None:
                 raise NonIntegrable("the panels do not suit a tail weight times the density")
             if out[4]:  # a singularity: integrate_fn values the slivers left open

@@ -250,7 +250,7 @@ def _reference_panel_integral(f, lo, hi, points=(), window=None):
         window = D._effective_bounds(fv, lo, hi)
         if not window[0] < window[1]:
             return 0.0
-    edges = D._start_panels(fv, window, lo, hi, points)[0]
+    edges = D._start_panels(fv, window, lo, hi, points)
     lo_e, hi_e = edges[0], edges[-1]
     inner = [float(p) for p in points if lo_e < float(p) < hi_e]
     a, b = edges[:-1], edges[1:]
@@ -545,7 +545,7 @@ def test_stacked_moments_widen_the_exponential_equilibrium_window(monkeypatch):
     seed = _infinite_seeds()["exponential-equilibrium"]
     lo, hi = seed.effective_support()
     powers = D._running_products(D.as_array_fn(seed.density), lambda x: x, 12, start=1)
-    edges = D._start_panels(powers, (lo, hi), seed.lo, seed.hi, seed.kinks)[0]
+    edges = D._start_panels(powers, (lo, hi), seed.lo, seed.hi, seed.kinks)
     assert edges[0] == lo == 0.0 and edges[-1] > hi + 20.0
     want = np.array([math.factorial(p + 1) for p in range(13)], dtype=float)
     np.testing.assert_allclose(D._moments(seed, 12), want, rtol=1e-12)

@@ -831,7 +831,8 @@ def test_identity_tables_match_the_per_weight_tables(monkeypatch, case):
 @pytest.mark.parametrize("nodes, m", [((), 2), ((), 4), ((0.0,), 3)])
 def test_identity_table_evaluates_the_bias_once_per_panel_call(monkeypatch, nodes, m):
     # the weights B(x) (x - c)^j, j < m, are one running product: one call
-    # of B per call of the panel rule, in the build and in the reads alike
+    # of B per call of the panel rule, in the build and in the reads alike,
+    # and one more in the build on the points that check the window's tails
     calls, rules = [], []
 
     def B(x):
@@ -850,7 +851,7 @@ def test_identity_table_evaluates_the_bias_once_per_panel_call(monkeypatch, node
     monkeypatch.setattr(transform, "_gauss_legendre", counting)
     calls.clear()
     transform._identity_table(X, spec, m, beta, 0.0)
-    assert rules and len(calls) == len(rules)
+    assert rules and len(calls) == len(rules) + 1
 
 
 def test_one_node_oracle_reads_a_lazily_built_table():

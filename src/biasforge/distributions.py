@@ -10,13 +10,15 @@ is what makes every experiment in this package reproducible.
 An infinite support is integrated over the law's own window, where its
 density is at least ``TAIL_EPS`` of its peak (all catalog densities decay at
 least exponentially, so the truncation is harmless at the quadrature
-tolerances).  Each law finds its window once and keeps it
+tolerances).  Each law finds its window once and keeps it in one field
 (``Distribution.effective_support``): the catalog laws in closed form, a
-mixture as the hull of its components' windows, a tilt from its normaliser
-pass, any other density by one tangent probe (``_effective_bounds``) on
-first use.  An integral against the law starts from that window and widens
-it only at an infinite end where a weighted integrand (x^p f(x), w(x) f(x))
-has not yet decayed below ``TAIL_EPS`` of its peak (``_start_panels``).
+tilt from its normaliser pass, any other density by one tangent probe
+(``_effective_bounds``) on first use; a mixture takes the hull of its
+components' windows.  An integral against the law starts from that window
+and widens it only at an infinite end where a weighted integrand (x^p f(x),
+w(x) f(x)) has not yet decayed below ``TAIL_EPS`` of its peak
+(``_start_panels``).  The probe and the widening apply one tail rule
+(``_tail_hits``, ``_reach``).
 
 Every integral against a density, an expectation or the tail table of a
 transform, is one array-native adaptive panel rule (``_panels``):
@@ -26,11 +28,12 @@ Integrands stacked on a leading axis (the moments x^p f(x) of a density,
 the tail weights of a transform) share one window, widened for the
 slowest-decaying of them, and one panel pass, in which every integrand is
 held to its own tolerance.
-Panels that have not converged after a fixed depth fall back to
-``integrate_fn`` (scipy's adaptive quadrature), for a stack only in the
-rows that missed their share, each evaluated alone; ``integrate_fn`` is also the
-independent oracle the panel rule is tested against; an expectation with
-a non-finite rule or too many open panels goes to it whole.  scipy is
+One sliver policy serves every caller: a panel still open after a fixed
+depth keeps its rule for each integrand whose share it met, and
+``integrate_fn`` (scipy's adaptive quadrature) values it, the row alone,
+for the others.  ``integrate_fn`` is also the independent oracle the panel
+rule is tested against; an expectation with a non-finite rule or too many
+open panels goes to it whole.  scipy is
 imported on first use only: by ``integrate_fn`` and by the first normal
 or half-normal CDF.  Normal-family draws use a numpy quantile (AS241).
 """
@@ -127,51 +130,47 @@ _TAN_PROBE = np.tan(np.linspace(-(math.pi / 2 - 1e-6), math.pi / 2 - 1e-6, _PROB
 _TAN_PROBE.setflags(write=False)  # the tail probe's grid, shared by every call
 
 
+def _tail_hits(vals: np.ndarray, eps=TAIL_EPS):
+    """The points of the last axis where some integrand of the stack ``vals``
+    (J integrands on a leading axis) is at least ``eps`` (TAIL_EPS, or one
+    per point) of its own peak, and those where one is not finite: the tail
+    rule.  A NaN is no hit (0 * inf: an integrable weight such as e^x
+    overflows where the density is 0); an infinite value is a hit but no
+    peak; a row without mass has no threshold.  Returns (hit, bad)."""
+    mag = np.abs(vals.reshape(-1, vals.shape[-1]))
+    finite = np.isfinite(mag)
+    peaks = np.where(finite, mag, 0.0).max(axis=1, keepdims=True)
+    return (mag >= np.where(peaks > 0.0, peaks * eps, np.nan)).any(axis=0), ~finite.all(axis=0)
+
+
 def _effective_bounds(fv, lo, hi):
     """Finite integration window for a possibly infinite interval.
 
     Probes the array-native integrand ``fv``, which may stack J integrands
     on a leading axis, on a tangent-spaced grid and keeps the hull of the
-    points where some integrand exceeds TAIL_EPS times its own peak: the
-    hull of the integrands' windows.  Raises NonIntegrable when one has not
-    decayed by |x| ~ 1e6, or is not finite at the window's end on an
-    infinite side: it overflows before it decays below the threshold.  That
-    holds for e^{x^2} on the normal, and also for e^{0.49 x^2}, which is
-    integrable but overflows near |x| = 38: a numerical limit.
-    The probe runs without overflow warnings.  A NaN counts as 0 (0 * inf:
-    an integrable weight such as e^x overflows where the density is 0); an
-    infinite value is above the threshold but is no peak.
+    points where some integrand exceeds TAIL_EPS times its own peak
+    (``_tail_hits``): the hull of the integrands' windows.  Each infinite
+    end is decided by ``_reach``, on the grid read outward from the other
+    end, so it raises NonIntegrable when an integrand has not decayed by
+    |x| ~ 1e6, or is not finite at the window's end: it overflows before
+    it decays below the threshold.  That holds for e^{x^2} on the normal,
+    and also for e^{0.49 x^2}, which is integrable but overflows near
+    |x| = 38: a numerical limit.  The probe runs without overflow warnings.
     """
     if math.isfinite(lo) and math.isfinite(hi):
         return float(lo), float(hi)
-    xs = _TAN_PROBE[(_TAN_PROBE >= lo) & (_TAN_PROBE <= hi)]
-    if math.isfinite(lo):
-        xs = np.concatenate(([lo], xs))
-    if math.isfinite(hi):
-        xs = np.concatenate((xs, [hi]))
+    xs = np.concatenate(([lo] if math.isfinite(lo) else [],
+                         _TAN_PROBE[(_TAN_PROBE >= lo) & (_TAN_PROBE <= hi)],
+                         [hi] if math.isfinite(hi) else []))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(fv(xs)).reshape(-1, xs.size)
-    finite = np.isfinite(vals)
-    bad = ~finite.all(axis=0)  # the points of a non-finite value
-    peaks = np.where(finite, vals, 0.0).max(axis=1)
-    vals[np.isnan(vals)] = 0.0
-    hit = np.zeros(xs.size, dtype=bool)
-    for row, peak in zip(vals, peaks):  # a row without mass has no window
-        if peak > 0.0:
-            hit |= row >= TAIL_EPS * peak
+        hit, bad = _tail_hits(fv(xs))
     idx = np.flatnonzero(hit)
     if not idx.size:
         return 0.0, 0.0
-    first, last = idx[0], idx[-1]
-    left, right = first == 0, last == len(xs) - 1
-    if (left and not math.isfinite(lo)) or (right and not math.isfinite(hi)):
-        raise NonIntegrable("integrand tail has not decayed below the truncation threshold")
-    if ((bad[first - 1:first + 1].any() and not math.isfinite(lo))
-            or (bad[last:last + 2].any() and not math.isfinite(hi))):
-        raise NonIntegrable("integrand overflows before its tail decays below the truncation threshold")
-    a = xs[max(first - 1, 0)]
-    b = xs[min(last + 1, len(xs) - 1)]
-    return float(a), float(b)
+    n = xs.size - 1
+    a = max(idx[0] - 1, 0) if math.isfinite(lo) else n - _reach(n - idx[::-1], bad[::-1], xs[::-1])
+    b = min(idx[-1] + 1, n) if math.isfinite(hi) else _reach(idx, bad, xs)
+    return float(xs[a]), float(xs[b])
 
 
 def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
@@ -219,14 +218,13 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     the halves of every open panel whose rule is within its share (by width)
     of ABS_TOL + REL_TOL |I| of the rule on its halves, or within 64 ulp of
     their value, and bisects the rest.
-    ``fv`` may stack J integrands on a leading axis.  Returns (done, lefts,
-    vals, stuck, rough, missed): the integral over the converged panels;
-    round by round, the left edges and values of the final panels, which
-    tile the window; the [a, b] still open after ``depth`` rounds (a jump or
-    a singularity), valued by the rule on their halves; whether those rules
-    miss by more than the tolerance (a singularity); and, integrand by
-    integrand, whether each of those panels is the half of one that missed
-    that integrand's own share, the only values a fallback must redo.  None
+    ``fv`` may stack J integrands on a leading axis, each held to its own
+    tolerance, with ``fv(x, j)`` row j alone.  The one sliver policy: a panel
+    still open after ``depth`` rounds (a jump or a singularity) keeps the
+    rule on its halves for each integrand whose share it met, and
+    ``integrate_fn`` values it for the others (on ``fv(x, j)`` for a stack).
+    Returns (integral, lefts, vals): the integral and, round by round, the
+    left edges and values of the final panels, which tile the window.  None
     when a rule is not finite or more than _PANEL_OPEN_MAX panels are open
     at once."""
     a, b = edges[:-1], edges[1:]
@@ -252,15 +250,17 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
         if not np.isfinite(err).all() or np.count_nonzero(open_) > _PANEL_OPEN_MAX:
             return None
         if not open_.any():
-            return total, lefts + [a], vals + [fine], [], False, miss[..., :0]
+            return total, lefts + [a], vals + [fine]
         lefts.append(a[~open_])
         vals.append(fine.compress(~open_, axis=-1))
         done += vals[-1].sum(axis=-1)
         a, b = cuts[:2, open_].ravel(), cuts[1:, open_].ravel()  # left halves first
         whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
-    rough = bool((err.compress(open_, axis=-1).sum(axis=-1) > tol[..., 0]).any())
-    missed = np.tile(miss.compress(open_, axis=-1), 2)  # as a and b: left halves first
-    return done, lefts + [a], vals + [whole], list(zip(a, b)), rough, missed
+    rules = whole.reshape(-1, a.size)  # the stuck panels, as a and b: left halves first
+    for j, i in zip(*np.nonzero(np.tile(miss.compress(open_, axis=-1), 2).reshape(rules.shape))):
+        rules[j, i] = integrate_fn(fv if whole.ndim == 1 else (lambda x, j=j: fv(x, j)), a[i], b[i])
+    total = done + np.array([sum(r) for r in rules]).reshape(np.shape(done))
+    return total, lefts + [a], vals + [rules.reshape(whole.shape)]
 
 
 def _start_edges(lo: float, hi: float, points) -> np.ndarray:
@@ -292,13 +292,11 @@ def _ladder(a: float, b: float, lo: float, hi: float):
 
 def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
     """How many steps of the ladder ``pts`` (outward from a window's end) the
-    window must take in, given the ascending indices of the points where
-    some integrand is at least TAIL_EPS of its peak (``hits``) and where one
-    is not finite (``bad``): up to the first point past the last hit, 0 with
-    no hit.  The rules of
-    ``_effective_bounds``: NonIntegrable when an integrand has not decayed
-    by the ladder's last point or by |x| ~ 1e6, or is not finite where it
-    decays."""
+    window must take in, given the ascending indices of the ``_tail_hits``
+    on it (``hits``) and where an integrand is not finite (``bad``): up to
+    the first point past the last hit, 0 with no hit.  NonIntegrable when an
+    integrand has not decayed by the ladder's last point or by |x| ~ 1e6,
+    or is not finite where it decays."""
     if not hits.size:
         return 0
     last = int(hits[-1])
@@ -326,22 +324,12 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     if not (left.size or right.size):
         return edges
     coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
+    xs = np.concatenate((left, right, edges, coarse[(coarse > a) & (coarse < b)]))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = fv(np.concatenate((left, right, edges, coarse[(coarse > a) & (coarse < b)])))
-    vals = vals.reshape(-1, vals.shape[-1])
+        hit, bad = _tail_hits(fv(xs))
     k, m = left.size, left.size + right.size
-    tail = vals[:, :m]
-    bad = ~np.isfinite(tail).all(axis=0)
-    peaks = np.maximum(vals.max(axis=1), -vals.min(axis=1))
-    if not np.isfinite(peaks).all():  # a NaN (0 * inf) is no hit; inf is one, but no peak
-        peaks = np.where(np.isfinite(vals), np.abs(vals), 0.0).max(axis=1)
-    # a row without mass has no threshold
-    hits = np.flatnonzero((np.abs(tail) >= np.where(peaks > 0.0, TAIL_EPS * peaks, np.nan)[:, None])
-                          .any(axis=0))
-    out_l = _reach(hits[hits < k], bad[:k], left)
-    out_r = _reach(hits[hits >= k] - k, bad[k:], right)
-    if not (out_l or out_r):
-        return edges
+    out_l = _reach(np.flatnonzero(hit[:k]), bad[:k], left)
+    out_r = _reach(np.flatnonzero(hit[k:m]), bad[k:m], right)
     edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
     inner = [p for p in map(float, points) if edges[0] < p < a or b < p < edges[-1]]
     return _sorted_unique(np.concatenate((edges, inner))) if inner else edges
@@ -375,38 +363,26 @@ def _running_products(head: Callable, factor: Callable, rows: int, start: int = 
     return g
 
 
-def _panel_integral(f, lo, hi, window, points: Sequence[float] = (), rows: int = 0):
-    """Integral of ``f`` on [lo, hi] by ``_window_integral`` from ``window``,
-    the window of the law f integrates against."""
-    return _window_integral(f if rows else as_array_fn(f), window, lo, hi, points, rows)[0]
-
-
 def _window_integral(fv: Callable, window, lo: float, hi: float, points: Sequence[float],
                      rows: int):
     """Integral of the array-native ``fv`` against a law of support [lo, hi]
     and window ``window`` by ``_panels`` from ``_start_panels``, with
-    ``points`` as break points.  ``integrate_fn`` takes the panels still
-    open after _PANEL_DEPTH rounds, and the whole window when the panels do
-    not suit fv.  With ``rows`` > 0, fv stacks that many integrands on a
-    leading axis: they share the window and the panels, each panel held to
-    every integrand's tolerance, the fallbacks run row by row on
-    ``fv(x, j)``, row j alone (``_running_products``), and the integrals
+    ``points`` as break points; ``integrate_fn`` takes the whole window when
+    the panels do not suit fv.  With ``rows`` > 0, fv stacks that many
+    integrands on a leading axis: they share the window and the panels, each
+    panel held to every integrand's tolerance, the fallbacks run row by row
+    on ``fv(x, j)``, row j alone (``_running_products``), and the integrals
     come back as an array.  Returns (integral, window as widened)."""
     edges = _start_panels(fv, window, lo, hi, points)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
-    inner = [float(p) for p in points if lo_e < float(p) < hi_e]
     out = _panels(fv, edges)
-    fns = [lambda x, j=j: fv(x, j) for j in range(rows)] if rows else [fv]
     if out is None:
-        vals = [integrate_fn(g, lo_e, hi_e, points=inner) for g in fns]
-    else:
-        vals = np.atleast_1d(out[0]).tolist()
-        if out[3]:  # a stuck panel keeps its rule for an integrand whose share it met
-            rules, missed = (np.reshape(v, (len(fns), -1)) for v in (out[2][-1], out[5]))
-            for j, g in enumerate(fns):
-                vals[j] += sum(integrate_fn(g, x, y) if miss else rule
-                               for (x, y), miss, rule in zip(out[3], missed[j], rules[j]))
-    return (np.array(vals) if rows else float(vals[0])), (lo_e, hi_e)
+        inner = [float(p) for p in points if lo_e < float(p) < hi_e]
+        if not rows:
+            return integrate_fn(fv, lo_e, hi_e, points=inner), (lo_e, hi_e)
+        out = (np.array([integrate_fn(lambda x, j=j: fv(x, j), lo_e, hi_e, points=inner)
+                         for j in range(rows)]),)
+    return (out[0] if rows else float(out[0])), (lo_e, hi_e)
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +571,13 @@ class Distribution:
     and their masses in two read-only arrays, ``locs`` and ``masses``
     (``atoms`` views them as pairs of floats).  ``kinks`` lists known
     non-smooth points of the density (support edges, mixture junctions,
-    transform nodes) for quadrature.  ``window`` is the law's window (see
-    ``effective_support``) when its constructor knows it, two floats set by
-    ``_windowed``; it is not an argument, and ``dataclasses.replace`` drops
-    it, so a replaced density is probed unless it is given its own.
+    transform nodes) for quadrature.  ``_window`` is the one field of the
+    law's window (see ``effective_support``): a finite support, or the two
+    floats its constructor knows (a catalog law, a tilt, a ``cache_density``
+    table; set by ``_windowed``), else for any other density on an infinite
+    support the lazy tail probe.  It is not an argument, and
+    ``dataclasses.replace`` drops it, so a replaced density is probed unless
+    it is given its own.
     """
 
     lo: float
@@ -613,16 +592,16 @@ class Distribution:
     weights: Optional[tuple] = None
     kinks: tuple = ()
     label: str = ""
-    window: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    _probed: Optional[_Lazy] = field(default=None, init=False, compare=False, repr=False)
+    _window: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise InputError("support must satisfy lo <= hi")
-        if (self.density is not None and self.components is None
-                and not (math.isfinite(self.lo) and math.isfinite(self.hi))):
+        if math.isfinite(self.lo) and math.isfinite(self.hi):
+            object.__setattr__(self, "_window", (float(self.lo), float(self.hi)))
+        elif self.density is not None and self.components is None:
             dens, lo, hi, label = self.density, self.lo, self.hi, self.label
-            object.__setattr__(self, "_probed", _Lazy(lambda: _probe_window(dens, lo, hi, label)))
+            object.__setattr__(self, "_window", _Lazy(lambda: _probe_window(dens, lo, hi, label)))
 
     @property
     def atoms(self) -> Optional[tuple]:
@@ -632,21 +611,17 @@ class Distribution:
     def effective_support(self):
         """The law's window, a finite interval carrying all but a
         ``TAIL_EPS`` sliver of mass: the support when finite, else the
-        ``window`` the law was built with (closed form for the catalog, the
-        normaliser pass's for a tilt), else the hull of the components'
-        windows for a mixture, else the tail probe of the density, run on
-        first use and kept.  A density always has mass, so NonIntegrable when
-        that probe finds none (mass too narrow for the probe grid)."""
-        if math.isfinite(self.lo) and math.isfinite(self.hi):
-            return float(self.lo), float(self.hi)
-        if self.window is not None:
-            return self.window
-        if self.components is not None:
-            lo, hi = zip(*(c.effective_support() for c in self.components))
-            return min(lo), max(hi)
-        if self._probed is None:
+        ``_window`` the law keeps (closed form for the catalog, the
+        normaliser pass's for a tilt, else the tail probe of the density, run
+        on first use and kept), else the hull of the components' windows for
+        a mixture.  A density always has mass, so NonIntegrable when that
+        probe finds none (mass too narrow for the probe grid)."""
+        if self._window is not None:  # two floats, or the lazy probe
+            return self._window.get() if isinstance(self._window, _Lazy) else self._window
+        if self.components is None:
             raise InputError("cannot bound an infinite support without a density")
-        return self._probed.get()
+        lo, hi = zip(*(c.effective_support() for c in self.components))
+        return min(lo), max(hi)
 
 
 def _windowed(d: Distribution, window) -> Distribution:
@@ -656,8 +631,7 @@ def _windowed(d: Distribution, window) -> Distribution:
     the probe, which finds no mass, takes over."""
     a, b = map(float, window)
     if a < b:
-        object.__setattr__(d, "window", (a, b))
-        object.__setattr__(d, "_probed", None)
+        object.__setattr__(d, "_window", (a, b))
     return d
 
 
@@ -917,9 +891,9 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
         table = _table_of(X)
         if table is not None:
             return table.integrate_weighted(fn, X.lo, X.hi)
-        dens = X.density  # the panel integral makes the product array-safe
-        return _panel_integral(lambda x: dens(x) * fn(x), X.lo, X.hi, X.effective_support(),
-                               points=tuple(points) + X.kinks)
+        dens = X.density  # as_array_fn makes the product array-safe
+        return _window_integral(as_array_fn(lambda x: dens(x) * fn(x)), X.effective_support(),
+                                X.lo, X.hi, tuple(points) + X.kinks, 0)[0]
     if X.components is not None:
         return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
@@ -967,7 +941,7 @@ def _moments(d: Distribution, top: int) -> np.ndarray:
     dens = as_array_fn(d.density)
     # row p - 1 holds x^p f(x)
     powers = _running_products(dens, lambda x: x, top, start=1)
-    vals = _panel_integral(powers, d.lo, d.hi, d.effective_support(), points=d.kinks, rows=top)
+    vals = _window_integral(powers, d.effective_support(), d.lo, d.hi, d.kinks, top)[0]
     return np.concatenate(([1.0], vals))
 
 

@@ -378,10 +378,10 @@ class _TailTable:
     which widens it where a weight times the density has not decayed), with
     ``knots`` and the law's kinks as break points, and the sums run over the
     final panels: a read is one lookup plus the 8-point Gauss-Legendre rule
-    on part of one panel.  ``integrate_fn`` values, row by row, the slivers
-    a singularity leaves open; NonIntegrable when the panels do not suit a
-    weight times the density.  Mixtures without a density sum their
-    components' tables by weight."""
+    on part of one panel.  The slivers a jump or a singularity leaves open
+    are valued by ``_panels``' one sliver policy; NonIntegrable when the
+    panels do not suit a weight times the density.  Mixtures without a
+    density sum their components' tables by weight."""
 
     def __init__(self, X: Distribution, weights: Callable, rows: int, knots: Sequence[float]):
         self.weights, self.rows, self.parts = weights, rows, None
@@ -400,10 +400,6 @@ class _TailTable:
             out = _panels(self._load, edges, depth=_PANEL_DEPTH + 4)
             if out is None:
                 raise NonIntegrable("the panels do not suit a tail weight times the density")
-            if out[4]:  # a singularity: integrate_fn values the slivers left open
-                for j, i in zip(*np.nonzero(out[5])):  # where a weight missed its share
-                    out[2][-1][j, i] = integrate_fn(lambda x: weights(x, j) * self.dens(x),
-                                                    *out[3][i])
             lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
             order = np.argsort(lefts)
             self.xs, vals = np.append(lefts[order], edges[-1]), vals[:, order]
@@ -419,8 +415,11 @@ class _TailTable:
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
         self.total = self.suffix[:, 0]
 
-    def _load(self, x):
-        """The weights times the density, stacked; the product is formed in the stack."""
+    def _load(self, x, row=None):
+        """The weights times the density, stacked (the product formed in the
+        stack), or row ``row`` alone."""
+        if row is not None:
+            return self.weights(x, row) * self.dens(x)
         out = self.weights(x)
         return np.multiply(out, self.dens(x), out=out)
 

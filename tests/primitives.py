@@ -230,7 +230,8 @@ class PerWeightTailTable:
     and from a 1025-point linspace of the effective support, whose first
     round rules the halves of every panel at the 2049-point spacing.  It
     takes the same arguments as the stacked table and calls the stack's
-    rows, ``weights(x, j)``, as the separate weights."""
+    rows, ``weights(x, j)``, as the separate weights; ``_load(x, j)`` is
+    weight j times the density, which ``_panels`` values its slivers on."""
 
     def __init__(self, X, weights, rows, knots):
         self.weights = [lambda x, j=j: weights(x, j) for j in range(rows)]
@@ -249,9 +250,6 @@ class PerWeightTailTable:
                 (np.linspace(lo, hi, 1025), inner))))
             if out is None:
                 raise NonIntegrable("the panels do not suit a tail weight times the density")
-            if out[4]:
-                out[2][-1][:] = [[integrate_fn(lambda x: w(x) * self.dens(x), a, b)
-                                  for a, b in out[3]] for w in self.weights]
             lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
             order = np.argsort(lefts)
             self.xs, vals = np.append(lefts[order], hi), vals[:, order]
@@ -267,7 +265,9 @@ class PerWeightTailTable:
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
         self.total = self.suffix[:, 0]
 
-    def _load(self, x):
+    def _load(self, x, row=None):
+        if row is not None:
+            return self.weights[row](x) * self.dens(x)
         out = np.stack([w(x) for w in self.weights])
         return np.multiply(out, self.dens(x), out=out)
 

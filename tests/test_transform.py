@@ -743,18 +743,19 @@ def test_one_node_law_density_with_undeclared_jump():
 
 
 def test_one_node_table_reads_an_undeclared_jump_without_fallbacks(monkeypatch):
-    # the jump's slivers are final panels of the table: a 1e5-point read,
-    # which builds the table, calls neither the panel integral nor scipy
+    # the jump's two slivers are valued by integrate_fn once, when the table
+    # is built (the first read); a 1e5-point read after it calls no scipy
     X, spec = undeclared_jump_law(), bf.zero_bias_spec()
     t = bf.bias(X, spec)
     calls = []
-    for module in (bf.distributions, transform):
-        for name in ("_panel_integral", "integrate_fn"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    oracle = D.integrate_fn
+    monkeypatch.setattr(D, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
+    monkeypatch.setattr(transform, "integrate_fn", D.integrate_fn)
+    t.density(0.5)
+    assert len(calls) == 2 and all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 for _, a, b in calls)
     ts = np.linspace(-1.0, 1.0, 100_001)
     got = t.density(ts)
-    assert calls == []
+    assert len(calls) == 2
     monkeypatch.undo()
     declared = bf.Distribution(lo=-1.0, hi=1.0, density=X.density, kinks=(-1.0, 0.3, 1.0))
     probe = np.concatenate((ts[::2500], 0.3 + np.array([-1e-6, 0.0, 1e-6])))
@@ -782,8 +783,8 @@ def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypa
     # 1 + |x - 0.3|^(-1/2) never converges on the panels at 0.3; the slivers
     # left open are valued by integrate_fn, and the tails are exact
     calls = []
-    oracle = transform.integrate_fn
-    monkeypatch.setattr(transform, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
+    oracle = D.integrate_fn
+    monkeypatch.setattr(D, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
     tails = transform._TailTable(bf.uniform(-1, 1),
                                  _stack(lambda x: 1 + np.abs(np.asarray(x, float) - 0.3) ** -0.5),
                                  1, ())
@@ -791,6 +792,32 @@ def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypa
     ts = np.array([-0.5, 0.0, 0.25, 0.29])
     exact = 0.5 * ((1 - ts) + 2 * np.sqrt(0.3 - ts) + 2 * np.sqrt(0.7))  # E[w(X) 1{X >= t}]
     np.testing.assert_allclose(tails(ts, -1.0)[0], exact, rtol=0, atol=1e-9)
+
+
+def test_tail_table_and_window_integral_share_the_sliver_policy(monkeypatch):
+    # one stacked integrand, a smooth row and a jump row: the tail table and
+    # the window integral each value the jump row's two slivers at 0.3 by
+    # integrate_fn, and keep the rule for the smooth row
+    X = bf.uniform(-1, 1)
+    weights = _stack(lambda x: np.ones_like(np.asarray(x, float)),
+                     lambda x: np.where(np.asarray(x, float) > 0.3, 1.0, 0.0))
+    calls = []
+    oracle = D.integrate_fn
+
+    def counted(f, lo, hi, *args, **kwargs):
+        calls.append((lo, hi, f(0.0)))  # the jump row is 0 at 0, the smooth one is not
+        return oracle(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(D, "integrate_fn", counted)
+    tails = transform._TailTable(X, weights, 2, ())
+    table_calls = calls[:]
+    calls.clear()
+    got = D._window_integral(tails._load, X.effective_support(), X.lo, X.hi, X.kinks, 2)[0]
+    for route in (table_calls, calls):
+        assert len(route) == 2
+        assert all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 and v == 0.0 for a, b, v in route)
+    np.testing.assert_allclose(got, [1.0, 0.35], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(tails.total, [1.0, 0.35], rtol=0, atol=1e-9)
 
 
 def _product_spec(nodes):

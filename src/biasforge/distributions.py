@@ -317,7 +317,10 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     tail probe's every _PROBE_GRID / _PANEL_START-th point inside the window
     (which find a peak the edges are too wide for).  Each integrand's peak
     over all those values sets how far (``_reach``) the window takes in the
-    ladder's steps."""
+    ladder's steps.  The law's density is at the threshold at the window's
+    ends, up to their rounding (1 + 3.8e-15 of it on the normal), so an end
+    is a hit only above twice the threshold: a constant weight keeps the
+    window."""
     a, b = window
     edges = _start_edges(a, b, points)
     left, right = _ladder(a, b, lo, hi)
@@ -326,7 +329,7 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
     xs = np.concatenate((left, right, edges, coarse[(coarse > a) & (coarse < b)]))
     with np.errstate(over="ignore", invalid="ignore"):
-        hit, bad = _tail_hits(fv(xs))
+        hit, bad = _tail_hits(fv(xs), np.where((xs == a) | (xs == b), 2.0 * TAIL_EPS, TAIL_EPS))
     k, m = left.size, left.size + right.size
     out_l = _reach(np.flatnonzero(hit[:k]), bad[:k], left)
     out_r = _reach(np.flatnonzero(hit[k:m]), bad[k:m], right)

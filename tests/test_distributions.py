@@ -552,6 +552,19 @@ def test_a_tilt_draws_from_its_own_window():
     assert draws.max() > 8.6
 
 
+@pytest.mark.parametrize("d", [bf.normal(), bf.normal(0.3, 1e-3), bf.normal(-40.0, 2.0),
+                               bf.normal(1000.0, 7.0), bf.normal(0.0, 1e3), bf.half_normal(1.2),
+                               bf.negative_half_normal(0.7), bf.exponential(1.0),
+                               bf.exponential(0.2)], ids=lambda d: d.label)
+def test_a_constant_tilt_keeps_its_law_s_window(d):
+    # the density is TAIL_EPS of its peak at its window's ends only up to
+    # rounding (1 + 3.8e-15 on normal()): the density itself takes no ladder
+    # step (on normal() it took one, from +-8.5839 to +-9.4293)
+    for c in (1.0, 2.5):
+        law = bf.tilt(d, lambda x: np.full(np.shape(x), c))
+        assert [x.hex() for x in law.effective_support()] == [x.hex() for x in d.effective_support()]
+
+
 def _infinite_seeds():
     """The seed laws of the continuous-cold transforms on infinite supports:
     the zero-bias normal's, the exponential equilibrium's, the half-normal

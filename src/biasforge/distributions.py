@@ -24,16 +24,18 @@ Every integral against a density, an expectation or the tail table of a
 transform, is one array-native adaptive panel rule (``_panels``):
 8-point Gauss-Legendre panels, each compared with the rule on its two
 halves and bisected, all panels of a round in one call of the integrand.
+A tabulated density is no exception: its grid points, where it kinks, are
+break points (``_knots``) like the law's kinks and the caller's points.
 Integrands stacked on a leading axis (the moments x^p f(x) of a density,
-the tail weights of a transform) share one window, widened for the
-slowest-decaying of them, and one panel pass, in which every integrand is
-held to its own tolerance.
+the tail weights of a transform) are plain functions x -> (J,) + shape of
+x; they share one window, widened for the slowest-decaying of them, and one
+panel pass, in which every integrand is held to its own tolerance.
 One sliver policy serves every caller: a panel still open after a fixed
 depth keeps its rule for each integrand whose share it met, and
-``integrate_fn`` (scipy's adaptive quadrature) values it, the row alone,
-for the others.  ``integrate_fn`` is also the independent oracle the panel
-rule is tested against; an expectation with a non-finite rule or too many
-open panels goes to it whole.  scipy is
+``integrate_fn`` (scipy's adaptive quadrature) values it for the others,
+on that row of the stack (``_row``).  ``integrate_fn`` is also the
+independent oracle the panel rule is tested against; an expectation with a
+non-finite rule or too many open panels goes to it whole.  scipy is
 imported on first use only: by ``integrate_fn`` and by the first normal
 or half-normal CDF.  Normal-family draws use a numpy quantile (AS241).
 """
@@ -59,7 +61,7 @@ from .errors import (
 
 ABS_TOL = 1e-9             # quadrature tolerance: ABS_TOL + REL_TOL |I|
 REL_TOL = 1e-9
-MAX_SUBDIVISIONS = 200     # scipy quad's subinterval limit in integrate_fn
+MAX_SUBDIVISIONS = 200     # scipy quad's subinterval limit in integrate_fn, beyond the points
 TAIL_EPS = 1e-16           # truncate tails where |integrand| < TAIL_EPS * peak
 ATOM_MASS_TOL = 1e-12
 ZERO_NORMALIZER_TOL = 1e-12
@@ -175,7 +177,9 @@ def _effective_bounds(fv, lo, hi):
 
 def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     """Adaptive quadrature of ``f`` on [lo, hi]; infinite endpoints are
-    truncated by the tail rule.  ``points`` are known kink locations."""
+    truncated by the tail rule.  ``points`` are known kink locations (a
+    table's grid among them): quad may split MAX_SUBDIVISIONS times beyond
+    the pieces they cut."""
     from scipy import integrate  # loaded on first use
 
     lo_e, hi_e = _effective_bounds(as_array_fn(f), lo, hi)
@@ -185,7 +189,7 @@ def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     out = integrate.quad(
         f, lo_e, hi_e,
         epsabs=ABS_TOL, epsrel=REL_TOL,
-        limit=MAX_SUBDIVISIONS, points=pts or None,
+        limit=MAX_SUBDIVISIONS + len(pts), points=pts or None,
         full_output=1,
     )
     val, abserr = out[0], out[1]
@@ -219,10 +223,10 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     of ABS_TOL + REL_TOL |I| of the rule on its halves, or within 64 ulp of
     their value, and bisects the rest.
     ``fv`` may stack J integrands on a leading axis, each held to its own
-    tolerance, with ``fv(x, j)`` row j alone.  The one sliver policy: a panel
-    still open after ``depth`` rounds (a jump or a singularity) keeps the
-    rule on its halves for each integrand whose share it met, and
-    ``integrate_fn`` values it for the others (on ``fv(x, j)`` for a stack).
+    tolerance.  The one sliver policy: a panel still open after ``depth``
+    rounds (a jump or a singularity) keeps the rule on its halves for each
+    integrand whose share it met, and ``integrate_fn`` values it for the
+    others (on ``_row(fv, j)`` for a stack).
     Returns (integral, lefts, vals): the integral and, round by round, the
     left edges and values of the final panels, which tile the window.  None
     when a rule is not finite or more than _PANEL_OPEN_MAX panels are open
@@ -258,7 +262,7 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
         whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
     rules = whole.reshape(-1, a.size)  # the stuck panels, as a and b: left halves first
     for j, i in zip(*np.nonzero(np.tile(miss.compress(open_, axis=-1), 2).reshape(rules.shape))):
-        rules[j, i] = integrate_fn(fv if whole.ndim == 1 else (lambda x, j=j: fv(x, j)), a[i], b[i])
+        rules[j, i] = integrate_fn(fv if whole.ndim == 1 else _row(fv, j), a[i], b[i])
     total = done + np.array([sum(r) for r in rules]).reshape(np.shape(done))
     return total, lefts + [a], vals + [rules.reshape(whole.shape)]
 
@@ -267,8 +271,15 @@ def _start_edges(lo: float, hi: float, points) -> np.ndarray:
     """The first panels' edges on [lo, hi]: a _PANEL_START linspace and the
     ``points`` inside it."""
     edges = np.linspace(lo, hi, _PANEL_START + 1)
-    inner = [float(p) for p in points if lo < float(p) < hi]
-    return _sorted_unique(np.concatenate((edges, inner))) if inner else edges
+    inner = _inside(points, lo, hi)
+    return _sorted_unique(np.concatenate((edges, inner))) if inner.size else edges
+
+
+def _inside(points, lo: float, hi: float) -> np.ndarray:
+    """The break points ``points`` (any sequence or array of floats) strictly
+    inside (lo, hi), as one array."""
+    pts = np.asarray(points, dtype=float).ravel()
+    return pts[(pts > lo) & (pts < hi)]
 
 
 def _ladder(a: float, b: float, lo: float, hi: float):
@@ -334,26 +345,20 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     out_l = _reach(np.flatnonzero(hit[:k]), bad[:k], left)
     out_r = _reach(np.flatnonzero(hit[k:m]), bad[k:m], right)
     edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
-    inner = [p for p in map(float, points) if edges[0] < p < a or b < p < edges[-1]]
-    return _sorted_unique(np.concatenate((edges, inner))) if inner else edges
+    inner = _inside(points, edges[0], edges[-1])  # those inside the window are edges already
+    return _sorted_unique(np.concatenate((edges, inner))) if inner.size else edges
 
 
 def _running_products(head: Callable, factor: Callable, rows: int, start: int = 0) -> Callable:
     """The stack of ``rows`` integrands head(x) factor(x)^(start + j),
     j < rows, formed as a running product: ``g(x)`` gives the (rows,) +
-    shape stack, ``g(x, j)`` row j alone, formed only up to it with the bits
-    of the stack's row (how a stack's fallbacks integrate one row).
-    ``head`` and ``factor`` are array-native and each called at most once
-    per call of g; ``start`` is 0 or 1."""
+    shape stack.  ``head`` and ``factor`` are array-native and each called
+    at most once per call of g (``factor`` not at all for the one row
+    head(x)); ``start`` is 0 or 1."""
 
-    def g(x, row=None):
+    def g(x):
         v = head(x)
-        n = start + (rows - 1 if row is None else row)  # the factors to apply
-        step = factor(x) if n else None
-        if row is not None:
-            for _ in range(n):
-                v = v * step
-            return v
+        step = factor(x) if start + rows > 1 else None
         out = np.empty((rows,) + np.shape(x))
         if start:
             v = np.multiply(v, step, out=out[0])
@@ -366,24 +371,39 @@ def _running_products(head: Callable, factor: Callable, rows: int, start: int = 
     return g
 
 
-def _window_integral(fv: Callable, window, lo: float, hi: float, points: Sequence[float],
-                     rows: int):
-    """Integral of the array-native ``fv`` against a law of support [lo, hi]
-    and window ``window`` by ``_panels`` from ``_start_panels``, with
-    ``points`` as break points; ``integrate_fn`` takes the whole window when
-    the panels do not suit fv.  With ``rows`` > 0, fv stacks that many
-    integrands on a leading axis: they share the window and the panels, each
-    panel held to every integrand's tolerance, the fallbacks run row by row
-    on ``fv(x, j)``, row j alone (``_running_products``), and the integrals
-    come back as an array.  Returns (integral, window as widened)."""
-    edges = _start_panels(fv, window, lo, hi, points)
+def _row(fv: Callable, j: int) -> Callable:
+    """Row j of the stacked integrand ``fv`` at a scalar point, for
+    ``integrate_fn``: the stack's own row, bit for bit."""
+    return lambda x: fv(np.array([x]))[j, 0]
+
+
+def _knots(d: Distribution, points=()) -> np.ndarray:
+    """The break points of an integral against the density of ``d``: the
+    caller's ``points``, the law's kinks and, for a table (linear between
+    its grid points, so kinked at each), the grid."""
+    table = _table_of(d)
+    return np.concatenate((np.asarray(points, dtype=float).ravel(), d.kinks,
+                           () if table is None else table.xs))
+
+
+def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = (), rows: int = 0):
+    """Integral of the array-native ``fv`` (a weight times the density of
+    ``d``) by ``_panels`` from ``_start_panels`` on the law's window and
+    support, with ``_knots(d, points)`` as break points; ``integrate_fn``
+    takes the whole window when the panels do not suit fv.  With ``rows`` >
+    0, fv stacks that many integrands on a leading axis: they share the
+    window and the panels, each panel held to every integrand's tolerance,
+    the fallback runs row by row (``_row``), and the integrals come back as
+    an array.  Returns (integral, window as widened)."""
+    knots = _knots(d, points)
+    edges = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
     out = _panels(fv, edges)
     if out is None:
-        inner = [float(p) for p in points if lo_e < float(p) < hi_e]
+        inner = _inside(knots, lo_e, hi_e)
         if not rows:
             return integrate_fn(fv, lo_e, hi_e, points=inner), (lo_e, hi_e)
-        out = (np.array([integrate_fn(lambda x, j=j: fv(x, j), lo_e, hi_e, points=inner)
+        out = (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=inner)
                          for j in range(rows)]),)
     return (out[0] if rows else float(out[0])), (lo_e, hi_e)
 
@@ -549,9 +569,12 @@ class TabulatedDensity:
 
     def integrate_weighted(self, w, a, b):
         """∫_a^b w(x) * pdf(x) dx by 8-point Gauss-Legendre on each segment of
-        the table inside [a, b]: exact for the linear density times a weight of
+        the table inside [a, b]: the table rule of the pointwise oracle
+        (``density_k1``, ``second_order_density``), a route apart from the
+        library's panels.  Exact for the linear density times a weight of
         degree up to 14, and the nodes are interior, so a jump of w at a
-        segment end (for example a sign node) is never read."""
+        segment end is never read; it does not see a kink or a jump of w
+        inside a segment."""
         a = max(float(a), float(self.xs[0]))
         b = min(float(b), float(self.xs[-1]))
         if not a < b:
@@ -885,18 +908,14 @@ def negative_half_normal(sigma: float = 1.0) -> Distribution:
 
 def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> float:
     """E[fn(X)]: exact on point masses (atoms and empirical laws), the
-    table's own rule on a tabulated density, the adaptive panel integral
-    from the law's window against any other density.  ``points`` are kinks
-    of fn."""
+    adaptive panel integral from the law's window against a density, a
+    table's included (``_knots``: its grid points are break points).
+    ``points`` are kinks of fn."""
     if X.locs is not None:  # einsum: no BLAS thread for a long sum
         return float(np.einsum("i,i->", X.masses, as_array_fn(fn)(X.locs)))
     if X.density is not None:
-        table = _table_of(X)
-        if table is not None:
-            return table.integrate_weighted(fn, X.lo, X.hi)
         dens = X.density  # as_array_fn makes the product array-safe
-        return _window_integral(as_array_fn(lambda x: dens(x) * fn(x)), X.effective_support(),
-                                X.lo, X.hi, tuple(points) + X.kinks, 0)[0]
+        return _window_integral(as_array_fn(lambda x: dens(x) * fn(x)), X, points)[0]
     if X.components is not None:
         return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
@@ -925,27 +944,25 @@ def moment(d: Distribution, n: int) -> float:
 
 
 def _moments(d: Distribution, top: int) -> np.ndarray:
-    """E[X^p], p = 0..top.  A density that is not a table is integrated in
+    """E[X^p], p = 0..top.  A density, a table's included, is integrated in
     one stacked pass: the integrands x^p f(x), p = 1..top, formed as a
     running product, share the law's window (widened where a power has not
-    decayed) and one ``_panels`` call.  They
+    decayed), its break points (``_knots``) and one ``_panels`` call.  They
     agree with ``moment`` within 1e-12 relative on smooth densities (within
     the quadrature tolerance where ``integrate_fn`` values the slivers of a
     singularity), not bit for bit, and their last bits depend on top.  A
-    mixture without a density sums its components' moments by weight; every
-    other law (point masses, tables) takes ``moment`` order by order, bit
-    for bit."""
+    mixture without a density sums its components' moments by weight; point
+    masses take ``moment`` order by order, bit for bit."""
     if d.density is None and d.locs is None and d.components is not None:
         out = sum(w * _moments(c, top) for c, w in zip(d.components, d.weights))
         out[0] = 1.0
         return out
-    if top < 1 or d.density is None or d.locs is not None or _table_of(d) is not None:
+    if top < 1 or d.density is None or d.locs is not None:
         return np.array([moment(d, p) for p in range(top + 1)])
     dens = as_array_fn(d.density)
     # row p - 1 holds x^p f(x)
     powers = _running_products(dens, lambda x: x, top, start=1)
-    vals = _window_integral(powers, d.effective_support(), d.lo, d.hi, d.kinks, top)[0]
-    return np.concatenate(([1.0], vals))
+    return np.concatenate(([1.0], _window_integral(powers, d, rows=top)[0]))
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -1019,13 +1036,6 @@ def _probe_points(d: Distribution) -> np.ndarray:
     return np.linspace(*d.effective_support(), _PROBE_GRID)
 
 
-def _probe_size(d: Distribution) -> int:
-    """The length of ``_probe_points(d)``, found without a tail probe."""
-    if d.density is None and d.components is not None:
-        return sum(map(_probe_size, d.components))
-    return _PROBE_GRID if d.locs is None else d.locs.size
-
-
 def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:
     """Reweighted law with density proportional to w times the density of d.
 
@@ -1062,7 +1072,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     the normalisers they return.  The caller has checked ``wx``
     (``_check_weight``, or a passed validation report).  Returns the law,
     its normaliser z = E[max(w(X), 0)] and the mean E[w(X)], the law None
-    when z is at most ZERO_NORMALIZER_TOL.  A density that is not a table
+    when z is at most ZERO_NORMALIZER_TOL.  A density, a table's included,
     gives z and the mean in one stacked panel pass from its window, and the
     tilt keeps the window that pass widened to: its inverse-CDF table spans
     it."""
@@ -1082,7 +1092,8 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
 
     if d.density is None:
         parts = []
-        cuts = np.cumsum([0, *map(_probe_size, d.components)])
+        # the components' windows are known: the mixture's probe found them
+        cuts = np.cumsum([0, *(_probe_points(c).size for c in d.components)])
         for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
             tc, zc, mc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
             parts.append((tc, zc if tc is not None else 0.0, mc))
@@ -1094,23 +1105,16 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         return make_mixture([c for c, _ in comps], [p for _, p in comps]), total, mean
 
     base = as_array_fn(d.density)
-    table = _table_of(d)
-    if table is not None:
-        mean, z = (table.integrate_weighted(g, d.lo, d.hi) for g in (wv, w_plus))
-        window = d.effective_support()
-    else:
-        def both(x, row=None):  # [w f, max(w, 0) f]: w and f evaluated once
-            f, w = base(x), wv(x)
-            if row is not None:
-                return (w if row == 0 else np.maximum(w, 0.0)) * f
-            out = np.empty((2,) + np.shape(x))
-            np.multiply(w, f, out=out[0])
-            np.multiply(np.maximum(w, 0.0), f, out=out[1])
-            return out
 
-        (mean, z), window = _window_integral(both, d.effective_support(), d.lo, d.hi,
-                                             tuple(weight_kinks) + d.kinks, 2)
-        mean, z = float(mean), float(z)
+    def both(x):  # [w f, max(w, 0) f]: w and f evaluated once
+        f, w = base(x), wv(x)
+        out = np.empty((2,) + np.shape(x))
+        np.multiply(w, f, out=out[0])
+        np.multiply(np.maximum(w, 0.0), f, out=out[1])
+        return out
+
+    (mean, z), window = _window_integral(both, d, weight_kinks, 2)
+    mean, z = float(mean), float(z)
     if z <= ZERO_NORMALIZER_TOL:
         return None, z, mean
 

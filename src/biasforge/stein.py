@@ -150,12 +150,9 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
     b1_of = as_array_fn(B1.bias)
 
-    def loads(x, row=None):  # [B1 + B0 (x - a), B0], B0 evaluated once
+    def loads(x):  # [B1 + B0 (x - a), B0], B0 evaluated once
         b0 = b0_of(x)
-        if row == 1:
-            return b0
-        first = b1_of(x) + b0 * (x - a)
-        return first if row == 0 else np.stack((first, b0))
+        return np.stack((b1_of(x) + b0 * (x - a), b0))
 
     tails = _Lazy(lambda: _TailTable(X, loads, 2, tuple(B0_kinks) + B1.quad_points))
 

@@ -48,6 +48,7 @@ from .distributions import (
     _PANEL_DEPTH,
     _Lazy,
     _gauss_legendre,
+    _knots,
     _moments,
     _panels,
     _probe_points,
@@ -371,14 +372,13 @@ class _TailTable:
     the upper tail from t >= node and minus the lower tail below it, so no
     value is a difference of near-equal sums.  ``weights`` is array-native:
     ``weights(x)`` gives the (J,) + shape stack as a fresh array, which the
-    table multiplies by the density in place, and ``weights(x, j)`` row j
-    alone (``_running_products``).  Point masses, sorted by construction,
-    are read through prefix and suffix sums.  A density is integrated by
-    ``_panels`` from the _PANEL_START edges of its window (``_start_panels``,
-    which widens it where a weight times the density has not decayed), with
-    ``knots`` and the law's kinks as break points, and the sums run over the
-    final panels: a read is one lookup plus the 8-point Gauss-Legendre rule
-    on part of one panel.  The slivers a jump or a singularity leaves open
+    table multiplies by the density in place.  Point masses, sorted by
+    construction, are read through prefix and suffix sums.  A density, a
+    table's included, is integrated by ``_panels`` from the _PANEL_START
+    edges of its window (``_start_panels``, which widens it where a weight
+    times the density has not decayed), with ``_knots(X, knots)`` as break
+    points, and the sums run over the final panels: a read is one lookup
+    plus the 8-point Gauss-Legendre rule on part of one panel.  The slivers a jump or a singularity leaves open
     are valued by ``_panels``' one sliver policy; NonIntegrable when the
     panels do not suit a weight times the density.  Mixtures without a
     density sum their components' tables by weight."""
@@ -389,12 +389,9 @@ class _TailTable:
             self.xs, self.dens = X.locs, None
             vals = weights(X.locs) * X.masses
         elif X.density is not None:
-            table = _table_of(X)
-            if table is not None:  # linear between its own grid points
-                knots = tuple(knots) + tuple(table.xs)
             self.dens = as_array_fn(X.density)
             edges = _start_panels(self._load, X.effective_support(), X.lo, X.hi,
-                                  (*knots, *X.kinks))
+                                  _knots(X, knots))
             # four rounds more than other integrals, log2(1024 / _PANEL_START):
             # the slivers left open are as narrow as from 1024 start panels
             out = _panels(self._load, edges, depth=_PANEL_DEPTH + 4)
@@ -415,11 +412,9 @@ class _TailTable:
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
         self.total = self.suffix[:, 0]
 
-    def _load(self, x, row=None):
+    def _load(self, x):
         """The weights times the density, stacked (the product formed in the
-        stack), or row ``row`` alone."""
-        if row is not None:
-            return self.weights(x, row) * self.dens(x)
+        stack)."""
         out = self.weights(x)
         return np.multiply(out, self.dens(x), out=out)
 

@@ -9,8 +9,8 @@ one-pass piecewise evaluation, the moment algebra and the samplers against
 them.  Also the ``numpy.polynomial`` route to the ``Polynomial`` algebra,
 and ``bias`` on a point-mass law as three separate passes (validation,
 normalizer, tilt), each evaluating the weight on its own; and the tail
-table of a list of weights started from a 1025-point grid, each weight
-evaluated on its own.
+table of a stack of weights started from a 1025-point grid, each weight
+taken from the stack on its own and the rows stacked again.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from biasforge import InputError, NodeSet, NonIntegrable, integrate_fn
 from biasforge.distributions import (
     _gauss_legendre,
     _panels,
+    _knots,
     _sorted_unique,
-    _table_of,
     as_array_fn,
 )
 
@@ -229,22 +229,19 @@ class PerWeightTailTable:
     callables, each evaluated on its own in every call of the panel rule,
     and from a 1025-point linspace of the effective support, whose first
     round rules the halves of every panel at the 2049-point spacing.  It
-    takes the same arguments as the stacked table and calls the stack's
-    rows, ``weights(x, j)``, as the separate weights; ``_load(x, j)`` is
-    weight j times the density, which ``_panels`` values its slivers on."""
+    takes the same arguments as the stacked table; weight j is row j of
+    the stack, ``weights(x)[j]``, and the rows are stacked again for
+    ``_panels``, whose fallbacks integrate one row of that stack."""
 
     def __init__(self, X, weights, rows, knots):
-        self.weights = [lambda x, j=j: weights(x, j) for j in range(rows)]
+        self.weights = [lambda x, j=j: weights(x)[j] for j in range(rows)]
         self.parts = None
         if X.locs is not None:
             self.xs, self.dens = X.locs, None
             vals = np.stack([w(X.locs) for w in self.weights]) * X.masses
         elif X.density is not None:
             lo, hi = X.effective_support()
-            table = _table_of(X)
-            if table is not None:
-                knots = tuple(knots) + tuple(table.xs)
-            inner = [float(x) for x in (*knots, *X.kinks) if lo < float(x) < hi]
+            inner = [float(x) for x in _knots(X, knots) if lo < float(x) < hi]
             self.dens = as_array_fn(X.density)
             out = _panels(self._load, _sorted_unique(np.concatenate(
                 (np.linspace(lo, hi, 1025), inner))))
@@ -265,9 +262,7 @@ class PerWeightTailTable:
         self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
         self.total = self.suffix[:, 0]
 
-    def _load(self, x, row=None):
-        if row is not None:
-            return self.weights[row](x) * self.dens(x)
+    def _load(self, x):
         out = np.stack([w(x) for w in self.weights])
         return np.multiply(out, self.dens(x), out=out)
 

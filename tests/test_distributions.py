@@ -53,7 +53,7 @@ def test_moment_matches_catalog_closed_forms():
 
 @pytest.mark.parametrize("n, expected", [(2, 1.0), (4, 3.0)])
 def test_moment_of_cached_density(n, expected):
-    # tabulated densities integrate by the table's own rule, not adaptive quadrature
+    # a tabulated density integrates by the panel rule, its grid as break points
     assert bf.moment(bf.cache_density(bf.normal(), 2049), n) == pytest.approx(expected, abs=1e-4)
 
 
@@ -69,22 +69,72 @@ def test_a_table_of_fewer_than_two_points_is_an_input_error(n):
     assert bf.numeric_cdf(law, n=2)(0.0) == 0.5
 
 
-@pytest.mark.parametrize("p", [4, 6, 10])
-def test_moment_of_a_table_is_its_exact_piecewise_polynomial_integral(p):
-    # the moment of a linear-interpolation table is a sum of polynomial
-    # integrals over its segments, computed here in exact rational arithmetic
-    law = bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law
-    cached = bf.cache_density(law, 17)
-    table = cached.density
+def _table_integral(table, q, lo=-math.inf):
+    """∫ x^q pdf(x) dx over the segments of ``table`` at or above ``lo`` (a
+    grid point), in exact rational arithmetic: pdf = a + b x on each."""
     xs = [Fraction(x) for x in table.xs.tolist()]
     ys = [Fraction(y) for y in table.ys.tolist()]
     exact = Fraction(0)
     for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        b = (y1 - y0) / (x1 - x0)  # pdf = a + b x on [x0, x1]
+        if x0 < lo:
+            continue
+        b = (y1 - y0) / (x1 - x0)
         a = y0 - b * x0
-        exact += (a * (x1 ** (p + 1) - x0 ** (p + 1)) / (p + 1)
-                  + b * (x1 ** (p + 2) - x0 ** (p + 2)) / (p + 2))
-    assert bf.moment(cached, p) == pytest.approx(float(exact), rel=1e-13)
+        exact += (a * (x1 ** (q + 1) - x0 ** (q + 1)) / (q + 1)
+                  + b * (x1 ** (q + 2) - x0 ** (q + 2)) / (q + 2))
+    return exact
+
+
+@pytest.mark.parametrize("p", [4, 6, 10])
+def test_moment_of_a_table_is_its_exact_piecewise_polynomial_integral(p, fallbacks):
+    # the moment of a linear-interpolation table is a sum of polynomial
+    # integrals over its segments, computed here in exact rational
+    # arithmetic; so are the stacked moments and a tilt's normaliser and
+    # mean, and the panels reach them with the grid as break points alone
+    law = bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law
+    cached = bf.cache_density(law, 17)
+    table = cached.density
+    assert bf.moment(cached, p) == pytest.approx(float(_table_integral(table, p)), rel=1e-13)
+    stacked = D._moments(cached, p)
+    for q in range(1, p + 1):  # an odd moment of this symmetric law cancels to ~0
+        exact = _table_integral(table, q)
+        scale = exact if q % 2 == 0 else 2 * _table_integral(table, q, lo=0) - exact  # E|X|^q
+        assert abs(stacked[q] - float(exact)) <= 1e-13 * float(scale), q
+    # w = x^p + x^(p-1) is negative on (-1, 0): z = E[max(w, 0)] splits at 0, a grid point
+    assert 0.0 in table.xs
+    w = lambda x: np.asarray(x, float) ** p + np.asarray(x, float) ** (p - 1)
+    probe = D._probe_points(cached)
+    _, z, mean = D._tilt(cached, w, (), probe, w(probe))
+    exact_z = _table_integral(table, p, lo=0) + _table_integral(table, p - 1, lo=0)
+    exact_mean = _table_integral(table, p) + _table_integral(table, p - 1)
+    assert z == pytest.approx(float(exact_z), rel=1e-13)
+    assert mean == pytest.approx(float(exact_mean), rel=1e-13)
+    assert fallbacks == []
+
+
+def test_expectation_of_a_table_keeps_the_caller_s_break_points():
+    # a step at 0.1003 inside a segment of the order-2 lift's table: the
+    # table's own rule (integrate_weighted) does not see it and was off by
+    # 6.1e-5, and the sign transform's alpha = E|X - c| by 8e-9 relative; as
+    # a break point of the panels both are exact
+    c = 0.1003
+    lift = bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law
+    table = lift.density.get()
+    assert c not in table.xs
+    xs = [Fraction(x) for x in table.xs.tolist()]
+    ys = [Fraction(y) for y in table.ys.tolist()]
+    exact, exact_alpha, C = Fraction(0), Fraction(0), Fraction(c)
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        b = (y1 - y0) / (x1 - x0)
+        a = y0 - b * x0
+        mass = lambda u, v: a * (v - u) + b * (v * v - u * u) / 2  # ∫_u^v (a + b x) dx
+        first = lambda u, v: a * (v * v - u * u) / 2 + b * (v ** 3 - u ** 3) / 3  # ∫ x (a + b x)
+        cut = min(max(C, x0), x1)
+        exact += mass(cut, x1) - mass(x0, cut)  # sign(x - c): -1 below c, +1 above
+        exact_alpha += (first(cut, x1) - C * mass(cut, x1)) - (first(x0, cut) - C * mass(x0, cut))
+    got = bf.expectation(lift, lambda x: np.sign(np.asarray(x, float) - c), points=(c,))
+    assert abs(got - float(exact)) <= 1e-12
+    assert bf.bias(lift, bf.sign_spec(c)).alpha == pytest.approx(float(exact_alpha), rel=1e-12)
 
 
 def _generic(d):
@@ -184,7 +234,7 @@ def fallbacks(monkeypatch):
 
 def _panel_integral(f):
     """The panel integral of ``f`` on the window [-1, 1] of a law on [-1, 1]."""
-    return D._window_integral(D.as_array_fn(f), (-1.0, 1.0), -1.0, 1.0, (), 0)[0]
+    return D._window_integral(D.as_array_fn(f), bf.uniform(-1.0, 1.0))[0]
 
 
 @pytest.mark.parametrize("d", [bf.normal(0.5, 1.5), bf.exponential(1.5)], ids=["normal", "exp"])
@@ -228,11 +278,16 @@ def test_panel_integral_singularity_falls_back_to_integrate_fn(fallbacks):
     assert all(max(abs(lo), abs(hi)) < 1e-6 for lo, hi in fallbacks)
 
 
-def test_panel_integral_non_finite_integrand_goes_whole_to_integrate_fn(fallbacks):
+@pytest.mark.parametrize("law", [
+    lambda: bf.uniform(-1, 1),
+    lambda: bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law,
+], ids=["uniform", "table"])
+def test_panel_integral_non_finite_integrand_goes_whole_to_integrate_fn(law, fallbacks):
     # sqrt is NaN on the negative half, so the rule there is not finite: the
-    # window goes to the oracle at once (NaN) instead of being bisected
+    # window goes to the oracle at once (NaN) instead of being bisected; a
+    # table's 2,000 grid points go with it as break points
     with np.errstate(invalid="ignore"):
-        assert math.isnan(bf.expectation(bf.uniform(-1, 1), np.sqrt))
+        assert math.isnan(bf.expectation(law(), np.sqrt))
     assert fallbacks == [(-1.0, 1.0)]
 
 
@@ -353,9 +408,9 @@ def test_probe_and_ladder_raise_the_same_tail_message(fault, lo, hi):
 
 
 @pytest.mark.parametrize("start", [0, 1])
-def test_running_products_give_one_row_with_the_bits_of_the_stack(start):
-    # a fallback integrates one row at scalar points: the row alone is
-    # formed up to itself, bit for bit the stack's row
+def test_row_of_running_products_gives_the_bits_of_the_stack(start):
+    # a fallback integrates one row at scalar points through _row: the
+    # stack's own row, bit for bit, with head and factor called once per call
     heads, factors = [], []
     head = lambda x: heads.append(1) or np.exp(np.asarray(x, float))
     factor = lambda x: factors.append(1) or np.asarray(x, float) - 0.3
@@ -366,26 +421,31 @@ def test_running_products_give_one_row_with_the_bits_of_the_stack(start):
     np.testing.assert_allclose(stack, np.exp(xs) * (xs - 0.3) ** np.arange(start, start + 5)[:, None],
                                rtol=1e-14)
     for j in range(5):
-        assert np.array_equal(g(xs, j), stack[j])
+        row = D._row(g, j)
         for i in range(0, 101, 10):
-            assert g(float(xs[i]), j) == stack[j, i]
-    # the factor is evaluated only for a row that multiplies by it
-    assert len(heads) == 1 + 5 * 12 and len(factors) == 1 + (4 + start) * 12
+            assert row(float(xs[i])) == stack[j, i]
+    assert len(heads) == len(factors) == 1 + 5 * 11
+    # one row from the head alone: the factor is never called
+    one = D._running_products(head, factor, 1)
+    assert np.array_equal(one(xs)[0], np.exp(xs)) and len(factors) == 1 + 5 * 11
 
 
-def test_panels_tile_the_window_for_stacked_integrands(fallbacks):
+def test_panels_tile_the_window_for_stacked_integrands(fallbacks, monkeypatch):
     # two integrands on a leading axis, one with a jump: the final panels
     # tile the window, each integrand's values sum to its integral, and only
     # the jump row's slivers, still open after the last round, reach
-    # integrate_fn, on the row alone
-    rows, seen = (np.exp, lambda x: np.where(x > 0.3, 1.0, 0.0)), set()
+    # integrate_fn, on that row: its values are the jump row's
+    rows, probe = (np.exp, lambda x: np.where(x > 0.3, 1.0, 0.0)), (-0.5, 0.2999, 0.3001, 0.9)
+    seen, counted = [], D.integrate_fn
 
-    def fv(x, row=None):
-        if row is None:
-            return np.stack([f(x) for f in rows])
-        seen.add(int(row))
-        return rows[row](x)
+    def fv(x):
+        return np.stack([f(x) for f in rows])
 
+    def valued(f, lo, hi, *args, **kwargs):  # what each fallback integrates, at the probe
+        seen.append([float(f(x)) for x in probe])
+        return counted(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(D, "integrate_fn", valued)
     total, lefts, vals = D._panels(fv, np.linspace(-1.0, 1.0, 65))
     lefts, vals = np.concatenate(lefts), np.concatenate(vals, axis=1)
     order = np.argsort(lefts)
@@ -393,7 +453,8 @@ def test_panels_tile_the_window_for_stacked_integrands(fallbacks):
     assert edges[0] == -1.0 and np.all(np.diff(edges) > 0)
     np.testing.assert_allclose(D._gauss_legendre(fv, edges[:-1], edges[1:]), vals[:, order],
                                rtol=0, atol=1e-9)
-    assert 0 < len(fallbacks) <= 2 and seen == {1}  # the jump's slivers stay open
+    assert 0 < len(fallbacks) <= 2  # the jump's slivers stay open
+    assert seen == [[0.0, 0.0, 1.0, 1.0]] * len(fallbacks)  # row 1, the jump
     assert {a for a, _ in fallbacks} <= set(lefts.tolist())
     assert all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 for a, b in fallbacks)
     np.testing.assert_allclose(vals.sum(axis=1), [math.e - 1 / math.e, 0.7], rtol=0, atol=1e-9)

@@ -765,11 +765,8 @@ def test_one_node_table_reads_an_undeclared_jump_without_fallbacks(monkeypatch):
 
 
 def _stack(*weights):
-    """A tail table's weight stack of the array-native ``weights``: the
-    stack of all, or row j alone."""
-    def g(x, row=None):
-        return weights[row](x) if row is not None else np.stack([w(x) for w in weights])
-    return g
+    """A tail table's weight stack of the array-native ``weights``."""
+    return lambda x: np.stack([w(x) for w in weights])
 
 
 @pytest.mark.parametrize("weight", [lambda x: np.sqrt(x - 0.5),
@@ -812,7 +809,7 @@ def test_tail_table_and_window_integral_share_the_sliver_policy(monkeypatch):
     tails = transform._TailTable(X, weights, 2, ())
     table_calls = calls[:]
     calls.clear()
-    got = D._window_integral(tails._load, X.effective_support(), X.lo, X.hi, X.kinks, 2)[0]
+    got = D._window_integral(tails._load, X, rows=2)[0]
     for route in (table_calls, calls):
         assert len(route) == 2
         assert all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 and v == 0.0 for a, b, v in route)
@@ -883,7 +880,8 @@ def test_identity_table_evaluates_the_bias_once_per_panel_call(monkeypatch, node
 
 def test_one_node_oracle_reads_a_lazily_built_table():
     # the order-2 lift's density is a table built on first use; the oracle
-    # integrates it by the table's own rule, as the law's panel table does
+    # integrates it by the table's own rule, the law's panel table by the
+    # panels with the grid as break points: two routes that agree
     lifted = bf.bias_to_order(bf.uniform(-1, 1), bf.unit_bias_spec(), 2).law
     assert isinstance(lifted.density, bf.distributions._Lazy)
     spec = SignChangeSpec(lambda x: np.asarray(x, float) - 0.1, NodeSet((0.1,)))

@@ -378,10 +378,11 @@ class _TailTable:
     edges of its window (``_start_panels``, which widens it where a weight
     times the density has not decayed), with ``_knots(X, knots)`` as break
     points, and the sums run over the final panels: a read is one lookup
-    plus the 8-point Gauss-Legendre rule on part of one panel.  The slivers a jump or a singularity leaves open
-    are valued by ``_panels``' one sliver policy; NonIntegrable when the
-    panels do not suit a weight times the density.  Mixtures without a
-    density sum their components' tables by weight."""
+    plus the 8-point Gauss-Legendre rule on part of one panel.  The slivers
+    a jump or a singularity leaves open are valued by ``_panels``' one
+    sliver policy; NonIntegrable when the panels do not suit a weight times
+    the density.  Mixtures without a density sum their components' tables
+    by weight."""
 
     def __init__(self, X: Distribution, weights: Callable, rows: int, knots: Sequence[float]):
         self.weights, self.rows, self.parts = weights, rows, None

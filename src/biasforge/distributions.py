@@ -185,7 +185,7 @@ def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     lo_e, hi_e = _effective_bounds(as_array_fn(f), lo, hi)
     if not lo_e < hi_e:
         return 0.0
-    pts = sorted({float(p) for p in points if lo_e < float(p) < hi_e})
+    pts = sorted(set(_inside(points, lo_e, hi_e).tolist()))
     out = integrate.quad(
         f, lo_e, hi_e,
         epsabs=ABS_TOL, epsrel=REL_TOL,
@@ -267,14 +267,6 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     return total, lefts + [a], vals + [rules.reshape(whole.shape)]
 
 
-def _start_edges(lo: float, hi: float, points) -> np.ndarray:
-    """The first panels' edges on [lo, hi]: a _PANEL_START linspace and the
-    ``points`` inside it."""
-    edges = np.linspace(lo, hi, _PANEL_START + 1)
-    inner = _inside(points, lo, hi)
-    return _sorted_unique(np.concatenate((edges, inner))) if inner.size else edges
-
-
 def _inside(points, lo: float, hi: float) -> np.ndarray:
     """The break points ``points`` (any sequence or array of floats) strictly
     inside (lo, hi), as one array."""
@@ -333,7 +325,9 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     is a hit only above twice the threshold: a constant weight keeps the
     window."""
     a, b = window
-    edges = _start_edges(a, b, points)
+    edges, inner = np.linspace(a, b, _PANEL_START + 1), _inside(points, a, b)
+    if inner.size:
+        edges = _sorted_unique(np.concatenate((edges, inner)))
     left, right = _ladder(a, b, lo, hi)
     if not (left.size or right.size):
         return edges
@@ -345,7 +339,8 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     out_l = _reach(np.flatnonzero(hit[:k]), bad[:k], left)
     out_r = _reach(np.flatnonzero(hit[k:m]), bad[k:m], right)
     edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
-    inner = _inside(points, edges[0], edges[-1])  # those inside the window are edges already
+    inner = _inside(points, edges[0], edges[-1])
+    inner = inner[(inner < a) | (inner > b)]  # those inside the window are edges already
     return _sorted_unique(np.concatenate((edges, inner))) if inner.size else edges
 
 
@@ -400,10 +395,9 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
     lo_e, hi_e = float(edges[0]), float(edges[-1])
     out = _panels(fv, edges)
     if out is None:
-        inner = _inside(knots, lo_e, hi_e)
         if not rows:
-            return integrate_fn(fv, lo_e, hi_e, points=inner), (lo_e, hi_e)
-        out = (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=inner)
+            return integrate_fn(fv, lo_e, hi_e, points=knots), (lo_e, hi_e)
+        out = (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots)
                          for j in range(rows)]),)
     return (out[0] if rows else float(out[0])), (lo_e, hi_e)
 

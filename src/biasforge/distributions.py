@@ -179,7 +179,8 @@ def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
     """Adaptive quadrature of ``f`` on [lo, hi]; infinite endpoints are
     truncated by the tail rule.  ``points`` are known kink locations (a
     table's grid among them): quad may split MAX_SUBDIVISIONS times beyond
-    the pieces they cut."""
+    the pieces they cut.  NonIntegrable when quad does not converge or gives
+    inf (a node on a singularity, which quad returns silently); NaN passes."""
     from scipy import integrate  # loaded on first use
 
     lo_e, hi_e = _effective_bounds(as_array_fn(f), lo, hi)
@@ -193,6 +194,8 @@ def integrate_fn(f, lo, hi, points: Sequence[float] = ()):
         full_output=1,
     )
     val, abserr = out[0], out[1]
+    if math.isinf(val):
+        raise NonIntegrable(f"quadrature gave {val} on [{lo_e!r}, {hi_e!r}]")
     if len(out) >= 4 and abserr > max(100 * ABS_TOL, 1e-6 * max(1.0, abs(val))):
         raise NonIntegrable(f"quadrature did not converge (err={abserr:.3g}): {out[3]}")
     return float(val)
@@ -1035,11 +1038,12 @@ def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Di
 
     Point masses (``locs``) are reweighted exactly; a ``density`` is
     multiplied by w, renormalized by quadrature and sampled through a
-    numeric inverse CDF on the tilt's own window; a mixture without one
-    tilts its ``components``.  A law with a sampler alone cannot be tilted:
-    NoSampler.  w is evaluated once on all the ``_probe_points`` (``_tilt``
-    builds from those values): NegativeWeight where it is negative or not
-    finite at one of them.  ``weight_kinks`` declares non-smooth points of w."""
+    numeric inverse CDF on the tilt's own window, whose table gives the
+    ``cdf`` too; a mixture without one tilts its ``components``.  A law
+    with a sampler alone cannot be tilted: NoSampler.  w is evaluated once
+    on all the ``_probe_points`` (``_tilt`` builds from those values):
+    NegativeWeight where it is negative or not finite at one of them.
+    ``weight_kinks`` declares non-smooth points of w."""
     if d.locs is None and d.density is None and d.components is None:
         raise NoSampler("only a law with atoms, a density or mixture components can be tilted")
     wv, probe = as_array_fn(w), _probe_points(d)
@@ -1069,7 +1073,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     when z is at most ZERO_NORMALIZER_TOL.  A density, a table's included,
     gives z and the mean in one stacked panel pass from its window, and the
     tilt keeps the window that pass widened to: its inverse-CDF table spans
-    it."""
+    it, built on first draw or first CDF read, and gives the law's CDF."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1129,8 +1133,8 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     def draw(rs: RandomSource, n: int):
         return table.get().ppf(rs.uniform(n))
 
-    law = Distribution(lo=d.lo, hi=d.hi, density=dens, sampler=draw, kinks=kinks,
-                       label=f"tilt({d.label})")
+    law = Distribution(lo=d.lo, hi=d.hi, density=dens, cdf=lambda x: table.get().cdf(x),
+                       sampler=draw, kinks=kinks, label=f"tilt({d.label})")
     return _windowed(law, window), z, mean
 
 

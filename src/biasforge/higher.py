@@ -61,11 +61,12 @@ SECOND_MOMENT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ChainRecipe:
-    """k-node base stage plus (m - k)/2 second-difference steps at
-    ``location``, with the per-step normalizers (half the running second
-    moments about the location)."""
+    """The k-node base stage's recipe (for a second-difference transform,
+    the zero-node unit recipe, which is X itself) plus (m - k)/2
+    second-difference steps at ``location``, with the per-step normalizers
+    (half the running second moments about the location)."""
 
-    base: BiasedDistribution
+    base: BiasRecipe
     step_normalizers: tuple
     location: float = 0.0
 
@@ -73,7 +74,7 @@ class ChainRecipe:
         """Base moments, centred at the location, mapped through every step
         and shifted back (no shift at location 0)."""
         steps, a = len(self.step_normalizers), self.location
-        mom = recipe_moments(self.base.recipe, top + 2 * steps)
+        mom = recipe_moments(self.base, top + 2 * steps)
         if a:
             mom = shift_moments(mom, -a)
         for _ in range(steps):
@@ -139,9 +140,7 @@ def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution
     law = _step_law(X, X, unit, 2, second_moment / 2.0, a, lo=min(lo, a), hi=max(hi, a),
                     kinks=(a,) + X.kinks,
                     label=f"second-difference({X.label or 'X'}; a={a})")
-    # one step at a after the zero-node unit transform, which is X itself
-    base = BiasedDistribution(X, 1.0, None, BiasRecipe(X, unit, X, 1.0))
-    recipe = ChainRecipe(base=base, step_normalizers=(second_moment / 2.0,), location=a)
+    recipe = ChainRecipe(BiasRecipe(unit, X), (second_moment / 2.0,), location=a)
     return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None, recipe=recipe)
 
 
@@ -150,8 +149,10 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
 
         beta = E[B(X) (X^m - interpolant of x^m at the nodes)] / m!
 
-    (plain E[B(X) X^m] / m! with no nodes).  Always positive for a valid,
-    nondegenerate configuration; equals alpha when k == m."""
+    (plain E[B(X) X^m] / m! with no nodes), one expectation of B: the route
+    apart that the chain's beta (``bias_to_order``) is tested against.
+    Always positive for a valid, nondegenerate configuration; equals alpha
+    when k == m."""
     k = spec.k
     if k > m:
         raise InputError(f"need k <= m, got k={k}, m={m}")
@@ -167,7 +168,11 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
 
 def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistribution:
     """k-node transform lifted to derivative order m (same parity as k) by
-    chaining second-difference steps at zero onto the k-node stage."""
+    chaining second-difference steps at zero onto the k-node stage.  beta is
+    the chain's alpha * prod(b_l), b_l half the running second moment (the
+    base's recipe moments, mapped step by step), the product each step's
+    table is divided by.  DegenerateBeta at a stage that is a point mass at
+    zero or at beta <= ALPHA_TOL."""
     k = spec.k
     if m < 0 or k > m:
         raise InputError(f"need 0 <= k <= m, got k={k}, m={m}")
@@ -178,19 +183,16 @@ def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistri
         return base
 
     mom = recipe_moments(base.recipe, m - k)
-    law, step_beta = base.law, base.alpha
+    law, beta = base.law, base.alpha
     fields = dict(lo=min(law.lo, 0.0), hi=max(law.hi, 0.0), kinks=(0.0,) + law.kinks,
                   label=f"bias-to-order({X.label or 'X'}; k={k}, m={m})")
     normalizers = []
     for order in range(k + 2, m + 1, 2):
-        b_l = mom[2] / 2.0
-        if not b_l > SECOND_MOMENT_TOL:
-            raise DegenerateBeta("chain stage degenerated to a point mass at zero")
-        normalizers.append(float(b_l))
-        mom = _hat_moment_map(mom)
-        step_beta *= b_l
-        law = _step_law(law, X, spec, order, step_beta, 0.0, **fields)
-    beta = beta_of(X, spec, m)
-    recipe = ChainRecipe(base=base, step_normalizers=tuple(normalizers))
-    return BiasedDistribution(law, alpha=base.alpha, beta=beta, recipe=recipe)
-
+        normalizers.append(float(mom[2] / 2.0))
+        mom = _hat_moment_map(mom)  # DegenerateBeta at a point mass at zero
+        beta *= normalizers[-1]
+        law = _step_law(law, X, spec, order, beta, 0.0, **fields)
+    if not beta > ALPHA_TOL:
+        raise DegenerateBeta(f"order-{m} normalizer {beta!r} is not positive")
+    recipe = ChainRecipe(base=base.recipe, step_normalizers=tuple(normalizers))
+    return BiasedDistribution(law, alpha=base.alpha, beta=float(beta), recipe=recipe)

@@ -15,6 +15,7 @@ are never computed by this package.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -38,7 +39,6 @@ from .distributions import (
     _check_draws,
     _mean_se,
     _tilt,
-    _zero_normalizer,
     as_array_fn,
     expectation,
     make_mixture,
@@ -111,7 +111,9 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
                             + B1(X)(f'(X) - f'(a))].
 
     X* mixes the second-difference transform of the B0-tilted law with the
-    one-node B1 transform, weighted by alpha_1, alpha_2."""
+    one-node B1 transform, weighted by alpha_1, alpha_2: alpha_1 =
+    E[B0(X)(X - a)^2] / 2 is the B0 tilt's normaliser times its second
+    difference's (0 if either is degenerate), alpha_2 the one-node alpha."""
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
@@ -120,31 +122,20 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     report = _validation_report(probe, b0x)
     if not report.passed:
         raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
-    pts = (a,) + tuple(B0_kinks)
 
-    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=pts)
-    try:
+    tilted, z0, _ = _tilt(X, b0_of, B0_kinks, probe, b0x)
+    normalized = []  # (part, alpha_1 or alpha_2) of each nondegenerate part
+    if tilted is not None:
+        with contextlib.suppress(DegenerateAlpha):
+            hat = second_difference_transform(tilted, a)
+            normalized.append((hat, z0 * hat.alpha))
+    with contextlib.suppress(DegenerateAlpha):
         one_node = bias(X, B1)
-    except DegenerateAlpha:
-        one_node = None
-    alpha = alpha1 + (one_node.alpha if one_node is not None else 0.0)
+        normalized.append((one_node, one_node.alpha))
+    alpha = sum(n for _, n in normalized)
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
-
-    parts, weights = [], []
-    if alpha1 > ALPHA_TOL:
-        tilted = _tilt(X, b0_of, B0_kinks, probe, b0x)[0]
-        if tilted is None:
-            # B0 >= 0 with zero mean forces alpha_1 = 0; reaching here means the
-            # numbers disagree, and guessing a fallback law would be unsound.
-            raise DegenerateAlpha(
-                "order-0 coefficient has zero expectation but a positive "
-                f"second-moment normalizer ({alpha1!r})") from _zero_normalizer(X)
-        parts.append(second_difference_transform(tilted, a))
-        weights.append(alpha1 / alpha)
-    if one_node is not None:
-        parts.append(one_node)
-        weights.append(one_node.alpha / alpha)
+    parts, weights = zip(*((p, n / alpha) for p, n in normalized if n > ALPHA_TOL))
 
     law = make_mixture([p.law for p in parts], weights)
     # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
@@ -163,7 +154,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     law = replace(law, density=as_array_fn(density),
                   label=f"second-order({X.label or 'X'}; a={a})")
     return BiasedDistribution(law, alpha=alpha, beta=None,
-                              recipe=MixtureRecipe(tuple(parts), tuple(weights)))
+                              recipe=MixtureRecipe(parts, weights))
 
 
 def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, t: float,

@@ -227,13 +227,11 @@ def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BiasRecipe:
-    """Construction record of a k-node transform: the tilted seed law plus
-    the node shifts applied through the shrink factors."""
+    """Construction record of a k-node transform, what its moments read: the
+    tilted seed law plus the node shifts applied through the shrink factors."""
 
-    source: Distribution
     spec: SignChangeSpec
     seed_law: Distribution
-    alpha: float
 
     def moments(self, top: int) -> np.ndarray:
         """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
@@ -521,7 +519,7 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     alpha = _checked_alpha(mean / math.factorial(spec.k))
     if seed_law is None:
         raise _zero_normalizer(X)
-    recipe = BiasRecipe(source=X, spec=spec, seed_law=seed_law, alpha=alpha)
+    recipe = BiasRecipe(spec=spec, seed_law=seed_law)
     k = spec.k
 
     if k == 0:

@@ -159,8 +159,8 @@ def check_identity_exact(X: Distribution, spec: SignChangeSpec, m: int, F: Polyn
     """Both sides of the defining identity on a point-mass law (atoms or an
     empirical law), by fully independent routes: the atom sum of
     ``expectation`` with exact interpolation/correction polynomials on the
-    left, the construction's moment algebra on the right.  Exact comparison
-    at a relative tolerance."""
+    left, the construction's moment algebra on the right (a lift's beta is
+    alpha times its chain's step normalizers), compared at relative ``tol``."""
     if X.locs is None:
         raise InputError("exact route needs a point-mass law")
     L, R = _lhs_polynomials(spec, m, F)

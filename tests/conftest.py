@@ -57,3 +57,31 @@ def call_concurrently(fn, workers=4, timeout=120.0):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     return results
+
+
+@pytest.fixture
+def construction_calls(monkeypatch):
+    """Counts of the panel passes (``_panels`` calls, from ``distributions``
+    and from ``transform``'s tail tables) and of the ``expectation`` and
+    ``beta_of`` calls that ``higher`` and ``stein`` make."""
+    import biasforge.distributions as distributions
+    import biasforge.higher as higher
+    import biasforge.stein as stein
+    import biasforge.transform as transform
+
+    calls = {"panels": 0, "expectation": 0, "beta_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    panels = counted("panels", distributions._panels)
+    for module in (distributions, transform):
+        monkeypatch.setattr(module, "_panels", panels)
+    expect = counted("expectation", distributions.expectation)
+    for module in (higher, stein):
+        monkeypatch.setattr(module, "expectation", expect)
+    monkeypatch.setattr(higher, "beta_of", counted("beta_of", higher.beta_of))
+    return calls

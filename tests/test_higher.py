@@ -128,7 +128,7 @@ def test_chain_record_moments_bit_identical(name):
                     (bf.zero_bias_spec(), 3)):
         t = bf.bias_to_order(X, spec, m)
         steps = len(t.recipe.step_normalizers)
-        ref = bf.recipe_moments(t.recipe.base.recipe, 6 + 2 * steps)
+        ref = bf.recipe_moments(t.recipe.base, 6 + 2 * steps)
         for _ in range(steps):
             ref = _step_moments(ref)
         assert t.recipe.location == 0.0
@@ -159,6 +159,16 @@ def test_beta_equals_alpha_at_matched_order():
 def test_beta_degenerate_on_point_mass():
     with pytest.raises(bf.DegenerateBeta):
         bf.beta_of(bf.dirac(0.0), bf.unit_bias_spec(), 2)
+    with pytest.raises(bf.DegenerateBeta):  # the chain's stage is the point mass at 0
+        bf.bias_to_order(bf.dirac(0.0), bf.unit_bias_spec(), 2)
+    # alpha = 1e-6 and a step normalizer of 5e-7 pass their own checks, but
+    # their product, beta = 5e-13, is at most ALPHA_TOL on both routes
+    X = bf.from_atoms([(-1e-3, 0.5), (1e-3, 0.5)])
+    tiny = bf.SignChangeSpec(lambda x: np.full_like(np.asarray(x, float), 1e-6), bf.NodeSet(()))
+    with pytest.raises(bf.DegenerateBeta):
+        bf.beta_of(X, tiny, 2)
+    with pytest.raises(bf.DegenerateBeta):
+        bf.bias_to_order(X, tiny, 2)
 
 
 def test_beta_parity_guard(uniform_sym):
@@ -251,6 +261,46 @@ def test_seed_moment_coefficient_route_agrees():
         checked += 1
 
 
+def test_lift_beta_matches_beta_of_on_atoms():
+    # the chain's beta, alpha times its step normalizers, against the
+    # independent route: one atom sum of B (x^m - interpolant)
+    rng = np.random.default_rng(2032)
+    for _ in range(60):
+        k = int(rng.integers(0, 3))
+        m = k + 2 * int(rng.integers(1, (5 - k) // 2 + 1))  # m <= 5
+        X = bf.random_discrete(rng, max_atoms=6)
+        spec = bf.random_valid_spec(rng, k)
+        t = bf.bias_to_order(X, spec, m)
+        assert t.beta == pytest.approx(bf.beta_of(X, spec, m), rel=1e-12), (k, m)
+
+
+@pytest.mark.parametrize("law, spec, m", [
+    (bf.normal(), bf.unit_bias_spec(), 2),
+    (bf.normal(), bf.unit_bias_spec(), 4),
+    (bf.normal(), bf.zero_bias_spec(), 3),
+    (bf.uniform(-1.0, 1.0), bf.unit_bias_spec(), 4),
+    (bf.uniform(-1.0, 1.0), bf.zero_bias_spec(), 5),
+    (bf.uniform(-1.0, 1.0), bf.SignChangeSpec(bf.plus_part, (-1.0,), kinks=(0.0,)), 3),
+    (bf.exponential(1.0), bf.unit_bias_spec(), 2),
+    (bf.exponential(1.0), bf.sign_spec(0.0), 3),
+    (bf.normal(0.3, 1.2), bf.unit_bias_spec(), 4),
+    (bf.normal(0.3, 1.2), transform.centered_bias_spec(0.3), 3),
+], ids=["normal-2", "normal-4", "normal-zero-3", "uniform-4", "uniform-zero-5",
+        "uniform-xplus-3", "exp-2", "exp-sign-3", "normal-shifted-4", "normal-centered-3"])
+def test_lift_beta_matches_beta_of_on_densities(law, spec, m):
+    t = bf.bias_to_order(law, spec, m)
+    assert t.beta == pytest.approx(bf.beta_of(law, spec, m), rel=1e-12)
+
+
+@pytest.mark.parametrize("law, m", [(bf.uniform(-1.0, 1.0), 2), (bf.normal(), 4)],
+                         ids=["uniform-2", "normal-4"])
+def test_lift_construction_takes_two_panel_passes(construction_calls, law, m):
+    # the base's alpha-and-normaliser pass and its seed-moment pass: beta is
+    # their product, with no integral of its own
+    bf.bias_to_order(law, bf.unit_bias_spec(), m)
+    assert construction_calls == {"panels": 2, "expectation": 0, "beta_of": 0}
+
+
 def test_lifted_law_beta_consistency(uniform_sym):
     # beta must equal alpha * E[Y^{m-k}] / (m-k)! with Y the base stage
     rng = np.random.default_rng(5)
@@ -263,7 +313,7 @@ def test_lifted_law_beta_consistency(uniform_sym):
             t = bf.bias_to_order(X, spec, m)
         except (bf.DegenerateAlpha, bf.DegenerateBeta):
             continue
-        base_moms = bf.recipe_moments(t.recipe.base.recipe, m - k)
+        base_moms = bf.recipe_moments(t.recipe.base, m - k)
         assert t.beta == pytest.approx(
             t.alpha * base_moms[m - k] / math.factorial(m - k), rel=1e-9)
 

@@ -113,6 +113,10 @@ def test_second_order_identity_on_atoms():
 def test_second_order_degenerate_alpha():
     with pytest.raises(bf.DegenerateAlpha):
         bf.second_order_transform(bf.dirac(0.0), zeros, zero_spec_at(0.0))
+    # B0 = 1 tilts to the point mass at the node, whose second difference is
+    # degenerate: alpha_1 = 0 again
+    with pytest.raises(bf.DegenerateAlpha):
+        bf.second_order_transform(bf.dirac(0.0), ones, zero_spec_at(0.0))
 
 
 def test_second_order_transform_reads_b0_once_on_one_probe(monkeypatch):
@@ -152,6 +156,34 @@ def test_second_order_sampler_matches_density(uniform_sym):
     draws = t.sample(n, bf.RandomSource(21))
     table = bf.TabulatedDensity.from_callable(t.law.density, -1, 1, 4097, knots=(0.0,))
     assert bf.ks_statistic(draws, table.cdf) < bf.ks_critical(n, 0.01)
+
+
+_SECOND_ORDER_CASES = {
+    "normal": lambda: (bf.normal(), ones, bf.zero_bias_spec()),
+    "uniform": lambda: (bf.uniform(-1.0, 1.0), lambda x: 1.0 + np.asarray(x, float) ** 2,
+                        bf.zero_bias_spec()),
+    "exponential": lambda: (bf.exponential(1.0), ones, bf.sign_spec(0.0)),
+    "atoms": lambda: (bf.from_atoms([(-1.0, 0.3), (0.5, 0.3), (1.5, 0.4)]),
+                      lambda x: 1.0 + np.asarray(x, float) ** 2, bf.zero_bias_spec()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SECOND_ORDER_CASES))
+def test_second_order_alpha_matches_operator_alpha(name):
+    # alpha_1 = z0 times the tilt's second-difference normalizer, plus the
+    # one-node alpha_2, against the independent route: two expectations
+    from biasforge.stein import _operator_alpha
+
+    X, B0, B1 = _SECOND_ORDER_CASES[name]()
+    t = bf.second_order_transform(X, B0, B1)
+    assert t.alpha == pytest.approx(_operator_alpha(X, B0, B1.bias, B1.nodes[0]), rel=1e-12)
+
+
+def test_second_order_construction_takes_three_panel_passes(construction_calls):
+    # the B1 transform's tilt, the B0 tilt and its second moment about the
+    # node (the one expectation, made by the second-difference part)
+    bf.second_order_transform(bf.normal(), ones, bf.zero_bias_spec())
+    assert construction_calls == {"panels": 3, "expectation": 1, "beta_of": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +264,9 @@ def test_higher_order_all_zero_rejected(uniform_sym):
 
 def test_higher_order_computes_each_beta_once(monkeypatch):
     # order 3 with sign-change counts (1, 0, 1): coefficients 0 and 1 are
-    # lifted (k < m - j) and need a beta; coefficient 2 is not
+    # lifted (k < m - j) and need a beta; coefficient 2 is not.  Each lift's
+    # beta is its chain's product, so construction never calls beta_of, and
+    # that independent route agrees with it
     import biasforge.higher as higher
     import biasforge.stein as stein
 
@@ -250,7 +284,12 @@ def test_higher_order_computes_each_beta_once(monkeypatch):
     op = bf.SteinOperator(order=3, coeffs=(bf.zero_bias_spec(), bf.unit_bias_spec(),
                                            bf.zero_bias_spec()))
     t = bf.higher_order_transform(X, op)
-    assert sorted(calls) == [2, 3]
+    assert calls == []
+    lifted = [(p, spec, 3 - j) for j, (p, spec) in enumerate(zip(t.recipe.parts, op.coeffs))
+              if p.beta is not None]
+    assert [m for _, _, m in lifted] == [3, 2]
+    for p, spec, m in lifted:
+        assert p.beta == pytest.approx(beta_of(X, spec, m), rel=1e-12)
     norms = [p.alpha if p.beta is None else p.beta for p in t.recipe.parts]
     assert t.recipe.weights == tuple(b / t.beta for b in norms)
 

@@ -289,7 +289,8 @@ def test_mc_suite_smoke():
 def test_cli_exact_suite_reports_pinned(monkeypatch):
     # float.hex of lhs and rhs of every report of ``verify --suite exact
     # --seed 7`` (matched order, then the chain), as the numpy.polynomial
-    # algebra and a bias that evaluated the weight three times gave them
+    # algebra and a bias that evaluated the weight three times gave them;
+    # a chain's right side takes its beta as alpha times its step normalizers
     pinned = [line.split() for line in
               (Path(__file__).parent / "data" / "exact_suite_seed7.txt").read_text().splitlines()
               if not line.startswith("#")]

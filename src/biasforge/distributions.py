@@ -27,17 +27,19 @@ halves and bisected, all panels of a round in one call of the integrand.
 A tabulated density is no exception: its grid points, where it kinks, are
 break points (``_knots``) like the law's kinks and the caller's points.
 Integrands stacked on a leading axis (the moments x^p f(x) of a density,
-the tail weights of a transform) are plain functions x -> (J,) + shape of
-x; they share one window, widened for the slowest-decaying of them, and one
-panel pass, in which every integrand is held to its own tolerance.
-One sliver policy serves every caller: a panel still open after a fixed
-depth keeps its rule for each integrand whose share it met, and
-``integrate_fn`` (scipy's adaptive quadrature) values it for the others,
-on that row of the stack (``_row``).  ``integrate_fn`` is also the
-independent oracle the panel rule is tested against; an expectation with a
-non-finite rule or too many open panels goes to it whole.  scipy is
-imported on first use only: by ``integrate_fn`` and by the first normal
-or half-normal CDF.  Normal-family draws use a numpy quantile (AS241).
+a tilt's normaliser rows and the tail weights of a transform riding them)
+are plain functions x -> (J,) + shape of x; they share one window, widened
+for the slowest-decaying of them, and one panel pass, in which every
+integrand is held to its own tolerance; a tilt keeps the window of its own
+rows.  One sliver policy serves every caller: a panel still open after a
+fixed depth keeps its rule for each integrand whose error there is within
+the whole tolerance, and ``integrate_fn`` (scipy's adaptive quadrature)
+values it for the others, on that row of the stack (``_row``).
+``integrate_fn`` is also the independent oracle the panel rule is tested
+against; an expectation with a non-finite rule or too many open panels
+goes to it whole.  scipy is imported on first use only: by
+``integrate_fn`` and by the first normal or half-normal CDF.
+Normal-family draws use a numpy quantile (AS241).
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ NEGATIVE_WEIGHT_TOL = -1e-12
 INVERSE_CDF_GRID = 8193
 _PROBE_GRID = 4097
 _PANEL_START = 64          # initial panels of the adaptive panel integral
-_PANEL_DEPTH = 24          # bisection rounds before integrate_fn takes a panel
+_PANEL_DEPTH = 24          # bisection rounds before the sliver policy takes a panel
+_TAIL_DEPTH = 28           # those of a pass tail rows ride: slivers as from 1024 start panels
 _PANEL_OPEN_MAX = 1 << 16  # open panels beyond which integrate_fn takes the window
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 15           # points per call of a base density inside a tilted one
@@ -207,7 +210,11 @@ def _sorted_unique(xs: np.ndarray) -> np.ndarray:
     return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
-_GX, _GW = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre, symmetric about 0: numpy.polynomial's leggauss(8)
+# bit for bit, written out because importing numpy.polynomial takes milliseconds
+_GX = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GW = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_GX, _GW = np.concatenate((-_GX[::-1], _GX)), np.concatenate((_GW[::-1], _GW))
 
 
 def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,8 +234,10 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     their value, and bisects the rest.
     ``fv`` may stack J integrands on a leading axis, each held to its own
     tolerance.  The one sliver policy: a panel still open after ``depth``
-    rounds (a jump or a singularity) keeps the rule on its halves for each
-    integrand whose share it met, and ``integrate_fn`` values it for the
+    rounds (a jump or a singularity; by then a 2^-depth sliver of its start
+    panel) keeps the rule on its halves for each integrand whose error
+    there is within the whole tolerance ABS_TOL + REL_TOL |I| (the slivers
+    of a jump), and ``integrate_fn`` values its halves for the
     others (on ``_row(fv, j)`` for a stack).
     Returns (integral, lefts, vals): the integral and, round by round, the
     left edges and values of the final panels, which tile the window.  None
@@ -264,7 +273,8 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
         a, b = cuts[:2, open_].ravel(), cuts[1:, open_].ravel()  # left halves first
         whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
     rules = whole.reshape(-1, a.size)  # the stuck panels, as a and b: left halves first
-    for j, i in zip(*np.nonzero(np.tile(miss.compress(open_, axis=-1), 2).reshape(rules.shape))):
+    far = (miss & (err > tol)).compress(open_, axis=-1)  # beyond the whole tolerance
+    for j, i in zip(*np.nonzero(np.tile(far, 2).reshape(rules.shape))):
         rules[j, i] = integrate_fn(fv if whole.ndim == 1 else _row(fv, j), a[i], b[i])
     total = done + np.array([sum(r) for r in rules]).reshape(np.shape(done))
     return total, lefts + [a], vals + [rules.reshape(whole.shape)]
@@ -313,7 +323,7 @@ def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
     return last + 1
 
 
-def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndarray:
+def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None):
     """The first panels' edges of an integral of ``fv`` (which may stack J
     integrands on a leading axis) against a law of support [lo, hi] and
     window ``window``: the _PANEL_START edges of the window and the
@@ -326,25 +336,33 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points) -> np.ndar
     ladder's steps.  The law's density is at the threshold at the window's
     ends, up to their rounding (1 + 3.8e-15 of it on the normal), so an end
     is a hit only above twice the threshold: a constant weight keeps the
-    window."""
+    window.  Returns (edges, the window the first ``head`` integrands, all
+    by default, widen to): the rest widen the panels only."""
     a, b = window
     edges, inner = np.linspace(a, b, _PANEL_START + 1), _inside(points, a, b)
     if inner.size:
         edges = _sorted_unique(np.concatenate((edges, inner)))
     left, right = _ladder(a, b, lo, hi)
     if not (left.size or right.size):
-        return edges
+        return edges, (float(a), float(b))
     coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
     xs = np.concatenate((left, right, edges, coarse[(coarse > a) & (coarse < b)]))
     with np.errstate(over="ignore", invalid="ignore"):
-        hit, bad = _tail_hits(fv(xs), np.where((xs == a) | (xs == b), 2.0 * TAIL_EPS, TAIL_EPS))
-    k, m = left.size, left.size + right.size
-    out_l = _reach(np.flatnonzero(hit[:k]), bad[:k], left)
-    out_r = _reach(np.flatnonzero(hit[k:m]), bad[k:m], right)
+        vals = fv(xs)
+    eps, k, m = np.where((xs == a) | (xs == b), 2.0 * TAIL_EPS, TAIL_EPS), left.size, right.size
+
+    def reach(rows):  # the ladder steps the integrands ``rows`` take in at each end
+        hit, bad = _tail_hits(rows, eps)
+        return (_reach(np.flatnonzero(hit[:k]), bad[:k], left),
+                _reach(np.flatnonzero(hit[k:k + m]), bad[k:k + m], right))
+
+    out_l, out_r = reach(vals)
+    own_l, own_r = reach(vals[:head]) if head and head < len(vals) else (out_l, out_r)
+    window = (float(left[own_l]) if k else float(a), float(right[own_r]) if m else float(b))
     edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
     inner = _inside(points, edges[0], edges[-1])
     inner = inner[(inner < a) | (inner > b)]  # those inside the window are edges already
-    return _sorted_unique(np.concatenate((edges, inner))) if inner.size else edges
+    return (_sorted_unique(np.concatenate((edges, inner))) if inner.size else edges), window
 
 
 def _running_products(head: Callable, factor: Callable, rows: int, start: int = 0) -> Callable:
@@ -384,7 +402,8 @@ def _knots(d: Distribution, points=()) -> np.ndarray:
                            () if table is None else table.xs))
 
 
-def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = (), rows: int = 0):
+def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = (), rows: int = 0,
+                     head=None, depth: int = _PANEL_DEPTH):
     """Integral of the array-native ``fv`` (a weight times the density of
     ``d``) by ``_panels`` from ``_start_panels`` on the law's window and
     support, with ``_knots(d, points)`` as break points; ``integrate_fn``
@@ -392,17 +411,19 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
     0, fv stacks that many integrands on a leading axis: they share the
     window and the panels, each panel held to every integrand's tolerance,
     the fallback runs row by row (``_row``), and the integrals come back as
-    an array.  Returns (integral, window as widened)."""
+    an array.  Returns (integral, the window of the first ``head`` rows,
+    the final panels: (left edges, values) round by round as ``_panels``
+    gives them and the right end; None when integrate_fn took the window)."""
     knots = _knots(d, points)
-    edges = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots)
+    edges, window = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots, head)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
-    out = _panels(fv, edges)
+    out = _panels(fv, edges, depth)
     if out is None:
         if not rows:
-            return integrate_fn(fv, lo_e, hi_e, points=knots), (lo_e, hi_e)
-        out = (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots)
-                         for j in range(rows)]),)
-    return (out[0] if rows else float(out[0])), (lo_e, hi_e)
+            return integrate_fn(fv, lo_e, hi_e, points=knots), window, None
+        return (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots)
+                          for j in range(rows)]), window, None)
+    return (out[0] if rows else float(out[0])), window, (out[1], out[2], hi_e)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,17 +1084,24 @@ def _zero_normalizer(d: Distribution) -> ZeroNormalizer:
 
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
-          wx: np.ndarray):
+          wx: np.ndarray, loads: Optional[Callable] = None, rows: int = 0,
+          points: Sequence[float] = ()):
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
     ``_probe_points`` ``probe`` of ``d``; a mixture without a density hands
     each component its slice of both and weighs the tilted components by
     the normalisers they return.  The caller has checked ``wx``
     (``_check_weight``, or a passed validation report).  Returns the law,
-    its normaliser z = E[max(w(X), 0)] and the mean E[w(X)], the law None
-    when z is at most ZERO_NORMALIZER_TOL.  A density, a table's included,
-    gives z and the mean in one stacked panel pass from its window, and the
-    tilt keeps the window that pass widened to: its inverse-CDF table spans
-    it, built on first draw or first CDF read, and gives the law's CDF."""
+    its normaliser z = E[max(w(X), 0)], the mean E[w(X)] and the panels of
+    the tail rows, the law None when z is at most ZERO_NORMALIZER_TOL.
+    A density, a table's included, gives z and the mean in one stacked
+    panel pass from its window, and the tilt keeps the window its own rows
+    widened to: its inverse-CDF table spans it, built on first draw or
+    first CDF read, and gives the law's CDF.  The ``rows`` tail rows
+    loads(x) f(x) (``loads`` array-native, a fresh stack) ride that pass,
+    ``points`` their break points, widen its panels only and make it bisect
+    _TAIL_DEPTH rounds; its final panels (``_window_integral``'s) are
+    ``transform._TailTable``'s: None on point masses or without loads, a
+    list by component for a mixture."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1084,37 +1112,43 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         mw = d.masses * np.clip(wx, 0.0, None)
         z = float(np.sum(mw))
         if z <= ZERO_NORMALIZER_TOL:
-            return None, z, mean
+            return None, z, mean, None
         mw /= z
-        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z, mean
+        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z, mean, None
 
     if d.density is None:
         parts = []
         # the components' windows are known: the mixture's probe found them
         cuts = np.cumsum([0, *(_probe_points(c).size for c in d.components)])
         for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
-            tc, zc, mc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b])
-            parts.append((tc, zc if tc is not None else 0.0, mc))
-        mean = float(sum(wt * mc for wt, (_, _, mc) in zip(d.weights, parts)))
-        total = sum(wt * zc for wt, (_, zc, _) in zip(d.weights, parts))
+            tc, zc, mc, pc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b], loads, rows,
+                                   points)
+            parts.append((tc, zc if tc is not None else 0.0, mc, pc))
+        mean = float(sum(wt * mc for wt, (_, _, mc, _) in zip(d.weights, parts)))
+        total = sum(wt * zc for wt, (_, zc, _, _) in zip(d.weights, parts))
+        panels = [pc for *_, pc in parts]
         if total <= ZERO_NORMALIZER_TOL:
-            return None, total, mean
-        comps = [(tc, wt * zc / total) for wt, (tc, zc, _) in zip(d.weights, parts) if zc > 0]
-        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total, mean
+            return None, total, mean, panels
+        comps = [(tc, wt * zc / total) for wt, (tc, zc, _, _) in zip(d.weights, parts) if zc > 0]
+        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total, mean, panels
 
     base = as_array_fn(d.density)
 
-    def both(x):  # [w f, max(w, 0) f]: w and f evaluated once
+    def stack(x):  # [w f, max(w, 0) f, loads f]: w, f and the loads evaluated once
         f, w = base(x), wv(x)
-        out = np.empty((2,) + np.shape(x))
+        out = np.empty((2 + rows,) + np.shape(x))
         np.multiply(w, f, out=out[0])
         np.multiply(np.maximum(w, 0.0), f, out=out[1])
+        if rows:
+            np.multiply(loads(x), f, out=out[2:])
         return out
 
-    (mean, z), window = _window_integral(both, d, weight_kinks, 2)
+    (mean, z, *_), window, out = _window_integral(stack, d, (*weight_kinks, *points), 2 + rows,
+                                                  2, _TAIL_DEPTH if rows else _PANEL_DEPTH)
     mean, z = float(mean), float(z)
+    panels = (out[0], [v[2:] for v in out[1]], out[2]) if rows and out else None
     if z <= ZERO_NORMALIZER_TOL:
-        return None, z, mean
+        return None, z, mean, panels
 
     def dens(x):
         arr = np.asarray(x, dtype=float)
@@ -1135,7 +1169,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
 
     law = Distribution(lo=d.lo, hi=d.hi, density=dens, cdf=lambda x: table.get().cdf(x),
                        sampler=draw, kinks=kinks, label=f"tilt({d.label})")
-    return _windowed(law, window), z, mean
+    return _windowed(law, window), z, mean, panels
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:

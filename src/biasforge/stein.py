@@ -113,7 +113,10 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     X* mixes the second-difference transform of the B0-tilted law with the
     one-node B1 transform, weighted by alpha_1, alpha_2: alpha_1 =
     E[B0(X)(X - a)^2] / 2 is the B0 tilt's normaliser times its second
-    difference's (0 if either is degenerate), alpha_2 the one-node alpha."""
+    difference's (0 if either is degenerate), alpha_2 the one-node alpha.
+    The density's tail table, of the loads [B1 + B0 (x - a), B0], sums the
+    final panels of the B0 tilt's pass, which the loads ride (with the B1
+    node and kinks as break points): no read integrates."""
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
@@ -123,7 +126,14 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     if not report.passed:
         raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
 
-    tilted, z0, _ = _tilt(X, b0_of, B0_kinks, probe, b0x)
+    # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
+    b1_of = as_array_fn(B1.bias)
+
+    def loads(x):  # [B1 + B0 (x - a), B0], B0 evaluated once
+        b0 = b0_of(x)
+        return np.stack((b1_of(x) + b0 * (x - a), b0))
+
+    tilted, z0, _, panels = _tilt(X, b0_of, B0_kinks, probe, b0x, loads, 2, B1.quad_points)
     normalized = []  # (part, alpha_1 or alpha_2) of each nondegenerate part
     if tilted is not None:
         with contextlib.suppress(DegenerateAlpha):
@@ -138,14 +148,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     parts, weights = zip(*((p, n / alpha) for p, n in normalized if n > ALPHA_TOL))
 
     law = make_mixture([p.law for p in parts], weights)
-    # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
-    b1_of = as_array_fn(B1.bias)
-
-    def loads(x):  # [B1 + B0 (x - a), B0], B0 evaluated once
-        b0 = b0_of(x)
-        return np.stack((b1_of(x) + b0 * (x - a), b0))
-
-    tails = _Lazy(lambda: _TailTable(X, loads, 2, tuple(B0_kinks) + B1.quad_points))
+    tails = _Lazy(lambda: _TailTable(X, loads, 2, panels))
 
     def density(t):
         upper, flat = tails.get()(t, a)

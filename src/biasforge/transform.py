@@ -14,10 +14,10 @@ pattern holds and the transform is nondegenerate.  For k >= 1 the result
 always has a density: for one node a tail integral of B against the
 input law, and for more a table filled from the defining identity at the
 truncated power (s - t)_+^{m-1}, whose m-th derivative is the point mass at
-t.  Both read one cumulative table of the input law (``_TailTable``),
-built on first use from the converged panels of the adaptive panel rule,
-started from the 64 panels of every other panel integral, with all its
-weights (B, or B(x) (x - c)^j for j < m) one stack that evaluates B once.
+t.  Both read one cumulative table of the input law (``_TailTable``): its
+weights (B, or B(x) (x - c)^j for j < m), one stack that evaluates B once,
+ride the construction's own panel pass over the input law, the tilt's, and
+the table sums that pass's final panels on first use.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -45,18 +45,16 @@ from .distributions import (
     Distribution,
     RandomSource,
     TabulatedDensity,
-    _PANEL_DEPTH,
+    _TAIL_DEPTH,
     _Lazy,
     _gauss_legendre,
-    _knots,
     _moments,
-    _panels,
     _probe_points,
     _running_products,
-    _start_panels,
     _tilt,
     _table_of,
     _weight_ok,
+    _window_integral,
     _zero_normalizer,
     as_array_fn,
     expectation,
@@ -371,37 +369,29 @@ class _TailTable:
     value is a difference of near-equal sums.  ``weights`` is array-native:
     ``weights(x)`` gives the (J,) + shape stack as a fresh array, which the
     table multiplies by the density in place.  Point masses, sorted by
-    construction, are read through prefix and suffix sums.  A density, a
-    table's included, is integrated by ``_panels`` from the _PANEL_START
-    edges of its window (``_start_panels``, which widens it where a weight
-    times the density has not decayed), with ``_knots(X, knots)`` as break
-    points, and the sums run over the final panels: a read is one lookup
-    plus the 8-point Gauss-Legendre rule on part of one panel.  The slivers
-    a jump or a singularity leaves open are valued by ``_panels``' one
-    sliver policy; NonIntegrable when the panels do not suit a weight times
-    the density.  Mixtures without a density sum their components' tables
-    by weight."""
+    construction, are read through prefix and suffix sums.  For a density,
+    a table's included, ``panels`` are the final panels of the pass that
+    the weights times the density rode (``_tilt``'s, or ``_tail_pass``'s):
+    the table sums them, and a read is one lookup plus the 8-point
+    Gauss-Legendre rule on part of one panel; NonIntegrable when the panels
+    did not suit them (None).  Mixtures without a density sum their
+    components' tables by weight, ``panels`` a list by component."""
 
-    def __init__(self, X: Distribution, weights: Callable, rows: int, knots: Sequence[float]):
+    def __init__(self, X: Distribution, weights: Callable, rows: int, panels):
         self.weights, self.rows, self.parts = weights, rows, None
         if X.locs is not None:
             self.xs, self.dens = X.locs, None
             vals = weights(X.locs) * X.masses
         elif X.density is not None:
-            self.dens = as_array_fn(X.density)
-            edges = _start_panels(self._load, X.effective_support(), X.lo, X.hi,
-                                  _knots(X, knots))
-            # four rounds more than other integrals, log2(1024 / _PANEL_START):
-            # the slivers left open are as narrow as from 1024 start panels
-            out = _panels(self._load, edges, depth=_PANEL_DEPTH + 4)
-            if out is None:
+            if panels is None:
                 raise NonIntegrable("the panels do not suit a tail weight times the density")
-            lefts, vals = np.concatenate(out[1]), np.concatenate(out[2], axis=1)
+            self.dens = as_array_fn(X.density)
+            lefts, vals = np.concatenate(panels[0]), np.concatenate(panels[1], axis=1)
             order = np.argsort(lefts)
-            self.xs, vals = np.append(lefts[order], edges[-1]), vals[:, order]
+            self.xs, vals = np.append(lefts[order], panels[2]), vals[:, order]
         elif X.components is not None:
-            self.parts = [(w, _TailTable(c, weights, rows, knots))
-                          for c, w in zip(X.components, X.weights) if w > 0]
+            self.parts = [(w, _TailTable(c, weights, rows, p))
+                          for c, w, p in zip(X.components, X.weights, panels) if w > 0]
             self.total = sum(w * part.total for w, part in self.parts)
             return
         else:
@@ -436,8 +426,28 @@ class _TailTable:
         return out.reshape((self.rows,) + ts.shape)
 
 
+def _tail_pass(X: Distribution, weights: Callable, rows: int, points: Sequence[float]):
+    """The panels ``_TailTable`` reads of the ``rows`` stacked ``weights``
+    against X, from a pass of their own with ``points`` as break points: a
+    lift step's (``higher._step_law``)."""
+    if X.locs is None and X.density is not None:
+        dens = as_array_fn(X.density)
+        return _window_integral(lambda x: weights(x) * dens(x), X, points, rows,
+                                depth=_TAIL_DEPTH)[2]
+    if X.locs is None and X.components is not None:
+        return [_tail_pass(c, weights, rows, points) if w > 0 else None
+                for c, w in zip(X.components, X.weights)]
+    return None
+
+
+def _identity_loads(spec: SignChangeSpec, m: int, c: float) -> Callable:
+    """The rows B(x) (x - c)^j, j < m, of an identity table: one running
+    product, B evaluated once per call."""
+    return _running_products(as_array_fn(spec.bias), lambda x: x - c, m)
+
+
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
-                    c: float) -> TabulatedDensity:
+                    c: float, panels) -> TabulatedDensity:
     """Density of the order-m transform of X under ``spec`` (correction
     polynomial about ``c``) from the defining identity at the truncated
     power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
@@ -447,7 +457,8 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
 
     L and R are linear in the node values and derivatives at c of g_t, which
     are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
-    integrated: one panel table of X (``_TailTable``) read at every grid
+    needed: one panel table of X (``_TailTable``) summed from ``panels``,
+    the final panels of the pass those rows rode, and read at every grid
     point.  The grid spans the effective support of X, the nodes and c."""
     k = spec.k
     ys = np.asarray(spec.nodes, dtype=float) - c
@@ -458,9 +469,7 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
-    # row j holds B(x) (x - c)^j: B is evaluated once per call
-    tails = _TailTable(X, _running_products(as_array_fn(spec.bias), lambda x: x - c, m), m,
-                       spec.quad_points)
+    tails = _TailTable(X, _identity_loads(spec, m, c), m, panels)
 
     def values(ts):
         s = ts - c
@@ -480,9 +489,11 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
                                           knots=spec.quad_points + X.kinks + (c,))
 
 
-def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float):
-    """The identity table as a density built on first use, and its CDF."""
-    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c))
+def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
+                      panels: Callable):
+    """The identity table as a density built on first use from the panels
+    ``panels()`` gives, and its CDF."""
+    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c, panels()))
     return table, (lambda x: table.get().cdf(x))
 
 
@@ -503,10 +514,12 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     so B must be elementwise: those values give the verdict, the seed law
     (the tilt) and, on point masses, the normalizer as an atom sum, with
     the errors, values and bits of ``validate_spec``, ``alpha_of`` and
-    ``tilt`` run apart.  On a density the normalizer and the tilt's
-    normaliser are one stacked panel pass over X (``_tilt``); DegenerateAlpha
-    and NegativeAlpha are raised before ZeroNormalizer.  The probe's ends,
-    X's window, bound the law."""
+    ``tilt`` run apart.  On a density the normalizer, the tilt's normaliser
+    and the density's tail rows (B f, or B (x - x_1)^j f for j < k) are one
+    stacked panel pass over X (``_tilt``, which keeps the tilt's window):
+    the density's table sums its final panels, so no read integrates.
+    DegenerateAlpha and NegativeAlpha are raised before ZeroNormalizer.
+    The probe's ends, X's window, bound the law."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
@@ -514,13 +527,14 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     if not report.passed:
         raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
                             f"(value {report.worst_value:.3e})")
-    seed_law, _, mean = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe,
-                              w[:probe.size])
+    k = spec.k
+    loads = _identity_loads(spec, k, spec.nodes[0]) if k else None
+    seed_law, _, mean, panels = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe,
+                                      w[:probe.size], loads, k)
     alpha = _checked_alpha(mean / math.factorial(spec.k))
     if seed_law is None:
         raise _zero_normalizer(X)
     recipe = BiasRecipe(spec=spec, seed_law=seed_law)
-    k = spec.k
 
     if k == 0:
         return BiasedDistribution(seed_law, alpha, None, recipe)
@@ -540,12 +554,11 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
 
     if k == 1:
-        tails = _Lazy(lambda: _TailTable(X, _running_products(as_array_fn(spec.bias), None, 1),
-                                         1, spec.quad_points))
+        tails = _Lazy(lambda: _TailTable(X, loads, 1, panels))
         dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
         cdf = None
     else:
-        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0])
+        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], lambda: panels)
 
     law_kinks = tuple(sorted({*nodes, *spec.kinks,
                               *(kk for kk in X.kinks if lo <= kk <= hi)}))

@@ -61,9 +61,9 @@ def call_concurrently(fn, workers=4, timeout=120.0):
 
 @pytest.fixture
 def construction_calls(monkeypatch):
-    """Counts of the panel passes (``_panels`` calls, from ``distributions``
-    and from ``transform``'s tail tables) and of the ``expectation`` and
-    ``beta_of`` calls that ``higher`` and ``stein`` make."""
+    """Counts of the panel passes (``_panels`` calls, through every module
+    that binds the name) and of the ``expectation`` and ``beta_of`` calls
+    that ``higher`` and ``stein`` make."""
     import biasforge.distributions as distributions
     import biasforge.higher as higher
     import biasforge.stein as stein
@@ -78,8 +78,9 @@ def construction_calls(monkeypatch):
         return wrapper
 
     panels = counted("panels", distributions._panels)
-    for module in (distributions, transform):
-        monkeypatch.setattr(module, "_panels", panels)
+    for module in (distributions, transform, higher, stein):
+        if hasattr(module, "_panels"):
+            monkeypatch.setattr(module, "_panels", panels)
     expect = counted("expectation", distributions.expectation)
     for module in (higher, stein):
         monkeypatch.setattr(module, "expectation", expect)

@@ -309,6 +309,16 @@ def test_transform_command_runs_without_scipy():
     assert len(out.splitlines()) == 10
 
 
+def test_import_leaves_numpy_polynomial_out():
+    # the Gauss-Legendre rule's nodes and weights are literals: a fresh
+    # interpreter that imports the package does not load numpy.polynomial
+    code = "import sys, biasforge; sys.exit(3 * ('numpy.polynomial' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(bf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _experiment(**fields):
     exp = {"test_distribution": {"family": "normal", "params": {}},
            "operator": {"order": 1, "bias": "x", "nodes": [0]},

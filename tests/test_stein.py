@@ -181,9 +181,12 @@ def test_second_order_alpha_matches_operator_alpha(name):
 
 def test_second_order_construction_takes_three_panel_passes(construction_calls):
     # the B1 transform's tilt, the B0 tilt and its second moment about the
-    # node (the one expectation, made by the second-difference part)
-    bf.second_order_transform(bf.normal(), ones, bf.zero_bias_spec())
+    # node (the one expectation, made by the second-difference part); the
+    # density's loads ride the B0 tilt's pass, so its first read adds none
+    t = bf.second_order_transform(bf.normal(), ones, bf.zero_bias_spec())
     assert construction_calls == {"panels": 3, "expectation": 1, "beta_of": 0}
+    t.density(np.linspace(t.law.lo, t.law.hi, 257))
+    assert construction_calls["panels"] == 3
 
 
 # ---------------------------------------------------------------------------

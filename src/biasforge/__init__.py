@@ -61,7 +61,6 @@ from .transform import (
     density_k1,
     expectation,
     lift_density,
-    mixture_bias,
     plus_part,
     recipe_moments,
     sign_spec,

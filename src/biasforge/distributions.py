@@ -26,19 +26,22 @@ transform, is one array-native adaptive panel rule (``_panels``):
 halves and bisected, all panels of a round in one call of the integrand.
 A tabulated density is no exception: its grid points, where it kinks, are
 break points (``_knots``) like the law's kinks and the caller's points.
-Integrands stacked on a leading axis (the moments x^p f(x) of a density,
-a tilt's normaliser rows and the tail weights of a transform riding them)
-are plain functions x -> (J,) + shape of x; they share one window, widened
-for the slowest-decaying of them, and one panel pass, in which every
-integrand is held to its own tolerance; a tilt keeps the window of its own
-rows.  One sliver policy serves every caller: a panel still open after a
-fixed depth keeps its rule for each integrand whose error there is within
-the whole tolerance, and ``integrate_fn`` (scipy's adaptive quadrature)
-values it for the others, on that row of the stack (``_row``).
-``integrate_fn`` is also the independent oracle the panel rule is tested
-against; an expectation with a non-finite rule or too many open panels
-goes to it whole.  scipy is imported on first use only: by
-``integrate_fn`` and by the first normal or half-normal CDF.
+Every integrand is a stack on a leading axis, a plain function
+x -> (J,) + shape of x (an expectation is a one-row stack; the moments
+x^p f(x) of a density, a tilt's normaliser rows and the tail weights of a
+transform riding them are more); the rows share one window, widened for
+the slowest-decaying of them, and one panel pass, in which each is held
+to its own tolerance; a tilt keeps the window of its own rows.  The tail
+table (``_TailTable``) sums the final panels of such a pass, the
+construction's or one of its own.  One sliver policy serves every
+caller: a panel still open after a fixed depth keeps its rule for each
+row whose error there is within the whole tolerance, and ``integrate_fn``
+(scipy's adaptive quadrature) values it for the others, on that row of
+the stack (``_row``).  ``integrate_fn`` is also the independent oracle
+the panel rule is tested against; a stack with a non-finite rule or too
+many open panels goes to it whole, row by row.  scipy is imported on
+first use only: by ``integrate_fn`` and by the first normal or
+half-normal CDF.
 Normal-family draws use a numpy quantile (AS241).
 """
 
@@ -232,17 +235,17 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     the halves of every open panel whose rule is within its share (by width)
     of ABS_TOL + REL_TOL |I| of the rule on its halves, or within 64 ulp of
     their value, and bisects the rest.
-    ``fv`` may stack J integrands on a leading axis, each held to its own
-    tolerance.  The one sliver policy: a panel still open after ``depth``
-    rounds (a jump or a singularity; by then a 2^-depth sliver of its start
-    panel) keeps the rule on its halves for each integrand whose error
-    there is within the whole tolerance ABS_TOL + REL_TOL |I| (the slivers
-    of a jump), and ``integrate_fn`` values its halves for the
-    others (on ``_row(fv, j)`` for a stack).
-    Returns (integral, lefts, vals): the integral and, round by round, the
-    left edges and values of the final panels, which tile the window.  None
-    when a rule is not finite or more than _PANEL_OPEN_MAX panels are open
-    at once."""
+    ``fv`` stacks J integrands on a leading axis, (J,) + shape of x, each
+    held to its own tolerance.  The one sliver policy: a panel still open
+    after ``depth`` rounds (a jump or a singularity; by then a 2^-depth
+    sliver of its start panel) keeps the rule on its halves for each
+    integrand whose error there is within the whole tolerance
+    ABS_TOL + REL_TOL |I| (the slivers of a jump), and ``integrate_fn``
+    values its halves for the others, on ``_row(fv, j)``.
+    Returns (integrals, lefts, vals): the (J,) integrals and, round by
+    round, the left edges and (J, n) values of the final panels, which tile
+    the window.  None when a rule is not finite or more than
+    _PANEL_OPEN_MAX panels are open at once."""
     a, b = edges[:-1], edges[1:]
     n, whole = a.size, None
     width, done, lefts, vals = edges[-1] - edges[0], 0.0, [], []
@@ -272,12 +275,10 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
         done += vals[-1].sum(axis=-1)
         a, b = cuts[:2, open_].ravel(), cuts[1:, open_].ravel()  # left halves first
         whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
-    rules = whole.reshape(-1, a.size)  # the stuck panels, as a and b: left halves first
     far = (miss & (err > tol)).compress(open_, axis=-1)  # beyond the whole tolerance
-    for j, i in zip(*np.nonzero(np.tile(far, 2).reshape(rules.shape))):
-        rules[j, i] = integrate_fn(fv if whole.ndim == 1 else _row(fv, j), a[i], b[i])
-    total = done + np.array([sum(r) for r in rules]).reshape(np.shape(done))
-    return total, lefts + [a], vals + [rules.reshape(whole.shape)]
+    for j, i in zip(*np.nonzero(np.tile(far, 2))):  # the stuck panels: left halves first
+        whole[j, i] = integrate_fn(_row(fv, j), a[i], b[i])
+    return done + np.array([sum(r) for r in whole]), lefts + [a], vals + [whole]
 
 
 def _inside(points, lo: float, hi: float) -> np.ndarray:
@@ -402,28 +403,97 @@ def _knots(d: Distribution, points=()) -> np.ndarray:
                            () if table is None else table.xs))
 
 
-def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = (), rows: int = 0,
-                     head=None, depth: int = _PANEL_DEPTH):
-    """Integral of the array-native ``fv`` (a weight times the density of
-    ``d``) by ``_panels`` from ``_start_panels`` on the law's window and
-    support, with ``_knots(d, points)`` as break points; ``integrate_fn``
-    takes the whole window when the panels do not suit fv.  With ``rows`` >
-    0, fv stacks that many integrands on a leading axis: they share the
-    window and the panels, each panel held to every integrand's tolerance,
-    the fallback runs row by row (``_row``), and the integrals come back as
-    an array.  Returns (integral, the window of the first ``head`` rows,
-    the final panels: (left edges, values) round by round as ``_panels``
-    gives them and the right end; None when integrate_fn took the window)."""
+def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = (), head=None,
+                     depth: int = _PANEL_DEPTH):
+    """Integrals of the J integrands that ``fv`` stacks (each a weight times
+    the density of ``d``) by ``_panels`` from ``_start_panels`` on the law's
+    window and support, with ``_knots(d, points)`` as break points: they
+    share the window and the panels, each panel held to every integrand's
+    tolerance.  When the panels do not suit fv, ``integrate_fn`` takes the
+    whole window row by row (``_row``), J read from one call of fv.  Returns
+    ((J,) integrals, the window of the first ``head`` rows, the final panels:
+    (left edges, values) round by round as ``_panels`` gives them and the
+    right end; None when integrate_fn took the window)."""
     knots = _knots(d, points)
     edges, window = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots, head)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
     out = _panels(fv, edges, depth)
     if out is None:
-        if not rows:
-            return integrate_fn(fv, lo_e, hi_e, points=knots), window, None
+        with np.errstate(all="ignore"):
+            rows = len(fv(edges[:1]))
         return (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots)
                           for j in range(rows)]), window, None)
-    return (out[0] if rows else float(out[0])), window, (out[1], out[2], hi_e)
+    return out[0], window, (out[1], out[2], hi_e)
+
+
+class _TailTable:
+    """Cumulative integrals of a stack of J fixed weights w_j against the
+    law of X, read at any t as the one-node tail
+
+        E[w_j(X) (1{node <= t <= X} - 1{X < t < node})],
+
+    the upper tail from t >= node and minus the lower tail below it, so no
+    value is a difference of near-equal sums.  ``weights`` is array-native:
+    ``weights(x)`` gives the (J,) + shape stack as a fresh array, which the
+    table multiplies by the density in place.  Point masses, sorted by
+    construction, are read through prefix and suffix sums.  For a density,
+    a table's included, the table sums the final panels of a pass of the
+    weights times the density: ``panels``, those of the pass the weights
+    rode (``_tilt``'s), or else a pass of its own (``_window_integral`` to
+    _TAIL_DEPTH rounds, ``points`` its break points); NonIntegrable when the
+    panels do not suit them.  A read is one lookup plus the 8-point
+    Gauss-Legendre rule on part of one panel.  Mixtures without a density
+    sum their components' tables by weight, ``panels`` a list by component."""
+
+    def __init__(self, X: Distribution, weights: Callable, panels=None, points=()):
+        self.weights, self.parts = weights, None
+        if X.locs is not None:
+            self.xs, self.dens = X.locs, None
+            vals = weights(X.locs) * X.masses
+        elif X.density is not None:
+            self.dens = as_array_fn(X.density)
+            if panels is None:
+                panels = _window_integral(self._load, X, points, depth=_TAIL_DEPTH)[2]
+                if panels is None:
+                    raise NonIntegrable("the panels do not suit a tail weight times the density")
+            lefts, vals = np.concatenate(panels[0]), np.concatenate(panels[1], axis=1)
+            order = np.argsort(lefts)
+            self.xs, vals = np.append(lefts[order], panels[2]), vals[:, order]
+        elif X.components is not None:
+            self.parts = [(w, _TailTable(c, weights, p, points)) for c, w, p in
+                          zip(X.components, X.weights, panels or [None] * len(X.weights)) if w > 0]
+            self.total = sum(w * part.total for w, part in self.parts)
+            return
+        else:
+            raise InputError("tail integrals need point masses, a density or components")
+        zero = np.zeros((len(vals), 1))
+        self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
+        self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
+        self.total = self.suffix[:, 0]
+
+    def _load(self, x):
+        """The weights times the density, stacked (the product formed in the
+        stack)."""
+        out = self.weights(x)
+        return np.multiply(out, self.dens(x), out=out)
+
+    def __call__(self, t, node: float) -> np.ndarray:
+        """The one-node tail of every weight at each t: shape (J,) + shape of t."""
+        ts = np.asarray(t, dtype=float)
+        if self.parts is not None:
+            return sum(w * part(ts, node) for w, part in self.parts)
+        flat = ts.ravel()
+        up = flat >= node
+        if self.dens is None:
+            i = np.searchsorted(self.xs, flat, side="left")
+            out = np.where(up, self.suffix[:, i], -self.prefix[:, i])
+        else:
+            xs = self.xs
+            tc = np.clip(flat, xs[0], xs[-1])
+            i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
+            part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
+            out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
+        return out.reshape(out.shape[:1] + ts.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +1002,8 @@ def expectation(X: Distribution, fn: Callable, points: Sequence[float] = ()) -> 
     if X.locs is not None:  # einsum: no BLAS thread for a long sum
         return float(np.einsum("i,i->", X.masses, as_array_fn(fn)(X.locs)))
     if X.density is not None:
-        dens = X.density  # as_array_fn makes the product array-safe
-        return _window_integral(as_array_fn(lambda x: dens(x) * fn(x)), X, points)[0]
+        g = as_array_fn(lambda x: X.density(x) * fn(x))  # array-safe, as a one-row stack
+        return float(_window_integral(lambda x: g(x)[None], X, points)[0][0])
     if X.components is not None:
         return float(sum(w * expectation(c, fn, points)
                          for c, w in zip(X.components, X.weights)))
@@ -980,7 +1050,7 @@ def _moments(d: Distribution, top: int) -> np.ndarray:
     dens = as_array_fn(d.density)
     # row p - 1 holds x^p f(x)
     powers = _running_products(dens, lambda x: x, top, start=1)
-    return np.concatenate(([1.0], _window_integral(powers, d, rows=top)[0]))
+    return np.concatenate(([1.0], _window_integral(powers, d)[0]))
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -1084,8 +1154,7 @@ def _zero_normalizer(d: Distribution) -> ZeroNormalizer:
 
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
-          wx: np.ndarray, loads: Optional[Callable] = None, rows: int = 0,
-          points: Sequence[float] = ()):
+          wx: np.ndarray, loads: Optional[Callable] = None, points: Sequence[float] = ()):
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
     ``_probe_points`` ``probe`` of ``d``; a mixture without a density hands
     each component its slice of both and weighs the tilted components by
@@ -1096,12 +1165,12 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     A density, a table's included, gives z and the mean in one stacked
     panel pass from its window, and the tilt keeps the window its own rows
     widened to: its inverse-CDF table spans it, built on first draw or
-    first CDF read, and gives the law's CDF.  The ``rows`` tail rows
-    loads(x) f(x) (``loads`` array-native, a fresh stack) ride that pass,
-    ``points`` their break points, widen its panels only and make it bisect
-    _TAIL_DEPTH rounds; its final panels (``_window_integral``'s) are
-    ``transform._TailTable``'s: None on point masses or without loads, a
-    list by component for a mixture."""
+    first CDF read, and gives the law's CDF.  The tail rows loads(x) f(x)
+    (``loads`` array-native, a fresh stack) ride that pass, ``points`` their
+    break points, widen its panels only and make it bisect _TAIL_DEPTH
+    rounds; the panels returned are its final panels, those of the tail
+    rows, for ``_TailTable``: None on point masses, without loads or when
+    integrate_fn took the pass, a list by component for a mixture."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1121,8 +1190,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         # the components' windows are known: the mixture's probe found them
         cuts = np.cumsum([0, *(_probe_points(c).size for c in d.components)])
         for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
-            tc, zc, mc, pc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b], loads, rows,
-                                   points)
+            tc, zc, mc, pc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b], loads, points)
             parts.append((tc, zc if tc is not None else 0.0, mc, pc))
         mean = float(sum(wt * mc for wt, (_, _, mc, _) in zip(d.weights, parts)))
         total = sum(wt * zc for wt, (_, zc, _, _) in zip(d.weights, parts))
@@ -1136,17 +1204,18 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
 
     def stack(x):  # [w f, max(w, 0) f, loads f]: w, f and the loads evaluated once
         f, w = base(x), wv(x)
-        out = np.empty((2 + rows,) + np.shape(x))
+        tail = () if loads is None else loads(x)
+        out = np.empty((2 + len(tail),) + np.shape(x))
         np.multiply(w, f, out=out[0])
         np.multiply(np.maximum(w, 0.0), f, out=out[1])
-        if rows:
-            np.multiply(loads(x), f, out=out[2:])
+        if len(tail):
+            np.multiply(tail, f, out=out[2:])
         return out
 
-    (mean, z, *_), window, out = _window_integral(stack, d, (*weight_kinks, *points), 2 + rows,
-                                                  2, _TAIL_DEPTH if rows else _PANEL_DEPTH)
+    (mean, z, *_), window, out = _window_integral(stack, d, (*weight_kinks, *points), 2,
+                                                  _PANEL_DEPTH if loads is None else _TAIL_DEPTH)
     mean, z = float(mean), float(z)
-    panels = (out[0], [v[2:] for v in out[1]], out[2]) if rows and out else None
+    panels = None if loads is None or out is None else (out[0], [v[2:] for v in out[1]], out[2])
     if z <= ZERO_NORMALIZER_TOL:
         return None, z, mean, panels
 

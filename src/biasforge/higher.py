@@ -46,8 +46,6 @@ from .transform import (
     BiasRecipe,
     SignChangeSpec,
     _identity_density,
-    _identity_loads,
-    _tail_pass,
     bias,
     recipe_moments,
     shift_moments,
@@ -108,8 +106,8 @@ def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
     ``prev`` by (x - c)^2, then shrink by a Beta(1, 2) draw 1 - sqrt(U)).
     The tilt is made on first draw; ``fields`` are the law's support,
     kinks and label.  The table's rows take a pass of their own on first
-    read (``_tail_pass``): ``bias`` does not know m, and rows of degree
-    m - 1 > k would widen its tilt's panels."""
+    read: ``bias`` does not know m, and rows of degree m - 1 > k would
+    widen its tilt's panels."""
     seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2,
                               weight_kinks=(c,)))
 
@@ -123,8 +121,7 @@ def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
         y += c
         return y
 
-    dens, cdf = _identity_density(X, spec, m, beta, c, lambda: _tail_pass(
-        X, _identity_loads(spec, m, c), m, spec.quad_points))
+    dens, cdf = _identity_density(X, spec, m, beta, c)
     return Distribution(density=dens, cdf=cdf, sampler=draw, **fields)
 
 

@@ -35,6 +35,7 @@ from .distributions import (
     Distribution,
     RandomSource,
     _Lazy,
+    _TailTable,
     _probe_points,
     _check_draws,
     _mean_se,
@@ -49,7 +50,6 @@ from .transform import (
     BiasedDistribution,
     MixtureRecipe,
     SignChangeSpec,
-    _TailTable,
     _one_node_density,
     _validation_report,
     alpha_of,
@@ -116,7 +116,8 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     difference's (0 if either is degenerate), alpha_2 the one-node alpha.
     The density's tail table, of the loads [B1 + B0 (x - a), B0], sums the
     final panels of the B0 tilt's pass, which the loads ride (with the B1
-    node and kinks as break points): no read integrates."""
+    node and kinks as break points): no read integrates.  It takes a pass
+    of its own only when integrate_fn took the tilt's."""
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
@@ -133,7 +134,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         b0 = b0_of(x)
         return np.stack((b1_of(x) + b0 * (x - a), b0))
 
-    tilted, z0, _, panels = _tilt(X, b0_of, B0_kinks, probe, b0x, loads, 2, B1.quad_points)
+    tilted, z0, _, panels = _tilt(X, b0_of, B0_kinks, probe, b0x, loads, B1.quad_points)
     normalized = []  # (part, alpha_1 or alpha_2) of each nondegenerate part
     if tilted is not None:
         with contextlib.suppress(DegenerateAlpha):
@@ -148,7 +149,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     parts, weights = zip(*((p, n / alpha) for p, n in normalized if n > ALPHA_TOL))
 
     law = make_mixture([p.law for p in parts], weights)
-    tails = _Lazy(lambda: _TailTable(X, loads, 2, panels))
+    tails = _Lazy(lambda: _TailTable(X, loads, panels, (*B0_kinks, *B1.quad_points)))
 
     def density(t):
         upper, flat = tails.get()(t, a)

@@ -14,10 +14,11 @@ pattern holds and the transform is nondegenerate.  For k >= 1 the result
 always has a density: for one node a tail integral of B against the
 input law, and for more a table filled from the defining identity at the
 truncated power (s - t)_+^{m-1}, whose m-th derivative is the point mass at
-t.  Both read one cumulative table of the input law (``_TailTable``): its
-weights (B, or B(x) (x - c)^j for j < m), one stack that evaluates B once,
-ride the construction's own panel pass over the input law, the tilt's, and
-the table sums that pass's final panels on first use.
+t.  Both read one cumulative table of the input law
+(``distributions._TailTable``): its weights (B, or B(x) (x - c)^j for
+j < m), one stack that evaluates B once, ride the construction's own panel
+pass over the input law, the tilt's, and the table sums that pass's final
+panels on first use (a lift's step tables take a pass of their own).
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -37,7 +38,6 @@ from .errors import (
     DegenerateAlpha,
     InputError,
     NegativeAlpha,
-    NonIntegrable,
     SignViolation,
 )
 from .distributions import (
@@ -45,21 +45,18 @@ from .distributions import (
     Distribution,
     RandomSource,
     TabulatedDensity,
-    _TAIL_DEPTH,
     _Lazy,
-    _gauss_legendre,
+    _TailTable,
     _moments,
     _probe_points,
     _running_products,
     _tilt,
     _table_of,
     _weight_ok,
-    _window_integral,
     _zero_normalizer,
     as_array_fn,
     expectation,
     integrate_fn,
-    make_mixture,
     sample,
 )
 from .polynomials import NodeSet, correction_poly, lagrange_poly
@@ -359,87 +356,6 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
                                 0.0, 1.0, points=[u for u in edges if 0.0 < u < 1.0])
 
 
-class _TailTable:
-    """Cumulative integrals of a stack of J fixed weights w_j against the
-    law of X, read at any t as the one-node tail
-
-        E[w_j(X) (1{node <= t <= X} - 1{X < t < node})],
-
-    the upper tail from t >= node and minus the lower tail below it, so no
-    value is a difference of near-equal sums.  ``weights`` is array-native:
-    ``weights(x)`` gives the (J,) + shape stack as a fresh array, which the
-    table multiplies by the density in place.  Point masses, sorted by
-    construction, are read through prefix and suffix sums.  For a density,
-    a table's included, ``panels`` are the final panels of the pass that
-    the weights times the density rode (``_tilt``'s, or ``_tail_pass``'s):
-    the table sums them, and a read is one lookup plus the 8-point
-    Gauss-Legendre rule on part of one panel; NonIntegrable when the panels
-    did not suit them (None).  Mixtures without a density sum their
-    components' tables by weight, ``panels`` a list by component."""
-
-    def __init__(self, X: Distribution, weights: Callable, rows: int, panels):
-        self.weights, self.rows, self.parts = weights, rows, None
-        if X.locs is not None:
-            self.xs, self.dens = X.locs, None
-            vals = weights(X.locs) * X.masses
-        elif X.density is not None:
-            if panels is None:
-                raise NonIntegrable("the panels do not suit a tail weight times the density")
-            self.dens = as_array_fn(X.density)
-            lefts, vals = np.concatenate(panels[0]), np.concatenate(panels[1], axis=1)
-            order = np.argsort(lefts)
-            self.xs, vals = np.append(lefts[order], panels[2]), vals[:, order]
-        elif X.components is not None:
-            self.parts = [(w, _TailTable(c, weights, rows, p))
-                          for c, w, p in zip(X.components, X.weights, panels) if w > 0]
-            self.total = sum(w * part.total for w, part in self.parts)
-            return
-        else:
-            raise InputError("tail integrals need point masses, a density or components")
-        zero = np.zeros((rows, 1))
-        self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
-        self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
-        self.total = self.suffix[:, 0]
-
-    def _load(self, x):
-        """The weights times the density, stacked (the product formed in the
-        stack)."""
-        out = self.weights(x)
-        return np.multiply(out, self.dens(x), out=out)
-
-    def __call__(self, t, node: float) -> np.ndarray:
-        """The one-node tail of every weight at each t: shape (J,) + shape of t."""
-        ts = np.asarray(t, dtype=float)
-        if self.parts is not None:
-            return sum(w * part(ts, node) for w, part in self.parts)
-        flat = ts.ravel()
-        up = flat >= node
-        if self.dens is None:
-            i = np.searchsorted(self.xs, flat, side="left")
-            out = np.where(up, self.suffix[:, i], -self.prefix[:, i])
-        else:
-            xs = self.xs
-            tc = np.clip(flat, xs[0], xs[-1])
-            i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
-            part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
-            out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
-        return out.reshape((self.rows,) + ts.shape)
-
-
-def _tail_pass(X: Distribution, weights: Callable, rows: int, points: Sequence[float]):
-    """The panels ``_TailTable`` reads of the ``rows`` stacked ``weights``
-    against X, from a pass of their own with ``points`` as break points: a
-    lift step's (``higher._step_law``)."""
-    if X.locs is None and X.density is not None:
-        dens = as_array_fn(X.density)
-        return _window_integral(lambda x: weights(x) * dens(x), X, points, rows,
-                                depth=_TAIL_DEPTH)[2]
-    if X.locs is None and X.components is not None:
-        return [_tail_pass(c, weights, rows, points) if w > 0 else None
-                for c, w in zip(X.components, X.weights)]
-    return None
-
-
 def _identity_loads(spec: SignChangeSpec, m: int, c: float) -> Callable:
     """The rows B(x) (x - c)^j, j < m, of an identity table: one running
     product, B evaluated once per call."""
@@ -447,7 +363,7 @@ def _identity_loads(spec: SignChangeSpec, m: int, c: float) -> Callable:
 
 
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
-                    c: float, panels) -> TabulatedDensity:
+                    c: float, panels=None) -> TabulatedDensity:
     """Density of the order-m transform of X under ``spec`` (correction
     polynomial about ``c``) from the defining identity at the truncated
     power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
@@ -457,9 +373,10 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
 
     L and R are linear in the node values and derivatives at c of g_t, which
     are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
-    needed: one panel table of X (``_TailTable``) summed from ``panels``,
-    the final panels of the pass those rows rode, and read at every grid
-    point.  The grid spans the effective support of X, the nodes and c."""
+    needed: one panel table of X (``_TailTable``), summed from ``panels``,
+    the final panels of the pass those rows rode, or from a pass of its own
+    without them, and read at every grid point.  The grid spans the
+    effective support of X, the nodes and c."""
     k = spec.k
     ys = np.asarray(spec.nodes, dtype=float) - c
 
@@ -469,7 +386,7 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
-    tails = _TailTable(X, _identity_loads(spec, m, c), m, panels)
+    tails = _TailTable(X, _identity_loads(spec, m, c), panels, spec.quad_points)
 
     def values(ts):
         s = ts - c
@@ -490,10 +407,10 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
 
 
 def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
-                      panels: Callable):
-    """The identity table as a density built on first use from the panels
-    ``panels()`` gives, and its CDF."""
-    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c, panels()))
+                      panels=None):
+    """The identity table as a density built on first use (from ``panels``,
+    or a pass of its own then), and its CDF."""
+    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c, panels))
     return table, (lambda x: table.get().cdf(x))
 
 
@@ -530,7 +447,7 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     k = spec.k
     loads = _identity_loads(spec, k, spec.nodes[0]) if k else None
     seed_law, _, mean, panels = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe,
-                                      w[:probe.size], loads, k)
+                                      w[:probe.size], loads)
     alpha = _checked_alpha(mean / math.factorial(spec.k))
     if seed_law is None:
         raise _zero_normalizer(X)
@@ -554,11 +471,11 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
 
     if k == 1:
-        tails = _Lazy(lambda: _TailTable(X, loads, 1, panels))
+        tails = _Lazy(lambda: _TailTable(X, loads, panels, spec.quad_points))
         dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
         cdf = None
     else:
-        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], lambda: panels)
+        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], panels)
 
     law_kinks = tuple(sorted({*nodes, *spec.kinks,
                               *(kk for kk in X.kinks if lo <= kk <= hi)}))
@@ -566,31 +483,3 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
                        sampler=draw, kinks=law_kinks,
                        label=f"bias({X.label or 'X'}; k={k})")
     return BiasedDistribution(law, alpha, None, recipe)
-
-
-def mixture_bias(components: Sequence[Distribution], gamma: Sequence[float],
-                 spec: SignChangeSpec) -> BiasedDistribution:
-    """Transform of a mixture: per-component transforms reweighted by
-    alpha_s * gamma_s / alpha.  Components with vanishing normalizer are
-    allowed and receive zero weight; components with gamma_s = 0 are not
-    transformed.  SignViolation when the spec fails on a component."""
-    comps = list(components)
-    gs = np.asarray(list(gamma), dtype=float)
-    if len(comps) != gs.size or len(comps) == 0:
-        raise InputError("components and gamma must have equal, positive length")
-    if np.any(gs < 0) or abs(gs.sum() - 1.0) > 1e-12:
-        raise InputError("gamma must be a probability vector")
-
-    parts = {}
-    for s in np.flatnonzero(gs > 0.0):
-        try:
-            parts[s] = bias(comps[s], spec)
-        except DegenerateAlpha:
-            pass
-    alphas = [parts[s].alpha if s in parts else 0.0 for s in range(gs.size)]
-    total = float(np.dot(alphas, gs))
-    if total <= ALPHA_TOL:
-        raise DegenerateAlpha("every component has a vanishing normalizer")
-    weights = tuple(alphas[s] * gs[s] / total for s in parts)
-    law = make_mixture([p.law for p in parts.values()], weights)
-    return BiasedDistribution(law, total, None, MixtureRecipe(tuple(parts.values()), weights))

@@ -225,15 +225,16 @@ def bias_in_three_passes(X, spec):
 # ---------------------------------------------------------------------------
 
 class PerWeightTailTable:
-    """``transform._TailTable`` as it was built from a list of weight
+    """``distributions._TailTable`` as it was built from a list of weight
     callables, each evaluated on its own in every call of the panel rule,
     and from a 1025-point linspace of the effective support, whose first
     round rules the halves of every panel at the 2049-point spacing.  It
-    takes the same arguments as the stacked table; weight j is row j of
-    the stack, ``weights(x)[j]``, and the rows are stacked again for
-    ``_panels``, whose fallbacks integrate one row of that stack."""
+    takes the law and the weight stack of the stacked table; weight j is
+    row j of the stack, ``weights(x)[j]``, and the rows are stacked again
+    for ``_panels``, whose fallbacks integrate one row of that stack."""
 
-    def __init__(self, X, weights, rows, knots):
+    def __init__(self, X, weights, knots=()):
+        rows = len(weights(np.zeros(1)))
         self.weights = [lambda x, j=j: weights(x)[j] for j in range(rows)]
         self.parts = None
         if X.locs is not None:
@@ -251,7 +252,7 @@ class PerWeightTailTable:
             order = np.argsort(lefts)
             self.xs, vals = np.append(lefts[order], hi), vals[:, order]
         elif X.components is not None:
-            self.parts = [(w, PerWeightTailTable(c, weights, rows, knots))
+            self.parts = [(w, PerWeightTailTable(c, weights, knots))
                           for c, w in zip(X.components, X.weights) if w > 0]
             self.total = sum(w * part.total for w, part in self.parts)
             return

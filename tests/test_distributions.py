@@ -233,8 +233,10 @@ def fallbacks(monkeypatch):
 
 
 def _panel_integral(f):
-    """The panel integral of ``f`` on the window [-1, 1] of a law on [-1, 1]."""
-    return D._window_integral(D.as_array_fn(f), bf.uniform(-1.0, 1.0))[0]
+    """The panel integral of ``f`` on the window [-1, 1] of a law on [-1, 1],
+    as a one-row stack."""
+    fv = D.as_array_fn(f)
+    return D._window_integral(lambda x: fv(x)[None], bf.uniform(-1.0, 1.0))[0][0]
 
 
 @pytest.mark.parametrize("d", [bf.normal(0.5, 1.5), bf.exponential(1.5)], ids=["normal", "exp"])
@@ -306,6 +308,20 @@ def test_panel_integral_non_finite_integrand_goes_whole_to_integrate_fn(law, fal
     with np.errstate(invalid="ignore"):
         assert math.isnan(bf.expectation(law(), np.sqrt))
     assert fallbacks == [(-1.0, 1.0)]
+
+
+def test_stack_with_a_non_finite_rule_goes_whole_to_integrate_fn_row_by_row(fallbacks):
+    # sqrt, the last of three rows, is NaN on the negative half: the window
+    # goes to the oracle for every row of the stack, its row count read from
+    # the stack, and each row's value is that of integrate_fn on that row
+    rows = (np.exp, lambda x: x * x, np.sqrt)
+    with np.errstate(invalid="ignore"):
+        got, _, panels = D._window_integral(lambda x: np.stack([f(x) for f in rows]),
+                                            bf.uniform(-1.0, 1.0))
+        want = [bf.integrate_fn(f, -1.0, 1.0) for f in rows]
+    assert panels is None and fallbacks == [(-1.0, 1.0)] * 3
+    assert got.shape == (3,) and math.isnan(got[2])
+    assert got[:2].tolist() == want[:2]
 
 
 def test_panel_integral_caps_open_panels(fallbacks):
@@ -468,7 +484,7 @@ def test_tail_rows_widen_the_panels_but_not_the_tilt_window():
     wx = ones(probe)
     plain, z, mean, none = D._tilt(X, ones, (), probe, wx)
     loads = lambda x: np.stack((np.asarray(x, float) ** 2, ones(x)))
-    law, z2, mean2, panels = D._tilt(X, ones, (), probe, wx, loads, 2, (0.0,))
+    law, z2, mean2, panels = D._tilt(X, ones, (), probe, wx, loads, (0.0,))
     assert none is None
     assert law.effective_support() == plain.effective_support() == X.effective_support()
     assert (z2, mean2) == pytest.approx((z, mean), rel=1e-15) and law.kinks == plain.kinks
@@ -1378,8 +1394,8 @@ _LIBRARY_LAWS = {
     "higher_order_transform": lambda: bf.higher_order_transform(
         bf.uniform(-1, 1),
         bf.SteinOperator(order=2, coeffs=(bf.unit_bias_spec(), bf.zero_bias_spec()))),
-    "mixture_bias": lambda: bf.mixture_bias(
-        [bf.uniform(-1, 1), bf.normal()], [0.5, 0.5], bf.zero_bias_spec()),
+    "bias of a mixture": lambda: bf.bias(
+        bf.make_mixture([bf.uniform(-1, 1), bf.normal()], [0.5, 0.5]), bf.zero_bias_spec()),
     "json family": lambda: bf.dist_from_json({"family": "normal", "params": {"std": 2}}),
     "json atoms": lambda: bf.dist_from_json({"atoms": [[0, 0.5], [2, 0.5]]}),
     "json empirical": lambda: bf.dist_from_json({"empirical": [0.5, 1.5, 1.5]}),

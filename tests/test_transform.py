@@ -560,61 +560,24 @@ def test_zero_mean_bias_makes_node_choice_irrelevant(uniform_sym):
 # mixtures of transforms
 # ---------------------------------------------------------------------------
 
-def test_mixture_bias_single_component(uniform_sym):
-    spec = x_plus_spec(0.0)
-    direct = bf.bias(uniform_sym, spec)
-    mixed = bf.mixture_bias([uniform_sym], [1.0], spec)
-    assert mixed.alpha == pytest.approx(direct.alpha, rel=1e-12)
-    ts = np.linspace(-0.5, 1.0, 31)
-    assert np.allclose(mixed.density(ts), direct.density(ts), atol=1e-9)
-
-
-def test_mixture_bias_weights():
-    spec = bf.zero_bias_spec()
-    mixed = bf.mixture_bias([bf.uniform(0, 1), bf.uniform(1, 2)], [0.5, 0.5], spec)
-    assert mixed.alpha == pytest.approx(0.5 * (1 / 3) + 0.5 * (7 / 3), rel=1e-10)
-    assert mixed.recipe.weights[0] == pytest.approx(1 / 8, rel=1e-9)
-    assert mixed.recipe.weights[1] == pytest.approx(7 / 8, rel=1e-9)
-    # equal per-component normalizers give uniform index weights
-    even = bf.mixture_bias([bf.uniform(-1, 1), bf.uniform(-1, 1)], [0.5, 0.5], spec)
-    assert even.recipe.weights == pytest.approx((0.5, 0.5))
-
-
-def test_mixture_bias_equals_bias_of_mixture():
-    spec = bf.zero_bias_spec()
-    comps = [bf.uniform(0, 1), bf.uniform(1, 2)]
-    via_parts = bf.mixture_bias(comps, [0.5, 0.5], spec)
-    via_mixture = bf.bias(bf.make_mixture(comps, [0.5, 0.5]), spec)
-    assert via_parts.alpha == pytest.approx(via_mixture.alpha, rel=1e-10)
-    ts = np.linspace(0.05, 1.95, 41)
-    assert np.max(np.abs(np.asarray(via_parts.density(ts))
-                         - np.asarray(via_mixture.density(ts)))) <= 1e-8
-
-
-def test_mixture_bias_allows_zero_alpha_components():
-    spec = bf.zero_bias_spec()
-    dead = bf.dirac(0.0)  # zero normalizer under the zero-node weight
-    mixed = bf.mixture_bias([dead, bf.uniform(0, 1)], [0.5, 0.5], spec)
-    assert mixed.recipe.weights == (1.0,)
+def test_bias_of_a_mixture_mixes_the_component_transforms():
+    # alpha is the gamma-weighted sum of the components' alphas and the
+    # density the alpha-weighted mixture of their transforms' densities;
+    # dirac(0), whose alpha under the zero-bias weight is 0, drops out
+    spec, gamma = bf.zero_bias_spec(), [0.3, 0.5, 0.2]
+    comps = [bf.uniform(0, 1), bf.uniform(1, 2), bf.dirac(0.0)]
     with pytest.raises(bf.DegenerateAlpha):
-        bf.mixture_bias([dead], [1.0], spec)
-
-
-def test_mixture_bias_computes_each_alpha_once(monkeypatch):
-    # one normalizer per component with positive gamma, from the pass that
-    # also tilts it; none for gamma = 0
-    calls = []
-    tilt_pass = transform._tilt
-
-    def counted(X, *args):
-        calls.append(X)
-        return tilt_pass(X, *args)
-
-    monkeypatch.setattr(transform, "_tilt", counted)
-    comps = [bf.uniform(0, 1), bf.uniform(1, 2), bf.uniform(2, 3)]
-    mixed = bf.mixture_bias(comps, [0.5, 0.5, 0.0], bf.zero_bias_spec())
-    assert calls == comps[:2]
-    assert mixed.recipe.weights == pytest.approx((1 / 8, 7 / 8), rel=1e-9)
+        bf.bias(comps[2], spec)
+    parts = [bf.bias(c, spec) for c in comps[:2]]
+    mixed = bf.bias(bf.make_mixture(comps, gamma), spec)
+    alpha = sum(g * p.alpha for g, p in zip(gamma, parts))
+    assert mixed.alpha == pytest.approx(alpha, rel=1e-12)
+    assert mixed.alpha == pytest.approx(0.3 * (1 / 3) + 0.5 * (7 / 3), rel=1e-10)
+    weights = [g * p.alpha / alpha for g, p in zip(gamma, parts)]
+    assert mixed.recipe.seed_law.weights == pytest.approx(weights, rel=1e-12)
+    ts = np.linspace(-0.5, 2.5, 61)
+    ref = sum(w * p.density(ts) for w, p in zip(weights, parts))
+    np.testing.assert_allclose(mixed.density(ts), ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +739,34 @@ def _stack(*weights):
 def test_tail_table_refuses_a_weight_that_is_not_finite(weight):
     with np.errstate(invalid="ignore"), pytest.raises(bf.NonIntegrable):
         X, weights = bf.uniform(-1, 1), _stack(lambda x: np.ones_like(x), weight)
-        transform._TailTable(X, weights, 2, transform._tail_pass(X, weights, 2, ()))
+        D._TailTable(X, weights)
+
+
+def test_a_table_whose_construction_pass_fell_back_takes_a_pass_of_its_own(monkeypatch):
+    # integrate_fn took the construction's pass whole, so it kept no panels:
+    # the one-node table takes a pass of its own on first read, to the same
+    # depth and tolerances, and raises only when that pass fails as well
+    X, spec = bf.normal(), bf.zero_bias_spec()
+    ts = np.linspace(-3.0, 3.0, 13)
+    riding = bf.bias(X, spec).density(ts)
+    panels, depths = D._panels, []
+
+    def first_pass_fails(fv, edges, depth=D._PANEL_DEPTH):
+        depths.append(depth)
+        return None if len(depths) == 1 else panels(fv, edges, depth)
+
+    monkeypatch.setattr(D, "_panels", first_pass_fails)
+    t = bf.bias(X, spec)
+    assert depths == [D._TAIL_DEPTH]
+    got = t.density(ts)
+    assert depths == [D._TAIL_DEPTH, D._TAIL_DEPTH]
+    np.testing.assert_allclose(got, riding, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got, np.exp(-ts ** 2 / 2) / math.sqrt(2 * math.pi),
+                               rtol=0, atol=1e-9)
+    monkeypatch.setattr(D, "_panels", lambda *args, **kwargs: None)
+    t = bf.bias(X, spec)
+    with pytest.raises(bf.NonIntegrable):
+        t.density(0.5)
 
 
 def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypatch):
@@ -786,7 +776,7 @@ def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypa
     oracle = D.integrate_fn
     monkeypatch.setattr(D, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
     X, weights = bf.uniform(-1, 1), _stack(lambda x: 1 + np.abs(np.asarray(x, float) - 0.3) ** -0.5)
-    tails = transform._TailTable(X, weights, 1, transform._tail_pass(X, weights, 1, ()))
+    tails = D._TailTable(X, weights)
     assert calls and all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 for _, a, b in calls)
     ts = np.array([-0.5, 0.0, 0.25, 0.29])
     exact = 0.5 * ((1 - ts) + 2 * np.sqrt(0.3 - ts) + 2 * np.sqrt(0.7))  # E[w(X) 1{X >= t}]
@@ -809,10 +799,10 @@ def test_tail_table_and_window_integral_share_the_sliver_policy(monkeypatch):
         return oracle(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(D, "integrate_fn", counted)
-    tails = transform._TailTable(X, weights, 2, transform._tail_pass(X, weights, 2, ()))
+    tails = D._TailTable(X, weights)
     table_calls = calls[:]
     calls.clear()
-    got = D._window_integral(tails._load, X, rows=2)[0]
+    got = D._window_integral(tails._load, X)[0]
     assert table_calls == calls == []
     slivers = np.diff(tails.xs) < 1e-9  # the jump's, left open after the last round
     assert slivers.any() and np.all(np.abs(tails.xs[:-1][slivers] - 0.3) < 1e-6)
@@ -849,8 +839,8 @@ def test_identity_tables_match_the_per_weight_tables(monkeypatch, case):
     got = law.density(ts)
     built = []
     monkeypatch.setattr(transform, "_TailTable",
-                        lambda X, weights, rows, panels: built.append(1)
-                        or PerWeightTailTable(X, weights, rows, ()))
+                        lambda X, weights, panels=None, points=(): built.append(1)
+                        or PerWeightTailTable(X, weights, ()))
     ref = IDENTITY_CASES[case]().law.density(ts)
     assert built
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -877,10 +867,8 @@ def test_identity_table_evaluates_the_bias_once_per_panel_call(monkeypatch, node
         return rule(fv, a, b)
 
     monkeypatch.setattr(D, "_gauss_legendre", counting)
-    monkeypatch.setattr(transform, "_gauss_legendre", counting)
     calls.clear()
-    loads = transform._identity_loads(spec, m, 0.0)
-    transform._identity_table(X, spec, m, beta, 0.0, transform._tail_pass(X, loads, m, ()))
+    transform._identity_table(X, spec, m, beta, 0.0)
     assert rules and len(calls) == len(rules) + 1
 
 

@@ -28,13 +28,13 @@ A tabulated density is no exception: its grid points, where it kinks, are
 break points (``_knots``) like the law's kinks and the caller's points.
 Every integrand is a stack on a leading axis, a plain function
 x -> (J,) + shape of x (an expectation is a one-row stack; the moments
-x^p f(x) of a density, a tilt's normaliser rows and the tail weights of a
-transform riding them are more); the rows share one window, widened for
-the slowest-decaying of them, and one panel pass, in which each is held
-to its own tolerance; a tilt keeps the window of its own rows.  The tail
-table (``_TailTable``) sums the final panels of such a pass, the
-construction's or one of its own.  One sliver policy serves every
-caller: a panel still open after a fixed depth keeps its rule for each
+x^p f(x) of a density, a tilt's normaliser rows and the tail and seed
+moment rows of a transform riding them are more); the rows share one
+window, widened for the slowest-decaying of them, and one panel pass, in
+which each is held to its own tolerance; a tilt keeps the window of its
+own rows.  The tail table (``_TailTable``) sums the final panels of such
+a pass, the construction's or one of its own.  One sliver policy serves
+every caller: a panel still open after a fixed depth keeps its rule for each
 row whose error there is within the whole tolerance, and ``integrate_fn``
 (scipy's adaptive quadrature) values it for the others, on that row of
 the stack (``_row``).  ``integrate_fn`` is also the independent oracle
@@ -404,26 +404,37 @@ def _knots(d: Distribution, points=()) -> np.ndarray:
 
 
 def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = (), head=None,
-                     depth: int = _PANEL_DEPTH):
+                     depth: int = _PANEL_DEPTH, spare: int = 0):
     """Integrals of the J integrands that ``fv`` stacks (each a weight times
     the density of ``d``) by ``_panels`` from ``_start_panels`` on the law's
     window and support, with ``_knots(d, points)`` as break points: they
     share the window and the panels, each panel held to every integrand's
     tolerance.  When the panels do not suit fv, ``integrate_fn`` takes the
-    whole window row by row (``_row``), J read from one call of fv.  Returns
-    ((J,) integrals, the window of the first ``head`` rows, the final panels:
+    whole window row by row (``_row``), J read from one call of fv.  The
+    last ``spare`` rows ride the panels only: they drop out, all of them,
+    where one has not decayed by the end of the ladder (``_reach`` raises)
+    or integrate_fn takes the window, and read NaN.  Returns ((J,)
+    integrals, the window of the first ``head`` rows, the final panels:
     (left edges, values) round by round as ``_panels`` gives them and the
     right end; None when integrate_fn took the window)."""
-    knots = _knots(d, points)
-    edges, window = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots, head)
+    knots, window, full, drop = _knots(d, points), d.effective_support(), fv, 0
+    try:
+        edges, window = _start_panels(fv, window, d.lo, d.hi, knots, head)
+    except NonIntegrable:
+        if not spare:
+            raise
+        drop, fv = spare, lambda x: full(x)[:-spare]
+        edges, window = _start_panels(fv, window, d.lo, d.hi, knots, head)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
     out = _panels(fv, edges, depth)
     if out is None:
         with np.errstate(all="ignore"):
-            rows = len(fv(edges[:1]))
-        return (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots)
-                          for j in range(rows)]), window, None)
-    return out[0], window, (out[1], out[2], hi_e)
+            rows = len(full(edges[:1])) - spare
+        vals, panels, drop = np.array([integrate_fn(_row(full, j), lo_e, hi_e, points=knots)
+                                       for j in range(rows)]), None, spare
+    else:
+        vals, panels = out[0], (out[1], out[2], hi_e)
+    return (np.append(vals, np.full(drop, np.nan)) if drop else vals), window, panels
 
 
 class _TailTable:
@@ -1032,10 +1043,12 @@ def moment(d: Distribution, n: int) -> float:
 
 
 def _moments(d: Distribution, top: int) -> np.ndarray:
-    """E[X^p], p = 0..top.  A density, a table's included, is integrated in
-    one stacked pass: the integrands x^p f(x), p = 1..top, formed as a
-    running product, share the law's window (widened where a power has not
-    decayed), its break points (``_knots``) and one ``_panels`` call.  They
+    """E[X^p], p = 0..top, in a pass of their own (a transform's recipe
+    reads the seed moments its construction recorded first).  A density, a
+    table's included, is integrated in one stacked pass: the integrands
+    x^p f(x), p = 1..top, formed as a running product, share the law's
+    window (widened where a power has not decayed), its break points
+    (``_knots``) and one ``_panels`` call.  They
     agree with ``moment`` within 1e-12 relative on smooth densities (within
     the quadrature tolerance where ``integrate_fn`` values the slivers of a
     singularity), not bit for bit, and their last bits depend on top.  A
@@ -1116,10 +1129,11 @@ class _Lazy:
 def _probe_points(d: Distribution) -> np.ndarray:
     """The points at which ``tilt`` checks a weight on ``d``: the atoms, a
     _PROBE_GRID linspace of the effective support (whose ends are the
-    support's), or for a mixture without a density every component's points."""
+    support's), or for a mixture every component's points, so a gap
+    between components, where the law has no mass, is not probed."""
     if d.locs is not None:
         return d.locs
-    if d.density is None and d.components is not None:
+    if d.components is not None:
         return np.concatenate([_probe_points(c) for c in d.components])
     return np.linspace(*d.effective_support(), _PROBE_GRID)
 
@@ -1154,14 +1168,16 @@ def _zero_normalizer(d: Distribution) -> ZeroNormalizer:
 
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
-          wx: np.ndarray, loads: Optional[Callable] = None, points: Sequence[float] = ()):
+          wx: np.ndarray, loads: Optional[Callable] = None, points: Sequence[float] = (),
+          powers: int = 0):
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
     ``_probe_points`` ``probe`` of ``d``; a mixture without a density hands
     each component its slice of both and weighs the tilted components by
     the normalisers they return.  The caller has checked ``wx``
     (``_check_weight``, or a passed validation report).  Returns the law,
-    its normaliser z = E[max(w(X), 0)], the mean E[w(X)] and the panels of
-    the tail rows, the law None when z is at most ZERO_NORMALIZER_TOL.
+    its normaliser z = E[max(w(X), 0)], the mean E[w(X)], the panels of
+    the tail rows and the seed moments, the law None when z is at most
+    ZERO_NORMALIZER_TOL.
     A density, a table's included, gives z and the mean in one stacked
     panel pass from its window, and the tilt keeps the window its own rows
     widened to: its inverse-CDF table spans it, built on first draw or
@@ -1170,7 +1186,11 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     break points, widen its panels only and make it bisect _TAIL_DEPTH
     rounds; the panels returned are its final panels, those of the tail
     rows, for ``_TailTable``: None on point masses, without loads or when
-    integrate_fn took the pass, a list by component for a mixture."""
+    integrate_fn took the pass, a list by component for a mixture.  The
+    ``powers`` moment rows max(w, 0) x^p f, p >= 1, ride it last as spare
+    rows (``_window_integral``), kept by no table: the seed moments E[Y^p],
+    p <= powers, a tuple, are their totals over z; None when they dropped
+    out, on point masses and on a mixture without a density."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1181,43 +1201,49 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         mw = d.masses * np.clip(wx, 0.0, None)
         z = float(np.sum(mw))
         if z <= ZERO_NORMALIZER_TOL:
-            return None, z, mean, None
+            return None, z, mean, None, None
         mw /= z
-        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z, mean, None
+        return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z, mean, None, None
 
     if d.density is None:
         parts = []
         # the components' windows are known: the mixture's probe found them
         cuts = np.cumsum([0, *(_probe_points(c).size for c in d.components)])
         for comp, a, b in zip(d.components, cuts[:-1], cuts[1:]):
-            tc, zc, mc, pc = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b], loads, points)
+            tc, zc, mc, pc, _ = _tilt(comp, wv, weight_kinks, probe[a:b], wx[a:b], loads, points)
             parts.append((tc, zc if tc is not None else 0.0, mc, pc))
         mean = float(sum(wt * mc for wt, (_, _, mc, _) in zip(d.weights, parts)))
         total = sum(wt * zc for wt, (_, zc, _, _) in zip(d.weights, parts))
         panels = [pc for *_, pc in parts]
         if total <= ZERO_NORMALIZER_TOL:
-            return None, total, mean, panels
+            return None, total, mean, panels, None
         comps = [(tc, wt * zc / total) for wt, (tc, zc, _, _) in zip(d.weights, parts) if zc > 0]
-        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total, mean, panels
+        return make_mixture([c for c, _ in comps], [p for _, p in comps]), total, mean, panels, None
 
     base = as_array_fn(d.density)
 
-    def stack(x):  # [w f, max(w, 0) f, loads f]: w, f and the loads evaluated once
+    def stack(x):  # [w f, w+ f, loads f, w+ f x^p]: w, f and the loads evaluated once
         f, w = base(x), wv(x)
         tail = () if loads is None else loads(x)
-        out = np.empty((2 + len(tail),) + np.shape(x))
+        out = np.empty((2 + len(tail) + powers,) + np.shape(x))
         np.multiply(w, f, out=out[0])
         np.multiply(np.maximum(w, 0.0), f, out=out[1])
         if len(tail):
-            np.multiply(tail, f, out=out[2:])
+            np.multiply(tail, f, out=out[2:2 + len(tail)])
+        row = out[1]
+        for p in range(len(out) - powers, len(out)):  # a running product from w+ f
+            row = np.multiply(row, x, out=out[p])
         return out
 
-    (mean, z, *_), window, out = _window_integral(stack, d, (*weight_kinks, *points), 2,
-                                                  _PANEL_DEPTH if loads is None else _TAIL_DEPTH)
-    mean, z = float(mean), float(z)
-    panels = None if loads is None or out is None else (out[0], [v[2:] for v in out[1]], out[2])
+    (mean, z, *rows), window, out = _window_integral(
+        stack, d, (*weight_kinks, *points), 2, _PANEL_DEPTH if loads is None else _TAIL_DEPTH,
+        powers)
+    mean, z, tail = float(mean), float(z), len(rows) - powers
+    panels = None if not tail or out is None else (out[0], [v[2:2 + tail] for v in out[1]], out[2])
     if z <= ZERO_NORMALIZER_TOL:
-        return None, z, mean, panels
+        return None, z, mean, panels, None
+    seed = (1.0, *(float(r) / z for r in rows[tail:]))
+    seed = seed if powers and np.isfinite(seed).all() else None
 
     def dens(x):
         arr = np.asarray(x, dtype=float)
@@ -1238,7 +1264,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
 
     law = Distribution(lo=d.lo, hi=d.hi, density=dens, cdf=lambda x: table.get().cdf(x),
                        sampler=draw, kinks=kinks, label=f"tilt({d.label})")
-    return _windowed(law, window), z, mean, panels
+    return _windowed(law, window), z, mean, panels, seed
 
 
 def make_mixture(components: Sequence[Distribution], weights: Sequence[float]) -> Distribution:

@@ -134,7 +134,7 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         b0 = b0_of(x)
         return np.stack((b1_of(x) + b0 * (x - a), b0))
 
-    tilted, z0, _, panels = _tilt(X, b0_of, B0_kinks, probe, b0x, loads, B1.quad_points)
+    tilted, z0, _, panels, _ = _tilt(X, b0_of, B0_kinks, probe, b0x, loads, B1.quad_points)
     normalized = []  # (part, alpha_1 or alpha_2) of each nondegenerate part
     if tilted is not None:
         with contextlib.suppress(DegenerateAlpha):

@@ -64,6 +64,7 @@ from .polynomials import NodeSet, correction_poly, lagrange_poly
 NODE_PROBE_EPS = 1e-6
 ALPHA_TOL = 1e-12
 DENSITY_GRID = 2049
+_SEED_MOMENTS = 4  # seed moments E[Y^p], p <= 4, that a density's construction pass records
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +224,23 @@ def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
 @dataclass(frozen=True)
 class BiasRecipe:
     """Construction record of a k-node transform, what its moments read: the
-    tilted seed law plus the node shifts applied through the shrink factors."""
+    tilted seed law, its moments E[Y^p], p <= _SEED_MOMENTS, when the
+    construction's pass recorded them, plus the node shifts applied through
+    the shrink factors."""
 
     spec: SignChangeSpec
     seed_law: Distribution
+    seed_moments: Optional[tuple] = None
 
     def moments(self, top: int) -> np.ndarray:
         """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
-        using independence and E[U_j^r] = j / (j + r).  The seed moments
-        come from ``_moments``: exact atom sums on point masses, bit for bit
-        those of ``moment``, and one stacked panel pass for all orders on a
-        density, within 1e-12 relative of ``moment`` on smooth densities."""
-        mom = _moments(self.seed_law, top)
+        using independence and E[U_j^r] = j / (j + r).  The seed moments are
+        the record's up to its order; beyond it, or with no record (point
+        masses, whose exact atom sums are bit for bit those of ``moment``),
+        ``_moments`` takes one stacked pass for all orders.  Both are within
+        1e-12 relative of ``moment`` on smooth densities."""
+        rec = self.seed_moments
+        mom = np.array(rec[:top + 1]) if rec and top < len(rec) else _moments(self.seed_law, top)
         for j, xj in enumerate(self.spec.nodes, start=1):
             shrink = np.array([j / (j + r) for r in range(top + 1)])
             mom = shift_moments(shift_moments(mom, -xj) * shrink, xj)
@@ -431,10 +437,12 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     so B must be elementwise: those values give the verdict, the seed law
     (the tilt) and, on point masses, the normalizer as an atom sum, with
     the errors, values and bits of ``validate_spec``, ``alpha_of`` and
-    ``tilt`` run apart.  On a density the normalizer, the tilt's normaliser
-    and the density's tail rows (B f, or B (x - x_1)^j f for j < k) are one
-    stacked panel pass over X (``_tilt``, which keeps the tilt's window):
-    the density's table sums its final panels, so no read integrates.
+    ``tilt`` run apart.  On a density the normalizer, the tilt's normaliser,
+    the density's tail rows (B f, or B (x - x_1)^j f for j < k) and the
+    seed moment rows (w x^p f, p <= _SEED_MOMENTS) are one stacked panel
+    pass over X (``_tilt``, which keeps the tilt's window): the density's
+    table sums its final panels, so no read integrates, and the recipe
+    records the seed moments, so its moments to order 4 take no pass.
     DegenerateAlpha and NegativeAlpha are raised before ZeroNormalizer.
     The probe's ends, X's window, bound the law."""
     probe = _probe_points(X)
@@ -446,12 +454,12 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
                             f"(value {report.worst_value:.3e})")
     k = spec.k
     loads = _identity_loads(spec, k, spec.nodes[0]) if k else None
-    seed_law, _, mean, panels = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points, probe,
-                                      w[:probe.size], loads)
+    seed_law, _, mean, panels, seed = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points,
+                                            probe, w[:probe.size], loads, (), _SEED_MOMENTS)
     alpha = _checked_alpha(mean / math.factorial(spec.k))
     if seed_law is None:
         raise _zero_normalizer(X)
-    recipe = BiasRecipe(spec=spec, seed_law=seed_law)
+    recipe = BiasRecipe(spec, seed_law, seed)
 
     if k == 0:
         return BiasedDistribution(seed_law, alpha, None, recipe)

@@ -10,7 +10,8 @@ them.  Also the ``numpy.polynomial`` route to the ``Polynomial`` algebra,
 and ``bias`` on a point-mass law as three separate passes (validation,
 normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a stack of weights started from a 1025-point grid, each weight
-taken from the stack on its own and the rows stacked again.
+taken from the stack on its own and the rows stacked again.  Also the
+seven ``bias`` inputs of the benchmark's continuous-cold workload.
 """
 
 from __future__ import annotations
@@ -125,6 +126,29 @@ def piecewise_value(f: bf.PiecewisePoly, x):
         if mask.any():
             out[mask] = piece(arr[mask])
     return float(out[0]) if scalar else out
+
+
+def cold_bias_cases():
+    """(name, X, spec) of the seven ``bias`` laws of the benchmark's
+    continuous-cold workload, all of catalog densities."""
+    ident = lambda x: np.asarray(x, dtype=float)
+    plus = lambda x: np.maximum(np.asarray(x, dtype=float), 0.0)
+
+    def product(nodes):
+        return bf.SignChangeSpec(lambda x: np.prod([np.asarray(x, float) - a for a in nodes], axis=0),
+                                 NodeSet(nodes))
+
+    zero = bf.SignChangeSpec(ident, NodeSet((0.0,)))
+    U = bf.uniform(-1.0, 1.0)
+    halves = bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7])
+    return [("normal-zero-bias", bf.normal(), zero),
+            ("exponential-equilibrium", bf.exponential(1.0),
+             bf.SignChangeSpec(np.sign, NodeSet((0.0,)), kinks=(0.0,))),
+            ("half-normal-mixture-zero-bias", halves, zero),
+            ("uniform-xplus-node-1", U, bf.SignChangeSpec(plus, NodeSet((-1.0,)), kinks=(0.0,))),
+            ("uniform-xplus-node0", U, bf.SignChangeSpec(plus, NodeSet((0.0,)), kinks=(0.0,))),
+            ("uniform-chain-k2", U, product((-0.5, 0.5))),
+            ("uniform-chain-k3", U, product((-0.6, 0.0, 0.6)))]
 
 
 def moment_via_coefficients(X, spec, j: int) -> float:

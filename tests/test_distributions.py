@@ -14,6 +14,7 @@ from scipy.stats import norm
 import biasforge as bf
 from biasforge import distributions as D
 from conftest import atoms_strategy, call_concurrently
+from primitives import cold_bias_cases
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_moment_of_a_table_is_its_exact_piecewise_polynomial_integral(p, fallbac
     assert 0.0 in table.xs
     w = lambda x: np.asarray(x, float) ** p + np.asarray(x, float) ** (p - 1)
     probe = D._probe_points(cached)
-    _, z, mean, _ = D._tilt(cached, w, (), probe, w(probe))
+    _, z, mean, *_ = D._tilt(cached, w, (), probe, w(probe))
     exact_z = _table_integral(table, p, lo=0) + _table_integral(table, p - 1, lo=0)
     exact_mean = _table_integral(table, p) + _table_integral(table, p - 1)
     assert z == pytest.approx(float(exact_z), rel=1e-13)
@@ -482,9 +483,9 @@ def test_tail_rows_widen_the_panels_but_not_the_tilt_window():
     X, ones = bf.normal(), lambda x: np.ones_like(np.asarray(x, float))
     probe = D._probe_points(X)
     wx = ones(probe)
-    plain, z, mean, none = D._tilt(X, ones, (), probe, wx)
+    plain, z, mean, none, _ = D._tilt(X, ones, (), probe, wx)
     loads = lambda x: np.stack((np.asarray(x, float) ** 2, ones(x)))
-    law, z2, mean2, panels = D._tilt(X, ones, (), probe, wx, loads, (0.0,))
+    law, z2, mean2, panels, _ = D._tilt(X, ones, (), probe, wx, loads, (0.0,))
     assert none is None
     assert law.effective_support() == plain.effective_support() == X.effective_support()
     assert (z2, mean2) == pytest.approx((z, mean), rel=1e-15) and law.kinks == plain.kinks
@@ -740,33 +741,22 @@ def test_stacked_moments_widen_the_exponential_equilibrium_window(monkeypatch):
 def _cold_transforms():
     """The nine transforms of catalog laws that the benchmark's
     continuous-cold workload builds."""
-    ident = lambda x: np.asarray(x, dtype=float)
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    plus = lambda x: np.maximum(np.asarray(x, dtype=float), 0.0)
-
-    def product(nodes):
-        return bf.SignChangeSpec(lambda x: np.prod([np.asarray(x, float) - a for a in nodes], axis=0),
-                                 bf.NodeSet(nodes))
-
-    zero = bf.SignChangeSpec(ident, bf.NodeSet((0.0,)))
-    U = bf.uniform(-1.0, 1.0)
-    halves = bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7])
-    return [bf.bias(bf.normal(), zero),
-            bf.bias(bf.exponential(1.0), bf.SignChangeSpec(np.sign, bf.NodeSet((0.0,)), kinks=(0.0,))),
-            bf.bias(halves, zero),
-            bf.bias(U, bf.SignChangeSpec(plus, bf.NodeSet((-1.0,)), kinks=(0.0,))),
-            bf.bias(U, bf.SignChangeSpec(plus, bf.NodeSet((0.0,)), kinks=(0.0,))),
-            bf.bias(U, product((-0.5, 0.5))),
-            bf.bias(U, product((-0.6, 0.0, 0.6))),
-            bf.bias_to_order(U, bf.SignChangeSpec(ones), 2),
+    zero = bf.SignChangeSpec(lambda x: np.asarray(x, dtype=float), bf.NodeSet((0.0,)))
+    return [*(bf.bias(X, spec) for _, X, spec in cold_bias_cases()),
+            bf.bias_to_order(bf.uniform(-1.0, 1.0), bf.SignChangeSpec(ones), 2),
             bf.second_order_transform(bf.normal(), ones, zero)]
 
 
 def test_stacked_recipe_moments_probe_and_pass_once_per_density_seed(monkeypatch):
     # seven one-stage records, one lift (its base to order 6) and one
-    # two-part mixture: ten density seed laws, each one panel pass for every
-    # order (44 when each order integrates alone) from the window the seed
-    # law keeps, so no tail probe (10 when each pass probed its stack)
+    # two-part mixture: ten density seed laws.  The seven records and the
+    # mixture's one-node part read the moments their construction's pass
+    # recorded (10 passes when each took one of its own); the lift's base,
+    # read beyond the record, and the mixture's second-difference part, a
+    # unit record with none, take one panel pass for every order (44 when
+    # each order integrates alone) from the window the seed law keeps, so
+    # no tail probe (10 when each pass probed its stack)
     transforms = _cold_transforms()
     calls = {"probe": 0, "panels": 0}
     for name, key in (("_effective_bounds", "probe"), ("_panels", "panels")):
@@ -777,7 +767,7 @@ def test_stacked_recipe_moments_probe_and_pass_once_per_density_seed(monkeypatch
     for t in transforms:
         mom = bf.recipe_moments(t.recipe, 4)
         assert mom[0] == 1.0 and np.isfinite(mom).all()
-    assert calls == {"probe": 0, "panels": 10}
+    assert calls == {"probe": 0, "panels": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import biasforge.distributions as distributions
 import biasforge.transform as transform
 from biasforge import Polynomial
 from conftest import call_concurrently
-from primitives import moment_via_coefficients
+from primitives import cold_bias_cases, moment_via_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,15 @@ def test_seed_moment_coefficient_route_agrees():
             via_coeff = moment_via_coefficients(X, spec, j)
             assert via_coeff == pytest.approx(moms[j], rel=1e-10, abs=1e-10)
         checked += 1
+    # the seven density laws of the benchmark's continuous-cold workload,
+    # whose moments read the seed moments the construction's pass recorded;
+    # the coefficient route takes an expectation per power (an odd moment of
+    # a symmetric law cancels to ~1e-17, hence the absolute floor)
+    for name, X, spec in cold_bias_cases():
+        moms = bf.recipe_moments(bf.bias(X, spec).recipe, 4)
+        for j in range(5):
+            via_coeff = moment_via_coefficients(X, spec, j)
+            assert via_coeff == pytest.approx(moms[j], rel=1e-12, abs=1e-14), (name, j)
 
 
 def test_lift_beta_matches_beta_of_on_atoms():
@@ -294,11 +303,12 @@ def test_lift_beta_matches_beta_of_on_densities(law, spec, m):
 
 @pytest.mark.parametrize("law, m", [(bf.uniform(-1.0, 1.0), 2), (bf.normal(), 4)],
                          ids=["uniform-2", "normal-4"])
-def test_lift_construction_takes_two_panel_passes(construction_calls, law, m):
-    # the base's alpha-and-normaliser pass and its seed-moment pass: beta is
-    # their product, with no integral of its own
+def test_lift_construction_takes_one_panel_pass(construction_calls, law, m):
+    # the base's alpha-and-normaliser pass, which records its seed moments
+    # to order 4 >= m - k: beta is their product, with no integral of its own
+    # (two passes when the seed moments took one of their own)
     bf.bias_to_order(law, bf.unit_bias_spec(), m)
-    assert construction_calls == {"panels": 2, "expectation": 0, "beta_of": 0}
+    assert construction_calls == {"panels": 1, "expectation": 0, "beta_of": 0}
 
 
 def test_lifted_law_beta_consistency(uniform_sym):

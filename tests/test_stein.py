@@ -97,7 +97,7 @@ def test_second_order_identity_via_moments(uniform_sym):
     t = bf.second_order_transform(uniform_sym, ones, bf.zero_bias_spec())
     lhs = bf.moment(uniform_sym, 4) + 4 * bf.moment(uniform_sym, 4)
     rhs = t.alpha * 12 * t.moment(2)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_second_order_identity_on_atoms():

@@ -48,24 +48,29 @@ def _product(nodes):
                              bf.NodeSet(nodes))
 
 
+def bias_cases() -> list:
+    """(name, X, spec) of the seven ``bias`` transforms of catalog densities
+    that the benchmark's continuous-cold workload builds."""
+    zero = bf.SignChangeSpec(_ident, bf.NodeSet((0.0,)))
+    U = bf.uniform(-1.0, 1.0)
+    halves = bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7])
+    return [("normal-zero-bias", bf.normal(), zero),
+            ("exponential-equilibrium", bf.exponential(1.0),
+             bf.SignChangeSpec(np.sign, bf.NodeSet((0.0,)), kinks=(0.0,))),
+            ("half-normal-mixture-zero-bias", halves, zero),
+            ("uniform-xplus-node-1", U, bf.SignChangeSpec(_plus, bf.NodeSet((-1.0,)), kinks=(0.0,))),
+            ("uniform-xplus-node0", U, bf.SignChangeSpec(_plus, bf.NodeSet((0.0,)), kinks=(0.0,))),
+            ("uniform-chain-k2", U, _product((-0.5, 0.5))),
+            ("uniform-chain-k3", U, _product((-0.6, 0.0, 0.6)))]
+
+
 def transforms() -> dict:
     """Name -> a function that builds the transform afresh."""
     zero = bf.SignChangeSpec(_ident, bf.NodeSet((0.0,)))
-    U = bf.uniform(-1.0, 1.0)
     operator = bf.SteinOperator(2, (bf.unit_bias_spec(), zero))
     return {
-        "normal-zero-bias": lambda: bf.bias(bf.normal(), zero),
-        "exponential-equilibrium": lambda: bf.bias(
-            bf.exponential(1.0), bf.SignChangeSpec(np.sign, bf.NodeSet((0.0,)), kinks=(0.0,))),
-        "half-normal-mixture-zero-bias": lambda: bf.bias(bf.make_mixture(
-            [bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7]), zero),
-        "uniform-xplus-node-1": lambda: bf.bias(
-            U, bf.SignChangeSpec(_plus, bf.NodeSet((-1.0,)), kinks=(0.0,))),
-        "uniform-xplus-node0": lambda: bf.bias(
-            U, bf.SignChangeSpec(_plus, bf.NodeSet((0.0,)), kinks=(0.0,))),
-        "uniform-chain-k2": lambda: bf.bias(U, _product((-0.5, 0.5))),
-        "uniform-chain-k3": lambda: bf.bias(U, _product((-0.6, 0.0, 0.6))),
-        "uniform-lift-order2": lambda: bf.bias_to_order(U, bf.SignChangeSpec(_ones), 2),
+        **{name: (lambda X=X, spec=spec: bf.bias(X, spec)) for name, X, spec in bias_cases()},
+        "uniform-lift-order2": lambda: bf.bias_to_order(bf.uniform(-1.0, 1.0), bf.SignChangeSpec(_ones), 2),
         "normal-second-order": lambda: bf.second_order_transform(bf.normal(), _ones, zero),
         "normal-lift-order4": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4),
         "normal-lift-order6": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 6),
@@ -74,13 +79,13 @@ def transforms() -> dict:
 
 
 @contextlib.contextmanager
-def counted_panels():
-    """A one-entry list holding the count of ``_panels`` calls made inside
-    the block, through every module that binds the name."""
-    calls, original = [0], distributions._panels
+def counted_panels(calls: dict):
+    """Count in ``calls["panels"]`` the ``_panels`` calls made inside the
+    block, through every module that binds the name."""
+    original = distributions._panels
 
     def wrapper(*args, **kwargs):
-        calls[0] += 1
+        calls["panels"] += 1
         return original(*args, **kwargs)
 
     modules = [m for m in (distributions, transform, higher, stein) if hasattr(m, "_panels")]
@@ -95,16 +100,16 @@ def counted_panels():
 
 def count_passes(build) -> dict:
     """The panel passes of each step of ``STEPS`` on the transform ``build()`` makes."""
-    out = {}
-    with counted_panels() as calls:
+    out, calls = {}, {"panels": 0}
+    with counted_panels(calls):
         t = build()
-        out["construct"] = calls[0]
+        out["construct"] = calls["panels"]
         t.density(np.linspace(*t.law.effective_support(), READ_POINTS))
-        out["read"] = calls[0] - sum(out.values())
+        out["read"] = calls["panels"] - sum(out.values())
         t.sample(DRAWS, bf.RandomSource(1))
-        out["draws"] = calls[0] - sum(out.values())
+        out["draws"] = calls["panels"] - sum(out.values())
         bf.recipe_moments(t.recipe, 4)
-        out["moments"] = calls[0] - sum(out.values())
+        out["moments"] = calls["panels"] - sum(out.values())
     return out
 
 

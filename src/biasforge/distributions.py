@@ -28,13 +28,15 @@ A tabulated density is no exception: its grid points, where it kinks, are
 break points (``_knots``) like the law's kinks and the caller's points.
 Every integrand is a stack on a leading axis, a plain function
 x -> (J,) + shape of x (an expectation is a one-row stack; the moments
-x^p f(x) of a density, a tilt's normaliser rows and the tail and seed
-moment rows of a transform riding them are more); the rows share one
-window, widened for the slowest-decaying of them, and one panel pass, in
-which each is held to its own tolerance; a tilt keeps the window of its
-own rows.  The tail table (``_TailTable``) sums the final panels of such
-a pass, the construction's or one of its own.  One sliver policy serves
-every caller: a panel still open after a fixed depth keeps its rule for each
+x^p f(x) of a density, a tilt's normaliser rows and the tail weights of a
+transform riding them are more); the rows share one window, widened for
+the slowest-decaying of them, and one panel pass, in which each is held
+to its own tolerance; a tilt keeps the window of its own rows.  A
+transform's seed moment rows ride that pass as spare rows, which neither
+widen it nor take part in its acceptance.  The tail
+table (``_TailTable``) sums the final panels of such a pass, the
+construction's or one of its own.  One sliver policy serves every
+caller: a panel still open after a fixed depth keeps its rule for each
 row whose error there is within the whole tolerance, and ``integrate_fn``
 (scipy's adaptive quadrature) values it for the others, on that row of
 the stack (``_row``).  ``integrate_fn`` is also the independent oracle
@@ -228,7 +230,7 @@ def _gauss_legendre(fv: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fv(np.add(x, (0.5 * (a + b))[..., None], out=x)) @ _GW * half
 
 
-def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
+def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH, spare: int = 0):
     """Adaptive Gauss-Legendre panels on the window cut at the sorted
     ``edges``, the quadrature of every density integral, the rules on the
     first panels formed in the call of their halves' rules: each round accepts
@@ -242,12 +244,14 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
     integrand whose error there is within the whole tolerance
     ABS_TOL + REL_TOL |I| (the slivers of a jump), and ``integrate_fn``
     values its halves for the others, on ``_row(fv, j)``.
+    The last ``spare`` integrands ride the panels of the others: they take
+    no part in the acceptance, the finiteness check or the sliver policy.
     Returns (integrals, lefts, vals): the (J,) integrals and, round by
     round, the left edges and (J, n) values of the final panels, which tile
     the window.  None when a rule is not finite or more than
     _PANEL_OPEN_MAX panels are open at once."""
     a, b = edges[:-1], edges[1:]
-    n, whole = a.size, None
+    n, whole, held = a.size, None, slice(None, -spare or None)
     width, done, lefts, vals = edges[-1] - edges[0], 0.0, [], []
     for _ in range(depth):
         cuts = np.array((a, 0.5 * (a + b), b))
@@ -265,8 +269,8 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
         # allows: a total that cancels below that (an odd moment of a wide
         # symmetric law) is not reached by bisecting
         miss = (err > tol * (b - a) / width) & (err > 2.0 ** -46 * np.abs(fine))
-        open_ = miss.reshape(-1, a.size).any(axis=0)
-        if not np.isfinite(err).all() or np.count_nonzero(open_) > _PANEL_OPEN_MAX:
+        open_ = miss[held].reshape(-1, a.size).any(axis=0)
+        if not np.isfinite(err[held]).all() or np.count_nonzero(open_) > _PANEL_OPEN_MAX:
             return None
         if not open_.any():
             return total, lefts + [a], vals + [fine]
@@ -275,7 +279,7 @@ def _panels(fv: Callable, edges: np.ndarray, depth: int = _PANEL_DEPTH):
         done += vals[-1].sum(axis=-1)
         a, b = cuts[:2, open_].ravel(), cuts[1:, open_].ravel()  # left halves first
         whole = halves.compress(open_, axis=-1).reshape(fine.shape[:-1] + (-1,))
-    far = (miss & (err > tol)).compress(open_, axis=-1)  # beyond the whole tolerance
+    far = (miss & (err > tol))[held].compress(open_, axis=-1)  # beyond the whole tolerance
     for j, i in zip(*np.nonzero(np.tile(far, 2))):  # the stuck panels: left halves first
         whole[j, i] = integrate_fn(_row(fv, j), a[i], b[i])
     return done + np.array([sum(r) for r in whole]), lefts + [a], vals + [whole]
@@ -324,7 +328,7 @@ def _reach(hits: np.ndarray, bad, pts: np.ndarray) -> int:
     return last + 1
 
 
-def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None):
+def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None, spare: int = 0):
     """The first panels' edges of an integral of ``fv`` (which may stack J
     integrands on a leading axis) against a law of support [lo, hi] and
     window ``window``: the _PANEL_START edges of the window and the
@@ -337,15 +341,20 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None)
     ladder's steps.  The law's density is at the threshold at the window's
     ends, up to their rounding (1 + 3.8e-15 of it on the normal), so an end
     is a hit only above twice the threshold: a constant weight keeps the
-    window.  Returns (edges, the window the first ``head`` integrands, all
-    by default, widen to): the rest widen the panels only."""
+    window.  The last ``spare`` integrands widen nothing.  Returns (edges,
+    the window the first ``head`` integrands, all but the spare ones by
+    default, widen to, the steps past the edges the spare ones take): the
+    rest widen the panels only.  The steps are panels (left ends, right
+    ends), none without spare integrands; None when a spare one has not
+    decayed (``_reach`` raises)."""
     a, b = window
     edges, inner = np.linspace(a, b, _PANEL_START + 1), _inside(points, a, b)
     if inner.size:
         edges = _sorted_unique(np.concatenate((edges, inner)))
     left, right = _ladder(a, b, lo, hi)
+    past = (np.empty(0), np.empty(0))
     if not (left.size or right.size):
-        return edges, (float(a), float(b))
+        return edges, (float(a), float(b)), past
     coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
     xs = np.concatenate((left, right, edges, coarse[(coarse > a) & (coarse < b)]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,13 +366,21 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None)
         return (_reach(np.flatnonzero(hit[:k]), bad[:k], left),
                 _reach(np.flatnonzero(hit[k:k + m]), bad[k:k + m], right))
 
-    out_l, out_r = reach(vals)
-    own_l, own_r = reach(vals[:head]) if head and head < len(vals) else (out_l, out_r)
+    held = vals[:len(vals) - spare]
+    out_l, out_r = reach(held)
+    own_l, own_r = reach(held[:head]) if head and head < len(held) else (out_l, out_r)
     window = (float(left[own_l]) if k else float(a), float(right[own_r]) if m else float(b))
+    if spare:
+        try:
+            far_l, far_r = reach(vals)
+            lp, rp = left[out_l:far_l + 1][::-1], right[out_r:far_r + 1]
+            past = np.concatenate((lp[:-1], rp[:-1])), np.concatenate((lp[1:], rp[1:]))
+        except NonIntegrable:
+            past = None
     edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
     inner = _inside(points, edges[0], edges[-1])
     inner = inner[(inner < a) | (inner > b)]  # those inside the window are edges already
-    return (_sorted_unique(np.concatenate((edges, inner))) if inner.size else edges), window
+    return (_sorted_unique(np.concatenate((edges, inner))) if inner.size else edges), window, past
 
 
 def _running_products(head: Callable, factor: Callable, rows: int, start: int = 0) -> Callable:
@@ -411,30 +428,32 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
     share the window and the panels, each panel held to every integrand's
     tolerance.  When the panels do not suit fv, ``integrate_fn`` takes the
     whole window row by row (``_row``), J read from one call of fv.  The
-    last ``spare`` rows ride the panels only: they drop out, all of them,
-    where one has not decayed by the end of the ladder (``_reach`` raises)
-    or integrate_fn takes the window, and read NaN.  Returns ((J,)
-    integrals, the window of the first ``head`` rows, the final panels:
-    (left edges, values) round by round as ``_panels`` gives them and the
-    right end; None when integrate_fn took the window)."""
-    knots, window, full, drop = _knots(d, points), d.effective_support(), fv, 0
-    try:
-        edges, window = _start_panels(fv, window, d.lo, d.hi, knots, head)
-    except NonIntegrable:
-        if not spare:
-            raise
-        drop, fv = spare, lambda x: full(x)[:-spare]
-        edges, window = _start_panels(fv, window, d.lo, d.hi, knots, head)
+    last ``spare`` rows ride the panels of the others and take no part in
+    the window, the edges or a panel's acceptance, so the other rows keep
+    the bits they have without them.  Past the edges, out to the spare
+    rows' own reach, each ladder step adds its 8-point rule to them.  They
+    read NaN where those steps add more than the tolerance (a spare row
+    that decays much slower than the others), where one has not decayed by
+    the end of the ladder or where integrate_fn takes the window.  Returns
+    ((J,) integrals, the window of the first ``head`` rows, the final
+    panels: (left edges, values) round by round as ``_panels`` gives them
+    and the right end; None when integrate_fn took the window)."""
+    knots = _knots(d, points)
+    edges, window, past = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots, head, spare)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
-    out = _panels(fv, edges, depth)
+    out = _panels(fv, edges, depth, spare)
     if out is None:
         with np.errstate(all="ignore"):
-            rows = len(full(edges[:1])) - spare
-        vals, panels, drop = np.array([integrate_fn(_row(full, j), lo_e, hi_e, points=knots)
-                                       for j in range(rows)]), None, spare
-    else:
-        vals, panels = out[0], (out[1], out[2], hi_e)
-    return (np.append(vals, np.full(drop, np.nan)) if drop else vals), window, panels
+            rows = len(fv(edges[:1])) - spare
+        return (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots) for j in range(rows)]
+                         + [np.nan] * spare), window, None)
+    if spare:  # the spare rows' ladder steps past the edges
+        tot, add = out[0][-spare:], np.inf
+        if past is not None:
+            add = _gauss_legendre(fv, *past)[-spare:].sum(axis=-1) if past[0].size else 0.0
+        tot += add
+        tot[np.abs(add) > ABS_TOL + REL_TOL * np.abs(tot)] = np.nan
+    return out[0], window, (out[1], out[2], hi_e)
 
 
 class _TailTable:
@@ -1048,8 +1067,8 @@ def _moments(d: Distribution, top: int) -> np.ndarray:
     table's included, is integrated in one stacked pass: the integrands
     x^p f(x), p = 1..top, formed as a running product, share the law's
     window (widened where a power has not decayed), its break points
-    (``_knots``) and one ``_panels`` call.  They
-    agree with ``moment`` within 1e-12 relative on smooth densities (within
+    (``_knots``) and one ``_panels`` call.  They agree with ``moment``
+    within 1e-12 relative on smooth densities (within
     the quadrature tolerance where ``integrate_fn`` values the slivers of a
     singularity), not bit for bit, and their last bits depend on top.  A
     mixture without a density sums its components' moments by weight; point
@@ -1129,13 +1148,18 @@ class _Lazy:
 def _probe_points(d: Distribution) -> np.ndarray:
     """The points at which ``tilt`` checks a weight on ``d``: the atoms, a
     _PROBE_GRID linspace of the effective support (whose ends are the
-    support's), or for a mixture every component's points, so a gap
-    between components, where the law has no mass, is not probed."""
+    support's), for a mixture with a density those inside a component's
+    window, so a gap between components, where the law has no mass, is not
+    probed, or for a mixture without a density every component's points."""
     if d.locs is not None:
         return d.locs
-    if d.components is not None:
+    if d.density is None and d.components is not None:
         return np.concatenate([_probe_points(c) for c in d.components])
-    return np.linspace(*d.effective_support(), _PROBE_GRID)
+    xs = np.linspace(*d.effective_support(), _PROBE_GRID)
+    if d.components is None:
+        return xs
+    spans = [c.effective_support() for c in d.components]
+    return xs[np.any([(xs >= lo) & (xs <= hi) for lo, hi in spans], axis=0)]
 
 
 def tilt(d: Distribution, w: Callable, weight_kinks: Sequence[float] = ()) -> Distribution:

@@ -29,7 +29,7 @@ biases (sign, unit, zero-bias, centered, positive part) are defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -225,19 +225,20 @@ def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
 class BiasRecipe:
     """Construction record of a k-node transform, what its moments read: the
     tilted seed law, its moments E[Y^p], p <= _SEED_MOMENTS, when the
-    construction's pass recorded them, plus the node shifts applied through
-    the shrink factors."""
+    construction's pass recorded them (``bias`` sets them: no caller can),
+    plus the node shifts applied through the shrink factors."""
 
     spec: SignChangeSpec
     seed_law: Distribution
-    seed_moments: Optional[tuple] = None
+    seed_moments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def moments(self, top: int) -> np.ndarray:
         """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
         using independence and E[U_j^r] = j / (j + r).  The seed moments are
         the record's up to its order; beyond it, or with no record (point
-        masses, whose exact atom sums are bit for bit those of ``moment``),
-        ``_moments`` takes one stacked pass for all orders.  Both are within
+        masses, whose exact atom sums are bit for bit those of ``moment``,
+        and rows that dropped out of the construction's pass), ``_moments``
+        takes one stacked pass for all orders.  Both are within
         1e-12 relative of ``moment`` on smooth densities."""
         rec = self.seed_moments
         mom = np.array(rec[:top + 1]) if rec and top < len(rec) else _moments(self.seed_law, top)
@@ -439,10 +440,11 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     the errors, values and bits of ``validate_spec``, ``alpha_of`` and
     ``tilt`` run apart.  On a density the normalizer, the tilt's normaliser,
     the density's tail rows (B f, or B (x - x_1)^j f for j < k) and the
-    seed moment rows (w x^p f, p <= _SEED_MOMENTS) are one stacked panel
-    pass over X (``_tilt``, which keeps the tilt's window): the density's
-    table sums its final panels, so no read integrates, and the recipe
-    records the seed moments, so its moments to order 4 take no pass.
+    seed moment rows (max(w, 0) x^p f, p <= _SEED_MOMENTS, which ride it
+    without moving a bit of the others) are one stacked panel pass over X
+    (``_tilt``, which keeps the tilt's window): the density's table sums
+    its final panels, so no read integrates, and the recipe records the
+    seed moments, so its moments to order 4 take no pass.
     DegenerateAlpha and NegativeAlpha are raised before ZeroNormalizer.
     The probe's ends, X's window, bound the law."""
     probe = _probe_points(X)
@@ -459,7 +461,8 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     alpha = _checked_alpha(mean / math.factorial(spec.k))
     if seed_law is None:
         raise _zero_normalizer(X)
-    recipe = BiasRecipe(spec, seed_law, seed)
+    recipe = BiasRecipe(spec=spec, seed_law=seed_law)
+    object.__setattr__(recipe, "seed_moments", seed)
 
     if k == 0:
         return BiasedDistribution(seed_law, alpha, None, recipe)

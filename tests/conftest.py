@@ -62,12 +62,12 @@ def call_concurrently(fn, workers=4, timeout=120.0):
 @pytest.fixture
 def construction_calls(monkeypatch):
     """Counts of the panel passes (``_panels`` calls, through every module
-    that binds the name) and of the ``expectation`` and ``beta_of`` calls
-    that ``higher`` and ``stein`` make."""
+    that binds the name, by the pass report's counter) and of the
+    ``expectation`` and ``beta_of`` calls that ``higher`` and ``stein`` make."""
     import biasforge.distributions as distributions
     import biasforge.higher as higher
     import biasforge.stein as stein
-    import biasforge.transform as transform
+    from primitives import pass_count
 
     calls = {"panels": 0, "expectation": 0, "beta_of": 0}
 
@@ -77,12 +77,9 @@ def construction_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    panels = counted("panels", distributions._panels)
-    for module in (distributions, transform, higher, stein):
-        if hasattr(module, "_panels"):
-            monkeypatch.setattr(module, "_panels", panels)
     expect = counted("expectation", distributions.expectation)
     for module in (higher, stein):
         monkeypatch.setattr(module, "expectation", expect)
     monkeypatch.setattr(higher, "beta_of", counted("beta_of", higher.beta_of))
-    return calls
+    with pass_count.counted_panels(calls):
+        yield calls

@@ -11,12 +11,15 @@ and ``bias`` on a point-mass law as three separate passes (validation,
 normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a stack of weights started from a 1025-point grid, each weight
 taken from the stack on its own and the rows stacked again.  Also the
-seven ``bias`` inputs of the benchmark's continuous-cold workload.
+pass report of ``scripts/pass_count.py``, whose seven ``bias`` inputs of
+the benchmark's continuous-cold workload the tests share.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,27 +131,19 @@ def piecewise_value(f: bf.PiecewisePoly, x):
     return float(out[0]) if scalar else out
 
 
-def cold_bias_cases():
-    """(name, X, spec) of the seven ``bias`` laws of the benchmark's
-    continuous-cold workload, all of catalog densities."""
-    ident = lambda x: np.asarray(x, dtype=float)
-    plus = lambda x: np.maximum(np.asarray(x, dtype=float), 0.0)
+def _script(name: str):
+    """The module of ``scripts/<name>.py``, loaded by its path."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def product(nodes):
-        return bf.SignChangeSpec(lambda x: np.prod([np.asarray(x, float) - a for a in nodes], axis=0),
-                                 NodeSet(nodes))
 
-    zero = bf.SignChangeSpec(ident, NodeSet((0.0,)))
-    U = bf.uniform(-1.0, 1.0)
-    halves = bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)], [0.3, 0.7])
-    return [("normal-zero-bias", bf.normal(), zero),
-            ("exponential-equilibrium", bf.exponential(1.0),
-             bf.SignChangeSpec(np.sign, NodeSet((0.0,)), kinks=(0.0,))),
-            ("half-normal-mixture-zero-bias", halves, zero),
-            ("uniform-xplus-node-1", U, bf.SignChangeSpec(plus, NodeSet((-1.0,)), kinks=(0.0,))),
-            ("uniform-xplus-node0", U, bf.SignChangeSpec(plus, NodeSet((0.0,)), kinks=(0.0,))),
-            ("uniform-chain-k2", U, product((-0.5, 0.5))),
-            ("uniform-chain-k3", U, product((-0.6, 0.0, 0.6)))]
+# the pass report; its seven ``bias`` inputs are those of the benchmark's
+# continuous-cold workload, (name, X, spec) each
+pass_count = _script("pass_count")
+cold_bias_cases = pass_count.bias_cases
 
 
 def moment_via_coefficients(X, spec, j: int) -> float:

@@ -1,72 +1,50 @@
-"""The pass report of scripts/pass_count.py: its transforms, its counts and
-its output."""
-
-import importlib.util
-from pathlib import Path
+"""The pass report of scripts/pass_count.py: its counter, its output and the
+counts of the transforms that no other pass-count test builds."""
 
 import numpy as np
 import pytest
 
 import biasforge as bf
 import biasforge.distributions as D
-from primitives import cold_bias_cases
+from primitives import pass_count
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pass_count.py"
-
-# construct, read, draws, moments: one-node and k-node laws read their tail
-# table and their recorded seed moments, so their one pass is the
-# construction's; a lift's base beyond order 4, a step's seed tilt, a step's
-# identity table and the second-difference unit record take a pass each
+# construct, read, draws, moments: the order-6 lift reads its base beyond
+# the recorded order 4 and the operator's second-difference part is a unit
+# record with none, so each takes a moments pass; a step's seed tilt and a
+# step's identity table take a pass each
 COUNTS = {
-    **{name: (1, 0, 0, 0) for name, *_ in cold_bias_cases()},
-    "uniform-lift-order2": (1, 1, 1, 1),
-    "normal-second-order": (3, 0, 1, 1),
-    "normal-lift-order4": (1, 1, 2, 1),
     "normal-lift-order6": (2, 1, 2, 1),
     "normal-operator-order2": (2, 1, 1, 1),
 }
 
 
-@pytest.fixture(scope="module")
-def passes():
-    spec = importlib.util.spec_from_file_location("pass_count", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_the_cold_transforms_are_those_of_the_tests(passes):
-    # the script builds the seven bias laws as the tests do, with no import
-    # of the benchmark: the same normalizer, bit for bit, and the same label
-    built = passes.transforms()
-    assert list(built) == list(COUNTS)
-    for name, X, spec in cold_bias_cases():
-        got, want = built[name](), bf.bias(X, spec)
-        assert (got.alpha.hex(), got.law.label) == (want.alpha.hex(), want.law.label), name
-
-
 @pytest.mark.parametrize("name", list(COUNTS))
-def test_counts_per_step(passes, name):
-    counts = passes.count_passes(passes.transforms()[name])
-    assert tuple(counts[s] for s in passes.STEPS) == COUNTS[name]
+def test_counts_per_step(name):
+    counts = pass_count.count_passes(pass_count.transforms()[name])
+    assert tuple(counts[s] for s in pass_count.STEPS) == COUNTS[name]
 
 
-def test_the_count_is_restored_after_an_error(passes):
+def test_the_count_is_restored_after_an_error():
     def fail():
         raise RuntimeError("build failed")
 
     original = D._panels
     with pytest.raises(RuntimeError):
-        passes.count_passes(fail)
+        pass_count.count_passes(fail)
     assert D._panels is original
-    with passes.counted_panels() as calls:
+    calls = {"panels": 0}
+    with pass_count.counted_panels(calls):
         bf.expectation(bf.normal(), lambda x: np.asarray(x, float) ** 2)
-    assert calls == [1] and D._panels is original
+    assert calls == {"panels": 1} and D._panels is original
 
 
-def test_main_prints_a_row_per_transform(passes, capsys):
-    passes.main()
+def test_main_prints_a_row_per_transform(capsys):
+    pass_count.main()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["transform", *passes.STEPS, "total"]
+    assert lines[0].split() == ["transform", *pass_count.STEPS, "total"]
     rows = {line.split()[0]: [int(v) for v in line.split()[1:]] for line in lines[1:]}
-    assert rows == {name: [*c, sum(c)] for name, c in COUNTS.items()}
+    assert list(rows) == list(pass_count.transforms())
+    for name, (*steps, total) in rows.items():
+        assert total == sum(steps) and min(steps) >= 0, name
+    for name, counts in COUNTS.items():
+        assert rows[name][:-1] == list(counts), name

@@ -96,17 +96,37 @@ def test_seed_moment_rows_that_do_not_decay_drop_out_of_the_pass():
             bf.recipe_moments(t.recipe, top)
 
 
+def test_seed_moment_rows_whose_tail_outruns_the_pass_drop_out():
+    # Student's t with 9 degrees of freedom under the zero bias: the tilt
+    # x^2 f decays like x^-8 and ends the pass's edges near |x| ~ 1e2, where
+    # x^4 x^2 f ~ x^-4 still has ~1e-6 of its mass.  The ladder steps past
+    # the edges would add more than the tolerance, so the rows drop out (a
+    # record read from them was off by 4.8e-8) and the moments take their
+    # own pass: E[Y^p] = E[X^(p+2)] / E[X^2] of the seed, 5.4 and 81, and
+    # the zero-bias law U Y has E[Y^p] / (p + 1)
+    c = math.gamma(5.0) / (math.sqrt(9.0 * math.pi) * math.gamma(4.5))
+    X = bf.Distribution(lo=-math.inf, hi=math.inf,
+                        density=lambda x: c * (1.0 + np.asarray(x, float) ** 2 / 9.0) ** -5)
+    t = bf.bias(X, bf.zero_bias_spec())
+    assert t.alpha == pytest.approx(9.0 / 7.0, rel=1e-12)
+    assert t.recipe.seed_moments is None
+    mom = bf.recipe_moments(t.recipe, 4)
+    assert mom[2] == pytest.approx(5.4 / 3, rel=1e-13) and mom[4] == pytest.approx(81 / 5, rel=1e-8)
+
+
 @pytest.mark.parametrize("name, X, spec", cold_bias_cases(), ids=[c[0] for c in cold_bias_cases()])
 def test_recorded_seed_moments_match_moment_on_the_seed_law(name, X, spec):
     # the construction's pass records E[Y^p], p <= 4, as row totals over z;
     # each agrees with an expectation of its own on the seed law, relative
-    # to E|Y|^p (an odd moment of a symmetric seed cancels to ~0)
+    # to E|Y|^p (an odd moment of a symmetric seed cancels to ~0): measured
+    # 3.2e-16, and 4.8e-13 on the exponential's fourth moment without the
+    # ladder steps past the pass's edges
     t = bf.bias(X, spec)
     seed, rec = t.recipe.seed_law, t.recipe.seed_moments
     assert len(rec) == transform._SEED_MOMENTS + 1 and rec[0] == 1.0
     for p in range(1, len(rec)):
         scale = bf.expectation(seed, lambda x: np.abs(x) ** p)
-        assert abs(rec[p] - bf.moment(seed, p)) <= 1e-12 * scale, p
+        assert abs(rec[p] - bf.moment(seed, p)) <= 1e-14 * scale, p
     # beyond the record, the moments take a pass over the seed law; their
     # first orders agree with the record's
     np.testing.assert_allclose(bf.recipe_moments(t.recipe, 6)[:5], bf.recipe_moments(t.recipe, 4),
@@ -202,22 +222,19 @@ def _density_and_mixture_cases():
     ]
 
 
-def _assert_same_laws(got, want, ts, rtol=0.0):
-    """The same law, bit for bit: support, atoms, densities at ``ts`` (within
-    ``rtol`` when it is not 0) and, for a mixture, its weights and each
-    component."""
+def _assert_same_laws(got, want, ts):
+    """The same law, bit for bit: support, atoms, densities at ``ts`` and,
+    for a mixture, its weights and each component."""
     assert (got.lo, got.hi, got.label, got.kinks) == (want.lo, want.hi, want.label, want.kinks)
     if want.locs is not None:
         assert got.locs.tobytes() == want.locs.tobytes()
         assert got.masses.tobytes() == want.masses.tobytes()
-    if want.density is not None and rtol:
-        np.testing.assert_allclose(got.density(ts), want.density(ts), rtol=rtol, atol=0.0)
-    elif want.density is not None:
+    if want.density is not None:
         assert np.asarray(got.density(ts)).tobytes() == np.asarray(want.density(ts)).tobytes()
     if want.components is not None:
         assert got.weights == want.weights and len(got.components) == len(want.components)
         for c, d in zip(got.components, want.components):
-            _assert_same_laws(c, d, ts, rtol)
+            _assert_same_laws(c, d, ts)
 
 
 def _draws_digest(law, n=10_000):
@@ -225,11 +242,7 @@ def _draws_digest(law, n=10_000):
     return hashlib.sha256(np.ascontiguousarray(draws, dtype=float).tobytes()).hexdigest()
 
 
-def test_one_pass_bias_matches_the_three_passes():
-    # bit for bit on point masses; on a density the seed moment rows share
-    # the pass and widen its panels, so alpha and z may move by an ulp
-    # (measured: 2.2e-16 relative on the normal, the seed density 3.6e-16
-    # and the draws 5.0e-14 apart)
+def test_one_pass_bias_matches_the_three_passes_bit_for_bit():
     for name, X, spec in _point_mass_cases():
         t = bf.bias(X, spec)
         alpha, seed_law = bias_in_three_passes(X, spec)
@@ -242,11 +255,9 @@ def test_one_pass_bias_matches_the_three_passes():
     for name, X, spec in _density_and_mixture_cases():
         t = bf.bias(X, spec)
         alpha, seed_law = bias_in_three_passes(X, spec)
-        assert abs(t.alpha - alpha) <= 2.0 ** -51 * alpha, name
-        _assert_same_laws(t.recipe.seed_law, seed_law, np.linspace(*X.effective_support(), 101),
-                          rtol=2.0 ** -49)
-        draws = [bf.sample(law, bf.RandomSource(8), 20_000) for law in (t.recipe.seed_law, seed_law)]
-        np.testing.assert_allclose(*draws, rtol=0.0, atol=1e-12, err_msg=name)
+        assert t.alpha.hex() == alpha.hex(), name
+        _assert_same_laws(t.recipe.seed_law, seed_law, np.linspace(*X.effective_support(), 101))
+        assert _draws_digest(t.recipe.seed_law, 20_000) == _draws_digest(seed_law, 20_000), name
         lo, hi = X.effective_support()  # the window of the law before the one pass
         assert (t.law.lo, t.law.hi) == (min(lo, spec.nodes[0]), max(hi, spec.nodes[-1])), name
 
@@ -810,9 +821,9 @@ def test_a_table_whose_construction_pass_fell_back_takes_a_pass_of_its_own(monke
     riding = bf.bias(X, spec).density(ts)
     panels, depths = D._panels, []
 
-    def first_pass_fails(fv, edges, depth=D._PANEL_DEPTH):
+    def first_pass_fails(fv, edges, depth=D._PANEL_DEPTH, spare=0):
         depths.append(depth)
-        return None if len(depths) == 1 else panels(fv, edges, depth)
+        return None if len(depths) == 1 else panels(fv, edges, depth, spare)
 
     monkeypatch.setattr(D, "_panels", first_pass_fails)
     t = bf.bias(X, spec)

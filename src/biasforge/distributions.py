@@ -343,10 +343,9 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None,
     is a hit only above twice the threshold: a constant weight keeps the
     window.  The last ``spare`` integrands widen nothing.  Returns (edges,
     the window the first ``head`` integrands, all but the spare ones by
-    default, widen to, the steps past the edges the spare ones take): the
-    rest widen the panels only.  The steps are panels (left ends, right
-    ends), none without spare integrands; None when a spare one has not
-    decayed (``_reach`` raises)."""
+    default, widen to, and the ladder steps past the edges that the spare
+    ones reach as (left ends, right ends), None when one has not decayed):
+    the rest widen the panels only."""
     a, b = window
     edges, inner = np.linspace(a, b, _PANEL_START + 1), _inside(points, a, b)
     if inner.size:
@@ -428,16 +427,15 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
     share the window and the panels, each panel held to every integrand's
     tolerance.  When the panels do not suit fv, ``integrate_fn`` takes the
     whole window row by row (``_row``), J read from one call of fv.  The
-    last ``spare`` rows ride the panels of the others and take no part in
-    the window, the edges or a panel's acceptance, so the other rows keep
-    the bits they have without them.  Past the edges, out to the spare
-    rows' own reach, each ladder step adds its 8-point rule to them.  They
-    read NaN where those steps add more than the tolerance (a spare row
-    that decays much slower than the others), where one has not decayed by
-    the end of the ladder or where integrate_fn takes the window.  Returns
-    ((J,) integrals, the window of the first ``head`` rows, the final
-    panels: (left edges, values) round by round as ``_panels`` gives them
-    and the right end; None when integrate_fn took the window)."""
+    last ``spare`` rows ride the others' panels and take no part in the
+    window, the edges or a panel's acceptance, so the others keep their
+    bits; each ladder step past the edges that they reach adds its 8-point
+    rule to them.  They read NaN where those steps add more than the
+    tolerance, where one has not decayed or where integrate_fn takes the
+    window.  Returns ((J,) integrals, the window of the first ``head``
+    rows, the final panels: (left edges, values) round by round as
+    ``_panels`` gives them and the right end; None when integrate_fn took
+    the window)."""
     knots = _knots(d, points)
     edges, window, past = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots, head, spare)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
@@ -447,7 +445,7 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
             rows = len(fv(edges[:1])) - spare
         return (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots) for j in range(rows)]
                          + [np.nan] * spare), window, None)
-    if spare:  # the spare rows' ladder steps past the edges
+    if spare:  # the spare rows' ladder steps past the edges, added in place (a view)
         tot, add = out[0][-spare:], np.inf
         if past is not None:
             add = _gauss_legendre(fv, *past)[-spare:].sum(axis=-1) if past[0].size else 0.0

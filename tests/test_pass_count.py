@@ -46,5 +46,3 @@ def test_main_prints_a_row_per_transform(capsys):
     assert list(rows) == list(pass_count.transforms())
     for name, (*steps, total) in rows.items():
         assert total == sum(steps) and min(steps) >= 0, name
-    for name, counts in COUNTS.items():
-        assert rows[name][:-1] == list(counts), name

@@ -10,9 +10,12 @@ no recipe) and the sha256 of 1e5 draws from a fixed seed.  Floats are
 printed by ``repr``, which round-trips.
 
 The laws: the nine transforms of the benchmark's ``continuous-cold``
-workload, the five kinds of its ``sampling-warm`` workload, and the
-order-4 lifts of ``uniform(-1, 1)`` under the unit bias and under the node
-product (x + 0.5)(x - 0.5).  Only the public API is used.
+workload, the five kinds of its ``sampling-warm`` workload, the order-4
+lifts of ``uniform(-1, 1)`` under the unit bias and under the node product
+(x + 0.5)(x - 0.5), and the other second-difference chains: a
+second-difference transform and a second-order law, each at a node other
+than 0, the second-order operator's ``higher_order_transform`` and the
+order-6 unit lift of ``normal()``.  Only the public API is used.
 
     PYTHONPATH=src python scripts/dump_values.py > values.txt
 """
@@ -54,6 +57,12 @@ def _zero_bias():
 
 def _unit():
     return bf.SignChangeSpec(_ones, bf.NodeSet(()), label="1")
+
+
+def _centered(mean):
+    """B(x) = x - mean with its node at the mean."""
+    return bf.SignChangeSpec(lambda x: np.asarray(x, dtype=float) - mean, bf.NodeSet((mean,)),
+                             label=f"x-{mean}")
 
 
 def _xplus(node):
@@ -101,6 +110,14 @@ def laws():
         # order-4 lifts, whose draws tilt a tabulated law
         ("uniform-lift-order4-unit", lambda: bf.bias_to_order(U, _unit(), 4)),
         ("uniform-lift-order4-k2", lambda: bf.bias_to_order(U, _node_product((-0.5, 0.5)), 4)),
+        # the other second-difference chains
+        ("normal-second-difference", lambda: bf.second_difference_transform(
+            bf.normal(0.3, 1.2), 0.37)),
+        ("normal-second-order-node", lambda: bf.second_order_transform(
+            bf.normal(0.5, 1.0), _ones, _centered(0.5))),
+        ("normal-operator-order2", lambda: bf.higher_order_transform(
+            bf.normal(), bf.SteinOperator(2, (_unit(), _zero_bias())))),
+        ("normal-lift-order6", lambda: bf.bias_to_order(bf.normal(), _unit(), 6)),
     ]
 
 

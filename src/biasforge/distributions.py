@@ -141,16 +141,16 @@ _TAN_PROBE.setflags(write=False)  # the tail probe's grid, shared by every call
 
 
 def _tail_hits(vals: np.ndarray, eps=TAIL_EPS):
-    """The points of the last axis where some integrand of the stack ``vals``
-    (J integrands on a leading axis) is at least ``eps`` (TAIL_EPS, or one
-    per point) of its own peak, and those where one is not finite: the tail
-    rule.  A NaN is no hit (0 * inf: an integrable weight such as e^x
+    """The tail rule per integrand of the stack ``vals`` (J on a leading
+    axis; ``any`` over a subset of rows gives its rule): where it is at least
+    ``eps`` (TAIL_EPS, or one per point) of its own peak, and where it is not
+    finite.  A NaN is no hit (0 * inf: an integrable weight such as e^x
     overflows where the density is 0); an infinite value is a hit but no
-    peak; a row without mass has no threshold.  Returns (hit, bad)."""
+    peak; a row without mass has no threshold.  Returns (hit, bad), (J, n)."""
     mag = np.abs(vals.reshape(-1, vals.shape[-1]))
     finite = np.isfinite(mag)
     peaks = np.where(finite, mag, 0.0).max(axis=1, keepdims=True)
-    return (mag >= np.where(peaks > 0.0, peaks * eps, np.nan)).any(axis=0), ~finite.all(axis=0)
+    return mag >= np.where(peaks > 0.0, peaks * eps, np.nan), ~finite
 
 
 def _effective_bounds(fv, lo, hi):
@@ -173,7 +173,7 @@ def _effective_bounds(fv, lo, hi):
                          _TAN_PROBE[(_TAN_PROBE >= lo) & (_TAN_PROBE <= hi)],
                          [hi] if math.isfinite(hi) else []))
     with np.errstate(over="ignore", invalid="ignore"):
-        hit, bad = _tail_hits(fv(xs))
+        hit, bad = (rows.any(axis=0) for rows in _tail_hits(fv(xs)))
     idx = np.flatnonzero(hit)
     if not idx.size:
         return 0.0, 0.0
@@ -359,19 +359,20 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None,
     with np.errstate(over="ignore", invalid="ignore"):
         vals = fv(xs)
     eps, k, m = np.where((xs == a) | (xs == b), 2.0 * TAIL_EPS, TAIL_EPS), left.size, right.size
+    hits, bads = _tail_hits(vals, eps)
 
-    def reach(rows):  # the ladder steps the integrands ``rows`` take in at each end
-        hit, bad = _tail_hits(rows, eps)
+    def reach(rows):  # the ladder steps the integrands ``rows``, a slice, take in at each end
+        hit, bad = hits[rows].any(axis=0), bads[rows].any(axis=0)
         return (_reach(np.flatnonzero(hit[:k]), bad[:k], left),
                 _reach(np.flatnonzero(hit[k:k + m]), bad[k:k + m], right))
 
-    held = vals[:len(vals) - spare]
-    out_l, out_r = reach(held)
-    own_l, own_r = reach(held[:head]) if head and head < len(held) else (out_l, out_r)
+    held = len(hits) - spare
+    out_l, out_r = reach(slice(held))
+    own_l, own_r = reach(slice(head)) if head and head < held else (out_l, out_r)
     window = (float(left[own_l]) if k else float(a), float(right[own_r]) if m else float(b))
     if spare:
         try:
-            far_l, far_r = reach(vals)
+            far_l, far_r = reach(slice(None))
             lp, rp = left[out_l:far_l + 1][::-1], right[out_r:far_r + 1]
             past = np.concatenate((lp[:-1], rp[:-1])), np.concatenate((lp[1:], rp[1:]))
         except NonIntegrable:
@@ -1191,7 +1192,7 @@ def _zero_normalizer(d: Distribution) -> ZeroNormalizer:
 
 def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: np.ndarray,
           wx: np.ndarray, loads: Optional[Callable] = None, points: Sequence[float] = (),
-          powers: int = 0):
+          powers: int = 0, center: float = 0.0):
     """``tilt`` by the array-native ``wv`` from its values ``wx`` at the
     ``_probe_points`` ``probe`` of ``d``; a mixture without a density hands
     each component its slice of both and weighs the tilted components by
@@ -1209,10 +1210,10 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     rounds; the panels returned are its final panels, those of the tail
     rows, for ``_TailTable``: None on point masses, without loads or when
     integrate_fn took the pass, a list by component for a mixture.  The
-    ``powers`` moment rows max(w, 0) x^p f, p >= 1, ride it last as spare
-    rows (``_window_integral``), kept by no table: the seed moments E[Y^p],
-    p <= powers, a tuple, are their totals over z; None when they dropped
-    out, on point masses and on a mixture without a density."""
+    ``powers`` rows max(w, 0) (x - center)^p f, p >= 1, ride it last as spare
+    rows (``_window_integral``), kept by no table: the seed moments about
+    ``center``, p <= powers, a tuple, are their totals over z; None when they
+    dropped out, on point masses and on a mixture without a density."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1228,6 +1229,8 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         return _atom_law(d.locs, mw, label=f"tilt({d.label})"), z, mean, None, None
 
     if d.density is None:
+        if d.components is None:  # a sampler alone
+            raise InputError("no expectation route for this distribution")
         parts = []
         # the components' windows are known: the mixture's probe found them
         cuts = np.cumsum([0, *(_probe_points(c).size for c in d.components)])
@@ -1252,9 +1255,9 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
         np.multiply(np.maximum(w, 0.0), f, out=out[1])
         if len(tail):
             np.multiply(tail, f, out=out[2:2 + len(tail)])
-        row = out[1]
+        row, step = out[1], x - center if center else x
         for p in range(len(out) - powers, len(out)):  # a running product from w+ f
-            row = np.multiply(row, x, out=out[p])
+            row = np.multiply(row, step, out=out[p])
         return out
 
     (mean, z, *rows), window, out = _window_integral(

@@ -7,26 +7,23 @@ second derivative:
     E[f(X) - f(a) - f'(a)(X - a)] = (1/2) E[(X - a)^2] E[f''(XH)].
 
 It is the two-node construction with a double node at ``a``: tilt by
-(x - a)^2, then shrink towards ``a`` by one Beta(1, 2) factor.  Its density
-is tabulated from that identity at the truncated power (s - t)_+, like
-every multi-node density in ``transform``.
-
-Chaining (m - k)/2 second-difference steps at zero onto a k-node
-transform lifts the derivative order from k to any m of the same parity.
-The lifted identity subtracts, besides the node interpolant, an explicit
-degree <= m-1 correction polynomial built from the test function's
-derivatives at zero; its normalizer beta is always positive for a
-nondegenerate chain.  Each step's density is the identity table of the
-input law at that step's order, so no step's density reads the previous
-step's density.  The previous law is only tilted for sampling, and that
-tilt reads an identity table when the previous law has one (an earlier
-step, or a base with two or more nodes).
+(x - a)^2, then shrink towards ``a`` by one Beta(1, 2) factor.  Chaining
+(m - k)/2 such steps onto a k-node transform lifts the derivative order
+from k to any m of the same parity; the lifted identity subtracts, besides
+the node interpolant, a degree <= m-1 correction polynomial about the
+location.  One constructor (``_chain``) builds every chain: an order lift
+(at 0), the second-difference transform (X itself its base) and the
+second-order law's B0 part (the B0 tilt its base).  The rows
+B(x) (x - c)^j, j < m, ride the base's construction pass into one tail
+table, and each step's density is the identity table of X at its order,
+read from that table, so no step reads the previous step's density.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +42,8 @@ from .transform import (
     BiasedDistribution,
     BiasRecipe,
     SignChangeSpec,
-    _identity_density,
+    _bias,
+    _identity_table,
     bias,
     recipe_moments,
     shift_moments,
@@ -72,21 +70,17 @@ class ChainRecipe:
 
     def moments(self, top: int) -> np.ndarray:
         """Base moments, centred at the location, mapped through every step
-        and shifted back (no shift at location 0)."""
+        and shifted back (a shift by 0 keeps every bit)."""
         steps, a = len(self.step_normalizers), self.location
-        mom = recipe_moments(self.base, top + 2 * steps)
-        if a:
-            mom = shift_moments(mom, -a)
+        mom = shift_moments(recipe_moments(self.base, top + 2 * steps), -a)
         for _ in range(steps):
             mom = _hat_moment_map(mom)
-        return shift_moments(mom, a) if a else mom
+        return shift_moments(mom, a)
 
 
 def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
     """Moments about the location after one second-difference step:
     E[(Z - a)^p] = E[(W - a)^{p+2}] / ((p+2)(p+1) * (1/2) E[(W - a)^2])."""
-    if len(mom) < 3:
-        raise InputError("need moments up to order 2")
     b = mom[2] / 2.0
     if not b > SECOND_MOMENT_TOL:
         raise DegenerateBeta("second moment vanished inside the chain")
@@ -95,55 +89,92 @@ def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# law construction helpers
-# ---------------------------------------------------------------------------
-
-def _step_law(prev: Distribution, X: Distribution, spec: SignChangeSpec, m: int,
-              beta: float, c: float, **fields) -> Distribution:
-    """One second-difference step about ``c`` after the law ``prev``: the
-    order-m identity table of X under ``spec`` for the density, and the
-    two-node construction with a double node at ``c`` for the sampler (tilt
-    ``prev`` by (x - c)^2, then shrink by a Beta(1, 2) draw 1 - sqrt(U)).
-    The tilt is made on first draw; ``fields`` are the law's support,
-    kinks and label.  The table's rows take a pass of their own on first
-    read: ``bias`` does not know m, and rows of degree m - 1 > k would
-    widen its tilt's panels."""
-    seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2,
-                              weight_kinks=(c,)))
-
-    def draw(rs: RandomSource, n: int):
-        y = sample(seed.get(), rs, n)  # a fresh array: c + s (y - c) is formed in it
-        s = rs.uniform(n)
-        np.sqrt(s, out=s)
-        np.subtract(1.0, s, out=s)
-        y -= c
-        y *= s
-        y += c
-        return y
-
-    dens, cdf = _identity_density(X, spec, m, beta, c)
-    return Distribution(density=dens, cdf=cdf, sampler=draw, **fields)
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
+def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
+           stage=None, base: Optional[Distribution] = None,
+           window: bool = False) -> BiasedDistribution:
+    """The order-m transform of X under ``spec``: (m - k)/2 second-difference
+    steps about ``c`` on the k-node base that ``stage`` (``transform._bias``
+    with m rows and the moments about c; run here when not given) builds,
+    or on the law ``base`` itself as a zero-node unit base.  Step l's
+    density is the order-(k + 2l) identity table read from the stage's
+    table; its sampler tilts the previous law by (x - c)^2 on first draw and
+    shrinks towards c by a Beta(1, 2) factor 1 - sqrt(U).  Its normalizer is
+    half the running second moment about c: the base's moments about c
+    (from its pass, its recipe at c = 0, or one expectation per order),
+    mapped step by step; beta = alpha prod(b_l).  The laws span c and the
+    base law's support (its window if ``window``).  DegenerateBeta at a
+    point mass at c or at beta <= ALPHA_TOL."""
+    k = spec.k
+    make, tails, rec = stage or _bias(X, spec, m, c, c)
+    made = make() if base is None else BiasedDistribution(base, 1.0, None, BiasRecipe(spec, base))
+    top = m - k
+    if k == 0 and rec is not None and len(rec) > top:
+        mom = np.array(rec[:top + 1])
+    elif not c:
+        mom = recipe_moments(made.recipe, top)
+    else:  # point masses and moment rows that dropped out
+        mom = np.array([expectation(made.law, lambda x, p=p: (np.asarray(x, float) - c) ** p)
+                        for p in range(top + 1)])
+
+    law, beta = made.law, made.alpha
+    lo, hi = law.effective_support() if window else (law.lo, law.hi)
+    fields = dict(lo=min(lo, c), hi=max(hi, c), kinks=(c,) + law.kinks, label=label)
+
+    def step(prev: Distribution, order: int, beta: float) -> Distribution:
+        seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2,
+                                  weight_kinks=(c,)))
+
+        def draw(rs: RandomSource, n: int):
+            y = sample(seed.get(), rs, n)  # a fresh array: c + s (y - c) is formed in it
+            s = rs.uniform(n)
+            np.sqrt(s, out=s)
+            np.subtract(1.0, s, out=s)
+            y -= c
+            y *= s
+            y += c
+            return y
+
+        dens = _Lazy(lambda: _identity_table(X, spec, order, beta, c, tails.get()))
+        return Distribution(density=dens, cdf=lambda x: dens.get().cdf(x), sampler=draw, **fields)
+
+    normalizers = []
+    for order in range(k + 2, m + 1, 2):
+        normalizers.append(float(mom[2] / 2.0))
+        mom = _hat_moment_map(mom)  # DegenerateBeta at a point mass at c
+        beta *= normalizers[-1]
+        law = step(law, order, beta)
+    if not beta > ALPHA_TOL:
+        raise DegenerateBeta(f"order-{m} normalizer {beta!r} is not positive")
+    recipe = ChainRecipe(made.recipe, tuple(normalizers), location=c)
+    return BiasedDistribution(law, alpha=made.alpha, beta=float(beta), recipe=recipe)
+
+
 def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution:
-    """The second-difference transform of X at ``a``; its normalizer is
-    half the second moment about ``a``.  Degenerate when X is (numerically)
-    a point mass at ``a``."""
+    """The second-difference transform of X at ``a``: the one-step chain
+    about ``a`` on X itself (``_chain``).  Its alpha is half the second
+    moment about ``a``, recorded by the unit pass over X that carries its
+    table; DegenerateAlpha when X is (numerically) a point mass at ``a``."""
     a = float(a)
-    second_moment = expectation(X, lambda x: (np.asarray(x, float) - a) ** 2)
-    if not second_moment > SECOND_MOMENT_TOL:
-        raise DegenerateAlpha(f"second moment about {a} is zero (point mass at the location)")
-    lo, hi = X.effective_support()
-    unit = unit_bias_spec()
-    law = _step_law(X, X, unit, 2, second_moment / 2.0, a, lo=min(lo, a), hi=max(hi, a),
-                    kinks=(a,) + X.kinks,
-                    label=f"second-difference({X.label or 'X'}; a={a})")
-    recipe = ChainRecipe(BiasRecipe(unit, X), (second_moment / 2.0,), location=a)
-    return BiasedDistribution(law, alpha=second_moment / 2.0, beta=None, recipe=recipe)
+    try:
+        t = _chain(X, unit_bias_spec(), 2, a, f"second-difference({X.label or 'X'}; a={a})",
+                   base=X, window=True)
+    except DegenerateBeta as exc:
+        raise DegenerateAlpha(f"second moment about {a} is zero "
+                              "(point mass at the location)") from exc
+    return replace(t, alpha=t.beta, beta=None)
+
+
+def _order_checked(spec: SignChangeSpec, m: int) -> int:
+    """The node count k of ``spec``, after checking 0 <= k <= m of m's parity."""
+    k = spec.k
+    if k > m:
+        raise InputError(f"need 0 <= k <= m, got k={k}, m={m}")
+    if (m - k) % 2 != 0:
+        raise ParityMismatch(f"k={k} and m={m} have different parity")
+    return k
 
 
 def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
@@ -155,11 +186,7 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
     apart that the chain's beta (``bias_to_order``) is tested against.
     Always positive for a valid, nondegenerate configuration; equals alpha
     when k == m."""
-    k = spec.k
-    if k > m:
-        raise InputError(f"need k <= m, got k={k}, m={m}")
-    if (m - k) % 2 != 0:
-        raise ParityMismatch(f"k={k} and m={m} have different parity")
+    k = _order_checked(spec, m)
     interp = lagrange_poly(spec.nodes, [x**m for x in spec.nodes])  # zero with no nodes
     kernel = lambda x: spec.bias(x) * (x ** m - interp(x))
     b = expectation(X, kernel, points=spec.quad_points) / math.factorial(m)
@@ -170,31 +197,11 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
 
 def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistribution:
     """k-node transform lifted to derivative order m (same parity as k) by
-    chaining second-difference steps at zero onto the k-node stage.  beta is
-    the chain's alpha * prod(b_l), b_l half the running second moment (the
-    base's recipe moments, mapped step by step), the product each step's
-    table is divided by.  DegenerateBeta at a stage that is a point mass at
-    zero or at beta <= ALPHA_TOL."""
-    k = spec.k
-    if m < 0 or k > m:
-        raise InputError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if (m - k) % 2 != 0:
-        raise ParityMismatch(f"k={k} and m={m} have different parity")
-    base = bias(X, spec)
+    chaining second-difference steps at zero onto the k-node stage
+    (``_chain``): one pass over X for the base, its normalizers and every
+    step's table.  DegenerateBeta at a stage that is a point mass at zero
+    or at beta <= ALPHA_TOL."""
+    k = _order_checked(spec, m)
     if k == m:
-        return base
-
-    mom = recipe_moments(base.recipe, m - k)
-    law, beta = base.law, base.alpha
-    fields = dict(lo=min(law.lo, 0.0), hi=max(law.hi, 0.0), kinks=(0.0,) + law.kinks,
-                  label=f"bias-to-order({X.label or 'X'}; k={k}, m={m})")
-    normalizers = []
-    for order in range(k + 2, m + 1, 2):
-        normalizers.append(float(mom[2] / 2.0))
-        mom = _hat_moment_map(mom)  # DegenerateBeta at a point mass at zero
-        beta *= normalizers[-1]
-        law = _step_law(law, X, spec, order, beta, 0.0, **fields)
-    if not beta > ALPHA_TOL:
-        raise DegenerateBeta(f"order-{m} normalizer {beta!r} is not positive")
-    recipe = ChainRecipe(base=base.recipe, step_normalizers=tuple(normalizers))
-    return BiasedDistribution(law, alpha=base.alpha, beta=float(beta), recipe=recipe)
+        return bias(X, spec)
+    return _chain(X, spec, m, 0.0, f"bias-to-order({X.label or 'X'}; k={k}, m={m})")

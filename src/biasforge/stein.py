@@ -34,12 +34,8 @@ from .errors import (
 from .distributions import (
     Distribution,
     RandomSource,
-    _Lazy,
-    _TailTable,
-    _probe_points,
     _check_draws,
     _mean_se,
-    _tilt,
     as_array_fn,
     expectation,
     make_mixture,
@@ -51,11 +47,11 @@ from .transform import (
     MixtureRecipe,
     SignChangeSpec,
     _one_node_density,
-    _validation_report,
+    _bias,
     alpha_of,
     bias,
 )
-from .higher import bias_to_order, second_difference_transform
+from .higher import _chain, bias_to_order
 
 FD_STEP = 1e-4          # fixed-point check: finite-difference step
 DENSITY_FLOOR = 1e-6    # probes where the density is below this are skipped
@@ -110,36 +106,23 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         alpha E[f''(X*)] = E[B0(X)(f(X) - f(a) - f'(a)(X-a))
                             + B1(X)(f'(X) - f'(a))].
 
-    X* mixes the second-difference transform of the B0-tilted law with the
-    one-node B1 transform, weighted by alpha_1, alpha_2: alpha_1 =
-    E[B0(X)(X - a)^2] / 2 is the B0 tilt's normaliser times its second
-    difference's (0 if either is degenerate), alpha_2 the one-node alpha.
-    The density's tail table, of the loads [B1 + B0 (x - a), B0], sums the
-    final panels of the B0 tilt's pass, which the loads ride (with the B1
-    node and kinks as break points): no read integrates.  It takes a pass
-    of its own only when integrate_fn took the tilt's."""
+    X* mixes the one-step chain about a on the zero-node B0 transform, the
+    B0 tilt (``higher._chain``), with the one-node B1 transform, weighted by
+    alpha_1 = E[B0(X)(X - a)^2] / 2, the chain's beta (0 if degenerate), and
+    alpha_2, the one-node alpha.  NegativeWeight where B0 is negative at a
+    probe point of X.  The density reads the chain's one tail table: the
+    rows B0, B0 (x - a) and B1 ride the B0 tilt's pass (the B1 node and
+    kinks its break points), so no read integrates."""
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
-    b0_of, probe = as_array_fn(B0), _probe_points(X)
-    b0x = b0_of(probe)  # once: the verdict and the B0-tilted law read these values
-    report = _validation_report(probe, b0x)
-    if not report.passed:
-        raise NegativeWeight(f"order-0 coefficient is negative at x={report.worst_point!r}")
-
-    # the load B1 + B0 (x - t) is (B1 + B0 (x - a)) - (t - a) B0
-    b1_of = as_array_fn(B1.bias)
-
-    def loads(x):  # [B1 + B0 (x - a), B0], B0 evaluated once
-        b0 = b0_of(x)
-        return np.stack((b1_of(x) + b0 * (x - a), b0))
-
-    tilted, z0, _, panels, _ = _tilt(X, b0_of, B0_kinks, probe, b0x, loads, B1.quad_points)
+    spec = SignChangeSpec(B0, kinks=B0_kinks)
+    stage = _bias(X, spec, 2, a, a, (NegativeWeight, "order-0 coefficient is negative"),
+                  as_array_fn(B1.bias), B1.quad_points)
     normalized = []  # (part, alpha_1 or alpha_2) of each nondegenerate part
-    if tilted is not None:
-        with contextlib.suppress(DegenerateAlpha):
-            hat = second_difference_transform(tilted, a)
-            normalized.append((hat, z0 * hat.alpha))
+    with contextlib.suppress(DegenerateAlpha, DegenerateBeta):
+        hat = _chain(X, spec, 2, a, f"second-difference(B0; a={a})", stage, window=True)
+        normalized.append((hat, hat.beta))
     with contextlib.suppress(DegenerateAlpha):
         one_node = bias(X, B1)
         normalized.append((one_node, one_node.alpha))
@@ -148,14 +131,11 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
     parts, weights = zip(*((p, n / alpha) for p, n in normalized if n > ALPHA_TOL))
 
-    law = make_mixture([p.law for p in parts], weights)
-    tails = _Lazy(lambda: _TailTable(X, loads, panels, (*B0_kinks, *B1.quad_points)))
+    def density(t):  # the load B1 + B0 (x - t) is B1 + B0 (x - a) - (t - a) B0
+        flat, centred, b1 = stage[1].get()(t, a)
+        return (b1 + centred - (np.asarray(t, dtype=float) - a) * flat) / alpha
 
-    def density(t):
-        upper, flat = tails.get()(t, a)
-        return (upper - (np.asarray(t, dtype=float) - a) * flat) / alpha
-
-    law = replace(law, density=as_array_fn(density),
+    law = replace(make_mixture([p.law for p in parts], weights), density=as_array_fn(density),
                   label=f"second-order({X.label or 'X'}; a={a})")
     return BiasedDistribution(law, alpha=alpha, beta=None,
                               recipe=MixtureRecipe(parts, weights))

@@ -18,7 +18,7 @@ t.  Both read one cumulative table of the input law
 (``distributions._TailTable``): its weights (B, or B(x) (x - c)^j for
 j < m), one stack that evaluates B once, ride the construction's own panel
 pass over the input law, the tilt's, and the table sums that pass's final
-panels on first use (a lift's step tables take a pass of their own).
+panels on first use; an order lift's steps read its base's table.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -370,7 +370,7 @@ def _identity_loads(spec: SignChangeSpec, m: int, c: float) -> Callable:
 
 
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
-                    c: float, panels=None) -> TabulatedDensity:
+                    c: float, tails: Optional[_TailTable] = None) -> TabulatedDensity:
     """Density of the order-m transform of X under ``spec`` (correction
     polynomial about ``c``) from the defining identity at the truncated
     power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
@@ -380,10 +380,9 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
 
     L and R are linear in the node values and derivatives at c of g_t, which
     are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
-    needed: one panel table of X (``_TailTable``), summed from ``panels``,
-    the final panels of the pass those rows rode, or from a pass of its own
-    without them, and read at every grid point.  The grid spans the
-    effective support of X, the nodes and c."""
+    needed: the first m rows of ``tails``, the table whose rows rode the
+    pass of ``_bias`` (a pass of its own when not given), read at every grid
+    point.  The grid spans the effective support of X, the nodes and c."""
     k = spec.k
     ys = np.asarray(spec.nodes, dtype=float) - c
 
@@ -393,7 +392,8 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
-    tails = _TailTable(X, _identity_loads(spec, m, c), panels, spec.quad_points)
+    if tails is None:
+        tails = _TailTable(X, _identity_loads(spec, m, c), None, spec.quad_points)
 
     def values(ts):
         s = ts - c
@@ -411,14 +411,6 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     # term); as a knot, c also gets its left limit
     return TabulatedDensity.from_callable(values, lo, hi, DENSITY_GRID,
                                           knots=spec.quad_points + X.kinks + (c,))
-
-
-def _identity_density(X: Distribution, spec: SignChangeSpec, m: int, beta: float, c: float,
-                      panels=None):
-    """The identity table as a density built on first use (from ``panels``,
-    or a pass of its own then), and its CDF."""
-    table = _Lazy(lambda: _identity_table(X, spec, m, beta, c, panels))
-    return table, (lambda x: table.get().cdf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -439,58 +431,75 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     (the tilt) and, on point masses, the normalizer as an atom sum, with
     the errors, values and bits of ``validate_spec``, ``alpha_of`` and
     ``tilt`` run apart.  On a density the normalizer, the tilt's normaliser,
-    the density's tail rows (B f, or B (x - x_1)^j f for j < k) and the
-    seed moment rows (max(w, 0) x^p f, p <= _SEED_MOMENTS, which ride it
-    without moving a bit of the others) are one stacked panel pass over X
-    (``_tilt``, which keeps the tilt's window): the density's table sums
-    its final panels, so no read integrates, and the recipe records the
-    seed moments, so its moments to order 4 take no pass.
-    DegenerateAlpha and NegativeAlpha are raised before ZeroNormalizer.
-    The probe's ends, X's window, bound the law."""
+    the tail rows (B f, or B (x - x_1)^j f for j < k) and the seed moment
+    rows (max(w, 0) x^p f, p <= _SEED_MOMENTS, moving no bit of the others)
+    are one stacked panel pass over X (``_bias``): no density read or
+    moment to order 4 integrates.  DegenerateAlpha and NegativeAlpha come
+    before ZeroNormalizer.  The probe's ends, X's window, bound the law."""
+    return _bias(X, spec, spec.k, spec.nodes[0] if spec.k else 0.0)[0]()
+
+
+def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: float = 0.0,
+          refuse=(SignViolation, "sign pattern fails"), extra: Optional[Callable] = None,
+          points: Sequence[float] = ()):
+    """``bias`` split at its one pass (``_tilt``, which keeps the tilt's
+    window), carrying the rows B(x) (x - c)^j, j < rows, then ``extra(x)``
+    (``points`` its break points), and the seed moment rows about
+    ``center``: k rows about x_1 and moments about 0 for ``bias``, m rows
+    and moments about its location for a chain (``higher._chain``).  A
+    failed verdict raises refuse = (error, what).  Returns (make, tails,
+    moments): ``make()`` builds the transform from the first k rows of the
+    lazy table ``tails``, recording the seed ``moments`` if about 0."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
     report = _validation_report(pts, w)
     if not report.passed:
-        raise SignViolation(f"sign pattern fails at x={report.worst_point!r} "
-                            f"(value {report.worst_value:.3e})")
+        error, what = refuse
+        raise error(f"{what} at x={report.worst_point!r} (value {report.worst_value:.3e})")
     k = spec.k
-    loads = _identity_loads(spec, k, spec.nodes[0]) if k else None
+    loads = _identity_loads(spec, rows, c) if rows else None
+    if extra is not None:
+        own = loads
+        loads = lambda x: np.concatenate((own(x), extra(x)[None]))
     seed_law, _, mean, panels, seed = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points,
-                                            probe, w[:probe.size], loads, (), _SEED_MOMENTS)
-    alpha = _checked_alpha(mean / math.factorial(spec.k))
-    if seed_law is None:
-        raise _zero_normalizer(X)
-    recipe = BiasRecipe(spec=spec, seed_law=seed_law)
-    object.__setattr__(recipe, "seed_moments", seed)
+                                            probe, w[:probe.size], loads, points, _SEED_MOMENTS,
+                                            center)
+    tails = None if loads is None else _Lazy(
+        lambda: _TailTable(X, loads, panels, (*spec.quad_points, *points)))
 
-    if k == 0:
-        return BiasedDistribution(seed_law, alpha, None, recipe)
+    def make() -> BiasedDistribution:
+        alpha = _checked_alpha(mean / math.factorial(k))
+        if seed_law is None:
+            raise _zero_normalizer(X)
+        recipe = BiasRecipe(spec=spec, seed_law=seed_law)
+        object.__setattr__(recipe, "seed_moments", None if center else seed)
+        if k == 0:
+            return BiasedDistribution(seed_law, alpha, None, recipe)
 
-    nodes = tuple(spec.nodes)
+        nodes = tuple(spec.nodes)
 
-    def draw(rs: RandomSource, n: int):
-        z = sample(seed_law, rs, n)  # a fresh array: each shrink step runs in place
-        for j, xj in enumerate(nodes, start=1):
-            u = rs.uniform(n)
-            u **= 1.0 / j
-            z -= xj
-            z *= u
-            z += xj
-        return z
+        def draw(rs: RandomSource, n: int):
+            z = sample(seed_law, rs, n)  # a fresh array: each shrink step runs in place
+            for j, xj in enumerate(nodes, start=1):
+                u = rs.uniform(n)
+                u **= 1.0 / j
+                z -= xj
+                z *= u
+                z += xj
+            return z
 
-    lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
+        lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
+        if k == 1:
+            dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
+            cdf = None
+        else:
+            dens = _Lazy(lambda: _identity_table(X, spec, k, alpha, c, tails.get()))
+            cdf = lambda x: dens.get().cdf(x)
+        law_kinks = tuple(sorted({*nodes, *spec.kinks,
+                                  *(kk for kk in X.kinks if lo <= kk <= hi)}))
+        law = Distribution(lo=lo, hi=hi, density=dens, cdf=cdf, sampler=draw, kinks=law_kinks,
+                           label=f"bias({X.label or 'X'}; k={k})")
+        return BiasedDistribution(law, alpha, None, recipe)
 
-    if k == 1:
-        tails = _Lazy(lambda: _TailTable(X, loads, panels, spec.quad_points))
-        dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
-        cdf = None
-    else:
-        dens, cdf = _identity_density(X, spec, k, alpha, nodes[0], panels)
-
-    law_kinks = tuple(sorted({*nodes, *spec.kinks,
-                              *(kk for kk in X.kinks if lo <= kk <= hi)}))
-    law = Distribution(lo=lo, hi=hi, density=dens, cdf=cdf,
-                       sampler=draw, kinks=law_kinks,
-                       label=f"bias({X.label or 'X'}; k={k})")
-    return BiasedDistribution(law, alpha, None, recipe)
+    return make, tails, seed

@@ -9,12 +9,13 @@ import biasforge.distributions as D
 from primitives import pass_count
 
 # construct, read, draws, moments: the order-6 lift reads its base beyond
-# the recorded order 4 and the operator's second-difference part is a unit
-# record with none, so each takes a moments pass; a step's seed tilt and a
-# step's identity table take a pass each
+# the recorded order 4 and the operator's second-difference part reads its
+# base to order 6 for moments to order 4, so each takes a moments pass; the
+# last step's seed tilt takes a pass on first draw, and every step's
+# identity table reads the chain's table, whose rows rode the construction
 COUNTS = {
-    "normal-lift-order6": (2, 1, 2, 1),
-    "normal-operator-order2": (2, 1, 1, 1),
+    "normal-lift-order6": (2, 0, 1, 1),
+    "normal-operator-order2": (2, 0, 1, 1),
 }
 
 
@@ -22,6 +23,13 @@ COUNTS = {
 def test_counts_per_step(name):
     counts = pass_count.count_passes(pass_count.transforms()[name])
     assert tuple(counts[s] for s in pass_count.STEPS) == COUNTS[name]
+
+
+@pytest.mark.parametrize("name", list(pass_count.transforms()))
+def test_every_first_read_takes_no_pass(name):
+    # every table a transform's density reads sums the final panels of its
+    # construction's pass: bias laws, lifts, second-order laws and operators
+    assert pass_count.count_passes(pass_count.transforms()[name])["read"] == 0
 
 
 def test_the_count_is_restored_after_an_error():

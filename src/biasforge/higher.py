@@ -116,8 +116,8 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     elif not c:
         mom = recipe_moments(made.recipe, top)
     else:  # point masses and moment rows that dropped out
-        mom = np.array([expectation(made.law, lambda x, p=p: (np.asarray(x, float) - c) ** p)
-                        for p in range(top + 1)])
+        mom = np.array([1.0, *(expectation(made.law, lambda x, p=p: (np.asarray(x, float) - c) ** p)
+                               for p in range(1, top + 1))])
 
     law, beta = made.law, made.alpha
     lo, hi = law.effective_support() if window else (law.lo, law.hi)

@@ -14,8 +14,9 @@ workload, the five kinds of its ``sampling-warm`` workload, the order-4
 lifts of ``uniform(-1, 1)`` under the unit bias and under the node product
 (x + 0.5)(x - 0.5), and the other second-difference chains: a
 second-difference transform and a second-order law, each at a node other
-than 0, the second-order operator's ``higher_order_transform`` and the
-order-6 unit lift of ``normal()``.  Only the public API is used.
+than 0, the same second difference far from the origin (``normal(1000,
+1)`` at 1000), the second-order operator's ``higher_order_transform`` and
+the order-6 unit lift of ``normal()``.  Only the public API is used.
 
     PYTHONPATH=src python scripts/dump_values.py > values.txt
 """
@@ -113,6 +114,8 @@ def laws():
         # the other second-difference chains
         ("normal-second-difference", lambda: bf.second_difference_transform(
             bf.normal(0.3, 1.2), 0.37)),
+        ("normal-second-difference-far", lambda: bf.second_difference_transform(
+            bf.normal(1000.0, 1.0), 1000.0)),
         ("normal-second-order-node", lambda: bf.second_order_transform(
             bf.normal(0.5, 1.0), _ones, _centered(0.5))),
         ("normal-operator-order2", lambda: bf.higher_order_transform(

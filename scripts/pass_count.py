@@ -9,9 +9,10 @@ construction, a first 257-point density read, 1,000 draws and
 ``recipe_moments(., 4)``, in that order on one fresh transform; the read
 spans the law's window (``effective_support``).  The transforms are the
 nine of catalog laws that the benchmark's continuous-cold workload
-builds, the order-4 and order-6 unit lifts of ``normal()`` and
+builds, the order-4 and order-6 unit lifts of ``normal()``,
 ``higher_order_transform`` of the second-order operator (unit B0,
-zero-bias B1) on ``normal()``.  Reports and does not gate.
+zero-bias B1) on ``normal()`` and the second-difference transform of
+``normal(0.3, 1.2)`` at 0.37.  Reports and does not gate.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def transforms() -> dict:
         "normal-lift-order4": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4),
         "normal-lift-order6": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 6),
         "normal-operator-order2": lambda: bf.higher_order_transform(bf.normal(), operator),
+        "normal-second-difference": lambda: bf.second_difference_transform(bf.normal(0.3, 1.2), 0.37),
     }
 
 

@@ -53,6 +53,7 @@ import csv
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -343,15 +344,15 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None,
     is a hit only above twice the threshold: a constant weight keeps the
     window.  The last ``spare`` integrands widen nothing.  Returns (edges,
     the window the first ``head`` integrands, all but the spare ones by
-    default, widen to, and the ladder steps past the edges that the spare
-    ones reach as (left ends, right ends), None when one has not decayed):
-    the rest widen the panels only."""
+    default, widen to, and the ladder steps past the edges that the first
+    n spare ones reach as (left ends, right ends, n), n the most whose
+    tails all decay): the rest widen the panels only."""
     a, b = window
     edges, inner = np.linspace(a, b, _PANEL_START + 1), _inside(points, a, b)
     if inner.size:
         edges = _sorted_unique(np.concatenate((edges, inner)))
     left, right = _ladder(a, b, lo, hi)
-    past = (np.empty(0), np.empty(0))
+    past = (np.empty(0), np.empty(0), spare)
     if not (left.size or right.size):
         return edges, (float(a), float(b)), past
     coarse = _TAN_PROBE[::_PROBE_GRID // _PANEL_START]
@@ -370,13 +371,15 @@ def _start_panels(fv: Callable, window, lo: float, hi: float, points, head=None,
     out_l, out_r = reach(slice(held))
     own_l, own_r = reach(slice(head)) if head and head < held else (out_l, out_r)
     window = (float(left[own_l]) if k else float(a), float(right[own_r]) if m else float(b))
-    if spare:
+    past = (np.empty(0), np.empty(0), 0)
+    for n in range(spare, 0, -1):  # the longest run of spare rows whose tails decay
         try:
-            far_l, far_r = reach(slice(None))
-            lp, rp = left[out_l:far_l + 1][::-1], right[out_r:far_r + 1]
-            past = np.concatenate((lp[:-1], rp[:-1])), np.concatenate((lp[1:], rp[1:]))
+            far_l, far_r = reach(slice(held + n))
         except NonIntegrable:
-            past = None
+            continue
+        lp, rp = left[out_l:far_l + 1][::-1], right[out_r:far_r + 1]
+        past = np.concatenate((lp[:-1], rp[:-1])), np.concatenate((lp[1:], rp[1:])), n
+        break
     edges = np.concatenate((left[out_l:0:-1], edges, right[1:out_r + 1]))
     inner = _inside(points, edges[0], edges[-1])
     inner = inner[(inner < a) | (inner > b)]  # those inside the window are edges already
@@ -432,11 +435,11 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
     window, the edges or a panel's acceptance, so the others keep their
     bits; each ladder step past the edges that they reach adds its 8-point
     rule to them.  They read NaN where those steps add more than the
-    tolerance, where one has not decayed or where integrate_fn takes the
-    window.  Returns ((J,) integrals, the window of the first ``head``
-    rows, the final panels: (left edges, values) round by round as
-    ``_panels`` gives them and the right end; None when integrate_fn took
-    the window)."""
+    tolerance, from the first one that has not decayed on, or where
+    integrate_fn takes the window.  Returns ((J,) integrals, the window of
+    the first ``head`` rows, the final panels: (left edges, values) round
+    by round as ``_panels`` gives them and the right end; None when
+    integrate_fn took the window)."""
     knots = _knots(d, points)
     edges, window, past = _start_panels(fv, d.effective_support(), d.lo, d.hi, knots, head, spare)
     lo_e, hi_e = float(edges[0]), float(edges[-1])
@@ -447,9 +450,11 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
         return (np.array([integrate_fn(_row(fv, j), lo_e, hi_e, points=knots) for j in range(rows)]
                          + [np.nan] * spare), window, None)
     if spare:  # the spare rows' ladder steps past the edges, added in place (a view)
-        tot, add = out[0][-spare:], np.inf
-        if past is not None:
-            add = _gauss_legendre(fv, *past)[-spare:].sum(axis=-1) if past[0].size else 0.0
+        (lefts, rights, n), tot = past, out[0][-spare:]
+        add = np.where(np.arange(spare) < n, 0.0, np.inf)
+        if n and lefts.size:  # the rows past the first n may overflow there: they read NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                add[:n] = _gauss_legendre(fv, lefts, rights)[-spare:][:n].sum(axis=-1)
         tot += add
         tot[np.abs(add) > ABS_TOL + REL_TOL * np.abs(tot)] = np.nan
     return out[0], window, (out[1], out[2], hi_e)
@@ -1060,28 +1065,41 @@ def moment(d: Distribution, n: int) -> float:
     return expectation(d, lambda x: x ** n)
 
 
-def _moments(d: Distribution, top: int) -> np.ndarray:
-    """E[X^p], p = 0..top, in a pass of their own (a transform's recipe
-    reads the seed moments its construction recorded first).  A density, a
-    table's included, is integrated in one stacked pass: the integrands
-    x^p f(x), p = 1..top, formed as a running product, share the law's
-    window (widened where a power has not decayed), its break points
-    (``_knots``) and one ``_panels`` call.  They agree with ``moment``
-    within 1e-12 relative on smooth densities (within
+def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
+    """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
+    by the binomial expansion, in Python floats (each power of c formed
+    once)."""
+    m = np.asarray(mom, dtype=float).tolist()
+    cp = [c ** k for k in range(len(m))]
+    return np.array([sum(math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1))
+                     for p in range(len(m))], dtype=float)
+
+
+def _moments(d: Distribution, top: int, center: float = 0.0) -> np.ndarray:
+    """E[(X - center)^p], p = 0..top, in a pass of their own (a transform's
+    recipe reads the seed moments its construction recorded first).  A
+    density, a table's included, is integrated in one stacked pass: the
+    integrands (x - center)^p f(x), p = 1..top, formed as a running
+    product, share the law's window (widened where a power has not
+    decayed), its break points (``_knots``) and one ``_panels`` call, so no
+    moment about a far center is a difference of raw moments.  They agree
+    with ``moment`` within 1e-12 relative on smooth densities (within
     the quadrature tolerance where ``integrate_fn`` values the slivers of a
     singularity), not bit for bit, and their last bits depend on top.  A
     mixture without a density sums its components' moments by weight; point
-    masses take ``moment`` order by order, bit for bit."""
+    masses take ``moment`` order by order, bit for bit; both are raw
+    moments shifted to the center (``shift_moments``)."""
+    if d.density is not None and d.locs is None and top >= 1:
+        # row p - 1 holds (x - center)^p f(x)
+        step = (lambda x: x - center) if center else (lambda x: x)
+        powers = _running_products(as_array_fn(d.density), step, top, start=1)
+        return np.concatenate(([1.0], _window_integral(powers, d)[0]))
     if d.density is None and d.locs is None and d.components is not None:
         out = sum(w * _moments(c, top) for c, w in zip(d.components, d.weights))
         out[0] = 1.0
-        return out
-    if top < 1 or d.density is None or d.locs is not None:
-        return np.array([moment(d, p) for p in range(top + 1)])
-    dens = as_array_fn(d.density)
-    # row p - 1 holds x^p f(x)
-    powers = _running_products(dens, lambda x: x, top, start=1)
-    return np.concatenate(([1.0], _window_integral(powers, d)[0]))
+    else:
+        out = np.array([moment(d, p) for p in range(top + 1)])
+    return shift_moments(out, -center) if center else out
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -1204,16 +1222,18 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     A density, a table's included, gives z and the mean in one stacked
     panel pass from its window, and the tilt keeps the window its own rows
     widened to: its inverse-CDF table spans it, built on first draw or
-    first CDF read, and gives the law's CDF.  The tail rows loads(x) f(x)
-    (``loads`` array-native, a fresh stack) ride that pass, ``points`` their
-    break points, widen its panels only and make it bisect _TAIL_DEPTH
-    rounds; the panels returned are its final panels, those of the tail
-    rows, for ``_TailTable``: None on point masses, without loads or when
-    integrate_fn took the pass, a list by component for a mixture.  The
-    ``powers`` rows max(w, 0) (x - center)^p f, p >= 1, ride it last as spare
-    rows (``_window_integral``), kept by no table: the seed moments about
-    ``center``, p <= powers, a tuple, are their totals over z; None when they
-    dropped out, on point masses and on a mixture without a density."""
+    first CDF read, and gives the law's CDF.  The tail rows ride that pass:
+    ``loads`` (array-native) gives a fresh stack, w(x) and then the rows, so
+    the pass evaluates w there and not through ``wv``; the rows times f(x),
+    ``points`` their break points, widen its panels only and make it bisect
+    _TAIL_DEPTH rounds.  The panels returned are its final panels, those of
+    the tail rows, for ``_TailTable``: None on point masses, without loads
+    or when integrate_fn took the pass, a list by component for a mixture.
+    The ``powers`` rows max(w, 0) (x - center)^p f, p >= 1, ride it last as
+    spare rows (``_window_integral``), kept by no table: the seed moments
+    about ``center``, a tuple from order 0, are their totals over z up to
+    the first row that did not hold; None on point masses and on a mixture
+    without a density."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):
@@ -1248,8 +1268,8 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     base = as_array_fn(d.density)
 
     def stack(x):  # [w f, w+ f, loads f, w+ f x^p]: w, f and the loads evaluated once
-        f, w = base(x), wv(x)
-        tail = () if loads is None else loads(x)
+        f, lw = base(x), None if loads is None else loads(x)
+        w, tail = (wv(x), ()) if lw is None else (lw[0], lw[1:])
         out = np.empty((2 + len(tail) + powers,) + np.shape(x))
         np.multiply(w, f, out=out[0])
         np.multiply(np.maximum(w, 0.0), f, out=out[1])
@@ -1267,8 +1287,7 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     panels = None if not tail or out is None else (out[0], [v[2:2 + tail] for v in out[1]], out[2])
     if z <= ZERO_NORMALIZER_TOL:
         return None, z, mean, panels, None
-    seed = (1.0, *(float(r) / z for r in rows[tail:]))
-    seed = seed if powers and np.isfinite(seed).all() else None
+    seed = (1.0, *takewhile(math.isfinite, (float(r) / z for r in rows[tail:])))
 
     def dens(x):
         arr = np.asarray(x, dtype=float)

@@ -16,13 +16,15 @@ location.  One constructor (``_chain``) builds every chain: an order lift
 second-order law's B0 part (the B0 tilt its base).  The rows
 B(x) (x - c)^j, j < m, ride the base's construction pass into one tail
 table, and each step's density is the identity table of X at its order,
-read from that table, so no step reads the previous step's density.
+read from that table, so no step reads the previous step's density.  The
+same pass records the base's moments about the location to order
+4 + m - k, which the chain's normalizers and its moments to order 4 read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,6 +46,7 @@ from .transform import (
     SignChangeSpec,
     _bias,
     _identity_table,
+    _shrunk,
     bias,
     recipe_moments,
     shift_moments,
@@ -62,17 +65,25 @@ class ChainRecipe:
     """The k-node base stage's recipe (for a second-difference transform,
     the zero-node unit recipe, which is X itself) plus (m - k)/2
     second-difference steps at ``location``, with the per-step normalizers
-    (half the running second moments about the location)."""
+    (half the running second moments about the location) and the base's
+    moments about the location to the order the chain's pass carried them
+    (``_chain`` sets them: no caller can)."""
 
     base: BiasRecipe
     step_normalizers: tuple
     location: float = 0.0
+    base_moments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def moments(self, top: int) -> np.ndarray:
-        """Base moments, centred at the location, mapped through every step
-        and shifted back (a shift by 0 keeps every bit)."""
+        """Base moments about the location, mapped through every step and
+        shifted back once (a shift by 0 keeps every bit).  They are the
+        record's while top + 2 steps is within it; past it, or with no
+        record (point masses, a mixture without a density, rows that
+        dropped out of the pass), the base recipe's moments about the
+        location (``BiasRecipe.moments``)."""
         steps, a = len(self.step_normalizers), self.location
-        mom = shift_moments(recipe_moments(self.base, top + 2 * steps), -a)
+        need, rec = top + 2 * steps, self.base_moments
+        mom = np.array(rec[:need + 1]) if rec and need < len(rec) else self.base.moments(need, a)
         for _ in range(steps):
             mom = _hat_moment_map(mom)
         return shift_moments(mom, a)
@@ -103,15 +114,19 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     table; its sampler tilts the previous law by (x - c)^2 on first draw and
     shrinks towards c by a Beta(1, 2) factor 1 - sqrt(U).  Its normalizer is
     half the running second moment about c: the base's moments about c
-    (from its pass, its recipe at c = 0, or one expectation per order),
-    mapped step by step; beta = alpha prod(b_l).  The laws span c and the
-    base law's support (its window if ``window``).  DegenerateBeta at a
-    point mass at c or at beta <= ALPHA_TOL."""
+    (from the seed moments its pass recorded about c to order 4 + m - k,
+    through the base's shrinks; else its recipe at c = 0, or one
+    expectation per order), mapped step by step; beta = alpha prod(b_l).
+    The recipe keeps those base moments for the law's own moments.  The
+    laws span c and the base law's support (its window if ``window``).
+    DegenerateBeta at a point mass at c or at beta <= ALPHA_TOL."""
     k = spec.k
     make, tails, rec = stage or _bias(X, spec, m, c, c)
     made = make() if base is None else BiasedDistribution(base, 1.0, None, BiasRecipe(spec, base))
+    if rec is not None:  # the base's moments about c from its seed's
+        rec = tuple(_shrunk(np.array(rec), spec.nodes, c).tolist())
     top = m - k
-    if k == 0 and rec is not None and len(rec) > top:
+    if rec is not None and len(rec) > top:
         mom = np.array(rec[:top + 1])
     elif not c:
         mom = recipe_moments(made.recipe, top)
@@ -149,6 +164,7 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     if not beta > ALPHA_TOL:
         raise DegenerateBeta(f"order-{m} normalizer {beta!r} is not positive")
     recipe = ChainRecipe(made.recipe, tuple(normalizers), location=c)
+    object.__setattr__(recipe, "base_moments", rec)
     return BiasedDistribution(law, alpha=made.alpha, beta=float(beta), recipe=recipe)
 
 

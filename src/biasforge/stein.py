@@ -112,7 +112,8 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     alpha_2, the one-node alpha.  NegativeWeight where B0 is negative at a
     probe point of X.  The density reads the chain's one tail table: the
     rows B0, B0 (x - a) and B1 ride the B0 tilt's pass (the B1 node and
-    kinks its break points), so no read integrates."""
+    kinks its break points), so no read integrates; so do the B0 tilt's
+    moments about a to order 6, which its moments to order 4 read."""
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])

@@ -49,7 +49,6 @@ from .distributions import (
     _TailTable,
     _moments,
     _probe_points,
-    _running_products,
     _tilt,
     _table_of,
     _weight_ok,
@@ -58,13 +57,14 @@ from .distributions import (
     expectation,
     integrate_fn,
     sample,
+    shift_moments,
 )
 from .polynomials import NodeSet, correction_poly, lagrange_poly
 
 NODE_PROBE_EPS = 1e-6
 ALPHA_TOL = 1e-12
 DENSITY_GRID = 2049
-_SEED_MOMENTS = 4  # seed moments E[Y^p], p <= 4, that a density's construction pass records
+_SEED_MOMENTS = 4  # seed moments E[Y^p], p <= 4 + m - k, that a density's pass records
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +104,14 @@ class SignChangeSpec:
     def bias_values(self, x):
         return as_array_fn(self.bias)(x)
 
-    def tilt_weight(self, x):
-        """prod(x - x_j) * B(x): the nonnegative tilting weight."""
+    def tilt_weight(self, x, b=None):
+        """prod(x - x_j) * B(x): the nonnegative tilting weight (``b`` the
+        values of B at x, when the caller has them)."""
         arr = np.asarray(x, dtype=float)
         out = np.ones_like(arr, dtype=float)
         for xj in self.nodes:
             out *= arr - xj
-        out *= self.bias_values(arr)
+        out *= self.bias_values(arr) if b is None else b
         return float(out) if arr.ndim == 0 else out
 
 
@@ -211,41 +212,40 @@ def _checked_alpha(a: float) -> float:
 # recipes and the biased-distribution value
 # ---------------------------------------------------------------------------
 
-def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
-    """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
-    by the binomial expansion, in Python floats (each power of c formed
-    once)."""
-    m = np.asarray(mom, dtype=float).tolist()
-    cp = [c ** k for k in range(len(m))]
-    return np.array([sum(math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1))
-                     for p in range(len(m))], dtype=float)
+def _shrunk(mom: np.ndarray, nodes, center: float = 0.0) -> np.ndarray:
+    """Moments about ``center`` of Z_k from those of the seed Y = Z_0,
+    through Z_j = x_j + U_j (Z_{j-1} - x_j), using independence and
+    E[U_j^r] = j / (j + r)."""
+    for j, xj in enumerate(nodes, start=1):
+        shrink = np.array([j / (j + r) for r in range(len(mom))])
+        mom = shift_moments(shift_moments(mom, center - xj) * shrink, xj - center)
+    return mom
 
 
 @dataclass(frozen=True)
 class BiasRecipe:
     """Construction record of a k-node transform, what its moments read: the
-    tilted seed law, its moments E[Y^p], p <= _SEED_MOMENTS, when the
-    construction's pass recorded them (``bias`` sets them: no caller can),
-    plus the node shifts applied through the shrink factors."""
+    tilted seed law, its moments E[Y^p] to the order the construction's
+    pass carried them (``_bias`` sets them: no caller can), plus the node
+    shifts applied through the shrink factors."""
 
     spec: SignChangeSpec
     seed_law: Distribution
     seed_moments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def moments(self, top: int) -> np.ndarray:
-        """Seed moments E[Y^p] propagated through Z_j = x_j + U_j (Z_{j-1} - x_j)
-        using independence and E[U_j^r] = j / (j + r).  The seed moments are
-        the record's up to its order; beyond it, or with no record (point
-        masses, whose exact atom sums are bit for bit those of ``moment``,
-        and rows that dropped out of the construction's pass), ``_moments``
-        takes one stacked pass for all orders.  Both are within
-        1e-12 relative of ``moment`` on smooth densities."""
+    def moments(self, top: int, center: float = 0.0) -> np.ndarray:
+        """Moments about ``center`` (raw moments at 0) of the transform: the
+        seed moments propagated through the shrinks (``_shrunk``).  The seed
+        moments are the record's up to its order at center 0; beyond it, or
+        with no record (point masses, whose exact atom sums are bit for bit
+        those of ``moment``, and rows that dropped out of the construction's
+        pass), ``_moments`` takes one stacked pass for all orders, about the
+        center.  Both are within 1e-12 relative of ``moment`` on smooth
+        densities."""
         rec = self.seed_moments
-        mom = np.array(rec[:top + 1]) if rec and top < len(rec) else _moments(self.seed_law, top)
-        for j, xj in enumerate(self.spec.nodes, start=1):
-            shrink = np.array([j / (j + r) for r in range(top + 1)])
-            mom = shift_moments(shift_moments(mom, -xj) * shrink, xj)
-        return mom
+        if rec and top < len(rec) and not center:
+            return _shrunk(np.array(rec[:top + 1]), self.spec.nodes)
+        return _shrunk(_moments(self.seed_law, top, center), self.spec.nodes, center)
 
 
 @dataclass(frozen=True)
@@ -363,10 +363,26 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
                                 0.0, 1.0, points=[u for u in edges if 0.0 < u < 1.0])
 
 
-def _identity_loads(spec: SignChangeSpec, m: int, c: float) -> Callable:
-    """The rows B(x) (x - c)^j, j < m, of an identity table: one running
-    product, B evaluated once per call."""
-    return _running_products(as_array_fn(spec.bias), lambda x: x - c, m)
+def _identity_loads(spec: SignChangeSpec, m: int, c: float,
+                    extra: Optional[Callable] = None) -> Callable:
+    """One fresh stack from one value of B: the tilt weight
+    prod(x - x_j) B(x) (``tilt_weight``), then the rows B(x) (x - c)^j,
+    j < m, of an identity table, a running product, then ``extra(x)``."""
+    bias_fn = as_array_fn(spec.bias)
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        b = bias_fn(x)
+        out = np.empty((1 + m + (extra is not None),) + x.shape)
+        out[0], out[1] = spec.tilt_weight(x, b), b
+        step = x - c if m > 1 else None
+        for j in range(2, m + 1):
+            np.multiply(out[j - 1], step, out=out[j])
+        if extra is not None:
+            out[-1] = extra(x)
+        return out
+
+    return g
 
 
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
@@ -393,7 +409,8 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
     if tails is None:
-        tails = _TailTable(X, _identity_loads(spec, m, c), None, spec.quad_points)
+        loads = _identity_loads(spec, m, c)
+        tails = _TailTable(X, lambda x: loads(x)[1:], None, spec.quad_points)
 
     def values(ts):
         s = ts - c
@@ -431,10 +448,11 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     (the tilt) and, on point masses, the normalizer as an atom sum, with
     the errors, values and bits of ``validate_spec``, ``alpha_of`` and
     ``tilt`` run apart.  On a density the normalizer, the tilt's normaliser,
-    the tail rows (B f, or B (x - x_1)^j f for j < k) and the seed moment
-    rows (max(w, 0) x^p f, p <= _SEED_MOMENTS, moving no bit of the others)
-    are one stacked panel pass over X (``_bias``): no density read or
-    moment to order 4 integrates.  DegenerateAlpha and NegativeAlpha come
+    the tail rows (B f, or B (x - x_1)^j f for j < k, from the value of B
+    that gives the weight) and the seed moment rows (max(w, 0) x^p f,
+    p <= _SEED_MOMENTS, moving no bit of the others) are one stacked panel
+    pass over X (``_bias``): no density read or moment to order 4
+    integrates.  DegenerateAlpha and NegativeAlpha come
     before ZeroNormalizer.  The probe's ends, X's window, bound the law."""
     return _bias(X, spec, spec.k, spec.nodes[0] if spec.k else 0.0)[0]()
 
@@ -444,12 +462,16 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
           points: Sequence[float] = ()):
     """``bias`` split at its one pass (``_tilt``, which keeps the tilt's
     window), carrying the rows B(x) (x - c)^j, j < rows, then ``extra(x)``
-    (``points`` its break points), and the seed moment rows about
-    ``center``: k rows about x_1 and moments about 0 for ``bias``, m rows
-    and moments about its location for a chain (``higher._chain``).  A
+    (``points`` its break points), all from the one value of B per call
+    that gives the tilt weight (``_identity_loads``), and the seed moment
+    rows about ``center`` to order _SEED_MOMENTS + rows - k: k rows about
+    x_1 and moments about 0 to order 4 for ``bias``, m rows and moments
+    about its location to order 4 + m - k for a chain (``higher._chain``),
+    which reads its base to order top + m - k for moments to order top.  A
     failed verdict raises refuse = (error, what).  Returns (make, tails,
     moments): ``make()`` builds the transform from the first k rows of the
-    lazy table ``tails``, recording the seed ``moments`` if about 0."""
+    lazy table ``tails``, recording the seed ``moments`` (the rows that
+    held, ``_tilt``) if about 0."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
@@ -458,15 +480,12 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
         error, what = refuse
         raise error(f"{what} at x={report.worst_point!r} (value {report.worst_value:.3e})")
     k = spec.k
-    loads = _identity_loads(spec, rows, c) if rows else None
-    if extra is not None:
-        own = loads
-        loads = lambda x: np.concatenate((own(x), extra(x)[None]))
+    loads = _identity_loads(spec, rows, c, extra) if rows else None
     seed_law, _, mean, panels, seed = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points,
-                                            probe, w[:probe.size], loads, points, _SEED_MOMENTS,
-                                            center)
+                                            probe, w[:probe.size], loads, points,
+                                            _SEED_MOMENTS + rows - k, center)
     tails = None if loads is None else _Lazy(
-        lambda: _TailTable(X, loads, panels, (*spec.quad_points, *points)))
+        lambda: _TailTable(X, lambda x: loads(x)[1:], panels, (*spec.quad_points, *points)))
 
     def make() -> BiasedDistribution:
         alpha = _checked_alpha(mean / math.factorial(k))

@@ -484,7 +484,7 @@ def test_tail_rows_widen_the_panels_but_not_the_tilt_window():
     probe = D._probe_points(X)
     wx = ones(probe)
     plain, z, mean, none, _ = D._tilt(X, ones, (), probe, wx)
-    loads = lambda x: np.stack((np.asarray(x, float) ** 2, ones(x)))
+    loads = lambda x: np.stack((ones(x), np.asarray(x, float) ** 2, ones(x)))  # w, then the rows
     law, z2, mean2, panels, _ = D._tilt(X, ones, (), probe, wx, loads, (0.0,))
     assert none is None
     assert law.effective_support() == plain.effective_support() == X.effective_support()
@@ -750,13 +750,12 @@ def _cold_transforms():
 
 def test_stacked_recipe_moments_probe_and_pass_once_per_density_seed(monkeypatch):
     # seven one-stage records, one lift (its base to order 6) and one
-    # two-part mixture: ten density seed laws.  The seven records and the
-    # mixture's one-node part read the moments their construction's pass
-    # recorded (10 passes when each took one of its own); the lift's base,
-    # read beyond the record, and the mixture's second-difference part, a
-    # unit record with none, take one panel pass for every order (44 when
-    # each order integrates alone) from the window the seed law keeps, so
-    # no tail probe (10 when each pass probed its stack)
+    # two-part mixture: ten density seed laws.  Each reads the moments its
+    # construction's pass recorded: the seven records and the mixture's
+    # one-node part to order 4, the lift's base and the mixture's
+    # second-difference part to order 6, the chain's m - k past 4 (10
+    # passes when each took one of its own, 44 when each order integrated
+    # alone), so no panel pass and no tail probe
     transforms = _cold_transforms()
     calls = {"probe": 0, "panels": 0}
     for name, key in (("_effective_bounds", "probe"), ("_panels", "panels")):
@@ -767,7 +766,7 @@ def test_stacked_recipe_moments_probe_and_pass_once_per_density_seed(monkeypatch
     for t in transforms:
         mom = bf.recipe_moments(t.recipe, 4)
         assert mom[0] == 1.0 and np.isfinite(mom).all()
-    assert calls == {"probe": 0, "panels": 2}
+    assert calls == {"probe": 0, "panels": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,23 +120,100 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _about(name, a):
+    """n -> E[(X - a)^n] of the law _RECORD_LAWS[name] (a density), exactly,
+    in rationals of its float parameters."""
+    a = Fraction(a)
+    if name == "uniform":
+        lo, hi = Fraction(-1.0) - a, Fraction(2.0) - a
+        return lambda n: (hi ** (n + 1) - lo ** (n + 1)) / ((n + 1) * (hi - lo))
+    return _normal_about(0.3, 1.2, a)
+
+
+def _normal_about(mu, sigma, a):
+    """n -> E[(X - a)^n] of normal(mu, sigma), exactly in rationals."""
+    d, s = Fraction(mu) - Fraction(a), Fraction(sigma)
+    odd = lambda r: math.prod(range(r - 1, 0, -2))  # (r - 1)!!
+    return lambda n: sum(math.comb(n, r) * d ** (n - r) * s ** r * odd(r) for r in range(0, n + 1, 2))
+
+
+def _chain_exact(about, a, steps, top):
+    """Raw moments E[Z^p], p <= top, of ``steps`` second-difference steps
+    about ``a`` on the law whose moments about a ``about(n)`` gives: the
+    step map in rationals, shifted back to the origin once."""
+    mom = [Fraction(about(n)) for n in range(top + 2 * steps + 1)]
+    for _ in range(steps):
+        b = mom[2] / 2
+        mom = [mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(len(mom) - 2)]
+    a = Fraction(a)
+    return [float(sum(math.comb(p, r) * a ** (p - r) * mom[r] for r in range(p + 1)))
+            for p in range(top + 1)]
+
+
 @pytest.mark.parametrize("a", [0.0, 0.37, -1.1])
 @pytest.mark.parametrize("name", sorted(_RECORD_LAWS))
 def test_second_difference_record_moments_bit_identical(name, a):
-    # the chain record at a location gives, bit for bit, the raw moments it
-    # reads shifted to the location, mapped through one step and shifted
-    # back; on a density the raw moments up to order top + 2 are one stacked
-    # pass, whose last bits depend on top
+    # past the record (orders 5 and 6, which read the base to order 8) and
+    # with none (atoms), the chain's moments are, bit for bit, its base's
+    # moments about the location (on atoms raw ones shifted to it), mapped
+    # through one step and shifted back; at a = 0 that is the raw route,
+    # which the record also matches bit for bit.  To order 4 a density reads
+    # the record about the location, within 1e-14 of the closed form: the
+    # raw route cancels at a far location
     X = _RECORD_LAWS[name]()
-    shift = transform.shift_moments
 
     def ref(top):
-        return shift(_step_moments(shift(distributions._moments(X, top + 2), -a)), a)
+        return transform.shift_moments(_step_moments(distributions._moments(X, top + 2, a)), a)
 
     t = bf.second_difference_transform(X, a)
     assert isinstance(t.recipe, bf.ChainRecipe) and t.recipe.location == a
-    assert _bits(t.moment(p) for p in range(7)) == _bits(ref(p)[p] for p in range(7))
+    bitwise = range(7) if name == "atoms" or not a else range(5, 7)
+    assert _bits(t.moment(p) for p in bitwise) == _bits(ref(p)[p] for p in bitwise)
     assert _bits(bf.recipe_moments(t.recipe, 6)) == _bits(ref(6))
+    if name != "atoms":
+        np.testing.assert_allclose([t.moment(p) for p in range(5)],
+                                   _chain_exact(_about(name, a), a, 1, 4), rtol=1e-14, atol=1e-15)
+
+
+def test_second_difference_moments_far_from_the_origin():
+    # the moments about the location come from the pass's record: raw
+    # moments shifted to 1000 and back cancelled (E[Z] was 1000 - 7.9e-8,
+    # and E[Z^2] off 1e6 + 0.5 by 1.6e-4)
+    t = bf.second_difference_transform(bf.normal(1000.0, 1.0), 1000.0)
+    want = _chain_exact(_normal_about(1000.0, 1.0, 1000.0), 1000.0, 1, 4)
+    np.testing.assert_allclose(bf.recipe_moments(t.recipe, 4), want, rtol=1e-15, atol=0)
+    assert t.moment(1) == 1000.0 and t.moment(2) == 1e6 + 0.5
+
+
+def _lift(X, m):
+    return lambda: bf.bias_to_order(X, bf.unit_bias_spec(), m)
+
+
+_CHAIN_LAWS = {  # name -> (build, exact raw moments to order 4)
+    "uniform-lift-order2": (_lift(bf.uniform(-1.0, 1.0), 2),
+                            _chain_exact(lambda n: Fraction(1, n + 1) * (n % 2 == 0), 0.0, 1, 4)),
+    "normal-lift-order4": (_lift(bf.normal(), 4), _chain_exact(_normal_about(0, 1, 0), 0.0, 2, 4)),
+    "normal-lift-order6": (_lift(bf.normal(), 6), _chain_exact(_normal_about(0, 1, 0), 0.0, 3, 4)),
+    # the second-difference part (alpha_1 = 1/2) and the zero-bias part,
+    # the normal itself (alpha_2 = 1), mixed 1 : 2
+    "normal-second-order": (
+        lambda: bf.second_order_transform(bf.normal(), lambda x: np.ones_like(x),
+                                          bf.zero_bias_spec()),
+        [(h + 2 * n) / 3 for h, n in zip(_chain_exact(_normal_about(0, 1, 0), 0.0, 1, 4),
+                                         _chain_exact(_normal_about(0, 1, 0), 0.0, 0, 4))]),
+    "normal-second-difference": (
+        lambda: bf.second_difference_transform(bf.normal(0.3, 1.2), 0.37),
+        _chain_exact(_normal_about(0.3, 1.2, 0.37), 0.37, 1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_LAWS))
+def test_chain_record_moments_match_closed_forms(name):
+    # a route apart from the record: the chain's moments to order 4, read
+    # from the moments its pass recorded, against the step map on the
+    # base's moments in rationals
+    build, want = _CHAIN_LAWS[name]
+    np.testing.assert_allclose(bf.recipe_moments(build().recipe, 4), want, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(_RECORD_LAWS))

@@ -8,15 +8,22 @@ import biasforge as bf
 import biasforge.distributions as D
 from primitives import pass_count
 
-# construct, read, draws, moments: the order-6 lift reads its base beyond
-# the recorded order 4 and the operator's second-difference part reads its
-# base to order 6 for moments to order 4, so each takes a moments pass; the
-# last step's seed tilt takes a pass on first draw, and every step's
-# identity table reads the chain's table, whose rows rode the construction
+# construct, read, draws, moments: a chain's pass records its base's
+# moments to order 4 + m - k, so the order-6 lift's normalizers and every
+# chain's moments to order 4 read them; the operator's construction is its
+# two parts' passes; the last step's seed tilt takes a pass on first draw,
+# and every step's identity table reads the chain's table, whose rows rode
+# the construction
 COUNTS = {
-    "normal-lift-order6": (2, 0, 1, 1),
-    "normal-operator-order2": (2, 0, 1, 1),
+    "normal-lift-order6": (1, 0, 1, 0),
+    "normal-operator-order2": (2, 0, 1, 0),
 }
+
+
+@pytest.mark.parametrize("name", list(pass_count.transforms()))
+def test_every_moment_read_takes_no_pass(name):
+    # every transform's moments to order 4 read its construction's record
+    assert pass_count.count_passes(pass_count.transforms()[name])["moments"] == 0
 
 
 @pytest.mark.parametrize("name", list(COUNTS))

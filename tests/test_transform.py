@@ -83,14 +83,16 @@ def test_density_mixture_with_a_gap_is_probed_on_its_components():
 def test_seed_moment_rows_that_do_not_decay_drop_out_of_the_pass():
     # the density 8/(3 pi) (1 + x^2)^-3 under the zero bias: the tilt x^2 f
     # decays like x^-4, but x^p x^2 f has not decayed by |x| ~ 1e6 for p >= 2.
-    # The moment rows drop out of the construction's pass, so bias builds
-    # (alpha = E[X^2] = 1/3) with no record, and only the moments raise
+    # Those moment rows drop out of the construction's pass, so bias builds
+    # (alpha = E[X^2] = 1/3) with a record to order 1, E[Y] = 0 by symmetry,
+    # and only the moments past it raise
     c = 8.0 / (3.0 * math.pi)
     X = bf.Distribution(lo=-math.inf, hi=math.inf,
                         density=lambda x: c / (1.0 + np.asarray(x, float) ** 2) ** 3)
     t = bf.bias(X, bf.zero_bias_spec())
     assert t.alpha == pytest.approx(1.0 / 3.0, rel=1e-11)
-    assert t.recipe.seed_moments is None
+    rec = t.recipe.seed_moments
+    assert len(rec) == 2 and rec[0] == 1.0 and abs(rec[1]) <= 1e-15
     for top in (2, 4):
         with pytest.raises(bf.NonIntegrable):
             bf.recipe_moments(t.recipe, top)
@@ -100,18 +102,67 @@ def test_seed_moment_rows_whose_tail_outruns_the_pass_drop_out():
     # Student's t with 9 degrees of freedom under the zero bias: the tilt
     # x^2 f decays like x^-8 and ends the pass's edges near |x| ~ 1e2, where
     # x^4 x^2 f ~ x^-4 still has ~1e-6 of its mass.  The ladder steps past
-    # the edges would add more than the tolerance, so the rows drop out (a
-    # record read from them was off by 4.8e-8) and the moments take their
-    # own pass: E[Y^p] = E[X^(p+2)] / E[X^2] of the seed, 5.4 and 81, and
-    # the zero-bias law U Y has E[Y^p] / (p + 1)
+    # the edges would add more than the tolerance, so that row drops out (a
+    # record read from it was off by 4.8e-8) and the record keeps the rows
+    # below it; the moments to order 4 take their own pass: E[Y^p] =
+    # E[X^(p+2)] / E[X^2] of the seed, 5.4 and 81, and the zero-bias law
+    # U Y has E[Y^p] / (p + 1)
     c = math.gamma(5.0) / (math.sqrt(9.0 * math.pi) * math.gamma(4.5))
     X = bf.Distribution(lo=-math.inf, hi=math.inf,
                         density=lambda x: c * (1.0 + np.asarray(x, float) ** 2 / 9.0) ** -5)
     t = bf.bias(X, bf.zero_bias_spec())
     assert t.alpha == pytest.approx(9.0 / 7.0, rel=1e-12)
-    assert t.recipe.seed_moments is None
+    rec = t.recipe.seed_moments
+    assert len(rec) == 4 and rec[2] == pytest.approx(5.4, rel=1e-12)  # 2.0e-13 measured
     mom = bf.recipe_moments(t.recipe, 4)
     assert mom[2] == pytest.approx(5.4 / 3, rel=1e-13) and mom[4] == pytest.approx(81 / 5, rel=1e-8)
+
+
+def test_a_dropped_moment_row_keeps_the_rows_below_it(monkeypatch):
+    # Student's t with 5 degrees of freedom: E[X^4] exists and E[X^6] does
+    # not.  An order-2 unit lift's pass carries moment rows to order 6, and
+    # x^4 f ~ x^-2 has not decayed by |x| ~ 1e6, so the rows from order 4
+    # on drop out.  The record keeps orders 0-3 (E[X^2] = 5/3): they give
+    # the normalizer 5/6 and the moments to order 1 with no pass
+    c = math.gamma(3.0) / (math.sqrt(5.0 * math.pi) * math.gamma(2.5))
+    X = bf.Distribution(lo=-math.inf, hi=math.inf,
+                        density=lambda x: c * (1.0 + np.asarray(x, float) ** 2 / 5.0) ** -3)
+    t = bf.bias_to_order(X, bf.unit_bias_spec(), 2)
+    rec = t.recipe.base_moments
+    assert len(rec) == 4  # 3.4e-12 measured on E[X^2]
+    np.testing.assert_allclose(rec, [1.0, 0.0, 5.0 / 3.0, 0.0], rtol=1e-11, atol=1e-15)
+    assert t.beta == pytest.approx(5.0 / 6.0, rel=1e-11)
+    calls = []
+    monkeypatch.setattr(D, "_panels", lambda *args, fn=D._panels: calls.append(1) or fn(*args))
+    mom = bf.recipe_moments(t.recipe, 1)
+    assert calls == [] and mom[0] == 1.0 and abs(mom[1]) <= 1e-15
+    with pytest.raises(bf.NonIntegrable):
+        bf.recipe_moments(t.recipe, 2)
+
+
+def test_the_pass_evaluates_b_once_per_call_of_its_stack(monkeypatch):
+    # the tilt weight prod(x - x_j) B and the table rows B (x - c)^j come
+    # from one value of B: one call for the probe's verdict, then one per
+    # call of the pass's stack, for a transform and for a lift
+    calls = {"B": 0, "stack": 0}
+
+    def B(x):
+        calls["B"] += 1
+        return np.asarray(x, dtype=float)
+
+    def counted(fv, *args, fn=D._window_integral, **kwargs):
+        def stack(x):
+            calls["stack"] += 1
+            return fv(x)
+        return fn(stack, *args, **kwargs)
+
+    monkeypatch.setattr(D, "_window_integral", counted)
+    spec = SignChangeSpec(B, NodeSet((0.0,)))
+    for build in (lambda: bf.bias(bf.normal(), spec), lambda: bf.bias_to_order(bf.normal(), spec, 3),
+                  lambda: bf.bias(bf.uniform(-1.0, 2.0), spec)):
+        calls.update(B=0, stack=0)
+        build()
+        assert calls["stack"] > 0 and calls["B"] == 1 + calls["stack"], calls
 
 
 @pytest.mark.parametrize("name, X, spec", cold_bias_cases(), ids=[c[0] for c in cold_bias_cases()])

@@ -365,18 +365,21 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
 
 def _identity_loads(spec: SignChangeSpec, m: int, c: float,
                     extra: Optional[Callable] = None) -> Callable:
-    """One fresh stack from one value of B: the tilt weight
-    prod(x - x_j) B(x) (``tilt_weight``), then the rows B(x) (x - c)^j,
-    j < m, of an identity table, a running product, then ``extra(x)``."""
+    """The rows B(x) (x - c)^j, j < m, of an identity table, a running
+    product, then ``extra(x)``: ``g(x)`` gives them as one fresh stack from
+    one value of B, and ``g(x, True)`` puts the tilt weight prod(x - x_j) B(x)
+    (``tilt_weight``) from that same value first, for the pass they ride."""
     bias_fn = as_array_fn(spec.bias)
 
-    def g(x):
+    def g(x, weighted=False):
         x = np.asarray(x, dtype=float)
-        b = bias_fn(x)
-        out = np.empty((1 + m + (extra is not None),) + x.shape)
-        out[0], out[1] = spec.tilt_weight(x, b), b
+        b, lead = bias_fn(x), int(weighted)
+        out = np.empty((lead + m + (extra is not None),) + x.shape)
+        if weighted:
+            out[0] = spec.tilt_weight(x, b)
+        out[lead] = b
         step = x - c if m > 1 else None
-        for j in range(2, m + 1):
+        for j in range(lead + 1, lead + m):
             np.multiply(out[j - 1], step, out=out[j])
         if extra is not None:
             out[-1] = extra(x)
@@ -409,8 +412,7 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
     if tails is None:
-        loads = _identity_loads(spec, m, c)
-        tails = _TailTable(X, lambda x: loads(x)[1:], None, spec.quad_points)
+        tails = _TailTable(X, _identity_loads(spec, m, c), None, spec.quad_points)
 
     def values(ts):
         s = ts - c
@@ -452,8 +454,8 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     that gives the weight) and the seed moment rows (max(w, 0) x^p f,
     p <= _SEED_MOMENTS, moving no bit of the others) are one stacked panel
     pass over X (``_bias``): no density read or moment to order 4
-    integrates.  DegenerateAlpha and NegativeAlpha come
-    before ZeroNormalizer.  The probe's ends, X's window, bound the law."""
+    integrates.  DegenerateAlpha and NegativeAlpha come before
+    ZeroNormalizer.  The probe's ends, X's window, bound the law."""
     return _bias(X, spec, spec.k, spec.nodes[0] if spec.k else 0.0)[0]()
 
 
@@ -481,11 +483,12 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
         raise error(f"{what} at x={report.worst_point!r} (value {report.worst_value:.3e})")
     k = spec.k
     loads = _identity_loads(spec, rows, c, extra) if rows else None
+    weighed = None if loads is None else (lambda x: loads(x, True))
     seed_law, _, mean, panels, seed = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points,
-                                            probe, w[:probe.size], loads, points,
+                                            probe, w[:probe.size], weighed, points,
                                             _SEED_MOMENTS + rows - k, center)
     tails = None if loads is None else _Lazy(
-        lambda: _TailTable(X, lambda x: loads(x)[1:], panels, (*spec.quad_points, *points)))
+        lambda: _TailTable(X, loads, panels, (*spec.quad_points, *points)))
 
     def make() -> BiasedDistribution:
         alpha = _checked_alpha(mean / math.factorial(k))

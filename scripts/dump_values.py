@@ -16,7 +16,11 @@ lifts of ``uniform(-1, 1)`` under the unit bias and under the node product
 second-difference transform and a second-order law, each at a node other
 than 0, the same second difference far from the origin (``normal(1000,
 1)`` at 1000), the second-order operator's ``higher_order_transform`` and
-the order-6 unit lift of ``normal()``.  Only the public API is used.
+the order-6 unit lift of ``normal()``; the second difference at 1000 of
+the atoms {999, 1000.5, 1001} (masses 1/4, 1/2, 1/4) and of the mixture of
+two two-atom laws with the same masses, and the zero bias of
+``uniform(-1, 1)`` lifted to order 5, a chain on a one-node base.  Only the
+public API is used.
 
     PYTHONPATH=src python scripts/dump_values.py > values.txt
 """
@@ -34,6 +38,7 @@ TOP = 4
 DRAWS = 100_000
 DRAW_SEED = 20240531
 EMPIRICAL_SEED = 1  # the seed of the empirical law's 5e4 samples, normal(0.3, 1.1)
+FAR_ATOMS = [(999.0, 0.25), (1000.5, 0.5), (1001.0, 0.25)]
 
 
 def _ones(x):
@@ -121,6 +126,12 @@ def laws():
         ("normal-operator-order2", lambda: bf.higher_order_transform(
             bf.normal(), bf.SteinOperator(2, (_unit(), _zero_bias())))),
         ("normal-lift-order6", lambda: bf.bias_to_order(bf.normal(), _unit(), 6)),
+        ("atoms-second-difference-far", lambda: bf.second_difference_transform(
+            bf.from_atoms(FAR_ATOMS), 1000.0)),
+        ("atom-mixture-second-difference-far", lambda: bf.second_difference_transform(
+            bf.make_mixture([bf.from_atoms([(999.0, 0.5), (1000.5, 0.5)]),
+                             bf.from_atoms([(1000.5, 0.5), (1001.0, 0.5)])], [0.5, 0.5]), 1000.0)),
+        ("uniform-zero-bias-lift-order5", lambda: bf.bias_to_order(U, _zero_bias(), 5)),
     ]
 
 

@@ -11,8 +11,9 @@ spans the law's window (``effective_support``).  The transforms are the
 nine of catalog laws that the benchmark's continuous-cold workload
 builds, the order-4 and order-6 unit lifts of ``normal()``,
 ``higher_order_transform`` of the second-order operator (unit B0,
-zero-bias B1) on ``normal()`` and the second-difference transform of
-``normal(0.3, 1.2)`` at 0.37.  Reports and does not gate.
+zero-bias B1) on ``normal()``, the second-difference transform of
+``normal(0.3, 1.2)`` at 0.37 and the zero bias of ``uniform(-1, 1)``
+lifted to order 5, a chain on a one-node base.  Reports and does not gate.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ def transforms() -> dict:
         "normal-lift-order6": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 6),
         "normal-operator-order2": lambda: bf.higher_order_transform(bf.normal(), operator),
         "normal-second-difference": lambda: bf.second_difference_transform(bf.normal(0.3, 1.2), 0.37),
+        "uniform-zero-bias-lift-order5": lambda: bf.bias_to_order(bf.uniform(-1.0, 1.0), zero, 5),
     }
 
 

@@ -17,6 +17,7 @@ from primitives import pass_count
 COUNTS = {
     "normal-lift-order6": (1, 0, 1, 0),
     "normal-operator-order2": (2, 0, 1, 0),
+    "uniform-zero-bias-lift-order5": (1, 0, 1, 0),
 }
 
 

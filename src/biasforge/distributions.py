@@ -1077,29 +1077,32 @@ def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
 
 def _moments(d: Distribution, top: int, center: float = 0.0) -> np.ndarray:
     """E[(X - center)^p], p = 0..top, in a pass of their own (a transform's
-    recipe reads the seed moments its construction recorded first).  A
-    density, a table's included, is integrated in one stacked pass: the
-    integrands (x - center)^p f(x), p = 1..top, formed as a running
-    product, share the law's window (widened where a power has not
-    decayed), its break points (``_knots``) and one ``_panels`` call, so no
-    moment about a far center is a difference of raw moments.  They agree
-    with ``moment`` within 1e-12 relative on smooth densities (within
-    the quadrature tolerance where ``integrate_fn`` values the slivers of a
-    singularity), not bit for bit, and their last bits depend on top.  A
-    mixture without a density sums its components' moments by weight; point
-    masses take ``moment`` order by order, bit for bit; both are raw
-    moments shifted to the center (``shift_moments``)."""
-    if d.density is not None and d.locs is None and top >= 1:
-        # row p - 1 holds (x - center)^p f(x)
+    recipe reads the seed moments its construction recorded first), each
+    taken about the center, so none is a difference of raw moments.  Point
+    masses sum (x - center)^p order by order with the einsum of
+    ``expectation``'s atom branch (at center 0 the bits of ``moment``); a
+    mixture without a density sums its components' by weight.  A density,
+    a table's included, is integrated in one stacked pass: the integrands
+    (x - center)^p f(x), p = 1..top, a running product, share the law's
+    window (widened where a power has not decayed), its break points
+    (``_knots``) and one ``_panels`` call.  They agree with ``moment``
+    within 1e-12 relative on smooth densities (within the quadrature
+    tolerance where ``integrate_fn`` values the slivers of a singularity),
+    not bit for bit, and their last bits depend on top."""
+    if top < 1:
+        return np.ones(1)
+    if d.locs is not None:
+        xs = d.locs - center
+        return np.array([1.0, *(np.einsum("i,i->", d.masses, xs ** p) for p in range(1, top + 1))])
+    if d.density is not None:  # row p - 1 holds (x - center)^p f(x)
         step = (lambda x: x - center) if center else (lambda x: x)
         powers = _running_products(as_array_fn(d.density), step, top, start=1)
         return np.concatenate(([1.0], _window_integral(powers, d)[0]))
-    if d.density is None and d.locs is None and d.components is not None:
-        out = sum(w * _moments(c, top) for c, w in zip(d.components, d.weights))
-        out[0] = 1.0
-    else:
-        out = np.array([moment(d, p) for p in range(top + 1)])
-    return shift_moments(out, -center) if center else out
+    if d.components is None:
+        raise InputError("no expectation route for this distribution")
+    out = sum(w * _moments(c, top, center) for c, w in zip(d.components, d.weights))
+    out[0] = 1.0
+    return out
 
 
 def sample(d: Distribution, rng: RandomSource, n: int) -> np.ndarray:
@@ -1233,7 +1236,8 @@ def _tilt(d: Distribution, wv: Callable, weight_kinks: Sequence[float], probe: n
     spare rows (``_window_integral``), kept by no table: the seed moments
     about ``center``, a tuple from order 0, are their totals over z up to
     the first row that did not hold; None on point masses and on a mixture
-    without a density."""
+    without a density.  A kept row's ladder steps added at most ABS_TOL +
+    REL_TOL |I|: it is within that of a pass of its own, about 1e-9."""
     kinks = tuple(sorted({*d.kinks, *(float(x) for x in weight_kinks)}))
 
     def w_plus(x):

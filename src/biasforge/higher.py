@@ -13,18 +13,21 @@ from k to any m of the same parity; the lifted identity subtracts, besides
 the node interpolant, a degree <= m-1 correction polynomial about the
 location.  One constructor (``_chain``) builds every chain: an order lift
 (at 0), the second-difference transform (X itself its base) and the
-second-order law's B0 part (the B0 tilt its base).  The rows
-B(x) (x - c)^j, j < m, ride the base's construction pass into one tail
-table, and each step's density is the identity table of X at its order,
-read from that table, so no step reads the previous step's density.  The
-same pass records the base's moments about the location to order
-4 + m - k, which the chain's normalizers and its moments to order 4 read.
+second-order law's B0 part (the B0 tilt its base).  A chain is one law
+with one kernel: the steps' Beta(1, 2) factors multiply to one
+Beta(1, m - k) factor, so it draws one tilt of the base law by
+(x - c)^(m - k) and shrinks it once, and its density is the order-m
+identity table of X, read from one tail table whose rows
+B(x) (x - c)^j, j < m, ride the base's construction pass.  The same pass
+records the base's moments about the location to order 4 + m - k, which
+the chain's normalizers and its moments to order 4 read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -46,9 +49,8 @@ from .transform import (
     SignChangeSpec,
     _bias,
     _identity_table,
-    _shrunk,
+    _recorded,
     bias,
-    recipe_moments,
     shift_moments,
     unit_bias_spec,
 )
@@ -65,25 +67,20 @@ class ChainRecipe:
     """The k-node base stage's recipe (for a second-difference transform,
     the zero-node unit recipe, which is X itself) plus (m - k)/2
     second-difference steps at ``location``, with the per-step normalizers
-    (half the running second moments about the location) and the base's
-    moments about the location to the order the chain's pass carried them
-    (``_chain`` sets them: no caller can)."""
+    (half the running second moments about the location)."""
 
     base: BiasRecipe
     step_normalizers: tuple
     location: float = 0.0
-    base_moments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def moments(self, top: int) -> np.ndarray:
-        """Base moments about the location, mapped through every step and
-        shifted back once (a shift by 0 keeps every bit).  They are the
-        record's while top + 2 steps is within it; past it, or with no
-        record (point masses, a mixture without a density, rows that
-        dropped out of the pass), the base recipe's moments about the
-        location (``BiasRecipe.moments``)."""
+        """The base's moments about the location (its recipe's: the record
+        its pass took about the location while top + 2 steps is within it,
+        else one pass about it, exact sums on point masses), mapped through
+        every step and shifted back once (a shift by 0 keeps every bit), so
+        no moment at a far location is a difference of raw moments."""
         steps, a = len(self.step_normalizers), self.location
-        need, rec = top + 2 * steps, self.base_moments
-        mom = np.array(rec[:need + 1]) if rec and need < len(rec) else self.base.moments(need, a)
+        mom = self.base.moments(top + 2 * steps, a)
         for _ in range(steps):
             mom = _hat_moment_map(mom)
         return shift_moments(mom, a)
@@ -95,8 +92,7 @@ def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
     b = mom[2] / 2.0
     if not b > SECOND_MOMENT_TOL:
         raise DegenerateBeta("second moment vanished inside the chain")
-    top = len(mom) - 3
-    return np.array([mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(top + 1)])
+    return np.array([mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(len(mom) - 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -107,64 +103,53 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
            stage=None, base: Optional[Distribution] = None,
            window: bool = False) -> BiasedDistribution:
     """The order-m transform of X under ``spec``: (m - k)/2 second-difference
-    steps about ``c`` on the k-node base that ``stage`` (``transform._bias``
+    steps about ``c`` on the k-node base W that ``stage`` (``transform._bias``
     with m rows and the moments about c; run here when not given) builds,
-    or on the law ``base`` itself as a zero-node unit base.  Step l's
-    density is the order-(k + 2l) identity table read from the stage's
-    table; its sampler tilts the previous law by (x - c)^2 on first draw and
-    shrinks towards c by a Beta(1, 2) factor 1 - sqrt(U).  Its normalizer is
-    half the running second moment about c: the base's moments about c
-    (from the seed moments its pass recorded about c to order 4 + m - k,
-    through the base's shrinks; else its recipe at c = 0, or one
-    expectation per order), mapped step by step; beta = alpha prod(b_l).
-    The recipe keeps those base moments for the law's own moments.  The
-    laws span c and the base law's support (its window if ``window``).
+    or on the law ``base`` itself as a zero-node unit base, which takes the
+    stage's record.  The steps' normalizers are half the running second
+    moments about c: the base recipe's moments about c to order m - k
+    (``BiasRecipe.moments``), mapped step by step; beta = alpha prod(b_l).
+    The law is one kernel: its density the order-m identity table read from
+    the stage's table; its draws one tilt of W by (x - c)^(m - k), built on
+    first draw, shrunk towards c by one Beta(1, m - k) factor
+    1 - U^(1 / (m - k)) (the product of the steps' Beta(1, 2) factors in
+    law).  It spans c and W's support (its window if ``window``).
     DegenerateBeta at a point mass at c or at beta <= ALPHA_TOL."""
-    k = spec.k
+    k, r = spec.k, m - spec.k
     make, tails, rec = stage or _bias(X, spec, m, c, c)
-    made = make() if base is None else BiasedDistribution(base, 1.0, None, BiasRecipe(spec, base))
-    if rec is not None:  # the base's moments about c from its seed's
-        rec = tuple(_shrunk(np.array(rec), spec.nodes, c).tolist())
-    top = m - k
-    if rec is not None and len(rec) > top:
-        mom = np.array(rec[:top + 1])
-    elif not c:
-        mom = recipe_moments(made.recipe, top)
-    else:  # point masses and moment rows that dropped out
-        mom = np.array([1.0, *(expectation(made.law, lambda x, p=p: (np.asarray(x, float) - c) ** p)
-                               for p in range(1, top + 1))])
-
-    law, beta = made.law, made.alpha
-    lo, hi = law.effective_support() if window else (law.lo, law.hi)
-    fields = dict(lo=min(lo, c), hi=max(hi, c), kinks=(c,) + law.kinks, label=label)
-
-    def step(prev: Distribution, order: int, beta: float) -> Distribution:
-        seed = _Lazy(lambda: tilt(prev, lambda x: (np.asarray(x, dtype=float) - c) ** 2,
-                                  weight_kinks=(c,)))
-
-        def draw(rs: RandomSource, n: int):
-            y = sample(seed.get(), rs, n)  # a fresh array: c + s (y - c) is formed in it
-            s = rs.uniform(n)
-            np.sqrt(s, out=s)
-            np.subtract(1.0, s, out=s)
-            y -= c
-            y *= s
-            y += c
-            return y
-
-        dens = _Lazy(lambda: _identity_table(X, spec, order, beta, c, tails.get()))
-        return Distribution(density=dens, cdf=lambda x: dens.get().cdf(x), sampler=draw, **fields)
-
-    normalizers = []
-    for order in range(k + 2, m + 1, 2):
+    made = (make() if base is None else
+            BiasedDistribution(base, 1.0, None, _recorded(BiasRecipe(spec, base), rec, c)))
+    mom = made.recipe.moments(r, c)
+    beta, normalizers = made.alpha, []
+    for _ in range(r // 2):
         normalizers.append(float(mom[2] / 2.0))
         mom = _hat_moment_map(mom)  # DegenerateBeta at a point mass at c
         beta *= normalizers[-1]
-        law = step(law, order, beta)
     if not beta > ALPHA_TOL:
         raise DegenerateBeta(f"order-{m} normalizer {beta!r} is not positive")
+
+    def weight(x):  # (x - c)^(m - k) as a product: a power call costs more than the tilt
+        return reduce(np.multiply, [np.asarray(x, dtype=float) - c] * r)
+
+    W = made.law
+    seed = _Lazy(lambda: tilt(W, weight, weight_kinks=(c,)))
+
+    def draw(rs: RandomSource, n: int):
+        y = sample(seed.get(), rs, n)  # a fresh array: c + v (y - c) is formed in it
+        v = rs.uniform(n)
+        v **= 1.0 / r
+        np.subtract(1.0, v, out=v)
+        y -= c
+        y *= v
+        y += c
+        return y
+
+    lo, hi = W.effective_support() if window else (W.lo, W.hi)
+    dens = _Lazy(lambda: _identity_table(X, spec, m, beta, c, tails.get()))
+    law = Distribution(lo=min(lo, c), hi=max(hi, c), density=dens,
+                       cdf=lambda x: dens.get().cdf(x), sampler=draw, kinks=(c,) + W.kinks,
+                       label=label)
     recipe = ChainRecipe(made.recipe, tuple(normalizers), location=c)
-    object.__setattr__(recipe, "base_moments", rec)
     return BiasedDistribution(law, alpha=made.alpha, beta=float(beta), recipe=recipe)
 
 

@@ -18,7 +18,7 @@ t.  Both read one cumulative table of the input law
 (``distributions._TailTable``): its weights (B, or B(x) (x - c)^j for
 j < m), one stack that evaluates B once, ride the construction's own panel
 pass over the input law, the tilt's, and the table sums that pass's final
-panels on first use; an order lift's steps read its base's table.
+panels on first use; an order lift reads its base's table.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -225,27 +225,34 @@ def _shrunk(mom: np.ndarray, nodes, center: float = 0.0) -> np.ndarray:
 @dataclass(frozen=True)
 class BiasRecipe:
     """Construction record of a k-node transform, what its moments read: the
-    tilted seed law, its moments E[Y^p] to the order the construction's
-    pass carried them (``_bias`` sets them: no caller can), plus the node
-    shifts applied through the shrink factors."""
+    tilted seed law, the node shifts applied through the shrink factors, and
+    the seed moments E[(Y - center)^p] its construction's pass recorded
+    about its ``center`` (``_bias`` sets both: no caller can), each within
+    ABS_TOL + REL_TOL |I| of a pass of its own, about 1e-9 (``_tilt``)."""
 
     spec: SignChangeSpec
     seed_law: Distribution
     seed_moments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    center: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def moments(self, top: int, center: float = 0.0) -> np.ndarray:
         """Moments about ``center`` (raw moments at 0) of the transform: the
-        seed moments propagated through the shrinks (``_shrunk``).  The seed
-        moments are the record's up to its order at center 0; beyond it, or
-        with no record (point masses, whose exact atom sums are bit for bit
-        those of ``moment``, and rows that dropped out of the construction's
-        pass), ``_moments`` takes one stacked pass for all orders, about the
-        center.  Both are within 1e-12 relative of ``moment`` on smooth
-        densities."""
+        seed moments about it, propagated through the shrinks
+        (``_shrunk``).  They are the record's up to its order when the
+        center is the record's; else ``_moments`` takes them about the
+        center in one pass (exact atom sums on point masses).  Both are
+        within 1e-12 relative of ``moment`` on smooth densities."""
         rec = self.seed_moments
-        if rec and top < len(rec) and not center:
-            return _shrunk(np.array(rec[:top + 1]), self.spec.nodes)
-        return _shrunk(_moments(self.seed_law, top, center), self.spec.nodes, center)
+        if not (rec and top < len(rec) and center == self.center):
+            rec = _moments(self.seed_law, top, center)
+        return _shrunk(np.array(rec[:top + 1]), self.spec.nodes, center)
+
+
+def _recorded(recipe: BiasRecipe, moments: Optional[tuple], center: float) -> BiasRecipe:
+    """``recipe`` with the seed ``moments`` about ``center`` a pass recorded."""
+    object.__setattr__(recipe, "seed_moments", moments)
+    object.__setattr__(recipe, "center", center)
+    return recipe
 
 
 @dataclass(frozen=True)
@@ -472,8 +479,8 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
     which reads its base to order top + m - k for moments to order top.  A
     failed verdict raises refuse = (error, what).  Returns (make, tails,
     moments): ``make()`` builds the transform from the first k rows of the
-    lazy table ``tails``, recording the seed ``moments`` (the rows that
-    held, ``_tilt``) if about 0."""
+    lazy table ``tails``, its recipe recording the seed ``moments`` (the
+    rows that held, ``_tilt``) with their center."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
@@ -494,8 +501,7 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
         alpha = _checked_alpha(mean / math.factorial(k))
         if seed_law is None:
             raise _zero_normalizer(X)
-        recipe = BiasRecipe(spec=spec, seed_law=seed_law)
-        object.__setattr__(recipe, "seed_moments", None if center else seed)
+        recipe = _recorded(BiasRecipe(spec=spec, seed_law=seed_law), seed, center)
         if k == 0:
             return BiasedDistribution(seed_law, alpha, None, recipe)
 

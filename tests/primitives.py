@@ -12,7 +12,8 @@ normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a stack of weights started from a 1025-point grid, each weight
 taken from the stack on its own and the rows stacked again.  Also the
 pass report of ``scripts/pass_count.py``, whose seven ``bias`` inputs of
-the benchmark's continuous-cold workload the tests share.
+the benchmark's continuous-cold workload the tests share, and the draws of
+a one-step second-difference chain as its own step sampled them.
 """
 
 from __future__ import annotations
@@ -237,6 +238,15 @@ def bias_in_three_passes(X, spec):
                                f"(value {report.worst_value:.3e})")
     alpha = bf.alpha_of(X, spec)
     return alpha, bf.tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
+
+
+def one_step_chain_draws(W, c: float, rs, n: int) -> np.ndarray:
+    """n draws of the one-step chain about ``c`` on the base law ``W`` as
+    that step sampled them: a tilt of W by (x - c)^2, then a shrink towards
+    c by the Beta(1, 2) factor 1 - sqrt(U)."""
+    seed = bf.tilt(W, lambda x: (np.asarray(x, dtype=float) - c) ** 2, weight_kinks=(c,))
+    y = bf.sample(seed, rs, n)
+    return c + (y - c) * (1.0 - np.sqrt(rs.uniform(n)))
 
 
 # ---------------------------------------------------------------------------

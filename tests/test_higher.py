@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import chi, norm
 
 import biasforge as bf
 import biasforge.distributions as distributions
@@ -11,7 +12,7 @@ import biasforge.higher as higher
 import biasforge.transform as transform
 from biasforge import Polynomial
 from conftest import call_concurrently
-from primitives import cold_bias_cases, moment_via_coefficients
+from primitives import cold_bias_cases, moment_via_coefficients, one_step_chain_draws
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +156,10 @@ def _chain_exact(about, a, steps, top):
 def test_second_difference_record_moments_bit_identical(name, a):
     # past the record (orders 5 and 6, which read the base to order 8) and
     # with none (atoms), the chain's moments are, bit for bit, its base's
-    # moments about the location (on atoms raw ones shifted to it), mapped
+    # moments about the location (on atoms exact sums of (x - a)^p), mapped
     # through one step and shifted back; at a = 0 that is the raw route,
     # which the record also matches bit for bit.  To order 4 a density reads
-    # the record about the location, within 1e-14 of the closed form: the
-    # raw route cancels at a far location
+    # the record about the location, within 1e-14 of the closed form
     X = _RECORD_LAWS[name]()
 
     def ref(top):
@@ -183,6 +183,28 @@ def test_second_difference_moments_far_from_the_origin():
     want = _chain_exact(_normal_about(1000.0, 1.0, 1000.0), 1000.0, 1, 4)
     np.testing.assert_allclose(bf.recipe_moments(t.recipe, 4), want, rtol=1e-15, atol=0)
     assert t.moment(1) == 1000.0 and t.moment(2) == 1e6 + 0.5
+
+
+_FAR_ATOMS = {"1e3": ((999.0, 1000.5, 1001.0), 1000.0),
+              "1e6": ((1e6 - 1e-3, 1e6 + 5e-4, 1e6 + 1e-3), 1e6)}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["atoms", "mixture"])
+@pytest.mark.parametrize("name", sorted(_FAR_ATOMS))
+def test_second_difference_moments_of_far_atoms_are_exact(name, mixed):
+    # the base's moments about the location are exact atom sums of
+    # (x - a)^p: raw atom moments shifted to the location cancelled (E[Z^3]
+    # and E[Z^4] 3.7e-11 and 3.4e-10 off at 1e3; at 1e6 the second moment
+    # about it came out <= 0 and recipe_moments raised DegenerateBeta).
+    # The mixture of two two-atom laws has the same masses; measured <= 1.3e-16
+    (lo, mid, hi), a = _FAR_ATOMS[name]
+    X = (bf.make_mixture([bf.from_atoms([(lo, 0.5), (mid, 0.5)]),
+                          bf.from_atoms([(mid, 0.5), (hi, 0.5)])], [0.5, 0.5]) if mixed
+         else bf.from_atoms([(lo, 0.25), (mid, 0.5), (hi, 0.25)]))
+    about = lambda n: sum(Fraction(w) * (Fraction(x) - Fraction(a)) ** n for x, w in X.atoms)
+    t = bf.second_difference_transform(X, a)
+    np.testing.assert_allclose(bf.recipe_moments(t.recipe, 4), _chain_exact(about, a, 1, 4),
+                               rtol=1e-15, atol=0)
 
 
 def _lift(X, m):
@@ -470,14 +492,88 @@ def test_order_two_lift_built_once_under_concurrent_reads(monkeypatch, uniform_s
 
 
 def test_two_step_lift_of_normal_samples_and_normalizes():
-    # each step's sampler tilts the previous step's tabulated law, here on an
-    # infinite support; the draws must follow the tabulated density
+    # the draws tilt the normal by x^4 and shrink by one Beta(1, 4) factor,
+    # here on an infinite support; they must follow the tabulated density
     t = bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4)
     xs = np.linspace(-9.0, 9.0, 20001)
     assert np.trapezoid(np.asarray(t.density(xs)), xs) == pytest.approx(1.0, abs=1e-6)
     n = 20_000
     draws = t.sample(n, bf.RandomSource(17))
     assert bf.ks_statistic(draws, bf.numeric_cdf(t.law)) < bf.ks_critical(n, 0.01)
+
+
+def test_order_four_lift_density_closed_form():
+    # the normal's order-4 unit lift: for t > 0,
+    # p(t) = (4/3) [(t^2 + 2) phi(t) - t (t^2 + 3) (1 - Phi(t))], and p is
+    # symmetric.  Measured 2.5e-5, at t = 0: the table is divided by its
+    # trapezoid mass, which ROADMAP item 1 (the exact read) removes; the
+    # bound is 10 times that
+    t = bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4)
+    ts = np.linspace(-8.0, 8.0, 4001)
+    a = np.abs(ts)
+    closed = (4.0 / 3.0) * ((a ** 2 + 2.0) * norm.pdf(a) - a * (a ** 2 + 3.0) * norm.sf(a))
+    assert np.max(np.abs(np.asarray(t.density(ts)) - closed)) <= 2.5e-4
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_multi_step_chain_draws_are_one_tilt_and_one_beta_factor(seed):
+    # the normal's order-4 unit lift draws Z = Y V: Y the tilt of X by x^4,
+    # |Y| ~ chi_5, from the first n uniforms, and V = 1 - U^(1/4) ~
+    # Beta(1, 4) from the next n.  Y = Z / V read through the chi_5 CDF
+    # gives back the first uniforms: the draw law's u-error, 3.8e-7
+    # measured (the tilt's inverse-CDF table); 0.22 when each step tilted
+    # the previous step's law
+    n = 200_000
+    z = bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4).sample(n, bf.RandomSource(seed))
+    rs = bf.RandomSource(seed)
+    u, v = rs.uniform(n), 1.0 - rs.uniform(n) ** 0.25
+    y = z / v
+    assert np.max(np.abs(0.5 + np.sign(y) * chi(5).cdf(np.abs(y)) / 2.0 - u)) <= 4e-6
+
+
+def _chain_part(t):
+    """The chain behind a second-order law: its first mixture part."""
+    return t.recipe.parts[0]
+
+
+@pytest.mark.parametrize("build, base_law", [
+    (lambda: bf.bias_to_order(bf.uniform(-1.0, 1.0), bf.unit_bias_spec(), 2), None),
+    (lambda: bf.second_difference_transform(bf.normal(0.3, 1.2), 0.37), None),
+    (lambda: _chain_part(bf.second_order_transform(bf.normal(), lambda x: np.ones_like(x),
+                                                   bf.zero_bias_spec())), None),
+    (lambda: bf.bias_to_order(bf.uniform(-1.0, 1.0), bf.SignChangeSpec(
+        lambda x: (np.asarray(x, float) + 0.5) * (np.asarray(x, float) - 0.5), (-0.5, 0.5)), 4),
+     lambda: transform._bias(bf.uniform(-1.0, 1.0), bf.SignChangeSpec(
+         lambda x: (np.asarray(x, float) + 0.5) * (np.asarray(x, float) - 0.5), (-0.5, 0.5)),
+         4, 0.0, 0.0)[0]().law),
+], ids=["uniform-lift-order2", "second-difference", "second-order-b0-part",
+        "uniform-lift-order4-k2"])
+def test_one_step_chains_keep_their_draws(build, base_law):
+    # a chain of one step draws as its step did: a tilt of its base law W
+    # by (x - c)^2 and the factor 1 - sqrt(U), where the chain forms
+    # 1 - U^(1/2); bit for bit.  W is the base recipe's seed law at k = 0
+    # and the k-node law of the chain's own stage at k = 2
+    t = build()
+    W = t.recipe.base.seed_law if base_law is None else base_law()
+    c = t.recipe.location
+    want = one_step_chain_draws(W, c, bf.RandomSource(8), 20_000)
+    assert t.sample(20_000, bf.RandomSource(8)).tobytes() == want.tobytes()
+
+
+def test_a_chain_builds_one_law_one_table_and_one_tilt(monkeypatch):
+    # an order-6 lift, three steps: one law, its lazy table and lazy tilt,
+    # and one tilt on first draw
+    counts = {"Distribution": 0, "_Lazy": 0, "tilt": 0}
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(higher, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(higher, name, counting)
+    t = bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 6)
+    t.density(np.linspace(-3.0, 3.0, 7))
+    t.sample(100, bf.RandomSource(1))
+    t.sample(100, bf.RandomSource(2))
+    assert counts == {"Distribution": 1, "_Lazy": 2, "tilt": 1}
 
 
 def test_moment_of_lifted_law_reads_its_table():

@@ -118,6 +118,36 @@ def test_seed_moment_rows_whose_tail_outruns_the_pass_drop_out():
     assert mom[2] == pytest.approx(5.4 / 3, rel=1e-13) and mom[4] == pytest.approx(81 / 5, rel=1e-8)
 
 
+def test_a_recorded_row_is_held_to_the_pass_tolerance():
+    # Student's t with 9 degrees of freedom under the zero bias: a kept row
+    # is within ABS_TOL + REL_TOL |I| of a pass of its own (its ladder
+    # steps past the edges added at most that), not within that pass's last
+    # bits: E[Y^2] = 5.4 is recorded 1.1e-12 low, where its own pass is
+    # 1.4e-14 off
+    c = math.gamma(5.0) / (math.sqrt(9.0 * math.pi) * math.gamma(4.5))
+    X = bf.Distribution(lo=-math.inf, hi=math.inf,
+                        density=lambda x: c * (1.0 + np.asarray(x, float) ** 2 / 9.0) ** -5)
+    recipe = bf.bias(X, bf.zero_bias_spec()).recipe
+    rec = recipe.seed_moments
+    own = D._moments(recipe.seed_law, len(rec) - 1)
+    assert abs(own[2] - 5.4) <= 1e-13 < abs(rec[2] - own[2])
+    for p in range(len(rec)):
+        assert abs(rec[p] - own[p]) <= D.ABS_TOL + D.REL_TOL * abs(own[p]), p
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, 1000.0])
+def test_a_chain_base_records_its_moments_about_the_location(a):
+    # the stage's pass records the base's moments about the location; the
+    # second difference stamps them on X's recipe, which reads them at that
+    # center only (a pass of its own about any other, as before)
+    X = bf.normal(a + 0.3, 1.2)
+    base = bf.second_difference_transform(X, a).recipe.base
+    assert base.seed_law is X and base.center == a and len(base.seed_moments) == 7
+    np.testing.assert_allclose(base.seed_moments, D._moments(X, 6, a), rtol=1e-13, atol=1e-15)
+    assert base.moments(6, a).tolist() == list(base.seed_moments)
+    assert base.moments(4, a + 1.0).tolist() == D._moments(X, 4, a + 1.0).tolist()
+
+
 def test_a_dropped_moment_row_keeps_the_rows_below_it(monkeypatch):
     # Student's t with 5 degrees of freedom: E[X^4] exists and E[X^6] does
     # not.  An order-2 unit lift's pass carries moment rows to order 6, and
@@ -128,7 +158,8 @@ def test_a_dropped_moment_row_keeps_the_rows_below_it(monkeypatch):
     X = bf.Distribution(lo=-math.inf, hi=math.inf,
                         density=lambda x: c * (1.0 + np.asarray(x, float) ** 2 / 5.0) ** -3)
     t = bf.bias_to_order(X, bf.unit_bias_spec(), 2)
-    rec = t.recipe.base_moments
+    rec = t.recipe.base.seed_moments  # the base's record, about the lift's location 0
+    assert t.recipe.base.center == 0.0
     assert len(rec) == 4  # 4.1e-12 measured on E[X^2]
     np.testing.assert_allclose(rec, [1.0, 0.0, 5.0 / 3.0, 0.0], rtol=1e-11, atol=1e-15)
     assert t.beta == pytest.approx(5.0 / 6.0, rel=1e-11)

@@ -128,7 +128,7 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     if not beta > ALPHA_TOL:
         raise DegenerateBeta(f"order-{m} normalizer {beta!r} is not positive")
 
-    def weight(x):  # (x - c)^(m - k) as a product: a power call costs more than the tilt
+    def weight(x):  # (x - c)^(m - k) as a product: np.power took half a first draw
         return reduce(np.multiply, [np.asarray(x, dtype=float) - c] * r)
 
     W = made.law
@@ -199,8 +199,8 @@ def beta_of(X: Distribution, spec: SignChangeSpec, m: int) -> float:
 def bias_to_order(X: Distribution, spec: SignChangeSpec, m: int) -> BiasedDistribution:
     """k-node transform lifted to derivative order m (same parity as k) by
     chaining second-difference steps at zero onto the k-node stage
-    (``_chain``): one pass over X for the base, its normalizers and every
-    step's table.  DegenerateBeta at a stage that is a point mass at zero
+    (``_chain``): one pass over X for the base, its normalizers and the
+    chain's table.  DegenerateBeta at a stage that is a point mass at zero
     or at beta <= ALPHA_TOL."""
     k = _order_checked(spec, m)
     if k == m:

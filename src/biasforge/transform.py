@@ -243,9 +243,9 @@ class BiasRecipe:
         center in one pass (exact atom sums on point masses).  Both are
         within 1e-12 relative of ``moment`` on smooth densities."""
         rec = self.seed_moments
-        if not (rec and top < len(rec) and center == self.center):
-            rec = _moments(self.seed_law, top, center)
-        return _shrunk(np.array(rec[:top + 1]), self.spec.nodes, center)
+        mom = (np.array(rec[:top + 1]) if rec and top < len(rec) and center == self.center
+               else _moments(self.seed_law, top, center))
+        return _shrunk(mom, self.spec.nodes, center)
 
 
 def _recorded(recipe: BiasRecipe, moments: Optional[tuple], center: float) -> BiasRecipe:

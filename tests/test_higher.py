@@ -432,8 +432,8 @@ def test_lift_construction_takes_one_panel_pass(construction_calls, law, m):
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_lift_builds_one_tail_table(monkeypatch, m):
-    # every step's identity table and the last step's seed tilt read the
-    # chain's one table, whose rows rode the base's pass
+    # the chain's identity table and its draw tilt (through the base law)
+    # read the chain's one table, whose rows rode the base's pass
     built = []
     init = distributions._TailTable.__init__
 

@@ -11,9 +11,9 @@ from primitives import pass_count
 # construct, read, draws, moments: a chain's pass records its base's
 # moments to order 4 + m - k, so the order-6 lift's normalizers and every
 # chain's moments to order 4 read them; the operator's construction is its
-# two parts' passes; the last step's seed tilt takes a pass on first draw,
-# and every step's identity table reads the chain's table, whose rows rode
-# the construction
+# two parts' passes; a chain's one draw tilt takes a pass on first draw,
+# and its identity table reads the chain's table, whose rows rode the
+# construction
 COUNTS = {
     "normal-lift-order6": (1, 0, 1, 0),
     "normal-operator-order2": (2, 0, 1, 0),

@@ -12,14 +12,16 @@ normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a stack of weights started from a 1025-point grid, each weight
 taken from the stack on its own and the rows stacked again.  Also the
 pass report of ``scripts/pass_count.py``, whose seven ``bias`` inputs of
-the benchmark's continuous-cold workload the tests share, and the draws of
-a one-step second-difference chain as its own step sampled them.
+the benchmark's continuous-cold workload the tests share, the draws of a
+one-step second-difference chain as its own step sampled them, and the
+moments of a normal law about a point in rationals.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -238,6 +240,13 @@ def bias_in_three_passes(X, spec):
                                f"(value {report.worst_value:.3e})")
     alpha = bf.alpha_of(X, spec)
     return alpha, bf.tilt(X, spec.tilt_weight, weight_kinks=spec.quad_points)
+
+
+def normal_about(mu, sigma, a) -> Callable:
+    """n -> E[(X - a)^n] of normal(mu, sigma), exactly in rationals."""
+    d, s = Fraction(mu) - Fraction(a), Fraction(sigma)
+    odd = lambda r: math.prod(range(r - 1, 0, -2))  # (r - 1)!!
+    return lambda n: sum(math.comb(n, r) * d ** (n - r) * s ** r * odd(r) for r in range(0, n + 1, 2))
 
 
 def one_step_chain_draws(W, c: float, rs, n: int) -> np.ndarray:

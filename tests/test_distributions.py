@@ -14,7 +14,7 @@ from scipy.stats import norm
 import biasforge as bf
 from biasforge import distributions as D
 from conftest import atoms_strategy, call_concurrently
-from primitives import cold_bias_cases
+from primitives import cold_bias_cases, normal_about
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +623,6 @@ def test_stacked_moments_of_a_mixture_without_a_density_sum_its_components():
     assert np.all(np.abs(got - ref) <= STACKED_TOL * np.maximum(1.0, np.abs(ref)))
 
 
-def _normal_about(mu, sigma, c, n):
-    """E[(X - c)^n] of normal(mu, sigma), exactly in rationals."""
-    d, s = Fraction(mu) - Fraction(c), Fraction(sigma)
-    return sum(math.comb(n, r) * d ** (n - r) * s ** r * math.prod(range(r - 1, 0, -2))
-               for r in range(0, n + 1, 2))
-
-
 def test_moments_about_a_far_center_are_taken_about_it():
     # point masses sum (x - c)^p exactly (here every term is exact), and a
     # mixture without a density takes its components' moments about c:
@@ -642,9 +635,8 @@ def test_moments_about_a_far_center_are_taken_about_it():
     d = bf.make_mixture([bf.from_atoms([(999.0, 0.5), (1001.0, 0.5)]), bf.normal(1000.5, 0.01)],
                         [0.5, 0.5])
     assert d.density is None and d.components is not None
-    half = Fraction(1, 2)
-    want = [float(half * (half * ((-1) ** p + 1) + _normal_about(1000.5, 0.01, 1000, p)))
-            for p in range(5)]
+    half, about = Fraction(1, 2), normal_about(1000.5, 0.01, 1000)
+    want = [float(half * (half * ((-1) ** p + 1) + about(p))) for p in range(5)]
     np.testing.assert_allclose(D._moments(d, 4, 1000.0), want, rtol=1e-13, atol=0)
 
 

@@ -12,7 +12,8 @@ import biasforge.higher as higher
 import biasforge.transform as transform
 from biasforge import Polynomial
 from conftest import call_concurrently
-from primitives import cold_bias_cases, moment_via_coefficients, one_step_chain_draws
+from primitives import (cold_bias_cases, moment_via_coefficients, normal_about,
+                        one_step_chain_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +129,7 @@ def _about(name, a):
     if name == "uniform":
         lo, hi = Fraction(-1.0) - a, Fraction(2.0) - a
         return lambda n: (hi ** (n + 1) - lo ** (n + 1)) / ((n + 1) * (hi - lo))
-    return _normal_about(0.3, 1.2, a)
-
-
-def _normal_about(mu, sigma, a):
-    """n -> E[(X - a)^n] of normal(mu, sigma), exactly in rationals."""
-    d, s = Fraction(mu) - Fraction(a), Fraction(sigma)
-    odd = lambda r: math.prod(range(r - 1, 0, -2))  # (r - 1)!!
-    return lambda n: sum(math.comb(n, r) * d ** (n - r) * s ** r * odd(r) for r in range(0, n + 1, 2))
+    return normal_about(0.3, 1.2, a)
 
 
 def _chain_exact(about, a, steps, top):
@@ -180,7 +174,7 @@ def test_second_difference_moments_far_from_the_origin():
     # moments shifted to 1000 and back cancelled (E[Z] was 1000 - 7.9e-8,
     # and E[Z^2] off 1e6 + 0.5 by 1.6e-4)
     t = bf.second_difference_transform(bf.normal(1000.0, 1.0), 1000.0)
-    want = _chain_exact(_normal_about(1000.0, 1.0, 1000.0), 1000.0, 1, 4)
+    want = _chain_exact(normal_about(1000.0, 1.0, 1000.0), 1000.0, 1, 4)
     np.testing.assert_allclose(bf.recipe_moments(t.recipe, 4), want, rtol=1e-15, atol=0)
     assert t.moment(1) == 1000.0 and t.moment(2) == 1e6 + 0.5
 
@@ -214,18 +208,18 @@ def _lift(X, m):
 _CHAIN_LAWS = {  # name -> (build, exact raw moments to order 4)
     "uniform-lift-order2": (_lift(bf.uniform(-1.0, 1.0), 2),
                             _chain_exact(lambda n: Fraction(1, n + 1) * (n % 2 == 0), 0.0, 1, 4)),
-    "normal-lift-order4": (_lift(bf.normal(), 4), _chain_exact(_normal_about(0, 1, 0), 0.0, 2, 4)),
-    "normal-lift-order6": (_lift(bf.normal(), 6), _chain_exact(_normal_about(0, 1, 0), 0.0, 3, 4)),
+    "normal-lift-order4": (_lift(bf.normal(), 4), _chain_exact(normal_about(0, 1, 0), 0.0, 2, 4)),
+    "normal-lift-order6": (_lift(bf.normal(), 6), _chain_exact(normal_about(0, 1, 0), 0.0, 3, 4)),
     # the second-difference part (alpha_1 = 1/2) and the zero-bias part,
     # the normal itself (alpha_2 = 1), mixed 1 : 2
     "normal-second-order": (
         lambda: bf.second_order_transform(bf.normal(), lambda x: np.ones_like(x),
                                           bf.zero_bias_spec()),
-        [(h + 2 * n) / 3 for h, n in zip(_chain_exact(_normal_about(0, 1, 0), 0.0, 1, 4),
-                                         _chain_exact(_normal_about(0, 1, 0), 0.0, 0, 4))]),
+        [(h + 2 * n) / 3 for h, n in zip(_chain_exact(normal_about(0, 1, 0), 0.0, 1, 4),
+                                         _chain_exact(normal_about(0, 1, 0), 0.0, 0, 4))]),
     "normal-second-difference": (
         lambda: bf.second_difference_transform(bf.normal(0.3, 1.2), 0.37),
-        _chain_exact(_normal_about(0.3, 1.2, 0.37), 0.37, 1, 4)),
+        _chain_exact(normal_about(0.3, 1.2, 0.37), 0.37, 1, 4)),
 }
 
 

@@ -19,8 +19,12 @@ than 0, the same second difference far from the origin (``normal(1000,
 the order-6 unit lift of ``normal()``; the second difference at 1000 of
 the atoms {999, 1000.5, 1001} (masses 1/4, 1/2, 1/4) and of the mixture of
 two two-atom laws with the same masses, and the zero bias of
-``uniform(-1, 1)`` lifted to order 5, a chain on a one-node base.  Only the
-public API is used.
+``uniform(-1, 1)`` lifted to order 5, a chain on a one-node base; the
+node product (x + 0.5)(x - 0.5) on five atoms, an identity table on point
+masses, the zero bias of the mixture of the atoms {0, 1} and
+``uniform(-1, 1)``, which reads one table per component, and the zero bias
+of 1e3 samples lifted to order 3, a one-node base on atoms inside a chain.
+Only the public API is used.
 
     PYTHONPATH=src python scripts/dump_values.py > values.txt
 """
@@ -39,6 +43,7 @@ DRAWS = 100_000
 DRAW_SEED = 20240531
 EMPIRICAL_SEED = 1  # the seed of the empirical law's 5e4 samples, normal(0.3, 1.1)
 FAR_ATOMS = [(999.0, 0.25), (1000.5, 0.5), (1001.0, 0.25)]
+FIVE_ATOMS = [(-1.0, 0.2), (-0.25, 0.3), (0.1, 0.1), (0.75, 0.15), (1.5, 0.25)]
 
 
 def _ones(x):
@@ -93,6 +98,7 @@ def laws():
     half_normals = lambda: bf.make_mixture([bf.half_normal(1.2), bf.negative_half_normal(1.2)],
                                            [0.3, 0.7])
     samples = np.random.default_rng([EMPIRICAL_SEED, 4]).normal(0.3, 1.1, 50_000)
+    few = np.random.default_rng([EMPIRICAL_SEED, 5]).normal(0.3, 1.1, 1_000)
     return [
         # continuous-cold
         ("normal-zero-bias", lambda: bf.bias(bf.normal(), _zero_bias())),
@@ -132,6 +138,13 @@ def laws():
             bf.make_mixture([bf.from_atoms([(999.0, 0.5), (1000.5, 0.5)]),
                              bf.from_atoms([(1000.5, 0.5), (1001.0, 0.5)])], [0.5, 0.5]), 1000.0)),
         ("uniform-zero-bias-lift-order5", lambda: bf.bias_to_order(U, _zero_bias(), 5)),
+        # every tail-table branch: an identity table and a one-node base on atoms,
+        # and one table per component of a mixture without a density
+        ("atoms-chain-k2", lambda: bf.bias(bf.from_atoms(FIVE_ATOMS), _node_product((-0.5, 0.5)))),
+        ("atoms-and-uniform-zero-bias", lambda: bf.bias(bf.make_mixture(
+            [bf.from_atoms([(0.0, 0.5), (1.0, 0.5)]), U], [0.5, 0.5]), _zero_bias())),
+        ("empirical-zero-bias-lift-order3", lambda: bf.bias_to_order(
+            bf.from_samples(few), _zero_bias(), 3)),
     ]
 
 

@@ -462,48 +462,56 @@ def _window_integral(fv: Callable, d: Distribution, points: Sequence[float] = ()
 
 class _TailTable:
     """Cumulative integrals of a stack of J fixed weights w_j against the
-    law of X, read at any t as the one-node tail
+    law of X, read by one reader at any t as the tail about its ``node``
 
         E[w_j(X) (1{node <= t <= X} - 1{X < t < node})],
 
     the upper tail from t >= node and minus the lower tail below it, so no
-    value is a difference of near-equal sums.  ``weights`` is array-native:
-    ``weights(x)`` gives the (J,) + shape stack as a fresh array, which the
-    table multiplies by the density in place.  Point masses, sorted by
-    construction, are read through prefix and suffix sums.  For a density,
-    a table's included, the table sums the final panels of a pass of the
-    weights times the density: ``panels``, those of the pass the weights
-    rode (``_tilt``'s), or else a pass of its own (``_window_integral`` to
-    _TAIL_DEPTH rounds, ``points`` its break points); NonIntegrable when the
-    panels do not suit them.  A read is one lookup plus the 8-point
-    Gauss-Legendre rule on part of one panel.  Mixtures without a density
-    sum their components' tables by weight, ``panels`` a list by component."""
+    value is a difference of near-equal sums; NaN at a NaN t.  ``weights``
+    is array-native: ``weights(x)`` gives the (J,) + shape stack as a fresh
+    array, which the table multiplies by the masses or density in place.
+    It keeps the prefix sums over the atoms or panels left of the node's
+    and the suffix sums from it on (``total``, the first suffix column, is
+    the whole sums at node -inf).  For a density, a table's included, they
+    sum the final panels of a pass of the weights times the density: the
+    first ``rows`` (default all) of ``panels``, those of the pass the
+    weights rode (``_tilt``'s), or else a pass of its own
+    (``_window_integral`` to _TAIL_DEPTH rounds, ``points`` its break
+    points); NonIntegrable when the panels do not suit them.  A read is one
+    lookup plus the 8-point Gauss-Legendre rule on part of one panel.
+    Mixtures without a density sum their components' tables by weight,
+    ``panels`` a list by component."""
 
-    def __init__(self, X: Distribution, weights: Callable, panels=None, points=()):
-        self.weights, self.parts = weights, None
+    def __init__(self, X: Distribution, weights: Callable, node: float = -np.inf, panels=None,
+                 points=(), rows: Optional[int] = None):
+        self.weights, self.node, self.parts = weights, float(node), None
         if X.locs is not None:
             self.xs, self.dens = X.locs, None
-            vals = weights(X.locs) * X.masses
+            vals = weights(X.locs)
+            vals *= X.masses
+            split = int(np.searchsorted(self.xs, node, side="left"))  # the atoms left of it
         elif X.density is not None:
             self.dens = as_array_fn(X.density)
             if panels is None:
                 panels = _window_integral(self._load, X, points, depth=_TAIL_DEPTH)[2]
                 if panels is None:
                     raise NonIntegrable("the panels do not suit a tail weight times the density")
-            lefts, vals = np.concatenate(panels[0]), np.concatenate(panels[1], axis=1)
+            lefts, vals = np.concatenate(panels[0]), np.hstack([v[:rows] for v in panels[1]])
             order = np.argsort(lefts)
             self.xs, vals = np.append(lefts[order], panels[2]), vals[:, order]
+            split = max(int(np.searchsorted(self.xs, node, side="right")) - 1, 0)  # its panel
         elif X.components is not None:
-            self.parts = [(w, _TailTable(c, weights, p, points)) for c, w, p in
+            self.parts = [(w, _TailTable(c, weights, node, p, points, rows)) for c, w, p in
                           zip(X.components, X.weights, panels or [None] * len(X.weights)) if w > 0]
             self.total = sum(w * part.total for w, part in self.parts)
             return
         else:
             raise InputError("tail integrals need point masses, a density or components")
-        zero = np.zeros((len(vals), 1))
-        self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
-        self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
-        self.total = self.suffix[:, 0]
+        # column i: the sum of the first i <= split atoms or panels; i + 1: from i >= split on
+        self.sums = np.zeros((len(vals), vals.shape[1] + 2))
+        np.cumsum(vals[:, :split], axis=1, out=self.sums[:, 1:split + 1])
+        np.cumsum(vals[:, split:][:, ::-1], axis=1, out=self.sums[:, -2:split:-1])
+        self.total = self.sums[:, split + 1]
 
     def _load(self, x):
         """The weights times the density, stacked (the product formed in the
@@ -511,22 +519,23 @@ class _TailTable:
         out = self.weights(x)
         return np.multiply(out, self.dens(x), out=out)
 
-    def __call__(self, t, node: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         """The one-node tail of every weight at each t: shape (J,) + shape of t."""
         ts = np.asarray(t, dtype=float)
         if self.parts is not None:
-            return sum(w * part(ts, node) for w, part in self.parts)
+            return sum(w * part(ts) for w, part in self.parts)
         flat = ts.ravel()
-        up = flat >= node
+        up = flat >= self.node
         if self.dens is None:
             i = np.searchsorted(self.xs, flat, side="left")
-            out = np.where(up, self.suffix[:, i], -self.prefix[:, i])
+            out = np.where(up, self.sums[:, i + 1], -self.sums[:, i])
+            out[:, np.isnan(flat)] = np.nan  # NaN sorts past every atom
         else:
             xs = self.xs
             tc = np.clip(flat, xs[0], xs[-1])
             i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
             part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
-            out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
+            out = np.where(up, self.sums[:, i + 2] + part, -(self.sums[:, i] + part))
         return out.reshape(out.shape[:1] + ts.shape)
 
 

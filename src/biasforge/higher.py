@@ -17,7 +17,7 @@ second-order law's B0 part (the B0 tilt its base).  A chain is one law
 with one kernel: the steps' Beta(1, 2) factors multiply to one
 Beta(1, m - k) factor, so it draws one tilt of the base law by
 (x - c)^(m - k) and shrinks it once, and its density is the order-m
-identity table of X, read from one tail table whose rows
+identity table of X, read from a tail table of its own whose rows
 B(x) (x - c)^j, j < m, ride the base's construction pass.  The same pass
 records the base's moments about the location to order 4 + m - k, which
 the chain's normalizers and its moments to order 4 read.
@@ -110,13 +110,13 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     moments about c: the base recipe's moments about c to order m - k
     (``BiasRecipe.moments``), mapped step by step; beta = alpha prod(b_l).
     The law is one kernel: its density the order-m identity table read from
-    the stage's table; its draws one tilt of W by (x - c)^(m - k), built on
-    first draw, shrunk towards c by one Beta(1, m - k) factor
+    a table of the stage's m rows; its draws one tilt of W by (x - c)^(m - k),
+    built on first draw, shrunk towards c by one Beta(1, m - k) factor
     1 - U^(1 / (m - k)) (the product of the steps' Beta(1, 2) factors in
     law).  It spans c and W's support (its window if ``window``).
     DegenerateBeta at a point mass at c or at beta <= ALPHA_TOL."""
     k, r = spec.k, m - spec.k
-    make, tails, rec = stage or _bias(X, spec, m, c, c)
+    make, table, rec = stage or _bias(X, spec, m, c, c)
     made = (make() if base is None else
             BiasedDistribution(base, 1.0, None, _recorded(BiasRecipe(spec, base), rec, c)))
     mom = made.recipe.moments(r, c)
@@ -145,7 +145,7 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
         return y
 
     lo, hi = W.effective_support() if window else (W.lo, W.hi)
-    dens = _Lazy(lambda: _identity_table(X, spec, m, beta, c, tails.get()))
+    dens = _Lazy(lambda: _identity_table(X, spec, m, beta, c, table(-np.inf, m)))
     law = Distribution(lo=min(lo, c), hi=max(hi, c), density=dens,
                        cdf=lambda x: dens.get().cdf(x), sampler=draw, kinks=(c,) + W.kinks,
                        label=label)

@@ -34,6 +34,7 @@ from .errors import (
 from .distributions import (
     Distribution,
     RandomSource,
+    _Lazy,
     _check_draws,
     _mean_se,
     as_array_fn,
@@ -110,10 +111,10 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
     B0 tilt (``higher._chain``), with the one-node B1 transform, weighted by
     alpha_1 = E[B0(X)(X - a)^2] / 2, the chain's beta (0 if degenerate), and
     alpha_2, the one-node alpha.  NegativeWeight where B0 is negative at a
-    probe point of X.  The density reads the chain's one tail table: the
-    rows B0, B0 (x - a) and B1 ride the B0 tilt's pass (the B1 node and
-    kinks its break points), so no read integrates; so do the B0 tilt's
-    moments about a to order 6, which its moments to order 4 read."""
+    probe point of X.  The density reads a tail table at a of the rows B0,
+    B0 (x - a) and B1, which ride the B0 tilt's pass (the B1 node and kinks
+    its break points), so no read integrates; so do the B0 tilt's moments
+    about a to order 6, which its moments to order 4 read."""
     if B1.k != 1:
         raise InputError("the order-1 coefficient needs exactly one sign-change node")
     a = float(B1.nodes[0])
@@ -132,8 +133,10 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
     parts, weights = zip(*((p, n / alpha) for p, n in normalized if n > ALPHA_TOL))
 
+    tails = _Lazy(lambda: stage[1](a, 3))
+
     def density(t):  # the load B1 + B0 (x - t) is B1 + B0 (x - a) - (t - a) B0
-        flat, centred, b1 = stage[1].get()(t, a)
+        flat, centred, b1 = tails.get()(t)
         return (b1 + centred - (np.asarray(t, dtype=float) - a) * flat) / alpha
 
     law = replace(make_mixture([p.law for p in parts], weights), density=as_array_fn(density),

@@ -14,11 +14,11 @@ pattern holds and the transform is nondegenerate.  For k >= 1 the result
 always has a density: for one node a tail integral of B against the
 input law, and for more a table filled from the defining identity at the
 truncated power (s - t)_+^{m-1}, whose m-th derivative is the point mass at
-t.  Both read one cumulative table of the input law
-(``distributions._TailTable``): its weights (B, or B(x) (x - c)^j for
+t.  Each reads a cumulative table of the input law of its own, at x_1 or
+-inf (``distributions._TailTable``): its weights (B, or B(x) (x - c)^j for
 j < m), one stack that evaluates B once, ride the construction's own panel
-pass over the input law, the tilt's, and the table sums that pass's final
-panels on first use; an order lift reads its base's table.
+pass over the input law, the tilt's, whose final panels it sums on first
+use; an order lift's table sums those of its base's pass.
 
 Node choices matter: when B vanishes on an interval, different declared
 nodes give genuinely different transforms, so nodes are always the
@@ -396,7 +396,7 @@ def _identity_loads(spec: SignChangeSpec, m: int, c: float,
 
 
 def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
-                    c: float, tails: Optional[_TailTable] = None) -> TabulatedDensity:
+                    c: float, tails: _TailTable) -> TabulatedDensity:
     """Density of the order-m transform of X under ``spec`` (correction
     polynomial about ``c``) from the defining identity at the truncated
     power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
@@ -406,9 +406,9 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
 
     L and R are linear in the node values and derivatives at c of g_t, which
     are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
-    needed: the first m rows of ``tails``, the table whose rows rode the
-    pass of ``_bias`` (a pass of its own when not given), read at every grid
-    point.  The grid spans the effective support of X, the nodes and c."""
+    needed: the m rows of ``tails``, a table at -inf (whose rows rode the
+    pass of ``_bias``), read at every grid point.  The grid spans the
+    effective support of X, the nodes and c."""
     k = spec.k
     ys = np.asarray(spec.nodes, dtype=float) - c
 
@@ -418,12 +418,9 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
-    if tails is None:
-        tails = _TailTable(X, _identity_loads(spec, m, c), None, spec.quad_points)
-
     def values(ts):
         s = ts - c
-        tail, full = tails(ts, -np.inf), tails.total
+        tail, full = tails(ts), tails.total
         mean = lambda p: sum(a * full[i] for i, a in enumerate(p.coeffs))  # E[B(X) p(X - c)]
         out = sum(math.comb(m - 1, j) * (-s) ** (m - 1 - j) * tail[j]
                   for j in range(m)) / math.factorial(m - 1)
@@ -477,10 +474,11 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
     x_1 and moments about 0 to order 4 for ``bias``, m rows and moments
     about its location to order 4 + m - k for a chain (``higher._chain``),
     which reads its base to order top + m - k for moments to order top.  A
-    failed verdict raises refuse = (error, what).  Returns (make, tails,
-    moments): ``make()`` builds the transform from the first k rows of the
-    lazy table ``tails``, its recipe recording the seed ``moments`` (the
-    rows that held, ``_tilt``) with their center."""
+    failed verdict raises refuse = (error, what).  Returns (make, table,
+    moments): ``table(node, j)`` builds one reader's table of the first j
+    rows (``extra`` last) read at ``node``; ``make()`` the transform, whose
+    density reads row B at x_1 or the k rows at -inf, its recipe recording
+    the seed ``moments`` (the rows that held, ``_tilt``)."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
@@ -494,8 +492,10 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
     seed_law, _, mean, panels, seed = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points,
                                             probe, w[:probe.size], weighed, points,
                                             _SEED_MOMENTS + rows - k, center)
-    tails = None if loads is None else _Lazy(
-        lambda: _TailTable(X, loads, panels, (*spec.quad_points, *points)))
+
+    def table(node: float, j: int) -> _TailTable:
+        return _TailTable(X, _identity_loads(spec, min(j, rows), c, extra if j > rows else None),
+                          node, panels, (*spec.quad_points, *points), j)
 
     def make() -> BiasedDistribution:
         alpha = _checked_alpha(mean / math.factorial(k))
@@ -519,10 +519,11 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
 
         lo, hi = min(float(probe.min()), nodes[0]), max(float(probe.max()), nodes[-1])
         if k == 1:
-            dens = as_array_fn(lambda t: np.maximum(tails.get()(t, nodes[0])[0] / alpha, 0.0))
+            tails = _Lazy(lambda: table(nodes[0], 1))
+            dens = as_array_fn(lambda t: np.maximum(tails.get()(t)[0] / alpha, 0.0))
             cdf = None
         else:
-            dens = _Lazy(lambda: _identity_table(X, spec, k, alpha, c, tails.get()))
+            dens = _Lazy(lambda: _identity_table(X, spec, k, alpha, c, table(-np.inf, k)))
             cdf = lambda x: dens.get().cdf(x)
         law_kinks = tuple(sorted({*nodes, *spec.kinks,
                                   *(kk for kk in X.kinks if lo <= kk <= hi)}))
@@ -530,4 +531,4 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
                            label=f"bias({X.label or 'X'}; k={k})")
         return BiasedDistribution(law, alpha, None, recipe)
 
-    return make, tails, seed
+    return make, table, seed

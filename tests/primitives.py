@@ -10,7 +10,9 @@ them.  Also the ``numpy.polynomial`` route to the ``Polynomial`` algebra,
 and ``bias`` on a point-mass law as three separate passes (validation,
 normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a stack of weights started from a 1025-point grid, each weight
-taken from the stack on its own and the rows stacked again.  Also the
+taken from the stack on its own and the rows stacked again, and the tail
+table that kept the prefix and suffix sums over every atom or panel and
+took its node at each read.  Also the
 pass report of ``scripts/pass_count.py``, whose seven ``bias`` inputs of
 the benchmark's continuous-cold workload the tests share, the draws of a
 one-step second-difference chain as its own step sampled them, and the
@@ -31,10 +33,12 @@ from numpy.polynomial import polynomial as npoly
 import biasforge as bf
 from biasforge import InputError, NodeSet, NonIntegrable, integrate_fn
 from biasforge.distributions import (
+    _TAIL_DEPTH,
     _gauss_legendre,
     _panels,
     _knots,
     _sorted_unique,
+    _window_integral,
     as_array_fn,
 )
 
@@ -269,10 +273,12 @@ class PerWeightTailTable:
     round rules the halves of every panel at the 2049-point spacing.  It
     takes the law and the weight stack of the stacked table; weight j is
     row j of the stack, ``weights(x)[j]``, and the rows are stacked again
-    for ``_panels``, whose fallbacks integrate one row of that stack."""
+    for ``_panels``, whose fallbacks integrate one row of that stack.  It is
+    read at ``node``, the node of the table it stands in for."""
 
-    def __init__(self, X, weights, knots=()):
+    def __init__(self, X, weights, knots=(), node=-np.inf):
         rows = len(weights(np.zeros(1)))
+        self.node = node
         self.weights = [lambda x, j=j: weights(x)[j] for j in range(rows)]
         self.parts = None
         if X.locs is not None:
@@ -290,7 +296,7 @@ class PerWeightTailTable:
             order = np.argsort(lefts)
             self.xs, vals = np.append(lefts[order], hi), vals[:, order]
         elif X.components is not None:
-            self.parts = [(w, PerWeightTailTable(c, weights, knots))
+            self.parts = [(w, PerWeightTailTable(c, weights, knots, node))
                           for c, w in zip(X.components, X.weights) if w > 0]
             self.total = sum(w * part.total for w, part in self.parts)
             return
@@ -305,7 +311,65 @@ class PerWeightTailTable:
         out = np.stack([w(x) for w in self.weights])
         return np.multiply(out, self.dens(x), out=out)
 
-    def __call__(self, t, node):
+    def __call__(self, t):
+        ts = np.asarray(t, dtype=float)
+        if self.parts is not None:
+            return sum(w * part(ts) for w, part in self.parts)
+        flat = ts.ravel()
+        up = flat >= self.node
+        if self.dens is None:
+            i = np.searchsorted(self.xs, flat, side="left")
+            out = np.where(up, self.suffix[:, i], -self.prefix[:, i])
+        else:
+            xs = self.xs
+            tc = np.clip(flat, xs[0], xs[-1])
+            i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
+            part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
+            out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
+        return out.reshape((len(self.weights),) + ts.shape)
+
+
+# ---------------------------------------------------------------------------
+# the tail table with both sums over every atom or panel, read at any node
+# ---------------------------------------------------------------------------
+
+class TwoSumTailTable:
+    """``distributions._TailTable`` as it kept the prefix and the suffix sums
+    over every atom or panel of the law, its rows all those of ``weights``
+    and of ``panels``, and took the node at each read: the route a table
+    bound to its reader's node and rows is checked against bit for bit."""
+
+    def __init__(self, X, weights, panels=None, points=()):
+        self.weights, self.parts = weights, None
+        if X.locs is not None:
+            self.xs, self.dens = X.locs, None
+            vals = weights(X.locs) * X.masses
+        elif X.density is not None:
+            self.dens = as_array_fn(X.density)
+            if panels is None:
+                panels = _window_integral(self._load, X, points, depth=_TAIL_DEPTH)[2]
+                if panels is None:
+                    raise NonIntegrable("the panels do not suit a tail weight times the density")
+            lefts, vals = np.concatenate(panels[0]), np.concatenate(panels[1], axis=1)
+            order = np.argsort(lefts)
+            self.xs, vals = np.append(lefts[order], panels[2]), vals[:, order]
+        elif X.components is not None:
+            self.parts = [(w, TwoSumTailTable(c, weights, p, points)) for c, w, p in
+                          zip(X.components, X.weights, panels or [None] * len(X.weights)) if w > 0]
+            self.total = sum(w * part.total for w, part in self.parts)
+            return
+        else:
+            raise InputError("tail integrals need point masses, a density or components")
+        zero = np.zeros((len(vals), 1))
+        self.prefix = np.concatenate((zero, np.cumsum(vals, axis=1)), axis=1)
+        self.suffix = np.concatenate((np.cumsum(vals[:, ::-1], axis=1)[:, ::-1], zero), axis=1)
+        self.total = self.suffix[:, 0]
+
+    def _load(self, x):
+        out = self.weights(x)
+        return np.multiply(out, self.dens(x), out=out)
+
+    def __call__(self, t, node: float) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
         if self.parts is not None:
             return sum(w * part(ts, node) for w, part in self.parts)
@@ -320,4 +384,4 @@ class PerWeightTailTable:
             i = np.minimum(np.searchsorted(xs, tc, side="right"), xs.size - 1) - 1
             part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
             out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
-        return out.reshape((len(self.weights),) + ts.shape)
+        return out.reshape(out.shape[:1] + ts.shape)

@@ -11,8 +11,8 @@ import biasforge.transform as transform
 from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
 from biasforge.verify import _lhs_polynomials
 from conftest import call_concurrently
-from primitives import (PerWeightTailTable, bias_in_three_passes, cold_bias_cases,
-                        moment_via_coefficients)
+from primitives import (PerWeightTailTable, TwoSumTailTable, bias_in_three_passes,
+                        cold_bias_cases, moment_via_coefficients)
 
 
 def x_plus_spec(node):
@@ -618,7 +618,8 @@ def test_identity_table_matches_atom_sum_of_identity():
             beta = bf.beta_of(X, spec, m)
         except (bf.DegenerateAlpha, bf.DegenerateBeta):
             continue
-        table = transform._identity_table(X, spec, m, beta, 0.0, None)  # atoms need no panels
+        tails = D._TailTable(X, transform._identity_loads(spec, m, 0.0))  # atoms need no panels
+        table = transform._identity_table(X, spec, m, beta, 0.0, tails)
         avoid = np.array([x for x, _ in X.atoms] + list(spec.nodes) + [0.0])
         far = np.min(np.abs(table.xs[:, None] - avoid), axis=1) > 1e-3
         far &= np.arange(far.size) % 8 == 0
@@ -928,11 +929,11 @@ def test_tail_table_integrates_the_slivers_of_an_undeclared_singularity(monkeypa
     oracle = D.integrate_fn
     monkeypatch.setattr(D, "integrate_fn", lambda *a, **k: calls.append(a) or oracle(*a, **k))
     X, weights = bf.uniform(-1, 1), _stack(lambda x: 1 + np.abs(np.asarray(x, float) - 0.3) ** -0.5)
-    tails = D._TailTable(X, weights)
+    tails = D._TailTable(X, weights, -1.0)
     assert calls and all(abs(a - 0.3) < 1e-6 and abs(b - 0.3) < 1e-6 for _, a, b in calls)
     ts = np.array([-0.5, 0.0, 0.25, 0.29])
     exact = 0.5 * ((1 - ts) + 2 * np.sqrt(0.3 - ts) + 2 * np.sqrt(0.7))  # E[w(X) 1{X >= t}]
-    np.testing.assert_allclose(tails(ts, -1.0)[0], exact, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(tails(ts)[0], exact, rtol=0, atol=1e-9)
 
 
 def test_tail_table_and_window_integral_share_the_sliver_policy(monkeypatch):
@@ -960,6 +961,87 @@ def test_tail_table_and_window_integral_share_the_sliver_policy(monkeypatch):
     assert slivers.any() and np.all(np.abs(tails.xs[:-1][slivers] - 0.3) < 1e-6)
     np.testing.assert_allclose(got, [1.0, 0.35], rtol=0, atol=1e-9)
     np.testing.assert_allclose(tails.total, [1.0, 0.35], rtol=0, atol=1e-9)
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def _construction_panels(X, spec, rows):
+    """The final panels of ``bias``'s pass over X carrying the rows B(x) x^j,
+    j < rows (None on atoms, a list by component on a mixture without a density)."""
+    loads = transform._identity_loads(spec, rows, 0.0)
+    probe = D._probe_points(X)
+    return D._tilt(X, D.as_array_fn(spec.tilt_weight), spec.quad_points, probe,
+                   spec.tilt_weight(probe), lambda x: loads(x, True))[3]
+
+
+TABLE_LAWS = {
+    "atoms": lambda: bf.from_atoms([(-1.5, 0.2), (-0.25, 0.3), (0.0, 0.1), (0.75, 0.15),
+                                    (2.0, 0.25)]),
+    "normal": bf.normal,
+    "atoms-and-uniform": lambda: bf.make_mixture(
+        [bf.from_atoms([(0, 0.5), (1, 0.5)]), bf.uniform(-1, 1)], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("node", [-np.inf, -3.0, -0.25, 0.0, 0.3, 0.75, 5.0])
+@pytest.mark.parametrize("case", sorted(TABLE_LAWS))
+def test_a_table_bound_to_its_node_and_rows_reads_the_two_sum_tables_bits(case, node):
+    # the same law, weights and panels: a table that keeps only the sums its
+    # node's reads take, of all three rows or of the first, reads what the
+    # table of both sums over every atom or panel read at that node, bit for
+    # bit, with the node below, at, between and above the atoms and every t
+    # an atom, and the identity table's totals too
+    X, spec = TABLE_LAWS[case](), bf.zero_bias_spec()
+    panels = _construction_panels(X, spec, 3)
+    old = TwoSumTailTable(X, transform._identity_loads(spec, 3, 0.0), panels, spec.quad_points)
+    ts = np.concatenate((np.linspace(-6.0, 6.0, 241), [-1.5, -0.25, 0.0, 0.3, 0.75, 1.0, 2.0],
+                         [-np.inf, np.inf], [node] if math.isfinite(node) else []))
+    for rows in (1, 3):
+        new = D._TailTable(X, transform._identity_loads(spec, rows, 0.0), node, panels,
+                           spec.quad_points, rows)
+        assert _bits(new(ts)) == _bits(old(ts, node)[:rows])
+        assert _bits(new(0.3)) == _bits(old(0.3, node)[:rows])
+        if node == -np.inf:
+            assert _bits(new.total) == _bits(old.total[:rows])
+
+
+def test_a_one_node_base_in_a_chain_reads_one_row():
+    # the zero bias of the uniform lifted to order 5: the base's density, which
+    # the chain's draw tilts, reads row B at its node 0 alone, the chain's
+    # density all five rows at -inf
+    stacks = []
+    load = D._TailTable._load
+
+    def spy(self, x):
+        out = load(self, x)
+        stacks.append((self.node, len(out)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D._TailTable, "_load", spy)
+        t = bf.bias_to_order(bf.uniform(-1, 1), bf.zero_bias_spec(), 5)
+        t.sample(1000, bf.RandomSource(3))
+        assert stacks and set(stacks) == {(0.0, 1)}
+        t.density(np.linspace(-1.0, 1.0, 9))
+        assert set(stacks) == {(0.0, 1), (-np.inf, 5)}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_LAWS) + ["two-atoms"])
+def test_every_tail_read_is_nan_at_nan(case):
+    # NaN sorts past every atom and is no t >= node: an atom table read the
+    # lower tail of every atom there, so the one-node density of the atoms
+    # {-1, 0.5} was 0.4 at NaN
+    X = bf.from_atoms([(-1, 0.5), (0.5, 0.5)]) if case == "two-atoms" else TABLE_LAWS[case]()
+    spec = bf.zero_bias_spec()
+    t = bf.bias(X, spec)
+    assert math.isnan(t.density(math.nan))
+    vals = t.density(np.array([-0.5, np.nan, 0.25]))
+    assert np.isnan(vals[1]) and np.isfinite(vals[[0, 2]]).all()
+    for node in (-np.inf, 0.0, 0.3):
+        tails = D._TailTable(X, transform._identity_loads(spec, 2, 0.0), node)
+        assert np.isnan(tails(np.array([np.nan, 0.1]))[:, 0]).all()
 
 
 def _product_spec(nodes):
@@ -991,8 +1073,8 @@ def test_identity_tables_match_the_per_weight_tables(monkeypatch, case):
     got = law.density(ts)
     built = []
     monkeypatch.setattr(transform, "_TailTable",
-                        lambda X, weights, panels=None, points=(): built.append(1)
-                        or PerWeightTailTable(X, weights, ()))
+                        lambda X, weights, node=-np.inf, panels=None, points=(), rows=None:
+                        built.append(1) or PerWeightTailTable(X, weights, (), node))
     ref = IDENTITY_CASES[case]().law.density(ts)
     assert built
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1020,7 +1102,8 @@ def test_identity_table_evaluates_the_bias_once_per_panel_call(monkeypatch, node
 
     monkeypatch.setattr(D, "_gauss_legendre", counting)
     calls.clear()
-    transform._identity_table(X, spec, m, beta, 0.0)
+    tails = D._TailTable(X, transform._identity_loads(spec, m, 0.0), points=spec.quad_points)
+    transform._identity_table(X, spec, m, beta, 0.0, tails)
     assert rules and len(calls) == len(rules) + 1
 
 

@@ -426,8 +426,9 @@ def test_lift_construction_takes_one_panel_pass(construction_calls, law, m):
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_lift_builds_one_tail_table(monkeypatch, m):
-    # the chain's identity table and its draw tilt (through the base law)
-    # read the chain's one table, whose rows rode the base's pass
+    # the chain's identity table reads the chain's one table, whose rows
+    # rode the base's pass; its draw tilt reads the zero-node base law, the
+    # B-tilt of X, which has no table
     built = []
     init = distributions._TailTable.__init__
 

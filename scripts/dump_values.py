@@ -5,7 +5,7 @@ the bit-identity check of a change that should move no value.
 
 Each line holds the law's name, alpha, beta, support, its density at 257
 points of its window, ``numeric_cdf(law, 513)`` at the same points, its
-moments of orders 0..4 (``recipe_moments``, or ``moment`` for a law with
+moments of orders 0..8 (``recipe_moments``, or ``moment`` for a law with
 no recipe) and the sha256 of 1e5 draws from a fixed seed.  Floats are
 printed by ``repr``, which round-trips.
 
@@ -38,7 +38,7 @@ import biasforge as bf
 
 GRID = 257
 CDF_GRID = 513
-TOP = 4
+TOP = 8
 DRAWS = 100_000
 DRAW_SEED = 20240531
 EMPIRICAL_SEED = 1  # the seed of the empirical law's 5e4 samples, normal(0.3, 1.1)

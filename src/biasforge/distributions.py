@@ -1076,12 +1076,20 @@ def moment(d: Distribution, n: int) -> float:
 
 def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
     """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
-    by the binomial expansion, in Python floats (each power of c formed
-    once)."""
-    m = np.asarray(mom, dtype=float).tolist()
+    by the binomial expansion (``_shifted``, on Python floats)."""
+    return np.array(_shifted(np.asarray(mom, dtype=float).tolist(), c), dtype=float)
+
+
+def _shifted(m: list, c: float) -> list:
+    """``shift_moments`` on a list of floats: term p sums C(p, r) c^(p-r) m_r
+    from 0, left to right, each power of c formed once, C exact.  A shift by
+    0 returns ``m`` when every entry is finite and none is -0.0, the one
+    case where the expansion moves no bit (0 inf is NaN, 0 + -0.0 is 0.0)."""
+    if c == 0 and all(math.isfinite(v) and (v or math.copysign(1.0, v) > 0) for v in m):
+        return m
     cp = [c ** k for k in range(len(m))]
-    return np.array([sum(math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1))
-                     for p in range(len(m))], dtype=float)
+    return [sum([math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1)])
+            for p in range(len(m))]
 
 
 def _moments(d: Distribution, top: int, center: float = 0.0) -> np.ndarray:

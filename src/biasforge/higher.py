@@ -37,6 +37,7 @@ from .distributions import (
     Distribution,
     RandomSource,
     _Lazy,
+    _shifted,
     expectation,
     sample,
     tilt,
@@ -51,7 +52,6 @@ from .transform import (
     _identity_table,
     _recorded,
     bias,
-    shift_moments,
     unit_bias_spec,
 )
 
@@ -77,22 +77,25 @@ class ChainRecipe:
         """The base's moments about the location (its recipe's: the record
         its pass took about the location while top + 2 steps is within it,
         else one pass about it, exact sums on point masses), mapped through
-        every step and shifted back once (a shift by 0 keeps every bit), so
+        every step and shifted back once, on Python floats (``_shifted``), so
         no moment at a far location is a difference of raw moments."""
+        return np.array(self._moment_list(top))
+
+    def _moment_list(self, top: int) -> list:
         steps, a = len(self.step_normalizers), self.location
-        mom = self.base.moments(top + 2 * steps, a)
+        mom = self.base._moment_list(top + 2 * steps, a)
         for _ in range(steps):
             mom = _hat_moment_map(mom)
-        return shift_moments(mom, a)
+        return _shifted(mom, a)
 
 
-def _hat_moment_map(mom: np.ndarray) -> np.ndarray:
-    """Moments about the location after one second-difference step:
+def _hat_moment_map(mom: list) -> list:
+    """Moments about the location after one second-difference step, floats:
     E[(Z - a)^p] = E[(W - a)^{p+2}] / ((p+2)(p+1) * (1/2) E[(W - a)^2])."""
     b = mom[2] / 2.0
     if not b > SECOND_MOMENT_TOL:
         raise DegenerateBeta("second moment vanished inside the chain")
-    return np.array([mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(len(mom) - 2)])
+    return [mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(len(mom) - 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +122,10 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     make, table, rec = stage or _bias(X, spec, m, c, c)
     made = (make() if base is None else
             BiasedDistribution(base, 1.0, None, _recorded(BiasRecipe(spec, base), rec, c)))
-    mom = made.recipe.moments(r, c)
+    mom = made.recipe._moment_list(r, c)
     beta, normalizers = made.alpha, []
     for _ in range(r // 2):
-        normalizers.append(float(mom[2] / 2.0))
+        normalizers.append(mom[2] / 2.0)
         mom = _hat_moment_map(mom)  # DegenerateBeta at a point mass at c
         beta *= normalizers[-1]
     if not beta > ALPHA_TOL:

@@ -49,6 +49,7 @@ from .distributions import (
     _TailTable,
     _moments,
     _probe_points,
+    _shifted,
     _tilt,
     _table_of,
     _weight_ok,
@@ -212,16 +213,6 @@ def _checked_alpha(a: float) -> float:
 # recipes and the biased-distribution value
 # ---------------------------------------------------------------------------
 
-def _shrunk(mom: np.ndarray, nodes, center: float = 0.0) -> np.ndarray:
-    """Moments about ``center`` of Z_k from those of the seed Y = Z_0,
-    through Z_j = x_j + U_j (Z_{j-1} - x_j), using independence and
-    E[U_j^r] = j / (j + r)."""
-    for j, xj in enumerate(nodes, start=1):
-        shrink = np.array([j / (j + r) for r in range(len(mom))])
-        mom = shift_moments(shift_moments(mom, center - xj) * shrink, xj - center)
-    return mom
-
-
 @dataclass(frozen=True)
 class BiasRecipe:
     """Construction record of a k-node transform, what its moments read: the
@@ -237,15 +228,22 @@ class BiasRecipe:
 
     def moments(self, top: int, center: float = 0.0) -> np.ndarray:
         """Moments about ``center`` (raw moments at 0) of the transform: the
-        seed moments about it, propagated through the shrinks
-        (``_shrunk``).  They are the record's up to its order when the
-        center is the record's; else ``_moments`` takes them about the
-        center in one pass (exact atom sums on point masses).  Both are
-        within 1e-12 relative of ``moment`` on smooth densities."""
+        seed moments about it, through the shrinks Z_j = x_j + U_j (Z_{j-1}
+        - x_j) by independence and E[U_j^r] = j / (j + r), on Python floats
+        (``_moment_list``, what a chain reads).  They are the record's up to
+        its order when the center is the record's; else ``_moments`` takes
+        them about the center in one pass (exact atom sums on point masses).
+        Both are within 1e-12 relative of ``moment`` on smooth densities."""
+        return np.array(self._moment_list(top, center))
+
+    def _moment_list(self, top: int, center: float = 0.0) -> list:
         rec = self.seed_moments
-        mom = (np.array(rec[:top + 1]) if rec and top < len(rec) and center == self.center
-               else _moments(self.seed_law, top, center))
-        return _shrunk(mom, self.spec.nodes, center)
+        mom = (list(rec[:top + 1]) if rec and top < len(rec) and center == self.center
+               else _moments(self.seed_law, top, center).tolist())
+        for j, xj in enumerate(self.spec.nodes, start=1):
+            mom = _shifted([v * (j / (j + r)) for r, v in enumerate(_shifted(mom, center - xj))],
+                           xj - center)
+        return mom
 
 
 def _recorded(recipe: BiasRecipe, moments: Optional[tuple], center: float) -> BiasRecipe:
@@ -261,9 +259,12 @@ class MixtureRecipe:
     weights: tuple
 
     def moments(self, top: int) -> np.ndarray:
-        total = np.zeros(top + 1)
+        return np.array(self._moment_list(top))
+
+    def _moment_list(self, top: int) -> list:  # the parts' by weight, part by part
+        total = [0.0] * (top + 1)
         for part, w in zip(self.parts, self.weights):
-            total += w * recipe_moments(part.recipe, top)
+            total = [t + w * v for t, v in zip(total, part.recipe._moment_list(top))]
         return total
 
 
@@ -312,7 +313,9 @@ def _one_node_density(X: Distribution, load: Callable, node: float, t: float, al
                       points: Sequence[float]) -> float:
     """E[load(X) (1{node <= t <= X} - 1{X < t < node})] / alpha: one masked
     sum on point masses, a tail integral of load times the density
-    otherwise.  ``points`` are kinks of the load."""
+    otherwise, NaN at a NaN ``t``.  ``points`` are kinks of the load."""
+    if math.isnan(t):
+        return math.nan
     if X.locs is not None:
         sel = X.locs >= t if t >= node else X.locs < t
         acc = float(np.sum(X.masses[sel] * as_array_fn(load)(X.locs[sel])))

@@ -12,7 +12,10 @@ normalizer, tilt), each evaluating the weight on its own; and the tail
 table of a stack of weights started from a 1025-point grid, each weight
 taken from the stack on its own and the rows stacked again, and the tail
 table that kept the prefix and suffix sums over every atom or panel and
-took its node at each read.  Also the
+took its node at each read; and the moment algebra on numpy arrays (the
+binomial shift, the shrinks, the second-difference step and the three
+recipes' moments), which the list algebra is checked against bit for
+bit.  Also the
 pass report of ``scripts/pass_count.py``, whose seven ``bias`` inputs of
 the benchmark's continuous-cold workload the tests share, the draws of a
 one-step second-difference chain as its own step sampled them, and the
@@ -31,16 +34,19 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 import biasforge as bf
-from biasforge import InputError, NodeSet, NonIntegrable, integrate_fn
+from biasforge import DegenerateBeta, InputError, NodeSet, NonIntegrable, integrate_fn
 from biasforge.distributions import (
     _TAIL_DEPTH,
     _gauss_legendre,
+    _moments,
     _panels,
     _knots,
     _sorted_unique,
     _window_integral,
     as_array_fn,
 )
+from biasforge.higher import SECOND_MOMENT_TOL, ChainRecipe
+from biasforge.transform import BiasRecipe
 
 
 def lagrange_value(nodes: NodeSet | Sequence[float], values: Sequence[float], x) -> float:
@@ -385,3 +391,64 @@ class TwoSumTailTable:
             part = _gauss_legendre(self._load, np.where(up, tc, xs[i]), np.where(up, xs[i + 1], tc))
             out = np.where(up, self.suffix[:, i + 1] + part, -(self.prefix[:, i] + part))
         return out.reshape(out.shape[:1] + ts.shape)
+
+
+# ---------------------------------------------------------------------------
+# the moment algebra on numpy arrays, one array per shift, shrink and step
+# ---------------------------------------------------------------------------
+
+def array_shift_moments(mom, c: float) -> np.ndarray:
+    """``distributions.shift_moments`` as it formed each term with
+    ``math.comb`` in a generator and returned an array."""
+    m = np.asarray(mom, dtype=float).tolist()
+    cp = [c ** k for k in range(len(m))]
+    return np.array([sum(math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1))
+                     for p in range(len(m))], dtype=float)
+
+
+def array_shrunk(mom: np.ndarray, nodes, center: float = 0.0) -> np.ndarray:
+    """``transform._shrunk``: the shrinks as an array factor between two
+    array shifts per node."""
+    for j, xj in enumerate(nodes, start=1):
+        shrink = np.array([j / (j + r) for r in range(len(mom))])
+        mom = array_shift_moments(array_shift_moments(mom, center - xj) * shrink, xj - center)
+    return mom
+
+
+def array_hat_moment_map(mom: np.ndarray) -> np.ndarray:
+    """``higher._hat_moment_map`` on an array."""
+    b = mom[2] / 2.0
+    if not b > SECOND_MOMENT_TOL:
+        raise DegenerateBeta("second moment vanished inside the chain")
+    return np.array([mom[p + 2] / ((p + 2) * (p + 1) * b) for p in range(len(mom) - 2)])
+
+
+def array_moments(recipe, top: int, center: float = 0.0) -> np.ndarray:
+    """The ``moments`` of a ``BiasRecipe`` (about ``center``), a
+    ``ChainRecipe`` or a ``MixtureRecipe`` through the array algebra."""
+    if isinstance(recipe, BiasRecipe):
+        rec = recipe.seed_moments
+        mom = (np.array(rec[:top + 1]) if rec and top < len(rec) and center == recipe.center
+               else _moments(recipe.seed_law, top, center))
+        return array_shrunk(mom, recipe.spec.nodes, center)
+    if isinstance(recipe, ChainRecipe):
+        steps, a = len(recipe.step_normalizers), recipe.location
+        mom = array_moments(recipe.base, top + 2 * steps, a)
+        for _ in range(steps):
+            mom = array_hat_moment_map(mom)
+        return array_shift_moments(mom, a)
+    total = np.zeros(top + 1)
+    for part, w in zip(recipe.parts, recipe.weights):
+        total += w * array_moments(part.recipe, top)
+    return total
+
+
+def array_step_normalizers(recipe) -> list:
+    """A chain's step normalizers as ``higher._chain`` took them from the
+    array moments of its base about its location."""
+    mom = array_moments(recipe.base, 2 * len(recipe.step_normalizers), recipe.location)
+    out = []
+    for _ in recipe.step_normalizers:
+        out.append(float(mom[2] / 2.0))
+        mom = array_hat_moment_map(mom)
+    return out

@@ -11,8 +11,10 @@ import biasforge.transform as transform
 from biasforge import NodeSet, PiecewisePoly, Polynomial, SignChangeSpec
 from biasforge.verify import _lhs_polynomials
 from conftest import call_concurrently
-from primitives import (PerWeightTailTable, TwoSumTailTable, bias_in_three_passes,
-                        cold_bias_cases, moment_via_coefficients)
+from biasforge.higher import ChainRecipe
+from primitives import (PerWeightTailTable, TwoSumTailTable, array_moments, array_shift_moments,
+                        array_step_normalizers, bias_in_three_passes, cold_bias_cases,
+                        moment_via_coefficients, pass_count)
 
 
 def x_plus_spec(node):
@@ -213,6 +215,65 @@ def test_recorded_seed_moments_match_moment_on_the_seed_law(name, X, spec):
     # first orders agree with the record's
     np.testing.assert_allclose(bf.recipe_moments(t.recipe, 6)[:5], bf.recipe_moments(t.recipe, 4),
                                rtol=1e-12, atol=1e-15)
+
+
+FAR_ATOMS = [(999.0, 0.25), (1000.5, 0.5), (1001.0, 0.25)]
+FIVE_ATOMS = [(-1.0, 0.2), (-0.25, 0.3), (0.1, 0.1), (0.75, 0.15), (1.5, 0.25)]
+
+
+def _algebra_laws():
+    """(name, build) of the transforms whose moments the list algebra must
+    give with the array algebra's bits: the benchmark's continuous-cold
+    nine and the other chains of the pass report, the far second
+    differences and the k = 3 node product on atoms, alone and lifted."""
+    k3 = SignChangeSpec(lambda x: np.prod([np.asarray(x, float) - a for a in (-0.6, 0.0, 0.6)],
+                                          axis=0), NodeSet((-0.6, 0.0, 0.6)))
+    return [*pass_count.transforms().items(),
+            ("normal-second-difference-far",
+             lambda: bf.second_difference_transform(bf.normal(1000.0, 1.0), 1000.0)),
+            ("atoms-second-difference-far",
+             lambda: bf.second_difference_transform(bf.from_atoms(FAR_ATOMS), 1000.0)),
+            ("atoms-chain-k3", lambda: bf.bias(bf.from_atoms(FIVE_ATOMS), k3)),
+            ("atoms-chain-k3-lift-order5", lambda: bf.bias_to_order(bf.from_atoms(FIVE_ATOMS),
+                                                                    k3, 5))]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name, build", _algebra_laws(), ids=[n for n, _ in _algebra_laws()])
+def test_recipe_moments_keep_the_array_algebras_bits(name, build):
+    # the moment algebra runs on lists of Python floats with the array
+    # route's float operations in its order: every moment keeps its bits,
+    # past the record's order too, and the arrays are still arrays
+    t = build()
+    for top in range(9):
+        got = bf.recipe_moments(t.recipe, top)
+        assert type(got) is np.ndarray and type(t.recipe.moments(top)) is np.ndarray
+        assert _bits(got) == _bits(array_moments(t.recipe, top)), top
+    recipe = getattr(t.recipe, "base", t.recipe)
+    if isinstance(t.recipe, ChainRecipe):  # the normalizers the chain took
+        assert _bits(t.recipe.step_normalizers) == _bits(array_step_normalizers(t.recipe))
+    if isinstance(recipe, transform.BiasRecipe):  # a center other than the record's
+        for top in (2, 4, 7):
+            got = recipe.moments(top, recipe.center + 0.37)
+            assert type(got) is np.ndarray
+            assert _bits(got) == _bits(array_moments(recipe, top, recipe.center + 0.37)), top
+
+
+@pytest.mark.parametrize("c", [0, 0.0, -0.0, 0.5, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("mom", [[1.0, 0.25, 0.5, -0.125], [1.0, -0.0, 0.5, 0.0],
+                                 [1.0, 0.5, -0.0], [1.0, math.inf, 2.0, 3.0],
+                                 [1.0, 2.0, -math.inf, 1.0], [1.0, math.nan, 2.0],
+                                 [-0.0], []])
+def test_shift_moments_keeps_the_array_shifts_bits(mom, c):
+    # a shift by 0 that returned its input would move the bits of -0.0
+    # (0 + -0.0 is 0.0) and of every entry after an infinity (0 inf is NaN)
+    for arg in (mom, np.array(mom, dtype=float)):
+        got = bf.distributions.shift_moments(arg, c)
+        assert type(got) is np.ndarray and got.dtype == float
+        assert _bits(got) == _bits(array_shift_moments(arg, c))
 
 
 def test_bias_of_a_mixture_without_a_density_on_an_infinite_support():
@@ -1042,6 +1103,20 @@ def test_every_tail_read_is_nan_at_nan(case):
     for node in (-np.inf, 0.0, 0.3):
         tails = D._TailTable(X, transform._identity_loads(spec, 2, 0.0), node)
         assert np.isnan(tails(np.array([np.nan, 0.1]))[:, 0]).all()
+
+
+@pytest.mark.parametrize("law", ["two-atoms", "normal", "table"])
+def test_the_pointwise_oracles_are_nan_at_nan(law):
+    # the oracles of the one-node and second-order densities agree with the
+    # laws' tables at NaN: the atoms and the table read -0.0 there (NaN is
+    # no t >= node), and density_k1 on normal() probed [lo, NaN] and raised
+    # NonIntegrable
+    X = {"two-atoms": lambda: bf.from_atoms([(-1, 0.5), (0.5, 0.5)]), "normal": bf.normal,
+         "table": lambda: bf.bias(bf.uniform(-1, 1), _product_spec((-0.5, 0.5))).law}[law]()
+    spec = bf.zero_bias_spec()
+    assert math.isnan(bf.density_k1(X, spec, math.nan))
+    assert math.isnan(bf.second_order_density(X, lambda x: np.ones_like(np.asarray(x, float)),
+                                              spec.bias, 0.0, math.nan))
 
 
 def _product_spec(nodes):

@@ -261,7 +261,7 @@ class MixtureRecipe:
     def moments(self, top: int) -> np.ndarray:
         return np.array(self._moment_list(top))
 
-    def _moment_list(self, top: int) -> list:  # the parts' by weight, part by part
+    def _moment_list(self, top: int) -> list:
         total = [0.0] * (top + 1)
         for part, w in zip(self.parts, self.weights):
             total = [t + w * v for t, v in zip(total, part.recipe._moment_list(top))]

@@ -23,8 +23,11 @@ two two-atom laws with the same masses, and the zero bias of
 node product (x + 0.5)(x - 0.5) on five atoms, an identity table on point
 masses, the zero bias of the mixture of the atoms {0, 1} and
 ``uniform(-1, 1)``, which reads one table per component, and the zero bias
-of 1e3 samples lifted to order 3, a one-node base on atoms inside a chain.
-Only the public API is used.
+of 1e3 samples lifted to order 3, a one-node base on atoms inside a chain;
+the order-3 operator whose coefficients x, 1 and x have 1, 0 and 1 sign
+changes (at 0), on ``normal()`` and on the atoms {-1, 0.5, 1.5} (masses
+0.3, 0.3, 0.4), and the second-order law on the same atoms.  Only the
+public API is used.
 
     PYTHONPATH=src python scripts/dump_values.py > values.txt
 """
@@ -43,6 +46,7 @@ DRAWS = 100_000
 DRAW_SEED = 20240531
 EMPIRICAL_SEED = 1  # the seed of the empirical law's 5e4 samples, normal(0.3, 1.1)
 FAR_ATOMS = [(999.0, 0.25), (1000.5, 0.5), (1001.0, 0.25)]
+THREE_ATOMS = [(-1.0, 0.3), (0.5, 0.3), (1.5, 0.4)]
 FIVE_ATOMS = [(-1.0, 0.2), (-0.25, 0.3), (0.1, 0.1), (0.75, 0.15), (1.5, 0.25)]
 
 
@@ -90,6 +94,11 @@ def _node_product(nodes):
             out = out * (arr - xj)
         return out
     return bf.SignChangeSpec(B, bf.NodeSet(nodes), label=f"prod(x-{nodes})")
+
+
+def _order3():
+    """f''' - x f'' - f' - x f: coefficients with 1, 0 and 1 sign changes."""
+    return bf.SteinOperator(3, (_zero_bias(), _unit(), _zero_bias()))
 
 
 def laws():
@@ -145,6 +154,12 @@ def laws():
             [bf.from_atoms([(0.0, 0.5), (1.0, 0.5)]), U], [0.5, 0.5]), _zero_bias())),
         ("empirical-zero-bias-lift-order3", lambda: bf.bias_to_order(
             bf.from_samples(few), _zero_bias(), 3)),
+        # an order-3 operator, two chains and a one-node law, and a second-order law on atoms
+        ("normal-operator-order3", lambda: bf.higher_order_transform(bf.normal(), _order3())),
+        ("atoms-operator-order3", lambda: bf.higher_order_transform(
+            bf.from_atoms(THREE_ATOMS), _order3())),
+        ("atoms-second-order", lambda: bf.second_order_transform(bf.from_atoms(THREE_ATOMS),
+                                                                 _ones, _zero_bias())),
     ]
 
 

@@ -11,7 +11,8 @@ spans the law's window (``effective_support``).  The transforms are the
 nine of catalog laws that the benchmark's continuous-cold workload
 builds, the order-4 and order-6 unit lifts of ``normal()``,
 ``higher_order_transform`` of the second-order operator (unit B0,
-zero-bias B1) on ``normal()``, the second-difference transform of
+zero-bias B1) and of the order-3 operator (zero-bias B0, unit B1,
+zero-bias B2: 1, 0 and 1 sign changes) on ``normal()``, the second-difference transform of
 ``normal(0.3, 1.2)`` at 0.37 and the zero bias of ``uniform(-1, 1)``
 lifted to order 5, a chain on a one-node base.  Reports and does not gate.
 """
@@ -70,6 +71,7 @@ def transforms() -> dict:
     """Name -> a function that builds the transform afresh."""
     zero = bf.SignChangeSpec(_ident, bf.NodeSet((0.0,)))
     operator = bf.SteinOperator(2, (bf.unit_bias_spec(), zero))
+    order3 = bf.SteinOperator(3, (zero, bf.unit_bias_spec(), zero))
     return {
         **{name: (lambda X=X, spec=spec: bf.bias(X, spec)) for name, X, spec in bias_cases()},
         "uniform-lift-order2": lambda: bf.bias_to_order(bf.uniform(-1.0, 1.0), bf.SignChangeSpec(_ones), 2),
@@ -77,6 +79,7 @@ def transforms() -> dict:
         "normal-lift-order4": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 4),
         "normal-lift-order6": lambda: bf.bias_to_order(bf.normal(), bf.unit_bias_spec(), 6),
         "normal-operator-order2": lambda: bf.higher_order_transform(bf.normal(), operator),
+        "normal-operator-order3": lambda: bf.higher_order_transform(bf.normal(), order3),
         "normal-second-difference": lambda: bf.second_difference_transform(bf.normal(0.3, 1.2), 0.37),
         "uniform-zero-bias-lift-order5": lambda: bf.bias_to_order(bf.uniform(-1.0, 1.0), zero, 5),
     }

@@ -1076,7 +1076,8 @@ def moment(d: Distribution, n: int) -> float:
 
 def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
     """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
-    by the binomial expansion (``_shifted``, on Python floats)."""
+    by the binomial expansion (``_shifted``, on Python floats);
+    NonIntegrable, naming the order and the shift, where c^p overflows."""
     return np.array(_shifted(np.asarray(mom, dtype=float).tolist(), c), dtype=float)
 
 
@@ -1084,10 +1085,15 @@ def _shifted(m: list, c: float) -> list:
     """``shift_moments`` on a list of floats: term p sums C(p, r) c^(p-r) m_r
     from 0, left to right, each power of c formed once, C exact.  A shift by
     0 returns ``m`` when every entry is finite and none is -0.0, the one
-    case where the expansion moves no bit (0 inf is NaN, 0 + -0.0 is 0.0)."""
+    case where the expansion moves no bit (0 inf is NaN, 0 + -0.0 is 0.0).
+    NonIntegrable where c^k overflows, not inf: a term 0 c^k would be NaN."""
     if c == 0 and all(math.isfinite(v) and (v or math.copysign(1.0, v) > 0) for v in m):
         return m
-    cp = [c ** k for k in range(len(m))]
+    cp = []
+    try:
+        cp.extend(c ** k for k in range(len(m)))
+    except OverflowError:
+        raise NonIntegrable(f"the order-{len(cp)} moment shifted by {c!r} overflows") from None
     return [sum([math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1)])
             for p in range(len(m))]
 

@@ -47,8 +47,8 @@ class DegenerateBeta(BiasforgeError):
     (e.g. the tilted seed stage is a point mass at zero)."""
 
 
-class AllBetaZero(BiasforgeError):
-    """Every component weight of a mixed operator transform vanishes."""
+class AllBetaZero(DegenerateAlpha):
+    """Every part of an operator transform, and so its normalizer, vanishes."""
 
 
 class SignViolation(InputError):

@@ -12,15 +12,14 @@ It is the two-node construction with a double node at ``a``: tilt by
 from k to any m of the same parity; the lifted identity subtracts, besides
 the node interpolant, a degree <= m-1 correction polynomial about the
 location.  One constructor (``_chain``) builds every chain: an order lift
-(at 0), the second-difference transform (X itself its base) and the
-second-order law's B0 part (the B0 tilt its base).  A chain is one law
+(at 0), the second-difference transform (X itself its base) and each
+lifted part of an operator law (``stein._operator``).  A chain is one law
 with one kernel: the steps' Beta(1, 2) factors multiply to one
 Beta(1, m - k) factor, so it draws one tilt of the base law by
 (x - c)^(m - k) and shrinks it once, and its density is the order-m
-identity table of X, read from a tail table of its own whose rows
-B(x) (x - c)^j, j < m, ride the base's construction pass.  The same pass
-records the base's moments about the location to order 4 + m - k, which
-the chain's normalizers and its moments to order 4 read.
+identity table of X, read from a tail table whose rows B(x) (x - c)^j,
+j < m, and the base's moments about the location to order 4 + m - k,
+which its normalizers and moments read, ride the base's one pass.
 """
 
 from __future__ import annotations
@@ -103,8 +102,7 @@ def _hat_moment_map(mom: list) -> list:
 # ---------------------------------------------------------------------------
 
 def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
-           stage=None, base: Optional[Distribution] = None,
-           window: bool = False) -> BiasedDistribution:
+           stage=None, base: Optional[Distribution] = None) -> BiasedDistribution:
     """The order-m transform of X under ``spec``: (m - k)/2 second-difference
     steps about ``c`` on the k-node base W that ``stage`` (``transform._bias``
     with m rows and the moments about c; run here when not given) builds,
@@ -116,7 +114,7 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
     a table of the stage's m rows; its draws one tilt of W by (x - c)^(m - k),
     built on first draw, shrunk towards c by one Beta(1, m - k) factor
     1 - U^(1 / (m - k)) (the product of the steps' Beta(1, 2) factors in
-    law).  It spans c and W's support (its window if ``window``).
+    law).  It spans c and W's window, as a ``bias`` law spans its probe's.
     DegenerateBeta at a point mass at c or at beta <= ALPHA_TOL."""
     k, r = spec.k, m - spec.k
     make, table, rec = stage or _bias(X, spec, m, c, c)
@@ -147,7 +145,7 @@ def _chain(X: Distribution, spec: SignChangeSpec, m: int, c: float, label: str,
         y += c
         return y
 
-    lo, hi = W.effective_support() if window else (W.lo, W.hi)
+    lo, hi = W.effective_support()
     dens = _Lazy(lambda: _identity_table(X, spec, m, beta, c, table(-np.inf, m)))
     law = Distribution(lo=min(lo, c), hi=max(hi, c), density=dens,
                        cdf=lambda x: dens.get().cdf(x), sampler=draw, kinks=(c,) + W.kinks,
@@ -164,7 +162,7 @@ def second_difference_transform(X: Distribution, a: float) -> BiasedDistribution
     a = float(a)
     try:
         t = _chain(X, unit_bias_spec(), 2, a, f"second-difference({X.label or 'X'}; a={a})",
-                   base=X, window=True)
+                   base=X)
     except DegenerateBeta as exc:
         raise DegenerateAlpha(f"second moment about {a} is zero "
                               "(point mass at the location)") from exc

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     DegenerateBeta,
     InputError,
     NegativeWeight,
-    ParityMismatch,
+    SignViolation,
     ZeroNormalizer,
 )
 from .distributions import (
@@ -47,12 +48,13 @@ from .transform import (
     BiasedDistribution,
     MixtureRecipe,
     SignChangeSpec,
-    _one_node_density,
     _bias,
+    _identity_read,
+    _one_node_density,
     alpha_of,
     bias,
 )
-from .higher import _chain, bias_to_order
+from .higher import _chain, _order_checked
 
 FD_STEP = 1e-4          # fixed-point check: finite-difference step
 DENSITY_FLOOR = 1e-6    # probes where the density is below this are skipped
@@ -66,7 +68,8 @@ NODE_MARGIN = 1e-2      # probes this close to a node are skipped
 @dataclass(frozen=True)
 class SteinOperator:
     """L f = f^{(m)} - sum_{j<m} B_j f^{(j)} with each coefficient wrapped in
-    a sign-change spec whose node count matches the parity of m - j."""
+    a sign-change spec whose node count k_j <= m - j has the parity of m - j
+    (``higher._order_checked``)."""
 
     order: int
     coeffs: tuple  # SignChangeSpec for B_0 ... B_{m-1}
@@ -77,12 +80,7 @@ class SteinOperator:
         if len(self.coeffs) != self.order:
             raise InputError(f"need {self.order} coefficient specs, got {len(self.coeffs)}")
         for j, spec in enumerate(self.coeffs):
-            kj = spec.k
-            if kj > self.order - j:
-                raise InputError(f"coefficient {j} has too many sign changes")
-            if (self.order - j - kj) % 2 != 0:
-                raise ParityMismatch(
-                    f"coefficient {j}: {kj} sign changes vs derivative order {self.order - j}")
+            _order_checked(spec, self.order - j)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +89,8 @@ class SteinOperator:
 
 def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float) -> float:
     """alpha_1 + alpha_2 = E[B0(X)(X - a)^2] / 2 + E[B1(X)(X - a)]."""
-    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=(a,))
-    alpha2 = expectation(X, lambda x: B1(x) * (x - a), points=(a,))
-    alpha = alpha1 + alpha2
+    alpha = (0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=(a,))
+             + expectation(X, lambda x: B1(x) * (x - a), points=(a,)))
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
     return alpha
@@ -107,42 +104,15 @@ def second_order_transform(X: Distribution, B0: Callable, B1: SignChangeSpec,
         alpha E[f''(X*)] = E[B0(X)(f(X) - f(a) - f'(a)(X-a))
                             + B1(X)(f'(X) - f'(a))].
 
-    X* mixes the one-step chain about a on the zero-node B0 transform, the
-    B0 tilt (``higher._chain``), with the one-node B1 transform, weighted by
-    alpha_1 = E[B0(X)(X - a)^2] / 2, the chain's beta (0 if degenerate), and
-    alpha_2, the one-node alpha.  NegativeWeight where B0 is negative at a
-    probe point of X.  The density reads a tail table at a of the rows B0,
-    B0 (x - a) and B1, which ride the B0 tilt's pass (the B1 node and kinks
-    its break points), so no read integrates; so do the B0 tilt's moments
-    about a to order 6, which its moments to order 4 read."""
-    if B1.k != 1:
-        raise InputError("the order-1 coefficient needs exactly one sign-change node")
+    It is the order-2 operator (B0 as a zero-node spec, B1) about a
+    (``_operator``), with beta None: the one-step chain about a on the B0
+    tilt and the one-node B1 transform, weighted by alpha_1 = E[B0(X)(X -
+    a)^2] / 2 and alpha_2.  NegativeWeight where B0 is negative on X."""
+    _order_checked(B1, 1)  # one node
     a = float(B1.nodes[0])
-    spec = SignChangeSpec(B0, kinks=B0_kinks)
-    stage = _bias(X, spec, 2, a, a, (NegativeWeight, "order-0 coefficient is negative"),
-                  as_array_fn(B1.bias), B1.quad_points)
-    normalized = []  # (part, alpha_1 or alpha_2) of each nondegenerate part
-    with contextlib.suppress(DegenerateAlpha, DegenerateBeta):
-        hat = _chain(X, spec, 2, a, f"second-difference(B0; a={a})", stage, window=True)
-        normalized.append((hat, hat.beta))
-    with contextlib.suppress(DegenerateAlpha):
-        one_node = bias(X, B1)
-        normalized.append((one_node, one_node.alpha))
-    alpha = sum(n for _, n in normalized)
-    if not alpha > ALPHA_TOL:
-        raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
-    parts, weights = zip(*((p, n / alpha) for p, n in normalized if n > ALPHA_TOL))
-
-    tails = _Lazy(lambda: stage[1](a, 3))
-
-    def density(t):  # the load B1 + B0 (x - t) is B1 + B0 (x - a) - (t - a) B0
-        flat, centred, b1 = tails.get()(t)
-        return (b1 + centred - (np.asarray(t, dtype=float) - a) * flat) / alpha
-
-    law = replace(make_mixture([p.law for p in parts], weights), density=as_array_fn(density),
-                  label=f"second-order({X.label or 'X'}; a={a})")
-    return BiasedDistribution(law, alpha=alpha, beta=None,
-                              recipe=MixtureRecipe(parts, weights))
+    t = _operator(X, (SignChangeSpec(B0, kinks=B0_kinks), B1), a,
+                  f"second-order({X.label or 'X'}; a={a})")
+    return replace(t, beta=None)
 
 
 def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, t: float,
@@ -156,11 +126,7 @@ def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, 
     a, t = float(a), float(t)
     if alpha is None:
         alpha = _operator_alpha(X, B0, B1, a)
-
-    def load(x):
-        return B1(x) + B0(x) * (x - t)
-
-    return _one_node_density(X, load, a, t, alpha, (a,))
+    return _one_node_density(X, lambda x: B1(x) + B0(x) * (x - t), a, t, alpha, (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +134,52 @@ def second_order_density(X: Distribution, B0: Callable, B1: Callable, a: float, 
 # ---------------------------------------------------------------------------
 
 def higher_order_transform(X: Distribution, op: SteinOperator) -> BiasedDistribution:
-    """Transform X* for a general order-m operator: the order-lifted
-    transforms under each coefficient, mixed with weights proportional to
-    their normalizers beta_j (alpha_j for an unlifted coefficient, k_j = m - j).
-    Coefficients whose normalizer vanishes drop out."""
-    m = op.order
-    parts = []
-    for j, spec in enumerate(op.coeffs):
-        try:
-            parts.append(bias_to_order(X, spec, m - j))
-        except (DegenerateBeta, DegenerateAlpha, ZeroNormalizer):
-            pass
-    betas = [p.beta if p.beta is not None else p.alpha for p in parts]
-    total = float(sum(betas))
-    if not total > ALPHA_TOL:
+    """Transform X* for a general order-m operator: ``_operator`` about 0."""
+    return _operator(X, op.coeffs, 0.0, f"operator-transform(order={op.order})")
+
+
+def _operator(X: Distribution, specs: Sequence[SignChangeSpec], c: float,
+              label: str) -> BiasedDistribution:
+    """The transform of X for L f = f^(m) - sum_j B_j f^(j), m = len(specs),
+    about ``c``: its parts, the order-(m - j) transforms under specs[j] (a
+    chain about c, ``higher._chain``, when k_j < m - j, else the stage's own
+    law), mixed by their normalizers beta_j (alpha_j unlifted), whose sum is
+    alpha = beta; a vanishing one drops out, AllBetaZero when all do.  Each
+    part takes one pass over X (``transform._bias``); the first carries every
+    coefficient's rows B_j(x) (x - c)^i, i < m - j, for one tail table at
+    -inf, so the density sum_j beta_j p_j(t) / alpha reads each slice
+    exactly (``transform._identity_read``), with no grid.  NegativeWeight
+    where a zero-node coefficient is negative at a probe point of X."""
+    m, parts, norms = len(specs), [], []
+    for j, spec in enumerate(specs):
+        lifted = spec.k < m - j
+        refuse = ((SignViolation, "sign pattern fails") if spec.k else
+                  (NegativeWeight, f"order-{j} coefficient is negative"))
+        more = () if j else tuple(zip(specs[1:], range(m - 1, 0, -1)))
+        stage = _bias(X, spec, m - j, c, c if lifted else 0.0, refuse, more)
+        if not j:
+            tails = _Lazy(partial(stage[1], -np.inf))
+        with contextlib.suppress(DegenerateAlpha, DegenerateBeta, ZeroNormalizer):
+            part = (_chain(X, spec, m - j, c, f"order-{m - j}({X.label or 'X'}; c={c})", stage)
+                    if lifted else stage[0]())
+            parts.append(part)
+            norms.append(part.beta if lifted else part.alpha)
+    alpha = sum(norms)
+    if not alpha > ALPHA_TOL:
         raise AllBetaZero("every coefficient normalizer vanishes")
-    weights = [b / total for b in betas]
-    law = make_mixture([p.law for p in parts], weights)
-    law = replace(law, label=f"operator-transform(order={m})")
-    return BiasedDistribution(law, alpha=total, beta=total,
-                              recipe=MixtureRecipe(tuple(parts), tuple(weights)))
+    reads = [_identity_read(spec, m - j, c) for j, spec in enumerate(specs)]
+    cuts = np.cumsum(range(m, 1, -1))  # coefficient j's rows start at cuts[j - 1]
+
+    def density(t):
+        ts, table = np.asarray(t, dtype=float), tails.get()
+        slices = zip(reads, np.split(table(ts), cuts), np.split(table.total, cuts))
+        return np.maximum(sum(read(ts, tail, full) for read, tail, full in slices) / alpha, 0.0)
+
+    weights = tuple(n / alpha for n in norms)
+    law = replace(make_mixture([p.law for p in parts], weights), density=as_array_fn(density),
+                  label=label)
+    return BiasedDistribution(law, alpha=alpha, beta=alpha,
+                              recipe=MixtureRecipe(tuple(parts), weights))
 
 
 # ---------------------------------------------------------------------------

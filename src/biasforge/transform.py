@@ -373,34 +373,33 @@ def lift_density(inner_density: Callable, node: float, level: int, t: float,
                                 0.0, 1.0, points=[u for u in edges if 0.0 < u < 1.0])
 
 
-def _identity_loads(spec: SignChangeSpec, m: int, c: float,
-                    extra: Optional[Callable] = None) -> Callable:
+def _identity_loads(spec: SignChangeSpec, m: int, c: float, more: Sequence = ()) -> Callable:
     """The rows B(x) (x - c)^j, j < m, of an identity table, a running
-    product, then ``extra(x)``: ``g(x)`` gives them as one fresh stack from
-    one value of B, and ``g(x, True)`` puts the tilt weight prod(x - x_j) B(x)
-    (``tilt_weight``) from that same value first, for the pass they ride."""
-    bias_fn = as_array_fn(spec.bias)
+    product, then those of each (spec, rows) of ``more``: ``g(x)`` stacks
+    them fresh from one value of each B; ``g(x, True)`` puts the tilt weight
+    of ``spec`` from its same value first, for the pass they ride."""
+    parts = [(as_array_fn(s.bias), r) for s, r in ((spec, m), *more)]
+    rows, stepped = sum(r for _, r in parts), max(r for _, r in parts) > 1
 
     def g(x, weighted=False):
         x = np.asarray(x, dtype=float)
-        b, lead = bias_fn(x), int(weighted)
-        out = np.empty((lead + m + (extra is not None),) + x.shape)
-        if weighted:
-            out[0] = spec.tilt_weight(x, b)
-        out[lead] = b
-        step = x - c if m > 1 else None
-        for j in range(lead + 1, lead + m):
-            np.multiply(out[j - 1], step, out=out[j])
-        if extra is not None:
-            out[-1] = extra(x)
+        i = lead = int(weighted)
+        out = np.empty((lead + rows,) + x.shape)
+        step = x - c if stepped else None
+        for n, (bias_fn, r) in enumerate(parts):
+            out[i] = b = bias_fn(x)
+            if lead and not n:
+                out[0] = spec.tilt_weight(x, b)
+            for j in range(i + 1, i + r):
+                np.multiply(out[j - 1], step, out=out[j])
+            i += r
         return out
 
     return g
 
 
-def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
-                    c: float, tails: _TailTable) -> TabulatedDensity:
-    """Density of the order-m transform of X under ``spec`` (correction
+def _identity_read(spec: SignChangeSpec, m: int, c: float) -> Callable:
+    """beta p(t) of the order-m transform of X under ``spec`` (correction
     polynomial about ``c``) from the defining identity at the truncated
     power g_t(s) = (s - t)_+^{m-1}/(m-1)!, whose m-th derivative is the
     point mass at t:
@@ -409,9 +408,8 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
 
     L and R are linear in the node values and derivatives at c of g_t, which
     are known in t, so only the tail moments of B(X) (X - c)^j, j < m, are
-    needed: the m rows of ``tails``, a table at -inf (whose rows rode the
-    pass of ``_bias``), read at every grid point.  The grid spans the
-    effective support of X, the nodes and c."""
+    needed: ``read(ts, tail, full)`` takes them at ``ts`` (a tail table's m
+    rows at -inf, whose rows rode a construction pass) and their totals."""
     k = spec.k
     ys = np.asarray(spec.nodes, dtype=float) - c
 
@@ -421,22 +419,28 @@ def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
     lagrange = [lagrange_poly(ys, row) for row in np.eye(k)]
     correction = [correction_poly(row, ys, m) for row in np.eye(m - k)]
 
-    def values(ts):
+    def read(ts, tail, full):
         s = ts - c
-        tail, full = tails(ts), tails.total
         mean = lambda p: sum(a * full[i] for i, a in enumerate(p.coeffs))  # E[B(X) p(X - c)]
         out = sum(math.comb(m - 1, j) * (-s) ** (m - 1 - j) * tail[j]
                   for j in range(m)) / math.factorial(m - 1)
         out = out - sum(mean(p) * trunc(y - s, m - 1) for p, y in zip(lagrange, ys))
-        out = out - sum(mean(p) * trunc(-s, m - 1 - k - j) for j, p in enumerate(correction))
-        return out / beta
+        return out - sum(mean(p) * trunc(-s, m - 1 - k - j) for j, p in enumerate(correction))
 
+    return read
+
+
+def _identity_table(X: Distribution, spec: SignChangeSpec, m: int, beta: float,
+                    c: float, tails: _TailTable) -> TabulatedDensity:
+    """Density of the order-m transform of X under ``spec``: the identity
+    read of the m rows of ``tails`` over beta on a grid over X's window."""
+    read = _identity_read(spec, m, c)
     lo, hi = X.effective_support()
     lo, hi = min(lo, c, *spec.nodes), max(hi, c, *spec.nodes)
     # the density can jump at c when m > k (the correction's unit-step
     # term); as a knot, c also gets its left limit
-    return TabulatedDensity.from_callable(values, lo, hi, DENSITY_GRID,
-                                          knots=spec.quad_points + X.kinks + (c,))
+    return TabulatedDensity.from_callable(lambda ts: read(ts, tails(ts), tails.total) / beta,
+                                          lo, hi, DENSITY_GRID, spec.quad_points + X.kinks + (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +451,9 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
     """Construct the sign-change biased law of X under ``spec``, which is
     first validated on X (SignViolation when the sign pattern fails).
 
-    With zero nodes the result is simply the tilt of X by B.  With k >= 1
-    nodes the sampler implements the seed-and-shrink construction and the
-    law carries a density evaluator (the one-node tail integral read from a
-    panel table for one node, the identity table otherwise).
+    With zero nodes the result is the tilt of X by B.  With k >= 1 nodes
+    the sampler is the seed-and-shrink construction and the density the
+    one-node tail integral for one node, the identity table otherwise.
 
     The weight is evaluated once, on the probe points of ``validate_spec``,
     so B must be elementwise: those values give the verdict, the seed law
@@ -467,21 +470,19 @@ def bias(X: Distribution, spec: SignChangeSpec) -> BiasedDistribution:
 
 
 def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: float = 0.0,
-          refuse=(SignViolation, "sign pattern fails"), extra: Optional[Callable] = None,
-          points: Sequence[float] = ()):
+          refuse=(SignViolation, "sign pattern fails"), more: Sequence = ()):
     """``bias`` split at its one pass (``_tilt``, which keeps the tilt's
-    window), carrying the rows B(x) (x - c)^j, j < rows, then ``extra(x)``
-    (``points`` its break points), all from the one value of B per call
-    that gives the tilt weight (``_identity_loads``), and the seed moment
-    rows about ``center`` to order _SEED_MOMENTS + rows - k: k rows about
-    x_1 and moments about 0 to order 4 for ``bias``, m rows and moments
-    about its location to order 4 + m - k for a chain (``higher._chain``),
-    which reads its base to order top + m - k for moments to order top.  A
-    failed verdict raises refuse = (error, what).  Returns (make, table,
-    moments): ``table(node, j)`` builds one reader's table of the first j
-    rows (``extra`` last) read at ``node``; ``make()`` the transform, whose
-    density reads row B at x_1 or the k rows at -inf, its recipe recording
-    the seed ``moments`` (the rows that held, ``_tilt``)."""
+    window), carrying the rows B(x) (x - c)^j, j < rows, then those of each
+    (spec, rows) of ``more`` (an operator's other coefficients, their nodes
+    and kinks break points), from one value of each B (``_identity_loads``),
+    and the seed moment rows about ``center`` to order _SEED_MOMENTS + rows
+    - k: k rows about x_1 and moments about 0 for ``bias``, m rows and
+    moments about its location for a chain (``higher._chain``).  A failed
+    verdict raises refuse = (error, what).  Returns (make, table, moments):
+    ``table(node, j)`` builds one reader's table of the first j rows (every
+    row if None) read at ``node``; ``make()`` the transform, whose density
+    reads row B at x_1 or the k rows at -inf, its recipe recording the seed
+    ``moments`` (the rows that held, ``_tilt``)."""
     probe = _probe_points(X)
     pts = _with_near_nodes(spec, probe)
     w = spec.tilt_weight(pts)
@@ -490,15 +491,16 @@ def _bias(X: Distribution, spec: SignChangeSpec, rows: int, c: float, center: fl
         error, what = refuse
         raise error(f"{what} at x={report.worst_point!r} (value {report.worst_value:.3e})")
     k = spec.k
-    loads = _identity_loads(spec, rows, c, extra) if rows else None
+    loads = _identity_loads(spec, rows, c, more) if rows else None
     weighed = None if loads is None else (lambda x: loads(x, True))
+    points = tuple(x for s, _ in more for x in s.quad_points)
     seed_law, _, mean, panels, seed = _tilt(X, as_array_fn(spec.tilt_weight), spec.quad_points,
                                             probe, w[:probe.size], weighed, points,
                                             _SEED_MOMENTS + rows - k, center)
 
-    def table(node: float, j: int) -> _TailTable:
-        return _TailTable(X, _identity_loads(spec, min(j, rows), c, extra if j > rows else None),
-                          node, panels, (*spec.quad_points, *points), j)
+    def table(node: float, j: Optional[int] = None) -> _TailTable:
+        reader = loads if j is None else _identity_loads(spec, j, c)
+        return _TailTable(X, reader, node, panels, (*spec.quad_points, *points), j)
 
     def make() -> BiasedDistribution:
         alpha = _checked_alpha(mean / math.factorial(k))

@@ -195,22 +195,82 @@ def test_second_order_construction_takes_two_panel_passes(construction_calls):
 # ---------------------------------------------------------------------------
 
 def test_higher_order_single_component_is_order_lift(uniform_sym):
+    # the zero B1 drops out; the operator reads the lift's slice of its one
+    # tail table exactly: the closed-form order-2 lift of the uniform,
+    # 1.5 (1 - |t|)^2 (7.9e-16 measured; 7.2e-7 when it read the lift's
+    # linear table)
     op = bf.SteinOperator(order=2, coeffs=(bf.unit_bias_spec(), zero_spec_at(0.0)))
     t = bf.higher_order_transform(uniform_sym, op)
     direct = bf.bias_to_order(uniform_sym, bf.unit_bias_spec(), 2)
     assert t.beta == pytest.approx(direct.beta, rel=1e-12)
-    ts = np.linspace(-0.9, 0.9, 31)
-    assert np.max(np.abs(np.asarray(t.density(ts)) - np.asarray(direct.density(ts)))) <= 1e-9
+    ts = np.linspace(-1.0, 1.0, 401)
+    assert np.max(np.abs(t.density(ts) - 1.5 * (1.0 - np.abs(ts)) ** 2)) <= 1e-12
 
 
-def test_higher_order_matches_second_order(uniform_sym):
+def _atoms3():
+    return bf.from_atoms([(-1.0, 0.3), (0.5, 0.3), (1.5, 0.4)])
+
+
+@pytest.mark.parametrize("law", [lambda: bf.uniform(-1.0, 1.0), bf.normal, _atoms3],
+                         ids=["uniform", "normal", "atoms"])
+def test_higher_order_matches_second_order(law):
+    # both are the one operator builder about 0: the same parts, passes and
+    # table, so every bit agrees
+    X = law()
     op = bf.SteinOperator(order=2, coeffs=(bf.unit_bias_spec(), bf.zero_bias_spec()))
-    ho = bf.higher_order_transform(uniform_sym, op)
-    so = bf.second_order_transform(uniform_sym, ones, bf.zero_bias_spec())
-    assert ho.beta == pytest.approx(so.alpha, rel=1e-10)
-    ts = np.linspace(-0.95, 0.95, 77)
-    gap = np.max(np.abs(np.asarray(ho.density(ts)) - np.asarray(so.density(ts))))
-    assert gap <= 1e-4  # 2.4e-7: the lift's linear table against the exact read
+    ho = bf.higher_order_transform(X, op)
+    so = bf.second_order_transform(X, ones, bf.zero_bias_spec())
+    assert ho.beta == ho.alpha == so.alpha and so.beta is None
+    ts = np.linspace(*so.law.effective_support(), 257)
+    assert ho.density(ts).tobytes() == so.density(ts).tobytes()
+    assert bf.recipe_moments(ho.recipe, 6).tobytes() == bf.recipe_moments(so.recipe, 6).tobytes()
+
+
+def test_higher_order_transform_is_about_the_origin():
+    # on normal(0.5, 1) the unit B0 lifts about 0, so its beta is
+    # E[X^2] / 2 = 0.625, and the alpha of B1 = x - 0.5 is 1; about the
+    # node 0.5 the second-order law's beta_0 is E[(X - 0.5)^2] / 2 = 0.5
+    X = bf.normal(0.5, 1.0)
+    B1 = SignChangeSpec(lambda x: np.asarray(x, float) - 0.5, NodeSet((0.5,)))
+    ho = bf.higher_order_transform(X, bf.SteinOperator(2, (bf.unit_bias_spec(), B1)))
+    so = bf.second_order_transform(X, ones, B1)
+    assert ho.recipe.parts[0].recipe.location == 0.0
+    assert so.recipe.parts[0].recipe.location == 0.5
+    assert ho.alpha == pytest.approx(1.625, rel=1e-12)
+    assert so.alpha == pytest.approx(1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [bf.normal, _atoms3], ids=["normal", "atoms"])
+def test_order_three_operator_checked_two_ways(law):
+    # f^(3) - x f'' - f' - x f, sign changes (1, 0, 1).  Its alpha is the sum
+    # of its parts built apart; its density, one exact read, is nonnegative
+    # and has the recipe's moments by quadrature, mass 1 among them
+    # (measured: 1.5e-12 at p = 4 on the normal, 7.8e-16 on the atoms)
+    X = law()
+    zero, unit = bf.zero_bias_spec(), bf.unit_bias_spec()
+    t = bf.higher_order_transform(X, bf.SteinOperator(3, (zero, unit, zero)))
+    apart = (bf.bias_to_order(X, zero, 3).beta + bf.bias_to_order(X, unit, 2).beta
+             + bf.bias(X, zero).alpha)
+    assert t.alpha == pytest.approx(apart, rel=1e-12)
+    lo, hi = t.law.effective_support()
+    assert np.min(t.density(np.linspace(lo, hi, 4001))) >= 0.0
+    points = [p for p in sorted({*t.law.kinks, 0.0}) if lo < p < hi]
+    moments = bf.recipe_moments(t.recipe, 4)
+    assert moments[0] == 1.0
+    for p in range(5):
+        got = quad(lambda s: s ** p * t.density(s), lo, hi, points=points, limit=200,
+                   epsabs=1e-12, epsrel=1e-12)[0]
+        assert got == pytest.approx(moments[p], abs=1e-9), p
+
+
+def test_higher_order_names_where_a_zero_node_coefficient_is_negative():
+    # the verdict of second_order_transform's B0, for any operator
+    X = bf.normal()
+    bad = float(np.linspace(*X.effective_support(), D._PROBE_GRID)[1234])
+    B0 = SignChangeSpec(lambda x: np.where(np.asarray(x, float) == bad, -0.5, 1.0))
+    op = bf.SteinOperator(2, (B0, bf.zero_bias_spec()))
+    with pytest.raises(bf.NegativeWeight, match=f"order-0 coefficient is negative at x={bad!r}"):
+        bf.higher_order_transform(X, op)
 
 
 def test_higher_order_mixture_weights_pointwise():
@@ -494,8 +554,9 @@ def test_half_normal_identity_holds_and_discriminates():
 
 
 def test_second_order_law_density_matches_pointwise_oracle():
-    # the law reads one panel table of the loads B1 + B0 (x - a) and B0; the
-    # pointwise oracle integrates B1 + B0 (x - t) afresh at every t
+    # the law reads one panel table at -inf of the rows B0, B0 (x - a) and
+    # B1 through each coefficient's identity read; the pointwise oracle
+    # integrates B1 + B0 (x - t) afresh at every t
     X = bf.normal()
     B1 = bf.zero_bias_spec()
     t = bf.second_order_transform(X, ones, B1)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ def test_shift_moments_keeps_the_array_shifts_bits(mom, c):
         got = bf.distributions.shift_moments(arg, c)
         assert type(got) is np.ndarray and got.dtype == float
         assert _bits(got) == _bits(array_shift_moments(arg, c))
+
+
+@pytest.mark.parametrize("c", [1e100, -1e100])
+def test_shift_moments_raises_where_a_power_of_the_shift_overflows(c):
+    # c^4 overflows a float: Python's OverflowError before, and inf would
+    # turn 0 c^4 into NaN; the error names the order and the shift
+    with pytest.raises(bf.NonIntegrable, match=re.escape(f"order-4 moment shifted by {c!r}")):
+        bf.distributions.shift_moments(np.array([1.0, 0.0, 1.0, 0.0, 3.0]), c)
+
+
+def test_shift_moments_below_the_overflow_keeps_the_array_shifts_bits():
+    mom = np.array([1.0, 0.0, 1.0, 0.0, 3.0])
+    got = bf.distributions.shift_moments(mom, 1e60)
+    assert np.all(np.isfinite(got)) and _bits(got) == _bits(array_shift_moments(mom, 1e60))
 
 
 def test_bias_of_a_mixture_without_a_density_on_an_infinite_support():

@@ -1077,7 +1077,7 @@ def moment(d: Distribution, n: int) -> float:
 def shift_moments(mom: np.ndarray, c: float) -> np.ndarray:
     """Moments E[(X + c)^p], p = 0..len(mom)-1, from the moments E[X^r]
     by the binomial expansion (``_shifted``, on Python floats);
-    NonIntegrable, naming the order and the shift, where c^p overflows."""
+    NonIntegrable, naming the top order and the shift, where c^p overflows."""
     return np.array(_shifted(np.asarray(mom, dtype=float).tolist(), c), dtype=float)
 
 
@@ -1089,11 +1089,10 @@ def _shifted(m: list, c: float) -> list:
     NonIntegrable where c^k overflows, not inf: a term 0 c^k would be NaN."""
     if c == 0 and all(math.isfinite(v) and (v or math.copysign(1.0, v) > 0) for v in m):
         return m
-    cp = []
     try:
-        cp.extend(c ** k for k in range(len(m)))
+        cp = [c ** k for k in range(len(m))]
     except OverflowError:
-        raise NonIntegrable(f"the order-{len(cp)} moment shifted by {c!r} overflows") from None
+        raise NonIntegrable(f"moments to order {len(m) - 1} shifted by {c!r} overflow") from None
     return [sum([math.comb(p, r) * cp[p - r] * m[r] for r in range(p + 1)])
             for p in range(len(m))]
 

@@ -89,8 +89,9 @@ class SteinOperator:
 
 def _operator_alpha(X: Distribution, B0: Callable, B1: Callable, a: float) -> float:
     """alpha_1 + alpha_2 = E[B0(X)(X - a)^2] / 2 + E[B1(X)(X - a)]."""
-    alpha = (0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=(a,))
-             + expectation(X, lambda x: B1(x) * (x - a), points=(a,)))
+    alpha1 = 0.5 * expectation(X, lambda x: B0(x) * (x - a) ** 2, points=(a,))
+    alpha2 = expectation(X, lambda x: B1(x) * (x - a), points=(a,))
+    alpha = alpha1 + alpha2
     if not alpha > ALPHA_TOL:
         raise DegenerateAlpha("alpha_1 + alpha_2 is numerically zero")
     return alpha

@@ -263,14 +263,15 @@ def test_recipe_moments_keep_the_array_algebras_bits(name, build):
             assert _bits(got) == _bits(array_moments(recipe, top, recipe.center + 0.37)), top
 
 
-@pytest.mark.parametrize("c", [0, 0.0, -0.0, 0.5, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("c", [0, 0.0, -0.0, 0.5, -2.0, math.inf, math.nan, 1e60])
 @pytest.mark.parametrize("mom", [[1.0, 0.25, 0.5, -0.125], [1.0, -0.0, 0.5, 0.0],
                                  [1.0, 0.5, -0.0], [1.0, math.inf, 2.0, 3.0],
                                  [1.0, 2.0, -math.inf, 1.0], [1.0, math.nan, 2.0],
-                                 [-0.0], []])
+                                 [-0.0], [], [1.0, 0.0, 1.0, 0.0, 3.0]])
 def test_shift_moments_keeps_the_array_shifts_bits(mom, c):
     # a shift by 0 that returned its input would move the bits of -0.0
-    # (0 + -0.0 is 0.0) and of every entry after an infinity (0 inf is NaN)
+    # (0 + -0.0 is 0.0) and of every entry after an infinity (0 inf is NaN);
+    # at 1e60 the powers of the shift reach 1e240 and none overflows
     for arg in (mom, np.array(mom, dtype=float)):
         got = bf.distributions.shift_moments(arg, c)
         assert type(got) is np.ndarray and got.dtype == float
@@ -280,15 +281,9 @@ def test_shift_moments_keeps_the_array_shifts_bits(mom, c):
 @pytest.mark.parametrize("c", [1e100, -1e100])
 def test_shift_moments_raises_where_a_power_of_the_shift_overflows(c):
     # c^4 overflows a float: Python's OverflowError before, and inf would
-    # turn 0 c^4 into NaN; the error names the order and the shift
-    with pytest.raises(bf.NonIntegrable, match=re.escape(f"order-4 moment shifted by {c!r}")):
+    # turn 0 c^4 into NaN; the error names the top order and the shift
+    with pytest.raises(bf.NonIntegrable, match=re.escape(f"moments to order 4 shifted by {c!r}")):
         bf.distributions.shift_moments(np.array([1.0, 0.0, 1.0, 0.0, 3.0]), c)
-
-
-def test_shift_moments_below_the_overflow_keeps_the_array_shifts_bits():
-    mom = np.array([1.0, 0.0, 1.0, 0.0, 3.0])
-    got = bf.distributions.shift_moments(mom, 1e60)
-    assert np.all(np.isfinite(got)) and _bits(got) == _bits(array_shift_moments(mom, 1e60))
 
 
 def test_bias_of_a_mixture_without_a_density_on_an_infinite_support():

@@ -168,13 +168,14 @@ def _operator(X: Distribution, specs: Sequence[SignChangeSpec], c: float,
     alpha = sum(norms)
     if not alpha > ALPHA_TOL:
         raise AllBetaZero("every coefficient normalizer vanishes")
-    reads = [_identity_read(spec, m - j, c) for j, spec in enumerate(specs)]
-    cuts = np.cumsum(range(m, 1, -1))  # coefficient j's rows start at cuts[j - 1]
+    starts = np.cumsum([0, *range(m, 0, -1)])  # coefficient j's rows: starts[j] to starts[j + 1]
+    reads = [(_identity_read(spec, m - j, c), slice(starts[j], starts[j + 1]))
+             for j, spec in enumerate(specs)]
 
     def density(t):
         ts, table = np.asarray(t, dtype=float), tails.get()
-        slices = zip(reads, np.split(table(ts), cuts), np.split(table.total, cuts))
-        return np.maximum(sum(read(ts, tail, full) for read, tail, full in slices) / alpha, 0.0)
+        tail, full = table(ts), table.total
+        return np.maximum(sum(read(ts, tail[at], full[at]) for read, at in reads) / alpha, 0.0)
 
     weights = tuple(n / alpha for n in norms)
     law = replace(make_mixture([p.law for p in parts], weights), density=as_array_fn(density),
